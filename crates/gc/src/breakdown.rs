@@ -36,6 +36,17 @@ impl Bucket {
     pub const ALL: [Bucket; 7] =
         [Bucket::Search, Bucket::ScanPush, Bucket::Copy, Bucket::BitmapCount, Bucket::Pop, Bucket::Push, Bucket::Other];
 
+    /// The bucket primitive `prim`'s time lands in.
+    pub fn of(prim: charon_core::packet::PrimType) -> Bucket {
+        use charon_core::packet::PrimType;
+        match prim {
+            PrimType::Copy => Bucket::Copy,
+            PrimType::Search => Bucket::Search,
+            PrimType::ScanPush => Bucket::ScanPush,
+            PrimType::BitmapCount => Bucket::BitmapCount,
+        }
+    }
+
     /// Whether Charon offloads this bucket's work (§3.3).
     pub fn offloadable(self) -> bool {
         matches!(self, Bucket::Search | Bucket::Copy | Bucket::ScanPush | Bucket::BitmapCount)

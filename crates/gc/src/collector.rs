@@ -6,7 +6,7 @@ use crate::concmark::ConcMark;
 use crate::freelist::FreeStore;
 use crate::g1lite::{g1_mixed_collect, G1Stats};
 use crate::major::{major_gc, MajorStats};
-use crate::marksweep::{mark_sweep_old, SweepStats};
+use crate::marksweep::{mark_sweep_into, SweepStats};
 use crate::minor::{minor_gc, MinorStats};
 use crate::system::{OffloadMask, System};
 use crate::threads::GcThreads;
@@ -371,11 +371,7 @@ impl Collector {
                 }
                 CollectorKind::Ms => {
                     let filler = self.ensure_filler(heap);
-                    let (bd, st, chunks) = mark_sweep_old(&mut self.sys, heap, &mut threads, filler);
-                    self.free.clear();
-                    for (a, w) in chunks {
-                        self.free.recycle(a, w);
-                    }
+                    let (bd, st) = mark_sweep_into(&mut self.sys, heap, &mut threads, filler, &mut self.free);
                     crate::concmark::rebuild_old_bot(heap);
                     (bd, None, Some(sweep_to_major(&st)))
                 }
@@ -393,8 +389,7 @@ impl Collector {
                 }
                 CollectorKind::G1 => {
                     let filler = self.ensure_filler(heap);
-                    let (bd, st, regions) =
-                        g1_mixed_collect(&mut self.sys, heap, &mut threads, filler, &mut self.free);
+                    let (bd, st, regions) = g1_mixed_collect(&mut self.sys, heap, &mut threads, filler, &mut self.free);
                     // Fresh victims join the store; chunks from earlier
                     // cycles stay (they were excluded from the cset, so
                     // the collection never re-reported them).
@@ -519,7 +514,9 @@ impl Collector {
             let w = self.concmark.step(heap, crate::concmark::STEP_BUDGET, self.now);
             if w.scanned > 0 || w.refs > 0 {
                 let instrs = w.scanned * (self.sys.costs.pop + self.sys.costs.walk_per_obj) + w.refs * 8;
-                let end = self.sys.host_op(0, self.now, instrs, &[]);
+                // Pure compute between pauses: not part of any
+                // collection, so nothing to book or trace.
+                let end = self.now + self.sys.compute(instrs);
                 self.concmark.conc_time += end - self.now;
                 self.now = end;
             }

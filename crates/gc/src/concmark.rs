@@ -28,14 +28,16 @@
 
 use crate::breakdown::{Breakdown, Bucket};
 use crate::freelist::FreeStore;
-use crate::marksweep::SweepStats;
-use crate::system::{Backend, System};
+use crate::major::{count_regions, REGION_WORDS};
+use crate::marksweep::{assert_filler, clear_young_marks, drain, push_obj, seed_roots, sweep_old, SweepStats};
+use crate::minor::search_dirty_cards;
+use crate::pause::Pause;
+use crate::system::System;
 use crate::threads::GcThreads;
-use charon_core::device::{ScanAction, ScanRef};
 use charon_heap::addr::VAddr;
 use charon_heap::heap::JavaHeap;
 use charon_heap::klass::KlassId;
-use charon_heap::markbitmap::{live_words_fast, mark_object};
+use charon_heap::markbitmap::mark_object;
 use charon_heap::object::{self, MarkState};
 use charon_heap::objstack::ObjStack;
 use charon_sim::cache::AccessKind;
@@ -130,14 +132,6 @@ pub struct ConcMark {
 impl Default for ConcMark {
     fn default() -> ConcMark {
         ConcMark::new()
-    }
-}
-
-fn offloaded(sys: &System, hw: bool) -> bool {
-    match sys.backend {
-        Backend::Host => false,
-        Backend::Charon | Backend::CpuSideCharon => hw,
-        Backend::Ideal => true,
     }
 }
 
@@ -298,7 +292,6 @@ pub(crate) fn rebuild_old_bot(heap: &mut JavaHeap) -> u64 {
 /// # Panics
 ///
 /// Panics if `filler_klass` is not a type-array klass.
-#[allow(clippy::too_many_lines)]
 pub fn cms_old_gc(
     sys: &mut System,
     heap: &mut JavaHeap,
@@ -307,290 +300,116 @@ pub fn cms_old_gc(
     free: &mut FreeStore,
     filler_klass: KlassId,
 ) -> (Breakdown, SweepStats) {
-    assert!(
-        heap.klasses().get(filler_klass).kind() == charon_heap::klass::KlassKind::TypeArray,
-        "filler must be a primitive array klass"
-    );
-    let mut bd = Breakdown::new();
-    let mut st = SweepStats::default();
-    let cores = sys.host.cores();
+    assert_filler(heap, filler_klass);
+    let remark_at = threads.max_clock();
+    let mut pc = Pause::new(sys, threads);
+    let mut st = SweepStats { marked_objects: cm.marked_concurrent, ..SweepStats::default() };
     let mut stack = ObjStack::new(heap.layout().major_stack);
-    let cycle_was_active = cm.active;
-    let remark_at = threads.clock(0);
-    st.marked_objects = cm.marked_concurrent;
 
-    // Prologue.
-    {
-        let now = threads.clock(0);
-        let end = sys.gc_prologue(now);
-        bd.record(Bucket::Other, end - now);
-        threads.advance(0, end, false);
-        threads.barrier();
-    }
+    pc.serial(|sys, now| sys.gc_prologue(now));
 
     // Remark seed 1: the concurrent backlog — already marked, fields
     // still unscanned.
     for obj in cm.take_backlog() {
-        push_obj(sys, threads, &mut bd, &mut stack, obj, cores);
+        push_obj(&mut pc, &mut stack, obj, None);
     }
-
     // Remark seed 2: roots (young and old — the remark traverses the
     // young generation in full, which is why young-slot stores need no
     // barrier).
-    for idx in 0..heap.root_count() {
-        let slot = heap.root_slot_addr(idx);
-        let r = heap.read_ref(slot);
-        let t = threads.least_loaded();
-        let now = threads.clock(t);
-        let end = sys.host_op(t % cores, now, sys.costs.root_per_slot, &[(slot, AccessKind::Read)]);
-        bd.record(Bucket::Other, end - now);
-        threads.advance(t, end, true);
-        if !r.is_null() && object::mark_state(&heap.mem, r) != MarkState::Marked {
-            mark_one(heap, r);
-            st.marked_objects += 1;
-            push_obj(sys, threads, &mut bd, &mut stack, r, cores);
-        }
-    }
-
-    if cycle_was_active {
-        // Remark seed 3: allocate-black survivors — free-list births and
-        // everything bump-allocated above the watermark since the cycle
-        // started. Marked AND pushed, so their successors get traced.
-        for b in free.take_births() {
-            if object::mark_state(&heap.mem, b) != MarkState::Marked {
-                mark_one(heap, b);
-                st.marked_objects += 1;
-                push_obj(sys, threads, &mut bd, &mut stack, b, cores);
-            }
-        }
-        let born: Vec<VAddr> = heap.walk_objects(cm.watermark, heap.old().top()).collect();
-        for obj in born {
-            let t = threads.least_loaded();
-            let now = threads.clock(t);
-            let end = sys.host_op(t % cores, now, sys.costs.walk_per_obj, &[(obj, AccessKind::Read)]);
-            bd.record(Bucket::Other, end - now);
-            threads.advance(t, end, true);
-            if object::mark_state(&heap.mem, obj) != MarkState::Marked {
-                mark_one(heap, obj);
-                st.marked_objects += 1;
-                push_obj(sys, threads, &mut bd, &mut stack, obj, cores);
-            }
-        }
-
-        // Remark seed 4: dirty-card rescan — every old slot the mutator
-        // stored during the cycle sits on a dirty card (the widened
-        // barrier); unmarked targets, young or old, are marked and
-        // pushed. Cards are NOT cleaned: the old-to-young ones among
-        // them still belong to the next scavenge.
-        let table = heap.cards().table_range();
-        let old_top_card = if heap.old().used_bytes() == 0 {
-            table.start
-        } else {
-            heap.cards().card_addr(VAddr(heap.old().top().0 - 1)).add_bytes(1)
-        };
-        let mut pos = table.start;
-        while pos < old_top_card {
-            let (hit, scanned) = heap.cards().search_dirty_block(&heap.mem, pos, old_top_card);
-            let t = threads.least_loaded();
-            let now = threads.clock(t);
-            let end = sys.prim_search(t % cores, now, pos, scanned * 8);
-            bd.record(Bucket::Search, end - now);
-            threads.advance(t, end, !offloaded(sys, true));
-
-            let Some(block) = hit else { break };
-            for card in heap.cards().dirty_cards_in_block(&heap.mem, block) {
-                rescan_card(sys, heap, threads, &mut bd, &mut st, &mut stack, card, cores);
-            }
-            pos = block.add_bytes(8);
-        }
+    seed_roots(&mut pc, heap, &mut stack, &mut st, mark_one, false);
+    if cm.active {
+        seed_cycle_survivors(&mut pc, heap, &mut stack, &mut st, cm.watermark, free.take_births());
     }
 
     // Drain: complete the transitive closure. Descent skips already-
     // marked objects — the concurrent phase traced their old successors,
     // and the card rescan covered mid-cycle mutations.
-    while let Some((obj, slot_addr)) = stack.pop() {
-        let t = threads.least_loaded();
-        let now = threads.clock(t);
-        let end = sys.host_op(t % cores, now, sys.costs.pop, &[(slot_addr, AccessKind::Read), (obj, AccessKind::Read)]);
-        bd.record(Bucket::Pop, end - now);
-        threads.advance(t, end, true);
-
-        let kind = heap.obj_klass(obj).kind();
-        let slots = heap.ref_slots(obj);
-        if slots.is_empty() {
-            continue;
-        }
-        let mut refs = Vec::new();
-        for s in &slots {
-            let v = heap.read_ref(*s);
-            if v.is_null() {
-                continue;
-            }
-            if object::mark_state(&heap.mem, v) == MarkState::Marked {
-                refs.push(ScanRef { referent: v, action: ScanAction::None });
-            } else {
-                mark_one(heap, v);
-                st.marked_objects += 1;
-                let pushed = stack.push(v);
-                refs.push(ScanRef { referent: v, action: ScanAction::Push { stack_slot: pushed } });
-            }
-        }
-        let hw = kind.charon_supported();
-        let now = threads.clock(t);
-        let end = sys.prim_scan_push(t % cores, now, slots[0], slots.len() as u64 * 8, &refs, hw);
-        bd.record(Bucket::ScanPush, end - now);
-        threads.advance(t, end, !offloaded(sys, hw));
-    }
-    threads.barrier();
-    {
-        let now = threads.clock(0);
-        let end = sys.flush_bitmap_cache(now);
-        bd.record(Bucket::Other, end - now);
-        threads.advance(0, end, false);
-        threads.barrier();
-    }
+    drain(&mut pc, heap, &mut stack, &mut st, mark_one);
+    pc.serial(|sys, now| sys.flush_bitmap_cache(now));
     cm.events.push(ConcEvent::Remark { at: remark_at, marked: st.marked_objects });
 
     // Region liveness via Bitmap Count over the old generation — with no
     // compaction there is no Copy and no per-reference adjust, so this
     // is the offload mix's dominant primitive (the regime Table 3's PS
     // runs never reach).
-    let old_used = heap.old().used_region();
-    let mut live_words_total = 0u64;
-    let mut carry = false;
-    let mut at = old_used.start;
-    while at < old_used.end {
-        let r_end = at.add_words(crate::major::REGION_WORDS).min(old_used.end);
-        let (live, c, map_words) = live_words_fast(&heap.mem, heap.beg_map(), heap.end_map(), at, r_end, carry);
-        let t = threads.least_loaded();
-        let now = threads.clock(t);
-        let span_bytes = (map_words / 2).max(1) * 8;
-        let spans = [(heap.beg_map().map_word_addr(at), span_bytes), (heap.end_map().map_word_addr(at), span_bytes)];
-        let end = sys.prim_bitmap_count(t % cores, now, &spans);
-        bd.record(Bucket::BitmapCount, end - now);
-        threads.advance(t, end, !offloaded(sys, true));
-        live_words_total += live;
-        carry = c;
-        at = r_end;
-    }
-    threads.barrier();
+    let mut live_words = 0u64;
+    count_regions(&mut pc, heap, heap.old().used_region(), REGION_WORDS, |_, live, _| live_words += live);
+    pc.barrier();
 
-    // Sweep: linear old walk, dead runs become filler + free-store
-    // chunks. The store is rebuilt from scratch — stale entries from the
-    // previous sweep would double-book ranges the new chunks cover.
-    free.clear();
-    let top = heap.old().top();
-    let mut at = heap.old().start();
-    let mut run_start: Option<VAddr> = None;
-    while at < top {
-        let size = heap.obj_size_words(at);
-        let marked = object::mark_state(&heap.mem, at) == MarkState::Marked;
-
-        let t = threads.least_loaded();
-        let now = threads.clock(t);
-        let end = sys.host_op(t % cores, now, sys.costs.walk_per_obj, &[(at, AccessKind::Read)]);
-        bd.record(Bucket::Other, end - now);
-        threads.advance(t, end, true);
-
-        if marked {
-            if let Some(rs) = run_start.take() {
-                emit_chunk(sys, heap, threads, &mut bd, &mut st, free, rs, at, filler_klass, cores);
-            }
-            object::clear_mark(&mut heap.mem, at);
-            st.old_live_bytes += size * 8;
-        } else if run_start.is_none() {
-            run_start = Some(at);
-        }
-        at = at.add_words(size);
-    }
-    if let Some(rs) = run_start {
-        emit_chunk(sys, heap, threads, &mut bd, &mut st, free, rs, top, filler_klass, cores);
-    }
+    sweep_old(&mut pc, heap, filler_klass, &mut st, free);
     debug_assert_eq!(
-        live_words_total * 8,
+        live_words * 8,
         st.old_live_bytes,
         "Bitmap Count region liveness disagrees with the sweep's header walk"
     );
-
-    // Clear the young generation's header marks (the remark marked young
-    // objects it traversed; the bitmaps never held young bits).
-    for space in [heap.eden().used_region(), heap.from_space().used_region()] {
-        let mut a = space.start;
-        while a < space.end {
-            let size = heap.obj_size_words(a);
-            if object::mark_state(&heap.mem, a) == MarkState::Marked {
-                object::clear_mark(&mut heap.mem, a);
-            }
-            a = a.add_words(size);
-        }
-    }
+    // The remark marked the young objects it traversed; the bitmaps never
+    // held young bits.
+    clear_young_marks(heap);
 
     // Drop the bitmaps (only old-generation bits were ever set) and
     // rebuild the BOT over the swept layout — filler headers moved the
     // object starts the card walks depend on.
-    let bm = *heap.beg_map();
+    let (bm, em) = (*heap.beg_map(), *heap.end_map());
     bm.clear_all(&mut heap.mem);
-    let em = *heap.end_map();
     em.clear_all(&mut heap.mem);
-    {
-        let walked = rebuild_old_bot(heap);
-        let t = threads.least_loaded();
-        let now = threads.clock(t);
-        let end = sys.host_op(t % cores, now, walked * 2, &[]);
-        bd.record(Bucket::Other, end - now);
-        threads.advance(t, end, true);
-    }
+    let walked = rebuild_old_bot(heap);
+    pc.host(Bucket::Other, walked * 2, &[]);
 
     // The cycle is closed: disarm the barrier and the birth log.
     heap.set_concmark_barrier(false);
     free.set_log_births(false);
     cm.finish();
-    threads.barrier();
-    (bd, st)
+    pc.barrier();
+    (pc.finish(), st)
 }
 
-/// Pushes an already-marked object onto the remark stack, charging the
-/// push cost.
-fn push_obj(
-    sys: &mut System,
-    threads: &mut GcThreads,
-    bd: &mut Breakdown,
+/// Marks and pushes `obj` unless it is already marked, so its successors
+/// get traced.
+fn mark_and_push(pc: &mut Pause, heap: &mut JavaHeap, stack: &mut ObjStack, st: &mut SweepStats, obj: VAddr) {
+    if object::mark_state(&heap.mem, obj) != MarkState::Marked {
+        mark_one(heap, obj);
+        st.marked_objects += 1;
+        push_obj(pc, stack, obj, None);
+    }
+}
+
+/// The remark seeds only a cycle in flight needs: the allocate-black
+/// survivors — free-list `births` and everything bump-allocated above the
+/// `watermark` since the cycle started — and the dirty-card rescan.
+fn seed_cycle_survivors(
+    pc: &mut Pause,
+    heap: &mut JavaHeap,
     stack: &mut ObjStack,
-    obj: VAddr,
-    cores: usize,
+    st: &mut SweepStats,
+    watermark: VAddr,
+    births: Vec<VAddr>,
 ) {
-    let t = threads.least_loaded();
-    let now = threads.clock(t);
-    let s = stack.push(obj);
-    let end = sys.host_op(t % cores, now, sys.costs.push, &[(s, AccessKind::Write)]);
-    bd.record(Bucket::Push, end - now);
-    threads.advance(t, end, true);
+    for b in births {
+        mark_and_push(pc, heap, stack, st, b);
+    }
+    let born: Vec<VAddr> = heap.walk_objects(watermark, heap.old().top()).collect();
+    for obj in born {
+        pc.host(Bucket::Other, pc.sys.costs.walk_per_obj, &[(obj, AccessKind::Read)]);
+        mark_and_push(pc, heap, stack, st, obj);
+    }
+
+    // Dirty-card rescan — every old slot the mutator stored during the
+    // cycle sits on a dirty card (the widened barrier); unmarked targets,
+    // young or old, are marked and pushed. Cards are NOT cleaned: the
+    // old-to-young ones among them still belong to the next scavenge.
+    search_dirty_cards(pc, heap, |pc, heap, card| rescan_card(pc, heap, stack, st, card));
 }
 
 /// Rescans one dirty old card at remark: walks the objects overlapping
 /// it and marks + pushes every unmarked target its in-card slots hold.
 /// The card itself is left dirty.
-#[allow(clippy::too_many_arguments)]
-fn rescan_card(
-    sys: &mut System,
-    heap: &mut JavaHeap,
-    threads: &mut GcThreads,
-    bd: &mut Breakdown,
-    st: &mut SweepStats,
-    stack: &mut ObjStack,
-    card: VAddr,
-    cores: usize,
-) {
+fn rescan_card(pc: &mut Pause, heap: &mut JavaHeap, stack: &mut ObjStack, st: &mut SweepStats, card: VAddr) {
     let region = heap.cards().card_region(card);
     let Some(first) = heap.first_obj_for_card(card) else { return };
     let top = heap.old().top();
     let mut obj = first;
     while obj < region.end && obj < top {
-        let t = threads.least_loaded();
-        let now = threads.clock(t);
-        let end = sys.host_op(t % cores, now, sys.costs.card_walk_per_obj, &[(obj, AccessKind::Read)]);
-        bd.record(Bucket::Search, end - now);
-        threads.advance(t, end, true);
+        pc.host(Bucket::Search, pc.sys.costs.card_walk_per_obj, &[(obj, AccessKind::Read)]);
 
         let size = heap.obj_size_words(obj);
         for slot in heap.ref_slots(obj) {
@@ -598,43 +417,12 @@ fn rescan_card(
                 continue;
             }
             let v = heap.read_ref(slot);
-            if !v.is_null() && object::mark_state(&heap.mem, v) != MarkState::Marked {
-                mark_one(heap, v);
-                st.marked_objects += 1;
-                push_obj(sys, threads, bd, stack, v, cores);
+            if !v.is_null() {
+                mark_and_push(pc, heap, stack, st, v);
             }
         }
         obj = obj.add_words(size);
     }
-}
-
-/// Installs a filler over a dead run and recycles it into the free
-/// store.
-#[allow(clippy::too_many_arguments)]
-fn emit_chunk(
-    sys: &mut System,
-    heap: &mut JavaHeap,
-    threads: &mut GcThreads,
-    bd: &mut Breakdown,
-    st: &mut SweepStats,
-    free: &mut FreeStore,
-    start: VAddr,
-    end: VAddr,
-    filler_klass: KlassId,
-    cores: usize,
-) {
-    let words = end.words_since(start);
-    debug_assert!(words >= 2, "free chunks are at least a header");
-    object::init_header(&mut heap.mem, start, filler_klass, (words - 2) as u32);
-    free.recycle(start, words);
-    st.freed_bytes += words * 8;
-    st.free_chunks += 1;
-
-    let t = threads.least_loaded();
-    let now = threads.clock(t);
-    let e = sys.host_op(t % cores, now, 20, &[(start, AccessKind::Write)]);
-    bd.record(Bucket::Other, e - now);
-    threads.advance(t, e, true);
 }
 
 #[cfg(test)]

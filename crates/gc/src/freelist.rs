@@ -210,15 +210,21 @@ impl FreeStore {
         None
     }
 
-    /// Merges address-adjacent chunks across all queues and rebuilds the
-    /// size classes. Returns the number of merges performed (0 means the
-    /// store is already maximally coalesced and a retry is pointless).
-    pub fn coalesce(&mut self) -> u64 {
+    /// Every free chunk as `(address, words)`, in address order.
+    pub fn chunks_by_address(&self) -> Vec<(VAddr, u64)> {
         let mut all: Vec<(VAddr, u64)> = Vec::new();
         for q in &self.queues {
             all.extend(q.chunks.iter().map(|&a| (a, q.size_words)));
         }
         all.sort_by_key(|&(a, _)| a);
+        all
+    }
+
+    /// Merges address-adjacent chunks across all queues and rebuilds the
+    /// size classes. Returns the number of merges performed (0 means the
+    /// store is already maximally coalesced and a retry is pointless).
+    pub fn coalesce(&mut self) -> u64 {
+        let all = self.chunks_by_address();
         self.clear();
         let mut merges = 0u64;
         let mut cur: Option<(VAddr, u64)> = None;

@@ -25,14 +25,16 @@
 
 use crate::breakdown::{Breakdown, Bucket};
 use crate::freelist::FreeStore;
-use crate::major::{mark_phase, MajorStats};
-use crate::system::{Backend, System};
+use crate::major::{clear_dead_referents, count_regions, mark_phase, MajorStats};
+use crate::marksweep::{assert_filler, clear_marks_in, clear_young_marks};
+use crate::pause::Pause;
+use crate::system::System;
 use crate::threads::GcThreads;
+use charon_core::packet::PrimType;
 use charon_heap::addr::{VAddr, VRange};
 use charon_heap::heap::JavaHeap;
 use charon_heap::klass::KlassId;
-use charon_heap::markbitmap::live_words_fast;
-use charon_heap::object::{self, MarkState};
+use charon_heap::object;
 use charon_heap::objstack::ObjStack;
 use charon_sim::cache::AccessKind;
 
@@ -62,14 +64,6 @@ pub struct G1Stats {
     pub remset_updates: u64,
 }
 
-fn offloaded(sys: &System, hw: bool) -> bool {
-    match sys.backend {
-        Backend::Host => false,
-        Backend::Charon | Backend::CpuSideCharon => hw,
-        Backend::Ideal => true,
-    }
-}
-
 /// Runs one G1-lite mixed collection over the old generation.
 /// `filler_klass` must be a primitive-array klass (used to keep reclaimed
 /// regions parsable). Returns the free-region list.
@@ -92,72 +86,27 @@ pub fn g1_mixed_collect(
     filler_klass: KlassId,
     free: &mut FreeStore,
 ) -> (Breakdown, G1Stats, Vec<VRange>) {
-    assert!(
-        heap.klasses().get(filler_klass).kind() == charon_heap::klass::KlassKind::TypeArray,
-        "filler must be a primitive array klass"
-    );
-    let mut bd = Breakdown::new();
+    assert_filler(heap, filler_klass);
+    let mut pc = Pause::new(sys, threads);
     let mut g1 = G1Stats::default();
-    let cores = sys.host.cores();
 
-    // Prologue + mark (shared with MajorGC).
-    {
-        let now = threads.clock(0);
-        let end = sys.gc_prologue(now);
-        bd.record(Bucket::Other, end - now);
-        threads.advance(0, end, false);
-        threads.barrier();
-    }
+    // Prologue + mark + reference processing (shared with MajorGC): weak
+    // referents the mark never reached strongly are cleared before any
+    // region is condemned.
+    pc.serial(|sys, now| sys.gc_prologue(now));
     let mut stack = ObjStack::new(heap.layout().major_stack);
     let mut mstats = MajorStats::default();
-    let discovered = mark_phase(sys, heap, threads, &mut bd, &mut mstats, &mut stack, cores);
+    let discovered = mark_phase(&mut pc, heap, &mut mstats, &mut stack);
     g1.marked_objects = mstats.marked_objects;
-    // Reference processing, as in MajorGC: weak referents the mark never
-    // reached strongly are cleared before any region is condemned.
-    for slot in discovered {
-        let v = heap.read_ref(slot);
-        if !v.is_null() && object::mark_state(&heap.mem, v) != MarkState::Marked {
-            heap.write_ref(slot, VAddr::NULL);
-        }
-        let t = threads.least_loaded();
-        let now = threads.clock(t);
-        let end = sys.host_op(t % cores, now, 10, &[(slot, AccessKind::Write)]);
-        bd.record(Bucket::Other, end - now);
-        threads.advance(t, end, true);
-    }
-    threads.barrier();
-    {
-        let now = threads.clock(0);
-        let end = sys.flush_bitmap_cache(now);
-        bd.record(Bucket::Other, end - now);
-        threads.advance(0, end, false);
-        threads.barrier();
-    }
+    clear_dead_referents(&mut pc, heap, discovered);
+    pc.serial(|sys, now| sys.flush_bitmap_cache(now));
 
     // Region liveness via Bitmap Count (Table 1: "scans the bitmap to
     // identify the state of the entire heap").
-    let old_used = heap.old().used_region();
     let mut regions: Vec<(VRange, u64)> = Vec::new();
-    let mut carry = false;
-    let mut at = old_used.start;
-    while at < old_used.end {
-        let r_end = at.add_words(G1_REGION_WORDS).min(old_used.end);
-        let (live, c, map_words) = live_words_fast(&heap.mem, heap.beg_map(), heap.end_map(), at, r_end, carry);
-
-        let t = threads.least_loaded();
-        let now = threads.clock(t);
-        let span_bytes = (map_words / 2).max(1) * 8;
-        let spans = [(heap.beg_map().map_word_addr(at), span_bytes), (heap.end_map().map_word_addr(at), span_bytes)];
-        let end = sys.prim_bitmap_count(t % cores, now, &spans);
-        bd.record(Bucket::BitmapCount, end - now);
-        threads.advance(t, end, !offloaded(sys, true));
-
-        regions.push((VRange::new(at, r_end), live));
-        carry = c;
-        at = r_end;
-    }
+    count_regions(&mut pc, heap, heap.old().used_region(), G1_REGION_WORDS, |r, live, _| regions.push((r, live)));
     g1.regions = regions.len();
-    threads.barrier();
+    pc.barrier();
 
     // Collection set: mostly-garbage regions, excluding any an object
     // straddles into or out of (a full G1 never splits objects across its
@@ -218,15 +167,9 @@ pub fn g1_mixed_collect(
             copies.push(dest);
             g1.evacuated_bytes += size * 8;
 
-            let t = threads.least_loaded();
-            let now = threads.clock(t);
-            let end = sys.prim_copy(t % cores, now, obj, dest, size * 8);
-            bd.record(Bucket::Copy, end - now);
-            threads.advance(t, end, !offloaded(sys, true));
-            let now = threads.clock(t);
-            let end = sys.host_op(t % cores, now, sys.costs.copy_fixup, &[(obj, AccessKind::Write)]);
-            bd.record(Bucket::Copy, end - now);
-            threads.advance(t, end, true);
+            let t = pc.pick();
+            pc.prim(t, PrimType::Copy, true, |sys, core, now| sys.prim_copy(core, now, obj, dest, size * 8));
+            pc.host_on(t, Bucket::Copy, pc.sys.costs.copy_fixup, &[(obj, AccessKind::Write)]);
 
             at = obj.add_words(size);
         }
@@ -238,75 +181,52 @@ pub fn g1_mixed_collect(
     // collection set. (A full G1 holds per-region remsets; the walk over
     // live objects stands in for iterating them, and only matching slots
     // pay the update.)
-    let in_cset = |a: VAddr| cset.iter().any(|r| r.contains(a));
-    update_references(sys, heap, threads, &mut bd, &mut g1, &in_cset, &copies, cores);
-    threads.barrier();
+    g1.remset_updates = update_references(&mut pc, heap, &cset, &copies);
+    pc.barrier();
 
     // Reclaim: fill victim regions and clear their bitmap spans.
-    let mut free = Vec::new();
     for &r in &cset {
         object::init_header(&mut heap.mem, r.start, filler_klass, (r.words() - 2) as u32);
         heap.bot_update(r.start, r.words());
-        free.push(r);
-        let t = threads.least_loaded();
-        let now = threads.clock(t);
-        let end = sys.host_op(t % cores, now, 24, &[(r.start, AccessKind::Write)]);
-        bd.record(Bucket::Other, end - now);
-        threads.advance(t, end, true);
+        pc.host(Bucket::Other, 24, &[(r.start, AccessKind::Write)]);
     }
 
     // Drop all marks (G1 keeps its bitmaps between cycles; we reset like
-    // the rest of this codebase for a clean epoch).
-    clear_marks_everywhere(heap);
-    let bm = *heap.beg_map();
+    // the rest of this codebase for a clean epoch). Evacuated copies are
+    // already clear; stale originals die with the filler.
+    clear_marks_in(heap, heap.old().used_region());
+    clear_young_marks(heap);
+    let (bm, em) = (*heap.beg_map(), *heap.end_map());
     bm.clear_all(&mut heap.mem);
-    let em = *heap.end_map();
     em.clear_all(&mut heap.mem);
-    threads.barrier();
-    (bd, g1, free)
+    pc.barrier();
+    (pc.finish(), g1, cset)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn update_references(
-    sys: &mut System,
-    heap: &mut JavaHeap,
-    threads: &mut GcThreads,
-    bd: &mut Breakdown,
-    g1: &mut G1Stats,
-    in_cset: &dyn Fn(VAddr) -> bool,
-    copies: &[VAddr],
-    cores: usize,
-) {
-    // Roots.
-    for idx in 0..heap.root_count() {
-        let slot = heap.root_slot_addr(idx);
+/// Forwards every live slot that points into the collection set: roots,
+/// the evacuated copies' fields, and the fields of every marked object
+/// outside the cset. Returns the number of slots updated.
+fn update_references(pc: &mut Pause, heap: &mut JavaHeap, cset: &[VRange], copies: &[VAddr]) -> u64 {
+    let in_cset = |a: VAddr| cset.iter().any(|r| r.contains(a));
+    let mut updates = 0;
+    let mut forward = |pc: &mut Pause, heap: &mut JavaHeap, slot: VAddr| {
         let v = heap.read_ref(slot);
         if !v.is_null() && in_cset(v) {
             let fwd = object::forwarding(&heap.mem, v);
             heap.write_ref(slot, fwd);
-            g1.remset_updates += 1;
-            let t = threads.least_loaded();
-            let now = threads.clock(t);
-            let end = sys.host_op(t % cores, now, 6, &[(slot, AccessKind::Write)]);
-            bd.record(Bucket::ScanPush, end - now);
-            threads.advance(t, end, true);
+            updates += 1;
+            pc.host(Bucket::ScanPush, 6, &[(slot, AccessKind::Write)]);
         }
+    };
+    // Roots.
+    for idx in 0..heap.root_count() {
+        forward(pc, heap, heap.root_slot_addr(idx));
     }
     // The evacuated copies are not in the mark bitmap (they were born
     // after marking); their fields may point back into the collection set.
     for &obj in copies {
         for slot in heap.ref_slots(obj) {
-            let v = heap.read_ref(slot);
-            if !v.is_null() && in_cset(v) {
-                let fwd = object::forwarding(&heap.mem, v);
-                heap.write_ref(slot, fwd);
-                g1.remset_updates += 1;
-                let t = threads.least_loaded();
-                let now = threads.clock(t);
-                let end = sys.host_op(t % cores, now, 6, &[(slot, AccessKind::Write)]);
-                bd.record(Bucket::ScanPush, end - now);
-                threads.advance(t, end, true);
-            }
+            forward(pc, heap, slot);
         }
     }
     // Live heap slots. Walk every marked object (bitmap iteration) across
@@ -316,41 +236,14 @@ fn update_references(
     for range in ranges {
         let mut at = range.start;
         while let Some(obj) = heap.beg_map().find_next_set(&heap.mem, at, range.end) {
-            let size = heap.obj_size_words(obj);
-            at = obj.add_words(size);
+            at = obj.add_words(heap.obj_size_words(obj));
             if in_cset(obj) {
                 continue; // the stale copy; its new home is visited too
             }
             for slot in heap.ref_slots(obj) {
-                let v = heap.read_ref(slot);
-                if !v.is_null() && in_cset(v) {
-                    let fwd = object::forwarding(&heap.mem, v);
-                    heap.write_ref(slot, fwd);
-                    g1.remset_updates += 1;
-                    let t = threads.least_loaded();
-                    let now = threads.clock(t);
-                    let end = sys.host_op(t % cores, now, 6, &[(slot, AccessKind::Write)]);
-                    bd.record(Bucket::ScanPush, end - now);
-                    threads.advance(t, end, true);
-                }
+                forward(pc, heap, slot);
             }
         }
     }
-}
-
-/// Clears the mark-word state of every object in the used spaces
-/// (evacuated copies already cleared; stale originals die with the filler).
-fn clear_marks_everywhere(heap: &mut JavaHeap) {
-    let mut ranges = vec![heap.old().used_region(), heap.eden().used_region(), heap.from_space().used_region()];
-    ranges.sort_by_key(|r| r.start);
-    for range in ranges {
-        let mut at = range.start;
-        while at < range.end {
-            let size = heap.obj_size_words(at);
-            if object::mark_state(&heap.mem, at) == MarkState::Marked {
-                object::clear_mark(&mut heap.mem, at);
-            }
-            at = at.add_words(size);
-        }
-    }
+    updates
 }

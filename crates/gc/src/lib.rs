@@ -60,6 +60,7 @@ pub mod integrity;
 pub mod major;
 pub mod marksweep;
 pub mod minor;
+mod pause;
 pub mod postmortem;
 pub mod system;
 pub mod threads;

@@ -17,16 +17,19 @@
 //! charged here across summary and adjust.
 
 use crate::breakdown::{Breakdown, Bucket};
-use crate::system::{Backend, System};
+use crate::integrity;
+use crate::pause::Pause;
+use crate::system::System;
 use crate::threads::GcThreads;
 use charon_core::device::{ScanAction, ScanRef};
+use charon_core::packet::PrimType;
 use charon_heap::addr::{VAddr, VRange};
 use charon_heap::heap::JavaHeap;
+use charon_heap::klass::KlassKind;
 use charon_heap::markbitmap::{live_words_fast, mark_object};
 use charon_heap::object::{self, MarkState};
 use charon_heap::objstack::ObjStack;
 use charon_sim::cache::AccessKind;
-use charon_sim::telemetry::Event;
 
 /// Heap words per compaction region (HotSpot `ParallelCompactData`
 /// regions; 512 words = 4 KB).
@@ -47,14 +50,6 @@ pub struct MajorStats {
     pub stack_max: usize,
     /// Weak referents cleared by reference processing.
     pub cleared_weak_refs: u64,
-}
-
-fn offloaded(sys: &System, hardware_iterable: bool) -> bool {
-    match sys.backend {
-        Backend::Host => false,
-        Backend::Charon | Backend::CpuSideCharon => hardware_iterable,
-        Backend::Ideal => true,
-    }
 }
 
 /// One compaction region's summary data.
@@ -140,98 +135,39 @@ pub struct LastQuery {
 
 /// Runs one MajorGC.
 pub fn major_gc(sys: &mut System, heap: &mut JavaHeap, threads: &mut GcThreads) -> (Breakdown, MajorStats) {
-    let mut bd = Breakdown::new();
+    let mut pc = Pause::new(sys, threads);
     let mut st = MajorStats::default();
-    let cores = sys.host.cores();
-    let seq = sys.collection_seq;
     let mut stack = ObjStack::new(heap.layout().major_stack);
 
-    // Prologue.
-    {
-        let now = threads.clock(0);
-        let end = sys.gc_prologue(now);
-        bd.record(Bucket::Other, end - now);
-        threads.advance(0, end, false);
-        threads.barrier();
-    }
+    pc.serial(|sys, now| sys.gc_prologue(now));
 
-    let p0 = threads.max_clock();
-    let discovered = mark_phase(sys, heap, threads, &mut bd, &mut st, &mut stack, cores);
+    let discovered = mark_phase(&mut pc, heap, &mut st, &mut stack);
     st.stack_max = stack.max_depth();
-    let p1 = threads.max_clock();
-    sys.telemetry.record(|| Event::Phase { seq, name: "mark", start: p0, end: p1 });
-    // Reference processing: clear weak referents that marking never
-    // reached strongly — before the summary, so their space is reclaimed
-    // and the adjust phase never follows a dangling weak edge.
-    for slot in discovered {
-        let v = heap.read_ref(slot);
-        if !v.is_null() && object::mark_state(&heap.mem, v) != MarkState::Marked {
-            heap.write_ref(slot, VAddr::NULL);
-            st.cleared_weak_refs += 1;
-        }
-        let t = threads.least_loaded();
-        let now = threads.clock(t);
-        let end = sys.host_op(t % cores, now, 10, &[(slot, AccessKind::Write)]);
-        bd.record(Bucket::Other, end - now);
-        threads.advance(t, end, true);
-    }
-    threads.barrier();
-    let p2 = threads.max_clock();
-    sys.telemetry.record(|| Event::Phase { seq, name: "refs", start: p1, end: p2 });
-    {
-        let now = threads.clock(0);
-        let end = sys.flush_bitmap_cache(now);
-        bd.record(Bucket::Other, end - now);
-        threads.advance(0, end, false);
-        threads.barrier();
-    }
+    pc.end_phase("mark");
+    st.cleared_weak_refs = clear_dead_referents(&mut pc, heap, discovered);
+    pc.barrier();
+    pc.end_phase("refs");
+    pc.serial(|sys, now| sys.flush_bitmap_cache(now));
     // End-of-mark integrity sweep: the summary phase trusts bitmap
     // population counts, so any bitmap damage must be found (and the
     // extents rebuilt from the still-honest headers) before it runs.
-    {
-        let now = threads.clock(0);
-        let end = crate::integrity::verify_marks(sys, heap, 0, now);
-        if end > now {
-            bd.record(Bucket::Other, end - now);
-            threads.advance(0, end, false);
-        }
-        threads.barrier();
-    }
+    pc.serial(|sys, now| integrity::verify_marks(sys, heap, 0, now));
 
-    let p3 = threads.max_clock();
-    let plan = summary_phase(sys, heap, threads, &mut bd, &mut st, cores);
-    threads.barrier();
-    sys.note_phase_barrier();
-    let p4 = threads.max_clock();
-    sys.telemetry
-        .record(|| Event::Phase { seq, name: "summary", start: p3, end: p4 });
+    let plan = summary_phase(&mut pc, heap, &mut st);
+    pc.close_phase("summary");
 
-    adjust_phase(sys, heap, threads, &mut bd, &plan, cores);
-    threads.barrier();
-    sys.note_phase_barrier();
-    let p5 = threads.max_clock();
-    sys.telemetry
-        .record(|| Event::Phase { seq, name: "adjust", start: p4, end: p5 });
+    adjust_phase(&mut pc, heap, &plan);
+    pc.close_phase("adjust");
 
-    compact_phase(sys, heap, threads, &mut bd, &mut st, &plan, cores);
-    threads.barrier();
-    sys.note_phase_barrier();
-    let p6 = threads.max_clock();
-    sys.telemetry
-        .record(|| Event::Phase { seq, name: "compact", start: p5, end: p6 });
-    {
-        let now = threads.clock(0);
-        let end = sys.flush_bitmap_cache(now);
-        bd.record(Bucket::Other, end - now);
-        threads.advance(0, end, false);
-    }
+    compact_phase(&mut pc, heap, &mut st, &plan);
+    pc.close_phase("compact");
+    // Thread 0 flushes while the others start on the epilogue: no barrier.
+    pc.charge(0, Bucket::Other, false, |sys, _, now| sys.flush_bitmap_cache(now));
 
-    epilogue(sys, heap, threads, &mut bd, &plan, cores);
-    threads.barrier();
-    let p7 = threads.max_clock();
-    sys.telemetry
-        .record(|| Event::Phase { seq, name: "epilogue", start: p6, end: p7 });
-    (bd, st)
+    epilogue(&mut pc, heap, &plan);
+    pc.barrier();
+    pc.end_phase("epilogue");
+    (pc.finish(), st)
 }
 
 /// The used ranges of every space, in address order.
@@ -246,49 +182,28 @@ fn used_ranges(heap: &JavaHeap) -> Vec<VRange> {
     v
 }
 
-pub(crate) fn mark_phase(
-    sys: &mut System,
-    heap: &mut JavaHeap,
-    threads: &mut GcThreads,
-    bd: &mut Breakdown,
-    st: &mut MajorStats,
-    stack: &mut ObjStack,
-    cores: usize,
-) -> Vec<VAddr> {
+/// Marks the whole graph from the roots (begin/end bitmaps + header
+/// state), draining the object stack with *Scan&Push*. Returns the weak
+/// referent slots discovered on the way.
+pub(crate) fn mark_phase(pc: &mut Pause, heap: &mut JavaHeap, st: &mut MajorStats, stack: &mut ObjStack) -> Vec<VAddr> {
     let mut discovered: Vec<VAddr> = Vec::new();
     // Roots.
     for idx in 0..heap.root_count() {
         let slot = heap.root_slot_addr(idx);
         let r = heap.read_ref(slot);
-        let t = threads.least_loaded();
-        let now = threads.clock(t);
-        let end = sys.host_op(t % cores, now, sys.costs.root_per_slot, &[(slot, AccessKind::Read)]);
-        bd.record(Bucket::Other, end - now);
-        threads.advance(t, end, true);
+        let t = pc.host(Bucket::Other, pc.sys.costs.root_per_slot, &[(slot, AccessKind::Read)]);
         if !r.is_null() && object::mark_state(&heap.mem, r) != MarkState::Marked {
             let size = mark_one(heap, r);
             st.marked_objects += 1;
-            let now = threads.clock(t);
             let s = stack.push(r);
-            let end = sys.host_op(t % cores, now, sys.costs.push, &[(r, AccessKind::Write), (s, AccessKind::Write)]);
-            bd.record(Bucket::Push, end - now);
-            threads.advance(t, end, true);
-            let now = threads.clock(t);
-            let iend = crate::integrity::after_mark(sys, heap, t % cores, now, r, size);
-            if iend > now {
-                bd.record(Bucket::Other, iend - now);
-                threads.advance(t, iend, true);
-            }
+            pc.host_on(t, Bucket::Push, pc.sys.costs.push, &[(r, AccessKind::Write), (s, AccessKind::Write)]);
+            pc.check(t, Bucket::Other, |sys, core, now| integrity::after_mark(sys, heap, core, now, r, size));
         }
     }
 
     // Drain: follow_contents.
     while let Some((obj, slot_addr)) = stack.pop() {
-        let t = threads.least_loaded();
-        let now = threads.clock(t);
-        let end = sys.host_op(t % cores, now, sys.costs.pop, &[(slot_addr, AccessKind::Read), (obj, AccessKind::Read)]);
-        bd.record(Bucket::Pop, end - now);
-        threads.advance(t, end, true);
+        let t = pc.host(Bucket::Pop, pc.sys.costs.pop, &[(slot_addr, AccessKind::Read), (obj, AccessKind::Read)]);
 
         let kind = heap.obj_klass(obj).kind();
         let slots = heap.ref_slots(obj);
@@ -296,7 +211,7 @@ pub(crate) fn mark_phase(
             continue;
         }
         // Weak referent of an InstanceRef holder: discovered, not marked.
-        let weak_slot = (kind == charon_heap::klass::KlassKind::InstanceRef).then(|| slots[0]);
+        let weak_slot = (kind == KlassKind::InstanceRef).then(|| slots[0]);
         let mut refs = Vec::new();
         let mut marked: Vec<(VAddr, u64)> = Vec::new();
         for s in &slots {
@@ -325,26 +240,35 @@ pub(crate) fn mark_phase(
                 });
             }
         }
-        let fields_start = slots[0];
-        let field_bytes = (slots.len() as u64) * 8;
         let hw = kind.charon_supported();
-        let now = threads.clock(t);
-        let end = sys.prim_scan_push(t % cores, now, fields_start, field_bytes, &refs, hw);
-        bd.record(Bucket::ScanPush, end - now);
-        threads.advance(t, end, !offloaded(sys, hw));
+        pc.prim(t, PrimType::ScanPush, hw, |sys, core, now| {
+            sys.prim_scan_push(core, now, slots[0], (slots.len() as u64) * 8, &refs, hw)
+        });
         if !marked.is_empty() {
-            let now = threads.clock(t);
-            let mut iend = now;
-            for (obj, size) in marked {
-                iend = crate::integrity::after_mark(sys, heap, t % cores, iend, obj, size);
-            }
-            if iend > now {
-                bd.record(Bucket::ScanPush, iend - now);
-                threads.advance(t, iend, true);
-            }
+            pc.check(t, Bucket::ScanPush, |sys, core, now| {
+                marked
+                    .iter()
+                    .fold(now, |end, &(obj, size)| integrity::after_mark(sys, heap, core, end, obj, size))
+            });
         }
     }
     discovered
+}
+
+/// Reference processing: clears the weak referents marking never reached
+/// strongly — before any space is reclaimed, so nothing later follows a
+/// dangling weak edge. Returns how many were cleared.
+pub(crate) fn clear_dead_referents(pc: &mut Pause, heap: &mut JavaHeap, discovered: Vec<VAddr>) -> u64 {
+    let mut cleared = 0;
+    for slot in discovered {
+        let v = heap.read_ref(slot);
+        if !v.is_null() && object::mark_state(&heap.mem, v) != MarkState::Marked {
+            heap.write_ref(slot, VAddr::NULL);
+            cleared += 1;
+        }
+        pc.host(Bucket::Other, 10, &[(slot, AccessKind::Write)]);
+    }
+    cleared
 }
 
 /// Marks one object: header state + begin/end bitmap bits. Returns the
@@ -357,40 +281,41 @@ fn mark_one(heap: &mut JavaHeap, obj: VAddr) -> u64 {
     size
 }
 
-fn summary_phase(
-    sys: &mut System,
-    heap: &mut JavaHeap,
-    threads: &mut GcThreads,
-    bd: &mut Breakdown,
-    st: &mut MajorStats,
-    cores: usize,
-) -> CompactPlan {
+/// Region liveness: walks `range` in `region_words` steps, counting each
+/// region's live words functionally and charging one *Bitmap Count* over
+/// its begin/end map spans. `each` receives the region, its live words,
+/// and whether an object was open at its start.
+pub(crate) fn count_regions(
+    pc: &mut Pause,
+    heap: &JavaHeap,
+    range: VRange,
+    region_words: u64,
+    mut each: impl FnMut(VRange, u64, bool),
+) {
+    let mut carry = false; // objects never span spaces
+    let mut at = range.start;
+    while at < range.end {
+        let r_end = at.add_words(region_words).min(range.end);
+        let (live, carry_out, map_words) = live_words_fast(&heap.mem, heap.beg_map(), heap.end_map(), at, r_end, carry);
+        let span_bytes = (map_words / 2).max(1) * 8;
+        let spans = [(heap.beg_map().map_word_addr(at), span_bytes), (heap.end_map().map_word_addr(at), span_bytes)];
+        pc.prim(pc.pick(), PrimType::BitmapCount, true, |sys, core, now| sys.prim_bitmap_count(core, now, &spans));
+        each(VRange::new(at, r_end), live, carry);
+        carry = carry_out;
+        at = r_end;
+    }
+}
+
+fn summary_phase(pc: &mut Pause, heap: &JavaHeap, st: &mut MajorStats) -> CompactPlan {
     let mut regions = Vec::new();
     let mut prefix = 0u64;
     for range in used_ranges(heap) {
-        let mut carry = false; // objects never span spaces
-        let mut at = range.start;
-        while at < range.end {
-            let r_end = at.add_words(REGION_WORDS).min(range.end);
-            let (live_in_region, carry_out, map_words) =
-                live_words_fast(&heap.mem, heap.beg_map(), heap.end_map(), at, r_end, carry);
-
-            let t = threads.least_loaded();
-            let now = threads.clock(t);
-            let span_bytes = (map_words / 2).max(1) * 8;
-            let spans =
-                [(heap.beg_map().map_word_addr(at), span_bytes), (heap.end_map().map_word_addr(at), span_bytes)];
-            let end = sys.prim_bitmap_count(t % cores, now, &spans);
-            bd.record(Bucket::BitmapCount, end - now);
-            threads.advance(t, end, !offloaded(sys, true));
-
-            regions.push(Region { range: VRange::new(at, r_end), dest_prefix_words: prefix, carry_in: carry });
-            prefix += live_in_region;
-            carry = carry_out;
-            at = r_end;
-            st.regions += 1;
-        }
+        count_regions(pc, heap, range, REGION_WORDS, |range, live, carry_in| {
+            regions.push(Region { range, dest_prefix_words: prefix, carry_in });
+            prefix += live;
+        });
     }
+    st.regions = regions.len() as u64;
     st.live_bytes = prefix * 8;
     assert!(
         heap.old().start().add_words(prefix) <= heap.old().end(),
@@ -414,80 +339,55 @@ fn live_objects(heap: &JavaHeap) -> Vec<VAddr> {
     out
 }
 
-fn adjust_phase(
-    sys: &mut System,
-    heap: &mut JavaHeap,
-    threads: &mut GcThreads,
-    bd: &mut Breakdown,
-    plan: &CompactPlan,
-    cores: usize,
-) {
+fn adjust_phase(pc: &mut Pause, heap: &mut JavaHeap, plan: &CompactPlan) {
     // Adjust every reference field of every live object. The walk itself
     // is an independent stream; only the per-slot Bitmap Count lookups are
     // dependent work.
-    let mut drain = charon_sim::time::Ps::ZERO;
-    let mut caches = vec![LastQuery::default(); threads.len()];
+    let mut caches = vec![LastQuery::default(); pc.team()];
     for obj in live_objects(heap) {
-        let t = threads.least_loaded();
-        let now = threads.clock(t);
         let map_word = heap.beg_map().map_word_addr(obj);
-        let (cpu, mem) = sys.host_stream_op(
-            t % cores,
-            now,
-            sys.costs.walk_per_obj,
+        let t = pc.stream(
+            Bucket::Other,
+            pc.sys.costs.walk_per_obj,
             &[(map_word, AccessKind::Read), (obj, AccessKind::Read)],
         );
-        bd.record(Bucket::Other, cpu - now);
-        threads.advance(t, cpu, true);
-        drain = drain.max(mem);
-
         for s in heap.ref_slots(obj) {
             let v = heap.read_ref(s);
-            if v.is_null() {
-                continue;
+            if !v.is_null() {
+                adjust_slot(pc, heap, plan, &mut caches[t], s, v, t);
             }
-            adjust_slot(sys, heap, threads, bd, plan, &mut caches, s, v, t, cores, &mut drain);
         }
     }
     // Adjust roots.
     for idx in 0..heap.root_count() {
         let slot = heap.root_slot_addr(idx);
         let v = heap.read_ref(slot);
-        if v.is_null() {
-            continue;
+        if !v.is_null() {
+            let t = pc.pick();
+            adjust_slot(pc, heap, plan, &mut caches[t], slot, v, t);
         }
-        let t = threads.least_loaded();
-        adjust_slot(sys, heap, threads, bd, plan, &mut caches, slot, v, t, cores, &mut drain);
     }
-    threads.advance_all_to(drain);
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Rewrites `slot` (held by thread `t`, with its query `cache`) to
+/// `target`'s post-compaction address.
 fn adjust_slot(
-    sys: &mut System,
+    pc: &mut Pause,
     heap: &mut JavaHeap,
-    threads: &mut GcThreads,
-    bd: &mut Breakdown,
     plan: &CompactPlan,
-    caches: &mut [LastQuery],
+    cache: &mut LastQuery,
     slot: VAddr,
     target: VAddr,
     t: usize,
-    cores: usize,
-    drain: &mut charon_sim::time::Ps,
 ) {
     debug_assert_eq!(object::mark_state(&heap.mem, target), MarkState::Marked, "dangling ref at {slot}");
-    let (new, span) = plan.new_addr_cached(heap, &mut caches[t], target);
+    let (new, span) = plan.new_addr_cached(heap, cache, target);
     heap.write_ref(slot, new);
 
     // Timing: the (possibly cached-incremental) Bitmap Count, then the
     // slot rewrite as a streamed store.
-    charge_bitmap_query(sys, heap, threads, bd, t, cores, span);
-    let now = threads.clock(t);
-    let (cpu, mem) = sys.host_stream_op(t % cores, now, 4, &[(slot, AccessKind::Write)]);
-    bd.record(Bucket::Other, cpu - now);
-    threads.advance(t, cpu, true);
-    *drain = (*drain).max(mem);
+    charge_bitmap_query(pc, heap, t, span);
+    pc.stream_on(t, Bucket::Other, 4, &[(slot, AccessKind::Write)]);
 }
 
 /// Charges one `live_words_in_range` query over `span`. Tiny incremental
@@ -496,59 +396,30 @@ fn adjust_slot(
 /// instructions whose potential benefits from offloading are outweighed by
 /// the overheads due to their small offloading granularities". Larger scans
 /// go through the Bitmap Count primitive.
-fn charge_bitmap_query(
-    sys: &mut System,
-    heap: &JavaHeap,
-    threads: &mut GcThreads,
-    bd: &mut Breakdown,
-    t: usize,
-    cores: usize,
-    span: VRange,
-) {
+fn charge_bitmap_query(pc: &mut Pause, heap: &JavaHeap, t: usize, span: VRange) {
     // Four 64-bit map words of coverage: 4 x 64 heap words x 8 B.
     const OFFLOAD_SPAN_BYTES: u64 = 4 * 64 * 8;
-    let now = threads.clock(t);
     if span.is_empty() {
-        let end = sys.host_op(t % cores, now, 6, &[]);
-        bd.record(Bucket::BitmapCount, end - now);
-        threads.advance(t, end, true);
+        pc.host_on(t, Bucket::BitmapCount, 6, &[]);
         return;
     }
     let first = heap.beg_map().map_word_addr(span.start);
     let last = heap.beg_map().map_word_addr(VAddr(span.end.0 - 8).max(span.start));
     let bytes = (last - first) + 8;
+    let end_first = heap.end_map().map_word_addr(span.start);
     if span.bytes() < OFFLOAD_SPAN_BYTES {
         // Host fast path: a few map words through the cache hierarchy.
-        let words = bytes / 8;
-        let end = sys.host_op(
-            t % cores,
-            now,
-            sys.costs.bitmap_per_map_word * words,
-            &[(first, AccessKind::Read), (heap.end_map().map_word_addr(span.start), AccessKind::Read)],
-        );
-        bd.record(Bucket::BitmapCount, end - now);
-        threads.advance(t, end, true);
+        let instrs = pc.sys.costs.bitmap_per_map_word * (bytes / 8);
+        pc.host_on(t, Bucket::BitmapCount, instrs, &[(first, AccessKind::Read), (end_first, AccessKind::Read)]);
     } else {
-        let spans = [(first, bytes), (heap.end_map().map_word_addr(span.start), bytes)];
-        let end = sys.prim_bitmap_count(t % cores, now, &spans);
-        bd.record(Bucket::BitmapCount, end - now);
-        threads.advance(t, end, !offloaded(sys, true));
+        let spans = [(first, bytes), (end_first, bytes)];
+        pc.prim(t, PrimType::BitmapCount, true, |sys, core, now| sys.prim_bitmap_count(core, now, &spans));
     }
 }
 
-fn compact_phase(
-    sys: &mut System,
-    heap: &mut JavaHeap,
-    threads: &mut GcThreads,
-    bd: &mut Breakdown,
-    st: &mut MajorStats,
-    plan: &CompactPlan,
-    cores: usize,
-) {
+fn compact_phase(pc: &mut Pause, heap: &mut JavaHeap, st: &mut MajorStats, plan: &CompactPlan) {
     heap.bot_clear();
-    let objs = live_objects(heap);
-    let mut drain = charon_sim::time::Ps::ZERO;
-    let mut caches = vec![LastQuery::default(); threads.len()];
+    let mut caches = vec![LastQuery::default(); pc.team()];
 
     // Adjacent live objects that move by the same delta form one
     // contiguous run and are issued as a single Copy — dense live runs are
@@ -556,50 +427,15 @@ fn compact_phase(
     // waste the primitive on tiny transfers (§3.3's granularity argument;
     // HotSpot's collector likewise moves whole dense regions).
     let mut run: Option<(VAddr, VAddr, u64)> = None; // (src, dst, words)
-    let flush_run = |sys: &mut System,
-                     heap: &mut JavaHeap,
-                     threads: &mut GcThreads,
-                     bd: &mut Breakdown,
-                     run: &mut Option<(VAddr, VAddr, u64)>| {
-        if let Some((src, dst, words)) = run.take() {
-            if src != dst {
-                heap.copy_object_words(src, dst, words);
-                let t = threads.least_loaded();
-                let now = threads.clock(t);
-                let end = sys.prim_copy(t % cores, now, src, dst, words * 8);
-                bd.record(Bucket::Copy, end - now);
-                threads.advance(t, end, !offloaded(sys, true));
-                // Integrity check of the copied payload — only when the run
-                // did not overlap its source (a memmove-down overlap
-                // destroys the source words the check and any rung-1
-                // re-copy would need).
-                if dst.add_words(words) <= src {
-                    let now = threads.clock(t);
-                    let iend = crate::integrity::after_copy(sys, heap, t % cores, now, src, dst, words);
-                    if iend > now {
-                        bd.record(Bucket::Copy, iend - now);
-                        threads.advance(t, iend, true);
-                    }
-                }
-            }
-        }
-    };
-
-    for obj in objs {
+    for obj in live_objects(heap) {
         let size = heap.obj_size_words(obj);
-
-        let t = threads.least_loaded();
-        let now = threads.clock(t);
-        let (cpu, mem) = sys.host_stream_op(t % cores, now, sys.costs.walk_per_obj, &[(obj, AccessKind::Read)]);
-        bd.record(Bucket::Other, cpu - now);
-        threads.advance(t, cpu, true);
-        drain = drain.max(mem);
+        let t = pc.stream(Bucket::Other, pc.sys.costs.walk_per_obj, &[(obj, AccessKind::Read)]);
 
         // Destination calculation: the Fig. 3(b) Bitmap Count before each
         // Copy (incremental here, since the walk is monotonic).
         let (new, span) = plan.new_addr_cached(heap, &mut caches[t], obj);
         debug_assert!(new <= obj, "compaction must move objects downward");
-        charge_bitmap_query(sys, heap, threads, bd, t, cores, span);
+        charge_bitmap_query(pc, heap, t, span);
 
         if new != obj {
             st.moved_bytes += size * 8;
@@ -609,12 +445,11 @@ fn compact_phase(
                 *words += size;
             }
             _ => {
-                flush_run(sys, heap, threads, bd, &mut run);
-                run = Some((obj, new, size));
+                copy_run(pc, heap, run.replace((obj, new, size)));
             }
         }
     }
-    flush_run(sys, heap, threads, bd, &mut run);
+    copy_run(pc, heap, run);
 
     // Post-pass: headers and the block-offset table. (The run copy left
     // mark bits in the moved headers.)
@@ -626,17 +461,24 @@ fn compact_phase(
         heap.bot_update(at, size);
         at = at.add_words(size);
     }
-    threads.advance_all_to(drain);
 }
 
-fn epilogue(
-    sys: &mut System,
-    heap: &mut JavaHeap,
-    threads: &mut GcThreads,
-    bd: &mut Breakdown,
-    plan: &CompactPlan,
-    cores: usize,
-) {
+/// Moves one contiguous run of live objects `(src, dst, words)` as a
+/// single *Copy* (nothing to do for a run already in place).
+fn copy_run(pc: &mut Pause, heap: &mut JavaHeap, run: Option<(VAddr, VAddr, u64)>) {
+    let Some((src, dst, words)) = run.filter(|&(src, dst, _)| src != dst) else { return };
+    heap.copy_object_words(src, dst, words);
+    let t = pc.pick();
+    pc.prim(t, PrimType::Copy, true, |sys, core, now| sys.prim_copy(core, now, src, dst, words * 8));
+    // Integrity check of the copied payload — only when the run did not
+    // overlap its source (a memmove-down overlap destroys the source words
+    // the check and any rung-1 re-copy would need).
+    if dst.add_words(words) <= src {
+        pc.check(t, Bucket::Copy, |sys, core, now| integrity::after_copy(sys, heap, core, now, src, dst, words));
+    }
+}
+
+fn epilogue(pc: &mut Pause, heap: &mut JavaHeap, plan: &CompactPlan) {
     // New space bounds: everything packed into Old, young empty.
     let packed_end = plan.dest_base().add_words(plan.total_live_words());
     assert!(
@@ -648,30 +490,17 @@ fn epilogue(
     heap.reset_young();
 
     // Clear both mark bitmaps and the card table (streamed host writes).
-    let beg = heap.beg_map().map_range();
-    let end_r = heap.end_map().map_range();
-    let cards = heap.cards().table_range();
-    {
-        let bm = *heap.beg_map();
-        bm.clear_all(&mut heap.mem);
-        let em = *heap.end_map();
-        em.clear_all(&mut heap.mem);
-        {
-            let ct = *heap.cards();
-            ct.clear_all(&mut heap.mem);
-        }
-    }
+    let (bm, em, ct) = (*heap.beg_map(), *heap.end_map(), *heap.cards());
+    bm.clear_all(&mut heap.mem);
+    em.clear_all(&mut heap.mem);
+    ct.clear_all(&mut heap.mem);
     // The clears are streaming memsets: writes issue back-to-back and
     // overlap in the core's miss window.
-    for range in [beg, end_r, cards] {
-        let t = threads.least_loaded();
-        let start = threads.clock(t);
-        let end = sys.host_stream_clear(t % cores, start, range);
-        bd.record(Bucket::Other, end - start);
-        threads.advance(t, end, true);
+    for range in [bm.map_range(), em.map_range(), ct.table_range()] {
+        pc.charge(pc.pick(), Bucket::Other, true, |sys, core, now| sys.host_stream_clear(core, now, range));
     }
     // The bitmaps are empty again: reset the per-extent checksum folds.
-    crate::integrity::note_bitmap_clear(sys);
+    integrity::note_bitmap_clear(pc.sys);
 }
 
 #[cfg(test)]

@@ -11,12 +11,15 @@
 //! with filler arrays so the space remains parsable.
 
 use crate::breakdown::{Breakdown, Bucket};
-use crate::system::{Backend, System};
+use crate::freelist::FreeStore;
+use crate::pause::Pause;
+use crate::system::System;
 use crate::threads::GcThreads;
 use charon_core::device::{ScanAction, ScanRef};
-use charon_heap::addr::VAddr;
+use charon_core::packet::PrimType;
+use charon_heap::addr::{VAddr, VRange};
 use charon_heap::heap::JavaHeap;
-use charon_heap::klass::KlassId;
+use charon_heap::klass::{KlassId, KlassKind};
 use charon_heap::object::{self, MarkState};
 use charon_heap::objstack::ObjStack;
 use charon_sim::cache::AccessKind;
@@ -34,18 +37,11 @@ pub struct SweepStats {
     pub free_chunks: u64,
 }
 
-fn offloaded(sys: &System, hw: bool) -> bool {
-    match sys.backend {
-        Backend::Host => false,
-        Backend::Charon | Backend::CpuSideCharon => hw,
-        Backend::Ideal => true,
-    }
-}
-
 /// Runs a stop-the-world mark of the whole graph followed by a sweep of
 /// the old generation. Dead ranges are overwritten with `filler_klass`
 /// arrays (which must be a [`charon_heap::klass::KlassKind::TypeArray`]
-/// klass). Returns the free list as `(address, words)` chunks.
+/// klass). Returns the free list as `(address, words)` chunks in address
+/// order.
 ///
 /// # Panics
 ///
@@ -56,49 +52,91 @@ pub fn mark_sweep_old(
     threads: &mut GcThreads,
     filler_klass: KlassId,
 ) -> (Breakdown, SweepStats, Vec<(VAddr, u64)>) {
-    assert!(
-        heap.klasses().get(filler_klass).kind() == charon_heap::klass::KlassKind::TypeArray,
-        "filler must be a primitive array klass"
-    );
-    let mut bd = Breakdown::new();
+    let mut free = FreeStore::new();
+    let (bd, st) = mark_sweep_into(sys, heap, threads, filler_klass, &mut free);
+    (bd, st, free.chunks_by_address())
+}
+
+/// [`mark_sweep_old`], sweeping straight into `free` (which is rebuilt
+/// from scratch) — the collector's `ms` arm.
+pub(crate) fn mark_sweep_into(
+    sys: &mut System,
+    heap: &mut JavaHeap,
+    threads: &mut GcThreads,
+    filler_klass: KlassId,
+    free: &mut FreeStore,
+) -> (Breakdown, SweepStats) {
+    assert_filler(heap, filler_klass);
+    let mut pc = Pause::new(sys, threads);
     let mut st = SweepStats::default();
-    let cores = sys.host.cores();
     let mut stack = ObjStack::new(heap.layout().major_stack);
 
-    // Prologue.
-    {
-        let now = threads.clock(0);
-        let end = sys.gc_prologue(now);
-        bd.record(Bucket::Other, end - now);
-        threads.advance(0, end, false);
-        threads.barrier();
-    }
+    pc.serial(|sys, now| sys.gc_prologue(now));
+    // Header marks only — no compaction bitmaps in a plain mark-sweep.
+    seed_roots(&mut pc, heap, &mut stack, &mut st, mark_header, true);
+    drain(&mut pc, heap, &mut stack, &mut st, mark_header);
+    pc.barrier();
+    sweep_old(&mut pc, heap, filler_klass, &mut st, free);
+    clear_young_marks(heap);
+    pc.barrier();
+    (pc.finish(), st)
+}
 
-    // Mark (header marks only — no compaction bitmaps in CMS).
+/// The non-moving collectors keep swept space parsable with filler
+/// arrays, so the filler must be a primitive-array klass.
+pub(crate) fn assert_filler(heap: &JavaHeap, filler_klass: KlassId) {
+    assert!(heap.klasses().get(filler_klass).kind() == KlassKind::TypeArray, "filler must be a primitive array klass");
+}
+
+/// The plain mark-sweep's mark function: header state only.
+fn mark_header(heap: &mut JavaHeap, obj: VAddr) {
+    object::set_marked(&mut heap.mem, obj);
+}
+
+/// Pushes an already-marked object onto the mark stack, charging the
+/// push to thread `on` (the least-loaded one when `None`).
+pub(crate) fn push_obj(pc: &mut Pause, stack: &mut ObjStack, obj: VAddr, on: Option<usize>) {
+    let t = on.unwrap_or_else(|| pc.pick());
+    let s = stack.push(obj);
+    pc.host_on(t, Bucket::Push, pc.sys.costs.push, &[(s, AccessKind::Write)]);
+}
+
+/// Mark step 1: reads every root slot and marks + pushes its unmarked
+/// referent. `push_on_reader` keeps the push on the thread that read the
+/// root (the stop-the-world mark-sweep, like PS marking) instead of
+/// re-dispatching it (the cms remark, whose other seeds have no reader).
+pub(crate) fn seed_roots(
+    pc: &mut Pause,
+    heap: &mut JavaHeap,
+    stack: &mut ObjStack,
+    st: &mut SweepStats,
+    mark: fn(&mut JavaHeap, VAddr),
+    push_on_reader: bool,
+) {
     for idx in 0..heap.root_count() {
         let slot = heap.root_slot_addr(idx);
         let r = heap.read_ref(slot);
-        let t = threads.least_loaded();
-        let now = threads.clock(t);
-        let end = sys.host_op(t % cores, now, sys.costs.root_per_slot, &[(slot, AccessKind::Read)]);
-        bd.record(Bucket::Other, end - now);
-        threads.advance(t, end, true);
+        let t = pc.host(Bucket::Other, pc.sys.costs.root_per_slot, &[(slot, AccessKind::Read)]);
         if !r.is_null() && object::mark_state(&heap.mem, r) != MarkState::Marked {
-            object::set_marked(&mut heap.mem, r);
+            mark(heap, r);
             st.marked_objects += 1;
-            let s = stack.push(r);
-            let now = threads.clock(t);
-            let end = sys.host_op(t % cores, now, sys.costs.push, &[(s, AccessKind::Write)]);
-            bd.record(Bucket::Push, end - now);
-            threads.advance(t, end, true);
+            push_obj(pc, stack, r, push_on_reader.then_some(t));
         }
     }
+}
+
+/// Mark step 2: the pop → *Scan&Push* → mark/push drain that completes
+/// the transitive closure. Already-marked referents are not descended
+/// into. Weak references are treated as strong.
+pub(crate) fn drain(
+    pc: &mut Pause,
+    heap: &mut JavaHeap,
+    stack: &mut ObjStack,
+    st: &mut SweepStats,
+    mark: fn(&mut JavaHeap, VAddr),
+) {
     while let Some((obj, slot_addr)) = stack.pop() {
-        let t = threads.least_loaded();
-        let now = threads.clock(t);
-        let end = sys.host_op(t % cores, now, sys.costs.pop, &[(slot_addr, AccessKind::Read), (obj, AccessKind::Read)]);
-        bd.record(Bucket::Pop, end - now);
-        threads.advance(t, end, true);
+        let t = pc.host(Bucket::Pop, pc.sys.costs.pop, &[(slot_addr, AccessKind::Read), (obj, AccessKind::Read)]);
 
         let kind = heap.obj_klass(obj).kind();
         let slots = heap.ref_slots(obj);
@@ -114,38 +152,53 @@ pub fn mark_sweep_old(
             if object::mark_state(&heap.mem, v) == MarkState::Marked {
                 refs.push(ScanRef { referent: v, action: ScanAction::None });
             } else {
-                object::set_marked(&mut heap.mem, v);
+                mark(heap, v);
                 st.marked_objects += 1;
                 let pushed = stack.push(v);
                 refs.push(ScanRef { referent: v, action: ScanAction::Push { stack_slot: pushed } });
             }
         }
         let hw = kind.charon_supported();
-        let now = threads.clock(t);
-        let end = sys.prim_scan_push(t % cores, now, slots[0], slots.len() as u64 * 8, &refs, hw);
-        bd.record(Bucket::ScanPush, end - now);
-        threads.advance(t, end, !offloaded(sys, hw));
+        pc.prim(t, PrimType::ScanPush, hw, |sys, core, now| {
+            sys.prim_scan_push(core, now, slots[0], slots.len() as u64 * 8, &refs, hw)
+        });
     }
-    threads.barrier();
+}
 
-    // Sweep Old: linear walk, coalescing dead runs into filler + free list.
-    let mut free = Vec::new();
+/// Sweep: a linear walk of the old generation that clears the survivors'
+/// header marks and coalesces each dead run into one filler array,
+/// recycled into `free` — which is rebuilt from scratch, since stale
+/// entries from the previous sweep would double-book ranges the new
+/// chunks cover.
+pub(crate) fn sweep_old(
+    pc: &mut Pause,
+    heap: &mut JavaHeap,
+    filler_klass: KlassId,
+    st: &mut SweepStats,
+    free: &mut FreeStore,
+) {
+    free.clear();
+    let mut emit = |pc: &mut Pause, heap: &mut JavaHeap, start: VAddr, end: VAddr| {
+        let words = end.words_since(start);
+        debug_assert!(words >= 2, "free chunks are at least a header");
+        // Overwrite with a filler array so the space stays parsable.
+        object::init_header(&mut heap.mem, start, filler_klass, (words - 2) as u32);
+        free.recycle(start, words);
+        st.freed_bytes += words * 8;
+        st.free_chunks += 1;
+        pc.host(Bucket::Other, 20, &[(start, AccessKind::Write)]);
+    };
     let top = heap.old().top();
     let mut at = heap.old().start();
     let mut run_start: Option<VAddr> = None;
     while at < top {
         let size = heap.obj_size_words(at);
         let marked = object::mark_state(&heap.mem, at) == MarkState::Marked;
-
-        let t = threads.least_loaded();
-        let now = threads.clock(t);
-        let end = sys.host_op(t % cores, now, sys.costs.walk_per_obj, &[(at, AccessKind::Read)]);
-        bd.record(Bucket::Other, end - now);
-        threads.advance(t, end, true);
+        pc.host(Bucket::Other, pc.sys.costs.walk_per_obj, &[(at, AccessKind::Read)]);
 
         if marked {
             if let Some(rs) = run_start.take() {
-                emit_free_chunk(sys, heap, threads, &mut bd, &mut st, &mut free, rs, at, filler_klass, cores);
+                emit(pc, heap, rs, at);
             }
             object::clear_mark(&mut heap.mem, at);
             st.old_live_bytes += size * 8;
@@ -155,48 +208,25 @@ pub fn mark_sweep_old(
         at = at.add_words(size);
     }
     if let Some(rs) = run_start {
-        emit_free_chunk(sys, heap, threads, &mut bd, &mut st, &mut free, rs, top, filler_klass, cores);
+        emit(pc, heap, rs, top);
     }
-
-    // Clear marks on surviving young objects too.
-    for space in [heap.eden().used_region(), heap.from_space().used_region()] {
-        let mut a = space.start;
-        while a < space.end {
-            let size = heap.obj_size_words(a);
-            if object::mark_state(&heap.mem, a) == MarkState::Marked {
-                object::clear_mark(&mut heap.mem, a);
-            }
-            a = a.add_words(size);
-        }
-    }
-    threads.barrier();
-    (bd, st, free)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn emit_free_chunk(
-    sys: &mut System,
-    heap: &mut JavaHeap,
-    threads: &mut GcThreads,
-    bd: &mut Breakdown,
-    st: &mut SweepStats,
-    free: &mut Vec<(VAddr, u64)>,
-    start: VAddr,
-    end: VAddr,
-    filler_klass: KlassId,
-    cores: usize,
-) {
-    let words = end.words_since(start);
-    debug_assert!(words >= 2, "free chunks are at least a header");
-    // Overwrite with a filler array so the space stays parsable.
-    object::init_header(&mut heap.mem, start, filler_klass, (words - 2) as u32);
-    free.push((start, words));
-    st.freed_bytes += words * 8;
-    st.free_chunks += 1;
+/// Clears the header mark of every marked object in `range`.
+pub(crate) fn clear_marks_in(heap: &mut JavaHeap, range: VRange) {
+    let mut at = range.start;
+    while at < range.end {
+        let size = heap.obj_size_words(at);
+        if object::mark_state(&heap.mem, at) == MarkState::Marked {
+            object::clear_mark(&mut heap.mem, at);
+        }
+        at = at.add_words(size);
+    }
+}
 
-    let t = threads.least_loaded();
-    let now = threads.clock(t);
-    let e = sys.host_op(t % cores, now, 20, &[(start, AccessKind::Write)]);
-    bd.record(Bucket::Other, e - now);
-    threads.advance(t, e, true);
+/// Clears the header marks a whole-graph mark left on young objects.
+pub(crate) fn clear_young_marks(heap: &mut JavaHeap) {
+    for space in [heap.eden().used_region(), heap.from_space().used_region()] {
+        clear_marks_in(heap, space);
+    }
 }

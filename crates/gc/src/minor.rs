@@ -12,15 +12,19 @@
 //! buckets through the backend-dispatching [`System`] primitives.
 
 use crate::breakdown::{Breakdown, Bucket};
-use crate::system::{Backend, System};
+use crate::freelist::FreeStore;
+use crate::integrity;
+use crate::pause::Pause;
+use crate::system::System;
 use crate::threads::GcThreads;
 use charon_core::device::{ScanAction, ScanRef};
+use charon_core::packet::PrimType;
 use charon_heap::addr::VAddr;
 use charon_heap::heap::JavaHeap;
+use charon_heap::klass::KlassKind;
 use charon_heap::object::{self, MarkState};
 use charon_heap::objstack::ObjStack;
 use charon_sim::cache::AccessKind;
-use charon_sim::telemetry::Event;
 
 /// Outcome counters of one MinorGC.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -44,14 +48,24 @@ pub struct MinorStats {
     pub cleared_weak_refs: u64,
 }
 
-/// Whether a primitive charge should count the thread as blocked
-/// (offloaded) rather than executing.
-fn offloaded(sys: &System, hardware_iterable: bool) -> bool {
-    match sys.backend {
-        Backend::Host => false,
-        Backend::Charon | Backend::CpuSideCharon => hardware_iterable,
-        Backend::Ideal => true,
-    }
+/// The scavenge's working state, threaded through its helpers.
+struct Scavenge<'a> {
+    st: MinorStats,
+    stack: ObjStack,
+    /// `java.lang.ref` discovery: referent slots of InstanceRef holders are
+    /// not scavenged through; they are resolved after the drain.
+    discovered: Vec<VAddr>,
+    /// The old generation's free store: promotion consults it for a dead
+    /// range before touching the bump frontier.
+    free: &'a mut FreeStore,
+    tenuring: u8,
+}
+
+/// Dirties `slot`'s card (functionally) and returns the card's address.
+fn dirty_card(heap: &mut JavaHeap, slot: VAddr) -> VAddr {
+    let ct = *heap.cards();
+    ct.dirty(&mut heap.mem, slot);
+    ct.card_addr(slot)
 }
 
 /// Runs one MinorGC. `threads` carries the start time; the caller reads
@@ -63,52 +77,103 @@ pub fn minor_gc(
     sys: &mut System,
     heap: &mut JavaHeap,
     threads: &mut GcThreads,
-    free: &mut crate::freelist::FreeStore,
+    free: &mut FreeStore,
 ) -> (Breakdown, MinorStats) {
-    let mut bd = Breakdown::new();
-    let mut st = MinorStats::default();
-    let cores = sys.host.cores();
-    let seq = sys.collection_seq;
     let tenuring = sys.tenuring.unwrap_or(heap.config().tenuring_threshold);
-    st.tenuring_threshold = tenuring;
-    let mut stack = ObjStack::new(heap.layout().minor_stack);
-    // `java.lang.ref` discovery: referent slots of InstanceRef holders are
-    // not scavenged through; they are resolved after the drain.
-    let mut discovered: Vec<VAddr> = Vec::new();
+    let mut pc = Pause::new(sys, threads);
+    let mut sc = Scavenge {
+        st: MinorStats { tenuring_threshold: tenuring, ..MinorStats::default() },
+        stack: ObjStack::new(heap.layout().minor_stack),
+        discovered: Vec::new(),
+        free,
+        tenuring,
+    };
 
     // Prologue: bulk host-cache flush under offloading backends (§4.6).
-    {
-        let now = threads.clock(0);
-        let end = sys.gc_prologue(now);
-        bd.record(Bucket::Other, end - now);
-        threads.advance(0, end, false);
-        threads.barrier();
-    }
+    pc.serial(|sys, now| sys.gc_prologue(now));
 
     // Phase 1: root set → stack.
-    let p0 = threads.max_clock();
     for idx in 0..heap.root_count() {
         let slot = heap.root_slot_addr(idx);
         let r = heap.read_ref(slot);
-        let t = threads.least_loaded();
-        let now = threads.clock(t);
-        let end = sys.host_op(t % cores, now, sys.costs.root_per_slot, &[(slot, AccessKind::Read)]);
-        bd.record(Bucket::Other, end - now);
-        threads.advance(t, end, true);
+        let t = pc.host(Bucket::Other, pc.sys.costs.root_per_slot, &[(slot, AccessKind::Read)]);
         if !r.is_null() && heap.in_young(r) {
-            let now = threads.clock(t);
-            let s = stack.push(slot);
-            let end = sys.host_op(t % cores, now, sys.costs.push, &[(s, AccessKind::Write)]);
-            bd.record(Bucket::Push, end - now);
-            threads.advance(t, end, true);
-            st.roots_pushed += 1;
+            let s = sc.stack.push(slot);
+            pc.host_on(t, Bucket::Push, pc.sys.costs.push, &[(s, AccessKind::Write)]);
+            sc.st.roots_pushed += 1;
         }
     }
-
-    let p1 = threads.max_clock();
-    sys.telemetry.record(|| Event::Phase { seq, name: "roots", start: p0, end: p1 });
+    pc.end_phase("roots");
 
     // Phase 2: card-table Search for old-to-young references.
+    search_dirty_cards(&mut pc, heap, |pc, heap, card| {
+        sc.st.dirty_cards += 1;
+        scan_dirty_card(pc, heap, &mut sc, card);
+    });
+    pc.end_phase("cards");
+
+    // Phase 3: drain the object stack.
+    while let Some((slot, slot_addr)) = sc.stack.pop() {
+        let t = pc.host(Bucket::Pop, pc.sys.costs.pop, &[(slot_addr, AccessKind::Read), (slot, AccessKind::Read)]);
+        process_slot(&mut pc, heap, &mut sc, slot, t);
+    }
+    sc.st.stack_max = sc.stack.max_depth();
+    pc.end_phase("drain");
+
+    // Reference processing: a weak referent that no strong path copied is
+    // dead — clear the Reference; one that was copied gets the new address.
+    for slot in std::mem::take(&mut sc.discovered) {
+        let v = heap.read_ref(slot);
+        let mut dirtied = None;
+        if !v.is_null() && heap.in_young(v) {
+            if object::mark_state(&heap.mem, v) == MarkState::Forwarded {
+                let fwd = object::forwarding(&heap.mem, v);
+                heap.write_ref(slot, fwd);
+                if heap.in_old(slot) && heap.in_young(fwd) {
+                    dirtied = Some(dirty_card(heap, slot));
+                }
+            } else {
+                heap.write_ref(slot, VAddr::NULL);
+                sc.st.cleared_weak_refs += 1;
+            }
+        }
+        let t = pc.host(Bucket::Other, 10, &[(slot, AccessKind::Write)]);
+        if let Some(card) = dirtied {
+            pc.check(t, Bucket::Other, |sys, core, now| integrity::after_card_dirty(sys, heap, core, now, card));
+        }
+    }
+    pc.end_phase("refs");
+
+    // Epilogue: swap survivor roles, reset Eden and the old from-space.
+    heap.swap_survivors();
+    pc.host(Bucket::Other, 200, &[]);
+
+    // Adaptive tenuring (HotSpot's survivor-size policy): if the survivors
+    // overflowed half a survivor space, age objects out sooner next time;
+    // if they fit easily, keep them young longer.
+    if heap.config().adaptive_tenuring {
+        let half_survivor = heap.to_space().capacity_bytes() / 2;
+        let max = heap.config().tenuring_threshold;
+        let next = if sc.st.survived_bytes > half_survivor {
+            tenuring.saturating_sub(1).max(1)
+        } else {
+            (tenuring + 1).min(max)
+        };
+        pc.sys.tenuring = Some(next);
+    }
+    pc.barrier();
+    pc.end_phase("epilogue");
+    (pc.finish(), sc.st)
+}
+
+/// *Search*es the card table up to the old generation's top, one
+/// primitive per dirty block found (and one for the clean tail), handing
+/// every dirty card to `each`.
+pub(crate) fn search_dirty_cards(
+    pc: &mut Pause,
+    heap: &mut JavaHeap,
+    mut each: impl FnMut(&mut Pause, &mut JavaHeap, VAddr),
+) {
     let table = heap.cards().table_range();
     let old_top_card = if heap.old().used_bytes() == 0 {
         table.start
@@ -118,117 +183,20 @@ pub fn minor_gc(
     let mut pos = table.start;
     while pos < old_top_card {
         let (hit, scanned) = heap.cards().search_dirty_block(&heap.mem, pos, old_top_card);
-        let t = threads.least_loaded();
-        let now = threads.clock(t);
-        let end = sys.prim_search(t % cores, now, pos, scanned * 8);
-        bd.record(Bucket::Search, end - now);
-        threads.advance(t, end, !offloaded(sys, true));
+        pc.prim(pc.pick(), PrimType::Search, true, |sys, core, now| sys.prim_search(core, now, pos, scanned * 8));
 
         let Some(block) = hit else { break };
         for card in heap.cards().dirty_cards_in_block(&heap.mem, block) {
-            st.dirty_cards += 1;
-            scan_dirty_card(sys, heap, threads, &mut bd, &mut stack, &mut discovered, card, cores);
+            each(pc, heap, card);
         }
         pos = block.add_bytes(8);
     }
-
-    let p2 = threads.max_clock();
-    sys.telemetry.record(|| Event::Phase { seq, name: "cards", start: p1, end: p2 });
-
-    // Phase 3: drain the object stack.
-    while let Some((slot, slot_addr)) = stack.pop() {
-        let t = threads.least_loaded();
-        let now = threads.clock(t);
-        let end =
-            sys.host_op(t % cores, now, sys.costs.pop, &[(slot_addr, AccessKind::Read), (slot, AccessKind::Read)]);
-        bd.record(Bucket::Pop, end - now);
-        threads.advance(t, end, true);
-
-        process_slot(sys, heap, threads, &mut bd, &mut st, &mut stack, &mut discovered, free, slot, t, cores, tenuring);
-    }
-    st.stack_max = stack.max_depth();
-    let p3 = threads.max_clock();
-    sys.telemetry.record(|| Event::Phase { seq, name: "drain", start: p2, end: p3 });
-
-    // Reference processing: a weak referent that no strong path copied is
-    // dead — clear the Reference; one that was copied gets the new address.
-    for slot in discovered {
-        let v = heap.read_ref(slot);
-        let t = threads.least_loaded();
-        let now = threads.clock(t);
-        let mut dirtied = false;
-        if !v.is_null() && heap.in_young(v) {
-            if object::mark_state(&heap.mem, v) == MarkState::Forwarded {
-                let fwd = object::forwarding(&heap.mem, v);
-                heap.write_ref(slot, fwd);
-                if heap.in_old(slot) && heap.in_young(fwd) {
-                    let ct = *heap.cards();
-                    ct.dirty(&mut heap.mem, slot);
-                    dirtied = true;
-                }
-            } else {
-                heap.write_ref(slot, VAddr::NULL);
-                st.cleared_weak_refs += 1;
-            }
-        }
-        let end = sys.host_op(t % cores, now, 10, &[(slot, AccessKind::Write)]);
-        bd.record(Bucket::Other, end - now);
-        threads.advance(t, end, true);
-        if dirtied {
-            let now = threads.clock(t);
-            let card = heap.cards().card_addr(slot);
-            let end = crate::integrity::after_card_dirty(sys, heap, t % cores, now, card);
-            if end > now {
-                bd.record(Bucket::Other, end - now);
-                threads.advance(t, end, true);
-            }
-        }
-    }
-
-    let p4 = threads.max_clock();
-    sys.telemetry.record(|| Event::Phase { seq, name: "refs", start: p3, end: p4 });
-
-    // Epilogue: swap survivor roles, reset Eden and the old from-space.
-    {
-        let t = threads.least_loaded();
-        let now = threads.clock(t);
-        heap.swap_survivors();
-        let end = sys.host_op(t % cores, now, 200, &[]);
-        bd.record(Bucket::Other, end - now);
-        threads.advance(t, end, true);
-    }
-
-    // Adaptive tenuring (HotSpot's survivor-size policy): if the survivors
-    // overflowed half a survivor space, age objects out sooner next time;
-    // if they fit easily, keep them young longer.
-    if heap.config().adaptive_tenuring {
-        let half_survivor = heap.to_space().capacity_bytes() / 2;
-        let max = heap.config().tenuring_threshold;
-        let next =
-            if st.survived_bytes > half_survivor { tenuring.saturating_sub(1).max(1) } else { (tenuring + 1).min(max) };
-        sys.tenuring = Some(next);
-    }
-    threads.barrier();
-    let p5 = threads.max_clock();
-    sys.telemetry
-        .record(|| Event::Phase { seq, name: "epilogue", start: p4, end: p5 });
-    (bd, st)
 }
 
 /// Walks the objects overlapping one dirty card and pushes old slots that
 /// reference young objects. The byte-scan was *Search*; this walk is the
 /// host-side remainder of the card phase.
-#[allow(clippy::too_many_arguments)]
-fn scan_dirty_card(
-    sys: &mut System,
-    heap: &mut JavaHeap,
-    threads: &mut GcThreads,
-    bd: &mut Breakdown,
-    stack: &mut ObjStack,
-    discovered: &mut Vec<VAddr>,
-    card: VAddr,
-    cores: usize,
-) {
+fn scan_dirty_card(pc: &mut Pause, heap: &mut JavaHeap, sc: &mut Scavenge, card: VAddr) {
     let region = heap.cards().card_region(card);
     let Some(first) = heap.first_obj_for_card(card) else {
         // No object recorded — the card covers unallocated space; clean it
@@ -242,15 +210,10 @@ fn scan_dirty_card(
     let top = heap.old().top();
     let mut obj = first;
     while obj < region.end && obj < top {
-        let t = threads.least_loaded();
-        let now = threads.clock(t);
-        let end = sys.host_op(t % cores, now, sys.costs.card_walk_per_obj, &[(obj, AccessKind::Read)]);
-        bd.record(Bucket::Search, end - now);
-        threads.advance(t, end, true);
+        pc.host(Bucket::Search, pc.sys.costs.card_walk_per_obj, &[(obj, AccessKind::Read)]);
 
         let size = heap.obj_size_words(obj);
-        let weak_slot =
-            (heap.obj_klass(obj).kind() == charon_heap::klass::KlassKind::InstanceRef).then(|| heap.ref_slots(obj)[0]);
+        let weak_slot = (heap.obj_klass(obj).kind() == KlassKind::InstanceRef).then(|| heap.ref_slots(obj)[0]);
         for slot in heap.ref_slots(obj) {
             if slot < region.start || slot >= region.end {
                 continue; // only slots within this card
@@ -258,18 +221,13 @@ fn scan_dirty_card(
             if weak_slot == Some(slot) {
                 // Old Reference holder with a young referent: discovered,
                 // not scavenged through.
-                discovered.push(slot);
+                sc.discovered.push(slot);
                 continue;
             }
             let r = heap.read_ref(slot);
             if !r.is_null() && heap.in_young(r) {
-                let t = threads.least_loaded();
-                let now = threads.clock(t);
-                let s = stack.push(slot);
-                let end =
-                    sys.host_op(t % cores, now, sys.costs.push, &[(slot, AccessKind::Read), (s, AccessKind::Write)]);
-                bd.record(Bucket::Push, end - now);
-                threads.advance(t, end, true);
+                let s = sc.stack.push(slot);
+                pc.host(Bucket::Push, pc.sys.costs.push, &[(slot, AccessKind::Read), (s, AccessKind::Write)]);
             }
         }
         obj = obj.add_words(size);
@@ -281,30 +239,12 @@ fn scan_dirty_card(
     if !heap.concmark_barrier() {
         heap.mem.write_u8(card, charon_heap::cardtable::CLEAN);
     }
-    let t = threads.least_loaded();
-    let now = threads.clock(t);
-    let end = sys.host_op(t % cores, now, 4, &[(card, AccessKind::Write)]);
-    bd.record(Bucket::Other, end - now);
-    threads.advance(t, end, true);
+    pc.host(Bucket::Other, 4, &[(card, AccessKind::Write)]);
 }
 
-/// Processes one popped slot: resolve forwarding or copy the referent and
-/// Scan&Push its fields.
-#[allow(clippy::too_many_arguments)]
-fn process_slot(
-    sys: &mut System,
-    heap: &mut JavaHeap,
-    threads: &mut GcThreads,
-    bd: &mut Breakdown,
-    st: &mut MinorStats,
-    stack: &mut ObjStack,
-    discovered: &mut Vec<VAddr>,
-    free: &mut crate::freelist::FreeStore,
-    slot: VAddr,
-    t: usize,
-    cores: usize,
-    tenuring: u8,
-) {
+/// Processes one slot popped by thread `t`: resolve forwarding or copy the
+/// referent and Scan&Push its fields.
+fn process_slot(pc: &mut Pause, heap: &mut JavaHeap, sc: &mut Scavenge, slot: VAddr, t: usize) {
     let r = heap.read_ref(slot);
     if r.is_null() || !heap.in_young(r) {
         return;
@@ -312,29 +252,12 @@ fn process_slot(
     if object::mark_state(&heap.mem, r) == MarkState::Forwarded {
         let fwd = object::forwarding(&heap.mem, r);
         heap.write_ref(slot, fwd);
-        let mut dirty_card = Vec::new();
-        if heap.in_old(slot) && heap.in_young(fwd) {
-            {
-                let ct = *heap.cards();
-                ct.dirty(&mut heap.mem, slot);
-            }
-            dirty_card.push((heap.cards().card_addr(slot), AccessKind::Write));
-        }
-        let now = threads.clock(t);
-        let dirtied = !dirty_card.is_empty();
         let mut acc = vec![(slot, AccessKind::Write)];
-        acc.extend(dirty_card);
-        let end = sys.host_op(t % cores, now, 6, &acc);
-        bd.record(Bucket::Other, end - now);
-        threads.advance(t, end, true);
-        if dirtied {
-            let now = threads.clock(t);
-            let card = heap.cards().card_addr(slot);
-            let end = crate::integrity::after_card_dirty(sys, heap, t % cores, now, card);
-            if end > now {
-                bd.record(Bucket::Other, end - now);
-                threads.advance(t, end, true);
-            }
+        let dirtied = (heap.in_old(slot) && heap.in_young(fwd)).then(|| dirty_card(heap, slot));
+        acc.extend(dirtied.map(|card| (card, AccessKind::Write)));
+        pc.host_on(t, Bucket::Other, 6, &acc);
+        if let Some(card) = dirtied {
+            pc.check(t, Bucket::Other, |sys, core, now| integrity::after_card_dirty(sys, heap, core, now, card));
         }
         return;
     }
@@ -344,12 +267,12 @@ fn process_slot(
     let bytes = size * 8;
     let age = object::age(&heap.mem, r);
     let to_free = heap.to_space().free_bytes();
-    let dest = if age + 1 < tenuring && to_free >= bytes { heap.alloc_to(size) } else { None };
+    let dest = if age + 1 < sc.tenuring && to_free >= bytes { heap.alloc_to(size) } else { None };
     let (dest, promoted) = match dest {
         Some(d) => (d, false),
         // Promotion allocates from dead ranges first (the free store;
         // empty and a constant-time `None` under PS), then the frontier.
-        None => match free.allocate_old(heap, size).or_else(|| heap.alloc_old(size)) {
+        None => match sc.free.allocate_old(heap, size).or_else(|| heap.alloc_old(size)) {
             Some(d) => (d, true),
             // Promotion failure: Old is full. Fall back to the to-space
             // even for aged objects (HotSpot similarly keeps the object in
@@ -366,46 +289,29 @@ fn process_slot(
     object::forward_to(&mut heap.mem, r, dest);
     heap.write_ref(slot, dest);
     object::set_age(&mut heap.mem, dest, age + 1);
-    if heap.in_old(slot) && !promoted {
-        {
-            let ct = *heap.cards();
-            ct.dirty(&mut heap.mem, slot);
-        }
-    }
+    let redirtied = (heap.in_old(slot) && !promoted).then(|| dirty_card(heap, slot));
     if promoted {
-        st.promoted_bytes += bytes;
+        sc.st.promoted_bytes += bytes;
     } else {
-        st.survived_bytes += bytes;
+        sc.st.survived_bytes += bytes;
     }
-    st.objects_copied += 1;
+    sc.st.objects_copied += 1;
 
     // Timing: the Copy primitive plus per-object fixup.
-    {
-        let now = threads.clock(t);
-        let end = sys.prim_copy(t % cores, now, r, dest, bytes);
-        bd.record(Bucket::Copy, end - now);
-        threads.advance(t, end, !offloaded(sys, true));
-        let now = threads.clock(t);
-        let end =
-            sys.host_op(t % cores, now, sys.costs.copy_fixup, &[(r, AccessKind::Write), (slot, AccessKind::Write)]);
-        bd.record(Bucket::Copy, end - now);
-        threads.advance(t, end, true);
-        // Integrity: the Copy unit's outputs — the evacuated payload, the
-        // forwarding word, and the re-dirtied card — are checked (and, on
-        // damage, repaired) right after the primitive completes, before
-        // Scan&Push reads the new copy's klass word.
-        let now = threads.clock(t);
-        let mut iend = crate::integrity::after_copy(sys, heap, t % cores, now, r, dest, size);
-        iend = crate::integrity::after_forward(sys, heap, t % cores, iend, r, dest, age);
-        if heap.in_old(slot) && !promoted {
-            let card = heap.cards().card_addr(slot);
-            iend = crate::integrity::after_card_dirty(sys, heap, t % cores, iend, card);
+    pc.prim(t, PrimType::Copy, true, |sys, core, now| sys.prim_copy(core, now, r, dest, bytes));
+    pc.host_on(t, Bucket::Copy, pc.sys.costs.copy_fixup, &[(r, AccessKind::Write), (slot, AccessKind::Write)]);
+    // Integrity: the Copy unit's outputs — the evacuated payload, the
+    // forwarding word, and the re-dirtied card — are checked (and, on
+    // damage, repaired) right after the primitive completes, before
+    // Scan&Push reads the new copy's klass word.
+    pc.check(t, Bucket::Copy, |sys, core, now| {
+        let mut end = integrity::after_copy(sys, heap, core, now, r, dest, size);
+        end = integrity::after_forward(sys, heap, core, end, r, dest, age);
+        if let Some(card) = redirtied {
+            end = integrity::after_card_dirty(sys, heap, core, end, card);
         }
-        if iend > now {
-            bd.record(Bucket::Copy, iend - now);
-            threads.advance(t, iend, true);
-        }
-    }
+        end
+    });
 
     // Scan&Push the new copy's fields.
     let klass_kind = heap.obj_klass(dest).kind();
@@ -415,12 +321,12 @@ fn process_slot(
     }
     // `java.lang.ref.Reference` holders: the referent (first declared
     // reference field) is weak — discover it instead of scavenging it.
-    let weak_slot = (klass_kind == charon_heap::klass::KlassKind::InstanceRef).then(|| slots[0]);
+    let weak_slot = (klass_kind == KlassKind::InstanceRef).then(|| slots[0]);
     let mut refs = Vec::new();
     let mut scan_cards = Vec::new();
     for s in &slots {
         if weak_slot == Some(*s) {
-            discovered.push(*s);
+            sc.discovered.push(*s);
             continue;
         }
         let v = heap.read_ref(*s);
@@ -431,40 +337,30 @@ fn process_slot(
             let fwd = object::forwarding(&heap.mem, v);
             heap.write_ref(*s, fwd);
             if promoted && heap.in_young(fwd) {
-                {
-                    let ct = *heap.cards();
-                    ct.dirty(&mut heap.mem, *s);
-                }
-                scan_cards.push(heap.cards().card_addr(*s));
+                let card_addr = dirty_card(heap, *s);
+                scan_cards.push(card_addr);
                 refs.push(ScanRef {
                     referent: v,
-                    action: ScanAction::UpdateFieldAndCard { field_slot: *s, card_addr: heap.cards().card_addr(*s) },
+                    action: ScanAction::UpdateFieldAndCard { field_slot: *s, card_addr },
                 });
             } else {
                 refs.push(ScanRef { referent: v, action: ScanAction::UpdateField { field_slot: *s } });
             }
         } else {
-            let pushed = stack.push(*s);
+            let pushed = sc.stack.push(*s);
             refs.push(ScanRef { referent: v, action: ScanAction::Push { stack_slot: pushed } });
         }
     }
-    let fields_start = slots[0];
-    let field_bytes = (slots.len() as u64) * 8;
     let hw = klass_kind.charon_supported();
-    let now = threads.clock(t);
-    let end = sys.prim_scan_push(t % cores, now, fields_start, field_bytes, &refs, hw);
-    bd.record(Bucket::ScanPush, end - now);
-    threads.advance(t, end, !offloaded(sys, hw));
+    pc.prim(t, PrimType::ScanPush, hw, |sys, core, now| {
+        sys.prim_scan_push(core, now, slots[0], (slots.len() as u64) * 8, &refs, hw)
+    });
     // Integrity: cards the scan actions dirtied are checked post-primitive.
     if !scan_cards.is_empty() {
-        let now = threads.clock(t);
-        let mut iend = now;
-        for card in scan_cards {
-            iend = crate::integrity::after_card_dirty(sys, heap, t % cores, iend, card);
-        }
-        if iend > now {
-            bd.record(Bucket::ScanPush, iend - now);
-            threads.advance(t, iend, true);
-        }
+        pc.check(t, Bucket::ScanPush, |sys, core, now| {
+            scan_cards
+                .iter()
+                .fold(now, |end, &card| integrity::after_card_dirty(sys, heap, core, end, card))
+        });
     }
 }

@@ -7,7 +7,7 @@
 //! *functional* heap mutations itself and calls these methods purely to
 //! advance simulated time and traffic.
 
-use crate::breakdown::RecoverySummary;
+use crate::breakdown::{Bucket, RecoverySummary};
 use crate::costs::CostModel;
 use charon_core::device::{CharonDevice, OffloadCall, Placement, ScanRef, StructureMode};
 use charon_core::packet::PrimType;
@@ -185,6 +185,10 @@ pub struct System {
     pub record_traces: bool,
     /// Recorded traces, one per collection (only when `record_traces`).
     pub traces: Vec<crate::trace::GcTrace>,
+    /// The bucket of the charge in flight ([`crate::pause::Pause`] sets
+    /// it): host operations recorded into a trace carry it, so a replay
+    /// rebuilds the live breakdown bucket by bucket.
+    pub(crate) charging: Bucket,
     /// The structured event journal ([`charon_sim::telemetry`]); disabled
     /// by default and never consulted by any timing computation.
     pub telemetry: Telemetry,
@@ -249,6 +253,7 @@ impl System {
             tenuring: None,
             record_traces: false,
             traces: Vec::new(),
+            charging: Bucket::Other,
             telemetry: Telemetry::disabled(),
             profiler: Profiler::disabled(),
             collection_seq: 0,
@@ -301,7 +306,7 @@ impl System {
                     instrs,
                     accesses: accesses.to_vec(),
                     stream: false,
-                    bucket: crate::breakdown::Bucket::Other,
+                    bucket: self.charging,
                 });
             }
         }
@@ -325,7 +330,7 @@ impl System {
                     instrs,
                     accesses: accesses.to_vec(),
                     stream: true,
-                    bucket: crate::breakdown::Bucket::Other,
+                    bucket: self.charging,
                 });
             }
         }
@@ -458,6 +463,16 @@ impl System {
     /// outputs, so injection sites gate on this.
     pub fn prim_offloads(&self, prim: PrimType) -> bool {
         matches!(self.backend, Backend::Charon | Backend::CpuSideCharon) && self.offload.get(prim)
+    }
+
+    /// Whether a thread that just issued `prim` sat blocked on an offload
+    /// response (`true`) or executed the primitive itself — the one place
+    /// the host-active accounting behind the energy model is decided. It
+    /// follows where the primitive ran: a cleared mask bit (ablation,
+    /// autotune, a watchdog-dead unit) or a klass kind the hardware
+    /// cannot iterate keeps the work, and the core's power, on the host.
+    pub fn prim_blocked(&self, prim: PrimType, hardware_iterable: bool) -> bool {
+        self.backend == Backend::Ideal || (hardware_iterable && self.prim_offloads(prim))
     }
 
     /// Host-software re-execution of a corrupted *Copy* — the repair

@@ -48,9 +48,11 @@
 //! ```
 
 use crate::breakdown::{Breakdown, Bucket};
-use crate::system::{Backend, System};
+use crate::pause::Pause;
+use crate::system::System;
 use crate::threads::GcThreads;
 use charon_core::device::ScanRef;
+use charon_core::packet::PrimType;
 use charon_heap::addr::{VAddr, VRange};
 use charon_sim::cache::AccessKind;
 use charon_sim::time::Ps;
@@ -212,78 +214,39 @@ pub fn replay(trace: &GcTrace, sys: &mut System, gc_threads: usize) -> (Ps, Brea
 pub fn replay_at(trace: &GcTrace, sys: &mut System, gc_threads: usize, start: Ps) -> (Ps, Breakdown) {
     sys.host.barrier(start);
     let mut threads = GcThreads::new(gc_threads, start);
-    let mut bd = Breakdown::new();
-    let cores = sys.host.cores();
-    let offloaded = |sys: &System, hw: bool| match sys.backend {
-        Backend::Host => false,
-        Backend::Charon | Backend::CpuSideCharon => hw,
-        Backend::Ideal => true,
-    };
-
-    let mut drain = Ps::ZERO;
+    let mut pc = Pause::new(sys, &mut threads);
     for op in &trace.ops {
         match op {
-            TraceOp::HostOp { instrs, accesses, stream, bucket } => {
-                let t = threads.least_loaded();
-                let now = threads.clock(t);
-                if *stream {
-                    let (cpu, mem) = sys.host_stream_op(t % cores, now, *instrs, accesses);
-                    bd.record(*bucket, cpu - now);
-                    threads.advance(t, cpu, true);
-                    drain = drain.max(mem);
-                } else {
-                    let end = sys.host_op(t % cores, now, *instrs, accesses);
-                    bd.record(*bucket, end - now);
-                    threads.advance(t, end, true);
-                }
+            TraceOp::HostOp { instrs, accesses, stream: true, bucket } => {
+                pc.stream(*bucket, *instrs, accesses);
+            }
+            TraceOp::HostOp { instrs, accesses, stream: false, bucket } => {
+                pc.host(*bucket, *instrs, accesses);
             }
             TraceOp::Copy { src, dst, bytes } => {
-                let t = threads.least_loaded();
-                let now = threads.clock(t);
-                let end = sys.prim_copy(t % cores, now, *src, *dst, *bytes);
-                bd.record(Bucket::Copy, end - now);
-                threads.advance(t, end, !offloaded(sys, true));
+                pc.prim(pc.pick(), PrimType::Copy, true, |sys, core, now| sys.prim_copy(core, now, *src, *dst, *bytes));
             }
-            TraceOp::Search { start: s, bytes } => {
-                let t = threads.least_loaded();
-                let now = threads.clock(t);
-                let end = sys.prim_search(t % cores, now, *s, *bytes);
-                bd.record(Bucket::Search, end - now);
-                threads.advance(t, end, !offloaded(sys, true));
+            TraceOp::Search { start, bytes } => {
+                pc.prim(pc.pick(), PrimType::Search, true, |sys, core, now| sys.prim_search(core, now, *start, *bytes));
             }
             TraceOp::BitmapCount { spans } => {
-                let t = threads.least_loaded();
-                let now = threads.clock(t);
-                let end = sys.prim_bitmap_count(t % cores, now, spans);
-                bd.record(Bucket::BitmapCount, end - now);
-                threads.advance(t, end, !offloaded(sys, true));
+                pc.prim(pc.pick(), PrimType::BitmapCount, true, |sys, core, now| {
+                    sys.prim_bitmap_count(core, now, spans)
+                });
             }
             TraceOp::ScanPush { fields_start, field_bytes, refs, hw } => {
-                let t = threads.least_loaded();
-                let now = threads.clock(t);
-                let end = sys.prim_scan_push(t % cores, now, *fields_start, *field_bytes, refs, *hw);
-                bd.record(Bucket::ScanPush, end - now);
-                threads.advance(t, end, !offloaded(sys, *hw));
+                pc.prim(pc.pick(), PrimType::ScanPush, *hw, |sys, core, now| {
+                    sys.prim_scan_push(core, now, *fields_start, *field_bytes, refs, *hw)
+                });
             }
             TraceOp::StreamClear { range } => {
-                let t = threads.least_loaded();
-                let now = threads.clock(t);
-                let end = sys.host_stream_clear(t % cores, now, *range);
-                bd.record(Bucket::Other, end - now);
-                threads.advance(t, end, true);
+                pc.charge(pc.pick(), Bucket::Other, true, |sys, core, now| sys.host_stream_clear(core, now, *range));
             }
-            TraceOp::Phase { flush } => {
-                threads.advance_all_to(drain);
-                drain = Ps::ZERO;
-                let now = threads.barrier();
-                let end = sys.replay_flush(now, *flush);
-                bd.record(Bucket::Other, end - now);
-                threads.advance_all_to(end);
-            }
+            TraceOp::Phase { flush } => pc.serial(|sys, now| sys.replay_flush(now, *flush)),
         }
     }
-    threads.advance_all_to(drain);
-    (threads.barrier() - start, bd)
+    let end = pc.barrier();
+    (end - start, pc.finish())
 }
 
 #[cfg(test)]

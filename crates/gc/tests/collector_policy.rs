@@ -169,3 +169,32 @@ fn gc_threads_one_is_valid_and_slowest() {
     let t4 = mk(4);
     assert!(t4 < t1, "4 GC threads ({t4}) must beat 1 ({t1})");
 }
+
+/// Host-active time follows where a primitive ran, not which backend is
+/// installed: with every offload-mask bit off, an offloading backend runs
+/// all four primitives on the host, so the single GC thread is executing
+/// for the whole pause (the CPU-side prologue flushes nothing, and
+/// neither collection streams). With the default mask the thread spends
+/// the primitives blocked on the device.
+#[test]
+fn mask_off_primitives_are_booked_host_active() {
+    use charon_gc::system::OffloadMask;
+    let run = |mask: OffloadMask| {
+        let mut heap = JavaHeap::new(HeapConfig::with_heap_bytes(8 << 20));
+        let node = heap.klasses_mut().register("Node", KlassKind::Instance, 4, vec![0]);
+        let mut sys = System::cpu_side();
+        sys.offload = mask;
+        let mut gc = Collector::new(sys, &heap, 1);
+        for _ in 0..2000 {
+            let a = gc.alloc(&mut heap, node, 0).unwrap();
+            heap.add_root(a);
+        }
+        let e = gc.minor_gc(&mut heap).clone();
+        (e.host_active, e.wall, e.breakdown.total())
+    };
+    let (active, wall, booked) = run(OffloadMask::none());
+    assert_eq!(booked, wall, "one thread, no stream drain: every picosecond of the pause is booked");
+    assert_eq!(active, wall, "primitives that ran on the host are host-active");
+    let (active, wall, _) = run(OffloadMask::all());
+    assert!(active < wall, "offloaded primitives block the thread: {active} of {wall}");
+}

@@ -318,3 +318,51 @@ fn mark_sweep_preserves_graph_and_frees_old_garbage() {
     let walked: u64 = fx.heap.walk_objects(fx.heap.old().start(), fx.heap.old().top()).count() as u64;
     assert!(walked >= st.free_chunks);
 }
+
+/// The stop-the-world mark-sweep and the cms collection with no cycle in
+/// flight are compositions of the same seed/drain/sweep steps: on one
+/// heap they must agree on what is live, what is freed, and which ranges
+/// are recycled — and both must leave the reachable graph alone.
+#[test]
+fn mark_sweep_and_idle_cms_agree_on_liveness_and_free_ranges() {
+    use charon_gc::concmark::{cms_old_gc, ConcMark};
+    use charon_gc::freelist::FreeStore;
+    use charon_gc::marksweep::mark_sweep_old;
+    use charon_gc::threads::GcThreads;
+    let build = || {
+        let mut fx = fixture(8 << 20);
+        let mut gc = Collector::new(System::charon(), &fx.heap, 4);
+        populate(&mut fx, &mut gc, 11, 4000);
+        gc.major_gc(&mut fx.heap);
+        for i in 0..fx.heap.root_count() {
+            if i % 3 == 0 {
+                fx.heap.set_root(i, VAddr::NULL);
+            }
+        }
+        // A few young survivors, so both collectors also mark (and then
+        // wipe) young headers.
+        for _ in 0..50 {
+            let a = gc.alloc(&mut fx.heap, fx.node, 0).expect("no OOM in fixture");
+            fx.heap.add_root(a);
+        }
+        (fx, gc)
+    };
+
+    let (mut fx, mut gc) = build();
+    let (sig, _) = graph_signature(&fx.heap).expect("heap graph verifies");
+    let mut threads = GcThreads::new(4, gc.now);
+    let (_, ms, ms_chunks) = mark_sweep_old(&mut gc.sys, &mut fx.heap, &mut threads, fx.bytes);
+    assert_eq!(graph_signature(&fx.heap).expect("heap graph verifies").0, sig, "mark-sweep changed the graph");
+    assert_headers_clean(&fx.heap);
+
+    let (mut fx, mut gc) = build();
+    let mut threads = GcThreads::new(4, gc.now);
+    let (mut cm, mut free) = (ConcMark::new(), FreeStore::new());
+    let (_, cms) = cms_old_gc(&mut gc.sys, &mut fx.heap, &mut threads, &mut cm, &mut free, fx.bytes);
+    assert_eq!(graph_signature(&fx.heap).expect("heap graph verifies").0, sig, "cms changed the graph");
+    assert_headers_clean(&fx.heap);
+
+    assert!(ms.freed_bytes > 0 && ms.free_chunks > 1, "the fixture must leave old garbage to sweep");
+    assert_eq!(ms, cms, "marked objects, old live bytes, freed bytes and free chunks must agree");
+    assert_eq!(ms_chunks, free.chunks_by_address(), "both sweeps must recycle the same (addr, words) ranges");
+}

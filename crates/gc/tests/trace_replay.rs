@@ -38,7 +38,7 @@ fn replay_on_same_config_approximates_live_run() {
     let (trace, live) = record_one(System::ddr4());
     assert!(trace.primitive_count() > 100, "trace too thin: {}", trace.primitive_count());
     let (replayed, bd) = replay(&trace, &mut System::ddr4(), 8);
-    // Replay starts from a cold machine and merges host buckets, so exact
+    // Replay starts from a cold machine and re-picks threads, so exact
     // equality is not expected — but it must land in the same ballpark.
     let ratio = replayed.0 as f64 / live.0 as f64;
     assert!((0.5..2.0).contains(&ratio), "replayed {replayed} vs live {live} (ratio {ratio:.2})");
@@ -137,7 +137,14 @@ fn assert_live_equals_replay(make: fn() -> System) {
             "replayed wall {wall} != live wall {} for the {} at {}",
             event.wall, event.kind, event.start
         );
-        assert_eq!(bd.total(), event.breakdown.total(), "bucket totals must replay identically");
+        for b in charon_gc::Bucket::ALL {
+            assert_eq!(
+                bd.get(b),
+                event.breakdown.get(b),
+                "the {b} bucket of the {} must replay identically",
+                event.kind
+            );
+        }
     }
 }
 

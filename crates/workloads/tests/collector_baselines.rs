@@ -1,8 +1,9 @@
-//! Committed timing baselines for the non-PS collectors (`--collector
-//! ms|cms|g1`), pinned bit-exact at full workload length — short runs
-//! never fill the old generation far enough to trigger a concurrent
-//! cycle, so unlike `fingerprint_baseline.rs` these cells run the spec's
-//! own superstep count.
+//! Committed timing baselines at full workload length, pinned bit-exact:
+//! the non-PS collectors (`--collector ms|cms|g1`) and the PS cells whose
+//! majors fire — short runs never fill the old generation far enough to
+//! trigger a major or a concurrent cycle, so unlike
+//! `fingerprint_baseline.rs` these cells run the spec's own superstep
+//! count.
 //!
 //! The cms rows are the tentpole check: the free-list old generation and
 //! the incremental concurrent marker flow through the same
@@ -24,13 +25,19 @@ fn system_by_label(label: &str) -> System {
     match label {
         "DDR4" => System::ddr4(),
         "HMC" => System::hmc(),
+        "Charon" => System::charon(),
         other => panic!("unknown platform {other}"),
     }
 }
 
 /// `(collector, workload, platform, gc_time ps, minor count, major
 /// count, allocated bytes)` at full length, default heap, 8 GC threads.
-const BASELINES: [(CollectorKind, &str, &str, u64, usize, usize, u64); 10] = [
+///
+/// The ps rows pin `major.rs` timing (the 15 short PS fingerprints are
+/// 1 minor / 0 majors), and the Charon rows pin the offloaded/blocked
+/// path of every old-generation collector. Captured at commit `d8ae845`,
+/// before the pause-context refactor touched any of it.
+const BASELINES: [(CollectorKind, &str, &str, u64, usize, usize, u64); 18] = [
     (CollectorKind::Cms, "BS", "DDR4", 5012736392, 7, 3, 46332904),
     (CollectorKind::Cms, "BS", "HMC", 3745665157, 7, 3, 46332904),
     (CollectorKind::Cms, "PR", "DDR4", 21009918587, 7, 6, 79625600),
@@ -41,6 +48,14 @@ const BASELINES: [(CollectorKind, &str, &str, u64, usize, usize, u64); 10] = [
     (CollectorKind::Ms, "BS", "HMC", 3346904781, 7, 1, 46332904),
     (CollectorKind::G1, "KM", "DDR4", 2553686448, 5, 1, 29430312),
     (CollectorKind::G1, "KM", "HMC", 1594155233, 5, 1, 29430312),
+    (CollectorKind::Ps, "BS", "DDR4", 5893683596, 6, 1, 46332904),
+    (CollectorKind::Ps, "BS", "Charon", 1676237246, 6, 1, 46332904),
+    (CollectorKind::Ps, "KM", "DDR4", 3117527392, 4, 1, 29430312),
+    (CollectorKind::Ps, "KM", "Charon", 1312062700, 4, 1, 29430312),
+    (CollectorKind::Ps, "LR", "DDR4", 11995985512, 6, 3, 63253544),
+    (CollectorKind::Ps, "LR", "Charon", 3515347200, 6, 3, 63253544),
+    (CollectorKind::Cms, "BS", "Charon", 1514935803, 7, 3, 46332904),
+    (CollectorKind::Ms, "BS", "Charon", 1302471555, 7, 1, 46332904),
 ];
 
 #[test]

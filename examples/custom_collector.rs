@@ -5,7 +5,10 @@
 //! The collector logic lives in this repository's `charon_gc::marksweep`;
 //! this example drives it directly, shows which primitives fire (and that
 //! Bitmap Count does not — CMS never compacts), and inspects the free list
-//! the sweep produces.
+//! the sweep produces. `mark_sweep_old` is the shortest collector in the
+//! crate — prologue → seed roots → drain → sweep → clear, each step a
+//! shared function over the per-collection charging context — and
+//! DESIGN.md §3 "Charge protocol" says how to write the next one that way.
 //!
 //! ```bash
 //! cargo run --release --example custom_collector

@@ -25,14 +25,14 @@
 use charon::gc::adapt::PolicyKind;
 use charon::gc::breakdown::Bucket;
 use charon::gc::collector::CollectorKind;
-use charon::gc::system::OffloadMask;
+use charon::gc::system::{OffloadMask, System};
 use charon::sim::faults::CorruptionSite;
 use charon::sim::json::Json;
 use charon::sim::profile::Profiler;
 use charon::sim::report::{extract_metrics, regressions};
 use charon::sim::telemetry::{chrome_trace, Telemetry};
 use charon::workloads::parmatrix::{system_by_label, PLATFORM_LABELS as PLATFORMS};
-use charon::workloads::spec::{by_short, table3};
+use charon::workloads::spec::{by_short, table3, WorkloadSpec};
 use charon::workloads::{
     autotune_jobs, full_matrix, plan_tenants, run_chaos_campaign, run_fault_campaign_jobs, run_fleet, run_matrix,
     run_workload, selfspeed_json, CampaignOptions, ChaosOptions, FleetOptions, Ledger, MatrixOptions, RunOptions,
@@ -270,6 +270,11 @@ impl Flags {
         self.jobs.unwrap_or(1)
     }
 
+    /// The `--platform` label (default Charon).
+    fn platform(&self) -> String {
+        self.platform.clone().unwrap_or_else(|| "Charon".into())
+    }
+
     fn matrix_options(&self) -> MatrixOptions {
         MatrixOptions::from_run_options(&self.run_options(Telemetry::disabled()))
     }
@@ -303,7 +308,7 @@ impl Flags {
     fn fleet_options(&self) -> FleetOptions {
         let defaults = FleetOptions::default();
         FleetOptions {
-            platform: self.platform.clone().unwrap_or_else(|| "Charon".into()),
+            platform: self.platform(),
             tenants: self.tenants.unwrap_or(0),
             mix: self.mix.clone(),
             sched: self.sched.unwrap_or(SchedKind::Fifo),
@@ -323,7 +328,13 @@ impl Flags {
     }
 }
 
-fn print_result(r: &RunResult) {
+/// The `run` report (also what a one-tenant `fleet` prints, byte for
+/// byte): the full JSON, or the text summary plus the traffic line.
+fn print_run(r: &RunResult, json: bool) {
+    if json {
+        println!("{}", r.to_json());
+        return;
+    }
     println!("{r}");
     println!("  minor: {} pauses, {}   major: {} pauses, {}", r.minor.1, r.minor.0, r.major.1, r.major.0);
     for (name, bd) in [("minor", &r.minor_breakdown), ("major", &r.major_breakdown)] {
@@ -347,18 +358,96 @@ fn print_result(r: &RunResult) {
     if let Some(d) = &r.device {
         println!("  offloads: {}", d.total_offloads());
     }
+    println!(
+        "  traffic: dram {}, off-chip {}, locality {:.0}%",
+        r.traffic.dram,
+        r.traffic.offchip,
+        r.local_ratio() * 100.0
+    );
+}
+
+// Every helper below reports its own failure on stderr and hands back the
+// exit code, so a subcommand is a straight line of `?`.
+
+/// A runtime failure: the message, exit 1.
+fn fail(e: impl std::fmt::Display) -> ExitCode {
+    eprintln!("{e}");
+    ExitCode::FAILURE
+}
+
+/// A command-line mistake: the message, then the usage text, exit 1.
+fn misuse(e: impl std::fmt::Display) -> ExitCode {
+    eprintln!("{e}");
+    usage()
+}
+
+fn flags_for(rest: &[String], allowed: &[&str]) -> Result<Flags, ExitCode> {
+    parse_flags(rest, allowed).map_err(misuse)
+}
+
+/// The `<W>` argument of a single-workload subcommand.
+fn workload(args: &[String]) -> Result<(&str, WorkloadSpec), ExitCode> {
+    let short = args.get(1).ok_or_else(usage)?;
+    let spec = by_short(short).ok_or_else(|| misuse(format_args!("unknown workload {short}")))?;
+    Ok((short, spec))
+}
+
+/// The leading `[<W>...]` arguments of a sweep subcommand.
+fn leading_workloads(args: &[String]) -> &[String] {
+    let n = args[1..].iter().take_while(|a| !a.starts_with("--")).count();
+    &args[1..1 + n]
+}
+
+/// The specs `shorts` name, or all of Table 3 when none are given.
+fn specs_for(shorts: &[String]) -> Result<Vec<WorkloadSpec>, ExitCode> {
+    if shorts.is_empty() {
+        return Ok(table3());
+    }
+    shorts
+        .iter()
+        .map(|s| by_short(s).ok_or_else(|| misuse(format_args!("unknown workload {s}"))))
+        .collect()
+}
+
+/// The machine `label` names.
+fn platform(label: &str) -> Result<System, ExitCode> {
+    system_by_label(label).ok_or_else(|| misuse(format_args!("unknown platform {label}")))
 }
 
 fn write_file(path: &str, content: &str) -> Result<(), ExitCode> {
-    std::fs::write(path, content).map_err(|e| {
-        eprintln!("cannot write {path}: {e}");
-        ExitCode::FAILURE
-    })
+    std::fs::write(path, content).map_err(|e| fail(format_args!("cannot write {path}: {e}")))
+}
+
+fn read_file(path: &str) -> Result<String, ExitCode> {
+    std::fs::read_to_string(path).map_err(|e| fail(format_args!("cannot read {path}: {e}")))
+}
+
+fn read_json(path: &str) -> Result<Json, ExitCode> {
+    Json::parse(&read_file(path)?).map_err(|e| fail(format_args!("{path}: invalid JSON: {e}")))
+}
+
+fn read_ledger(path: &str) -> Result<Ledger, ExitCode> {
+    Ledger::parse(&read_file(path)?).map_err(|e| fail(format_args!("{path}: {e}")))
+}
+
+/// The common report ending: write the JSON to `out` when asked (and say
+/// so), then print the JSON under `--json` or the text otherwise.
+fn emit(flags: &Flags, out: Option<&String>, json: impl Fn() -> Json, text: impl FnOnce()) -> Result<(), ExitCode> {
+    if let Some(path) = out {
+        write_file(path, &json().to_string())?;
+        println!("wrote {path}");
+    }
+    if flags.json {
+        println!("{}", json());
+    } else {
+        text();
+    }
+    Ok(())
 }
 
 /// Runs one workload on all platforms; returns the per-platform results
 /// in `PLATFORMS` order, or the failing platform's error.
-fn compare_runs(spec: &charon::workloads::spec::WorkloadSpec, opts: &RunOptions) -> Result<Vec<RunResult>, String> {
+fn compare_runs(spec: &WorkloadSpec, opts: &RunOptions) -> Result<Vec<RunResult>, String> {
     PLATFORMS
         .iter()
         .map(|p| {
@@ -383,13 +472,13 @@ fn compare_json(short: &str, runs: &[RunResult]) -> Json {
     ])
 }
 
-// The metric flattener (`extract_metrics`), the direction convention
-// (`higher_is_better`), and the pairwise gate (`regressions`) moved to
-// `charon::sim::report` so the history ledger shares them; the CLI only
-// renders their output.
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    cli(&args).unwrap_or_else(|code| code)
+}
+
+/// One subcommand; `Err` is an exit code whose message is already out.
+fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
     match args.first().map(String::as_str) {
         Some("list") => {
             println!("workloads (Table 3, scaled):");
@@ -397,23 +486,12 @@ fn main() -> ExitCode {
                 println!("  {w}");
             }
             println!("platforms: {}", PLATFORMS.join(", "));
-            ExitCode::SUCCESS
         }
-        Some("config") => {
-            println!("{}", charon::sim::config::SystemConfig::table2_ddr4());
-            ExitCode::SUCCESS
-        }
-        Some("area") => {
-            println!("{}", charon::accel::area::report());
-            ExitCode::SUCCESS
-        }
+        Some("config") => println!("{}", charon::sim::config::SystemConfig::table2_ddr4()),
+        Some("area") => println!("{}", charon::accel::area::report()),
         Some("run") => {
-            let Some(short) = args.get(1) else { return usage() };
-            let Some(spec) = by_short(short) else {
-                eprintln!("unknown workload {short}");
-                return usage();
-            };
-            let flags = match parse_flags(
+            let (_, spec) = workload(args)?;
+            let flags = flags_for(
                 &args[2..],
                 &[
                     "--platform",
@@ -426,119 +504,51 @@ fn main() -> ExitCode {
                     "--json",
                     "--trace-out",
                 ],
-            ) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return usage();
-                }
-            };
-            let platform = flags.platform.clone().unwrap_or_else(|| "Charon".into());
-            let Some(mut sys) = system_by_label(&platform) else {
-                eprintln!("unknown platform {platform}");
-                return usage();
-            };
+            )?;
+            let mut sys = platform(&flags.platform())?;
             // A mask asserting a primitive the chosen collector never
             // issues (Table 1 marks it N/A) is a contradiction, not a
             // no-op — reject it before the run starts.
             if let Some(mask) = flags.mask {
-                if let Err(e) = flags.collector.unwrap_or_default().validate_mask(mask) {
-                    eprintln!("{e}");
-                    return usage();
-                }
+                flags.collector.unwrap_or_default().validate_mask(mask).map_err(misuse)?;
                 sys.offload = mask;
             }
             let telemetry = if flags.trace_out.is_some() { Telemetry::enabled() } else { Telemetry::disabled() };
-            match run_workload(&spec, sys, &flags.run_options(telemetry.clone())) {
-                Ok(r) => {
-                    if let Some(path) = &flags.trace_out {
-                        let trace = chrome_trace(&telemetry.events());
-                        if let Err(code) = write_file(path, &trace.to_string()) {
-                            return code;
-                        }
-                    }
-                    if flags.json {
-                        println!("{}", r.to_json());
-                    } else {
-                        print_result(&r);
-                        println!(
-                            "  traffic: dram {}, off-chip {}, locality {:.0}%",
-                            r.traffic.dram,
-                            r.traffic.offchip,
-                            r.local_ratio() * 100.0
-                        );
-                    }
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
-                }
+            let r = run_workload(&spec, sys, &flags.run_options(telemetry.clone())).map_err(fail)?;
+            if let Some(path) = &flags.trace_out {
+                write_file(path, &chrome_trace(&telemetry.events()).to_string())?;
             }
+            print_run(&r, flags.json);
         }
         Some("compare") => {
-            let Some(short) = args.get(1) else { return usage() };
-            let Some(spec) = by_short(short) else {
-                eprintln!("unknown workload {short}");
-                return usage();
-            };
-            let flags = match parse_flags(&args[2..], &["--heap-factor", "--threads", "--steps", "--json"]) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return usage();
-                }
-            };
-            let runs = match compare_runs(&spec, &flags.run_options(Telemetry::disabled())) {
-                Ok(rs) => rs,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if flags.json {
-                println!("{}", compare_json(short, &runs));
-            } else {
-                let base = runs[0].gc_time;
-                for r in &runs {
-                    println!(
-                        "{:<16} GC {:>12}  speedup {:>6.2}x  energy {:>8.4} J",
-                        r.platform,
-                        r.gc_time.to_string(),
-                        base.0 as f64 / r.gc_time.0.max(1) as f64,
-                        r.energy.total_j()
-                    );
-                }
-            }
-            ExitCode::SUCCESS
+            let (short, spec) = workload(args)?;
+            let flags = flags_for(&args[2..], &["--heap-factor", "--threads", "--steps", "--json"])?;
+            let runs = compare_runs(&spec, &flags.run_options(Telemetry::disabled())).map_err(fail)?;
+            emit(
+                &flags,
+                None,
+                || compare_json(short, &runs),
+                || {
+                    let base = runs[0].gc_time;
+                    for r in &runs {
+                        println!(
+                            "{:<16} GC {:>12}  speedup {:>6.2}x  energy {:>8.4} J",
+                            r.platform,
+                            r.gc_time.to_string(),
+                            base.0 as f64 / r.gc_time.0.max(1) as f64,
+                            r.energy.total_j()
+                        );
+                    }
+                },
+            )?;
         }
         Some("bench") => {
-            let shorts: Vec<&String> = args[1..].iter().take_while(|a| !a.starts_with("--")).collect();
-            let flag_start = 1 + shorts.len();
-            let flags =
-                match parse_flags(
-                    &args[flag_start..],
-                    &["--collector", "--heap-factor", "--threads", "--steps", "--out", "--jobs"],
-                ) {
-                    Ok(f) => f,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                };
-            let specs = if shorts.is_empty() {
-                table3()
-            } else {
-                let mut v = Vec::new();
-                for s in shorts {
-                    let Some(spec) = by_short(s) else {
-                        eprintln!("unknown workload {s}");
-                        return usage();
-                    };
-                    v.push(spec);
-                }
-                v
-            };
+            let shorts = leading_workloads(args);
+            let flags = flags_for(
+                &args[1 + shorts.len()..],
+                &["--collector", "--heap-factor", "--threads", "--steps", "--out", "--jobs"],
+            )?;
+            let specs = specs_for(shorts)?;
             // The whole workload × platform matrix runs through the
             // parallel runner; at --jobs 1 (the default) parallel_map
             // degenerates to the old serial loop. Cell order — and with
@@ -547,96 +557,45 @@ fn main() -> ExitCode {
             let outcomes = run_matrix(&cells, &flags.matrix_options(), flags.jobs());
             let mut benches = Vec::new();
             for (spec, per_workload) in specs.iter().zip(outcomes.chunks(PLATFORMS.len())) {
-                let mut runs = Vec::new();
-                for o in per_workload {
-                    match &o.result {
-                        Ok(r) => runs.push(r.clone()),
-                        Err(e) => {
-                            eprintln!("{e}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
+                let runs = per_workload
+                    .iter()
+                    .map(|o| o.result.clone().map_err(fail))
+                    .collect::<Result<Vec<_>, _>>()?;
                 println!("{}: {} platforms benched", spec.short, runs.len());
                 benches.push(compare_json(spec.short, &runs));
             }
             let report = Json::obj(vec![("benches", Json::Arr(benches))]);
             let path = flags.out.as_deref().unwrap_or("BENCH_compare.json");
-            if let Err(code) = write_file(path, &report.to_string()) {
-                return code;
-            }
+            write_file(path, &report.to_string())?;
             println!("wrote {path}");
             // Self-speed (simulated ps per wall-second) goes to its own
             // file: wall-clock numbers are host-dependent and must never
             // touch the bit-identical compare report.
             let speed_path = "BENCH_selfspeed.json";
-            if let Err(code) = write_file(speed_path, &selfspeed_json(&outcomes, flags.jobs()).to_string()) {
-                return code;
-            }
+            write_file(speed_path, &selfspeed_json(&outcomes, flags.jobs()).to_string())?;
             println!("wrote {speed_path}");
-            ExitCode::SUCCESS
         }
         Some("check-json") => {
-            let Some(path) = args.get(1) else { return usage() };
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match Json::parse(&text) {
-                Ok(_) => {
-                    println!("{path}: valid JSON");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("{path}: invalid JSON: {e}");
-                    ExitCode::FAILURE
-                }
-            }
+            let path = args.get(1).ok_or_else(usage)?;
+            read_json(path)?;
+            println!("{path}: valid JSON");
         }
         Some("fault-campaign") => {
-            let Some(short) = args.get(1) else { return usage() };
-            let Some(spec) = by_short(short) else {
-                eprintln!("unknown workload {short}");
-                return usage();
-            };
+            let (short, spec) = workload(args)?;
             let flags =
-                match parse_flags(&args[2..], &["--seed", "--heap-factor", "--threads", "--steps", "--json", "--jobs"])
-                {
-                    Ok(f) => f,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                };
+                flags_for(&args[2..], &["--seed", "--heap-factor", "--threads", "--steps", "--json", "--jobs"])?;
             let seed = flags.seed.unwrap_or(42);
-            match run_fault_campaign_jobs(&spec, seed, &flags.campaign_options(), flags.jobs()) {
-                Ok(report) => {
-                    if flags.json {
-                        println!("{}", report.to_json());
-                    } else {
-                        println!("{report}");
-                    }
-                    if report.pass() {
-                        ExitCode::SUCCESS
-                    } else {
-                        eprintln!("fault campaign FAILED for {short} (seed {seed})");
-                        ExitCode::FAILURE
-                    }
-                }
-                Err(e) => {
-                    eprintln!("{short}: fault-free baseline failed: {e}");
-                    ExitCode::FAILURE
-                }
+            let report = run_fault_campaign_jobs(&spec, seed, &flags.campaign_options(), flags.jobs())
+                .map_err(|e| fail(format_args!("{short}: fault-free baseline failed: {e}")))?;
+            emit(&flags, None, || report.to_json(), || println!("{report}"))?;
+            if !report.pass() {
+                return Err(fail(format_args!("fault campaign FAILED for {short} (seed {seed})")));
             }
         }
         Some("chaos") => {
-            let shorts: Vec<&String> = args[1..].iter().take_while(|a| !a.starts_with("--")).collect();
-            let flag_start = 1 + shorts.len();
-            let flags = match parse_flags(
-                &args[flag_start..],
+            let shorts = leading_workloads(args);
+            let flags = flags_for(
+                &args[1 + shorts.len()..],
                 &[
                     "--rates",
                     "--sites",
@@ -650,47 +609,17 @@ fn main() -> ExitCode {
                     "--out",
                     "--jobs",
                 ],
-            ) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return usage();
-                }
-            };
-            let specs = if shorts.is_empty() {
-                table3()
-            } else {
-                let mut v = Vec::new();
-                for s in shorts {
-                    let Some(spec) = by_short(s) else {
-                        eprintln!("unknown workload {s}");
-                        return usage();
-                    };
-                    v.push(spec);
-                }
-                v
-            };
+            )?;
+            let specs = specs_for(shorts)?;
             let report = run_chaos_campaign(&specs, &flags.chaos_options(), flags.jobs());
-            if let Some(path) = &flags.out {
-                if let Err(code) = write_file(path, &report.to_json().to_string()) {
-                    return code;
-                }
-                println!("wrote {path}");
-            }
-            if flags.json {
-                println!("{}", report.to_json());
-            } else {
-                print!("{report}");
-            }
-            if report.pass() {
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("chaos campaign FAILED ({} escaped, {} cells)", report.escaped(), report.cells.len());
-                ExitCode::FAILURE
+            emit(&flags, flags.out.as_ref(), || report.to_json(), || print!("{report}"))?;
+            if !report.pass() {
+                let cells = report.cells.len();
+                return Err(fail(format_args!("chaos campaign FAILED ({} escaped, {cells} cells)", report.escaped())));
             }
         }
         Some("fleet") => {
-            let flags = match parse_flags(
+            let flags = flags_for(
                 &args[1..],
                 &[
                     "--tenants",
@@ -705,83 +634,27 @@ fn main() -> ExitCode {
                     "--out",
                     "--jobs",
                 ],
-            ) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return usage();
-                }
-            };
+            )?;
             let opts = flags.fleet_options();
             // A one-tenant fleet has nothing to schedule: it IS a plain
             // run, and prints byte-identically to `charon-cli run` so
             // CI can diff the two with `cmp`.
             if opts.tenants == 1 {
-                let spec = match plan_tenants(1, opts.mix.as_deref()) {
-                    Ok(mut specs) => specs.remove(0),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                };
-                let Some(sys) = system_by_label(&opts.platform) else {
-                    eprintln!("unknown platform {}", opts.platform);
-                    return usage();
-                };
-                return match run_workload(&spec, sys, &flags.run_options(Telemetry::disabled())) {
-                    Ok(r) => {
-                        if let Some(path) = &flags.out {
-                            if let Err(code) = write_file(path, &r.to_json().to_string()) {
-                                return code;
-                            }
-                        }
-                        if flags.json {
-                            println!("{}", r.to_json());
-                        } else {
-                            print_result(&r);
-                            println!(
-                                "  traffic: dram {}, off-chip {}, locality {:.0}%",
-                                r.traffic.dram,
-                                r.traffic.offchip,
-                                r.local_ratio() * 100.0
-                            );
-                        }
-                        ExitCode::SUCCESS
-                    }
-                    Err(e) => {
-                        eprintln!("{e}");
-                        ExitCode::FAILURE
-                    }
-                };
-            }
-            match run_fleet(&opts) {
-                Ok(rep) => {
-                    if let Some(path) = &flags.out {
-                        if let Err(code) = write_file(path, &rep.to_json().to_string()) {
-                            return code;
-                        }
-                        println!("wrote {path}");
-                    }
-                    if flags.json {
-                        println!("{}", rep.to_json());
-                    } else {
-                        print!("{rep}");
-                    }
-                    ExitCode::SUCCESS
+                let spec = plan_tenants(1, opts.mix.as_deref()).map_err(misuse)?.remove(0);
+                let sys = platform(&opts.platform)?;
+                let r = run_workload(&spec, sys, &flags.run_options(Telemetry::disabled())).map_err(fail)?;
+                if let Some(path) = &flags.out {
+                    write_file(path, &r.to_json().to_string())?;
                 }
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
-                }
+                print_run(&r, flags.json);
+            } else {
+                let rep = run_fleet(&opts).map_err(fail)?;
+                emit(&flags, flags.out.as_ref(), || rep.to_json(), || print!("{rep}"))?;
             }
         }
         Some("profile") => {
-            let Some(short) = args.get(1) else { return usage() };
-            let Some(spec) = by_short(short) else {
-                eprintln!("unknown workload {short}");
-                return usage();
-            };
-            let flags = match parse_flags(
+            let (_, spec) = workload(args)?;
+            let flags = flags_for(
                 &args[2..],
                 &[
                     "--platform",
@@ -793,94 +666,41 @@ fn main() -> ExitCode {
                     "--json",
                     "--profile-out",
                 ],
-            ) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return usage();
-                }
-            };
-            let platform = flags.platform.clone().unwrap_or_else(|| "Charon".into());
-            let Some(sys) = system_by_label(&platform) else {
-                eprintln!("unknown platform {platform}");
-                return usage();
-            };
+            )?;
+            let sys = platform(&flags.platform())?;
             let opts = RunOptions {
                 profiler: Profiler::enabled(),
                 census: true,
                 postmortem: Some(flags.top.unwrap_or(3)),
                 ..flags.run_options(Telemetry::disabled())
             };
-            match run_workload(&spec, sys, &opts) {
-                Ok(r) => {
-                    let profile = r.profile.as_ref().expect("profiler was enabled");
-                    if let Some(path) = &flags.profile_out {
-                        if let Err(code) = write_file(path, &profile.to_json().to_string()) {
-                            return code;
-                        }
-                        println!("wrote {path}");
-                    }
-                    if flags.json {
-                        println!("{}", profile.to_json());
-                    } else {
-                        print!("{profile}");
-                    }
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
-                }
-            }
+            let r = run_workload(&spec, sys, &opts).map_err(fail)?;
+            let profile = r.profile.as_ref().expect("profiler was enabled");
+            emit(&flags, flags.profile_out.as_ref(), || profile.to_json(), || print!("{profile}"))?;
         }
         Some("explain") => {
-            let Some(short) = args.get(1) else { return usage() };
-            let Some(spec) = by_short(short) else {
-                eprintln!("unknown workload {short}");
-                return usage();
-            };
-            let flags = match parse_flags(
-                &args[2..],
-                &["--platform", "--top", "--heap-factor", "--threads", "--steps", "--json"],
-            ) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return usage();
-                }
-            };
-            let platform = flags.platform.clone().unwrap_or_else(|| "Charon".into());
-            let Some(sys) = system_by_label(&platform) else {
-                eprintln!("unknown platform {platform}");
-                return usage();
-            };
+            let (short, spec) = workload(args)?;
+            let flags =
+                flags_for(&args[2..], &["--platform", "--top", "--heap-factor", "--threads", "--steps", "--json"])?;
+            let label = flags.platform();
+            let sys = platform(&label)?;
             let opts =
                 RunOptions { postmortem: Some(flags.top.unwrap_or(3)), ..flags.run_options(Telemetry::disabled()) };
-            match run_workload(&spec, sys, &opts) {
-                Ok(r) => {
-                    let profile = r.profile.as_ref().expect("postmortem forces profile collection");
-                    if flags.json {
-                        println!("{}", profile.to_json());
-                    } else {
-                        println!("explain: {short} on {platform} — GC {}", r.gc_time);
-                        let pm = profile.postmortem.as_ref().expect("postmortem was enabled");
-                        print!("{pm}");
-                    }
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
-                }
-            }
+            let r = run_workload(&spec, sys, &opts).map_err(fail)?;
+            let profile = r.profile.as_ref().expect("postmortem forces profile collection");
+            emit(
+                &flags,
+                None,
+                || profile.to_json(),
+                || {
+                    println!("explain: {short} on {label} — GC {}", r.gc_time);
+                    print!("{}", profile.postmortem.as_ref().expect("postmortem was enabled"));
+                },
+            )?;
         }
         Some("autotune") => {
-            let Some(short) = args.get(1) else { return usage() };
-            let Some(spec) = by_short(short) else {
-                eprintln!("unknown workload {short}");
-                return usage();
-            };
-            let flags = match parse_flags(
+            let (_, spec) = workload(args)?;
+            let flags = flags_for(
                 &args[2..],
                 &[
                     "--platform",
@@ -893,86 +713,32 @@ fn main() -> ExitCode {
                     "--out",
                     "--jobs",
                 ],
-            ) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return usage();
-                }
-            };
-            let platform = flags.platform.clone().unwrap_or_else(|| "Charon".into());
-            if system_by_label(&platform).is_none() {
-                eprintln!("unknown platform {platform}");
-                return usage();
-            }
+            )?;
+            let label = flags.platform();
+            platform(&label)?;
             let policy = flags.policy.unwrap_or(PolicyKind::Census);
             let mut opts = flags.matrix_options();
             if let Some(seed) = flags.seed {
                 opts.policy_seed = seed;
             }
-            match autotune_jobs(
-                &spec,
-                || system_by_label(&platform).expect("validated above"),
-                policy,
-                &opts,
-                flags.jobs(),
-            ) {
-                Ok(rep) => {
-                    if let Some(path) = &flags.out {
-                        if let Err(code) = write_file(path, &rep.to_json().to_string()) {
-                            return code;
-                        }
-                        println!("wrote {path}");
-                    }
-                    if flags.json {
-                        println!("{}", rep.to_json());
-                    } else {
-                        print!("{rep}");
-                    }
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
-                }
-            }
+            let make = || system_by_label(&label).expect("validated above");
+            let rep = autotune_jobs(&spec, make, policy, &opts, flags.jobs()).map_err(fail)?;
+            emit(&flags, flags.out.as_ref(), || rep.to_json(), || print!("{rep}"))?;
         }
         Some("regress") => {
-            let (Some(old_path), Some(new_path)) = (args.get(1), args.get(2)) else { return usage() };
-            let flags = match parse_flags(&args[3..], &["--tolerance", "--metric"]) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return usage();
-                }
-            };
+            let (Some(old_path), Some(new_path)) = (args.get(1), args.get(2)) else { return Err(usage()) };
+            let flags = flags_for(&args[3..], &["--tolerance", "--metric"])?;
             let tolerance = flags.tolerance.unwrap_or(10.0);
-            let mut reports = Vec::new();
-            for path in [old_path, new_path] {
-                let text = match std::fs::read_to_string(path) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("cannot read {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                match Json::parse(&text) {
-                    Ok(j) => reports.push(j),
-                    Err(e) => {
-                        eprintln!("{path}: invalid JSON: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            let (compared, regs) = regressions(&reports[0], &reports[1], tolerance);
+            let (old, new) = (read_json(old_path)?, read_json(new_path)?);
+            let (compared, regs) = regressions(&old, &new, tolerance);
             // --metric narrows both the comparison count and the verdict,
             // so "0 comparable metrics" still errors when the filter
             // matches nothing.
             let (compared, regs) = match &flags.metric {
                 None => (compared, regs),
                 Some(f) => {
-                    let news = extract_metrics(&reports[1]);
-                    let compared = extract_metrics(&reports[0])
+                    let news = extract_metrics(&new);
+                    let compared = extract_metrics(&old)
                         .iter()
                         .filter(|(m, _)| m.contains(f.as_str()) && news.iter().any(|(n, _)| n == m))
                         .count();
@@ -980,166 +746,94 @@ fn main() -> ExitCode {
                 }
             };
             if compared == 0 {
-                eprintln!("no comparable metrics between {old_path} and {new_path}");
-                return ExitCode::FAILURE;
+                return Err(fail(format_args!("no comparable metrics between {old_path} and {new_path}")));
             }
             for r in &regs {
                 println!("REGRESSION {}: {} -> {} ({:.2}x, tolerance {tolerance}%)", r.metric, r.old, r.new, r.ratio());
             }
-            if regs.is_empty() {
-                println!("{compared} metrics within {tolerance}% of {old_path}");
-                ExitCode::SUCCESS
-            } else {
+            if !regs.is_empty() {
                 // Exit 2 distinguishes "the gate tripped" from exit 1's
                 // usage/IO/parse errors, so CI can tell them apart.
                 eprintln!("{} of {compared} metrics regressed beyond {tolerance}%", regs.len());
-                ExitCode::from(2)
+                return Ok(ExitCode::from(2));
             }
+            println!("{compared} metrics within {tolerance}% of {old_path}");
         }
-        Some("trend") => {
-            let read_ledger = |path: &str| -> Result<Ledger, ExitCode> {
-                let text = std::fs::read_to_string(path).map_err(|e| {
-                    eprintln!("cannot read {path}: {e}");
-                    ExitCode::FAILURE
-                })?;
-                Ledger::parse(&text).map_err(|e| {
-                    eprintln!("{path}: {e}");
-                    ExitCode::FAILURE
-                })
-            };
-            match args.get(1).map(String::as_str) {
-                Some("record") => {
-                    let (Some(ledger_path), Some(report_path)) = (args.get(2), args.get(3)) else { return usage() };
-                    let flags = match parse_flags(&args[4..], &["--label"]) {
-                        Ok(f) => f,
-                        Err(e) => {
-                            eprintln!("{e}");
-                            return usage();
-                        }
-                    };
-                    // A missing ledger starts fresh; an unreadable or
-                    // malformed one is an error, never silently replaced.
-                    let mut ledger = if std::path::Path::new(ledger_path).exists() {
-                        match read_ledger(ledger_path) {
-                            Ok(l) => l,
-                            Err(code) => return code,
-                        }
-                    } else {
-                        Ledger::new()
-                    };
-                    let report = match std::fs::read_to_string(report_path) {
-                        Ok(t) => match Json::parse(&t) {
-                            Ok(j) => j,
-                            Err(e) => {
-                                eprintln!("{report_path}: invalid JSON: {e}");
-                                return ExitCode::FAILURE;
-                            }
-                        },
-                        Err(e) => {
-                            eprintln!("cannot read {report_path}: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    };
-                    let label = flags.label.clone().unwrap_or_else(|| format!("run-{}", ledger.runs.len()));
-                    let n = ledger.record(label.clone(), &report);
-                    if n == 0 {
-                        eprintln!("{report_path}: no comparable metrics in this report shape");
-                        return ExitCode::FAILURE;
-                    }
-                    if let Err(code) = write_file(ledger_path, &ledger.to_json().to_string()) {
-                        return code;
-                    }
-                    println!("recorded {label}: {n} metrics as run {} in {ledger_path}", ledger.runs.len() - 1);
-                    ExitCode::SUCCESS
+        Some("trend") => match args.get(1).map(String::as_str) {
+            Some("record") => {
+                let (Some(ledger_path), Some(report_path)) = (args.get(2), args.get(3)) else { return Err(usage()) };
+                let flags = flags_for(&args[4..], &["--label"])?;
+                // A missing ledger starts fresh; an unreadable or
+                // malformed one is an error, never silently replaced.
+                let mut ledger =
+                    if std::path::Path::new(ledger_path).exists() { read_ledger(ledger_path)? } else { Ledger::new() };
+                let report = read_json(report_path)?;
+                let label = flags.label.clone().unwrap_or_else(|| format!("run-{}", ledger.runs.len()));
+                let n = ledger.record(label.clone(), &report);
+                if n == 0 {
+                    return Err(fail(format_args!("{report_path}: no comparable metrics in this report shape")));
                 }
-                Some("report") => {
-                    let Some(ledger_path) = args.get(2) else { return usage() };
-                    let flags = match parse_flags(&args[3..], &["--metric", "--tolerance", "--json", "--out"]) {
-                        Ok(f) => f,
-                        Err(e) => {
-                            eprintln!("{e}");
-                            return usage();
-                        }
-                    };
-                    let ledger = match read_ledger(ledger_path) {
-                        Ok(l) => l,
-                        Err(code) => return code,
-                    };
-                    let tolerance = flags.tolerance.unwrap_or(10.0);
-                    let filter = flags.metric.as_deref();
-                    if let Some(path) = &flags.out {
-                        if let Err(code) = write_file(path, &ledger.trend_json(filter, tolerance).to_string()) {
-                            return code;
-                        }
-                        println!("wrote {path}");
-                    }
-                    if flags.json {
-                        println!("{}", ledger.trend_json(filter, tolerance));
-                    } else {
+                write_file(ledger_path, &ledger.to_json().to_string())?;
+                println!("recorded {label}: {n} metrics as run {} in {ledger_path}", ledger.runs.len() - 1);
+            }
+            Some("report") => {
+                let ledger_path = args.get(2).ok_or_else(usage)?;
+                let flags = flags_for(&args[3..], &["--metric", "--tolerance", "--json", "--out"])?;
+                let ledger = read_ledger(ledger_path)?;
+                let tolerance = flags.tolerance.unwrap_or(10.0);
+                let filter = flags.metric.as_deref();
+                emit(
+                    &flags,
+                    flags.out.as_ref(),
+                    || ledger.trend_json(filter, tolerance),
+                    || {
                         print!("{}", ledger.trend_report(filter, tolerance));
-                    }
-                    ExitCode::SUCCESS
-                }
-                Some("bisect") => {
-                    let Some(ledger_path) = args.get(2) else { return usage() };
-                    let flags = match parse_flags(&args[3..], &["--metric", "--tolerance", "--json"]) {
-                        Ok(f) => f,
-                        Err(e) => {
-                            eprintln!("{e}");
-                            return usage();
-                        }
+                    },
+                )?;
+            }
+            Some("bisect") => {
+                let ledger_path = args.get(2).ok_or_else(usage)?;
+                let flags = flags_for(&args[3..], &["--metric", "--tolerance", "--json"])?;
+                let ledger = read_ledger(ledger_path)?;
+                let tolerance = flags.tolerance.unwrap_or(10.0);
+                let hits = ledger.bisect_all(flags.metric.as_deref(), tolerance);
+                let hits_json = || {
+                    let hit = |h: &charon::workloads::history::BisectHit| {
+                        Json::obj(vec![
+                            ("metric", Json::str(&h.metric)),
+                            ("first_bad", Json::U64(h.first_bad as u64)),
+                            ("label", Json::str(&h.label)),
+                            ("old", Json::U64(h.old)),
+                            ("new", Json::U64(h.new)),
+                        ])
                     };
-                    let ledger = match read_ledger(ledger_path) {
-                        Ok(l) => l,
-                        Err(code) => return code,
-                    };
-                    let tolerance = flags.tolerance.unwrap_or(10.0);
-                    let hits = ledger.bisect_all(flags.metric.as_deref(), tolerance);
-                    if flags.json {
-                        let j = Json::obj(vec![
-                            ("schema", Json::str("charon-bisect-v1")),
-                            ("tolerance_pct", Json::F64(tolerance)),
-                            (
-                                "hits",
-                                Json::Arr(
-                                    hits.iter()
-                                        .map(|h| {
-                                            Json::obj(vec![
-                                                ("metric", Json::str(&h.metric)),
-                                                ("first_bad", Json::U64(h.first_bad as u64)),
-                                                ("label", Json::str(&h.label)),
-                                                ("old", Json::U64(h.old)),
-                                                ("new", Json::U64(h.new)),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                        ]);
-                        println!("{j}");
-                    } else {
-                        for h in &hits {
-                            println!(
-                                "FIRST-BAD {}: run {} ({}) {} -> {} (tolerance {tolerance}%)",
-                                h.metric, h.first_bad, h.label, h.old, h.new
-                            );
-                        }
+                    Json::obj(vec![
+                        ("schema", Json::str("charon-bisect-v1")),
+                        ("tolerance_pct", Json::F64(tolerance)),
+                        ("hits", Json::Arr(hits.iter().map(hit).collect())),
+                    ])
+                };
+                emit(&flags, None, hits_json, || {
+                    for h in &hits {
+                        println!(
+                            "FIRST-BAD {}: run {} ({}) {} -> {} (tolerance {tolerance}%)",
+                            h.metric, h.first_bad, h.label, h.old, h.new
+                        );
                     }
                     if hits.is_empty() {
-                        if !flags.json {
-                            println!("no metric regressed across {} runs in {ledger_path}", ledger.runs.len());
-                        }
-                        ExitCode::SUCCESS
-                    } else {
-                        eprintln!("{} metrics regressed since run 0 of {ledger_path}", hits.len());
-                        ExitCode::from(2)
+                        println!("no metric regressed across {} runs in {ledger_path}", ledger.runs.len());
                     }
+                })?;
+                if !hits.is_empty() {
+                    eprintln!("{} metrics regressed since run 0 of {ledger_path}", hits.len());
+                    return Ok(ExitCode::from(2));
                 }
-                _ => usage(),
             }
-        }
-        _ => usage(),
+            _ => return Err(usage()),
+        },
+        _ => return Err(usage()),
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 #[cfg(test)]
@@ -1186,9 +880,12 @@ mod tests {
 
     #[test]
     fn collector_flag_accepts_every_kind_and_rejects_unknowns() {
-        for (name, kind) in
-            [("ps", CollectorKind::Ps), ("ms", CollectorKind::Ms), ("cms", CollectorKind::Cms), ("g1", CollectorKind::G1)]
-        {
+        for (name, kind) in [
+            ("ps", CollectorKind::Ps),
+            ("ms", CollectorKind::Ms),
+            ("cms", CollectorKind::Cms),
+            ("g1", CollectorKind::G1),
+        ] {
             let f = parse_flags(&argv(&["--collector", name]), &RUN_FLAGS).unwrap();
             assert_eq!(f.collector, Some(kind), "{name}");
         }
