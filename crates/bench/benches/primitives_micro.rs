@@ -13,7 +13,8 @@ use charon_heap::markbitmap::{live_words_fast, live_words_naive, mark_object, Ma
 use charon_heap::mem::HeapMemory;
 use charon_sim::bwres::EpochBw;
 use charon_sim::cache::{AccessKind, Cache};
-use charon_sim::config::HostConfig;
+use charon_sim::config::{HostConfig, SystemConfig};
+use charon_sim::host::HostTiming;
 use charon_sim::time::{Bandwidth, Ps};
 use std::hint::black_box;
 use std::time::Instant;
@@ -68,6 +69,29 @@ fn bench_cache() {
     });
 }
 
+/// The coherence probe Charon pays per touched line (§4.1): cold lines
+/// right after the GC-start bulk flush, which is what almost every probe of
+/// a collection sees, and lines some cache holds.
+fn bench_clflush() {
+    let mut host = HostTiming::new(&SystemConfig::table2_hmc());
+    host.clflush_line(0); // first probe arms the may-be-resident filter
+    host.flush_all_caches(Ps::ZERO);
+    let mut i = 0u64;
+    bench("host/clflush_line cold (after flush_all_caches)", 1_000_000, || {
+        i = i.wrapping_add(64);
+        black_box(host.clflush_line(i % (1 << 26)));
+    });
+    // Each iteration refills the line it then flushes, so the probe always
+    // finds a resident copy; the pair is timed.
+    let mut now = Ps::ZERO;
+    bench("host/mem_access + clflush_line warm", 200_000, || {
+        i = i.wrapping_add(64);
+        let addr = i % (1 << 20);
+        now = host.mem_access(0, now, addr, 8, AccessKind::Write);
+        black_box(host.clflush_line(addr));
+    });
+}
+
 fn bench_epoch_bw() {
     let mut lane = EpochBw::from_bandwidth(Bandwidth::gbps(80.0), Ps::from_us(1.0));
     let mut t = 0u64;
@@ -109,6 +133,7 @@ fn bench_minor_gc() {
 fn main() {
     bench_bitmap_count();
     bench_cache();
+    bench_clflush();
     bench_epoch_bw();
     bench_alloc();
     bench_minor_gc();

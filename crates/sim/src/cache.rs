@@ -26,15 +26,20 @@ pub struct Lookup {
     pub writeback: Option<u64>,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    lru: u64,
+/// A way's packed key: `tag << 2 | dirty << 1 | valid`; `0` is an invalid
+/// way (a valid key always has bit 0 set).
+const VALID: u64 = 0b01;
+const DIRTY: u64 = 0b10;
+
+/// The way of one set's `keys` holding the block whose clean key is `want`.
+fn way_of(keys: &[u64], want: u64) -> Option<usize> {
+    keys.iter().position(|&k| k & !DIRTY == want)
 }
 
 /// A single set-associative, write-back, write-allocate cache.
+///
+/// Storage is one contiguous set-major array of packed keys plus a
+/// parallel array of LRU stamps, so a lookup scans `ways` adjacent words.
 ///
 /// ```
 /// use charon_sim::cache::{AccessKind, Cache};
@@ -49,8 +54,14 @@ struct Line {
 pub struct Cache {
     name: &'static str,
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// `keys[set * ways + way]`.
+    keys: Vec<u64>,
+    /// Tick (≥ 1) of each valid way's last touch, 0 for an invalid way —
+    /// so the first smallest stamp of a set is its victim: the first
+    /// invalid way if there is one, else the least recently used.
+    stamps: Vec<u64>,
     set_mask: u64,
+    set_bits: u32,
     block_shift: u32,
     tick: u64,
     stats: CacheStats,
@@ -62,16 +73,23 @@ impl Cache {
     /// # Panics
     ///
     /// Panics if the geometry is inconsistent (see
-    /// [`CacheConfig::sets`]) or the block size is not a power of two.
+    /// [`CacheConfig::sets`]), the block size is not a power of two, or a
+    /// set spans fewer than four bytes of address space (the packed keys
+    /// keep two flag bits below the tag).
     pub fn new(name: &'static str, cfg: CacheConfig) -> Cache {
         assert!(cfg.block_bytes.is_power_of_two(), "block size must be a power of two");
         let sets = cfg.sets();
+        let block_shift = cfg.block_bytes.trailing_zeros();
+        let set_bits = sets.trailing_zeros();
+        assert!(block_shift + set_bits >= 2, "tags need two spare bits for the valid and dirty flags");
         Cache {
             name,
             cfg,
-            sets: vec![vec![Line::default(); cfg.ways]; sets],
+            keys: vec![0; sets * cfg.ways],
+            stamps: vec![0; sets * cfg.ways],
             set_mask: sets as u64 - 1,
-            block_shift: cfg.block_bytes.trailing_zeros(),
+            set_bits,
+            block_shift,
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -97,9 +115,18 @@ impl Cache {
         addr & !((self.cfg.block_bytes as u64) - 1)
     }
 
-    fn index(&self, addr: u64) -> (usize, u64) {
+    /// The slice range of `addr`'s set and the key a clean resident copy
+    /// of its block would carry.
+    fn index(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
         let block = addr >> self.block_shift;
-        ((block & self.set_mask) as usize, block >> self.set_mask.count_ones())
+        let base = (block & self.set_mask) as usize * self.cfg.ways;
+        (base..base + self.cfg.ways, ((block >> self.set_bits) << 2) | VALID)
+    }
+
+    /// Position in `keys` of the way holding `addr`'s block, if resident.
+    fn find(&self, addr: u64) -> Option<usize> {
+        let (set, want) = self.index(addr);
+        way_of(&self.keys[set.clone()], want).map(|way| set.start + way)
     }
 
     /// Probes and updates the cache for one block-sized access.
@@ -109,53 +136,52 @@ impl Cache {
     /// write-back traffic to the next level.
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> Lookup {
         self.tick += 1;
-        let (set_idx, tag) = self.index(addr);
-        let set = &mut self.sets[set_idx];
+        let (set, want) = self.index(addr);
+        let dirty = if kind == AccessKind::Write { DIRTY } else { 0 };
+        let keys = &mut self.keys[set.clone()];
+        let stamps = &mut self.stamps[set.clone()];
 
-        if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.lru = self.tick;
-            if kind == AccessKind::Write {
-                line.dirty = true;
-            }
+        if let Some(way) = way_of(keys, want) {
+            keys[way] |= dirty;
+            stamps[way] = self.tick;
             self.stats.hits += 1;
             return Lookup { hit: true, writeback: None };
         }
 
         self.stats.misses += 1;
-        // Victim: an invalid way if any, else true-LRU.
-        let victim_idx = set
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| if l.valid { l.lru + 1 } else { 0 })
-            .map(|(i, _)| i)
-            .expect("cache set has at least one way");
-        let victim = &mut set[victim_idx];
-        let writeback = if victim.valid && victim.dirty {
+        // Victim: the first invalid way if any, else true-LRU.
+        let mut victim = 0;
+        for (way, &stamp) in stamps.iter().enumerate() {
+            if stamp < stamps[victim] {
+                victim = way;
+            }
+        }
+        let old = keys[victim];
+        let writeback = if old & DIRTY != 0 {
             self.stats.writebacks += 1;
-            let victim_block = (victim.tag << self.set_mask.count_ones()) | set_idx as u64;
-            Some(victim_block << self.block_shift)
+            let set_idx = (set.start / self.cfg.ways) as u64;
+            Some((((old >> 2) << self.set_bits) | set_idx) << self.block_shift)
         } else {
             None
         };
-        *victim = Line { tag, valid: true, dirty: kind == AccessKind::Write, lru: self.tick };
+        keys[victim] = want | dirty;
+        stamps[victim] = self.tick;
         Lookup { hit: false, writeback }
     }
 
     /// Probes without filling (used for coherence lookups from the
     /// accelerator side). Returns whether the block was present.
     pub fn probe(&self, addr: u64) -> bool {
-        let (set_idx, tag) = self.index(addr);
-        self.sets[set_idx].iter().any(|l| l.valid && l.tag == tag)
+        self.find(addr).is_some()
     }
 
     /// Invalidates one block if present, returning `true` if it was dirty
     /// (i.e. a write-back to memory is required). Models `clflush`.
     pub fn flush_line(&mut self, addr: u64) -> Option<bool> {
-        let (set_idx, tag) = self.index(addr);
-        let line = self.sets[set_idx].iter_mut().find(|l| l.valid && l.tag == tag)?;
-        let was_dirty = line.dirty;
-        line.valid = false;
-        line.dirty = false;
+        let at = self.find(addr)?;
+        let was_dirty = self.keys[at] & DIRTY != 0;
+        self.keys[at] = 0;
+        self.stamps[at] = 0;
         self.stats.flushed += 1;
         if was_dirty {
             self.stats.writebacks += 1;
@@ -169,17 +195,13 @@ impl Cache {
     pub fn flush_all(&mut self) -> (u64, u64) {
         let mut flushed = 0;
         let mut dirty = 0;
-        for set in &mut self.sets {
-            for line in set.iter_mut() {
-                if line.valid {
-                    flushed += 1;
-                    if line.dirty {
-                        dirty += 1;
-                    }
-                    line.valid = false;
-                    line.dirty = false;
-                }
-            }
+        // Only valid ways are written, so a never-touched stretch of a
+        // large cache stays untouched zero pages.
+        for (key, stamp) in self.keys.iter_mut().zip(&mut self.stamps).filter(|(k, _)| **k != 0) {
+            flushed += 1;
+            dirty += u64::from(*key & DIRTY != 0);
+            *key = 0;
+            *stamp = 0;
         }
         self.stats.flushed += flushed;
         self.stats.writebacks += dirty;
@@ -188,13 +210,180 @@ impl Cache {
 
     /// Number of currently valid lines (for tests and reports).
     pub fn resident_lines(&self) -> usize {
-        self.sets.iter().flatten().filter(|l| l.valid).count()
+        self.keys.iter().filter(|&&k| k != 0).count()
+    }
+}
+
+/// The predecessor implementation — one heap-allocated `Vec` of 24-byte
+/// lines per set — kept as the oracle the packed layout is held to.
+#[cfg(test)]
+mod reference {
+    use super::{AccessKind, Lookup};
+    use crate::config::CacheConfig;
+    use crate::stats::CacheStats;
+
+    #[derive(Debug, Clone, Copy, Default)]
+    struct Line {
+        tag: u64,
+        valid: bool,
+        dirty: bool,
+        lru: u64,
+    }
+
+    #[derive(Debug, Clone)]
+    pub struct RefCache {
+        sets: Vec<Vec<Line>>,
+        set_mask: u64,
+        block_shift: u32,
+        tick: u64,
+        stats: CacheStats,
+    }
+
+    impl RefCache {
+        pub fn new(cfg: CacheConfig) -> RefCache {
+            let sets = cfg.sets();
+            RefCache {
+                sets: vec![vec![Line::default(); cfg.ways]; sets],
+                set_mask: sets as u64 - 1,
+                block_shift: cfg.block_bytes.trailing_zeros(),
+                tick: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        pub fn stats(&self) -> CacheStats {
+            self.stats
+        }
+
+        fn index(&self, addr: u64) -> (usize, u64) {
+            let block = addr >> self.block_shift;
+            ((block & self.set_mask) as usize, block >> self.set_mask.count_ones())
+        }
+
+        pub fn access(&mut self, addr: u64, kind: AccessKind) -> Lookup {
+            self.tick += 1;
+            let (set_idx, tag) = self.index(addr);
+            let set = &mut self.sets[set_idx];
+
+            if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
+                line.lru = self.tick;
+                if kind == AccessKind::Write {
+                    line.dirty = true;
+                }
+                self.stats.hits += 1;
+                return Lookup { hit: true, writeback: None };
+            }
+
+            self.stats.misses += 1;
+            let victim_idx = set
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, l)| if l.valid { l.lru + 1 } else { 0 })
+                .map(|(i, _)| i)
+                .expect("cache set has at least one way");
+            let victim = &mut set[victim_idx];
+            let writeback = if victim.valid && victim.dirty {
+                self.stats.writebacks += 1;
+                let victim_block = (victim.tag << self.set_mask.count_ones()) | set_idx as u64;
+                Some(victim_block << self.block_shift)
+            } else {
+                None
+            };
+            *victim = Line { tag, valid: true, dirty: kind == AccessKind::Write, lru: self.tick };
+            Lookup { hit: false, writeback }
+        }
+
+        pub fn probe(&self, addr: u64) -> bool {
+            let (set_idx, tag) = self.index(addr);
+            self.sets[set_idx].iter().any(|l| l.valid && l.tag == tag)
+        }
+
+        pub fn flush_line(&mut self, addr: u64) -> Option<bool> {
+            let (set_idx, tag) = self.index(addr);
+            let line = self.sets[set_idx].iter_mut().find(|l| l.valid && l.tag == tag)?;
+            let was_dirty = line.dirty;
+            line.valid = false;
+            line.dirty = false;
+            self.stats.flushed += 1;
+            if was_dirty {
+                self.stats.writebacks += 1;
+            }
+            Some(was_dirty)
+        }
+
+        pub fn flush_all(&mut self) -> (u64, u64) {
+            let mut flushed = 0;
+            let mut dirty = 0;
+            for line in self.sets.iter_mut().flatten().filter(|l| l.valid) {
+                flushed += 1;
+                if line.dirty {
+                    dirty += 1;
+                }
+                line.valid = false;
+                line.dirty = false;
+            }
+            self.stats.flushed += flushed;
+            self.stats.writebacks += dirty;
+            (flushed, dirty)
+        }
+
+        pub fn resident_lines(&self) -> usize {
+            self.sets.iter().flatten().filter(|l| l.valid).count()
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::RefCache;
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The packed layout answers every operation exactly as the
+        /// `Vec<Vec<Line>>` predecessor did, over geometries small enough
+        /// that tags collide and every set fills, evicts and refills.
+        #[test]
+        fn packed_layout_matches_reference(
+            ways in 1usize..=16,
+            set_bits in 0u32..=6,
+            ops in proptest::collection::vec((0u8..16, 0u64..512, 0u64..64), 1..400),
+        ) {
+            let sets = 1usize << set_bits;
+            let cfg = CacheConfig { size_bytes: sets * ways * 64, ways, block_bytes: 64, latency_cycles: 1 };
+            let mut packed = Cache::new("packed", cfg);
+            let mut oracle = RefCache::new(cfg);
+            for &(op, block, offset) in &ops {
+                // Few distinct tags per set, so hits, clean and dirty
+                // evictions, and flushes of resident lines all happen.
+                let addr = (block % (sets as u64 * (ways as u64 + 2))) * 64 + offset;
+                match op {
+                    0..=5 => prop_assert_eq!(packed.access(addr, AccessKind::Read), oracle.access(addr, AccessKind::Read)),
+                    6..=10 => prop_assert_eq!(packed.access(addr, AccessKind::Write), oracle.access(addr, AccessKind::Write)),
+                    11 | 12 => prop_assert_eq!(packed.probe(addr), oracle.probe(addr)),
+                    13 | 14 => prop_assert_eq!(packed.flush_line(addr), oracle.flush_line(addr)),
+                    _ => prop_assert_eq!(packed.flush_all(), oracle.flush_all()),
+                }
+                prop_assert_eq!(packed.stats(), oracle.stats());
+                prop_assert_eq!(packed.resident_lines(), oracle.resident_lines());
+            }
+        }
+    }
+
+    #[test]
+    fn high_address_bits_survive_the_packed_tag() {
+        // The top tag bits sit just below bit 63 of the packed key.
+        let mut c = tiny();
+        let addr: u64 = !0x3f;
+        c.access(addr, AccessKind::Write);
+        assert!(c.probe(addr));
+        assert!(!c.probe((addr >> 1) & !0x3f));
+        let set_stride = 4 * 64;
+        c.access(addr - set_stride, AccessKind::Read);
+        assert_eq!(c.access(addr - 2 * set_stride, AccessKind::Read).writeback, Some(addr));
+    }
 
     fn tiny() -> Cache {
         // 4 sets x 2 ways x 64 B = 512 B.

@@ -154,7 +154,7 @@ impl Ddr4Sim {
         debug_assert!(bytes > 0 && bytes <= 64, "DDR4 bursts are at most 64 B");
         let start = start + self.refresh_delay(start);
         let coord = self.decode(paddr);
-        let cfg = self.cfg.clone();
+        let Ddr4Config { t_ras, t_rcd, t_cas, t_wr, t_rp, .. } = self.cfg;
         let ch = &mut self.channels[coord.channel];
         let bank = &mut ch.banks[coord.bank];
 
@@ -165,20 +165,20 @@ impl Ddr4Sim {
         // bank's ready time (tRAS row-cycle + tWR write recovery).
         let done = if hit {
             self.row_hits += 1;
-            ch.bus.reserve(start + cfg.t_cas, u64::from(bytes))
+            ch.bus.reserve(start + t_cas, u64::from(bytes))
         } else {
             self.row_misses += 1;
             let array_lat = match bank.open_row {
-                Some(_) => cfg.t_rp + cfg.t_rcd + cfg.t_cas,
-                None => cfg.t_rcd + cfg.t_cas,
+                Some(_) => t_rp + t_rcd + t_cas,
+                None => t_rcd + t_cas,
             };
             let begin = start.max(bank.ready_at);
-            bank.ready_at = begin + cfg.t_ras; // row cycle before re-activation
+            bank.ready_at = begin + t_ras; // row cycle before re-activation
             ch.bus.reserve(begin + array_lat, u64::from(bytes))
         };
         bank.open_row = Some(coord.row);
         if op == DramOp::Write {
-            bank.ready_at = bank.ready_at.max(done + cfg.t_wr);
+            bank.ready_at = bank.ready_at.max(done + t_wr);
         }
 
         match op {
@@ -203,7 +203,7 @@ impl Ddr4Sim {
     pub fn access_run(&mut self, paddr: u64, bytes: u64, op: DramOp, start: Ps) -> BatchCompletion {
         debug_assert!(bytes > 0);
         let start = start + self.refresh_delay(start);
-        let cfg = self.cfg.clone();
+        let Ddr4Config { t_ras, t_rcd, t_cas, t_wr, t_rp, .. } = self.cfg;
         let lines = bytes.div_ceil(64);
         let head_ch = self.decode(paddr).channel;
         let mut pending: Vec<Option<PendingGroup>> = vec![None; self.channels.len()];
@@ -218,15 +218,15 @@ impl Ddr4Sim {
             let hit = bank.open_row == Some(coord.row);
             let bus_start = if hit {
                 self.row_hits += 1;
-                start + cfg.t_cas
+                start + t_cas
             } else {
                 self.row_misses += 1;
                 let array_lat = match bank.open_row {
-                    Some(_) => cfg.t_rp + cfg.t_rcd + cfg.t_cas,
-                    None => cfg.t_rcd + cfg.t_cas,
+                    Some(_) => t_rp + t_rcd + t_cas,
+                    None => t_rcd + t_cas,
                 };
                 let begin = start.max(bank.ready_at);
-                bank.ready_at = begin + cfg.t_ras;
+                bank.ready_at = begin + t_ras;
                 begin + array_lat
             };
             bank.open_row = Some(coord.row);
@@ -243,7 +243,7 @@ impl Ddr4Sim {
                 }
                 slot => {
                     if let Some(group) = slot.take() {
-                        let run = flush_group(&mut self.channels[coord.channel], group, op, 64, cfg.t_wr);
+                        let run = flush_group(&mut self.channels[coord.channel], group, op, 64, t_wr);
                         if first.is_none() && coord.channel == head_ch {
                             first = Some(run.first);
                         }
@@ -255,7 +255,7 @@ impl Ddr4Sim {
         }
         for (ch_idx, slot) in pending.iter_mut().enumerate() {
             if let Some(group) = slot.take() {
-                let run = flush_group(&mut self.channels[ch_idx], group, op, 64, cfg.t_wr);
+                let run = flush_group(&mut self.channels[ch_idx], group, op, 64, t_wr);
                 if first.is_none() && ch_idx == head_ch {
                     first = Some(run.first);
                 }
@@ -333,28 +333,28 @@ impl HmcSim {
         );
         let cube = self.cfg.cube_of(paddr);
         let vault = self.cfg.vault_of(paddr);
-        let bank_idx = ((paddr / u64::from(self.cfg.max_access_bytes) / self.cfg.vaults_per_cube as u64)
+        let HmcConfig { t_ras, t_rcd, t_cas, t_wr, max_access_bytes, .. } = self.cfg;
+        let bank_idx = ((paddr / u64::from(max_access_bytes) / self.cfg.vaults_per_cube as u64)
             % self.cfg.banks_per_vault as u64) as usize;
 
-        let cfg = self.cfg.clone();
         let v = &mut self.cubes[cube][vault];
         let bank = &mut v.banks[bank_idx];
 
         // HMC rows are one 256 B packet wide: sub-packet host accesses to
         // the same row pipeline at the TSV rate; a new row pays
         // activate + CAS and the row-cycle time before re-activation.
-        let row = paddr / u64::from(cfg.max_access_bytes);
+        let row = paddr / u64::from(max_access_bytes);
         let hit = bank.open_row == Some(row);
         let done = if hit {
-            v.bus.reserve(start + cfg.t_cas, u64::from(bytes))
+            v.bus.reserve(start + t_cas, u64::from(bytes))
         } else {
             let begin = start.max(bank.ready_at);
-            bank.ready_at = begin + cfg.t_ras;
-            v.bus.reserve(begin + cfg.t_rcd + cfg.t_cas, u64::from(bytes))
+            bank.ready_at = begin + t_ras;
+            v.bus.reserve(begin + t_rcd + t_cas, u64::from(bytes))
         };
         bank.open_row = Some(row);
         if op == DramOp::Write {
-            bank.ready_at = bank.ready_at.max(done + cfg.t_wr);
+            bank.ready_at = bank.ready_at.max(done + t_wr);
         }
 
         match op {
@@ -376,10 +376,10 @@ impl HmcSim {
     /// (writes use run-granular recovery, as in [`Ddr4Sim::access_run`]).
     pub fn vault_access_run(&mut self, paddr: u64, bytes: u64, op: DramOp, start: Ps) -> BatchCompletion {
         debug_assert!(bytes > 0);
-        let cfg = self.cfg.clone();
-        let packet = u64::from(cfg.max_access_bytes);
+        let HmcConfig { t_ras, t_rcd, t_cas, t_wr, max_access_bytes, vaults_per_cube: vaults, banks_per_vault, .. } =
+            self.cfg;
+        let packet = u64::from(max_access_bytes);
         let packets = bytes.div_ceil(packet);
-        let vaults = cfg.vaults_per_cube;
         let head_key = self.cfg.cube_of(paddr) * vaults + self.cfg.vault_of(paddr);
         let mut pending: Vec<(usize, PendingGroup)> = Vec::new();
         let mut first: Option<Ps> = None;
@@ -388,20 +388,20 @@ impl HmcSim {
             let off = i * packet;
             let len = (bytes - off).min(packet);
             let pa = paddr + off;
-            let cube = cfg.cube_of(pa);
-            let vault = cfg.vault_of(pa);
+            let cube = self.cfg.cube_of(pa);
+            let vault = self.cfg.vault_of(pa);
             let key = cube * vaults + vault;
-            let bank_idx = ((pa / packet / vaults as u64) % cfg.banks_per_vault as u64) as usize;
+            let bank_idx = ((pa / packet / vaults as u64) % banks_per_vault as u64) as usize;
             let row = pa / packet;
             let v = &mut self.cubes[cube][vault];
             let bank = &mut v.banks[bank_idx];
             let hit = bank.open_row == Some(row);
             let bus_start = if hit {
-                start + cfg.t_cas
+                start + t_cas
             } else {
                 let begin = start.max(bank.ready_at);
-                bank.ready_at = begin + cfg.t_ras;
-                begin + cfg.t_rcd + cfg.t_cas
+                bank.ready_at = begin + t_ras;
+                begin + t_rcd + t_cas
             };
             bank.open_row = Some(row);
             match op {
@@ -424,7 +424,7 @@ impl HmcSim {
                         &mut pending[p].1,
                         PendingGroup { bus_start, bytes: len, banks: vec![bank_idx] },
                     );
-                    let run = flush_group(&mut self.cubes[cube][vault], group, op, packet, cfg.t_wr);
+                    let run = flush_group(&mut self.cubes[cube][vault], group, op, packet, t_wr);
                     if first.is_none() && key == head_key {
                         first = Some(run.first);
                     }
@@ -435,7 +435,7 @@ impl HmcSim {
         }
         for (key, group) in pending {
             let (cube, vault) = (key / vaults, key % vaults);
-            let run = flush_group(&mut self.cubes[cube][vault], group, op, packet, cfg.t_wr);
+            let run = flush_group(&mut self.cubes[cube][vault], group, op, packet, t_wr);
             if first.is_none() && key == head_key {
                 first = Some(run.first);
             }

@@ -36,6 +36,7 @@ pub enum DramSide {
 #[derive(Debug, Clone)]
 pub struct MemFabric {
     side: DramSide,
+    /// The counters only the fabric sees; see [`MemFabric::stats`].
     stats: MemTrafficStats,
     profiler: Profiler,
 }
@@ -95,7 +96,6 @@ impl MemFabric {
                     DramOp::Read => self.stats.offchip.record_read(u64::from(bytes)),
                     DramOp::Write => self.stats.offchip.record_write(u64::from(bytes)),
                 }
-                self.stats.dram = ddr.traffic();
                 self.profiler.record(Channel::DramPacket, done.saturating_sub(start));
                 done
             }
@@ -125,9 +125,6 @@ impl MemFabric {
                     // controller re-ordering) — near-memory units skip it.
                     done += hmc.config().host_protocol_latency;
                 }
-                self.stats.dram = hmc.traffic();
-                self.stats.offchip = noc.host_link_traffic();
-                self.stats.intercube = noc.intercube_traffic();
                 done
             }
         }
@@ -162,7 +159,6 @@ impl MemFabric {
                     DramOp::Read => self.stats.offchip.record_reads(bytes, lines),
                     DramOp::Write => self.stats.offchip.record_writes(bytes, lines),
                 }
-                self.stats.dram = ddr.traffic();
                 self.profiler.record(Channel::DramBatch, run.last.saturating_sub(start));
                 run
             }
@@ -216,9 +212,6 @@ impl MemFabric {
                     run.first += hmc.config().host_protocol_latency;
                     run.last += hmc.config().host_protocol_latency;
                 }
-                self.stats.dram = hmc.traffic();
-                self.stats.offchip = noc.host_link_traffic();
-                self.stats.intercube = noc.intercube_traffic();
                 run
             }
         }
@@ -250,8 +243,6 @@ impl MemFabric {
             DramSide::Ddr4(_) => start,
             DramSide::Hmc { noc, .. } => {
                 let done = noc.send(from, to, bytes, start, false);
-                self.stats.offchip = noc.host_link_traffic();
-                self.stats.intercube = noc.intercube_traffic();
                 if from != to {
                     self.profiler.record(Channel::NocPacket, done.saturating_sub(start));
                 }
@@ -267,21 +258,26 @@ impl MemFabric {
     pub fn control_packet_dropped(&mut self, from: Node, to: Node, bytes: u32, start: Ps) -> Ps {
         match &mut self.side {
             DramSide::Ddr4(_) => start,
-            DramSide::Hmc { noc, .. } => {
-                let t = noc.send_dropped(from, to, bytes, start, false);
-                self.stats.offchip = noc.host_link_traffic();
-                self.stats.intercube = noc.intercube_traffic();
-                self.stats.link_drops = noc.dropped().0;
-                t
-            }
+            DramSide::Hmc { noc, .. } => noc.send_dropped(from, to, bytes, start, false),
         }
     }
 
-    /// Traffic summary (Fig. 13 inputs), with the epoch-meter occupancy
-    /// aggregate composed in at snapshot time.
+    /// Traffic summary (Fig. 13 inputs). Only what the fabric alone sees is
+    /// counted per packet (DDR4 off-chip traffic, near-memory locality);
+    /// everything the DRAM and link models already count is composed in
+    /// at snapshot time.
     pub fn stats(&self) -> MemTrafficStats {
         let mut s = self.stats;
         s.bw = self.occupancy();
+        match &self.side {
+            DramSide::Ddr4(ddr) => s.dram = ddr.traffic(),
+            DramSide::Hmc { hmc, noc } => {
+                s.dram = hmc.traffic();
+                s.offchip = noc.host_link_traffic();
+                s.intercube = noc.intercube_traffic();
+                s.link_drops = noc.dropped().0;
+            }
+        }
         s
     }
 
@@ -305,12 +301,68 @@ struct CoreSide {
     prefetches: u64,
 }
 
+/// One bit per line (its number masked into a fixed table) that *may* be
+/// resident in some host cache, so [`HostTiming::clflush_line`] can answer
+/// "nowhere" from one load instead of probing every cache.
+///
+/// Invariant while armed: a resident line's bit is set. Fills set it,
+/// victim write-downs only move lines whose bit is already set, and only
+/// the whole-hierarchy flush clears bits — lines sharing a bit rule out
+/// clearing on a single-line flush — so a shared bit costs a needless
+/// probe and never skips a needed one. The table arms itself on the first
+/// query, as all-ones ("anything may be resident") until the next
+/// whole-hierarchy flush: a host no accelerator probes never allocates it.
+#[derive(Debug, Clone)]
+struct MaybeResident {
+    line_shift: u32,
+    bits: Option<Vec<u64>>,
+}
+
+impl MaybeResident {
+    /// Lines tracked before two share a bit: 8 Mi bits = 1 MiB, a 512 MiB
+    /// span of 64 B lines.
+    const BITS: u64 = 1 << 23;
+
+    fn new(line_bytes: usize) -> MaybeResident {
+        MaybeResident { line_shift: line_bytes.trailing_zeros(), bits: None }
+    }
+
+    /// The table word and mask of a line number.
+    fn slot(line: u64) -> (usize, u64) {
+        let bit = line & (Self::BITS - 1);
+        ((bit >> 6) as usize, 1 << (bit & 63))
+    }
+
+    /// `addr`'s line is about to be filled into some cache.
+    fn mark(&mut self, addr: u64) {
+        if let Some(bits) = &mut self.bits {
+            let (word, bit) = Self::slot(addr >> self.line_shift);
+            bits[word] |= bit;
+        }
+    }
+
+    /// Every cache was just emptied.
+    fn clear(&mut self) {
+        if let Some(bits) = &mut self.bits {
+            bits.fill(0);
+        }
+    }
+
+    /// Whether any cache may hold `addr`'s line; arms the table.
+    fn query(&mut self, addr: u64) -> bool {
+        let (word, bit) = Self::slot(addr >> self.line_shift);
+        let bits = self.bits.get_or_insert_with(|| vec![u64::MAX; (Self::BITS / 64) as usize]);
+        bits[word] & bit != 0
+    }
+}
+
 /// The host processor: cores, caches, and the memory fabric.
 #[derive(Debug, Clone)]
 pub struct HostTiming {
     cfg: SystemConfig,
     cores: Vec<CoreSide>,
     l3: Cache,
+    maybe_resident: MaybeResident,
     /// Per-level lookup latencies, converted from cycles once at build
     /// time — `mem_access` is the simulator's hottest function and the
     /// cycle→ps float conversion showed up in its profile.
@@ -346,6 +398,7 @@ impl HostTiming {
         HostTiming {
             cores,
             l3: Cache::new("L3", h.l3),
+            maybe_resident: MaybeResident::new(h.l1d.block_bytes),
             l1_lat: h.freq.cycles_to_ps(h.l1d.latency_cycles),
             l2_lat: h.freq.cycles_to_ps(h.l2.latency_cycles),
             l3_lat: h.freq.cycles_to_ps(h.l3.latency_cycles),
@@ -398,6 +451,8 @@ impl HostTiming {
         if r1.hit {
             return now + l1_lat;
         }
+        // An L1 hit was resident, so its bit is already set.
+        self.maybe_resident.mark(addr);
         // A demanded line that the stream prefetcher fetched earlier: it
         // sits in L2; consuming it advances the stream by one more line
         // (next-line prefetch with distance 2, Westmere-style).
@@ -466,6 +521,7 @@ impl HostTiming {
         let line = self.cfg.host.l1d.block_bytes as u64;
         let issue = c.misses.issue(now);
         let done = self.fabric.access(Node::Host, addr, line as u32, DramOp::Read, issue);
+        self.maybe_resident.mark(addr);
         let c = &mut self.cores[core];
         c.misses.complete(done);
         c.prefetches += 1;
@@ -509,6 +565,7 @@ impl HostTiming {
         let (l, d) = self.l3.flush_all();
         lines += l;
         dirty += d;
+        self.maybe_resident.clear();
 
         let line_bytes = self.cfg.host.l1d.block_bytes as u64;
         let bytes = dirty * line_bytes;
@@ -523,6 +580,11 @@ impl HostTiming {
     /// probe does before the unit touches `vaddr` (§4.1). Returns `true`
     /// if any copy was dirty (needing a write-back before the unit reads).
     pub fn clflush_line(&mut self, vaddr: u64) -> bool {
+        self.maybe_resident.query(vaddr) && self.clflush_line_everywhere(vaddr)
+    }
+
+    /// Probes and invalidates `vaddr`'s line in all 2 × cores + 1 caches.
+    fn clflush_line_everywhere(&mut self, vaddr: u64) -> bool {
         let line = self.cfg.host.l1d.block_bytes as u64;
         let addr = vaddr & !(line - 1);
         let mut dirty = false;
@@ -556,6 +618,7 @@ impl HostTiming {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ddr4_host() -> HostTiming {
         HostTiming::new(&SystemConfig::table2_ddr4())
@@ -654,6 +717,61 @@ mod tests {
         assert!(h.clflush_line(0x40));
         assert!(!h.clflush_line(0x40), "second flush finds nothing");
         let _ = t;
+    }
+
+    #[test]
+    fn host_without_clflush_never_allocates_the_filter() {
+        // DDR4/HMC/Ideal systems have no accelerator probing the caches:
+        // whatever else the host does, the table stays unallocated.
+        let mut h = ddr4_host();
+        let mut now = Ps::ZERO;
+        for i in 0..4096u64 {
+            now = h.mem_access((i % 8) as usize, now, i * 64, 8, AccessKind::Write);
+        }
+        assert!(h.prefetches() > 0);
+        h.flush_all_caches(now);
+        h.mem_access(0, now, 0x40, 8, AccessKind::Read);
+        assert!(h.maybe_resident.bits.is_none());
+        h.clflush_line(0x40);
+        assert!(h.maybe_resident.bits.is_some(), "the first probe arms it");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// `clflush_line` through the filter is indistinguishable from
+        /// probing every cache: same answers, same cache and fabric
+        /// statistics, under any interleaving with accesses (prefetcher
+        /// on) and whole-hierarchy flushes, including lines one and two
+        /// table spans apart that share a bit.
+        #[test]
+        fn clflush_filter_is_exact(
+            ops in proptest::collection::vec((0u8..10, 0usize..3, 0u64..3, 0u64..96, any::<bool>()), 1..600),
+        ) {
+            let span = MaybeResident::BITS * 64;
+            let mut filtered = hmc_host();
+            let mut probing = hmc_host();
+            let mut now = Ps::ZERO;
+            for &(op, core, alias, line, write) in &ops {
+                // Four adjacent lines (prefetcher streams) in each of 24
+                // groups 8192 lines apart: every group maps to the same set
+                // of L1, L2 and L3, so victims write down through all levels.
+                let addr = alias * span + ((line % 4) + 8192 * (line / 4)) * 64;
+                match op {
+                    0..=4 => {
+                        let kind = if write { AccessKind::Write } else { AccessKind::Read };
+                        let done = filtered.mem_access(core, now, addr, 8, kind);
+                        prop_assert_eq!(done, probing.mem_access(core, now, addr, 8, kind));
+                        now = done;
+                    }
+                    5..=8 => prop_assert_eq!(filtered.clflush_line(addr), probing.clflush_line_everywhere(addr)),
+                    _ => prop_assert_eq!(filtered.flush_all_caches(now), probing.flush_all_caches(now)),
+                }
+                prop_assert_eq!(filtered.cache_stats(), probing.cache_stats());
+                prop_assert_eq!(filtered.fabric.stats(), probing.fabric.stats());
+            }
+            prop_assert!(probing.maybe_resident.bits.is_none());
+        }
     }
 
     #[test]
