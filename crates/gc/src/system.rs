@@ -554,104 +554,92 @@ impl System {
                     at: abandoned.at,
                     retries: abandoned.retries,
                 });
-                match call {
-                    OffloadCall::Copy { src, dst, bytes } => self.host_copy(core, abandoned.at, src, dst, bytes),
-                    OffloadCall::Search { start, scanned_bytes } => {
-                        self.host_search(core, abandoned.at, start, scanned_bytes)
-                    }
-                    OffloadCall::BitmapCount { spans } => self.host_bitmap_count(core, abandoned.at, spans),
-                    OffloadCall::ScanPush { fields_start, field_bytes, refs } => {
-                        self.host_scan_push(core, abandoned.at, fields_start, field_bytes, refs)
-                    }
-                }
+                self.host_prim(core, abandoned.at, call)
             }
         }
     }
 
     // ----- the four primitives ------------------------------------------
 
+    /// What every primitive does around its timing: append the trace op,
+    /// run where the backend and mask say (free on Ideal, on a device unit,
+    /// or the host software path), journal the span, sample the latency.
+    /// `hardware_iterable` is false only for a Scan&Push over a metadata
+    /// klass kind (§4.4), which stays on the host under every backend.
+    /// Inlined into its four callers, each of which fixes the variant.
+    #[inline]
+    fn prim(&mut self, core: usize, now: Ps, call: OffloadCall<'_>, hardware_iterable: bool) -> Ps {
+        use crate::trace::TraceOp;
+        let prim = call.prim();
+        if self.record_traces {
+            if let Some(t) = self.traces.last_mut() {
+                t.ops.push(match call {
+                    OffloadCall::Copy { src, dst, bytes } => TraceOp::Copy { src, dst, bytes },
+                    OffloadCall::Search { start, scanned_bytes } => TraceOp::Search { start, bytes: scanned_bytes },
+                    OffloadCall::BitmapCount { spans } => TraceOp::BitmapCount { spans: spans.to_vec() },
+                    OffloadCall::ScanPush { fields_start, field_bytes, refs } => {
+                        TraceOp::ScanPush { fields_start, field_bytes, refs: refs.to_vec(), hw: hardware_iterable }
+                    }
+                });
+            }
+        }
+        let end = if self.backend == Backend::Ideal {
+            now
+        } else if hardware_iterable && self.prim_offloads(prim) {
+            let dispatch = now + self.compute(self.costs.prim_dispatch);
+            self.offload_or_degrade(core, dispatch, call)
+        } else {
+            self.host_prim(core, now, call)
+        };
+        self.telemetry.record(|| Event::Prim {
+            prim: prim.name(),
+            thread: core,
+            start: now,
+            end,
+            bytes: match call {
+                OffloadCall::Copy { bytes, .. } => bytes,
+                OffloadCall::Search { scanned_bytes, .. } => scanned_bytes,
+                OffloadCall::BitmapCount { spans } => spans.iter().map(|&(_, b)| b).sum(),
+                OffloadCall::ScanPush { field_bytes, .. } => field_bytes,
+            },
+        });
+        let channel = match prim {
+            PrimType::Copy => Channel::PrimCopy,
+            PrimType::Search => Channel::PrimSearch,
+            PrimType::BitmapCount => Channel::PrimBitmapCount,
+            PrimType::ScanPush => Channel::PrimScanPush,
+        };
+        self.profiler.record(channel, end.saturating_sub(now));
+        end
+    }
+
+    /// `call` on the host software path, from `now`.
+    fn host_prim(&mut self, core: usize, now: Ps, call: OffloadCall<'_>) -> Ps {
+        match call {
+            OffloadCall::Copy { src, dst, bytes } => self.host_copy(core, now, src, dst, bytes),
+            OffloadCall::Search { start, scanned_bytes } => self.host_search(core, now, start, scanned_bytes),
+            OffloadCall::BitmapCount { spans } => self.host_bitmap_count(core, now, spans),
+            OffloadCall::ScanPush { fields_start, field_bytes, refs } => {
+                self.host_scan_push(core, now, fields_start, field_bytes, refs)
+            }
+        }
+    }
+
     /// *Copy* `bytes` from `src` to `dst` (timing only).
     pub fn prim_copy(&mut self, core: usize, now: Ps, src: VAddr, dst: VAddr, bytes: u64) -> Ps {
         debug_assert!(bytes > 0);
-        if self.record_traces {
-            if let Some(t) = self.traces.last_mut() {
-                t.ops.push(crate::trace::TraceOp::Copy { src, dst, bytes });
-            }
-        }
-        let end = match self.backend {
-            Backend::Host => self.host_copy(core, now, src, dst, bytes),
-            Backend::Charon | Backend::CpuSideCharon if !self.offload.get(PrimType::Copy) => {
-                self.host_copy(core, now, src, dst, bytes)
-            }
-            Backend::Charon | Backend::CpuSideCharon => {
-                let dispatch = now + self.compute(self.costs.prim_dispatch);
-                self.offload_or_degrade(core, dispatch, OffloadCall::Copy { src, dst, bytes })
-            }
-            Backend::Ideal => now,
-        };
-        self.telemetry
-            .record(|| Event::Prim { prim: PrimType::Copy.name(), thread: core, start: now, end, bytes });
-        self.profiler.record(Channel::PrimCopy, end.saturating_sub(now));
-        end
+        self.prim(core, now, OffloadCall::Copy { src, dst, bytes }, true)
     }
 
     /// *Search* `scanned_bytes` of the card table from `start` (timing
     /// only; the functional scan decided how far the search ran).
     pub fn prim_search(&mut self, core: usize, now: Ps, start: VAddr, scanned_bytes: u64) -> Ps {
-        if self.record_traces {
-            if let Some(t) = self.traces.last_mut() {
-                t.ops.push(crate::trace::TraceOp::Search { start, bytes: scanned_bytes });
-            }
-        }
-        let end = match self.backend {
-            Backend::Host => self.host_search(core, now, start, scanned_bytes),
-            Backend::Charon | Backend::CpuSideCharon if !self.offload.get(PrimType::Search) => {
-                self.host_search(core, now, start, scanned_bytes)
-            }
-            Backend::Charon | Backend::CpuSideCharon => {
-                let dispatch = now + self.compute(self.costs.prim_dispatch);
-                self.offload_or_degrade(core, dispatch, OffloadCall::Search { start, scanned_bytes })
-            }
-            Backend::Ideal => now,
-        };
-        self.telemetry.record(|| Event::Prim {
-            prim: PrimType::Search.name(),
-            thread: core,
-            start: now,
-            end,
-            bytes: scanned_bytes,
-        });
-        self.profiler.record(Channel::PrimSearch, end.saturating_sub(now));
-        end
+        self.prim(core, now, OffloadCall::Search { start, scanned_bytes }, true)
     }
 
     /// *Bitmap Count* over byte `spans` of the begin and end maps.
     pub fn prim_bitmap_count(&mut self, core: usize, now: Ps, spans: &[(VAddr, u64)]) -> Ps {
-        if self.record_traces {
-            if let Some(t) = self.traces.last_mut() {
-                t.ops.push(crate::trace::TraceOp::BitmapCount { spans: spans.to_vec() });
-            }
-        }
-        let end = match self.backend {
-            Backend::Host => self.host_bitmap_count(core, now, spans),
-            Backend::Charon | Backend::CpuSideCharon if !self.offload.get(PrimType::BitmapCount) => {
-                self.host_bitmap_count(core, now, spans)
-            }
-            Backend::Charon | Backend::CpuSideCharon => {
-                let dispatch = now + self.compute(self.costs.prim_dispatch);
-                self.offload_or_degrade(core, dispatch, OffloadCall::BitmapCount { spans })
-            }
-            Backend::Ideal => now,
-        };
-        self.telemetry.record(|| Event::Prim {
-            prim: PrimType::BitmapCount.name(),
-            thread: core,
-            start: now,
-            end,
-            bytes: spans.iter().map(|&(_, b)| b).sum(),
-        });
-        self.profiler.record(Channel::PrimBitmapCount, end.saturating_sub(now));
-        end
+        self.prim(core, now, OffloadCall::BitmapCount { spans }, true)
     }
 
     /// *Scan&Push* over an object's reference fields. `hardware_iterable`
@@ -666,40 +654,7 @@ impl System {
         refs: &[ScanRef],
         hardware_iterable: bool,
     ) -> Ps {
-        if self.record_traces {
-            if let Some(t) = self.traces.last_mut() {
-                t.ops.push(crate::trace::TraceOp::ScanPush {
-                    fields_start,
-                    field_bytes,
-                    refs: refs.to_vec(),
-                    hw: hardware_iterable,
-                });
-            }
-        }
-        let end = match self.backend {
-            Backend::Host => self.host_scan_push(core, now, fields_start, field_bytes, refs),
-            Backend::Charon | Backend::CpuSideCharon if !self.offload.get(PrimType::ScanPush) => {
-                self.host_scan_push(core, now, fields_start, field_bytes, refs)
-            }
-            Backend::Charon | Backend::CpuSideCharon => {
-                if hardware_iterable {
-                    let dispatch = now + self.compute(self.costs.prim_dispatch);
-                    self.offload_or_degrade(core, dispatch, OffloadCall::ScanPush { fields_start, field_bytes, refs })
-                } else {
-                    self.host_scan_push(core, now, fields_start, field_bytes, refs)
-                }
-            }
-            Backend::Ideal => now,
-        };
-        self.telemetry.record(|| Event::Prim {
-            prim: PrimType::ScanPush.name(),
-            thread: core,
-            start: now,
-            end,
-            bytes: field_bytes,
-        });
-        self.profiler.record(Channel::PrimScanPush, end.saturating_sub(now));
-        end
+        self.prim(core, now, OffloadCall::ScanPush { fields_start, field_bytes, refs }, hardware_iterable)
     }
 
     // ----- host software implementations ---------------------------------

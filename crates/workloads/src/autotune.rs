@@ -124,59 +124,29 @@ impl fmt::Display for AutotuneReport {
 /// The census is forced on for both runs so pause percentiles and the
 /// controller's signals exist; it never changes simulated timing.
 ///
+/// The two runs never share state — each gets its own `make_sys()` system
+/// and its own heap — so with `jobs > 1` they go on separate OS threads
+/// and the report is bit-identical to the serial one.
+///
 /// # Errors
 ///
 /// Propagates [`OutOfMemory`] from either run.
 pub fn autotune(
     spec: &WorkloadSpec,
-    make_sys: impl Fn() -> System,
-    policy: PolicyKind,
-    opts: &RunOptions,
-) -> Result<AutotuneReport, OutOfMemory> {
-    let mut base_opts = opts.clone();
-    base_opts.census = true;
-    base_opts.policy = Some(PolicyKind::Static);
-    let mut adapt_opts = base_opts.clone();
-    adapt_opts.policy = Some(policy);
-    let baseline = run_workload(spec, make_sys(), &base_opts)?;
-    let adaptive = run_workload(spec, make_sys(), &adapt_opts)?;
-    Ok(AutotuneReport { workload: spec.short, platform: baseline.platform, policy, baseline, adaptive })
-}
-
-/// [`autotune`] with the static and adaptive runs on separate OS threads
-/// when `jobs > 1`. The two runs never share state — each gets its own
-/// `make_sys()` system and its own heap — so the report is bit-identical
-/// to the serial one. Sinks cannot cross threads, so the parallel path
-/// takes the plain-data [`crate::parmatrix::MatrixOptions`]; callers that
-/// need telemetry or a profiler use the serial [`autotune`].
-///
-/// # Errors
-///
-/// Propagates [`OutOfMemory`] from either run.
-pub fn autotune_jobs(
-    spec: &WorkloadSpec,
     make_sys: impl Fn() -> System + Sync,
     policy: PolicyKind,
-    opts: &crate::parmatrix::MatrixOptions,
+    opts: &RunOptions,
     jobs: usize,
 ) -> Result<AutotuneReport, OutOfMemory> {
-    if jobs <= 1 {
-        return autotune(spec, make_sys, policy, &opts.to_run_options());
-    }
     let sides = [PolicyKind::Static, policy];
-    let mut runs = crate::parmatrix::parallel_map_labeled(
+    let runs = crate::parmatrix::parallel_map_labeled(
         &sides,
-        2,
+        jobs,
         |_, side| format!("{}/{}", spec.short, side.name()),
-        |&side| {
-            let mut run_opts = opts.to_run_options();
-            run_opts.census = true;
-            run_opts.policy = Some(side);
-            run_workload(spec, make_sys(), &run_opts)
-        },
+        |&side| run_workload(spec, make_sys(), &RunOptions { census: true, policy: Some(side), ..*opts }),
     );
-    let adaptive = runs.pop().expect("two sides")?;
-    let baseline = runs.pop().expect("two sides")?;
+    let mut runs = runs.into_iter();
+    let (baseline, adaptive) = (runs.next().expect("two sides")?, runs.next().expect("two sides")?);
     Ok(AutotuneReport { workload: spec.short, platform: baseline.platform, policy, baseline, adaptive })
 }
 
@@ -189,7 +159,7 @@ mod tests {
     fn report_json_round_trips() {
         let spec = phase_shift();
         let opts = RunOptions { supersteps: Some(4), ..Default::default() };
-        let rep = autotune(&spec, System::charon, PolicyKind::Census, &opts).unwrap();
+        let rep = autotune(&spec, System::charon, PolicyKind::Census, &opts, 1).unwrap();
         assert_eq!(rep.workload, "PS");
         assert_eq!(rep.platform, "Charon");
         let j = rep.to_json();
@@ -202,9 +172,9 @@ mod tests {
     #[test]
     fn parallel_autotune_matches_serial_report() {
         let spec = phase_shift();
-        let opts = crate::parmatrix::MatrixOptions { supersteps: Some(2), ..Default::default() };
-        let serial = autotune_jobs(&spec, System::charon, PolicyKind::Census, &opts, 1).unwrap();
-        let par = autotune_jobs(&spec, System::charon, PolicyKind::Census, &opts, 2).unwrap();
+        let opts = RunOptions { supersteps: Some(2), ..Default::default() };
+        let serial = autotune(&spec, System::charon, PolicyKind::Census, &opts, 1).unwrap();
+        let par = autotune(&spec, System::charon, PolicyKind::Census, &opts, 3).unwrap();
         assert_eq!(serial.baseline.fingerprint(), par.baseline.fingerprint());
         assert_eq!(serial.adaptive.fingerprint(), par.adaptive.fingerprint());
         assert_eq!(serial.to_json().to_string(), par.to_json().to_string());
@@ -217,7 +187,7 @@ mod tests {
         let spec = phase_shift();
         let opts = RunOptions { supersteps: Some(4), ..Default::default() };
         let plain = run_workload(&spec, System::charon(), &opts).unwrap();
-        let rep = autotune(&spec, System::charon, PolicyKind::Census, &opts).unwrap();
+        let rep = autotune(&spec, System::charon, PolicyKind::Census, &opts, 1).unwrap();
         assert_eq!(rep.baseline.fingerprint(), plain.fingerprint());
     }
 }

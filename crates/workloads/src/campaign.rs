@@ -8,8 +8,16 @@
 //! reachability counters, and the collection sequence must be identical to
 //! the fault-free run, and simulated time must stay strictly monotone
 //! across collections.
+//!
+//! A run here is [`run_case`]: one workload on a [`System`] the caller
+//! built and armed ([`System::inject_faults`], [`System::set_telemetry`])
+//! under the [`RunOptions`] every other driver takes. It differs from
+//! [`crate::run::run_workload`] only in what it keeps — the per-superstep
+//! graph signatures — and reads the heap factor, thread count and
+//! superstep override of the options, nothing else.
 
 use crate::mutator::Mutator;
+use crate::run::RunOptions;
 use crate::spec::WorkloadSpec;
 use charon_gc::breakdown::RecoverySummary;
 use charon_gc::collector::{Collector, GcKind, OutOfMemory};
@@ -19,37 +27,8 @@ use charon_heap::addr::VAddr;
 use charon_heap::heap::{HeapConfig, JavaHeap};
 use charon_sim::faults::{FaultRates, FaultSite, RecoveryConfig};
 use charon_sim::json::Json;
-use charon_sim::telemetry::Telemetry;
 use charon_sim::time::Ps;
 use std::fmt;
-
-/// Options shared by every run of a campaign.
-#[derive(Debug, Clone)]
-pub struct CampaignOptions {
-    /// Heap size factor over the workload minimum (`None` = spec default).
-    pub heap_factor: Option<f64>,
-    /// GC threads.
-    pub gc_threads: usize,
-    /// Superstep count override (campaigns usually run short).
-    pub supersteps: Option<usize>,
-    /// Timeout/retry/watchdog parameters for the faulty runs.
-    pub recovery: RecoveryConfig,
-    /// Telemetry sink shared by every run of the campaign. Disabled by
-    /// default; the fault/recovery events land here when enabled.
-    pub telemetry: Telemetry,
-}
-
-impl Default for CampaignOptions {
-    fn default() -> CampaignOptions {
-        CampaignOptions {
-            heap_factor: None,
-            gc_threads: 8,
-            supersteps: None,
-            recovery: RecoveryConfig::default(),
-            telemetry: Telemetry::disabled(),
-        }
-    }
-}
 
 /// A campaign run died outright (as opposed to completing with a failed
 /// check, which lands in the [`SiteVerdict`]).
@@ -106,19 +85,18 @@ fn checkpoint(heap: &JavaHeap, stage: &str) -> Result<(u64, ReachableStats), Cam
     graph_signature(heap).map_err(|e| CampaignError::Corrupt { stage: stage.to_string(), addr: e.addr })
 }
 
-fn execute(
-    spec: &WorkloadSpec,
-    opts: &CampaignOptions,
-    fault: Option<(u64, FaultRates)>,
-) -> Result<CaseReport, CampaignError> {
+/// Runs one case on `sys`: fault-free on a plain system, faulty on one
+/// the caller armed with [`System::inject_faults`]. Campaigns and property
+/// tests compare the returned [`CaseReport`]s.
+///
+/// # Errors
+///
+/// Returns [`CampaignError`] when the run cannot complete or a checkpoint
+/// finds heap corruption.
+pub fn run_case(spec: &WorkloadSpec, sys: System, opts: &RunOptions) -> Result<CaseReport, CampaignError> {
     let heap_bytes = spec.heap_bytes(opts.heap_factor.unwrap_or(spec.default_heap_factor));
     let mut heap = JavaHeap::new(HeapConfig::with_heap_bytes(heap_bytes));
     let mut mutator = Mutator::new(spec.clone(), &mut heap);
-    let mut sys = System::charon();
-    if let Some((seed, rates)) = fault {
-        sys.inject_faults(seed, rates, opts.recovery);
-    }
-    sys.set_telemetry(opts.telemetry.clone());
     let mut gc = Collector::new(sys, &heap, opts.gc_threads);
 
     let mut signatures = Vec::new();
@@ -164,22 +142,6 @@ fn execute(
         recovery: gc.sys.recovery,
         injected,
     })
-}
-
-/// Runs one case: fault-free when `fault` is `None`, otherwise with the
-/// given injector seed and rates. Campaigns and property tests compare
-/// the returned [`CaseReport`]s.
-///
-/// # Errors
-///
-/// Returns [`CampaignError`] when the run cannot complete or a checkpoint
-/// finds heap corruption.
-pub fn run_case(
-    spec: &WorkloadSpec,
-    fault: Option<(u64, FaultRates)>,
-    opts: &CampaignOptions,
-) -> Result<CaseReport, CampaignError> {
-    execute(spec, opts, fault)
 }
 
 /// One row of the campaign matrix.
@@ -361,7 +323,12 @@ fn check(entry: MatrixEntry, baseline: &CaseReport, case: &CaseReport) -> SiteVe
     }
 }
 
-/// Runs the full campaign for one workload.
+/// Runs the full campaign for one workload on the Charon platform: the
+/// fault-free baseline on the calling thread, then the matrix rows fanned
+/// across up to `jobs` OS threads ([`crate::parmatrix::parallel_map_labeled`]).
+/// Every row is an independent seeded run against its own [`System`]
+/// (armed with [`RecoveryConfig::default`]), so the verdicts are
+/// bit-identical at any job count and come back in matrix order.
 ///
 /// # Errors
 ///
@@ -370,75 +337,37 @@ fn check(entry: MatrixEntry, baseline: &CaseReport, case: &CaseReport) -> SiteVe
 pub fn run_fault_campaign(
     spec: &WorkloadSpec,
     base_seed: u64,
-    opts: &CampaignOptions,
-) -> Result<CampaignReport, CampaignError> {
-    run_fault_campaign_jobs(spec, base_seed, opts, 1)
-}
-
-/// [`run_fault_campaign`] with the matrix rows fanned across up to `jobs`
-/// OS threads ([`crate::parmatrix::parallel_map`]). Every row is an
-/// independent seeded run against its own [`System`], so the verdicts are
-/// bit-identical to the serial campaign at any job count; they come back
-/// in matrix order either way.
-///
-/// The campaign telemetry sink is `Rc`-based and not `Send`, so when it
-/// is enabled the rows run serially regardless of `jobs` — the parallel
-/// path exists for the sink-free bulk sweeps (`charon-cli fault-campaign
-/// --jobs N`), not the traced ones.
-///
-/// # Errors
-///
-/// Returns [`CampaignError`] when the *fault-free* run cannot complete;
-/// failures of the faulty runs land in their [`SiteVerdict`] instead.
-pub fn run_fault_campaign_jobs(
-    spec: &WorkloadSpec,
-    base_seed: u64,
-    opts: &CampaignOptions,
+    opts: &RunOptions,
     jobs: usize,
 ) -> Result<CampaignReport, CampaignError> {
-    // The baseline must exist before any row can be checked, so it always
-    // runs first on the calling thread (with the caller's telemetry).
-    let baseline = execute(spec, opts, None)?;
+    let baseline = run_case(spec, System::charon(), opts)?;
     let rows = fault_matrix(base_seed);
-    let failed_row = |entry: MatrixEntry, e: &CampaignError| SiteVerdict {
-        entry,
-        injected: 0,
-        recovery: RecoverySummary::default(),
-        collections: 0,
-        gc_time: Ps::ZERO,
-        pass: false,
-        failures: vec![e.to_string()],
-    };
-    let verdicts = if jobs > 1 && !opts.telemetry.is_enabled() {
-        // Plain-data copy of the options: each worker rebuilds its own
-        // CampaignOptions (the Telemetry handle cannot cross threads).
-        let (heap_factor, gc_threads, supersteps, recovery) =
-            (opts.heap_factor, opts.gc_threads, opts.supersteps, opts.recovery);
-        let cases = crate::parmatrix::parallel_map_labeled(
-            &rows,
-            jobs,
-            |_, entry| format!("{}/{}", spec.short, entry.label),
-            |entry| {
-                let worker_opts =
-                    CampaignOptions { heap_factor, gc_threads, supersteps, recovery, telemetry: Telemetry::disabled() };
-                execute(spec, &worker_opts, Some((entry.seed, entry.rates)))
+    let cases = crate::parmatrix::parallel_map_labeled(
+        &rows,
+        jobs,
+        |_, entry| format!("{}/{}", spec.short, entry.label),
+        |entry| {
+            let mut sys = System::charon();
+            sys.inject_faults(entry.seed, entry.rates, RecoveryConfig::default());
+            run_case(spec, sys, opts)
+        },
+    );
+    let verdicts = rows
+        .iter()
+        .zip(cases)
+        .map(|(&entry, case)| match case {
+            Ok(case) => check(entry, &baseline, &case),
+            Err(e) => SiteVerdict {
+                entry,
+                injected: 0,
+                recovery: RecoverySummary::default(),
+                collections: 0,
+                gc_time: Ps::ZERO,
+                pass: false,
+                failures: vec![e.to_string()],
             },
-        );
-        rows.iter()
-            .zip(cases)
-            .map(|(&entry, case)| match case {
-                Ok(case) => check(entry, &baseline, &case),
-                Err(e) => failed_row(entry, &e),
-            })
-            .collect()
-    } else {
-        rows.iter()
-            .map(|&entry| match execute(spec, opts, Some((entry.seed, entry.rates))) {
-                Ok(case) => check(entry, &baseline, &case),
-                Err(e) => failed_row(entry, &e),
-            })
-            .collect()
-    };
+        })
+        .collect();
     Ok(CampaignReport { workload: spec.short, baseline, verdicts })
 }
 
@@ -450,8 +379,8 @@ mod tests {
     #[test]
     fn campaign_passes_on_bs_and_exercises_recovery() {
         let spec = by_short("BS").unwrap();
-        let opts = CampaignOptions { supersteps: Some(2), ..Default::default() };
-        let report = run_fault_campaign(&spec, 42, &opts).unwrap();
+        let opts = RunOptions { supersteps: Some(2), ..Default::default() };
+        let report = run_fault_campaign(&spec, 42, &opts, 1).unwrap();
         assert!(report.pass(), "campaign failed:\n{report}");
         assert!(report.baseline.recovery.is_empty(), "fault-free run must record no recovery events");
         assert_eq!(report.baseline.injected, 0);
@@ -471,9 +400,9 @@ mod tests {
     #[test]
     fn parallel_campaign_matches_serial_verdicts() {
         let spec = by_short("BS").unwrap();
-        let opts = CampaignOptions { supersteps: Some(1), ..Default::default() };
-        let serial = run_fault_campaign(&spec, 42, &opts).unwrap();
-        let par = run_fault_campaign_jobs(&spec, 42, &opts, 3).unwrap();
+        let opts = RunOptions { supersteps: Some(1), ..Default::default() };
+        let serial = run_fault_campaign(&spec, 42, &opts, 1).unwrap();
+        let par = run_fault_campaign(&spec, 42, &opts, 3).unwrap();
         assert_eq!(serial.baseline.gc_time, par.baseline.gc_time);
         assert_eq!(serial.verdicts.len(), par.verdicts.len());
         for (s, p) in serial.verdicts.iter().zip(&par.verdicts) {

@@ -42,14 +42,11 @@ pub struct ChaosOptions {
     /// Arm the shadow oracle (re-execute each primitive in host software
     /// and diff) on top of the checksum/read-back detectors.
     pub oracle: bool,
-    /// Probe-after-N-GCs re-enable of quarantined units.
+    /// Probe-after-N-GCs re-enable of quarantined units, armed on every
+    /// cell's [`System`] ([`System::set_rearm`]).
     pub rearm: Option<u32>,
-    /// Superstep count override (campaigns usually run short).
-    pub supersteps: Option<usize>,
-    /// GC threads per run.
-    pub gc_threads: usize,
-    /// Heap size factor over the workload minimum.
-    pub heap_factor: Option<f64>,
+    /// Per-cell run options (campaigns usually override `supersteps`).
+    pub run: RunOptions,
 }
 
 impl Default for ChaosOptions {
@@ -60,9 +57,7 @@ impl Default for ChaosOptions {
             sites: CorruptionSite::ALL.to_vec(),
             oracle: false,
             rearm: None,
-            supersteps: None,
-            gc_threads: 8,
-            heap_factor: None,
+            run: RunOptions::default(),
         }
     }
 }
@@ -342,14 +337,10 @@ fn run_cell(
 ) -> Result<CellOutcome, String> {
     let mut sys = System::charon();
     sys.enable_integrity(seed, rates, IntegrityConfig { shadow_oracle: opts.oracle, ..Default::default() });
-    let ropts = RunOptions {
-        heap_factor: opts.heap_factor,
-        gc_threads: opts.gc_threads,
-        supersteps: opts.supersteps,
-        rearm: opts.rearm,
-        ..Default::default()
-    };
-    let (r, heap) = run_workload_heap(spec, sys, &ropts).map_err(|e| e.to_string())?;
+    if let Some(n) = opts.rearm {
+        sys.set_rearm(n);
+    }
+    let (r, heap) = run_workload_heap(spec, sys, &opts.run).map_err(|e| e.to_string())?;
     Ok(CellOutcome {
         recovery: r.minor_breakdown.recovery() + r.major_breakdown.recovery(),
         collections: (r.minor.1, r.major.1),
@@ -452,7 +443,11 @@ mod tests {
     use crate::spec::by_short;
 
     fn small_opts() -> ChaosOptions {
-        ChaosOptions { supersteps: Some(2), rates: vec![0.05], ..Default::default() }
+        ChaosOptions {
+            rates: vec![0.05],
+            run: RunOptions { supersteps: Some(2), ..Default::default() },
+            ..Default::default()
+        }
     }
 
     #[test]
@@ -481,7 +476,11 @@ mod tests {
     #[test]
     fn parallel_campaign_matches_serial() {
         let specs = [by_short("BS").unwrap()];
-        let opts = ChaosOptions { supersteps: Some(1), rates: vec![0.05], ..Default::default() };
+        let opts = ChaosOptions {
+            rates: vec![0.05],
+            run: RunOptions { supersteps: Some(1), ..Default::default() },
+            ..Default::default()
+        };
         let serial = run_chaos_campaign(&specs, &opts, 1);
         let par = run_chaos_campaign(&specs, &opts, 4);
         assert_eq!(serial.to_json().to_string(), par.to_json().to_string());

@@ -30,8 +30,8 @@
 //! scheduler is work-conserving and an uncontended request starts
 //! immediately.
 
-use crate::parmatrix::{parallel_map_labeled, system_by_label, MatrixOptions, PLATFORM_LABELS};
-use crate::run::run_workload_events;
+use crate::parmatrix::{parallel_map_labeled, system_by_label, PLATFORM_LABELS};
+use crate::run::{run_workload_events, RunOptions};
 use crate::spec::{by_short, table3, WorkloadSpec};
 use charon_sim::clocks::ClockSet;
 use charon_sim::hist::Histogram;
@@ -292,8 +292,8 @@ pub struct FleetOptions {
     pub seed: u64,
     /// Worker threads for the solo phase (the schedule phase is serial).
     pub jobs: usize,
-    /// Per-tenant run options (plain data — shared with the matrix path).
-    pub run: MatrixOptions,
+    /// Per-tenant run options.
+    pub run: RunOptions,
 }
 
 impl Default for FleetOptions {
@@ -305,7 +305,7 @@ impl Default for FleetOptions {
             sched: SchedKind::Fifo,
             seed: 7,
             jobs: 1,
-            run: MatrixOptions::default(),
+            run: RunOptions::default(),
         }
     }
 }
@@ -642,7 +642,7 @@ pub fn run_fleet(opts: &FleetOptions) -> Result<FleetReport, String> {
         |_, s| format!("solo:{}/{platform}", s.short),
         |s| {
             let sys = system_by_label(platform).expect("platform label pre-validated");
-            run_workload_events(s, sys, &opts.run.to_run_options())
+            run_workload_events(s, sys, &opts.run)
         },
     );
     let mut events_by_short = Vec::with_capacity(uniq.len());
@@ -777,7 +777,7 @@ mod tests {
         let opts = FleetOptions {
             tenants: 1,
             mix: Some("BS".to_string()),
-            run: MatrixOptions { supersteps: Some(2), ..Default::default() },
+            run: RunOptions { supersteps: Some(2), ..Default::default() },
             ..Default::default()
         };
         let rep = run_fleet(&opts).unwrap();
@@ -796,7 +796,7 @@ mod tests {
             mix: Some("BS:2,KM:2".to_string()),
             sched: SchedKind::FairShare,
             jobs,
-            run: MatrixOptions { supersteps: Some(2), ..Default::default() },
+            run: RunOptions { supersteps: Some(2), ..Default::default() },
             ..Default::default()
         };
         let serial = run_fleet(&mk(1)).unwrap();
@@ -822,7 +822,7 @@ mod tests {
         let opts = FleetOptions {
             tenants: 2,
             mix: Some("BS".to_string()),
-            run: MatrixOptions { supersteps: Some(2), ..Default::default() },
+            run: RunOptions { supersteps: Some(2), ..Default::default() },
             ..Default::default()
         };
         let rep = run_fleet(&opts).unwrap();

@@ -52,12 +52,12 @@ pub mod profile;
 pub mod run;
 pub mod spec;
 
-pub use autotune::{autotune, autotune_jobs, AutotuneReport};
-pub use campaign::{fault_matrix, run_fault_campaign, run_fault_campaign_jobs, CampaignOptions, CampaignReport};
+pub use autotune::{autotune, AutotuneReport};
+pub use campaign::{fault_matrix, run_fault_campaign, CampaignReport};
 pub use chaos::{chaos_matrix, run_chaos_campaign, ChaosOptions, ChaosReport};
 pub use fleet::{plan_tenants, run_fleet, FleetOptions, FleetReport, SchedKind};
 pub use history::{HistoryRun, Ledger};
-pub use parmatrix::{full_matrix, run_matrix, selfspeed_json, MatrixJob, MatrixOptions, MatrixOutcome};
+pub use parmatrix::{full_matrix, run_matrix, selfspeed_json, MatrixJob, MatrixOutcome};
 pub use profile::RunProfile;
 pub use run::{run_workload, RunOptions, RunResult};
 pub use spec::{table3, Framework, WorkloadSpec};

@@ -13,16 +13,12 @@
 //! committed fingerprint baselines re-check every cell's simulated
 //! outcome regardless of which thread computed it.
 //!
-//! Two deliberate restrictions keep the determinism argument airtight:
-//!
-//! * Workers never share mutable state — [`parallel_map`] hands each
-//!   worker disjoint item indices through one atomic counter and each
-//!   result travels back tagged with its index.
-//! * The run sinks ([`charon_sim::telemetry::Telemetry`],
-//!   [`charon_sim::profile::Profiler`]) are `Rc`-based and not `Send`,
-//!   so [`MatrixOptions`] is the *plain-data* subset of [`RunOptions`]:
-//!   every worker rebuilds its own disabled sinks. Callers that need
-//!   telemetry run serially — that is the existing `run`/`profile` path.
+//! Workers never share mutable state: [`parallel_map`] hands each worker
+//! disjoint item indices through one atomic counter and each result
+//! travels back tagged with its index. [`RunOptions`] is plain data, so
+//! every worker reads the caller's one value; the `Rc`-based sinks
+//! ([`charon_sim::telemetry::Telemetry`], [`charon_sim::profile::Profiler`])
+//! belong to a [`System`], and each cell builds its own inside its thread.
 //!
 //! The module also measures what the tentpole gate consumes: each cell's
 //! wall-clock cost, combined with its simulated span into the
@@ -31,8 +27,6 @@
 
 use crate::run::{run_workload, RunOptions, RunResult};
 use crate::spec::WorkloadSpec;
-use charon_gc::adapt::PolicyKind;
-use charon_gc::collector::CollectorKind;
 use charon_gc::system::System;
 use charon_sim::json::Json;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -55,65 +49,15 @@ pub fn system_by_label(label: &str) -> Option<System> {
     })
 }
 
-/// The plain-data (`Send + Sync`) subset of [`RunOptions`]: everything
-/// except the telemetry/profiler sinks, which are thread-local by
-/// construction. Workers turn this back into per-thread [`RunOptions`]
-/// with disabled sinks via [`MatrixOptions::to_run_options`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MatrixOptions {
-    /// Heap size factor over the workload minimum (`None` = spec default).
-    pub heap_factor: Option<f64>,
-    /// GC threads per run.
-    pub gc_threads: usize,
-    /// Superstep count override.
-    pub supersteps: Option<usize>,
-    /// Run the per-GC heap-demographics census.
-    pub census: bool,
-    /// Adaptive offload policy, if any.
-    pub policy: Option<PolicyKind>,
-    /// Seed for stochastic policies.
-    pub policy_seed: u64,
-    /// Probe-after-N-GCs re-enable of watchdog-dead units.
-    pub rearm: Option<u32>,
-    /// Old-generation collector the Major arm dispatches to.
-    pub collector: CollectorKind,
-}
+/// The options of a matrix run are the options of a run.
+pub type MatrixOptions = RunOptions;
 
-impl Default for MatrixOptions {
-    fn default() -> MatrixOptions {
-        MatrixOptions::from_run_options(&RunOptions::default())
-    }
-}
-
-impl MatrixOptions {
-    /// Extracts the plain-data fields; the sinks are intentionally
-    /// dropped (each worker owns its own disabled pair).
-    pub fn from_run_options(o: &RunOptions) -> MatrixOptions {
-        MatrixOptions {
-            heap_factor: o.heap_factor,
-            gc_threads: o.gc_threads,
-            supersteps: o.supersteps,
-            census: o.census,
-            policy: o.policy,
-            policy_seed: o.policy_seed,
-            rearm: o.rearm,
-            collector: o.collector,
-        }
-    }
-
-    /// Per-worker [`RunOptions`] with freshly built disabled sinks.
-    pub fn to_run_options(&self) -> RunOptions {
-        RunOptions {
-            heap_factor: self.heap_factor,
-            gc_threads: self.gc_threads,
-            supersteps: self.supersteps,
-            census: self.census,
-            policy: self.policy,
-            policy_seed: self.policy_seed,
-            rearm: self.rearm,
-            collector: self.collector,
-            ..Default::default()
-        }
+impl RunOptions {
+    /// The identity. `perfbench` calls `MatrixOptions::from_run_options`
+    /// and this PR may not edit it; the next benchmark PR drops the call
+    /// and this function with it.
+    pub fn from_run_options(o: &RunOptions) -> RunOptions {
+        *o
     }
 }
 
@@ -257,18 +201,16 @@ where
 }
 
 /// Runs every matrix cell on up to `jobs` threads. Each worker builds its
-/// own [`System`] and [`RunOptions`] inside the thread, times the run,
+/// own [`System`] inside the thread, times the run,
 /// and the outcomes come back in cell order. A cell that panics (a
 /// simulator invariant tripping under an extreme configuration) is
 /// reported as that cell's error outcome; the rest of the matrix
 /// completes normally.
-pub fn run_matrix(cells: &[MatrixJob], opts: &MatrixOptions, jobs: usize) -> Vec<MatrixOutcome> {
+pub fn run_matrix(cells: &[MatrixJob], opts: &RunOptions, jobs: usize) -> Vec<MatrixOutcome> {
     parallel_map_result(cells, jobs, |cell| {
         let started = Instant::now();
         let result = match system_by_label(cell.platform) {
-            Some(sys) => {
-                run_workload(&cell.spec, sys, &opts.to_run_options()).map_err(|e| format!("{}: {e}", cell.platform))
-            }
+            Some(sys) => run_workload(&cell.spec, sys, opts).map_err(|e| format!("{}: {e}", cell.platform)),
             None => Err(format!("{}: unknown platform", cell.platform)),
         };
         MatrixOutcome {
@@ -406,28 +348,10 @@ mod tests {
     }
 
     #[test]
-    fn matrix_options_round_trip_the_plain_fields() {
-        let o = RunOptions {
-            heap_factor: Some(1.5),
-            gc_threads: 4,
-            supersteps: Some(3),
-            census: true,
-            policy: Some(PolicyKind::Census),
-            policy_seed: 7,
-            collector: CollectorKind::Cms,
-            ..Default::default()
-        };
-        let m = MatrixOptions::from_run_options(&o);
-        let back = m.to_run_options();
-        assert_eq!(MatrixOptions::from_run_options(&back), m);
-        assert!(!back.telemetry.is_enabled() && !back.profiler.is_enabled(), "workers own disabled sinks");
-    }
-
-    #[test]
     fn parallel_cells_match_serial_bit_for_bit() {
         let specs = [by_short("BS").unwrap()];
         let cells = full_matrix(&specs);
-        let opts = MatrixOptions { supersteps: Some(1), ..Default::default() };
+        let opts = RunOptions { supersteps: Some(1), ..Default::default() };
         let serial = run_matrix(&cells, &opts, 1);
         let par = run_matrix(&cells, &opts, 4);
         assert_eq!(serial.len(), par.len());
@@ -442,7 +366,7 @@ mod tests {
     fn selfspeed_json_has_the_pinned_schema() {
         let specs = [by_short("BS").unwrap()];
         let cells = [MatrixJob { spec: specs[0].clone(), platform: "Charon" }];
-        let opts = MatrixOptions { supersteps: Some(1), ..Default::default() };
+        let opts = RunOptions { supersteps: Some(1), ..Default::default() };
         let outcomes = run_matrix(&cells, &opts, 2);
         let j = selfspeed_json(&outcomes, 2);
         let back = Json::parse(&j.to_string()).expect("selfspeed json parses");

@@ -17,14 +17,20 @@ use charon_heap::heap::{HeapConfig, JavaHeap};
 use charon_heap::layout::LayoutParams;
 use charon_sim::energy::EnergyAccount;
 use charon_sim::json::Json;
-use charon_sim::profile::Profiler;
 use charon_sim::stats::{CacheStats, MemTrafficStats};
-use charon_sim::telemetry::{Event, Telemetry};
+use charon_sim::telemetry::Event;
 use charon_sim::time::Ps;
 use std::fmt;
 
-/// Options for one run.
-#[derive(Debug, Clone)]
+/// Options for one run — plain data (`Copy + Send + Sync`), so one value
+/// serves the serial drivers and every worker thread of the parallel
+/// ones. What configures the *machine* is not here: telemetry and
+/// profiler sinks, fault and integrity arming and unit re-arm are set on
+/// the [`System`] the caller hands to [`run_workload`]
+/// ([`System::set_telemetry`], [`System::set_profiler`],
+/// [`System::inject_faults`], [`System::enable_integrity`],
+/// [`System::set_rearm`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunOptions {
     /// Heap size as a factor over the workload's minimum (Fig. 2 sweeps
     /// 1.0 / 1.25 / 1.5 / 2.0; `None` uses the spec default).
@@ -33,13 +39,6 @@ pub struct RunOptions {
     pub gc_threads: usize,
     /// Override the superstep count (shorter runs for quick benches).
     pub supersteps: Option<usize>,
-    /// Telemetry sink for the run. [`Telemetry::disabled`] (the default)
-    /// records nothing and leaves timing bit-identical.
-    pub telemetry: Telemetry,
-    /// Latency profiler for the run. [`Profiler::disabled`] (the default)
-    /// records nothing and leaves timing bit-identical; enabled, the run
-    /// produces [`RunResult::profile`].
-    pub profiler: Profiler,
     /// Run the per-GC heap-demographics census ([`charon_gc::census`]).
     /// Purely functional — never changes simulated timing.
     pub census: bool,
@@ -51,10 +50,6 @@ pub struct RunOptions {
     /// Seed for stochastic policies ([`PolicyKind::Bandit`]); ignored by
     /// the deterministic ones.
     pub policy_seed: u64,
-    /// Probe-after-N-GCs re-enable of watchdog-dead device units (the
-    /// `--rearm N` flag). `None` (the default) leaves dead units dead for
-    /// the rest of the run, exactly the PR 2 behavior.
-    pub rearm: Option<u32>,
     /// Tail-pause attribution ([`charon_gc::postmortem`]): keep the top-K
     /// worst pauses per GC kind with full breakdown/unit/energy context
     /// and attribute energy to pause buckets. `None` (the default) costs
@@ -68,18 +63,21 @@ pub struct RunOptions {
     pub collector: CollectorKind,
 }
 
+// Drivers hand one `&RunOptions` to every worker thread.
+const _: fn() = || {
+    fn plain_data<T: Copy + Send + Sync>() {}
+    plain_data::<RunOptions>();
+};
+
 impl Default for RunOptions {
     fn default() -> RunOptions {
         RunOptions {
             heap_factor: None,
             gc_threads: 8,
             supersteps: None,
-            telemetry: Telemetry::disabled(),
-            profiler: Profiler::disabled(),
             census: false,
             policy: None,
             policy_seed: 0xC4A0,
-            rearm: None,
             postmortem: None,
             collector: CollectorKind::default(),
         }
@@ -120,8 +118,9 @@ pub struct RunResult {
     /// Bytes the mutator allocated.
     pub allocated_bytes: u64,
     /// Run profile (pause histograms, latency distributions, census,
-    /// unit utilization) — present when [`RunOptions::profiler`] was
-    /// enabled or [`RunOptions::census`] was set.
+    /// unit utilization) — present when the system carried an enabled
+    /// profiler ([`System::set_profiler`]), or [`RunOptions::census`] or
+    /// [`RunOptions::postmortem`] was set.
     pub profile: Option<RunProfile>,
     /// The adaptive controller's decision journal — present when
     /// [`RunOptions::policy`] was set.
@@ -266,18 +265,13 @@ pub fn run_workload_events(
 /// The shared driver behind every `run_workload*` entry point.
 fn run_workload_full(
     spec: &WorkloadSpec,
-    mut sys: System,
+    sys: System,
     opts: &RunOptions,
 ) -> Result<(RunResult, JavaHeap, Vec<charon_gc::collector::GcEvent>), OutOfMemory> {
     let heap_bytes = spec.heap_bytes(opts.heap_factor.unwrap_or(spec.default_heap_factor));
     let mut heap =
         JavaHeap::new(HeapConfig { layout: LayoutParams { heap_bytes, ..Default::default() }, ..Default::default() });
     let mut mutator = Mutator::new(spec.clone(), &mut heap);
-    sys.set_telemetry(opts.telemetry.clone());
-    sys.set_profiler(opts.profiler.clone());
-    if let Some(n) = opts.rearm {
-        sys.set_rearm(n);
-    }
     let platform = sys.label();
     let mut gc = Collector::new(sys, &heap, opts.gc_threads);
     gc.kind = opts.collector;
@@ -304,10 +298,11 @@ fn run_workload_full(
 
     // Drain per-link epoch occupancy into the journal (one counter sample
     // per non-empty metering epoch) — read-only, so timing is untouched.
-    if opts.telemetry.is_enabled() {
+    if gc.sys.telemetry.is_enabled() {
         for (link, fills) in gc.sys.host.fabric.link_epoch_fills() {
             for (at, used) in fills {
-                opts.telemetry
+                gc.sys
+                    .telemetry
                     .record(|| Event::BwSample { link: link.clone(), epoch_start: at, used });
             }
         }
@@ -315,8 +310,8 @@ fn run_workload_full(
 
     let minor_t = gc.gc_time_by_kind(GcKind::Minor);
     let major_t = gc.gc_time_by_kind(GcKind::Major);
-    let profile = (opts.profiler.is_enabled() || opts.census || opts.postmortem.is_some())
-        .then(|| RunProfile::collect(spec.short, platform, &gc, opts.profiler.snapshot()));
+    let profile = (gc.sys.profiler.is_enabled() || opts.census || opts.postmortem.is_some())
+        .then(|| RunProfile::collect(spec.short, platform, &gc, gc.sys.profiler.snapshot()));
     let events = gc.events.clone();
     Ok((
         RunResult {
@@ -379,6 +374,19 @@ mod tests {
         );
         assert!(c.device.is_some());
         assert!(c.local_ratio() > 0.3, "near-memory accesses mostly local");
+    }
+
+    #[test]
+    fn sinks_on_the_system_survive_the_run() {
+        let telemetry = charon_sim::telemetry::Telemetry::enabled();
+        let mut sys = System::charon();
+        sys.set_telemetry(telemetry.clone());
+        sys.set_profiler(charon_sim::profile::Profiler::enabled());
+        let r = quick("BS", sys);
+        let events = telemetry.events();
+        assert!(events.iter().any(|e| matches!(e, Event::Prim { .. })), "the caller's journal saw no primitive");
+        assert!(events.iter().any(|e| matches!(e, Event::BwSample { .. })), "link fills were not drained into it");
+        assert!(r.profile.is_some(), "an enabled profiler on the system yields a profile");
     }
 
     #[test]

@@ -53,7 +53,7 @@ fn static_policy_fingerprints_match_committed_baselines() {
 
 #[test]
 fn census_threshold_beats_static_on_phase_shift() {
-    let rep = autotune(&phase_shift(), System::charon, PolicyKind::Census, &RunOptions::default()).unwrap();
+    let rep = autotune(&phase_shift(), System::charon, PolicyKind::Census, &RunOptions::default(), 1).unwrap();
     assert!(
         rep.gc_time_delta_pct() <= -5.0,
         "census must cut PS gc_time by >= 5% over static, got {:+.1}%",

@@ -92,7 +92,11 @@ fn shadow_oracle_zero_rate_is_also_timing_invisible() {
 }
 
 fn campaign_opts() -> ChaosOptions {
-    ChaosOptions { supersteps: Some(2), rates: vec![0.05], ..Default::default() }
+    ChaosOptions {
+        rates: vec![0.05],
+        run: RunOptions { supersteps: Some(2), ..Default::default() },
+        ..Default::default()
+    }
 }
 
 /// Acceptance: without the oracle, the checksum/canary layer detects

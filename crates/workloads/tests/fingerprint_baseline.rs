@@ -15,6 +15,13 @@ fn opts() -> RunOptions {
     RunOptions { supersteps: Some(2), ..Default::default() }
 }
 
+/// The platform with an enabled latency profiler attached.
+fn profiled_system(label: &str) -> System {
+    let mut sys = system_by_label(label);
+    sys.set_profiler(charon_sim::profile::Profiler::enabled());
+    sys
+}
+
 fn system_by_label(label: &str) -> System {
     match label {
         "DDR4" => System::ddr4(),
@@ -71,11 +78,10 @@ fn telemetry_off_fingerprints_match_committed_baselines() {
 /// computed. Every committed baseline must hold with them switched on.
 #[test]
 fn profiler_and_census_on_fingerprints_match_committed_baselines() {
-    use charon_sim::profile::Profiler;
     for &(wl, platform, gc_ps, minors, majors, alloc) in &BASELINES {
         let spec = by_short(wl).unwrap();
-        let o = RunOptions { profiler: Profiler::enabled(), census: true, ..opts() };
-        let r = run_workload(&spec, system_by_label(platform), &o).unwrap();
+        let o = RunOptions { census: true, ..opts() };
+        let r = run_workload(&spec, profiled_system(platform), &o).unwrap();
         assert_eq!(
             r.fingerprint(),
             (wl, platform, gc_ps, minors, majors, alloc),
@@ -96,11 +102,10 @@ fn profiler_and_census_on_fingerprints_match_committed_baselines() {
 #[test]
 fn postmortem_on_fingerprints_match_committed_baselines() {
     use charon_gc::collector::GcKind;
-    use charon_sim::profile::Profiler;
     for &(wl, platform, gc_ps, minors, majors, alloc) in &BASELINES {
         let spec = by_short(wl).unwrap();
-        let o = RunOptions { profiler: Profiler::enabled(), census: true, postmortem: Some(4), ..opts() };
-        let r = run_workload(&spec, system_by_label(platform), &o).unwrap();
+        let o = RunOptions { census: true, postmortem: Some(4), ..opts() };
+        let r = run_workload(&spec, profiled_system(platform), &o).unwrap();
         assert_eq!(
             r.fingerprint(),
             (wl, platform, gc_ps, minors, majors, alloc),

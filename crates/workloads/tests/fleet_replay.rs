@@ -7,7 +7,7 @@
 //! onto OS threads, for every scheduler policy and stagger seed.
 
 use charon_workloads::fleet::{run_fleet, FleetOptions, SchedKind};
-use charon_workloads::MatrixOptions;
+use charon_workloads::RunOptions;
 use proptest::prelude::*;
 
 /// Cheap mixes only — each distinct workload is one full (short) solo
@@ -21,7 +21,7 @@ fn opts(tenants: usize, mix: &str, sched: SchedKind, seed: u64, jobs: usize) -> 
         sched,
         seed,
         jobs,
-        run: MatrixOptions { supersteps: Some(2), ..Default::default() },
+        run: RunOptions { supersteps: Some(2), ..Default::default() },
         ..Default::default()
     }
 }

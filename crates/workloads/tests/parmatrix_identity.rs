@@ -14,7 +14,7 @@
 use charon_sim::json::Json;
 use charon_workloads::parmatrix::PLATFORM_LABELS;
 use charon_workloads::spec::by_short;
-use charon_workloads::{full_matrix, run_matrix, selfspeed_json, MatrixOptions};
+use charon_workloads::{full_matrix, run_matrix, selfspeed_json, RunOptions};
 
 #[test]
 fn parallel_matrix_is_byte_identical_to_serial_on_all_baseline_pairs() {
@@ -22,7 +22,7 @@ fn parallel_matrix_is_byte_identical_to_serial_on_all_baseline_pairs() {
     let cells = full_matrix(&specs);
     assert_eq!(cells.len(), 15, "the committed baseline set is 3 workloads x 5 platforms");
 
-    let opts = MatrixOptions { supersteps: Some(2), ..Default::default() };
+    let opts = RunOptions { supersteps: Some(2), ..Default::default() };
     let serial = run_matrix(&cells, &opts, 1);
     let parallel = run_matrix(&cells, &opts, 4);
     assert_eq!(serial.len(), parallel.len());

@@ -9,9 +9,10 @@ use charon_sim::profile::Profiler;
 use charon_workloads::spec::by_short;
 use charon_workloads::{run_workload, RunOptions, RunResult};
 
-fn profiled(short: &str, sys: System) -> RunResult {
+fn profiled(short: &str, mut sys: System) -> RunResult {
     let spec = by_short(short).unwrap();
-    let opts = RunOptions { supersteps: Some(2), profiler: Profiler::enabled(), census: true, ..Default::default() };
+    sys.set_profiler(Profiler::enabled());
+    let opts = RunOptions { supersteps: Some(2), census: true, ..Default::default() };
     run_workload(&spec, sys, &opts).unwrap()
 }
 

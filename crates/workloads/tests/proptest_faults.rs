@@ -4,16 +4,25 @@
 //! collection sequence — matches the fault-free run, and simulated time
 //! stays strictly monotone.
 
-use charon_sim::faults::FaultRates;
-use charon_workloads::campaign::{run_case, CampaignOptions, CaseReport};
+use charon_gc::system::System;
+use charon_sim::faults::{FaultRates, RecoveryConfig};
+use charon_workloads::campaign::{run_case, CaseReport};
 use charon_workloads::spec::by_short;
+use charon_workloads::RunOptions;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
 const SHORTS: [&str; 2] = ["BS", "KM"];
 
-fn opts() -> CampaignOptions {
-    CampaignOptions { supersteps: Some(2), ..Default::default() }
+fn opts() -> RunOptions {
+    RunOptions { supersteps: Some(2), ..Default::default() }
+}
+
+/// A Charon system with the fault injector armed.
+fn armed(seed: u64, rates: FaultRates) -> System {
+    let mut sys = System::charon();
+    sys.inject_faults(seed, rates, RecoveryConfig::default());
+    sys
 }
 
 /// Fault-free reference runs, computed once per workload.
@@ -22,7 +31,7 @@ fn baseline(short: &str) -> &'static CaseReport {
     let all = BASELINES.get_or_init(|| {
         SHORTS
             .iter()
-            .map(|s| run_case(&by_short(s).unwrap(), None, &opts()).expect("fault-free run completes"))
+            .map(|s| run_case(&by_short(s).unwrap(), System::charon(), &opts()).expect("fault-free run completes"))
             .collect()
     });
     let i = SHORTS.iter().position(|&s| s == short).expect("known workload");
@@ -48,7 +57,7 @@ proptest! {
             mai: f64::from(mai) / 1000.0,
             unit: f64::from(unit) / 1000.0,
         };
-        let faulty = run_case(&by_short(short).unwrap(), Some((seed, rates)), &opts())
+        let faulty = run_case(&by_short(short).unwrap(), armed(seed, rates), &opts())
             .expect("faulty run must still complete");
         let base = baseline(short);
         prop_assert_eq!(&faulty.signatures, &base.signatures,
@@ -70,8 +79,8 @@ proptest! {
     fn replayed_schedules_are_bit_identical(seed in any::<u64>(), p_milli in 10u32..300) {
         let spec = by_short("BS").unwrap();
         let rates = FaultRates::uniform(f64::from(p_milli) / 1000.0);
-        let a = run_case(&spec, Some((seed, rates)), &opts()).expect("run completes");
-        let b = run_case(&spec, Some((seed, rates)), &opts()).expect("run completes");
+        let a = run_case(&spec, armed(seed, rates), &opts()).expect("run completes");
+        let b = run_case(&spec, armed(seed, rates), &opts()).expect("run completes");
         prop_assert_eq!(a.injected, b.injected);
         prop_assert_eq!(a.gc_time, b.gc_time, "same seed must replay the same timing");
         prop_assert_eq!(a.recovery, b.recovery);

@@ -10,10 +10,10 @@
 //!    JSON checker, and every trace event carries the required keys.
 
 use charon_gc::system::System;
-use charon_sim::faults::FaultRates;
+use charon_sim::faults::{FaultRates, RecoveryConfig};
 use charon_sim::json::Json;
 use charon_sim::telemetry::{chrome_trace, Event, Telemetry};
-use charon_workloads::campaign::{run_case, CampaignOptions};
+use charon_workloads::campaign::run_case;
 use charon_workloads::spec::{by_short, table3};
 use charon_workloads::{run_workload, RunOptions};
 use proptest::prelude::*;
@@ -42,15 +42,12 @@ proptest! {
     ) {
         let spec = by_short(SHORTS[which]).unwrap();
         let (label, make) = PLATFORMS[platform];
-        let off = run_workload(&spec, make(), &RunOptions { supersteps: Some(steps), ..Default::default() })
-            .unwrap();
+        let opts = RunOptions { supersteps: Some(steps), ..Default::default() };
+        let off = run_workload(&spec, make(), &opts).unwrap();
         let telemetry = Telemetry::enabled();
-        let on = run_workload(
-            &spec,
-            make(),
-            &RunOptions { supersteps: Some(steps), telemetry: telemetry.clone(), ..Default::default() },
-        )
-        .unwrap();
+        let mut sys = make();
+        sys.set_telemetry(telemetry.clone());
+        let on = run_workload(&spec, sys, &opts).unwrap();
         prop_assert_eq!(off.fingerprint(), on.fingerprint(),
             "telemetry changed the simulation on {} x {}", SHORTS[which], label);
         if on.minor.1 + on.major.1 > 0 {
@@ -65,11 +62,17 @@ proptest! {
     ) {
         let spec = by_short("BS").unwrap();
         let rates = FaultRates::only(charon_sim::faults::FaultSite::Unit, f64::from(rate) / 1000.0);
-        let off_opts = CampaignOptions { supersteps: Some(2), ..Default::default() };
-        let off = run_case(&spec, Some((seed, rates)), &off_opts).unwrap();
+        let opts = RunOptions { supersteps: Some(2), ..Default::default() };
+        let armed = || {
+            let mut sys = System::charon();
+            sys.inject_faults(seed, rates, RecoveryConfig::default());
+            sys
+        };
+        let off = run_case(&spec, armed(), &opts).unwrap();
         let telemetry = Telemetry::enabled();
-        let on_opts = CampaignOptions { supersteps: Some(2), telemetry: telemetry.clone(), ..Default::default() };
-        let on = run_case(&spec, Some((seed, rates)), &on_opts).unwrap();
+        let mut sys = armed();
+        sys.set_telemetry(telemetry.clone());
+        let on = run_case(&spec, sys, &opts).unwrap();
         prop_assert_eq!(off.gc_time, on.gc_time, "telemetry changed timing under seed {}", seed);
         prop_assert_eq!(&off.signatures, &on.signatures);
         prop_assert_eq!(&off.event_kinds, &on.event_kinds);
@@ -95,12 +98,10 @@ fn assert_emitted_json_is_valid(short: &str) {
     let spec = table3().into_iter().find(|s| s.short == short).expect("known workload");
     for (label, make) in PLATFORMS {
         let telemetry = Telemetry::enabled();
-        let r = run_workload(
-            &spec,
-            make(),
-            &RunOptions { supersteps: Some(1), telemetry: telemetry.clone(), ..Default::default() },
-        )
-        .unwrap_or_else(|e| panic!("{short} on {label}: {e}"));
+        let mut sys = make();
+        sys.set_telemetry(telemetry.clone());
+        let r = run_workload(&spec, sys, &RunOptions { supersteps: Some(1), ..Default::default() })
+            .unwrap_or_else(|e| panic!("{short} on {label}: {e}"));
         let report = r.to_json().to_string();
         let parsed = Json::parse(&report).unwrap_or_else(|e| panic!("{short} on {label}: {e}"));
         assert!(parsed.get("gc_time_ps").and_then(Json::as_u64).is_some());

@@ -34,9 +34,8 @@ use charon::sim::telemetry::{chrome_trace, Telemetry};
 use charon::workloads::parmatrix::{system_by_label, PLATFORM_LABELS as PLATFORMS};
 use charon::workloads::spec::{by_short, table3, WorkloadSpec};
 use charon::workloads::{
-    autotune_jobs, full_matrix, plan_tenants, run_chaos_campaign, run_fault_campaign_jobs, run_fleet, run_matrix,
-    run_workload, selfspeed_json, CampaignOptions, ChaosOptions, FleetOptions, Ledger, MatrixOptions, RunOptions,
-    RunResult, SchedKind,
+    autotune, full_matrix, plan_tenants, run_chaos_campaign, run_fault_campaign, run_fleet, run_matrix, run_workload,
+    selfspeed_json, ChaosOptions, FleetOptions, Ledger, RunOptions, RunResult, SchedKind,
 };
 use std::process::ExitCode;
 
@@ -63,7 +62,7 @@ fn usage() -> ExitCode {
          charon-cli fleet [--tenants <N>] [--mix <W:N,W:N,...>] [--sched <fifo|fair|deadline>] [--platform <P>] \
          [--seed <S>] [--heap-factor <F>] [--threads <N>] [--steps <N>] [--json] [--out <FILE>] [--jobs <N>]\n  \
          charon-cli regress <OLD.json> <NEW.json> [--tolerance <PCT>] [--metric <SUBSTR>]\n    \
-         (exit 2 = regression beyond tolerance, 1 = usage/IO error)\n  \
+         (exit 2 = regression beyond tolerance or a metric of OLD missing from NEW, 1 = usage/IO error)\n  \
          charon-cli trend record <LEDGER.json> <REPORT.json> [--label <L>]\n  \
          charon-cli trend report <LEDGER.json> [--metric <SUBSTR>] [--tolerance <PCT>] [--json] [--out <FILE>]\n  \
          charon-cli trend bisect <LEDGER.json> [--metric <SUBSTR>] [--tolerance <PCT>] [--json]\n    \
@@ -275,17 +274,13 @@ impl Flags {
         self.platform.clone().unwrap_or_else(|| "Charon".into())
     }
 
-    fn matrix_options(&self) -> MatrixOptions {
-        MatrixOptions::from_run_options(&self.run_options(Telemetry::disabled()))
-    }
-
-    fn run_options(&self, telemetry: Telemetry) -> RunOptions {
+    /// The run options every subcommand shares. Machine-side flags
+    /// (`--mask`, `--rearm`, `--trace-out`) go on the `System` instead.
+    fn run_options(&self) -> RunOptions {
         RunOptions {
             heap_factor: self.heap_factor,
             gc_threads: self.threads.unwrap_or(8),
             supersteps: self.steps,
-            telemetry,
-            rearm: self.rearm,
             collector: self.collector.unwrap_or_default(),
             ..Default::default()
         }
@@ -299,9 +294,7 @@ impl Flags {
             sites: self.sites.clone().unwrap_or(defaults.sites),
             oracle: self.oracle,
             rearm: self.rearm,
-            supersteps: self.steps,
-            gc_threads: self.threads.unwrap_or(8),
-            heap_factor: self.heap_factor,
+            run: self.run_options(),
         }
     }
 
@@ -314,16 +307,7 @@ impl Flags {
             sched: self.sched.unwrap_or(SchedKind::Fifo),
             seed: self.seed.unwrap_or(defaults.seed),
             jobs: self.jobs(),
-            run: self.matrix_options(),
-        }
-    }
-
-    fn campaign_options(&self) -> CampaignOptions {
-        CampaignOptions {
-            heap_factor: self.heap_factor,
-            gc_threads: self.threads.unwrap_or(8),
-            supersteps: self.steps,
-            ..Default::default()
+            run: self.run_options(),
         }
     }
 }
@@ -513,8 +497,12 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
                 flags.collector.unwrap_or_default().validate_mask(mask).map_err(misuse)?;
                 sys.offload = mask;
             }
+            if let Some(n) = flags.rearm {
+                sys.set_rearm(n);
+            }
             let telemetry = if flags.trace_out.is_some() { Telemetry::enabled() } else { Telemetry::disabled() };
-            let r = run_workload(&spec, sys, &flags.run_options(telemetry.clone())).map_err(fail)?;
+            sys.set_telemetry(telemetry.clone());
+            let r = run_workload(&spec, sys, &flags.run_options()).map_err(fail)?;
             if let Some(path) = &flags.trace_out {
                 write_file(path, &chrome_trace(&telemetry.events()).to_string())?;
             }
@@ -523,7 +511,7 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
         Some("compare") => {
             let (short, spec) = workload(args)?;
             let flags = flags_for(&args[2..], &["--heap-factor", "--threads", "--steps", "--json"])?;
-            let runs = compare_runs(&spec, &flags.run_options(Telemetry::disabled())).map_err(fail)?;
+            let runs = compare_runs(&spec, &flags.run_options()).map_err(fail)?;
             emit(
                 &flags,
                 None,
@@ -554,7 +542,7 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
             // degenerates to the old serial loop. Cell order — and with
             // it BENCH_compare.json — is identical at every job count.
             let cells = full_matrix(&specs);
-            let outcomes = run_matrix(&cells, &flags.matrix_options(), flags.jobs());
+            let outcomes = run_matrix(&cells, &flags.run_options(), flags.jobs());
             let mut benches = Vec::new();
             for (spec, per_workload) in specs.iter().zip(outcomes.chunks(PLATFORMS.len())) {
                 let runs = per_workload
@@ -585,7 +573,7 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
             let flags =
                 flags_for(&args[2..], &["--seed", "--heap-factor", "--threads", "--steps", "--json", "--jobs"])?;
             let seed = flags.seed.unwrap_or(42);
-            let report = run_fault_campaign_jobs(&spec, seed, &flags.campaign_options(), flags.jobs())
+            let report = run_fault_campaign(&spec, seed, &flags.run_options(), flags.jobs())
                 .map_err(|e| fail(format_args!("{short}: fault-free baseline failed: {e}")))?;
             emit(&flags, None, || report.to_json(), || println!("{report}"))?;
             if !report.pass() {
@@ -642,7 +630,7 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
             if opts.tenants == 1 {
                 let spec = plan_tenants(1, opts.mix.as_deref()).map_err(misuse)?.remove(0);
                 let sys = platform(&opts.platform)?;
-                let r = run_workload(&spec, sys, &flags.run_options(Telemetry::disabled())).map_err(fail)?;
+                let r = run_workload(&spec, sys, &flags.run_options()).map_err(fail)?;
                 if let Some(path) = &flags.out {
                     write_file(path, &r.to_json().to_string())?;
                 }
@@ -667,13 +655,9 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
                     "--profile-out",
                 ],
             )?;
-            let sys = platform(&flags.platform())?;
-            let opts = RunOptions {
-                profiler: Profiler::enabled(),
-                census: true,
-                postmortem: Some(flags.top.unwrap_or(3)),
-                ..flags.run_options(Telemetry::disabled())
-            };
+            let mut sys = platform(&flags.platform())?;
+            sys.set_profiler(Profiler::enabled());
+            let opts = RunOptions { census: true, postmortem: Some(flags.top.unwrap_or(3)), ..flags.run_options() };
             let r = run_workload(&spec, sys, &opts).map_err(fail)?;
             let profile = r.profile.as_ref().expect("profiler was enabled");
             emit(&flags, flags.profile_out.as_ref(), || profile.to_json(), || print!("{profile}"))?;
@@ -684,8 +668,7 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
                 flags_for(&args[2..], &["--platform", "--top", "--heap-factor", "--threads", "--steps", "--json"])?;
             let label = flags.platform();
             let sys = platform(&label)?;
-            let opts =
-                RunOptions { postmortem: Some(flags.top.unwrap_or(3)), ..flags.run_options(Telemetry::disabled()) };
+            let opts = RunOptions { postmortem: Some(flags.top.unwrap_or(3)), ..flags.run_options() };
             let r = run_workload(&spec, sys, &opts).map_err(fail)?;
             let profile = r.profile.as_ref().expect("postmortem forces profile collection");
             emit(
@@ -717,12 +700,12 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
             let label = flags.platform();
             platform(&label)?;
             let policy = flags.policy.unwrap_or(PolicyKind::Census);
-            let mut opts = flags.matrix_options();
+            let mut opts = flags.run_options();
             if let Some(seed) = flags.seed {
                 opts.policy_seed = seed;
             }
             let make = || system_by_label(&label).expect("validated above");
-            let rep = autotune_jobs(&spec, make, policy, &opts, flags.jobs()).map_err(fail)?;
+            let rep = autotune(&spec, make, policy, &opts, flags.jobs()).map_err(fail)?;
             emit(&flags, flags.out.as_ref(), || rep.to_json(), || print!("{rep}"))?;
         }
         Some("regress") => {
@@ -730,31 +713,31 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
             let flags = flags_for(&args[3..], &["--tolerance", "--metric"])?;
             let tolerance = flags.tolerance.unwrap_or(10.0);
             let (old, new) = (read_json(old_path)?, read_json(new_path)?);
-            let (compared, regs) = regressions(&old, &new, tolerance);
-            // --metric narrows both the comparison count and the verdict,
-            // so "0 comparable metrics" still errors when the filter
-            // matches nothing.
-            let (compared, regs) = match &flags.metric {
-                None => (compared, regs),
-                Some(f) => {
-                    let news = extract_metrics(&new);
-                    let compared = extract_metrics(&old)
-                        .iter()
-                        .filter(|(m, _)| m.contains(f.as_str()) && news.iter().any(|(n, _)| n == m))
-                        .count();
-                    (compared, regs.into_iter().filter(|r| r.metric.contains(f.as_str())).collect())
-                }
-            };
-            if compared == 0 {
+            // --metric narrows the comparison count and both verdicts, so
+            // a filter that matches nothing in OLD still errors.
+            let keep = |m: &str| flags.metric.as_deref().is_none_or(|f| m.contains(f));
+            let (_, regs, missing) = regressions(&old, &new, tolerance);
+            let regs: Vec<_> = regs.into_iter().filter(|r| keep(&r.metric)).collect();
+            let missing: Vec<_> = missing.into_iter().filter(|m| keep(m)).collect();
+            let compared = extract_metrics(&old).iter().filter(|(m, _)| keep(m)).count() - missing.len();
+            if compared == 0 && missing.is_empty() {
                 return Err(fail(format_args!("no comparable metrics between {old_path} and {new_path}")));
+            }
+            for m in &missing {
+                println!("MISSING {m}");
             }
             for r in &regs {
                 println!("REGRESSION {}: {} -> {} ({:.2}x, tolerance {tolerance}%)", r.metric, r.old, r.new, r.ratio());
             }
+            // Exit 2 distinguishes "the gate tripped" from exit 1's
+            // usage/IO/parse errors, so CI can tell them apart.
+            if !missing.is_empty() {
+                eprintln!("{} metrics of {old_path} are absent from {new_path}", missing.len());
+            }
             if !regs.is_empty() {
-                // Exit 2 distinguishes "the gate tripped" from exit 1's
-                // usage/IO/parse errors, so CI can tell them apart.
                 eprintln!("{} of {compared} metrics regressed beyond {tolerance}%", regs.len());
+            }
+            if !(missing.is_empty() && regs.is_empty()) {
                 return Ok(ExitCode::from(2));
             }
             println!("{compared} metrics within {tolerance}% of {old_path}");
@@ -897,10 +880,9 @@ mod tests {
     #[test]
     fn collector_defaults_to_ps_in_run_options() {
         let f = parse_flags(&argv(&[]), &RUN_FLAGS).unwrap();
-        assert_eq!(f.run_options(Telemetry::disabled()).collector, CollectorKind::Ps);
+        assert_eq!(f.run_options().collector, CollectorKind::Ps);
         let f = parse_flags(&argv(&["--collector", "g1"]), &RUN_FLAGS).unwrap();
-        assert_eq!(f.run_options(Telemetry::disabled()).collector, CollectorKind::G1);
-        assert_eq!(f.matrix_options().collector, CollectorKind::G1, "bench inherits via MatrixOptions");
+        assert_eq!(f.run_options().collector, CollectorKind::G1);
     }
 
     #[test]
@@ -998,7 +980,7 @@ mod tests {
     #[test]
     fn identical_reports_pass_the_gate() {
         let r = bench_report(&[("BS", 1_000, 100), ("KM", 2_000, 200)]);
-        let (compared, regs) = regressions(&r, &r, 10.0);
+        let (compared, regs, _) = regressions(&r, &r, 10.0);
         assert_eq!(compared, 4, "gc_time + p99 per run");
         assert!(regs.is_empty(), "{regs:?}");
     }
@@ -1007,7 +989,7 @@ mod tests {
     fn doubled_gc_time_is_flagged() {
         let old = bench_report(&[("BS", 1_000, 100)]);
         let new = bench_report(&[("BS", 2_000, 100)]);
-        let (compared, regs) = regressions(&old, &new, 10.0);
+        let (compared, regs, _) = regressions(&old, &new, 10.0);
         assert_eq!(compared, 2);
         assert_eq!(regs.len(), 1);
         assert_eq!(regs[0].metric, "BS/Charon/gc_time_ps");
@@ -1018,7 +1000,7 @@ mod tests {
     fn p99_regression_is_flagged_independently() {
         let old = bench_report(&[("BS", 1_000, 100)]);
         let new = bench_report(&[("BS", 1_000, 250)]);
-        let (_, regs) = regressions(&old, &new, 10.0);
+        let (_, regs, _) = regressions(&old, &new, 10.0);
         assert_eq!(regs.len(), 1);
         assert_eq!(regs[0].metric, "BS/Charon/pause_minor_p99_ps");
     }
@@ -1027,9 +1009,9 @@ mod tests {
     fn growth_within_tolerance_passes() {
         let old = bench_report(&[("BS", 1_000, 100)]);
         let new = bench_report(&[("BS", 1_050, 104)]);
-        let (_, regs) = regressions(&old, &new, 10.0);
+        let (_, regs, _) = regressions(&old, &new, 10.0);
         assert!(regs.is_empty(), "{regs:?}");
-        let (_, regs) = regressions(&old, &new, 1.0);
+        let (_, regs, _) = regressions(&old, &new, 1.0);
         assert_eq!(regs.len(), 2, "tighter tolerance flags both");
     }
 
@@ -1037,7 +1019,7 @@ mod tests {
     fn zero_baseline_regresses_on_any_growth() {
         let old = bench_report(&[("BS", 0, 0)]);
         let new = bench_report(&[("BS", 1, 0)]);
-        let (_, regs) = regressions(&old, &new, 10.0);
+        let (_, regs, _) = regressions(&old, &new, 10.0);
         assert_eq!(regs.len(), 1);
     }
 
@@ -1045,8 +1027,20 @@ mod tests {
     fn disjoint_reports_compare_nothing() {
         let old = bench_report(&[("BS", 1_000, 100)]);
         let new = bench_report(&[("KM", 1_000, 100)]);
-        let (compared, regs) = regressions(&old, &new, 10.0);
+        let (compared, regs, missing) = regressions(&old, &new, 10.0);
         assert_eq!((compared, regs.len()), (0, 0));
+        assert_eq!(missing.len(), extract_metrics(&old).len(), "nothing of OLD is in NEW");
+    }
+
+    #[test]
+    fn metric_dropped_from_new_is_reported_missing() {
+        let old = bench_report(&[("BS", 1_000, 100), ("KM", 2_000, 200)]);
+        let new = bench_report(&[("BS", 1_000, 100)]);
+        let (compared, regs, missing) = regressions(&old, &new, 10.0);
+        assert!(compared > 0 && regs.is_empty());
+        assert!(!missing.is_empty() && missing.iter().all(|m| m.starts_with("KM/")), "{missing:?}");
+        // A metric only NEW has is not a finding.
+        assert_eq!(regressions(&new, &old, 10.0).2, Vec::<String>::new());
     }
 
     #[test]
@@ -1109,12 +1103,12 @@ mod tests {
         let old = selfspeed_report(&[("BS", 10_000)]);
         let faster = selfspeed_report(&[("BS", 20_000)]);
         let slower = selfspeed_report(&[("BS", 8_000)]);
-        let (compared, regs) = regressions(&old, &faster, 15.0);
+        let (compared, regs, _) = regressions(&old, &faster, 15.0);
         assert_eq!((compared, regs.len()), (1, 0), "a speedup must never trip the gate");
-        let (_, regs) = regressions(&old, &slower, 15.0);
+        let (_, regs, _) = regressions(&old, &slower, 15.0);
         assert_eq!(regs.len(), 1, "a 20% slowdown trips the 15% gate");
         assert_eq!(regs[0].metric, "BS/Charon/selfspeed_sim_ps_per_wall_s");
-        let (_, regs) = regressions(&old, &selfspeed_report(&[("BS", 9_000)]), 15.0);
+        let (_, regs, _) = regressions(&old, &selfspeed_report(&[("BS", 9_000)]), 15.0);
         assert!(regs.is_empty(), "a 10% slowdown stays within the 15% tolerance");
     }
 
@@ -1207,10 +1201,10 @@ mod tests {
         }
         // Worse interference trips the gate; identical reports pass.
         let old = fleet_report(500, 9_000, 12_000);
-        let (compared, regs) = regressions(&old, &fleet_report(500, 9_000, 15_000), 10.0);
+        let (compared, regs, _) = regressions(&old, &fleet_report(500, 9_000, 15_000), 10.0);
         assert_eq!(compared, 4);
         assert_eq!(regs.len(), 2, "fleet-wide and per-tenant inflation both flagged");
-        let (_, regs) = regressions(&old, &old, 10.0);
+        let (_, regs, _) = regressions(&old, &old, 10.0);
         assert!(regs.is_empty(), "{regs:?}");
     }
 
@@ -1257,14 +1251,14 @@ mod tests {
         let old = chaos_report(200, 200, 200, 0);
         // Detection dropped 100% -> 80%: trips the higher-is-better gate.
         let worse_detection = chaos_report(200, 160, 160, 40);
-        let (compared, regs) = regressions(&old, &worse_detection, 10.0);
+        let (compared, regs, _) = regressions(&old, &worse_detection, 10.0);
         assert_eq!(compared, 4);
         let names: Vec<&str> = regs.iter().map(|r| r.metric.as_str()).collect();
         assert!(names.contains(&"chaos/detection_rate_bp"), "{names:?}");
         // Escapes over a zero baseline regress on any nonzero count.
         assert!(names.contains(&"chaos/escaped"), "{names:?}");
         // Identical reports pass clean.
-        let (_, regs) = regressions(&old, &chaos_report(200, 200, 200, 0), 10.0);
+        let (_, regs, _) = regressions(&old, &chaos_report(200, 200, 200, 0), 10.0);
         assert!(regs.is_empty(), "{regs:?}");
     }
 }
