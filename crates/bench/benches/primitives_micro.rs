@@ -67,6 +67,21 @@ fn bench_cache() {
         i = i.wrapping_add(64);
         black_box(cache.access(i % (1 << 20), AccessKind::Read));
     });
+    // The loop above keeps the whole model in the host's own L1, so it
+    // times the miss path's instructions. This one has the in-situ shape:
+    // the Table 2 L3, whose metadata outgrows the host's L2, under
+    // scattered line addresses that mostly miss and evict.
+    let l3 = HostConfig::table2().l3;
+    let lines = 4 * (l3.size_bytes / l3.block_bytes) as u64;
+    let mut cache = Cache::new("l3", l3);
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    bench("cache/L3 geometry, working set 4x capacity", 2_000_000, || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let kind = if x >> 63 == 0 { AccessKind::Read } else { AccessKind::Write };
+        black_box(cache.access((x % lines) * l3.block_bytes as u64, kind));
+    });
 }
 
 /// The coherence probe Charon pays per touched line (§4.1): cold lines
@@ -98,6 +113,17 @@ fn bench_epoch_bw() {
     bench("bwres/epoch reservation (mixed skew)", 1_000_000, || {
         t = t.wrapping_add(100_000);
         black_box(lane.reserve(Ps(t % 1_000_000_000), 256));
+    });
+    // What a Charon cell does to its vault and link meters: ~160 of them
+    // touched in turn, simulated time moving on by one epoch for every ten
+    // calls a meter sees, the request size changing on three calls in ten.
+    let mut lanes = vec![EpochBw::from_bandwidth(Bandwidth::gbps(10.0), Ps::from_us(1.0)); 160];
+    let mut call = 0u64;
+    bench("bwres/160 lanes, advancing start, 16/64/80-unit mix", 4_000_000, || {
+        let lane = &mut lanes[(call % 160) as usize];
+        let units = [64, 64, 64, 64, 64, 64, 64, 16, 80, 80][(call / 160 % 10) as usize];
+        black_box(lane.reserve(Ps(call * 625), units));
+        call += 1;
     });
 }
 

@@ -69,8 +69,13 @@ fn main() {
     }
     let before = gc.sys.device.as_ref().expect("device").stats().clone();
     let mut threads = GcThreads::new(8, gc.now);
-    let (_bd, g1s, _free) =
-        charon_gc::g1lite::g1_mixed_collect(&mut gc.sys, &mut heap, &mut threads, m.klasses().data_array, &mut charon_gc::freelist::FreeStore::new());
+    let (_bd, g1s, _free) = charon_gc::g1lite::g1_mixed_collect(
+        &mut gc.sys,
+        &mut heap,
+        &mut threads,
+        m.klasses().data_array,
+        &mut charon_gc::freelist::FreeStore::new(),
+    );
     let after = gc.sys.device.as_ref().expect("device").stats().clone();
     let d = |p: PrimType| after.prim(p).offloads > before.prim(p).offloads;
     let g1_note = format!("Low latency (measured; {} regions evacuated)", g1s.collection_set);

@@ -231,8 +231,10 @@ pub fn render_run_cms(
         .chain(conc.iter().map(|c| (concmark_at(c), 0, concmark_line(c))))
         .collect();
     timed.sort_by_key(|&(at, tie, _)| (at, tie));
-    let mut lines: Vec<String> =
-        timed.into_iter().map(|(at, _, body)| format!("{:>12}: {}", format!("{at}"), body)).collect();
+    let mut lines: Vec<String> = timed
+        .into_iter()
+        .map(|(at, _, body)| format!("{:>12}: {}", format!("{at}"), body))
+        .collect();
     lines.push(pause_summary(events));
     if let Some(units) = units {
         lines.push(unit_summary(units, gc_time));

@@ -45,7 +45,8 @@ fn g1_preserves_graph_and_reclaims_garbage() {
     let used_before = heap.old().used_bytes();
 
     let mut threads = GcThreads::new(8, gc.now);
-    let (bd, stats, free) = g1_mixed_collect(&mut gc.sys, &mut heap, &mut threads, filler, &mut charon_gc::freelist::FreeStore::new());
+    let (bd, stats, free) =
+        g1_mixed_collect(&mut gc.sys, &mut heap, &mut threads, filler, &mut charon_gc::freelist::FreeStore::new());
 
     let (sig2, after) = graph_signature(&heap).expect("heap graph verifies");
     assert_eq!(sig, sig2, "G1 evacuation corrupted the graph");
@@ -71,7 +72,8 @@ fn g1_exercises_all_primitives_under_charon() {
     let (mut heap, mut gc, filler) = build(System::charon());
     let before = gc.sys.device.as_ref().unwrap().stats().clone();
     let mut threads = GcThreads::new(8, gc.now);
-    let (_, stats, _) = g1_mixed_collect(&mut gc.sys, &mut heap, &mut threads, filler, &mut charon_gc::freelist::FreeStore::new());
+    let (_, stats, _) =
+        g1_mixed_collect(&mut gc.sys, &mut heap, &mut threads, filler, &mut charon_gc::freelist::FreeStore::new());
     let after = gc.sys.device.as_ref().unwrap().stats().clone();
     assert!(stats.collection_set > 0);
     for p in [PrimType::Copy, PrimType::ScanPush, PrimType::BitmapCount] {

@@ -116,8 +116,12 @@ fn cms_log_interleaves_a_real_concurrent_cycle() {
     // start, bounded steps, and the STW remark all leave events.
     let conc = &gc.concmark.events;
     assert!(conc.iter().any(|e| matches!(e, charon_gc::concmark::ConcEvent::Start { .. })), "no cycle started");
-    assert!(conc.iter().any(|e| matches!(e, charon_gc::concmark::ConcEvent::Step { scanned, .. } if *scanned > 0)));
-    assert!(conc.iter().any(|e| matches!(e, charon_gc::concmark::ConcEvent::Remark { marked, .. } if *marked > 0)));
+    assert!(conc
+        .iter()
+        .any(|e| matches!(e, charon_gc::concmark::ConcEvent::Step { scanned, .. } if *scanned > 0)));
+    assert!(conc
+        .iter()
+        .any(|e| matches!(e, charon_gc::concmark::ConcEvent::Remark { marked, .. } if *marked > 0)));
 
     let log = render_run_cms(&gc.events, &snaps, conc, None, gc.gc_total_time(), gc.free.occupancy());
     // Pause lines and cycle lines share one simulated-time order; the

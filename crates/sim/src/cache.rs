@@ -4,6 +4,10 @@
 //! bitmap cache (§4.5 of the paper). The model tracks tags, dirty bits and
 //! LRU state exactly; latency is charged by the caller from
 //! [`crate::config::CacheConfig::latency_cycles`].
+//!
+//! Each set keeps its ways in recency order, so the array order *is* the
+//! LRU state and there is nothing beside the keys to store or to miss on
+//! (DESIGN.md §9 "Layout" has the equivalence argument).
 
 use crate::config::CacheConfig;
 use crate::stats::CacheStats;
@@ -38,8 +42,9 @@ fn way_of(keys: &[u64], want: u64) -> Option<usize> {
 
 /// A single set-associative, write-back, write-allocate cache.
 ///
-/// Storage is one contiguous set-major array of packed keys plus a
-/// parallel array of LRU stamps, so a lookup scans `ways` adjacent words.
+/// Storage is one contiguous set-major array of packed keys, so a lookup
+/// scans `ways` adjacent words and a hit on the most recently used way
+/// (the common L1 case) stops at the first.
 ///
 /// ```
 /// use charon_sim::cache::{AccessKind, Cache};
@@ -54,16 +59,13 @@ fn way_of(keys: &[u64], want: u64) -> Option<usize> {
 pub struct Cache {
     name: &'static str,
     cfg: CacheConfig,
-    /// `keys[set * ways + way]`.
+    /// `keys[set * ways + rank]`: every set's valid ways from most to
+    /// least recently used, then its invalid ways — so the last way of a
+    /// set is its victim: an invalid way if there is one, else the LRU.
     keys: Vec<u64>,
-    /// Tick (≥ 1) of each valid way's last touch, 0 for an invalid way —
-    /// so the first smallest stamp of a set is its victim: the first
-    /// invalid way if there is one, else the least recently used.
-    stamps: Vec<u64>,
     set_mask: u64,
     set_bits: u32,
     block_shift: u32,
-    tick: u64,
     stats: CacheStats,
 }
 
@@ -86,11 +88,9 @@ impl Cache {
             name,
             cfg,
             keys: vec![0; sets * cfg.ways],
-            stamps: vec![0; sets * cfg.ways],
             set_mask: sets as u64 - 1,
             set_bits,
             block_shift,
-            tick: 0,
             stats: CacheStats::default(),
         }
     }
@@ -123,65 +123,61 @@ impl Cache {
         (base..base + self.cfg.ways, ((block >> self.set_bits) << 2) | VALID)
     }
 
-    /// Position in `keys` of the way holding `addr`'s block, if resident.
-    fn find(&self, addr: u64) -> Option<usize> {
-        let (set, want) = self.index(addr);
-        way_of(&self.keys[set.clone()], want).map(|way| set.start + way)
-    }
-
     /// Probes and updates the cache for one block-sized access.
     ///
     /// On a miss the block is filled (write-allocate); if the victim way is
     /// dirty its base address is returned for the caller to charge as
     /// write-back traffic to the next level.
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> Lookup {
-        self.tick += 1;
         let (set, want) = self.index(addr);
         let dirty = if kind == AccessKind::Write { DIRTY } else { 0 };
-        let keys = &mut self.keys[set.clone()];
-        let stamps = &mut self.stamps[set.clone()];
+        let keys = &mut self.keys[set];
 
         if let Some(way) = way_of(keys, want) {
-            keys[way] |= dirty;
-            stamps[way] = self.tick;
+            // Move to front; a read of the MRU way writes nothing.
+            let key = keys[way] | dirty;
+            if way != 0 || key != keys[0] {
+                keys.copy_within(0..way, 1);
+                keys[0] = key;
+            }
             self.stats.hits += 1;
             return Lookup { hit: true, writeback: None };
         }
 
         self.stats.misses += 1;
-        // Victim: the first invalid way if any, else true-LRU.
-        let mut victim = 0;
-        for (way, &stamp) in stamps.iter().enumerate() {
-            if stamp < stamps[victim] {
-                victim = way;
-            }
-        }
-        let old = keys[victim];
+        // The tail way is the victim: an invalid one if any, else the LRU.
+        let last = keys.len() - 1;
+        let old = keys[last];
+        keys.copy_within(0..last, 1);
+        keys[0] = want | dirty;
         let writeback = if old & DIRTY != 0 {
             self.stats.writebacks += 1;
-            let set_idx = (set.start / self.cfg.ways) as u64;
+            let set_idx = (addr >> self.block_shift) & self.set_mask;
             Some((((old >> 2) << self.set_bits) | set_idx) << self.block_shift)
         } else {
             None
         };
-        keys[victim] = want | dirty;
-        stamps[victim] = self.tick;
         Lookup { hit: false, writeback }
     }
 
     /// Probes without filling (used for coherence lookups from the
     /// accelerator side). Returns whether the block was present.
     pub fn probe(&self, addr: u64) -> bool {
-        self.find(addr).is_some()
+        let (set, want) = self.index(addr);
+        way_of(&self.keys[set], want).is_some()
     }
 
     /// Invalidates one block if present, returning `true` if it was dirty
     /// (i.e. a write-back to memory is required). Models `clflush`.
     pub fn flush_line(&mut self, addr: u64) -> Option<bool> {
-        let at = self.find(addr)?;
-        let was_dirty = self.keys[at] & DIRTY != 0;
-        self.keys[at] = 0;
-        self.stamps[at] = 0;
+        let (set, want) = self.index(addr);
+        let keys = &mut self.keys[set];
+        let way = way_of(keys, want)?;
+        let was_dirty = keys[way] & DIRTY != 0;
+        // Close the gap: the survivors keep their relative age and the
+        // freed way joins the invalid ones at the tail.
+        keys.copy_within(way + 1.., way);
+        keys[keys.len() - 1] = 0;
         self.stats.flushed += 1;
         if was_dirty {
             self.stats.writebacks += 1;
@@ -197,11 +193,10 @@ impl Cache {
         let mut dirty = 0;
         // Only valid ways are written, so a never-touched stretch of a
         // large cache stays untouched zero pages.
-        for (key, stamp) in self.keys.iter_mut().zip(&mut self.stamps).filter(|(k, _)| **k != 0) {
+        for key in self.keys.iter_mut().filter(|k| **k != 0) {
             flushed += 1;
             dirty += u64::from(*key & DIRTY != 0);
             *key = 0;
-            *stamp = 0;
         }
         self.stats.flushed += flushed;
         self.stats.writebacks += dirty;
@@ -211,6 +206,20 @@ impl Cache {
     /// Number of currently valid lines (for tests and reports).
     pub fn resident_lines(&self) -> usize {
         self.keys.iter().filter(|&&k| k != 0).count()
+    }
+
+    /// Panics unless, in every set, valid keys precede invalid ones and no
+    /// two valid keys carry the same tag.
+    #[cfg(test)]
+    fn assert_recency_order(&self) {
+        for (set, keys) in self.keys.chunks(self.cfg.ways).enumerate() {
+            let valid = keys.iter().take_while(|&&k| k != 0).count();
+            assert!(keys[valid..].iter().all(|&k| k == 0), "set {set}: a valid way behind an invalid one: {keys:x?}");
+            for (way, &k) in keys[..valid].iter().enumerate() {
+                assert!(k & VALID != 0, "set {set}: nonzero key without the valid bit: {keys:x?}");
+                assert!(way_of(keys, k & !DIRTY) == Some(way), "set {set}: tag resident twice: {keys:x?}");
+            }
+        }
     }
 }
 
@@ -344,21 +353,24 @@ mod tests {
 
         /// The packed layout answers every operation exactly as the
         /// `Vec<Vec<Line>>` predecessor did, over geometries small enough
-        /// that tags collide and every set fills, evicts and refills.
+        /// that tags collide and every set fills, evicts and refills, at
+        /// the host caches' block size and the bitmap cache's.
         #[test]
         fn packed_layout_matches_reference(
             ways in 1usize..=16,
             set_bits in 0u32..=6,
+            wide_block in any::<bool>(),
             ops in proptest::collection::vec((0u8..16, 0u64..512, 0u64..64), 1..400),
         ) {
             let sets = 1usize << set_bits;
-            let cfg = CacheConfig { size_bytes: sets * ways * 64, ways, block_bytes: 64, latency_cycles: 1 };
+            let block_bytes = if wide_block { 64 } else { 32 };
+            let cfg = CacheConfig { size_bytes: sets * ways * block_bytes, ways, block_bytes, latency_cycles: 1 };
             let mut packed = Cache::new("packed", cfg);
             let mut oracle = RefCache::new(cfg);
             for &(op, block, offset) in &ops {
                 // Few distinct tags per set, so hits, clean and dirty
                 // evictions, and flushes of resident lines all happen.
-                let addr = (block % (sets as u64 * (ways as u64 + 2))) * 64 + offset;
+                let addr = (block % (sets as u64 * (ways as u64 + 2))) * block_bytes as u64 + offset % block_bytes as u64;
                 match op {
                     0..=5 => prop_assert_eq!(packed.access(addr, AccessKind::Read), oracle.access(addr, AccessKind::Read)),
                     6..=10 => prop_assert_eq!(packed.access(addr, AccessKind::Write), oracle.access(addr, AccessKind::Write)),
@@ -368,6 +380,7 @@ mod tests {
                 }
                 prop_assert_eq!(packed.stats(), oracle.stats());
                 prop_assert_eq!(packed.resident_lines(), oracle.resident_lines());
+                packed.assert_recency_order();
             }
         }
     }
@@ -412,6 +425,29 @@ mod tests {
         assert!(c.probe(0x000));
         assert!(!c.probe(0x100));
         assert!(c.probe(0x200));
+    }
+
+    #[test]
+    fn flushed_hole_refills_before_any_eviction_and_survivors_keep_their_age() {
+        // One set of four ways; blocks a, b, c, d fill it in that order.
+        let mut c = Cache::new("set", CacheConfig { size_bytes: 256, ways: 4, block_bytes: 64, latency_cycles: 1 });
+        let [a, b, x, d, e, f] = [0x000, 0x040, 0x080, 0x0c0, 0x100, 0x140];
+        for addr in [a, b, x, d] {
+            c.access(addr, AccessKind::Write);
+        }
+        assert_eq!(c.flush_line(b), Some(true));
+        c.assert_recency_order();
+        // The hole takes the next fill: nothing is evicted, nothing written back.
+        assert_eq!(c.access(e, AccessKind::Write), Lookup { hit: false, writeback: None });
+        assert_eq!(c.resident_lines(), 4);
+        for addr in [a, x, d, e] {
+            assert!(c.probe(addr));
+        }
+        // With the set full again the survivors leave oldest first.
+        assert_eq!(c.access(f, AccessKind::Read).writeback, Some(a));
+        assert_eq!(c.access(b, AccessKind::Read).writeback, Some(x));
+        assert_eq!(c.access(a, AccessKind::Read).writeback, Some(d));
+        c.assert_recency_order();
     }
 
     #[test]

@@ -16,6 +16,8 @@ use crate::noc::{Noc, Node, PACKET_OVERHEAD_BYTES};
 use crate::profile::{Channel, Profiler};
 use crate::stats::MemTrafficStats;
 use crate::time::Ps;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// DRAM state behind the last-level cache.
 #[derive(Debug, Clone)]
@@ -290,6 +292,33 @@ impl MemFabric {
     }
 }
 
+/// Hashes one line address with a multiply and a fold of the 128-bit
+/// product: the prefetcher's table is consulted three times per streamed
+/// line and once on every L1 miss, and its keys come from the simulator's
+/// own address arithmetic, so SipHash's flooding resistance buys nothing.
+/// The table is only ever looked up, inserted into, counted and cleared —
+/// never iterated — so no simulated quantity depends on the hash.
+#[derive(Debug, Clone, Copy, Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("line addresses hash through write_u64");
+    }
+
+    fn write_u64(&mut self, addr: u64) {
+        // The fold brings the product's well-mixed high half down to the
+        // low bits the table indexes with (a line address's own low six
+        // bits are zero).
+        let product = u128::from(addr) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (product >> 64) as u64 ^ product as u64;
+    }
+}
+
 #[derive(Debug, Clone)]
 struct CoreSide {
     l1d: Cache,
@@ -297,7 +326,7 @@ struct CoreSide {
     misses: Window,
     /// Lines brought in by the stream prefetcher that have not been
     /// demanded yet, with their arrival times.
-    prefetched: std::collections::HashMap<u64, Ps>,
+    prefetched: HashMap<u64, Ps, BuildHasherDefault<LineHasher>>,
     prefetches: u64,
 }
 
@@ -391,7 +420,7 @@ impl HostTiming {
                 l1d: Cache::new("L1D", h.l1d),
                 l2: Cache::new("L2", h.l2),
                 misses: Window::new(h.mshr_per_core, h.freq.period()),
-                prefetched: std::collections::HashMap::new(),
+                prefetched: HashMap::default(),
                 prefetches: 0,
             })
             .collect();
@@ -734,6 +763,41 @@ mod tests {
         assert!(h.maybe_resident.bits.is_none());
         h.clflush_line(0x40);
         assert!(h.maybe_resident.bits.is_some(), "the first probe arms it");
+    }
+
+    #[test]
+    fn stale_prefetch_table_clears_on_the_same_call_in_every_host() {
+        // Misses eight lines apart: each prefetches the line two ahead,
+        // which nobody demands, so every call leaves one stale entry.
+        let mut hosts = [ddr4_host(), ddr4_host()];
+        let stale = |i: u64| (i * 8 + 2) * 64;
+        let mut now = Ps::ZERO;
+        let mut miss = |hosts: &mut [HostTiming; 2], i: u64| {
+            let done = hosts.each_mut().map(|h| h.mem_access(0, now, i * 8 * 64, 8, AccessKind::Read));
+            assert_eq!(done[0], done[1]);
+            assert_eq!(hosts[0].prefetches(), hosts[1].prefetches());
+            assert_eq!(hosts[0].cache_stats(), hosts[1].cache_stats());
+            now = done[0];
+            hosts.each_ref().map(|h| h.cores[0].prefetched.len())
+        };
+        for i in 0..4096 {
+            assert_eq!(miss(&mut hosts, i), [i as usize + 1; 2]);
+        }
+        assert_eq!(hosts[0].prefetches(), 4096);
+        // The 4 097th distinct stale entry empties the table, itself included.
+        assert_eq!(miss(&mut hosts, 4096), [0; 2]);
+        assert_eq!(miss(&mut hosts, 4097), [1; 2]);
+        assert_eq!(hosts[0].prefetches(), 4098);
+        for h in &mut hosts {
+            // A forgotten line is still in L2 but no longer advances the
+            // stream; a remembered one does.
+            let (_, l2, _) = h.cache_stats();
+            h.mem_access(0, now, stale(4096), 8, AccessKind::Read);
+            assert_eq!(h.prefetches(), 4098);
+            h.mem_access(0, now, stale(4097), 8, AccessKind::Read);
+            assert_eq!(h.prefetches(), 4099);
+            assert_eq!(h.cache_stats().1.hits, l2.hits + 2);
+        }
     }
 
     proptest! {

@@ -243,25 +243,33 @@ pub fn value_regressed(metric: &str, old_v: u64, new_v: u64, tolerance_pct: f64)
 
 /// Compares every metric of `old` against `new` with [`value_regressed`].
 /// Returns (metrics compared, regressions, metrics `old` has and `new`
-/// lacks). A missing metric is a finding of its own: a report that stops
-/// emitting a gated number must not pass the gate by omission. Metrics
-/// only `new` has are not compared.
-pub fn regressions(old: &Json, new: &Json, tolerance_pct: f64) -> (usize, Vec<Regression>, Vec<String>) {
+/// lacks, metrics `new` has and `old` lacks). A missing metric is a
+/// finding of its own: a report that stops emitting a gated number must
+/// not pass the gate by omission. A metric only `new` has cannot regress,
+/// but it is ungated until the baseline is re-cut, so it is returned for
+/// the caller to show.
+pub fn regressions(old: &Json, new: &Json, tolerance_pct: f64) -> (usize, Vec<Regression>, Vec<String>, Vec<String>) {
+    let old_metrics = extract_metrics(old);
     let new_metrics = extract_metrics(new);
     let mut compared = 0;
     let mut regs = Vec::new();
     let mut missing = Vec::new();
-    for (metric, old_v) in extract_metrics(old) {
-        let Some(&(_, new_v)) = new_metrics.iter().find(|(m, _)| *m == metric) else {
-            missing.push(metric);
+    for (metric, old_v) in &old_metrics {
+        let Some(&(_, new_v)) = new_metrics.iter().find(|(m, _)| m == metric) else {
+            missing.push(metric.clone());
             continue;
         };
         compared += 1;
-        if value_regressed(&metric, old_v, new_v, tolerance_pct) {
-            regs.push(Regression { metric, old: old_v, new: new_v });
+        if value_regressed(metric, *old_v, new_v, tolerance_pct) {
+            regs.push(Regression { metric: metric.clone(), old: *old_v, new: new_v });
         }
     }
-    (compared, regs, missing)
+    let added = new_metrics
+        .into_iter()
+        .map(|(m, _)| m)
+        .filter(|m| old_metrics.iter().all(|(o, _)| o != m))
+        .collect();
+    (compared, regs, missing, added)
 }
 
 #[cfg(test)]

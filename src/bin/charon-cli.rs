@@ -62,7 +62,8 @@ fn usage() -> ExitCode {
          charon-cli fleet [--tenants <N>] [--mix <W:N,W:N,...>] [--sched <fifo|fair|deadline>] [--platform <P>] \
          [--seed <S>] [--heap-factor <F>] [--threads <N>] [--steps <N>] [--json] [--out <FILE>] [--jobs <N>]\n  \
          charon-cli regress <OLD.json> <NEW.json> [--tolerance <PCT>] [--metric <SUBSTR>]\n    \
-         (exit 2 = regression beyond tolerance or a metric of OLD missing from NEW, 1 = usage/IO error)\n  \
+         (exit 2 = regression beyond tolerance or a metric of OLD missing from NEW, 1 = usage/IO error;\n     \
+         a metric only NEW has prints a NEW line and changes no exit code)\n  \
          charon-cli trend record <LEDGER.json> <REPORT.json> [--label <L>]\n  \
          charon-cli trend report <LEDGER.json> [--metric <SUBSTR>] [--tolerance <PCT>] [--json] [--out <FILE>]\n  \
          charon-cli trend bisect <LEDGER.json> [--metric <SUBSTR>] [--tolerance <PCT>] [--json]\n    \
@@ -716,7 +717,7 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
             // --metric narrows the comparison count and both verdicts, so
             // a filter that matches nothing in OLD still errors.
             let keep = |m: &str| flags.metric.as_deref().is_none_or(|f| m.contains(f));
-            let (_, regs, missing) = regressions(&old, &new, tolerance);
+            let (_, regs, missing, added) = regressions(&old, &new, tolerance);
             let regs: Vec<_> = regs.into_iter().filter(|r| keep(&r.metric)).collect();
             let missing: Vec<_> = missing.into_iter().filter(|m| keep(m)).collect();
             let compared = extract_metrics(&old).iter().filter(|(m, _)| keep(m)).count() - missing.len();
@@ -725,6 +726,11 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
             }
             for m in &missing {
                 println!("MISSING {m}");
+            }
+            // Nothing to compare them with: shown so that a new number is
+            // seen to be ungated, never a reason to fail.
+            for m in added.iter().filter(|m| keep(m)) {
+                println!("NEW {m}");
             }
             for r in &regs {
                 println!("REGRESSION {}: {} -> {} ({:.2}x, tolerance {tolerance}%)", r.metric, r.old, r.new, r.ratio());
@@ -980,7 +986,7 @@ mod tests {
     #[test]
     fn identical_reports_pass_the_gate() {
         let r = bench_report(&[("BS", 1_000, 100), ("KM", 2_000, 200)]);
-        let (compared, regs, _) = regressions(&r, &r, 10.0);
+        let (compared, regs, ..) = regressions(&r, &r, 10.0);
         assert_eq!(compared, 4, "gc_time + p99 per run");
         assert!(regs.is_empty(), "{regs:?}");
     }
@@ -989,7 +995,7 @@ mod tests {
     fn doubled_gc_time_is_flagged() {
         let old = bench_report(&[("BS", 1_000, 100)]);
         let new = bench_report(&[("BS", 2_000, 100)]);
-        let (compared, regs, _) = regressions(&old, &new, 10.0);
+        let (compared, regs, ..) = regressions(&old, &new, 10.0);
         assert_eq!(compared, 2);
         assert_eq!(regs.len(), 1);
         assert_eq!(regs[0].metric, "BS/Charon/gc_time_ps");
@@ -1000,7 +1006,7 @@ mod tests {
     fn p99_regression_is_flagged_independently() {
         let old = bench_report(&[("BS", 1_000, 100)]);
         let new = bench_report(&[("BS", 1_000, 250)]);
-        let (_, regs, _) = regressions(&old, &new, 10.0);
+        let (_, regs, ..) = regressions(&old, &new, 10.0);
         assert_eq!(regs.len(), 1);
         assert_eq!(regs[0].metric, "BS/Charon/pause_minor_p99_ps");
     }
@@ -1009,9 +1015,9 @@ mod tests {
     fn growth_within_tolerance_passes() {
         let old = bench_report(&[("BS", 1_000, 100)]);
         let new = bench_report(&[("BS", 1_050, 104)]);
-        let (_, regs, _) = regressions(&old, &new, 10.0);
+        let (_, regs, ..) = regressions(&old, &new, 10.0);
         assert!(regs.is_empty(), "{regs:?}");
-        let (_, regs, _) = regressions(&old, &new, 1.0);
+        let (_, regs, ..) = regressions(&old, &new, 1.0);
         assert_eq!(regs.len(), 2, "tighter tolerance flags both");
     }
 
@@ -1019,7 +1025,7 @@ mod tests {
     fn zero_baseline_regresses_on_any_growth() {
         let old = bench_report(&[("BS", 0, 0)]);
         let new = bench_report(&[("BS", 1, 0)]);
-        let (_, regs, _) = regressions(&old, &new, 10.0);
+        let (_, regs, ..) = regressions(&old, &new, 10.0);
         assert_eq!(regs.len(), 1);
     }
 
@@ -1027,7 +1033,7 @@ mod tests {
     fn disjoint_reports_compare_nothing() {
         let old = bench_report(&[("BS", 1_000, 100)]);
         let new = bench_report(&[("KM", 1_000, 100)]);
-        let (compared, regs, missing) = regressions(&old, &new, 10.0);
+        let (compared, regs, missing, _) = regressions(&old, &new, 10.0);
         assert_eq!((compared, regs.len()), (0, 0));
         assert_eq!(missing.len(), extract_metrics(&old).len(), "nothing of OLD is in NEW");
     }
@@ -1036,11 +1042,22 @@ mod tests {
     fn metric_dropped_from_new_is_reported_missing() {
         let old = bench_report(&[("BS", 1_000, 100), ("KM", 2_000, 200)]);
         let new = bench_report(&[("BS", 1_000, 100)]);
-        let (compared, regs, missing) = regressions(&old, &new, 10.0);
+        let (compared, regs, missing, _) = regressions(&old, &new, 10.0);
         assert!(compared > 0 && regs.is_empty());
         assert!(!missing.is_empty() && missing.iter().all(|m| m.starts_with("KM/")), "{missing:?}");
         // A metric only NEW has is not a finding.
         assert_eq!(regressions(&new, &old, 10.0).2, Vec::<String>::new());
+    }
+
+    #[test]
+    fn metric_only_new_has_is_returned_as_added() {
+        let old = bench_report(&[("BS", 1_000, 100)]);
+        let new = bench_report(&[("BS", 1_000, 100), ("KM", 2_000, 200)]);
+        let (compared, regs, missing, added) = regressions(&old, &new, 10.0);
+        assert_eq!((compared, regs.len(), missing.len()), (extract_metrics(&old).len(), 0, 0));
+        assert_eq!(added.len(), extract_metrics(&new).len() - compared);
+        assert!(added.iter().all(|m| m.starts_with("KM/")), "{added:?}");
+        assert_eq!(regressions(&old, &old, 10.0).3, Vec::<String>::new());
     }
 
     #[test]
@@ -1103,12 +1120,12 @@ mod tests {
         let old = selfspeed_report(&[("BS", 10_000)]);
         let faster = selfspeed_report(&[("BS", 20_000)]);
         let slower = selfspeed_report(&[("BS", 8_000)]);
-        let (compared, regs, _) = regressions(&old, &faster, 15.0);
+        let (compared, regs, ..) = regressions(&old, &faster, 15.0);
         assert_eq!((compared, regs.len()), (1, 0), "a speedup must never trip the gate");
-        let (_, regs, _) = regressions(&old, &slower, 15.0);
+        let (_, regs, ..) = regressions(&old, &slower, 15.0);
         assert_eq!(regs.len(), 1, "a 20% slowdown trips the 15% gate");
         assert_eq!(regs[0].metric, "BS/Charon/selfspeed_sim_ps_per_wall_s");
-        let (_, regs, _) = regressions(&old, &selfspeed_report(&[("BS", 9_000)]), 15.0);
+        let (_, regs, ..) = regressions(&old, &selfspeed_report(&[("BS", 9_000)]), 15.0);
         assert!(regs.is_empty(), "a 10% slowdown stays within the 15% tolerance");
     }
 
@@ -1201,10 +1218,10 @@ mod tests {
         }
         // Worse interference trips the gate; identical reports pass.
         let old = fleet_report(500, 9_000, 12_000);
-        let (compared, regs, _) = regressions(&old, &fleet_report(500, 9_000, 15_000), 10.0);
+        let (compared, regs, ..) = regressions(&old, &fleet_report(500, 9_000, 15_000), 10.0);
         assert_eq!(compared, 4);
         assert_eq!(regs.len(), 2, "fleet-wide and per-tenant inflation both flagged");
-        let (_, regs, _) = regressions(&old, &old, 10.0);
+        let (_, regs, ..) = regressions(&old, &old, 10.0);
         assert!(regs.is_empty(), "{regs:?}");
     }
 
@@ -1251,14 +1268,14 @@ mod tests {
         let old = chaos_report(200, 200, 200, 0);
         // Detection dropped 100% -> 80%: trips the higher-is-better gate.
         let worse_detection = chaos_report(200, 160, 160, 40);
-        let (compared, regs, _) = regressions(&old, &worse_detection, 10.0);
+        let (compared, regs, ..) = regressions(&old, &worse_detection, 10.0);
         assert_eq!(compared, 4);
         let names: Vec<&str> = regs.iter().map(|r| r.metric.as_str()).collect();
         assert!(names.contains(&"chaos/detection_rate_bp"), "{names:?}");
         // Escapes over a zero baseline regress on any nonzero count.
         assert!(names.contains(&"chaos/escaped"), "{names:?}");
         // Identical reports pass clean.
-        let (_, regs, _) = regressions(&old, &chaos_report(200, 200, 200, 0), 10.0);
+        let (_, regs, ..) = regressions(&old, &chaos_report(200, 200, 200, 0), 10.0);
         assert!(regs.is_empty(), "{regs:?}");
     }
 }
