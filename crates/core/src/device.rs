@@ -1198,7 +1198,6 @@ impl CharonDevice {
             Placement::CpuSide => 0,
             Placement::MemorySide => self.sched.cube_for(PrimType::BitmapCount, first),
         };
-        let _ = first;
         self.route_check(PrimType::BitmapCount, cube)?;
         let arrive = self.send_request(host, cube, now);
         let start = arrive;

@@ -188,83 +188,6 @@ impl Ddr4Sim {
         done
     }
 
-    /// Times a whole `bytes`-long streaming run of 64 B bursts issued
-    /// together at `start` — the batched equivalent of calling
-    /// [`Ddr4Sim::access`] once per line with the same `start`. Per-bank
-    /// row-buffer bookkeeping is identical; consecutive lines on the same
-    /// channel whose bursts start at the same instant are folded into one
-    /// [`EpochBw::reserve_many`] call, preserving per-channel reservation
-    /// order (reads are bit-for-bit equal to the per-line loop; writes use
-    /// run-granular recovery: every bank the run touched becomes ready at
-    /// the run's last burst + tWR).
-    ///
-    /// Returns the completion of the first burst (for pipelined consumers)
-    /// and of the whole run.
-    pub fn access_run(&mut self, paddr: u64, bytes: u64, op: DramOp, start: Ps) -> BatchCompletion {
-        debug_assert!(bytes > 0);
-        let start = start + self.refresh_delay(start);
-        let Ddr4Config { t_ras, t_rcd, t_cas, t_wr, t_rp, .. } = self.cfg;
-        let lines = bytes.div_ceil(64);
-        let head_ch = self.decode(paddr).channel;
-        let mut pending: Vec<Option<PendingGroup>> = vec![None; self.channels.len()];
-        let mut first: Option<Ps> = None;
-        let mut last = start;
-        for i in 0..lines {
-            let off = i * 64;
-            let len = (bytes - off).min(64);
-            let coord = self.decode(paddr + off);
-            let ch = &mut self.channels[coord.channel];
-            let bank = &mut ch.banks[coord.bank];
-            let hit = bank.open_row == Some(coord.row);
-            let bus_start = if hit {
-                self.row_hits += 1;
-                start + t_cas
-            } else {
-                self.row_misses += 1;
-                let array_lat = match bank.open_row {
-                    Some(_) => t_rp + t_rcd + t_cas,
-                    None => t_rcd + t_cas,
-                };
-                let begin = start.max(bank.ready_at);
-                bank.ready_at = begin + t_ras;
-                begin + array_lat
-            };
-            bank.open_row = Some(coord.row);
-            match op {
-                DramOp::Read => self.traffic.record_read(len),
-                DramOp::Write => self.traffic.record_write(len),
-            }
-            match &mut pending[coord.channel] {
-                Some(g) if g.bus_start == bus_start => {
-                    g.bytes += len;
-                    if !g.banks.contains(&coord.bank) {
-                        g.banks.push(coord.bank);
-                    }
-                }
-                slot => {
-                    if let Some(group) = slot.take() {
-                        let run = flush_group(&mut self.channels[coord.channel], group, op, 64, t_wr);
-                        if first.is_none() && coord.channel == head_ch {
-                            first = Some(run.first);
-                        }
-                        last = last.max(run.last);
-                    }
-                    *slot = Some(PendingGroup { bus_start, bytes: len, banks: vec![coord.bank] });
-                }
-            }
-        }
-        for (ch_idx, slot) in pending.iter_mut().enumerate() {
-            if let Some(group) = slot.take() {
-                let run = flush_group(&mut self.channels[ch_idx], group, op, 64, t_wr);
-                if first.is_none() && ch_idx == head_ch {
-                    first = Some(run.first);
-                }
-                last = last.max(run.last);
-            }
-        }
-        BatchCompletion { first: first.unwrap_or(last), last }
-    }
-
     /// Aggregate epoch-meter occupancy over every channel bus.
     pub fn occupancy(&self) -> BwOccupancy {
         let mut o = BwOccupancy::default();
@@ -373,7 +296,12 @@ impl HmcSim {
     /// `start`. Per-bank bookkeeping is identical; same-start packets on
     /// the same vault fold into one [`EpochBw::reserve_many`] call, so the
     /// per-vault reservation order matches the per-packet loop exactly
-    /// (writes use run-granular recovery, as in [`Ddr4Sim::access_run`]).
+    /// (reads are bit-for-bit equal to it; writes use run-granular recovery:
+    /// every bank the run touched becomes ready at the run's last burst +
+    /// tWR).
+    ///
+    /// Returns the completion of the first packet (for pipelined consumers)
+    /// and of the whole run.
     pub fn vault_access_run(&mut self, paddr: u64, bytes: u64, op: DramOp, start: Ps) -> BatchCompletion {
         debug_assert!(bytes > 0);
         let HmcConfig { t_ras, t_rcd, t_cas, t_wr, max_access_bytes, vaults_per_cube: vaults, banks_per_vault, .. } =
@@ -566,40 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn ddr4_read_run_matches_per_line_loop() {
-        // Golden equivalence: for reads, `access_run` must be bit-for-bit
-        // identical to issuing one `access` per 64 B line at the same
-        // start — completions, traffic, row stats, and meter occupancy.
-        let cfg = Ddr4Config::table2();
-        let mut a = Ddr4Sim::new(cfg.clone());
-        let mut b = Ddr4Sim::new(cfg);
-        for (base, bytes, start) in [
-            (0x4000u64, 64 * 57 + 24u64, Ps::from_us(3.0)),
-            (0x9a40, 64 * 9, Ps::from_us(3.2)),
-            (0x100, 40, Ps::from_us(8.0)),
-        ] {
-            let run = a.access_run(base, bytes, DramOp::Read, start);
-            let lines = bytes.div_ceil(64);
-            let mut first = Ps::ZERO;
-            let mut last = Ps::ZERO;
-            for i in 0..lines {
-                let off = i * 64;
-                let len = (bytes - off).min(64) as u32;
-                let t = b.access(base + off, len, DramOp::Read, start);
-                if i == 0 {
-                    first = t;
-                }
-                last = last.max(t);
-            }
-            assert_eq!(run.first, first, "first completion diverged");
-            assert_eq!(run.last, last, "last completion diverged");
-        }
-        assert_eq!(a.traffic(), b.traffic());
-        assert_eq!(a.row_stats(), b.row_stats());
-        assert_eq!(a.occupancy(), b.occupancy());
-    }
-
-    #[test]
     fn hmc_read_run_matches_per_packet_loop() {
         let cfg = HmcConfig::table2();
         let mut a = HmcSim::new(cfg.clone());
@@ -629,7 +523,7 @@ mod tests {
     fn occupancy_meters_every_reserved_byte() {
         let mut d = Ddr4Sim::new(Ddr4Config::table2());
         d.access(0, 64, DramOp::Read, Ps::ZERO);
-        d.access_run(0x1000, 1000, DramOp::Write, Ps::from_us(1.0));
+        d.access(0x1000, 40, DramOp::Write, Ps::from_us(1.0));
         assert_eq!(d.occupancy().total_units, d.traffic().total_bytes());
         assert_eq!(d.occupancy().spilled_units, 0);
     }

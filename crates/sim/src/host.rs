@@ -135,8 +135,10 @@ impl MemFabric {
     /// Batched [`MemFabric::access`]: streams `bytes` from `from` as one
     /// run of platform-granularity transactions all issued at `start`.
     ///
-    /// * On DDR4 this is exactly [`Ddr4Sim::access_run`] (per-line
-    ///   bit-for-bit equal to an `access` loop for reads).
+    /// * On DDR4 this is one [`Ddr4Sim::access`] per 64 B line, all at
+    ///   `start`. No requester streams over DDR4 today (the only caller is
+    ///   the Charon device, which sits on HMC), so there is no batched
+    ///   bank model to keep in step with the per-line one.
     /// * On HMC the run is split at cube-interleave boundaries; each
     ///   segment sends one batched request burst to its owning cube,
     ///   streams the vault accesses when the *head* request packet
@@ -155,8 +157,11 @@ impl MemFabric {
         match &mut self.side {
             DramSide::Ddr4(ddr) => {
                 assert_eq!(from, Node::Host, "only the host reaches DDR4");
-                let run = ddr.access_run(paddr, bytes, op, start);
                 let lines = bytes.div_ceil(64);
+                let mut line = |off: u64| ddr.access(paddr + off, (bytes - off).min(64) as u32, op, start);
+                let first = line(0);
+                let last = (1..lines).fold(first, |last, i| last.max(line(i * 64)));
+                let run = BatchCompletion { first, last };
                 match op {
                     DramOp::Read => self.stats.offchip.record_reads(bytes, lines),
                     DramOp::Write => self.stats.offchip.record_writes(bytes, lines),

@@ -125,38 +125,30 @@ impl Window {
     }
 }
 
-/// Convenience driver: times a stream of `n` identical-cost requests through
-/// a window, where each request's service time is produced by `service`,
-/// a function of the issue time and the request index.
-///
-/// Returns the time at which the last request completes.
-pub fn run_stream<F>(window: &mut Window, start: Ps, n: u64, mut service: F) -> Ps
-where
-    F: FnMut(u64, Ps) -> Ps,
-{
-    let mut now = start;
-    for i in 0..n {
-        let issue = window.issue(now);
-        let done = service(i, issue);
-        debug_assert!(done >= issue, "service may not complete before issue");
-        window.complete(done);
-        now = issue;
-    }
-    window.drain().max(start)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const NS: u64 = 1000;
 
+    /// `n` requests of `latency` each, issued as fast as the window lets
+    /// them from time zero; returns when the last one completes.
+    fn stream(w: &mut Window, n: u64, latency: Ps) -> Ps {
+        let mut now = Ps::ZERO;
+        for _ in 0..n {
+            let issue = w.issue(now);
+            w.complete(issue + latency);
+            now = issue;
+        }
+        w.drain()
+    }
+
     #[test]
     fn issue_rate_limits_throughput() {
         // Infinite-latency-free requests: completion = issue. Throughput is
         // bounded purely by the 1/ns issue rate.
         let mut w = Window::new(64, Ps(NS));
-        let end = run_stream(&mut w, Ps::ZERO, 100, |_, t| t);
+        let end = stream(&mut w, 100, Ps::ZERO);
         assert_eq!(end, Ps(99 * NS));
         assert_eq!(w.stalled(), 0);
     }
@@ -166,7 +158,7 @@ mod tests {
         // 1 in-flight request, zero issue interval, 10 ns latency each:
         // fully serialized.
         let mut w = Window::new(1, Ps::ZERO);
-        let end = run_stream(&mut w, Ps::ZERO, 10, |_, t| t + Ps(10 * NS));
+        let end = stream(&mut w, 10, Ps(10 * NS));
         assert_eq!(end, Ps(100 * NS));
         assert_eq!(w.stalled(), 9);
     }
@@ -176,16 +168,16 @@ mod tests {
         // 10 requests, window 10, zero issue interval, 10 ns latency: all
         // overlap, finishing at 10 ns.
         let mut w = Window::new(10, Ps::ZERO);
-        let end = run_stream(&mut w, Ps::ZERO, 10, |_, t| t + Ps(10 * NS));
+        let end = stream(&mut w, 10, Ps(10 * NS));
         assert_eq!(end, Ps(10 * NS));
     }
 
     #[test]
     fn window_of_two_doubles_throughput() {
         let mut w1 = Window::new(1, Ps::ZERO);
-        let t1 = run_stream(&mut w1, Ps::ZERO, 100, |_, t| t + Ps(10 * NS));
+        let t1 = stream(&mut w1, 100, Ps(10 * NS));
         let mut w2 = Window::new(2, Ps::ZERO);
-        let t2 = run_stream(&mut w2, Ps::ZERO, 100, |_, t| t + Ps(10 * NS));
+        let t2 = stream(&mut w2, 100, Ps(10 * NS));
         assert_eq!(t1.0, 2 * t2.0);
     }
 

@@ -3,8 +3,8 @@
 //! with a human-readable rendering for the CLI and examples.
 //!
 //! Also home of the shared **metric flattener**: every machine-readable
-//! report the repo writes (bench, compare, bare run/profile, selfspeed,
-//! fleet, chaos) flattens through [`extract_metrics`] into the same
+//! report the repo writes (bench, compare, bare run/profile, fleet,
+//! chaos) flattens through [`extract_metrics`] into the same
 //! `name → u64` rows, so `charon-cli regress`, the history ledger
 //! (`charon-workloads::history`), and CI gates all agree on metric names
 //! and on which direction each one regresses ([`higher_is_better`]).
@@ -134,7 +134,7 @@ pub fn run_metrics(out: &mut Vec<(String, u64)>, run: &Json) {
 /// Flattens any report this repo writes — `bench` ({"benches": […]}),
 /// `compare --json` ({"runs": […]}), `run --json` / `profile
 /// --profile-out` (a single run or profile object), plus the
-/// schema-tagged selfspeed/fleet/chaos shapes — into comparable metrics.
+/// schema-tagged fleet/chaos shapes — into comparable metrics.
 pub fn extract_metrics(report: &Json) -> Vec<(String, u64)> {
     let mut out = Vec::new();
     if report.get("schema").and_then(Json::as_str) == Some("charon-chaos-v1") {
@@ -154,16 +154,6 @@ pub fn extract_metrics(report: &Json) -> Vec<(String, u64)> {
             let r = c.get("rate").and_then(Json::as_f64).unwrap_or(0.0);
             if let Some(e) = c.get("escaped").and_then(Json::as_u64) {
                 out.push((format!("chaos/{w}/{s}/{r}/escaped"), e));
-            }
-        }
-    } else if report.get("schema").and_then(Json::as_str) == Some("charon-selfspeed-v1") {
-        // BENCH_selfspeed.json: one higher-is-better metric per cell (the
-        // `selfspeed` name is what flips the gate's direction).
-        for e in report.get("entries").and_then(Json::as_arr).unwrap_or(&[]) {
-            let w = e.get("workload").and_then(Json::as_str).unwrap_or("?");
-            let p = e.get("platform").and_then(Json::as_str).unwrap_or("?");
-            if let Some(v) = e.get("sim_ps_per_wall_s").and_then(Json::as_u64) {
-                out.push((format!("{w}/{p}/selfspeed_sim_ps_per_wall_s"), v));
             }
         }
     } else if report.get("schema").and_then(Json::as_str) == Some("charon-fleet-v1") {
@@ -218,12 +208,11 @@ impl Regression {
 }
 
 /// Whether a metric improves by growing. Timing metrics (the default)
-/// regress upward; `selfspeed` metrics — simulated ps per wall-second —
-/// and the chaos campaign's detection/repair rates regress downward.
-/// (Chaos `escaped` counts keep the default direction: any growth over a
-/// zero baseline is a regression.)
+/// regress upward; the chaos campaign's detection/repair rates regress
+/// downward. (Chaos `escaped` counts keep the default direction: any
+/// growth over a zero baseline is a regression.)
 pub fn higher_is_better(metric: &str) -> bool {
-    metric.contains("selfspeed") || metric.contains("detection") || metric.contains("repair")
+    metric.contains("detection") || metric.contains("repair")
 }
 
 /// Direction-aware single-value comparison: does `new_v` regress against
@@ -315,10 +304,10 @@ mod tests {
         assert!(value_regressed("BS/DDR4/gc_time_ps", 100, 111, 10.0));
         assert!(value_regressed("BS/DDR4/gc_time_ps", 0, 1, 10.0), "zero baseline regresses on any growth");
         assert!(!value_regressed("BS/DDR4/gc_time_ps", 0, 0, 10.0));
-        // Higher is better (selfspeed): direction flips.
-        assert!(value_regressed("BS/DDR4/selfspeed_sim_ps_per_wall_s", 100, 89, 10.0));
-        assert!(!value_regressed("BS/DDR4/selfspeed_sim_ps_per_wall_s", 100, 90, 10.0));
-        assert!(!value_regressed("BS/DDR4/selfspeed_sim_ps_per_wall_s", 100, 200, 10.0));
+        // Higher is better (a chaos rate): direction flips.
+        assert!(value_regressed("chaos/detection_rate_bp", 100, 89, 10.0));
+        assert!(!value_regressed("chaos/detection_rate_bp", 100, 90, 10.0));
+        assert!(!value_regressed("chaos/detection_rate_bp", 100, 200, 10.0));
     }
 
     #[test]

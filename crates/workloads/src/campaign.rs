@@ -11,20 +11,18 @@
 //!
 //! A run here is [`run_case`]: one workload on a [`System`] the caller
 //! built and armed ([`System::inject_faults`], [`System::set_telemetry`])
-//! under the [`RunOptions`] every other driver takes. It differs from
-//! [`crate::run::run_workload`] only in what it keeps — the per-superstep
-//! graph signatures — and reads the heap factor, thread count and
-//! superstep override of the options, nothing else.
+//! under the [`RunOptions`] every other driver takes — all of them, since
+//! it is the same [`Run`] that [`crate::run::run_workload`] drives, stepped
+//! by hand so that the graph signature can be taken between supersteps.
 
-use crate::mutator::Mutator;
-use crate::run::RunOptions;
+use crate::run::{Run, RunOptions};
 use crate::spec::WorkloadSpec;
 use charon_gc::breakdown::RecoverySummary;
-use charon_gc::collector::{Collector, GcKind, OutOfMemory};
+use charon_gc::collector::{GcKind, OutOfMemory};
 use charon_gc::system::System;
 use charon_gc::verify::{graph_signature, ReachableStats};
 use charon_heap::addr::VAddr;
-use charon_heap::heap::{HeapConfig, JavaHeap};
+use charon_heap::heap::JavaHeap;
 use charon_sim::faults::{FaultRates, FaultSite, RecoveryConfig};
 use charon_sim::json::Json;
 use charon_sim::time::Ps;
@@ -89,24 +87,28 @@ fn checkpoint(heap: &JavaHeap, stage: &str) -> Result<(u64, ReachableStats), Cam
 /// the caller armed with [`System::inject_faults`]. Campaigns and property
 /// tests compare the returned [`CaseReport`]s.
 ///
+/// Every [`RunOptions`] field applies, [`RunOptions::collector`] included,
+/// but the campaign's "same collection sequence as the fault-free run"
+/// check is only sound for the stop-the-world collectors: `cms` paces its
+/// concurrent marker by simulated time, so a faulty cms run may
+/// legitimately collect at other points than its fault-free twin. That is
+/// why `fault-campaign` takes no `--collector` yet (ROADMAP, correctness
+/// item (c)).
+///
 /// # Errors
 ///
 /// Returns [`CampaignError`] when the run cannot complete or a checkpoint
 /// finds heap corruption.
 pub fn run_case(spec: &WorkloadSpec, sys: System, opts: &RunOptions) -> Result<CaseReport, CampaignError> {
-    let heap_bytes = spec.heap_bytes(opts.heap_factor.unwrap_or(spec.default_heap_factor));
-    let mut heap = JavaHeap::new(HeapConfig::with_heap_bytes(heap_bytes));
-    let mut mutator = Mutator::new(spec.clone(), &mut heap);
-    let mut gc = Collector::new(sys, &heap, opts.gc_threads);
-
+    let mut run = Run::new(spec, sys, opts);
     let mut signatures = Vec::new();
-    mutator.build_resident(&mut heap, &mut gc).map_err(CampaignError::OutOfMemory)?;
-    signatures.push(checkpoint(&heap, "resident")?);
-    let steps = opts.supersteps.unwrap_or(spec.supersteps);
-    for step in 0..steps {
-        mutator.superstep(&mut heap, &mut gc).map_err(CampaignError::OutOfMemory)?;
-        signatures.push(checkpoint(&heap, &format!("step {step}"))?);
+    run.build_resident().map_err(CampaignError::OutOfMemory)?;
+    signatures.push(checkpoint(&run.heap, "resident")?);
+    for step in 0..run.steps() {
+        run.superstep().map_err(CampaignError::OutOfMemory)?;
+        signatures.push(checkpoint(&run.heap, &format!("step {step}"))?);
     }
+    let gc = &run.gc;
 
     let mut monotone = true;
     let mut monotone_detail = None;
@@ -374,7 +376,9 @@ pub fn run_fault_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::run_workload;
     use crate::spec::by_short;
+    use charon_gc::collector::CollectorKind;
 
     #[test]
     fn campaign_passes_on_bs_and_exercises_recovery() {
@@ -395,6 +399,22 @@ mod tests {
         let degrade = report.verdicts.iter().find(|v| v.entry.label == "unit-degrade").unwrap();
         assert!(degrade.recovery.total_fallbacks() > 0, "no fallbacks under {}", degrade.entry.label);
         assert!(degrade.recovery.degraded.iter().any(|&d| d), "watchdog never degraded a primitive");
+    }
+
+    #[test]
+    fn run_case_honours_every_run_option() {
+        // Ten supersteps is the shortest BS run with a MajorGC, the one
+        // place the collector kind shows: ms collects 5 minor + 1 major
+        // where ps collects 4 + 1, in less time.
+        let spec = by_short("BS").unwrap();
+        let opts = RunOptions { collector: CollectorKind::Ms, supersteps: Some(10), ..Default::default() };
+        let case = run_case(&spec, System::charon(), &opts).unwrap();
+        let run = run_workload(&spec, System::charon(), &opts).unwrap();
+        let count = |kind| case.event_kinds.iter().filter(|&&k| k == kind).count();
+        assert_eq!((count(GcKind::Minor), count(GcKind::Major)), (run.minor.1, run.major.1));
+        assert_eq!(case.gc_time, run.gc_time);
+        let ps = run_workload(&spec, System::charon(), &RunOptions { collector: CollectorKind::Ps, ..opts }).unwrap();
+        assert_ne!(run.gc_time, ps.gc_time, "the collector kind must matter at this length");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   fingerprint baselines).
 
 use crate::parmatrix::parallel_map_result;
-use crate::run::{run_workload_heap, RunOptions};
+use crate::run::{Run, RunOptions};
 use crate::spec::WorkloadSpec;
 use charon_gc::breakdown::RecoverySummary;
 use charon_gc::integrity::IntegrityConfig;
@@ -340,13 +340,15 @@ fn run_cell(
     if let Some(n) = opts.rearm {
         sys.set_rearm(n);
     }
-    let (r, heap) = run_workload_heap(spec, sys, &opts.run).map_err(|e| e.to_string())?;
+    let mut run = Run::new(spec, sys, &opts.run);
+    run.drive().map_err(|e| e.to_string())?;
+    let r = run.result();
     Ok(CellOutcome {
         recovery: r.minor_breakdown.recovery() + r.major_breakdown.recovery(),
         collections: (r.minor.1, r.major.1),
         gc_time_ps: r.gc_time.0,
         allocated_bytes: r.allocated_bytes,
-        graph: graph_signature(&heap).map(|(sig, _)| sig).map_err(|e| e.to_string()),
+        graph: graph_signature(&run.heap).map(|(sig, _)| sig).map_err(|e| e.to_string()),
     })
 }
 

@@ -7,15 +7,16 @@
 //! with no OS threads in the model. A fleet run has two phases:
 //!
 //! 1. **Solo phase** — each *distinct* workload in the tenant mix runs
-//!    alone on its platform via [`crate::run::run_workload_events`],
-//!    producing its GC event stream (inter-GC gap + pause service time
-//!    per event). Distinct workloads run in parallel worker threads
+//!    alone on its platform (a [`crate::run::Run`] driven to the end),
+//!    and the collector's event log is moved out of it: the tenant's GC
+//!    event stream (inter-GC gap + pause service time per event).
+//!    Distinct workloads run in parallel worker threads
 //!    ([`crate::parmatrix::parallel_map_labeled`], honoring `--jobs`);
 //!    tenants sharing a workload share one solo run, because solo runs
 //!    are bit-for-bit reproducible.
 //! 2. **Schedule phase** — a serial discrete-event loop replays every
 //!    tenant's GC requests against the shared device, arbitrated by a
-//!    [`SchedPolicy`]. Each tenant owns a simulated clock in a
+//!    [`SchedKind`]. Each tenant owns a simulated clock in a
 //!    [`charon_sim::clocks::ClockSet`] — the same pattern GC threads use
 //!    inside one collection — advanced only at its own GC completions;
 //!    the final barrier is the fleet makespan.
@@ -31,7 +32,7 @@
 //! immediately.
 
 use crate::parmatrix::{parallel_map_labeled, system_by_label, PLATFORM_LABELS};
-use crate::run::{run_workload_events, RunOptions};
+use crate::run::{Run, RunOptions};
 use crate::spec::{by_short, table3, WorkloadSpec};
 use charon_sim::clocks::ClockSet;
 use charon_sim::hist::Histogram;
@@ -40,8 +41,8 @@ use charon_sim::time::Ps;
 use std::fmt;
 use std::str::FromStr;
 
-/// Deadline slack for [`PauseDeadline`]: a request for `service` time
-/// arriving at `t` must finish by `t + SLACK × service`.
+/// Deadline slack for [`SchedKind::PauseDeadline`]: a request for `service`
+/// time arriving at `t` must finish by `t + SLACK × service`.
 const DEADLINE_SLACK: u64 = 2;
 
 // ---------------------------------------------------------------------------
@@ -71,116 +72,20 @@ pub enum Allocation {
     ShareAll,
 }
 
-/// A cross-tenant offload scheduler, mirroring the shape of
-/// [`charon_gc::adapt::Policy`]: a name for reports, a decision
-/// callback, an outcome observation hook, and boxed cloning. Stateless
-/// policies ignore `observe`, exactly as the static offload policy
-/// does.
-pub trait SchedPolicy: fmt::Debug {
-    /// Stable name for reports and JSON.
-    fn name(&self) -> &'static str;
-    /// Picks an allocation for the currently active jobs. Called at
-    /// every decision point (arrival or completion); `active` is never
-    /// empty and its order is deterministic (ascending tenant).
-    fn decide(&mut self, now: Ps, active: &[JobView]) -> Allocation;
-    /// Feedback: tenant `tenant`'s request completed with the given
-    /// scheduled pause (service + queueing).
-    fn observe(&mut self, tenant: usize, pause: Ps);
-    /// Clones the policy behind the trait object.
-    fn box_clone(&self) -> Box<dyn SchedPolicy>;
-}
-
-impl Clone for Box<dyn SchedPolicy> {
-    fn clone(&self) -> Self {
-        self.box_clone()
-    }
-}
-
-/// First-come-first-served, non-preemptive. The in-service job always
-/// has the earliest arrival, so re-deciding at every event never
-/// switches away from it.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Fifo;
-
-impl SchedPolicy for Fifo {
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-
-    fn decide(&mut self, _now: Ps, active: &[JobView]) -> Allocation {
-        let i = active
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, j)| (j.arrival, j.tenant))
-            .map(|(i, _)| i)
-            .expect("decide called with active jobs");
-        Allocation::Serve(i)
-    }
-
-    fn observe(&mut self, _tenant: usize, _pause: Ps) {}
-
-    fn box_clone(&self) -> Box<dyn SchedPolicy> {
-        Box::new(*self)
-    }
-}
-
-/// Processor sharing: every active request progresses at `1/k` device
-/// speed. No tenant can starve another, at the cost of stretching
-/// everyone's pause under contention.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FairShare;
-
-impl SchedPolicy for FairShare {
-    fn name(&self) -> &'static str {
-        "fair"
-    }
-
-    fn decide(&mut self, _now: Ps, _active: &[JobView]) -> Allocation {
-        Allocation::ShareAll
-    }
-
-    fn observe(&mut self, _tenant: usize, _pause: Ps) {}
-
-    fn box_clone(&self) -> Box<dyn SchedPolicy> {
-        Box::new(*self)
-    }
-}
-
-/// Earliest-deadline-first, preemptive: the job whose pause deadline is
-/// tightest runs; a newly arrived short request preempts a long one.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PauseDeadline;
-
-impl SchedPolicy for PauseDeadline {
-    fn name(&self) -> &'static str {
-        "deadline"
-    }
-
-    fn decide(&mut self, _now: Ps, active: &[JobView]) -> Allocation {
-        let i = active
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, j)| (j.deadline, j.arrival, j.tenant))
-            .map(|(i, _)| i)
-            .expect("decide called with active jobs");
-        Allocation::Serve(i)
-    }
-
-    fn observe(&mut self, _tenant: usize, _pause: Ps) {}
-
-    fn box_clone(&self) -> Box<dyn SchedPolicy> {
-        Box::new(*self)
-    }
-}
-
-/// The built-in scheduler kinds (`--sched` on the CLI).
+/// The cross-tenant offload schedulers (`--sched` on the CLI). All three
+/// are stateless: a decision is a function of the active requests alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedKind {
-    /// [`Fifo`].
+    /// First-come-first-served, non-preemptive. The in-service job always
+    /// has the earliest arrival, so re-deciding at every event never
+    /// switches away from it.
     Fifo,
-    /// [`FairShare`].
+    /// Processor sharing: every active request progresses at `1/k` device
+    /// speed. No tenant can starve another, at the cost of stretching
+    /// everyone's pause under contention.
     FairShare,
-    /// [`PauseDeadline`].
+    /// Earliest-deadline-first, preemptive: the job whose pause deadline
+    /// is tightest runs; a newly arrived short request preempts a long one.
     PauseDeadline,
 }
 
@@ -197,14 +102,26 @@ impl SchedKind {
         }
     }
 
-    /// Builds a fresh policy of this kind.
-    pub fn policy(self) -> Box<dyn SchedPolicy> {
+    /// Picks an allocation for the currently active jobs. Called at
+    /// every decision point (arrival or completion); `active` is never
+    /// empty and its order is deterministic (ascending tenant).
+    pub fn decide(self, _now: Ps, active: &[JobView]) -> Allocation {
         match self {
-            SchedKind::Fifo => Box::new(Fifo),
-            SchedKind::FairShare => Box::new(FairShare),
-            SchedKind::PauseDeadline => Box::new(PauseDeadline),
+            SchedKind::Fifo => serve_least(active, |j| (j.arrival, j.tenant)),
+            SchedKind::FairShare => Allocation::ShareAll,
+            SchedKind::PauseDeadline => serve_least(active, |j| (j.deadline, j.arrival, j.tenant)),
         }
     }
+}
+
+/// The whole device to the active job with the least `key`.
+fn serve_least<K: Ord>(active: &[JobView], key: impl Fn(&JobView) -> K) -> Allocation {
+    let (i, _) = active
+        .iter()
+        .enumerate()
+        .min_by_key(|(_, j)| key(j))
+        .expect("decide called with active jobs");
+    Allocation::Serve(i)
 }
 
 impl fmt::Display for SchedKind {
@@ -465,15 +382,6 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A tenant's in-flight request inside [`simulate`].
-#[derive(Debug, Clone, Copy)]
-struct InFlight {
-    tenant: usize,
-    arrival: Ps,
-    deadline: Ps,
-    remaining: Ps,
-}
-
 /// What the schedule phase produced.
 #[derive(Debug, Clone)]
 struct SimOut {
@@ -491,7 +399,7 @@ struct SimOut {
 /// shared device is contended). At every arrival or completion the
 /// policy re-decides; tenant clocks advance only at their own
 /// completions, and the final barrier is the makespan.
-fn simulate(streams: &[TenantStream], mut policy: Box<dyn SchedPolicy>) -> SimOut {
+fn simulate(streams: &[TenantStream], sched: SchedKind) -> SimOut {
     let n = streams.len();
     let mut clocks = ClockSet::new(n.max(1), Ps::ZERO);
     let mut sched_pause = vec![Ps::ZERO; n];
@@ -502,18 +410,18 @@ fn simulate(streams: &[TenantStream], mut policy: Box<dyn SchedPolicy>) -> SimOu
     // released or in flight).
     let mut next_job = vec![0usize; n];
     let mut pending: Vec<Option<Ps>> = streams.iter().map(|s| s.jobs.first().map(|&(gap, _)| s.offset + gap)).collect();
-    let mut active: Vec<InFlight> = Vec::new();
+    let mut active: Vec<JobView> = Vec::new();
     let mut now = Ps::ZERO;
 
     // Admits every released job whose arrival is at or before `now`,
     // ascending tenant index (deterministic).
-    let admit = |now: Ps, pending: &mut Vec<Option<Ps>>, next_job: &mut Vec<usize>, active: &mut Vec<InFlight>| {
+    let admit = |now: Ps, pending: &mut Vec<Option<Ps>>, next_job: &mut Vec<usize>, active: &mut Vec<JobView>| {
         for t in 0..n {
             if let Some(arrival) = pending[t] {
                 if arrival <= now {
                     let (_, service) = streams[t].jobs[next_job[t]];
                     pending[t] = None;
-                    active.push(InFlight {
+                    active.push(JobView {
                         tenant: t,
                         arrival,
                         deadline: arrival + Ps(service.0.saturating_mul(DEADLINE_SLACK)),
@@ -540,13 +448,12 @@ fn simulate(streams: &[TenantStream], mut policy: Box<dyn SchedPolicy>) -> SimOu
 
         // Completes `active[i]` at `now`: records the pause, advances
         // the tenant clock, and releases the tenant's next job.
-        let mut complete = |i: usize, now: Ps, active: &mut Vec<InFlight>, policy: &mut Box<dyn SchedPolicy>| {
+        let mut complete = |i: usize, now: Ps, active: &mut Vec<JobView>| {
             let job = active.remove(i);
             let t = job.tenant;
             let pause = now - job.arrival;
             sched_pause[t] += pause;
             pauses.record(pause.0);
-            policy.observe(t, pause);
             clocks.advance(t, now);
             next_job[t] += 1;
             if let Some(&(gap, _)) = streams[t].jobs.get(next_job[t]) {
@@ -554,11 +461,7 @@ fn simulate(streams: &[TenantStream], mut policy: Box<dyn SchedPolicy>) -> SimOu
             }
         };
 
-        let views: Vec<JobView> = active
-            .iter()
-            .map(|j| JobView { tenant: j.tenant, arrival: j.arrival, deadline: j.deadline, remaining: j.remaining })
-            .collect();
-        match policy.decide(now, &views) {
+        match sched.decide(now, &active) {
             Allocation::Serve(i) => {
                 assert!(i < active.len(), "policy picked job {i} of {}", active.len());
                 let finish = now + active[i].remaining;
@@ -571,7 +474,7 @@ fn simulate(streams: &[TenantStream], mut policy: Box<dyn SchedPolicy>) -> SimOu
                     }
                     None => {
                         now = finish;
-                        complete(i, now, &mut active, &mut policy);
+                        complete(i, now, &mut active);
                     }
                 }
             }
@@ -600,7 +503,7 @@ fn simulate(streams: &[TenantStream], mut policy: Box<dyn SchedPolicy>) -> SimOu
                         let mut i = 0;
                         while i < active.len() {
                             if active[i].remaining == Ps::ZERO {
-                                complete(i, now, &mut active, &mut policy);
+                                complete(i, now, &mut active);
                             } else {
                                 i += 1;
                             }
@@ -642,13 +545,13 @@ pub fn run_fleet(opts: &FleetOptions) -> Result<FleetReport, String> {
         |_, s| format!("solo:{}/{platform}", s.short),
         |s| {
             let sys = system_by_label(platform).expect("platform label pre-validated");
-            run_workload_events(s, sys, &opts.run)
+            let mut run = Run::new(s, sys, &opts.run);
+            run.drive().map(|()| run.gc.events)
         },
     );
     let mut events_by_short = Vec::with_capacity(uniq.len());
     for (s, r) in uniq.iter().zip(solo_runs) {
-        let (_, events) = r.map_err(|e| format!("solo {}: {e}", s.short))?;
-        events_by_short.push((s.short, events));
+        events_by_short.push((s.short, r.map_err(|e| format!("solo {}: {e}", s.short))?));
     }
     let events_of = |short: &str| &events_by_short.iter().find(|(s, _)| *s == short).expect("solo run recorded").1;
 
@@ -667,7 +570,7 @@ pub fn run_fleet(opts: &FleetOptions) -> Result<FleetReport, String> {
         streams.push(TenantStream { jobs, offset });
     }
 
-    let sim = simulate(&streams, opts.sched.policy());
+    let sim = simulate(&streams, opts.sched);
 
     let tenants = specs
         .iter()
@@ -719,7 +622,7 @@ mod tests {
     fn sched_kind_round_trips_names() {
         for kind in SchedKind::ALL {
             assert_eq!(kind.name().parse::<SchedKind>().unwrap(), kind);
-            assert_eq!(kind.policy().name(), kind.name());
+            assert_eq!(kind.to_string(), kind.name());
         }
         assert!("rr".parse::<SchedKind>().is_err());
     }
@@ -732,7 +635,7 @@ mod tests {
     fn fifo_queues_the_later_arrival() {
         // t0 arrives at 0 for 100; t1 arrives at 10 for 100 and waits.
         let streams = [stream(0, &[(0, 100)]), stream(0, &[(10, 100)])];
-        let out = simulate(&streams, SchedKind::Fifo.policy());
+        let out = simulate(&streams, SchedKind::Fifo);
         assert_eq!(out.sched_pause, [Ps(100), Ps(190)]);
         assert_eq!(out.makespan, Ps(200));
         assert_eq!(out.pauses.count(), 2);
@@ -744,7 +647,7 @@ mod tests {
         // from t=10 both jobs run at half speed; t0 finishes at 190,
         // t1's last 10 units then run alone until 200.
         let streams = [stream(0, &[(0, 100)]), stream(0, &[(10, 100)])];
-        let out = simulate(&streams, SchedKind::FairShare.policy());
+        let out = simulate(&streams, SchedKind::FairShare);
         assert_eq!(out.sched_pause, [Ps(190), Ps(190)]);
         assert_eq!(out.makespan, Ps(200));
     }
@@ -754,9 +657,9 @@ mod tests {
         // t0: long job (service 1000, deadline 2000). t1 arrives at 100
         // with a short job (service 10, deadline 120) and preempts.
         let streams = [stream(0, &[(0, 1000)]), stream(0, &[(100, 10)])];
-        let edf = simulate(&streams, SchedKind::PauseDeadline.policy());
+        let edf = simulate(&streams, SchedKind::PauseDeadline);
         assert_eq!(edf.sched_pause, [Ps(1010), Ps(10)], "short job runs immediately under EDF");
-        let fifo = simulate(&streams, SchedKind::Fifo.policy());
+        let fifo = simulate(&streams, SchedKind::Fifo);
         assert_eq!(fifo.sched_pause, [Ps(1000), Ps(910)], "FIFO makes the short job wait");
         assert_eq!(edf.makespan, fifo.makespan, "work-conserving: same makespan");
     }
@@ -766,7 +669,7 @@ mod tests {
         // Single tenant, two jobs: the second's gap counts from the
         // first's completion, so pauses equal solo service exactly.
         let streams = [stream(5, &[(10, 100), (20, 50)])];
-        let out = simulate(&streams, SchedKind::Fifo.policy());
+        let out = simulate(&streams, SchedKind::Fifo);
         assert_eq!(out.sched_pause, [Ps(150)]);
         // offset 5 + gap 10 + service 100 + gap 20 + service 50.
         assert_eq!(out.makespan, Ps(185));

@@ -5,7 +5,7 @@
 //! is usually longer than that. [`Ledger`] is the `charon-history-v1`
 //! append-only record: each `trend record` flattens one report (any
 //! shape [`extract_metrics`] understands — bench, compare, single
-//! run/profile, selfspeed, fleet, chaos) into named integer metrics and
+//! run/profile, fleet, chaos) into named integer metrics and
 //! appends them as one labelled run. On top of the ledger:
 //!
 //! * `trend report` — per-metric N-run series with an ASCII sparkline
@@ -395,9 +395,9 @@ mod tests {
         assert!(fixture("x/gc_time_ps", &[100, 90, 80].map(Some))
             .bisect("x/gc_time_ps", 5.0)
             .is_none());
-        // Higher-is-better (selfspeed) series that DROPS regresses.
-        let l = fixture("BS/DDR4/selfspeed_sim_ps_per_wall_s", &[1000, 1000, 600, 590].map(Some));
-        assert_eq!(l.bisect("BS/DDR4/selfspeed_sim_ps_per_wall_s", 5.0).unwrap().first_bad, 2);
+        // Higher-is-better (a chaos rate) series that DROPS regresses.
+        let l = fixture("chaos/detection_rate_bp", &[1000, 1000, 600, 590].map(Some));
+        assert_eq!(l.bisect("chaos/detection_rate_bp", 5.0).unwrap().first_bad, 2);
         // Single run: nothing to compare.
         assert!(fixture("x", &[Some(5)]).bisect("x", 5.0).is_none());
     }

@@ -23,12 +23,14 @@
 //! * [`klasses`] — the application class registry,
 //! * [`mutator`] — the resident-structure builder and per-superstep
 //!   allocation/mutation behaviour, including the useful-work time model,
-//! * [`run`] — one-call experiment driver producing a [`run::RunResult`],
+//! * [`run`] — the one staged run every driver goes through
+//!   ([`run::Run`]) and its one-call form ([`run_workload`]) producing a
+//!   [`run::RunResult`],
 //! * [`profile`] — opt-in per-run profile: pause/latency histograms, heap
 //!   demographics, and accelerator utilization ([`profile::RunProfile`]),
 //! * [`parmatrix`] — deterministic parallel run matrix: workload ×
 //!   platform cells fanned across OS threads with bit-identical merged
-//!   output, plus the self-speed (sim-ps per wall-second) report,
+//!   output,
 //! * [`campaign`] — seeded fault-injection campaigns proving the offload
 //!   path degrades gracefully without changing GC correctness,
 //! * [`chaos`] — silent-corruption campaigns over the integrity
@@ -57,7 +59,7 @@ pub use campaign::{fault_matrix, run_fault_campaign, CampaignReport};
 pub use chaos::{chaos_matrix, run_chaos_campaign, ChaosOptions, ChaosReport};
 pub use fleet::{plan_tenants, run_fleet, FleetOptions, FleetReport, SchedKind};
 pub use history::{HistoryRun, Ledger};
-pub use parmatrix::{full_matrix, run_matrix, selfspeed_json, MatrixJob, MatrixOutcome};
+pub use parmatrix::{full_matrix, run_matrix, MatrixJob, MatrixOutcome};
 pub use profile::RunProfile;
-pub use run::{run_workload, RunOptions, RunResult};
+pub use run::{run_workload, Run, RunOptions, RunResult};
 pub use spec::{table3, Framework, WorkloadSpec};

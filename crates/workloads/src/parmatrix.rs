@@ -13,22 +13,20 @@
 //! committed fingerprint baselines re-check every cell's simulated
 //! outcome regardless of which thread computed it.
 //!
-//! Workers never share mutable state: [`parallel_map`] hands each worker
-//! disjoint item indices through one atomic counter and each result
+//! Workers never share mutable state: [`parallel_map_result`] hands each
+//! worker disjoint item indices through one atomic counter and each result
 //! travels back tagged with its index. [`RunOptions`] is plain data, so
 //! every worker reads the caller's one value; the `Rc`-based sinks
 //! ([`charon_sim::telemetry::Telemetry`], [`charon_sim::profile::Profiler`])
 //! belong to a [`System`], and each cell builds its own inside its thread.
 //!
-//! The module also measures what the tentpole gate consumes: each cell's
-//! wall-clock cost, combined with its simulated span into the
-//! **self-speed** metric (simulated picoseconds advanced per wall-clock
-//! second, `BENCH_selfspeed.json`; DESIGN.md §9).
+//! Each cell's wall-clock cost comes back beside its result
+//! ([`MatrixOutcome::wall_ns`]); `perfbench/` is what turns it into a
+//! simulator-speed metric (DESIGN.md §9).
 
 use crate::run::{run_workload, RunOptions, RunResult};
 use crate::spec::WorkloadSpec;
 use charon_gc::system::System;
-use charon_sim::json::Json;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -72,9 +70,9 @@ pub struct MatrixJob {
 
 /// What one cell produced: the run result (or the failing platform's
 /// error, in the serial loop's `"platform: error"` format) plus the
-/// wall-clock cost of computing it. `wall_ns` feeds the self-speed
-/// metric only — it never enters `BENCH_compare.json`, which is how the
-/// compare report stays byte-identical across `--jobs` values and hosts.
+/// wall-clock cost of computing it. `wall_ns` is for the benchmark
+/// (`perfbench/`) only — it never enters `BENCH_compare.json`, which is how
+/// the compare report stays byte-identical across `--jobs` values and hosts.
 #[derive(Debug)]
 pub struct MatrixOutcome {
     /// Two-letter workload code of the cell.
@@ -159,27 +157,9 @@ where
 }
 
 /// The infallible wrapper over [`parallel_map_result`] for closures that
-/// do not panic.
-///
-/// # Panics
-///
-/// Re-raises the first (lowest-index) cell panic after all workers
-/// finish, identifying the cell by its index. Callers that know what a
-/// cell *is* — a workload×platform pair, a fleet tenant — use
-/// [`parallel_map_labeled`] so the failing cell is identifiable from CI
-/// logs without counting items.
-pub fn parallel_map<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    parallel_map_labeled(items, jobs, |i, _| i.to_string(), f)
-}
-
-/// Like [`parallel_map`], but a panicking cell is reported under the
-/// caller-supplied label (e.g. `"BS/Charon"` for a bench cell,
-/// `"t3:PR"` for a fleet tenant) instead of a bare item index.
+/// do not panic: a cell that does is reported under the caller-supplied
+/// label (e.g. `"BS/Charon"` for a bench cell, `"t3:PR"` for a fleet
+/// tenant), so it is identifiable from CI logs without counting items.
 ///
 /// # Panics
 ///
@@ -233,43 +213,9 @@ pub fn run_matrix(cells: &[MatrixJob], opts: &RunOptions, jobs: usize) -> Vec<Ma
     .collect()
 }
 
-/// Simulated picoseconds a run advanced (mutator + stop-the-world GC):
-/// the numerator of the self-speed metric.
+/// Simulated picoseconds a run advanced (mutator + stop-the-world GC).
 pub fn simulated_span_ps(r: &RunResult) -> u64 {
     r.mutator_time.0.saturating_add(r.gc_time.0)
-}
-
-/// Self-speed of one cell: simulated picoseconds per wall-clock second.
-/// Higher is better — the regress gate treats `selfspeed` metrics with
-/// inverted polarity.
-pub fn selfspeed_ps_per_wall_s(sim_ps: u64, wall_ns: u64) -> u64 {
-    (sim_ps as f64 / (wall_ns.max(1) as f64 / 1e9)) as u64
-}
-
-/// The `BENCH_selfspeed.json` report: one entry per successful cell with
-/// its simulated span, wall-clock cost, and their ratio. Kept in a file
-/// of its own — wall-clock numbers are host-dependent by nature and must
-/// never contaminate the bit-identical compare report.
-pub fn selfspeed_json(outcomes: &[MatrixOutcome], jobs: usize) -> Json {
-    let entries = outcomes
-        .iter()
-        .filter_map(|o| {
-            let r = o.result.as_ref().ok()?;
-            let sim_ps = simulated_span_ps(r);
-            Some(Json::obj(vec![
-                ("workload", Json::str(o.workload)),
-                ("platform", Json::str(o.platform)),
-                ("sim_ps", Json::U64(sim_ps)),
-                ("wall_ns", Json::U64(o.wall_ns)),
-                ("sim_ps_per_wall_s", Json::U64(selfspeed_ps_per_wall_s(sim_ps, o.wall_ns))),
-            ]))
-        })
-        .collect();
-    Json::obj(vec![
-        ("schema", Json::str("charon-selfspeed-v1")),
-        ("jobs", Json::U64(jobs as u64)),
-        ("entries", Json::Arr(entries)),
-    ])
 }
 
 #[cfg(test)]
@@ -281,11 +227,11 @@ mod tests {
     fn parallel_map_preserves_item_order() {
         let items: Vec<u64> = (0..37).collect();
         for jobs in [1, 2, 3, 8, 64] {
-            let out = parallel_map(&items, jobs, |&x| x * 3);
+            let out = parallel_map_labeled(&items, jobs, |i, _| i.to_string(), |&x| x * 3);
             assert_eq!(out, items.iter().map(|&x| x * 3).collect::<Vec<_>>(), "jobs={jobs}");
         }
         let empty: Vec<u64> = Vec::new();
-        assert!(parallel_map(&empty, 4, |&x: &u64| x).is_empty());
+        assert!(parallel_map_labeled(&empty, 4, |i, _| i.to_string(), |&x: &u64| x).is_empty());
     }
 
     #[test]
@@ -360,25 +306,5 @@ mod tests {
             assert_eq!(sr.fingerprint(), pr.fingerprint());
             assert_eq!(sr.to_json().to_string(), pr.to_json().to_string(), "{}/{}", s.workload, s.platform);
         }
-    }
-
-    #[test]
-    fn selfspeed_json_has_the_pinned_schema() {
-        let specs = [by_short("BS").unwrap()];
-        let cells = [MatrixJob { spec: specs[0].clone(), platform: "Charon" }];
-        let opts = RunOptions { supersteps: Some(1), ..Default::default() };
-        let outcomes = run_matrix(&cells, &opts, 2);
-        let j = selfspeed_json(&outcomes, 2);
-        let back = Json::parse(&j.to_string()).expect("selfspeed json parses");
-        assert_eq!(back.get("schema").and_then(Json::as_str), Some("charon-selfspeed-v1"));
-        assert_eq!(back.get("jobs").and_then(Json::as_u64), Some(2));
-        let entries = back.get("entries").and_then(Json::as_arr).unwrap();
-        assert_eq!(entries.len(), 1);
-        let e = &entries[0];
-        assert_eq!(e.get("platform").and_then(Json::as_str), Some("Charon"));
-        let sim = e.get("sim_ps").and_then(Json::as_u64).unwrap();
-        let wall = e.get("wall_ns").and_then(Json::as_u64).unwrap();
-        assert!(sim > 0 && wall > 0);
-        assert_eq!(e.get("sim_ps_per_wall_s").and_then(Json::as_u64), Some(selfspeed_ps_per_wall_s(sim, wall)));
     }
 }

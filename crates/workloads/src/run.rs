@@ -1,9 +1,16 @@
-//! One-call experiment driver: workload × system → measurements.
+//! The experiment driver: workload × system → measurements.
 //!
 //! This is the region-of-interest instrumentation of §5.1: the paper
 //! evaluates *GC events only*, so every figure-facing number here is
 //! derived from the collector's event log, with mutator time kept
 //! separately for Fig. 2.
+//!
+//! There is one run in the workspace and it is staged: [`Run`] orders
+//! heap → mutator → collector → resident structure → supersteps → result,
+//! and every driver goes through it. [`run_workload`] is the whole
+//! sequence in one call; [`crate::campaign`], [`crate::chaos`] and
+//! [`crate::fleet`] step or drive a `Run` themselves because they need
+//! the heap or the event log it ends with.
 
 use crate::mutator::Mutator;
 use crate::profile::RunProfile;
@@ -14,7 +21,6 @@ use charon_gc::breakdown::Breakdown;
 use charon_gc::collector::{Collector, CollectorKind, GcKind, OutOfMemory};
 use charon_gc::system::System;
 use charon_heap::heap::{HeapConfig, JavaHeap};
-use charon_heap::layout::LayoutParams;
 use charon_sim::energy::EnergyAccount;
 use charon_sim::json::Json;
 use charon_sim::stats::{CacheStats, MemTrafficStats};
@@ -207,7 +213,151 @@ impl fmt::Display for RunResult {
     }
 }
 
-/// Runs one workload on one system.
+/// One run, stage by stage: heap → mutator → collector → resident
+/// structure → supersteps → result. [`Run::new`] is the only code in the
+/// workspace that sizes the heap, builds the [`Mutator`] and [`Collector`]
+/// and applies every [`RunOptions`] field; [`Run::result`] is the only
+/// code that assembles a [`RunResult`]. A driver that has to look at the
+/// heap or the collector between stages — the fault campaign's graph
+/// checkpoints, the chaos campaign's end-of-run walk, the fleet's pause
+/// stream — steps a `Run` by hand and reads its fields; everything else
+/// calls [`run_workload`].
+///
+/// ```
+/// use charon_gc::system::System;
+/// use charon_gc::verify::graph_signature;
+/// use charon_workloads::{run::Run, RunOptions, spec::by_short};
+///
+/// # fn main() -> Result<(), charon_gc::collector::OutOfMemory> {
+/// let spec = by_short("BS").expect("Table 3 workload");
+/// let opts = RunOptions { supersteps: Some(2), ..Default::default() };
+/// let mut run = Run::new(&spec, System::charon(), &opts);
+/// run.build_resident()?;
+/// for _ in 0..run.steps() {
+///     run.superstep()?;
+///     graph_signature(&run.heap).expect("every reachable reference stays inside the heap");
+/// }
+/// let r = run.result();
+/// assert_eq!(r.minor.1 + r.major.1, run.gc.events.len());
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug)]
+pub struct Run {
+    /// The simulated Java heap.
+    pub heap: JavaHeap,
+    /// The workload driver.
+    pub mutator: Mutator,
+    /// The collector, which owns the [`System`] (`gc.sys`) and the per-GC
+    /// event log (`gc.events`).
+    pub gc: Collector,
+    opts: RunOptions,
+}
+
+impl Run {
+    /// Builds the heap, the mutator and the collector of one run of
+    /// `spec` on `sys`; nothing is allocated yet.
+    pub fn new(spec: &WorkloadSpec, sys: System, opts: &RunOptions) -> Run {
+        let heap_bytes = spec.heap_bytes(opts.heap_factor.unwrap_or(spec.default_heap_factor));
+        let mut heap = JavaHeap::new(HeapConfig::with_heap_bytes(heap_bytes));
+        let mutator = Mutator::new(spec.clone(), &mut heap);
+        let mut gc = Collector::new(sys, &heap, opts.gc_threads);
+        gc.kind = opts.collector;
+        // The controller reads census signals, so attaching one implies
+        // the (timing-invisible) census walk.
+        if opts.census || opts.policy.is_some() {
+            gc.census = Some(charon_gc::census::Census::new());
+        }
+        if let Some(top_k) = opts.postmortem {
+            gc.postmortem = Some(charon_gc::postmortem::Postmortem::new(top_k));
+        }
+        if let Some(kind) = opts.policy {
+            gc.adapt = Some(Controller::new(kind.build(gc.sys.offload, opts.policy_seed)));
+        }
+        Run { heap, mutator, gc, opts: *opts }
+    }
+
+    /// Allocates the workload's resident structure.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OutOfMemory`] when the heap cannot hold it.
+    pub fn build_resident(&mut self) -> Result<(), OutOfMemory> {
+        self.mutator.build_resident(&mut self.heap, &mut self.gc)
+    }
+
+    /// Runs one superstep of allocation and mutation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OutOfMemory`] when a collection cannot make room.
+    pub fn superstep(&mut self) -> Result<(), OutOfMemory> {
+        self.mutator.superstep(&mut self.heap, &mut self.gc)
+    }
+
+    /// How many supersteps the run is for: [`RunOptions::supersteps`], or
+    /// the spec's own count.
+    pub fn steps(&self) -> usize {
+        self.opts.supersteps.unwrap_or(self.mutator.spec().supersteps)
+    }
+
+    /// The resident structure, then every superstep.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OutOfMemory`] from the first stage that hits it.
+    pub fn drive(&mut self) -> Result<(), OutOfMemory> {
+        self.build_resident()?;
+        for _ in 0..self.steps() {
+            self.superstep()?;
+        }
+        Ok(())
+    }
+
+    /// What the run has measured so far. Call it once, at the end: when
+    /// the system carries an enabled telemetry journal, every call appends
+    /// the per-link epoch occupancy to it (one [`Event::BwSample`] per
+    /// non-empty metering epoch) — read-only, so timing is untouched.
+    pub fn result(&self) -> RunResult {
+        let gc = &self.gc;
+        if gc.sys.telemetry.is_enabled() {
+            for (link, fills) in gc.sys.host.fabric.link_epoch_fills() {
+                for (at, used) in fills {
+                    gc.sys
+                        .telemetry
+                        .record(|| Event::BwSample { link: link.clone(), epoch_start: at, used });
+                }
+            }
+        }
+
+        let workload = self.mutator.spec().short;
+        let platform = gc.sys.label();
+        let profile = (gc.sys.profiler.is_enabled() || self.opts.census || self.opts.postmortem.is_some())
+            .then(|| RunProfile::collect(workload, platform, gc, gc.sys.profiler.snapshot()));
+        RunResult {
+            workload,
+            platform,
+            mutator_time: self.mutator.mutator_time,
+            gc_time: gc.gc_total_time(),
+            minor: (gc.gc_time_by_kind(GcKind::Minor), gc.count(GcKind::Minor)),
+            major: (gc.gc_time_by_kind(GcKind::Major), gc.count(GcKind::Major)),
+            minor_breakdown: gc.breakdown_by_kind(GcKind::Minor),
+            major_breakdown: gc.breakdown_by_kind(GcKind::Major),
+            gc_dram_bytes: gc.events.iter().map(|e| e.dram_bytes).sum(),
+            energy: gc.sys.energy.account().clone(),
+            traffic: gc.sys.host.fabric.stats(),
+            per_cube_bytes: gc.sys.host.fabric.per_cube_bytes().to_vec(),
+            device: gc.sys.device.as_ref().map(|d| d.stats().clone()),
+            bitmap_cache: gc.sys.device.as_ref().map(|d| d.bitmap_cache_stats()),
+            allocated_bytes: self.mutator.allocated_bytes,
+            profile,
+            decisions: gc.adapt.as_ref().map(|c| c.journal.clone()),
+        }
+    }
+}
+
+/// Runs one workload on one system: [`Run::new`], [`Run::drive`],
+/// [`Run::result`].
 ///
 /// ```
 /// use charon_gc::system::System;
@@ -228,114 +378,9 @@ impl fmt::Display for RunResult {
 /// Returns [`OutOfMemory`] when the chosen heap factor cannot hold the
 /// workload (by construction this never happens at factor ≥ 1.0).
 pub fn run_workload(spec: &WorkloadSpec, sys: System, opts: &RunOptions) -> Result<RunResult, OutOfMemory> {
-    run_workload_heap(spec, sys, opts).map(|(r, _)| r)
-}
-
-/// Like [`run_workload`], but also hands back the final [`JavaHeap`] so
-/// the caller can inspect the end-of-run heap — the chaos campaign's
-/// escaped-corruption check re-walks the object graph this way.
-///
-/// # Errors
-///
-/// Returns [`OutOfMemory`] exactly as [`run_workload`] does.
-pub fn run_workload_heap(
-    spec: &WorkloadSpec,
-    sys: System,
-    opts: &RunOptions,
-) -> Result<(RunResult, JavaHeap), OutOfMemory> {
-    run_workload_full(spec, sys, opts).map(|(r, heap, _)| (r, heap))
-}
-
-/// Like [`run_workload`], but also hands back the collector's per-GC
-/// event log (start time and pause duration of every collection, in
-/// order). The fleet scheduler extracts each tenant's solo pause stream
-/// from this and replays it against the shared device.
-///
-/// # Errors
-///
-/// Returns [`OutOfMemory`] exactly as [`run_workload`] does.
-pub fn run_workload_events(
-    spec: &WorkloadSpec,
-    sys: System,
-    opts: &RunOptions,
-) -> Result<(RunResult, Vec<charon_gc::collector::GcEvent>), OutOfMemory> {
-    run_workload_full(spec, sys, opts).map(|(r, _, events)| (r, events))
-}
-
-/// The shared driver behind every `run_workload*` entry point.
-fn run_workload_full(
-    spec: &WorkloadSpec,
-    sys: System,
-    opts: &RunOptions,
-) -> Result<(RunResult, JavaHeap, Vec<charon_gc::collector::GcEvent>), OutOfMemory> {
-    let heap_bytes = spec.heap_bytes(opts.heap_factor.unwrap_or(spec.default_heap_factor));
-    let mut heap =
-        JavaHeap::new(HeapConfig { layout: LayoutParams { heap_bytes, ..Default::default() }, ..Default::default() });
-    let mut mutator = Mutator::new(spec.clone(), &mut heap);
-    let platform = sys.label();
-    let mut gc = Collector::new(sys, &heap, opts.gc_threads);
-    gc.kind = opts.collector;
-    if opts.census {
-        gc.census = Some(charon_gc::census::Census::new());
-    }
-    if let Some(top_k) = opts.postmortem {
-        gc.postmortem = Some(charon_gc::postmortem::Postmortem::new(top_k));
-    }
-    if let Some(kind) = opts.policy {
-        // The controller reads census signals, so attaching one implies
-        // the (timing-invisible) census walk.
-        if gc.census.is_none() {
-            gc.census = Some(charon_gc::census::Census::new());
-        }
-        gc.adapt = Some(Controller::new(kind.build(gc.sys.offload, opts.policy_seed)));
-    }
-
-    mutator.build_resident(&mut heap, &mut gc)?;
-    let steps = opts.supersteps.unwrap_or(spec.supersteps);
-    for _ in 0..steps {
-        mutator.superstep(&mut heap, &mut gc)?;
-    }
-
-    // Drain per-link epoch occupancy into the journal (one counter sample
-    // per non-empty metering epoch) — read-only, so timing is untouched.
-    if gc.sys.telemetry.is_enabled() {
-        for (link, fills) in gc.sys.host.fabric.link_epoch_fills() {
-            for (at, used) in fills {
-                gc.sys
-                    .telemetry
-                    .record(|| Event::BwSample { link: link.clone(), epoch_start: at, used });
-            }
-        }
-    }
-
-    let minor_t = gc.gc_time_by_kind(GcKind::Minor);
-    let major_t = gc.gc_time_by_kind(GcKind::Major);
-    let profile = (gc.sys.profiler.is_enabled() || opts.census || opts.postmortem.is_some())
-        .then(|| RunProfile::collect(spec.short, platform, &gc, gc.sys.profiler.snapshot()));
-    let events = gc.events.clone();
-    Ok((
-        RunResult {
-            workload: spec.short,
-            platform,
-            mutator_time: mutator.mutator_time,
-            gc_time: gc.gc_total_time(),
-            minor: (minor_t, gc.count(GcKind::Minor)),
-            major: (major_t, gc.count(GcKind::Major)),
-            minor_breakdown: gc.breakdown_by_kind(GcKind::Minor),
-            major_breakdown: gc.breakdown_by_kind(GcKind::Major),
-            gc_dram_bytes: gc.events.iter().map(|e| e.dram_bytes).sum(),
-            energy: gc.sys.energy.account().clone(),
-            traffic: gc.sys.host.fabric.stats(),
-            per_cube_bytes: gc.sys.host.fabric.per_cube_bytes().to_vec(),
-            device: gc.sys.device.as_ref().map(|d| d.stats().clone()),
-            bitmap_cache: gc.sys.device.as_ref().map(|d| d.bitmap_cache_stats()),
-            allocated_bytes: mutator.allocated_bytes,
-            profile,
-            decisions: gc.adapt.as_ref().map(|c| c.journal.clone()),
-        },
-        heap,
-        events,
-    ))
+    let mut run = Run::new(spec, sys, opts);
+    run.drive()?;
+    Ok(run.result())
 }
 
 #[cfg(test)]
@@ -387,6 +432,34 @@ mod tests {
         assert!(events.iter().any(|e| matches!(e, Event::Prim { .. })), "the caller's journal saw no primitive");
         assert!(events.iter().any(|e| matches!(e, Event::BwSample { .. })), "link fills were not drained into it");
         assert!(r.profile.is_some(), "an enabled profiler on the system yields a profile");
+    }
+
+    #[test]
+    fn hand_driven_run_equals_run_workload() {
+        use charon_sim::profile::Profiler;
+        use charon_sim::telemetry::Telemetry;
+        let spec = by_short("BS").unwrap();
+        let opts = RunOptions { supersteps: Some(4), ..Default::default() };
+        for make in [System::ddr4, System::charon] {
+            let instrumented = || {
+                let (mut sys, journal) = (make(), Telemetry::enabled());
+                sys.set_telemetry(journal.clone());
+                sys.set_profiler(Profiler::enabled());
+                (sys, journal)
+            };
+            let (sys, by_hand_journal) = instrumented();
+            let mut run = Run::new(&spec, sys, &opts);
+            run.build_resident().unwrap();
+            for _ in 0..run.steps() {
+                run.superstep().unwrap();
+            }
+            let by_hand = run.result();
+            let (sys, one_call_journal) = instrumented();
+            let one_call = run_workload(&spec, sys, &opts).unwrap();
+            assert_eq!(by_hand.to_json().to_string(), one_call.to_json().to_string(), "{}", one_call.platform);
+            assert_eq!(by_hand_journal.events().len(), one_call_journal.events().len(), "{}", one_call.platform);
+            charon_gc::verify::graph_signature(&run.heap).expect("the end-of-run heap is traversable");
+        }
     }
 
     #[test]

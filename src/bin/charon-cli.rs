@@ -35,7 +35,7 @@ use charon::workloads::parmatrix::{system_by_label, PLATFORM_LABELS as PLATFORMS
 use charon::workloads::spec::{by_short, table3, WorkloadSpec};
 use charon::workloads::{
     autotune, full_matrix, plan_tenants, run_chaos_campaign, run_fault_campaign, run_fleet, run_matrix, run_workload,
-    selfspeed_json, ChaosOptions, FleetOptions, Ledger, RunOptions, RunResult, SchedKind,
+    ChaosOptions, FleetOptions, Ledger, MatrixOutcome, RunOptions, RunResult, SchedKind,
 };
 use std::process::ExitCode;
 
@@ -46,8 +46,7 @@ fn usage() -> ExitCode {
          [--threads <N>] [--steps <N>] [--mask <M>] [--rearm <N>] [--json] [--trace-out <FILE>]\n  \
          charon-cli compare <BS|KM|LR|CC|PR|ALS> [--heap-factor <F>] [--threads <N>] [--steps <N>] [--json]\n  \
          charon-cli bench [<W>...] [--collector <ps|ms|cms|g1>] [--heap-factor <F>] [--threads <N>] [--steps <N>] \
-         [--out <FILE>] [--jobs <N>]\n    \
-         (also writes BENCH_selfspeed.json — simulated ps per wall-second, per cell)\n  \
+         [--out <FILE>] [--jobs <N>]\n  \
          charon-cli check-json <FILE>\n  \
          charon-cli fault-campaign <BS|KM|LR|CC|PR|ALS> [--seed <S>] [--heap-factor <F>] [--threads <N>] \
          [--steps <N>] [--json] [--jobs <N>]\n  \
@@ -430,16 +429,10 @@ fn emit(flags: &Flags, out: Option<&String>, json: impl Fn() -> Json, text: impl
     Ok(())
 }
 
-/// Runs one workload on all platforms; returns the per-platform results
-/// in `PLATFORMS` order, or the failing platform's error.
-fn compare_runs(spec: &WorkloadSpec, opts: &RunOptions) -> Result<Vec<RunResult>, String> {
-    PLATFORMS
-        .iter()
-        .map(|p| {
-            let sys = system_by_label(p).expect("known platform");
-            run_workload(spec, sys, opts).map_err(|e| format!("{p}: {e}"))
-        })
-        .collect()
+/// The runs of one workload's matrix cells, in `PLATFORMS` order; the
+/// first failed cell's error is reported instead.
+fn platform_runs(outcomes: impl Iterator<Item = MatrixOutcome>) -> Result<Vec<RunResult>, ExitCode> {
+    outcomes.map(|o| o.result.map_err(fail)).collect()
 }
 
 /// The `compare` JSON shape: the workload, every platform's full report,
@@ -512,7 +505,7 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
         Some("compare") => {
             let (short, spec) = workload(args)?;
             let flags = flags_for(&args[2..], &["--heap-factor", "--threads", "--steps", "--json"])?;
-            let runs = compare_runs(&spec, &flags.run_options()).map_err(fail)?;
+            let runs = platform_runs(run_matrix(&full_matrix(&[spec]), &flags.run_options(), 1).into_iter())?;
             emit(
                 &flags,
                 None,
@@ -539,17 +532,14 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
             )?;
             let specs = specs_for(shorts)?;
             // The whole workload × platform matrix runs through the
-            // parallel runner; at --jobs 1 (the default) parallel_map
-            // degenerates to the old serial loop. Cell order — and with
-            // it BENCH_compare.json — is identical at every job count.
+            // parallel runner; at --jobs 1 (the default) it is a plain
+            // serial loop. Cell order — and with it BENCH_compare.json —
+            // is identical at every job count.
             let cells = full_matrix(&specs);
-            let outcomes = run_matrix(&cells, &flags.run_options(), flags.jobs());
+            let mut outcomes = run_matrix(&cells, &flags.run_options(), flags.jobs()).into_iter();
             let mut benches = Vec::new();
-            for (spec, per_workload) in specs.iter().zip(outcomes.chunks(PLATFORMS.len())) {
-                let runs = per_workload
-                    .iter()
-                    .map(|o| o.result.clone().map_err(fail))
-                    .collect::<Result<Vec<_>, _>>()?;
+            for spec in &specs {
+                let runs = platform_runs(outcomes.by_ref().take(PLATFORMS.len()))?;
                 println!("{}: {} platforms benched", spec.short, runs.len());
                 benches.push(compare_json(spec.short, &runs));
             }
@@ -557,12 +547,6 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
             let path = flags.out.as_deref().unwrap_or("BENCH_compare.json");
             write_file(path, &report.to_string())?;
             println!("wrote {path}");
-            // Self-speed (simulated ps per wall-second) goes to its own
-            // file: wall-clock numbers are host-dependent and must never
-            // touch the bit-identical compare report.
-            let speed_path = "BENCH_selfspeed.json";
-            write_file(speed_path, &selfspeed_json(&outcomes, flags.jobs()).to_string())?;
-            println!("wrote {speed_path}");
         }
         Some("check-json") => {
             let path = args.get(1).ok_or_else(usage)?;
@@ -1081,52 +1065,6 @@ mod tests {
         assert!(parse_flags(&argv(&["--jobs", "0"]), &["--jobs"]).is_err());
         assert!(parse_flags(&argv(&["--jobs", "65"]), &["--jobs"]).is_err());
         assert!(parse_flags(&argv(&["--jobs", "x"]), &["--jobs"]).is_err());
-    }
-
-    /// A minimal selfspeed-shaped report with one entry per (workload,
-    /// sim_ps_per_wall_s).
-    fn selfspeed_report(entries: &[(&str, u64)]) -> Json {
-        Json::obj(vec![
-            ("schema", Json::str("charon-selfspeed-v1")),
-            ("jobs", Json::U64(2)),
-            (
-                "entries",
-                Json::Arr(
-                    entries
-                        .iter()
-                        .map(|&(w, v)| {
-                            Json::obj(vec![
-                                ("workload", Json::str(w)),
-                                ("platform", Json::str("Charon")),
-                                ("sim_ps", Json::U64(1)),
-                                ("wall_ns", Json::U64(1)),
-                                ("sim_ps_per_wall_s", Json::U64(v)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    #[test]
-    fn selfspeed_reports_extract_named_metrics() {
-        let m = extract_metrics(&selfspeed_report(&[("BS", 5_000)]));
-        assert_eq!(m, vec![("BS/Charon/selfspeed_sim_ps_per_wall_s".to_string(), 5_000)]);
-    }
-
-    #[test]
-    fn selfspeed_regresses_downward_not_upward() {
-        let old = selfspeed_report(&[("BS", 10_000)]);
-        let faster = selfspeed_report(&[("BS", 20_000)]);
-        let slower = selfspeed_report(&[("BS", 8_000)]);
-        let (compared, regs, ..) = regressions(&old, &faster, 15.0);
-        assert_eq!((compared, regs.len()), (1, 0), "a speedup must never trip the gate");
-        let (_, regs, ..) = regressions(&old, &slower, 15.0);
-        assert_eq!(regs.len(), 1, "a 20% slowdown trips the 15% gate");
-        assert_eq!(regs[0].metric, "BS/Charon/selfspeed_sim_ps_per_wall_s");
-        let (_, regs, ..) = regressions(&old, &selfspeed_report(&[("BS", 9_000)]), 15.0);
-        assert!(regs.is_empty(), "a 10% slowdown stays within the 15% tolerance");
     }
 
     #[test]
