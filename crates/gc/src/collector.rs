@@ -329,9 +329,6 @@ impl Collector {
     }
 
     fn run(&mut self, heap: &mut JavaHeap, kind: GcKind) -> &GcEvent {
-        if self.sys.record_traces {
-            self.sys.traces.push(crate::trace::GcTrace::default());
-        }
         self.sys.collection_seq = self.events.len() as u64;
         // Re-arm prologue: watchdog-dead units that have sat out enough
         // collections come back in probe mode — before the adaptive

@@ -34,6 +34,7 @@ use crate::minor::search_dirty_cards;
 use crate::pause::Pause;
 use crate::system::System;
 use crate::threads::GcThreads;
+use crate::trace::Step;
 use charon_heap::addr::VAddr;
 use charon_heap::heap::JavaHeap;
 use charon_heap::klass::KlassId;
@@ -306,7 +307,7 @@ pub fn cms_old_gc(
     let mut st = SweepStats { marked_objects: cm.marked_concurrent, ..SweepStats::default() };
     let mut stack = ObjStack::new(heap.layout().major_stack);
 
-    pc.serial(|sys, now| sys.gc_prologue(now));
+    pc.serial(Step::Prologue);
 
     // Remark seed 1: the concurrent backlog — already marked, fields
     // still unscanned.
@@ -325,7 +326,7 @@ pub fn cms_old_gc(
     // marked objects — the concurrent phase traced their old successors,
     // and the card rescan covered mid-cycle mutations.
     drain(&mut pc, heap, &mut stack, &mut st, mark_one);
-    pc.serial(|sys, now| sys.flush_bitmap_cache(now));
+    pc.serial(Step::FlushBitmapCache);
     cm.events.push(ConcEvent::Remark { at: remark_at, marked: st.marked_objects });
 
     // Region liveness via Bitmap Count over the old generation — with no

@@ -30,7 +30,8 @@ use crate::marksweep::{assert_filler, clear_marks_in, clear_young_marks};
 use crate::pause::Pause;
 use crate::system::System;
 use crate::threads::GcThreads;
-use charon_core::packet::PrimType;
+use crate::trace::Step;
+use charon_core::device::OffloadCall;
 use charon_heap::addr::{VAddr, VRange};
 use charon_heap::heap::JavaHeap;
 use charon_heap::klass::KlassId;
@@ -93,13 +94,13 @@ pub fn g1_mixed_collect(
     // Prologue + mark + reference processing (shared with MajorGC): weak
     // referents the mark never reached strongly are cleared before any
     // region is condemned.
-    pc.serial(|sys, now| sys.gc_prologue(now));
+    pc.serial(Step::Prologue);
     let mut stack = ObjStack::new(heap.layout().major_stack);
     let mut mstats = MajorStats::default();
     let discovered = mark_phase(&mut pc, heap, &mut mstats, &mut stack);
     g1.marked_objects = mstats.marked_objects;
     clear_dead_referents(&mut pc, heap, discovered);
-    pc.serial(|sys, now| sys.flush_bitmap_cache(now));
+    pc.serial(Step::FlushBitmapCache);
 
     // Region liveness via Bitmap Count (Table 1: "scans the bitmap to
     // identify the state of the entire heap").
@@ -168,7 +169,7 @@ pub fn g1_mixed_collect(
             g1.evacuated_bytes += size * 8;
 
             let t = pc.pick();
-            pc.prim(t, PrimType::Copy, true, |sys, core, now| sys.prim_copy(core, now, obj, dest, size * 8));
+            pc.prim(t, OffloadCall::Copy { src: obj, dst: dest, bytes: size * 8 }, true);
             pc.host_on(t, Bucket::Copy, pc.sys.costs.copy_fixup, &[(obj, AccessKind::Write)]);
 
             at = obj.add_words(size);

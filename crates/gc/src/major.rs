@@ -18,11 +18,11 @@
 
 use crate::breakdown::{Breakdown, Bucket};
 use crate::integrity;
-use crate::pause::Pause;
+use crate::pause::{Pause, Tid};
 use crate::system::System;
 use crate::threads::GcThreads;
-use charon_core::device::{ScanAction, ScanRef};
-use charon_core::packet::PrimType;
+use crate::trace::Step;
+use charon_core::device::{OffloadCall, ScanAction, ScanRef};
 use charon_heap::addr::{VAddr, VRange};
 use charon_heap::heap::JavaHeap;
 use charon_heap::klass::KlassKind;
@@ -90,25 +90,19 @@ impl CompactPlan {
         self.dest_base
     }
 
-    /// The new location of the live object at `obj`, plus the bitmap span
-    /// the query scanned (for timing). As HotSpot's `calc_new_pointer`
-    /// does, the query is `region.destination() + live_words_in_range(
-    /// region_start, obj)` — this per-reference call is the hot *Bitmap
-    /// Count* use the paper offloads (Fig. 8).
-    pub fn new_addr(&self, heap: &JavaHeap, obj: VAddr) -> (VAddr, VRange) {
-        let r = self.region_of(obj);
-        let (tail, _, _) = live_words_fast(&heap.mem, heap.beg_map(), heap.end_map(), r.range.start, obj, r.carry_in);
-        let words = r.dest_prefix_words + tail;
-        (self.dest_base.add_words(words), VRange::new(r.range.start, obj))
-    }
-
-    /// Like [`CompactPlan::new_addr`], but through a per-GC-thread
-    /// last-query cache — HotSpot's `ParMarkBitMap::live_words_in_range`
-    /// keeps exactly this cache per `ParCompactionManager`: when the new
-    /// query extends the previous one within the same region, only the
-    /// delta `[last_target, target)` is scanned. The returned span is what
-    /// was actually read (possibly empty).
-    pub fn new_addr_cached(&self, heap: &JavaHeap, cache: &mut LastQuery, obj: VAddr) -> (VAddr, VRange) {
+    /// The new location of the live object at `obj`, and the start of its
+    /// region. As HotSpot's `calc_new_pointer` does, the query is
+    /// `region.destination() + live_words_in_range(region_start, obj)` —
+    /// this per-reference call is the hot *Bitmap Count* use the paper
+    /// offloads (Fig. 8) — through a last-query cache: HotSpot's
+    /// `ParMarkBitMap::live_words_in_range` keeps one per
+    /// `ParCompactionManager`, and when the new query extends the previous
+    /// one within the same region only the delta `[last_target, target)`
+    /// is scanned. The answer does not depend on the cache, so one serves
+    /// the whole walk; what a query reads in simulated time depends on the
+    /// GC thread's own previous query, and `Pause::bitmap_query` charges
+    /// that.
+    pub fn new_addr_cached(&self, heap: &JavaHeap, cache: &mut LastQuery, obj: VAddr) -> (VAddr, VAddr) {
         let r = self.region_of(obj);
         let (span_start, carry_in, base_live) = if cache.region_start == Some(r.range.start) && obj >= cache.last_addr {
             (cache.last_addr, cache.carry, cache.live_words)
@@ -119,7 +113,7 @@ impl CompactPlan {
             live_words_fast(&heap.mem, heap.beg_map(), heap.end_map(), span_start, obj, carry_in);
         let live = base_live + delta;
         *cache = LastQuery { region_start: Some(r.range.start), last_addr: obj, live_words: live, carry: carry_out };
-        (self.dest_base.add_words(r.dest_prefix_words + live), VRange::new(span_start, obj))
+        (self.dest_base.add_words(r.dest_prefix_words + live), r.range.start)
     }
 }
 
@@ -139,7 +133,7 @@ pub fn major_gc(sys: &mut System, heap: &mut JavaHeap, threads: &mut GcThreads) 
     let mut st = MajorStats::default();
     let mut stack = ObjStack::new(heap.layout().major_stack);
 
-    pc.serial(|sys, now| sys.gc_prologue(now));
+    pc.serial(Step::Prologue);
 
     let discovered = mark_phase(&mut pc, heap, &mut st, &mut stack);
     st.stack_max = stack.max_depth();
@@ -147,11 +141,11 @@ pub fn major_gc(sys: &mut System, heap: &mut JavaHeap, threads: &mut GcThreads) 
     st.cleared_weak_refs = clear_dead_referents(&mut pc, heap, discovered);
     pc.barrier();
     pc.end_phase("refs");
-    pc.serial(|sys, now| sys.flush_bitmap_cache(now));
+    pc.serial(Step::FlushBitmapCache);
     // End-of-mark integrity sweep: the summary phase trusts bitmap
     // population counts, so any bitmap damage must be found (and the
     // extents rebuilt from the still-honest headers) before it runs.
-    pc.serial(|sys, now| integrity::verify_marks(sys, heap, 0, now));
+    pc.check_serial(|sys, now| integrity::verify_marks(sys, heap, 0, now));
 
     let plan = summary_phase(&mut pc, heap, &mut st);
     pc.close_phase("summary");
@@ -162,7 +156,7 @@ pub fn major_gc(sys: &mut System, heap: &mut JavaHeap, threads: &mut GcThreads) 
     compact_phase(&mut pc, heap, &mut st, &plan);
     pc.close_phase("compact");
     // Thread 0 flushes while the others start on the epilogue: no barrier.
-    pc.charge(0, Bucket::Other, false, |sys, _, now| sys.flush_bitmap_cache(now));
+    pc.step(Step::FlushBitmapCache);
 
     epilogue(&mut pc, heap, &plan);
     pc.barrier();
@@ -241,9 +235,8 @@ pub(crate) fn mark_phase(pc: &mut Pause, heap: &mut JavaHeap, st: &mut MajorStat
             }
         }
         let hw = kind.charon_supported();
-        pc.prim(t, PrimType::ScanPush, hw, |sys, core, now| {
-            sys.prim_scan_push(core, now, slots[0], (slots.len() as u64) * 8, &refs, hw)
-        });
+        let field_bytes = slots.len() as u64 * 8;
+        pc.prim(t, OffloadCall::ScanPush { fields_start: slots[0], field_bytes, refs: &refs }, hw);
         if !marked.is_empty() {
             pc.check(t, Bucket::ScanPush, |sys, core, now| {
                 marked
@@ -299,7 +292,7 @@ pub(crate) fn count_regions(
         let (live, carry_out, map_words) = live_words_fast(&heap.mem, heap.beg_map(), heap.end_map(), at, r_end, carry);
         let span_bytes = (map_words / 2).max(1) * 8;
         let spans = [(heap.beg_map().map_word_addr(at), span_bytes), (heap.end_map().map_word_addr(at), span_bytes)];
-        pc.prim(pc.pick(), PrimType::BitmapCount, true, |sys, core, now| sys.prim_bitmap_count(core, now, &spans));
+        pc.prim(pc.pick(), OffloadCall::BitmapCount { spans: &spans }, true);
         each(VRange::new(at, r_end), live, carry);
         carry = carry_out;
         at = r_end;
@@ -343,7 +336,7 @@ fn adjust_phase(pc: &mut Pause, heap: &mut JavaHeap, plan: &CompactPlan) {
     // Adjust every reference field of every live object. The walk itself
     // is an independent stream; only the per-slot Bitmap Count lookups are
     // dependent work.
-    let mut caches = vec![LastQuery::default(); pc.team()];
+    let mut cache = LastQuery::default();
     for obj in live_objects(heap) {
         let map_word = heap.beg_map().map_word_addr(obj);
         let t = pc.stream(
@@ -354,7 +347,7 @@ fn adjust_phase(pc: &mut Pause, heap: &mut JavaHeap, plan: &CompactPlan) {
         for s in heap.ref_slots(obj) {
             let v = heap.read_ref(s);
             if !v.is_null() {
-                adjust_slot(pc, heap, plan, &mut caches[t], s, v, t);
+                adjust_slot(pc, heap, plan, &mut cache, s, v, t);
             }
         }
     }
@@ -363,14 +356,13 @@ fn adjust_phase(pc: &mut Pause, heap: &mut JavaHeap, plan: &CompactPlan) {
         let slot = heap.root_slot_addr(idx);
         let v = heap.read_ref(slot);
         if !v.is_null() {
-            let t = pc.pick();
-            adjust_slot(pc, heap, plan, &mut caches[t], slot, v, t);
+            adjust_slot(pc, heap, plan, &mut cache, slot, v, pc.pick());
         }
     }
 }
 
-/// Rewrites `slot` (held by thread `t`, with its query `cache`) to
-/// `target`'s post-compaction address.
+/// Rewrites `slot` (held by thread `t`) to `target`'s post-compaction
+/// address.
 fn adjust_slot(
     pc: &mut Pause,
     heap: &mut JavaHeap,
@@ -378,48 +370,21 @@ fn adjust_slot(
     cache: &mut LastQuery,
     slot: VAddr,
     target: VAddr,
-    t: usize,
+    t: Tid,
 ) {
     debug_assert_eq!(object::mark_state(&heap.mem, target), MarkState::Marked, "dangling ref at {slot}");
-    let (new, span) = plan.new_addr_cached(heap, cache, target);
+    let (new, region) = plan.new_addr_cached(heap, cache, target);
     heap.write_ref(slot, new);
 
     // Timing: the (possibly cached-incremental) Bitmap Count, then the
     // slot rewrite as a streamed store.
-    charge_bitmap_query(pc, heap, t, span);
+    pc.bitmap_query(t, (*heap.beg_map(), *heap.end_map()), region, target);
     pc.stream_on(t, Bucket::Other, 4, &[(slot, AccessKind::Write)]);
-}
-
-/// Charges one `live_words_in_range` query over `span`. Tiny incremental
-/// tails (the common cached case, under four map words) stay on the host on
-/// every backend — §3.3: "operations … are essentially single atomic
-/// instructions whose potential benefits from offloading are outweighed by
-/// the overheads due to their small offloading granularities". Larger scans
-/// go through the Bitmap Count primitive.
-fn charge_bitmap_query(pc: &mut Pause, heap: &JavaHeap, t: usize, span: VRange) {
-    // Four 64-bit map words of coverage: 4 x 64 heap words x 8 B.
-    const OFFLOAD_SPAN_BYTES: u64 = 4 * 64 * 8;
-    if span.is_empty() {
-        pc.host_on(t, Bucket::BitmapCount, 6, &[]);
-        return;
-    }
-    let first = heap.beg_map().map_word_addr(span.start);
-    let last = heap.beg_map().map_word_addr(VAddr(span.end.0 - 8).max(span.start));
-    let bytes = (last - first) + 8;
-    let end_first = heap.end_map().map_word_addr(span.start);
-    if span.bytes() < OFFLOAD_SPAN_BYTES {
-        // Host fast path: a few map words through the cache hierarchy.
-        let instrs = pc.sys.costs.bitmap_per_map_word * (bytes / 8);
-        pc.host_on(t, Bucket::BitmapCount, instrs, &[(first, AccessKind::Read), (end_first, AccessKind::Read)]);
-    } else {
-        let spans = [(first, bytes), (end_first, bytes)];
-        pc.prim(t, PrimType::BitmapCount, true, |sys, core, now| sys.prim_bitmap_count(core, now, &spans));
-    }
 }
 
 fn compact_phase(pc: &mut Pause, heap: &mut JavaHeap, st: &mut MajorStats, plan: &CompactPlan) {
     heap.bot_clear();
-    let mut caches = vec![LastQuery::default(); pc.team()];
+    let mut cache = LastQuery::default();
 
     // Adjacent live objects that move by the same delta form one
     // contiguous run and are issued as a single Copy — dense live runs are
@@ -433,9 +398,9 @@ fn compact_phase(pc: &mut Pause, heap: &mut JavaHeap, st: &mut MajorStats, plan:
 
         // Destination calculation: the Fig. 3(b) Bitmap Count before each
         // Copy (incremental here, since the walk is monotonic).
-        let (new, span) = plan.new_addr_cached(heap, &mut caches[t], obj);
+        let (new, region) = plan.new_addr_cached(heap, &mut cache, obj);
         debug_assert!(new <= obj, "compaction must move objects downward");
-        charge_bitmap_query(pc, heap, t, span);
+        pc.bitmap_query(t, (*heap.beg_map(), *heap.end_map()), region, obj);
 
         if new != obj {
             st.moved_bytes += size * 8;
@@ -469,7 +434,7 @@ fn copy_run(pc: &mut Pause, heap: &mut JavaHeap, run: Option<(VAddr, VAddr, u64)
     let Some((src, dst, words)) = run.filter(|&(src, dst, _)| src != dst) else { return };
     heap.copy_object_words(src, dst, words);
     let t = pc.pick();
-    pc.prim(t, PrimType::Copy, true, |sys, core, now| sys.prim_copy(core, now, src, dst, words * 8));
+    pc.prim(t, OffloadCall::Copy { src, dst, bytes: words * 8 }, true);
     // Integrity check of the copied payload — only when the run did not
     // overlap its source (a memmove-down overlap destroys the source words
     // the check and any rung-1 re-copy would need).
@@ -497,7 +462,7 @@ fn epilogue(pc: &mut Pause, heap: &mut JavaHeap, plan: &CompactPlan) {
     // The clears are streaming memsets: writes issue back-to-back and
     // overlap in the core's miss window.
     for range in [bm.map_range(), em.map_range(), ct.table_range()] {
-        pc.charge(pc.pick(), Bucket::Other, true, |sys, core, now| sys.host_stream_clear(core, now, range));
+        pc.clear(pc.pick(), range);
     }
     // The bitmaps are empty again: reset the per-extent checksum folds.
     integrity::note_bitmap_clear(pc.sys);

@@ -12,11 +12,11 @@
 
 use crate::breakdown::{Breakdown, Bucket};
 use crate::freelist::FreeStore;
-use crate::pause::Pause;
+use crate::pause::{Pause, Tid};
 use crate::system::System;
 use crate::threads::GcThreads;
-use charon_core::device::{ScanAction, ScanRef};
-use charon_core::packet::PrimType;
+use crate::trace::Step;
+use charon_core::device::{OffloadCall, ScanAction, ScanRef};
 use charon_heap::addr::{VAddr, VRange};
 use charon_heap::heap::JavaHeap;
 use charon_heap::klass::{KlassId, KlassKind};
@@ -71,7 +71,7 @@ pub(crate) fn mark_sweep_into(
     let mut st = SweepStats::default();
     let mut stack = ObjStack::new(heap.layout().major_stack);
 
-    pc.serial(|sys, now| sys.gc_prologue(now));
+    pc.serial(Step::Prologue);
     // Header marks only — no compaction bitmaps in a plain mark-sweep.
     seed_roots(&mut pc, heap, &mut stack, &mut st, mark_header, true);
     drain(&mut pc, heap, &mut stack, &mut st, mark_header);
@@ -95,7 +95,7 @@ fn mark_header(heap: &mut JavaHeap, obj: VAddr) {
 
 /// Pushes an already-marked object onto the mark stack, charging the
 /// push to thread `on` (the least-loaded one when `None`).
-pub(crate) fn push_obj(pc: &mut Pause, stack: &mut ObjStack, obj: VAddr, on: Option<usize>) {
+pub(crate) fn push_obj(pc: &mut Pause, stack: &mut ObjStack, obj: VAddr, on: Option<Tid>) {
     let t = on.unwrap_or_else(|| pc.pick());
     let s = stack.push(obj);
     pc.host_on(t, Bucket::Push, pc.sys.costs.push, &[(s, AccessKind::Write)]);
@@ -159,9 +159,8 @@ pub(crate) fn drain(
             }
         }
         let hw = kind.charon_supported();
-        pc.prim(t, PrimType::ScanPush, hw, |sys, core, now| {
-            sys.prim_scan_push(core, now, slots[0], slots.len() as u64 * 8, &refs, hw)
-        });
+        let field_bytes = slots.len() as u64 * 8;
+        pc.prim(t, OffloadCall::ScanPush { fields_start: slots[0], field_bytes, refs: &refs }, hw);
     }
 }
 

@@ -14,11 +14,11 @@
 use crate::breakdown::{Breakdown, Bucket};
 use crate::freelist::FreeStore;
 use crate::integrity;
-use crate::pause::Pause;
+use crate::pause::{Pause, Tid};
 use crate::system::System;
 use crate::threads::GcThreads;
-use charon_core::device::{ScanAction, ScanRef};
-use charon_core::packet::PrimType;
+use crate::trace::Step;
+use charon_core::device::{OffloadCall, ScanAction, ScanRef};
 use charon_heap::addr::VAddr;
 use charon_heap::heap::JavaHeap;
 use charon_heap::klass::KlassKind;
@@ -90,7 +90,7 @@ pub fn minor_gc(
     };
 
     // Prologue: bulk host-cache flush under offloading backends (§4.6).
-    pc.serial(|sys, now| sys.gc_prologue(now));
+    pc.serial(Step::Prologue);
 
     // Phase 1: root set → stack.
     for idx in 0..heap.root_count() {
@@ -183,7 +183,7 @@ pub(crate) fn search_dirty_cards(
     let mut pos = table.start;
     while pos < old_top_card {
         let (hit, scanned) = heap.cards().search_dirty_block(&heap.mem, pos, old_top_card);
-        pc.prim(pc.pick(), PrimType::Search, true, |sys, core, now| sys.prim_search(core, now, pos, scanned * 8));
+        pc.prim(pc.pick(), OffloadCall::Search { start: pos, scanned_bytes: scanned * 8 }, true);
 
         let Some(block) = hit else { break };
         for card in heap.cards().dirty_cards_in_block(&heap.mem, block) {
@@ -244,7 +244,7 @@ fn scan_dirty_card(pc: &mut Pause, heap: &mut JavaHeap, sc: &mut Scavenge, card:
 
 /// Processes one slot popped by thread `t`: resolve forwarding or copy the
 /// referent and Scan&Push its fields.
-fn process_slot(pc: &mut Pause, heap: &mut JavaHeap, sc: &mut Scavenge, slot: VAddr, t: usize) {
+fn process_slot(pc: &mut Pause, heap: &mut JavaHeap, sc: &mut Scavenge, slot: VAddr, t: Tid) {
     let r = heap.read_ref(slot);
     if r.is_null() || !heap.in_young(r) {
         return;
@@ -280,7 +280,8 @@ fn process_slot(pc: &mut Pause, heap: &mut JavaHeap, sc: &mut Scavenge, slot: VA
             None => match heap.alloc_to(size) {
                 Some(d) => (d, false),
                 None => panic!(
-                    "promotion failure: neither Old nor the survivor space can take {size} words —                      the triggering policy should have run a full collection first"
+                    "promotion failure: neither Old nor the survivor space can take {size} words — \
+                     the triggering policy should have run a full collection first"
                 ),
             },
         },
@@ -298,7 +299,7 @@ fn process_slot(pc: &mut Pause, heap: &mut JavaHeap, sc: &mut Scavenge, slot: VA
     sc.st.objects_copied += 1;
 
     // Timing: the Copy primitive plus per-object fixup.
-    pc.prim(t, PrimType::Copy, true, |sys, core, now| sys.prim_copy(core, now, r, dest, bytes));
+    pc.prim(t, OffloadCall::Copy { src: r, dst: dest, bytes }, true);
     pc.host_on(t, Bucket::Copy, pc.sys.costs.copy_fixup, &[(r, AccessKind::Write), (slot, AccessKind::Write)]);
     // Integrity: the Copy unit's outputs — the evacuated payload, the
     // forwarding word, and the re-dirtied card — are checked (and, on
@@ -352,9 +353,8 @@ fn process_slot(pc: &mut Pause, heap: &mut JavaHeap, sc: &mut Scavenge, slot: VA
         }
     }
     let hw = klass_kind.charon_supported();
-    pc.prim(t, PrimType::ScanPush, hw, |sys, core, now| {
-        sys.prim_scan_push(core, now, slots[0], (slots.len() as u64) * 8, &refs, hw)
-    });
+    let field_bytes = slots.len() as u64 * 8;
+    pc.prim(t, OffloadCall::ScanPush { fields_start: slots[0], field_bytes, refs: &refs }, hw);
     // Integrity: cards the scan actions dirtied are checked post-primitive.
     if !scan_cards.is_empty() {
         pc.check(t, Bucket::ScanPush, |sys, core, now| {

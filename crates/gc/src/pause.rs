@@ -8,16 +8,35 @@
 //! code that writes to either, so `Σ breakdown == Σ thread spans` holds by
 //! construction and the blocked-vs-executing decision that feeds the
 //! energy model is taken in one place ([`System::prim_blocked`]).
+//!
+//! It is also the trace recorder ([`crate::trace`]): every method that
+//! charges an op appends it — with its thread and whether that thread was
+//! picked or reused — to the collection's trace when
+//! [`System::record_traces`] is set, and a replay calls the same methods.
 //! DESIGN.md §3 "Charge protocol" states the contract.
 
 use crate::breakdown::{Breakdown, Bucket};
 use crate::system::System;
 use crate::threads::GcThreads;
-use charon_core::packet::PrimType;
-use charon_heap::addr::VAddr;
+use crate::trace::{GcTrace, On, Step, TraceOp};
+use charon_core::device::OffloadCall;
+use charon_heap::addr::{VAddr, VRange};
+use charon_heap::markbitmap::MarkBitmap;
 use charon_sim::cache::AccessKind;
 use charon_sim::telemetry::Event;
 use charon_sim::time::Ps;
+
+/// A GC thread as [`Pause::pick`] chose it. The next op charged takes the
+/// pick; every later op on the same handle is a reuse of that op's thread,
+/// which is what lets a replay that picks differently keep dependent work
+/// together.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Tid {
+    /// The thread's index in the team.
+    pub index: usize,
+    /// The index of the op the pick was taken for.
+    pick: u32,
+}
 
 /// The charging context of one collection.
 pub(crate) struct Pause<'a> {
@@ -33,6 +52,14 @@ pub(crate) struct Pause<'a> {
     drain: Ps,
     /// Where the telemetry phase now open began.
     phase_start: Ps,
+    /// The index the next op gets, counted whether or not a trace is kept.
+    seq: u32,
+    /// The trace being recorded, when [`System::record_traces`] is set.
+    trace: Option<GcTrace>,
+    /// Each thread's last bitmap query since the last barrier, as
+    /// `(region, object)` — HotSpot's per-compaction-manager last-query
+    /// cache, which decides how much bitmap the next query reads.
+    last_query: Vec<Option<(VAddr, VAddr)>>,
 }
 
 impl<'a> Pause<'a> {
@@ -40,28 +67,41 @@ impl<'a> Pause<'a> {
     pub fn new(sys: &'a mut System, threads: &'a mut GcThreads) -> Pause<'a> {
         let cores = sys.host.cores();
         let phase_start = threads.max_clock();
-        Pause { sys, threads, bd: Breakdown::new(), cores, drain: Ps::ZERO, phase_start }
+        let trace = sys.record_traces.then(GcTrace::default);
+        let last_query = vec![None; threads.len()];
+        Pause { sys, threads, bd: Breakdown::new(), cores, drain: Ps::ZERO, phase_start, seq: 0, trace, last_query }
     }
 
-    /// The least-loaded thread (work-stealing approximation).
+    /// The least-loaded thread (work-stealing approximation), for the
+    /// next op charged.
     #[inline]
-    pub fn pick(&self) -> usize {
-        self.threads.least_loaded()
+    pub fn pick(&self) -> Tid {
+        Tid { index: self.threads.least_loaded(), pick: self.seq }
     }
 
-    /// Size of the thread team.
-    pub fn team(&self) -> usize {
-        self.threads.len()
+    /// How the op about to be charged names thread `t`: picked for it, or
+    /// reusing an earlier op's pick.
+    #[inline]
+    fn on(&self, t: Tid) -> On {
+        On { thread: t.index as u32, reuse: (t.pick != self.seq).then_some(t.pick) }
+    }
+
+    /// Counts the op about to be charged and, when a trace is kept,
+    /// appends it.
+    #[inline]
+    fn record(&mut self, op: impl FnOnce() -> TraceOp) {
+        if let Some(trace) = &mut self.trace {
+            trace.ops.push(op());
+        }
+        self.seq += 1;
     }
 
     /// Books the span `f` takes on thread `t`, starting at the thread's
     /// clock, into `bucket`. `f` gets the system, the thread's core, and
-    /// the start time, and returns the completion time. Host operations
-    /// `f` records into a trace carry `bucket`.
+    /// the start time, and returns the completion time.
     #[inline]
-    pub fn charge(&mut self, t: usize, bucket: Bucket, active: bool, f: impl FnOnce(&mut System, usize, Ps) -> Ps) {
+    fn charge(&mut self, t: usize, bucket: Bucket, active: bool, f: impl FnOnce(&mut System, usize, Ps) -> Ps) {
         let now = self.threads.clock(t);
-        self.sys.charging = bucket;
         let end = f(self.sys, t % self.cores, now);
         self.bd.record(bucket, end - now);
         self.threads.advance(t, end, active);
@@ -69,14 +109,21 @@ impl<'a> Pause<'a> {
 
     /// A host operation on thread `t`.
     #[inline]
-    pub fn host_on(&mut self, t: usize, bucket: Bucket, instrs: u64, accesses: &[(VAddr, AccessKind)]) {
+    pub fn host_on(&mut self, t: Tid, bucket: Bucket, instrs: u64, accesses: &[(VAddr, AccessKind)]) {
+        let on = self.on(t);
+        self.record(|| TraceOp::Host { on, bucket, instrs, accesses: accesses.to_vec(), stream: false });
+        self.run_host(t.index, bucket, instrs, accesses);
+    }
+
+    #[inline]
+    fn run_host(&mut self, t: usize, bucket: Bucket, instrs: u64, accesses: &[(VAddr, AccessKind)]) {
         self.charge(t, bucket, true, |sys, core, now| sys.host_op(core, now, instrs, accesses));
     }
 
     /// A host operation on the least-loaded thread, which is returned so
     /// dependent work can stay on it.
     #[inline]
-    pub fn host(&mut self, bucket: Bucket, instrs: u64, accesses: &[(VAddr, AccessKind)]) -> usize {
+    pub fn host(&mut self, bucket: Bucket, instrs: u64, accesses: &[(VAddr, AccessKind)]) -> Tid {
         let t = self.pick();
         self.host_on(t, bucket, instrs, accesses);
         t
@@ -86,9 +133,11 @@ impl<'a> Pause<'a> {
     /// advances by the compute time only, and the memory completion folds
     /// into the drain the next barrier absorbs.
     #[inline]
-    pub fn stream_on(&mut self, t: usize, bucket: Bucket, instrs: u64, accesses: &[(VAddr, AccessKind)]) {
+    pub fn stream_on(&mut self, t: Tid, bucket: Bucket, instrs: u64, accesses: &[(VAddr, AccessKind)]) {
+        let on = self.on(t);
+        self.record(|| TraceOp::Host { on, bucket, instrs, accesses: accesses.to_vec(), stream: true });
         let mut mem = Ps::ZERO;
-        self.charge(t, bucket, true, |sys, core, now| {
+        self.charge(t.index, bucket, true, |sys, core, now| {
             let (cpu, done) = sys.host_stream_op(core, now, instrs, accesses);
             mem = done;
             cpu
@@ -98,45 +147,125 @@ impl<'a> Pause<'a> {
 
     /// [`Pause::stream_on`] the least-loaded thread, which is returned.
     #[inline]
-    pub fn stream(&mut self, bucket: Bucket, instrs: u64, accesses: &[(VAddr, AccessKind)]) -> usize {
+    pub fn stream(&mut self, bucket: Bucket, instrs: u64, accesses: &[(VAddr, AccessKind)]) -> Tid {
         let t = self.pick();
         self.stream_on(t, bucket, instrs, accesses);
         t
     }
 
-    /// One primitive on thread `t`: `f` is the `sys.prim_*` call. Whether
-    /// the thread executed the span or sat blocked on an offload response
-    /// is asked after the call, because a watchdog verdict inside it
-    /// moves the primitive to the host for good.
+    /// One primitive on thread `t`; `hw` is false for a Scan&Push over a
+    /// klass kind the hardware cannot iterate (§4.4).
     #[inline]
-    pub fn prim(&mut self, t: usize, prim: PrimType, hw: bool, f: impl FnOnce(&mut System, usize, Ps) -> Ps) {
-        let now = self.threads.clock(t);
-        let end = f(self.sys, t % self.cores, now);
-        self.bd.record(Bucket::of(prim), end - now);
-        self.threads.advance(t, end, !self.sys.prim_blocked(prim, hw));
+    pub fn prim(&mut self, t: Tid, call: OffloadCall<'_>, hw: bool) {
+        let on = self.on(t);
+        self.record(|| TraceOp::Prim { on, call: call.into(), hw });
+        self.run_prim(t.index, call, hw);
     }
 
-    /// An integrity follow-up on thread `t` (`f` chains `integrity::after_*`
-    /// hooks): host-executed, free when the layer is off.
+    /// Runs `call` on thread `t`, in the primitive's bucket. Whether the
+    /// thread executed the span or sat blocked on an offload response is
+    /// asked after the call, because a watchdog verdict inside it moves
+    /// the primitive to the host for good.
     #[inline]
-    pub fn check(&mut self, t: usize, bucket: Bucket, f: impl FnOnce(&mut System, usize, Ps) -> Ps) {
-        if self.sys.integrity.is_some() {
-            self.charge(t, bucket, true, f);
+    fn run_prim(&mut self, t: usize, call: OffloadCall<'_>, hw: bool) {
+        let now = self.threads.clock(t);
+        let end = self.sys.prim(t % self.cores, now, call, hw);
+        self.bd.record(Bucket::of(call.prim()), end - now);
+        self.threads.advance(t, end, !self.sys.prim_blocked(call.prim(), hw));
+    }
+
+    /// A streaming clear of `range` on thread `t` (the major epilogue's
+    /// bitmap and card-table memsets).
+    pub fn clear(&mut self, t: Tid, range: VRange) {
+        let on = self.on(t);
+        self.record(|| TraceOp::Clear { on, range });
+        self.charge(t.index, Bucket::Other, true, |sys, core, now| sys.host_stream_clear(core, now, range));
+    }
+
+    /// One `live_words_in_range` query on thread `t` for `obj`, in the
+    /// compaction region starting at `region`, over the begin and end
+    /// `maps`. It reads the bitmap from the region start — or, when `t`'s
+    /// previous query since the last barrier was in the same region and
+    /// not past `obj`, only the delta from that query. Tiny spans (the
+    /// common cached case, under four map words) stay on the host on every
+    /// backend — §3.3: "operations … are essentially single atomic
+    /// instructions whose potential benefits from offloading are outweighed
+    /// by the overheads due to their small offloading granularities".
+    /// Larger spans go through the Bitmap Count primitive.
+    pub fn bitmap_query(&mut self, t: Tid, maps: (MarkBitmap, MarkBitmap), region: VAddr, obj: VAddr) {
+        // Four 64-bit map words of coverage: 4 x 64 heap words x 8 B.
+        const OFFLOAD_SPAN_BYTES: u64 = 4 * 64 * 8;
+        let on = self.on(t);
+        self.record(|| TraceOp::Query { on, region, obj });
+        if let Some(trace) = &mut self.trace {
+            trace.maps = Some(maps);
+        }
+        let from = match self.last_query[t.index].replace((region, obj)) {
+            Some((r, at)) if r == region && obj >= at => at,
+            _ => region,
+        };
+        let span = VRange::new(from, obj);
+        if span.is_empty() {
+            return self.run_host(t.index, Bucket::BitmapCount, 6, &[]);
+        }
+        let (beg, end) = maps;
+        let first = beg.map_word_addr(span.start);
+        let last = beg.map_word_addr(VAddr(span.end.0 - 8).max(span.start));
+        let bytes = (last - first) + 8;
+        let end_first = end.map_word_addr(span.start);
+        if span.bytes() < OFFLOAD_SPAN_BYTES {
+            // Host fast path: a few map words through the cache hierarchy.
+            let (instrs, acc) = (self.sys.costs.bitmap_per_map_word * (bytes / 8), AccessKind::Read);
+            self.run_host(t.index, Bucket::BitmapCount, instrs, &[(first, acc), (end_first, acc)]);
+        } else {
+            self.run_prim(t.index, OffloadCall::BitmapCount { spans: &[(first, bytes), (end_first, bytes)] }, true);
         }
     }
 
-    /// A serial step (prologue, bitmap-cache flush, end-of-mark verify):
-    /// everyone waits, thread 0 runs `f` with the rest idle, everyone
-    /// waits again. Serial steps sit between telemetry phases.
-    pub fn serial(&mut self, f: impl FnOnce(&mut System, Ps) -> Ps) {
+    /// An integrity follow-up on thread `t` (`f` chains `integrity::after_*`
+    /// hooks): host-executed, free when the layer is off. Not recorded.
+    #[inline]
+    pub fn check(&mut self, t: Tid, bucket: Bucket, f: impl FnOnce(&mut System, usize, Ps) -> Ps) {
+        if self.sys.integrity.is_some() {
+            self.charge(t.index, bucket, true, f);
+        }
+    }
+
+    /// A serial integrity step (the end-of-mark verify): when the layer is
+    /// armed, everyone waits, thread 0 runs `f` with the rest idle,
+    /// everyone waits again. Only the barriers are recorded.
+    pub fn check_serial(&mut self, f: impl FnOnce(&mut System, Ps) -> Ps) {
+        if self.sys.integrity.is_some() {
+            self.barrier();
+            self.charge(0, Bucket::Other, false, |sys, _, now| f(sys, now));
+            self.phase_start = self.barrier();
+        }
+    }
+
+    /// Thread 0 runs `step` while the others go on.
+    pub fn step(&mut self, step: Step) {
+        self.record(|| TraceOp::Step(step));
+        self.charge(0, Bucket::Other, false, |sys, _, now| match step {
+            Step::Prologue => sys.gc_prologue(now),
+            Step::FlushBitmapCache => sys.flush_bitmap_cache(now),
+        });
+    }
+
+    /// A serial step: everyone waits, thread 0 runs `step` with the rest
+    /// idle, everyone waits again. Serial steps sit between telemetry
+    /// phases.
+    pub fn serial(&mut self, step: Step) {
         self.barrier();
-        self.charge(0, Bucket::Other, false, |sys, _, now| f(sys, now));
+        self.step(step);
         self.phase_start = self.barrier();
     }
 
     /// A barrier: absorbs the outstanding stream drain and synchronizes
-    /// all threads to the latest clock, which is returned.
+    /// all threads to the latest clock, which is returned. A phase ends
+    /// here, and so does every thread's last bitmap query.
     pub fn barrier(&mut self) -> Ps {
+        self.record(|| TraceOp::Barrier);
+        self.last_query.fill(None);
         self.threads.advance_all_to(std::mem::take(&mut self.drain));
         self.threads.barrier()
     }
@@ -149,17 +278,19 @@ impl<'a> Pause<'a> {
         self.phase_start = end;
     }
 
-    /// Closes a barrier-delimited phase: barrier, a `Phase` marker so a
-    /// trace replay resynchronizes here too, then the telemetry mark.
+    /// Closes a barrier-delimited phase: barrier, then the telemetry mark.
     pub fn close_phase(&mut self, name: &'static str) {
         self.barrier();
-        self.sys.note_phase_barrier();
         self.end_phase(name);
     }
 
-    /// Closes the context (after the collection's final barrier).
+    /// Closes the context (after the collection's final barrier) and files
+    /// its trace, if one was recorded.
     pub fn finish(self) -> Breakdown {
         debug_assert_eq!(self.drain, Ps::ZERO, "a stream drain is still outstanding: barrier first");
+        if let Some(trace) = self.trace {
+            self.sys.traces.push(trace);
+        }
         self.bd
     }
 }
@@ -177,14 +308,11 @@ mod tests {
     fn mixed(pc: &mut Pause) {
         let t = pc.host(Bucket::Pop, 40, &[(VAddr(0x1000), AccessKind::Read)]);
         pc.host_on(t, Bucket::Push, 12, &[(VAddr(0x2000), AccessKind::Write)]);
-        pc.prim(t, PrimType::Copy, true, |s, c, now| s.prim_copy(c, now, VAddr(0x10_0000), VAddr(0x20_0000), 4096));
-        pc.prim(pc.pick(), PrimType::Search, true, |s, c, now| s.prim_search(c, now, VAddr(0x30_0000), 512));
-        pc.prim(pc.pick(), PrimType::BitmapCount, true, |s, c, now| {
-            s.prim_bitmap_count(c, now, &[(VAddr(0x40_0000), 256)])
-        });
-        pc.prim(pc.pick(), PrimType::ScanPush, false, |s, c, now| {
-            s.prim_scan_push(c, now, VAddr(0x50_0000), 64, &[], false)
-        });
+        pc.prim(t, OffloadCall::Copy { src: VAddr(0x10_0000), dst: VAddr(0x20_0000), bytes: 4096 }, true);
+        pc.prim(pc.pick(), OffloadCall::Search { start: VAddr(0x30_0000), scanned_bytes: 512 }, true);
+        pc.prim(pc.pick(), OffloadCall::BitmapCount { spans: &[(VAddr(0x40_0000), 256)] }, true);
+        let call = OffloadCall::ScanPush { fields_start: VAddr(0x50_0000), field_bytes: 64, refs: &[] };
+        pc.prim(pc.pick(), call, false);
         pc.check(t, Bucket::Copy, |_, _, now| now + Ps(7));
         pc.stream(Bucket::Other, 9, &[(VAddr(0x60_0000), AccessKind::Read)]);
     }
@@ -196,13 +324,13 @@ mod tests {
         let mut pc = Pause::new(&mut sys, &mut threads);
         // Equal clocks: lowest index first; a longer op keeps its thread
         // out of rotation until the others catch up.
-        assert_eq!(pc.host(Bucket::Other, 1000, &[]), 0);
-        assert_eq!(pc.host(Bucket::Other, 10, &[]), 1);
-        assert_eq!(pc.host(Bucket::Other, 10, &[]), 2);
-        assert_eq!(pc.host(Bucket::Other, 10, &[]), 1);
-        assert_eq!(pc.host(Bucket::Other, 10, &[]), 2);
+        let picked: Vec<usize> = [1000, 10, 10, 10, 10]
+            .into_iter()
+            .map(|instrs| pc.host(Bucket::Other, instrs, &[]).index)
+            .collect();
+        assert_eq!(picked, [0, 1, 2, 1, 2]);
         pc.barrier();
-        assert_eq!(pc.pick(), 0, "a barrier levels the team");
+        assert_eq!(pc.pick().index, 0, "a barrier levels the team");
     }
 
     #[test]
@@ -222,7 +350,7 @@ mod tests {
         let mut sys = System::charon();
         let mut threads = GcThreads::new(1, START);
         let mut pc = Pause::new(&mut sys, &mut threads);
-        pc.serial(|sys, now| sys.gc_prologue(now));
+        pc.serial(Step::Prologue);
         mixed(&mut pc);
         let bd = pc.bd;
         assert_eq!(bd.total(), threads.clock(0) - START);

@@ -7,7 +7,7 @@
 //! *functional* heap mutations itself and calls these methods purely to
 //! advance simulated time and traffic.
 
-use crate::breakdown::{Bucket, RecoverySummary};
+use crate::breakdown::RecoverySummary;
 use crate::costs::CostModel;
 use charon_core::device::{CharonDevice, OffloadCall, Placement, ScanRef, StructureMode};
 use charon_core::packet::PrimType;
@@ -185,10 +185,6 @@ pub struct System {
     pub record_traces: bool,
     /// Recorded traces, one per collection (only when `record_traces`).
     pub traces: Vec<crate::trace::GcTrace>,
-    /// The bucket of the charge in flight ([`crate::pause::Pause`] sets
-    /// it): host operations recorded into a trace carry it, so a replay
-    /// rebuilds the live breakdown bucket by bucket.
-    pub(crate) charging: Bucket,
     /// The structured event journal ([`charon_sim::telemetry`]); disabled
     /// by default and never consulted by any timing computation.
     pub telemetry: Telemetry,
@@ -253,7 +249,6 @@ impl System {
             tenuring: None,
             record_traces: false,
             traces: Vec::new(),
-            charging: Bucket::Other,
             telemetry: Telemetry::disabled(),
             profiler: Profiler::disabled(),
             collection_seq: 0,
@@ -300,16 +295,6 @@ impl System {
     /// given word-sized memory accesses, all overlappable. Returns the
     /// completion time.
     pub fn host_op(&mut self, core: usize, now: Ps, instrs: u64, accesses: &[(VAddr, AccessKind)]) -> Ps {
-        if self.record_traces {
-            if let Some(t) = self.traces.last_mut() {
-                t.ops.push(crate::trace::TraceOp::HostOp {
-                    instrs,
-                    accesses: accesses.to_vec(),
-                    stream: false,
-                    bucket: self.charging,
-                });
-            }
-        }
         let mut end = now + self.compute(instrs);
         for &(a, kind) in accesses {
             end = end.max(self.host.mem_access(core, now, a.0, 8, kind));
@@ -324,16 +309,6 @@ impl System {
     /// clock by the former and folds the latter into a phase-level drain
     /// time (see `GcThreads::advance_all_to`).
     pub fn host_stream_op(&mut self, core: usize, now: Ps, instrs: u64, accesses: &[(VAddr, AccessKind)]) -> (Ps, Ps) {
-        if self.record_traces {
-            if let Some(t) = self.traces.last_mut() {
-                t.ops.push(crate::trace::TraceOp::HostOp {
-                    instrs,
-                    accesses: accesses.to_vec(),
-                    stream: true,
-                    bucket: self.charging,
-                });
-            }
-        }
         let cpu = now + self.compute(instrs);
         let mut mem = cpu;
         for &(a, kind) in accesses {
@@ -346,69 +321,25 @@ impl System {
     /// host caches so the units read up-to-date data (§4.6). Returns the
     /// time the flush traffic has drained.
     pub fn gc_prologue(&mut self, now: Ps) -> Ps {
-        let (flush, end) = match self.backend {
-            Backend::Charon => {
-                let (lines, dirty, done) = self.host.flush_all_caches(now);
-                (crate::trace::FlushKind::HostCaches { lines, dirty }, done)
-            }
-            _ => (crate::trace::FlushKind::Barrier, now),
-        };
-        self.note_phase(flush, now, end);
+        if self.backend != Backend::Charon {
+            return now;
+        }
+        let (lines, _, end) = self.host.flush_all_caches(now);
+        self.telemetry
+            .record(|| Event::Flush { kind: "host-caches", start: now, end, lines });
         end
     }
 
     /// Flushes the device's bitmap cache at a MajorGC phase boundary
     /// (§4.5). No-op without a device.
     pub fn flush_bitmap_cache(&mut self, now: Ps) -> Ps {
-        let (flush, end) = match &mut self.device {
-            Some(dev) => {
-                let before = dev.bitmap_cache_stats().flushed;
-                let done = dev.flush_bitmap_cache(&mut self.host, now);
-                let lines = dev.bitmap_cache_stats().flushed - before;
-                (crate::trace::FlushKind::BitmapCache { lines }, done)
-            }
-            None => (crate::trace::FlushKind::Barrier, now),
-        };
-        self.note_phase(flush, now, end);
+        let Some(dev) = &mut self.device else { return now };
+        let before = dev.bitmap_cache_stats().flushed;
+        let end = dev.flush_bitmap_cache(&mut self.host, now);
+        let lines = dev.bitmap_cache_stats().flushed - before;
+        self.telemetry
+            .record(|| Event::Flush { kind: "bitmap-cache", start: now, end, lines });
         end
-    }
-
-    /// Records a bare phase barrier (MajorGC's summary/adjust/compact
-    /// boundaries) so trace replay resynchronizes its thread clocks and
-    /// folds outstanding stream drain exactly where the live run did.
-    /// Charges no time.
-    pub fn note_phase_barrier(&mut self) {
-        self.note_phase(crate::trace::FlushKind::Barrier, Ps::ZERO, Ps::ZERO);
-    }
-
-    /// Appends a `Phase` marker to the active trace and, for real flushes,
-    /// a `Flush` span to the journal. The flush itself already happened —
-    /// its host/device side effects record no trace ops, so the marker's
-    /// position in the op stream is the phase boundary.
-    fn note_phase(&mut self, flush: crate::trace::FlushKind, start: Ps, end: Ps) {
-        if self.record_traces {
-            if let Some(t) = self.traces.last_mut() {
-                t.ops.push(crate::trace::TraceOp::Phase { flush });
-            }
-        }
-        if !matches!(flush, crate::trace::FlushKind::Barrier) {
-            self.telemetry
-                .record(|| Event::Flush { kind: flush.name(), start, end, lines: flush.lines() });
-        }
-    }
-
-    /// Performs a recorded phase flush during replay: the same cache-state
-    /// reset (and timing charge) the live run took at this boundary,
-    /// applied to *this* system's caches. Not recorded into traces.
-    pub fn replay_flush(&mut self, now: Ps, flush: crate::trace::FlushKind) -> Ps {
-        match flush {
-            crate::trace::FlushKind::Barrier => now,
-            crate::trace::FlushKind::HostCaches { .. } => self.host.flush_all_caches(now).2,
-            crate::trace::FlushKind::BitmapCache { .. } => match &mut self.device {
-                Some(dev) => dev.flush_bitmap_cache(&mut self.host, now),
-                None => now,
-            },
-        }
     }
 
     /// A streaming clear of `range` — the major epilogue's bitmap and
@@ -416,11 +347,6 @@ impl System {
     /// overlap in the core's miss window; returns when both the compute
     /// stream and the last write are done.
     pub fn host_stream_clear(&mut self, core: usize, now: Ps, range: charon_heap::addr::VRange) -> Ps {
-        if self.record_traces {
-            if let Some(t) = self.traces.last_mut() {
-                t.ops.push(crate::trace::TraceOp::StreamClear { range });
-            }
-        }
         let mut cursor = now;
         let mut end = now;
         let lines = range.bytes() / 64;
@@ -561,28 +487,14 @@ impl System {
 
     // ----- the four primitives ------------------------------------------
 
-    /// What every primitive does around its timing: append the trace op,
-    /// run where the backend and mask say (free on Ideal, on a device unit,
-    /// or the host software path), journal the span, sample the latency.
-    /// `hardware_iterable` is false only for a Scan&Push over a metadata
-    /// klass kind (§4.4), which stays on the host under every backend.
-    /// Inlined into its four callers, each of which fixes the variant.
+    /// One primitive, from `now` on `core`: run where the backend and mask
+    /// say (free on Ideal, on a device unit, or the host software path),
+    /// journal the span, sample the latency. `hardware_iterable` is false
+    /// only for a Scan&Push over a metadata klass kind (§4.4), which stays
+    /// on the host under every backend.
     #[inline]
-    fn prim(&mut self, core: usize, now: Ps, call: OffloadCall<'_>, hardware_iterable: bool) -> Ps {
-        use crate::trace::TraceOp;
+    pub(crate) fn prim(&mut self, core: usize, now: Ps, call: OffloadCall<'_>, hardware_iterable: bool) -> Ps {
         let prim = call.prim();
-        if self.record_traces {
-            if let Some(t) = self.traces.last_mut() {
-                t.ops.push(match call {
-                    OffloadCall::Copy { src, dst, bytes } => TraceOp::Copy { src, dst, bytes },
-                    OffloadCall::Search { start, scanned_bytes } => TraceOp::Search { start, bytes: scanned_bytes },
-                    OffloadCall::BitmapCount { spans } => TraceOp::BitmapCount { spans: spans.to_vec() },
-                    OffloadCall::ScanPush { fields_start, field_bytes, refs } => {
-                        TraceOp::ScanPush { fields_start, field_bytes, refs: refs.to_vec(), hw: hardware_iterable }
-                    }
-                });
-            }
-        }
         let end = if self.backend == Backend::Ideal {
             now
         } else if hardware_iterable && self.prim_offloads(prim) {

@@ -9,16 +9,26 @@
 //! run would have issued — what changes is only where each operation's
 //! time is charged.
 //!
-//! `Phase` markers record *what the live run did* at each boundary
-//! ([`FlushKind`]): the prologue's bulk host-cache flush, a bitmap-cache
-//! flush, or a bare barrier. Replay performs the recorded flush kind on
-//! its own system, reproducing both the timing charge and the cache-state
-//! reset — so a same-config replay started at the live collection's start
-//! time ([`replay_at`]) reproduces the live wall time exactly when
-//! `gc_threads == 1`. With more threads, replay re-picks the least-loaded
-//! thread per operation where the live collector sometimes keeps an
-//! operation on the thread that popped it, so multi-thread replay remains
-//! a close (documented) approximation.
+//! The recorder is the charging context itself (`pause::Pause`): every
+//! op a collection charges through it — host op, streamed op, primitive,
+//! stream clear, bitmap query, serial step, barrier — is appended to the
+//! collection's [`GcTrace`] when [`System::record_traces`] is set. An op
+//! records what the collector asked for, not what the machine made of it:
+//! the primitive's operands rather than its latency, "flush the bitmap
+//! cache" rather than how many lines that flushed. A threaded op also
+//! records the thread it ran on and whether the collector picked that
+//! thread for it or reused the thread an earlier op was picked for
+//! ([`On`]). A replay ([`replay_at`]) is a loop over the same `Pause`
+//! methods: it picks again where the live run picked and reuses where the
+//! live run reused, so the replayed pause equals the live one exactly —
+//! wall and every Fig. 4 bucket — on the recording configuration at any
+//! `gc_threads`, and, since a `ps` run's op stream does not depend on the
+//! platform, on every other platform too (`tests/trace_replay.rs`).
+//!
+//! Not recorded, and so where that exactness stops: integrity follow-ups
+//! (`Pause::check`, charged only when the corruption layer is armed) and
+//! the `cms` collector's concurrent mark steps, which run between pauses
+//! on the collector's wall clock rather than inside a collection.
 //!
 //! ```
 //! use charon_gc::collector::Collector;
@@ -48,30 +58,30 @@
 //! ```
 
 use crate::breakdown::{Breakdown, Bucket};
-use crate::pause::Pause;
+use crate::pause::{Pause, Tid};
 use crate::system::System;
 use crate::threads::GcThreads;
-use charon_core::device::ScanRef;
-use charon_core::packet::PrimType;
+use charon_core::device::{OffloadCall, ScanRef};
 use charon_heap::addr::{VAddr, VRange};
+use charon_heap::markbitmap::MarkBitmap;
 use charon_sim::cache::AccessKind;
 use charon_sim::time::Ps;
 
-/// One recorded, timed operation.
-#[derive(Debug, Clone)]
-pub enum TraceOp {
-    /// A host-side operation (pop, push, walk, fixup…).
-    HostOp {
-        /// Instructions retired.
-        instrs: u64,
-        /// Word-sized memory accesses.
-        accesses: Vec<(VAddr, AccessKind)>,
-        /// Whether it was issued stream-style (independent iteration).
-        stream: bool,
-        /// The breakdown bucket it was charged to.
-        bucket: Bucket,
-    },
-    /// A *Copy* primitive.
+/// Which thread a recorded op ran on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct On {
+    /// The thread, in the recording run.
+    pub thread: u32,
+    /// `None` when the collector picked the least-loaded thread for this
+    /// op; `Some(i)` when it reused the thread op `i` of the same trace
+    /// was picked for (a pop's dependent copy, fixup and Scan&Push).
+    pub reuse: Option<u32>,
+}
+
+/// A recorded primitive: an [`OffloadCall`] that owns its operands.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PrimCall {
+    /// *Copy* `bytes` from `src` to `dst`.
     Copy {
         /// Source address.
         src: VAddr,
@@ -80,19 +90,19 @@ pub enum TraceOp {
         /// Payload bytes.
         bytes: u64,
     },
-    /// A *Search* primitive.
+    /// *Search* the card table from `start`.
     Search {
         /// Scan start.
         start: VAddr,
         /// Bytes scanned until the result was known.
-        bytes: u64,
+        scanned_bytes: u64,
     },
-    /// A *Bitmap Count* primitive.
+    /// *Bitmap Count* over map spans.
     BitmapCount {
-        /// Map spans read.
+        /// `(start, bytes)` spans read.
         spans: Vec<(VAddr, u64)>,
     },
-    /// A *Scan&Push* primitive.
+    /// *Scan&Push* over an object's reference fields.
     ScanPush {
         /// First field slot.
         fields_start: VAddr,
@@ -100,68 +110,124 @@ pub enum TraceOp {
         field_bytes: u64,
         /// Referents and their dependent actions.
         refs: Vec<ScanRef>,
+    },
+}
+
+impl PrimCall {
+    /// The call, to issue again.
+    pub fn call(&self) -> OffloadCall<'_> {
+        match *self {
+            PrimCall::Copy { src, dst, bytes } => OffloadCall::Copy { src, dst, bytes },
+            PrimCall::Search { start, scanned_bytes } => OffloadCall::Search { start, scanned_bytes },
+            PrimCall::BitmapCount { ref spans } => OffloadCall::BitmapCount { spans },
+            PrimCall::ScanPush { fields_start, field_bytes, ref refs } => {
+                OffloadCall::ScanPush { fields_start, field_bytes, refs }
+            }
+        }
+    }
+}
+
+impl From<OffloadCall<'_>> for PrimCall {
+    fn from(call: OffloadCall<'_>) -> PrimCall {
+        match call {
+            OffloadCall::Copy { src, dst, bytes } => PrimCall::Copy { src, dst, bytes },
+            OffloadCall::Search { start, scanned_bytes } => PrimCall::Search { start, scanned_bytes },
+            OffloadCall::BitmapCount { spans } => PrimCall::BitmapCount { spans: spans.to_vec() },
+            OffloadCall::ScanPush { fields_start, field_bytes, refs } => {
+                PrimCall::ScanPush { fields_start, field_bytes, refs: refs.to_vec() }
+            }
+        }
+    }
+}
+
+/// A step the collector asks thread 0 to run while the rest of the team
+/// idles or goes on; what it costs is the machine's business (a flush on
+/// one platform is free on another).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// The GC prologue: a bulk host-cache flush under a memory-side
+    /// offloading backend (§4.6), nothing elsewhere.
+    Prologue,
+    /// A bitmap-cache flush at a MajorGC phase boundary (§4.5); nothing
+    /// without a device.
+    FlushBitmapCache,
+}
+
+/// One recorded op, in the order the collector charged it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TraceOp {
+    /// A host operation (pop, push, walk, fixup…), booked to `bucket`;
+    /// `stream` when it was one iteration of an independent loop.
+    Host {
+        /// Where it ran.
+        on: On,
+        /// The Fig. 4 bucket it was booked to.
+        bucket: Bucket,
+        /// Instructions retired.
+        instrs: u64,
+        /// Word-sized memory accesses.
+        accesses: Vec<(VAddr, AccessKind)>,
+        /// Whether it was issued stream-style.
+        stream: bool,
+    },
+    /// A primitive, in its own bucket. `hw` is false for a Scan&Push over
+    /// a klass kind the hardware cannot iterate (§4.4).
+    Prim {
+        /// Where it ran.
+        on: On,
+        /// The call.
+        call: PrimCall,
         /// Whether the klass kind is hardware-iterable.
         hw: bool,
     },
     /// A streaming clear of `range` (the major epilogue's bitmap and
-    /// card-table memsets).
-    StreamClear {
+    /// card-table memsets), in the Other bucket.
+    Clear {
+        /// Where it ran.
+        on: On,
         /// The cleared byte range.
         range: VRange,
     },
-    /// A phase boundary, carrying the cache work the live run performed
-    /// there.
-    Phase {
-        /// What happened at the boundary (see [`FlushKind`]).
-        flush: FlushKind,
+    /// A `live_words_in_range` query of the MajorGC adjust/compact walks
+    /// for the object at `obj` in the compaction region starting at
+    /// `region`, in the Bitmap Count bucket. How much bitmap it reads
+    /// depends on the thread's previous query, so a replay decides that
+    /// again from the thread it runs the query on.
+    Query {
+        /// Where it ran.
+        on: On,
+        /// Start of the object's compaction region.
+        region: VAddr,
+        /// The queried object.
+        obj: VAddr,
     },
-}
-
-/// The cache work a recorded [`TraceOp::Phase`] performed in the live run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlushKind {
-    /// A bare synchronization barrier; no cache state was touched.
+    /// A step thread 0 ran, in the Other bucket.
+    Step(Step),
+    /// A barrier: the stream drain absorbed, the clocks levelled.
     Barrier,
-    /// The GC prologue's bulk host-cache flush (§4.6): `lines` cache
-    /// lines invalidated, `dirty` of them written back.
-    HostCaches {
-        /// Lines invalidated across L1D/L2/L3.
-        lines: u64,
-        /// Dirty lines written back to memory.
-        dirty: u64,
-    },
-    /// A bitmap-cache flush at a MajorGC phase boundary (§4.5).
-    BitmapCache {
-        /// Lines invalidated in the bitmap cache.
-        lines: u64,
-    },
 }
 
-impl FlushKind {
-    /// Stable short name for telemetry labels.
-    pub fn name(self) -> &'static str {
-        match self {
-            FlushKind::Barrier => "barrier",
-            FlushKind::HostCaches { .. } => "host-caches",
-            FlushKind::BitmapCache { .. } => "bitmap-cache",
-        }
-    }
-
-    /// Lines the flush invalidated (zero for a bare barrier).
-    pub fn lines(self) -> u64 {
-        match self {
-            FlushKind::Barrier => 0,
-            FlushKind::HostCaches { lines, .. } => lines,
-            FlushKind::BitmapCache { lines } => lines,
+impl TraceOp {
+    /// The thread a threaded op ran on (`None` for steps and barriers).
+    pub fn on(&self) -> Option<On> {
+        match *self {
+            TraceOp::Host { on, .. }
+            | TraceOp::Prim { on, .. }
+            | TraceOp::Clear { on, .. }
+            | TraceOp::Query { on, .. } => Some(on),
+            TraceOp::Step(_) | TraceOp::Barrier => None,
         }
     }
 }
 
 /// One collection's recorded operation stream.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GcTrace {
     /// Operations in issue order.
     pub ops: Vec<TraceOp>,
+    /// The begin and end mark bitmaps the [`TraceOp::Query`] ops read
+    /// (`None` when the collection made no query).
+    pub maps: Option<(MarkBitmap, MarkBitmap)>,
 }
 
 impl GcTrace {
@@ -175,20 +241,9 @@ impl GcTrace {
         self.ops.is_empty()
     }
 
-    /// Number of recorded primitive invocations (non-host ops).
+    /// Number of recorded primitive invocations.
     pub fn primitive_count(&self) -> usize {
-        self.ops
-            .iter()
-            .filter(|o| {
-                matches!(
-                    o,
-                    TraceOp::Copy { .. }
-                        | TraceOp::Search { .. }
-                        | TraceOp::BitmapCount { .. }
-                        | TraceOp::ScanPush { .. }
-                )
-            })
-            .count()
+        self.ops.iter().filter(|o| matches!(o, TraceOp::Prim { .. })).count()
     }
 }
 
@@ -209,40 +264,39 @@ pub fn replay(trace: &GcTrace, sys: &mut System, gc_threads: usize) -> (Ps, Brea
 /// and the live collector opens every collection with a host barrier at
 /// its start time — so replaying a recorded collection at the time it was
 /// recorded, on a system in the same pre-collection state, reproduces the
-/// live charges exactly. The `trace_replay` integration tests assert this
-/// live == replay equality at `gc_threads == 1`.
+/// live charges exactly, at any `gc_threads`. Replaying a run's traces in
+/// order on one system of another platform, each at the end of the one
+/// before, reproduces that platform's live pauses.
+///
+/// # Panics
+///
+/// Panics if an op reuses the thread of an op that comes after it, or the
+/// trace has a [`TraceOp::Query`] but no [`GcTrace::maps`].
 pub fn replay_at(trace: &GcTrace, sys: &mut System, gc_threads: usize, start: Ps) -> (Ps, Breakdown) {
     sys.host.barrier(start);
     let mut threads = GcThreads::new(gc_threads, start);
     let mut pc = Pause::new(sys, &mut threads);
+    // The thread every op ran on in this replay (unused for steps and
+    // barriers), so a reuse follows its pick wherever that pick went.
+    let mut ran_on: Vec<Tid> = Vec::with_capacity(trace.ops.len());
     for op in &trace.ops {
+        let t = match op.on() {
+            Some(On { reuse: Some(i), .. }) => ran_on[i as usize],
+            _ => pc.pick(),
+        };
+        ran_on.push(t);
         match op {
-            TraceOp::HostOp { instrs, accesses, stream: true, bucket } => {
-                pc.stream(*bucket, *instrs, accesses);
+            TraceOp::Host { bucket, instrs, accesses, stream: false, .. } => pc.host_on(t, *bucket, *instrs, accesses),
+            TraceOp::Host { bucket, instrs, accesses, stream: true, .. } => pc.stream_on(t, *bucket, *instrs, accesses),
+            TraceOp::Prim { call, hw, .. } => pc.prim(t, call.call(), *hw),
+            TraceOp::Clear { range, .. } => pc.clear(t, *range),
+            TraceOp::Query { region, obj, .. } => {
+                pc.bitmap_query(t, trace.maps.expect("a trace with queries records its bitmaps"), *region, *obj)
             }
-            TraceOp::HostOp { instrs, accesses, stream: false, bucket } => {
-                pc.host(*bucket, *instrs, accesses);
+            TraceOp::Step(step) => pc.step(*step),
+            TraceOp::Barrier => {
+                pc.barrier();
             }
-            TraceOp::Copy { src, dst, bytes } => {
-                pc.prim(pc.pick(), PrimType::Copy, true, |sys, core, now| sys.prim_copy(core, now, *src, *dst, *bytes));
-            }
-            TraceOp::Search { start, bytes } => {
-                pc.prim(pc.pick(), PrimType::Search, true, |sys, core, now| sys.prim_search(core, now, *start, *bytes));
-            }
-            TraceOp::BitmapCount { spans } => {
-                pc.prim(pc.pick(), PrimType::BitmapCount, true, |sys, core, now| {
-                    sys.prim_bitmap_count(core, now, spans)
-                });
-            }
-            TraceOp::ScanPush { fields_start, field_bytes, refs, hw } => {
-                pc.prim(pc.pick(), PrimType::ScanPush, *hw, |sys, core, now| {
-                    sys.prim_scan_push(core, now, *fields_start, *field_bytes, refs, *hw)
-                });
-            }
-            TraceOp::StreamClear { range } => {
-                pc.charge(pc.pick(), Bucket::Other, true, |sys, core, now| sys.host_stream_clear(core, now, *range));
-            }
-            TraceOp::Phase { flush } => pc.serial(|sys, now| sys.replay_flush(now, *flush)),
         }
     }
     let end = pc.barrier();
@@ -264,19 +318,34 @@ mod tests {
 
     #[test]
     fn synthetic_trace_orders_and_charges() {
+        let at = |thread, reuse| On { thread, reuse };
         let t = GcTrace {
             ops: vec![
-                TraceOp::Phase { flush: FlushKind::Barrier },
-                TraceOp::Copy { src: VAddr(0x1000_0000), dst: VAddr(0x1200_0000), bytes: 65536 },
-                TraceOp::Search { start: VAddr(0x1300_0000), bytes: 4096 },
-                TraceOp::BitmapCount { spans: vec![(VAddr(0x1400_0000), 64)] },
-                TraceOp::HostOp {
+                TraceOp::Barrier,
+                TraceOp::Prim {
+                    on: at(0, None),
+                    call: PrimCall::Copy { src: VAddr(0x1000_0000), dst: VAddr(0x1200_0000), bytes: 65536 },
+                    hw: true,
+                },
+                TraceOp::Prim {
+                    on: at(1, None),
+                    call: PrimCall::Search { start: VAddr(0x1300_0000), scanned_bytes: 4096 },
+                    hw: true,
+                },
+                TraceOp::Prim {
+                    on: at(1, Some(2)),
+                    call: PrimCall::BitmapCount { spans: vec![(VAddr(0x1400_0000), 64)] },
+                    hw: true,
+                },
+                TraceOp::Host {
+                    on: at(0, Some(1)),
+                    bucket: Bucket::Pop,
                     instrs: 50,
                     accesses: vec![(VAddr(0x1500_0000), AccessKind::Read)],
                     stream: false,
-                    bucket: Bucket::Pop,
                 },
             ],
+            maps: None,
         };
         assert_eq!(t.primitive_count(), 3);
         let (wall_host, bd_host) = replay(&t, &mut System::ddr4(), 2);

@@ -1,10 +1,10 @@
-//! Trace-driven mode: a recorded collection replays to (nearly) the live
-//! pause time on the same configuration, and re-times meaningfully on
-//! others.
+//! Trace-driven mode: a recorded collection replays to the live pause —
+//! wall and every bucket — on the same configuration at any thread count,
+//! and re-times meaningfully on others.
 
-use charon_gc::collector::Collector;
+use charon_gc::collector::{Collector, GcKind};
 use charon_gc::system::System;
-use charon_gc::trace::replay;
+use charon_gc::trace::{replay, replay_at, Step, TraceOp};
 use charon_heap::heap::{HeapConfig, JavaHeap};
 use charon_heap::klass::KlassKind;
 use charon_heap::VAddr;
@@ -38,8 +38,9 @@ fn replay_on_same_config_approximates_live_run() {
     let (trace, live) = record_one(System::ddr4());
     assert!(trace.primitive_count() > 100, "trace too thin: {}", trace.primitive_count());
     let (replayed, bd) = replay(&trace, &mut System::ddr4(), 8);
-    // Replay starts from a cold machine and re-picks threads, so exact
-    // equality is not expected — but it must land in the same ballpark.
+    // Replay starts at time zero on a cold machine, not in the state the
+    // earlier collections left, so exact equality is not expected — but
+    // it must land in the same ballpark.
     let ratio = replayed.0 as f64 / live.0 as f64;
     assert!((0.5..2.0).contains(&ratio), "replayed {replayed} vs live {live} (ratio {ratio:.2})");
     assert!(bd.get(charon_gc::Bucket::Copy).0 > 0);
@@ -64,16 +65,24 @@ fn traces_record_one_entry_per_collection() {
     let mut sys = System::ddr4();
     sys.record_traces = true;
     let mut gc = Collector::new(sys, &heap, 4);
-    for _ in 0..200 {
-        let a = gc.alloc(&mut heap, k, 64).unwrap();
+    for _ in 0..2000 {
+        let a = gc.alloc(&mut heap, k, 1024).unwrap();
         heap.add_root(a);
+        if heap.root_count() > 300 {
+            heap.set_root(heap.root_count() - 300, VAddr::NULL);
+        }
     }
     gc.minor_gc(&mut heap);
     gc.major_gc(&mut heap);
     gc.minor_gc(&mut heap);
-    assert_eq!(gc.sys.traces.len(), 3 + gc.events.len() - 3 /* alloc-triggered ones too */);
+    assert!(gc.events.len() > 3, "allocation must have triggered collections of its own");
     assert_eq!(gc.sys.traces.len(), gc.events.len());
-    assert!(gc.sys.traces.iter().all(|t| !t.is_empty()));
+    // In order and of the same kind: only a MajorGC clears the bitmaps and
+    // the card table in its epilogue.
+    for (trace, event) in gc.sys.traces.iter().zip(&gc.events) {
+        let clears = trace.ops.iter().any(|o| matches!(o, TraceOp::Clear { .. }));
+        assert_eq!(clears, event.kind == GcKind::Major, "the trace of the {} at {}", event.kind, event.start);
+    }
 }
 
 #[test]
@@ -113,15 +122,13 @@ fn record_minor_and_major(mut sys: System, gc_threads: usize) -> (Collector, Jav
     (gc, heap)
 }
 
-/// Replay fidelity (the differential contract): a recorded collection,
-/// replayed at its live start time on a fresh system of the SAME
-/// configuration, reproduces the live wall time exactly at
-/// `gc_threads == 1`. The traces replay sequentially on ONE system so the
-/// cache and epoch-meter state carries across collections exactly as it
-/// did live; `Phase` ops re-perform the recorded flush kind, which is what
-/// keeps the cache state in sync.
-fn assert_live_equals_replay(make: fn() -> System) {
-    let (gc, _heap) = record_minor_and_major(make(), 1);
+/// Replay fidelity (the differential contract): the recorded collections,
+/// replayed in order at their live start times on one fresh system of the
+/// SAME configuration, reproduce every live pause exactly — wall and every
+/// bucket — at `gc_threads`. One system carries the cache, epoch-meter and
+/// device state across collections exactly as it did live.
+fn assert_live_equals_replay(make: fn() -> System, gc_threads: usize) {
+    let (gc, _heap) = record_minor_and_major(make(), gc_threads);
     assert_eq!(gc.sys.traces.len(), gc.events.len());
     assert!(gc.events.len() >= 2, "scenario must trigger both collections");
 
@@ -129,70 +136,93 @@ fn assert_live_equals_replay(make: fn() -> System) {
     // identical heap so the device's initialize() intrinsic runs with the
     // same global addresses.
     let replay_heap = JavaHeap::new(HeapConfig::with_heap_bytes(4 << 20));
-    let mut replay_sys = Collector::new(make(), &replay_heap, 1).sys;
+    let mut replay_sys = Collector::new(make(), &replay_heap, gc_threads).sys;
+    let label = replay_sys.label();
     for (trace, event) in gc.sys.traces.iter().zip(&gc.events) {
-        let (wall, bd) = charon_gc::trace::replay_at(trace, &mut replay_sys, 1, event.start);
-        assert_eq!(
-            wall, event.wall,
-            "replayed wall {wall} != live wall {} for the {} at {}",
-            event.wall, event.kind, event.start
-        );
+        let (wall, bd) = replay_at(trace, &mut replay_sys, gc_threads, event.start);
+        let at = format!("the {} at {} on {label} with {gc_threads} threads", event.kind, event.start);
+        assert_eq!(wall, event.wall, "replayed wall of {at}");
         for b in charon_gc::Bucket::ALL {
-            assert_eq!(
-                bd.get(b),
-                event.breakdown.get(b),
-                "the {b} bucket of the {} must replay identically",
-                event.kind
-            );
+            assert_eq!(bd.get(b), event.breakdown.get(b), "the {b} bucket of {at}");
         }
     }
 }
 
 #[test]
 fn live_equals_replay_single_thread_ddr4() {
-    assert_live_equals_replay(System::ddr4);
+    assert_live_equals_replay(System::ddr4, 1);
 }
 
 #[test]
 fn live_equals_replay_single_thread_hmc() {
-    assert_live_equals_replay(System::hmc);
+    assert_live_equals_replay(System::hmc, 1);
 }
 
 #[test]
 fn live_equals_replay_single_thread_charon() {
-    assert_live_equals_replay(System::charon);
+    assert_live_equals_replay(System::charon, 1);
 }
 
 #[test]
 fn live_equals_replay_single_thread_cpu_side() {
-    assert_live_equals_replay(System::cpu_side);
+    assert_live_equals_replay(System::cpu_side, 1);
+}
+
+#[test]
+fn live_equals_replay_single_thread_ideal() {
+    assert_live_equals_replay(System::ideal, 1);
+}
+
+/// Where a live run keeps dependent work on the thread that popped it, a
+/// replay does too, so exactness does not stop at one thread.
+#[test]
+fn live_equals_replay_at_2_and_8_threads() {
+    for make in [System::ddr4, System::hmc, System::charon, System::cpu_side, System::ideal] {
+        for gc_threads in [2, 8] {
+            assert_live_equals_replay(make, gc_threads);
+        }
+    }
 }
 
 #[test]
 fn phase_ops_record_the_flush_kind() {
-    use charon_gc::trace::{FlushKind, TraceOp};
-    let (gc, _heap) = record_minor_and_major(System::charon(), 1);
-    let minor = &gc.sys.traces[0];
-    // The minor prologue under Charon is a bulk host-cache flush (the
-    // very first GC flushes cold caches, so the line count may be zero —
-    // the recorded *kind* is what replay needs).
-    assert!(
-        minor
-            .ops
-            .iter()
-            .any(|o| matches!(o, TraceOp::Phase { flush: FlushKind::HostCaches { .. } })),
-        "minor trace must record the prologue host-cache flush"
-    );
-    let major = gc.sys.traces.last().unwrap();
-    assert!(
-        major
-            .ops
-            .iter()
-            .any(|o| matches!(o, TraceOp::Phase { flush: FlushKind::BitmapCache { .. } })),
-        "major trace must record bitmap-cache flushes"
-    );
-    assert!(
-        major.ops.iter().any(|o| matches!(o, TraceOp::StreamClear { .. })),
-        "major trace must record the epilogue stream clears"
-    );
+    // What is recorded is the flush the collector asked for, whatever the
+    // machine made of it: DDR4 has no device and flushes nothing.
+    for make in [System::charon, System::ddr4] {
+        let (gc, _heap) = record_minor_and_major(make(), 2);
+        let steps = |ops: &[TraceOp]| {
+            ops.iter()
+                .filter_map(|o| if let TraceOp::Step(s) = o { Some(*s) } else { None })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(steps(&gc.sys.traces[0].ops), [Step::Prologue], "a minor trace asks for the prologue flush only");
+        let major = gc.sys.traces.last().unwrap();
+        assert_eq!(
+            steps(&major.ops),
+            [Step::Prologue, Step::FlushBitmapCache, Step::FlushBitmapCache],
+            "a major trace asks for the prologue, the end-of-mark and the end-of-compact flushes"
+        );
+        assert!(
+            major.ops.iter().any(|o| matches!(o, TraceOp::Clear { .. })),
+            "major trace must record the epilogue stream clears"
+        );
+        assert!(major.maps.is_some(), "the adjust and compact queries record the bitmaps they read");
+    }
+}
+
+/// A replay on a recording system records the trace it replays: the
+/// recorder sits where the time is charged, for live runs and replays
+/// alike.
+#[test]
+fn a_replay_records_the_trace_it_replays() {
+    let (gc, _heap) = record_minor_and_major(System::charon(), 8);
+    let replay_heap = JavaHeap::new(HeapConfig::with_heap_bytes(4 << 20));
+    let mut replay_sys = Collector::new(System::charon(), &replay_heap, 8).sys;
+    replay_sys.record_traces = true;
+    for (trace, event) in gc.sys.traces.iter().zip(&gc.events) {
+        replay_at(trace, &mut replay_sys, 8, event.start);
+        let again = replay_sys.traces.last().unwrap();
+        assert_eq!(again.ops[..trace.len()], trace.ops[..], "the {} re-records op for op", event.kind);
+        assert_eq!(again.ops[trace.len()..], [TraceOp::Barrier], "plus the replay's closing barrier");
+    }
 }
