@@ -17,6 +17,12 @@
 //!    Bitmap Count skips probing since the host never writes the bitmap),
 //! 5. a 16/32 B response packet unblocks the host thread.
 //!
+//! The protocol is written once. [`CharonDevice::offload`] is the only way
+//! in: it takes the primitive as [`OffloadCall`] data and runs it through
+//! one envelope that does steps 1, 2 and 5, and the stats, for every
+//! primitive. Only steps 3–4 are per primitive: clflush probes, stream
+//! runs, bitmap-cache spans, and Scan&Push's granules, headers and actions.
+//!
 //! [`Placement::CpuSide`] moves the same units next to the host memory
 //! controller (Fig. 16): packets become on-chip (free), no clflush probes
 //! or accelerator TLB are needed, but every memory request pays the
@@ -35,6 +41,7 @@ use charon_sim::config::SystemConfig;
 use charon_sim::dram::DramOp;
 use charon_sim::faults::{FaultInjector, FaultRates, FaultSite, RecoveryConfig};
 use charon_sim::host::HostTiming;
+use charon_sim::issue::Window;
 use charon_sim::noc::Node;
 use charon_sim::telemetry::{Event, Telemetry};
 use charon_sim::time::Ps;
@@ -147,6 +154,17 @@ pub struct UnitClassStats {
 }
 
 impl UnitClassStats {
+    /// Mirrors one pool's counters.
+    fn of(pool: &UnitPool) -> UnitClassStats {
+        UnitClassStats {
+            busy: pool.busy_time(),
+            executions: pool.executions(),
+            wedges: pool.wedges(),
+            queue_high_water: pool.queue_high_water(),
+            total_units: pool.total_units(),
+        }
+    }
+
     /// Pool utilization over `elapsed` wall time: busy unit-time divided
     /// by the pool's total unit-time capacity. Zero when nothing ran.
     pub fn utilization(&self, elapsed: Ps) -> f64 {
@@ -307,12 +325,13 @@ impl fmt::Display for CharonStats {
     }
 }
 
-/// One offload described as data, for the fault-aware [`CharonDevice::offload`]
-/// entry point: a retry loop needs to re-issue the same primitive, so the
-/// call is reified instead of threaded through four separate methods.
+/// One offload described as data — the only form [`CharonDevice::offload`]
+/// accepts. A retry loop needs to re-issue the same primitive, and the
+/// shared envelope needs its routing operand, so the call is reified
+/// instead of threaded through four separate methods.
 #[derive(Debug, Clone, Copy)]
 pub enum OffloadCall<'a> {
-    /// [`CharonDevice::offload_copy`].
+    /// *Copy* of `bytes` from `src` to `dst` (§4.2).
     Copy {
         /// Copy source.
         src: VAddr,
@@ -321,19 +340,22 @@ pub enum OffloadCall<'a> {
         /// Bytes moved.
         bytes: u64,
     },
-    /// [`CharonDevice::offload_search`].
+    /// *Search* of the card table (§4.2); the caller computed the
+    /// functional result, which fixes how much was scanned.
     Search {
         /// Scan start (card-table address).
         start: VAddr,
         /// Bytes scanned before the hit (or the full range).
         scanned_bytes: u64,
     },
-    /// [`CharonDevice::offload_bitmap_count`].
+    /// *Bitmap Count* over begin- and end-map spans (§4.3). The host never
+    /// writes the bitmaps, so no clflush probing is needed.
     BitmapCount {
         /// `(start, bytes)` bitmap spans read.
         spans: &'a [(VAddr, u64)],
     },
-    /// [`CharonDevice::offload_scan_push`].
+    /// *Scan&Push* over one object's reference fields, with each non-null
+    /// referent's dependent action (§4.4).
     ScanPush {
         /// First reference-field address.
         fields_start: VAddr,
@@ -393,9 +415,11 @@ pub struct OffloadAbandoned {
     pub unit_dead: bool,
 }
 
-/// The device's fault-injection and recovery state. Absent by default —
-/// the fault-free path never consults it, which is what keeps zero-rate
-/// timing bit-identical to a build without the layer.
+/// The device's fault-injection, watchdog and re-arm state. Absent by
+/// default — the fault-free path never consults it, which is what keeps
+/// zero-rate timing bit-identical to a build without the layer. Retry and
+/// fallback counts are not kept here: each [`OffloadGrant`] and
+/// [`OffloadAbandoned`] carries them to the caller's recovery ledger.
 #[derive(Debug, Clone)]
 struct FaultLayer {
     injector: FaultInjector,
@@ -404,10 +428,6 @@ struct FaultLayer {
     consecutive: [u32; 4],
     /// Primitives the watchdog has declared dead.
     dead: [bool; 4],
-    /// Total re-issues beyond each offload's first attempt, per primitive.
-    retries: [u64; 4],
-    /// Offloads abandoned to the host path, per primitive.
-    abandoned: [u64; 4],
     /// Probe-after-N-GCs re-enable of dead units (`None` = dead forever,
     /// the pre-rearm behavior and the default).
     rearm_after: Option<u32>,
@@ -429,8 +449,6 @@ impl FaultLayer {
             recovery: RecoveryConfig::default(),
             consecutive: [0; 4],
             dead: [false; 4],
-            retries: [0; 4],
-            abandoned: [0; 4],
             rearm_after: None,
             gcs_since_death: [0; 4],
             probing: [false; 4],
@@ -438,28 +456,14 @@ impl FaultLayer {
     }
 }
 
-/// Snapshot of the recovery layer's counters, indexed by
-/// [`PrimType::encode`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DeviceFaultCounters {
-    /// Re-issues beyond each offload's first attempt, per primitive.
-    pub retries: [u64; 4],
-    /// Offloads abandoned to the host path per primitive.
-    pub abandoned: [u64; 4],
-    /// Primitives declared dead by the watchdog.
-    pub dead: [bool; 4],
-}
-
 /// The assembled accelerator.
 #[derive(Debug, Clone)]
 pub struct CharonDevice {
     cfg: SystemConfig,
     placement: Placement,
-    structure: StructureMode,
     sched: Scheduler,
-    copy_units: UnitPool,
-    bc_units: UnitPool,
-    sp_units: UnitPool,
+    /// The unit pools, in [`UNIT_CLASS_NAMES`] order.
+    pools: [UnitPool; 3],
     mai: Vec<Mai>,
     tlb: AccelTlb,
     bitmap_cache: BitmapCache,
@@ -490,6 +494,16 @@ const TLB_PJ_PER_LOOKUP: f64 = 0.9;
 /// Bitmap-cache SRAM access energy.
 const BITMAP_PJ_PER_ACCESS: f64 = 1.1;
 
+/// The unit class serving `prim` — its index in [`UNIT_CLASS_NAMES`]
+/// (Search shares the Copy unit, §4.2).
+fn unit_class(prim: PrimType) -> usize {
+    match prim {
+        PrimType::Copy | PrimType::Search => 0,
+        PrimType::BitmapCount => 1,
+        PrimType::ScanPush => 2,
+    }
+}
+
 impl CharonDevice {
     /// Builds the device for the given system configuration, placement and
     /// structure mode. The default paper configuration is
@@ -498,17 +512,18 @@ impl CharonDevice {
     pub fn new(cfg: &SystemConfig, placement: Placement, structure: StructureMode) -> CharonDevice {
         let cubes = cfg.hmc.cubes;
         let ch = &cfg.charon;
-        let (copy_units, bc_units, sp_units, mai_count) = match placement {
+        let (pools, mai_count) = match placement {
             Placement::MemorySide => (
-                UnitPool::spread(ch.copy_search_units, cubes),
-                UnitPool::spread(ch.bitmap_count_units, cubes),
-                UnitPool::concentrated(ch.scan_push_units, cubes, Scheduler::CENTER),
+                [
+                    UnitPool::spread(ch.copy_search_units, cubes),
+                    UnitPool::spread(ch.bitmap_count_units, cubes),
+                    UnitPool::concentrated(ch.scan_push_units, cubes, Scheduler::CENTER),
+                ],
                 cubes,
             ),
             Placement::CpuSide => (
-                UnitPool::concentrated(ch.copy_search_units, cubes, 0),
-                UnitPool::concentrated(ch.bitmap_count_units, cubes, 0),
-                UnitPool::concentrated(ch.scan_push_units, cubes, 0),
+                [ch.copy_search_units, ch.bitmap_count_units, ch.scan_push_units]
+                    .map(|units| UnitPool::concentrated(units, cubes, 0)),
                 1,
             ),
         };
@@ -521,24 +536,20 @@ impl CharonDevice {
             Placement::MemorySide => BitmapCache::new(slice_mode, cubes, ch.bitmap_cache, ch.unit_freq),
             Placement::CpuSide => BitmapCache::new_host_side(ch.bitmap_cache, ch.unit_freq),
         };
-        let mut dev = CharonDevice {
+        let stats = CharonStats { units: pools.each_ref().map(UnitClassStats::of), ..CharonStats::default() };
+        CharonDevice {
             cfg: cfg.clone(),
             placement,
-            structure,
             sched: Scheduler::new(cfg.hmc.clone()),
-            copy_units,
-            bc_units,
-            sp_units,
+            pools,
             mai: (0..mai_count).map(|_| Mai::new(ch.mai_entries, ch.unit_freq)).collect(),
             tlb: AccelTlb::new(tlb_mode, cubes, ch.tlb_entries_per_cube, ch.unit_freq),
             bitmap_cache,
             init: None,
-            stats: CharonStats::default(),
+            stats,
             faults: None,
             telemetry: Telemetry::disabled(),
-        };
-        dev.refresh_unit_stats();
-        dev
+        }
     }
 
     /// Attaches a telemetry journal; the device records per-unit busy
@@ -548,9 +559,8 @@ impl CharonDevice {
     }
 
     /// Arms the fault-injection and recovery layer. The default device
-    /// has none: raw `offload_*` timing stays bit-identical whether or
-    /// not this is ever called, and [`CharonDevice::offload`] with no
-    /// layer (or all rates zero) dispatches straight through.
+    /// has none, and [`CharonDevice::offload`] with no layer (or one with
+    /// all rates zero) runs every call straight through the envelope.
     pub fn enable_faults(&mut self, seed: u64, rates: FaultRates, recovery: RecoveryConfig) {
         let rearm_after = self.faults.as_ref().and_then(|f| f.rearm_after);
         self.faults =
@@ -616,15 +626,7 @@ impl CharonDevice {
     }
 
     fn ensure_fault_layer(&mut self) -> &mut FaultLayer {
-        if self.faults.is_none() {
-            self.faults = Some(FaultLayer::idle());
-        }
-        self.faults.as_mut().expect("layer just ensured")
-    }
-
-    /// Whether a fault layer is armed.
-    pub fn faults_enabled(&self) -> bool {
-        self.faults.is_some()
+        self.faults.get_or_insert_with(FaultLayer::idle)
     }
 
     /// The armed injector, for campaign reporting.
@@ -646,23 +648,6 @@ impl CharonDevice {
         }
     }
 
-    /// Snapshot of the recovery counters (zeroes when no layer is armed).
-    pub fn fault_counters(&self) -> DeviceFaultCounters {
-        match &self.faults {
-            None => DeviceFaultCounters::default(),
-            Some(f) => DeviceFaultCounters { retries: f.retries, abandoned: f.abandoned, dead: f.dead },
-        }
-    }
-
-    /// Injected-fault totals per site `(site, count)`, for reports.
-    pub fn injected_by_site(&self) -> [(FaultSite, u64); 5] {
-        let mut out = [(FaultSite::Link, 0); 5];
-        for (i, site) in FaultSite::ALL.into_iter().enumerate() {
-            out[i] = (site, self.faults.as_ref().map_or(0, |f| f.injector.injected(site)));
-        }
-        out
-    }
-
     /// The `initialize()` intrinsic (§4.1): ships global addresses to every
     /// cube's memory-mapped registers. Called once at program launch.
     pub fn initialize(&mut self, params: InitializeParams) {
@@ -674,17 +659,8 @@ impl CharonDevice {
         self.init.is_some()
     }
 
-    /// The placement under test.
-    pub fn placement(&self) -> Placement {
-        self.placement
-    }
-
-    /// The structure mode under test.
-    pub fn structure(&self) -> StructureMode {
-        self.structure
-    }
-
-    /// Accumulated statistics.
+    /// Accumulated statistics, component energy included (settled at the
+    /// end of every offload).
     pub fn stats(&self) -> &CharonStats {
         &self.stats
     }
@@ -719,7 +695,7 @@ impl CharonDevice {
     fn unit_mem(
         &mut self,
         host: &mut HostTiming,
-        stream: &mut charon_sim::issue::Window,
+        stream: &mut Window,
         cube: usize,
         addr: VAddr,
         bytes: u32,
@@ -754,7 +730,7 @@ impl CharonDevice {
     fn unit_stream_run(
         &mut self,
         host: &mut HostTiming,
-        stream: &mut charon_sim::issue::Window,
+        stream: &mut Window,
         cube: usize,
         addr: VAddr,
         bytes: u64,
@@ -820,106 +796,12 @@ impl CharonDevice {
         }
     }
 
-    fn record(&mut self, prim: PrimType, cube: usize, start: Ps, end: Ps, bytes: u64) {
-        let s = &mut self.stats.prims[prim.encode() as usize];
-        s.offloads += 1;
-        s.busy += end - start;
-        s.bytes += bytes;
-        self.stats.energy.units_pj += bytes as f64 * UNIT_PJ_PER_BYTE;
-        self.telemetry
-            .record(|| Event::UnitSpan { prim: prim.name(), cube, start, end, bytes });
-    }
-
-    /// Folds the per-structure event counters (gathered since the last
-    /// call) into the energy account.
-    fn settle_component_energy(&mut self) {
-        let requests: u64 = self.mai.iter().map(Mai::requests).sum();
-        let (lookups, _) = self.tlb.stats();
-        let bc = self.bitmap_cache.stats().accesses();
-        let e = &mut self.stats.energy;
-        // Absolute counters: recompute from totals (idempotent).
-        e.tlb_pj = lookups as f64 * TLB_PJ_PER_LOOKUP;
-        e.bitmap_cache_pj = bc as f64 * BITMAP_PJ_PER_ACCESS;
-        let per_offload: f64 = self.stats.prims.iter().map(|p| p.offloads as f64).sum::<f64>() * QUEUE_PJ_PER_OFFLOAD;
-        e.queues_pj = per_offload + requests as f64 * QUEUE_PJ_PER_REQUEST;
-    }
-
-    /// The component-level energy account (recomputed on read).
-    pub fn component_energy(&mut self) -> ComponentEnergy {
-        self.settle_component_energy();
-        self.stats.energy
-    }
-
-    fn record_wait(&mut self, prim: PrimType, now: Ps, arrive: Ps, queue_delay: Ps) {
-        let s = &mut self.stats.prims[prim.encode() as usize];
-        s.transport += arrive - now;
-        s.queue += queue_delay;
-        self.refresh_unit_stats();
-    }
-
-    /// Mirrors the pool counters into `stats.units` (cheap field copies;
-    /// idempotent). Called whenever a pool may have changed.
-    fn refresh_unit_stats(&mut self) {
-        for (slot, pool) in self
-            .stats
-            .units
-            .iter_mut()
-            .zip([&self.copy_units, &self.bc_units, &self.sp_units])
-        {
-            *slot = UnitClassStats {
-                busy: pool.busy_time(),
-                executions: pool.executions(),
-                wedges: pool.wedges(),
-                queue_high_water: pool.queue_high_water(),
-                total_units: pool.total_units(),
-            };
-        }
-    }
-
-    // --- fault-aware entry point ---------------------------------------
-
-    /// Dispatches `call` to the matching raw primitive.
-    ///
-    /// # Errors
-    ///
-    /// [`NoUnits`] when the call was routed to a cube with no units of
-    /// the primitive's class (a scheduler/placement bug, or a deliberate
-    /// [`CharonDevice::set_unit_layout`] experiment).
-    fn dispatch(&mut self, host: &mut HostTiming, now: Ps, call: &OffloadCall<'_>) -> Result<Ps, NoUnits> {
-        match *call {
-            OffloadCall::Copy { src, dst, bytes } => self.offload_copy(host, now, src, dst, bytes),
-            OffloadCall::Search { start, scanned_bytes } => self.offload_search(host, now, start, scanned_bytes),
-            OffloadCall::BitmapCount { spans } => self.offload_bitmap_count(host, now, spans),
-            OffloadCall::ScanPush { fields_start, field_bytes, refs } => {
-                self.offload_scan_push(host, now, fields_start, field_bytes, refs)
-            }
-        }
-    }
-
-    /// The unit pool serving `prim`.
-    fn pool_mut(&mut self, prim: PrimType) -> &mut UnitPool {
-        match prim {
-            PrimType::Copy | PrimType::Search => &mut self.copy_units,
-            PrimType::BitmapCount => &mut self.bc_units,
-            PrimType::ScanPush => &mut self.sp_units,
-        }
-    }
-
-    /// The unit pool serving `prim` (read-only view).
-    fn pool(&self, prim: PrimType) -> &UnitPool {
-        match prim {
-            PrimType::Copy | PrimType::Search => &self.copy_units,
-            PrimType::BitmapCount => &self.bc_units,
-            PrimType::ScanPush => &self.sp_units,
-        }
-    }
-
     /// Verifies the routed cube can serve `prim` *before* any request
     /// traffic is charged: a misroute must leave the device and fabric
     /// untouched so the caller can rerun the work on the host software
     /// path from the same instant.
     fn route_check(&mut self, prim: PrimType, cube: usize) -> Result<(), NoUnits> {
-        let pool = self.pool(prim);
+        let pool = &self.pools[unit_class(prim)];
         if pool.units_on(cube) == 0 {
             let err = NoUnits { cube, cubes: pool.cube_count() };
             self.stats.misroutes[prim.encode() as usize] += 1;
@@ -937,18 +819,9 @@ impl CharonDevice {
     ///
     /// Panics if every cube has zero instances (via [`UnitPool::new`]).
     pub fn set_unit_layout(&mut self, prim: PrimType, per_cube: &[usize]) {
-        *self.pool_mut(prim) = UnitPool::new(per_cube);
-        self.refresh_unit_stats();
-    }
-
-    /// Converts a [`NoUnits`] route failure into the abandonment the
-    /// caller degrades on. No time passes and no watchdog state moves:
-    /// the request never reached a unit, and reissuing it would misroute
-    /// identically.
-    fn abandon_misroute(&mut self, prim: PrimType, at: Ps, retries: u32) -> OffloadAbandoned {
-        self.telemetry
-            .record(|| Event::Fault { site: "route", prim: prim.name(), at, attempt: retries });
-        OffloadAbandoned { at, retries, site: FaultSite::Unit, unit_dead: false }
+        let c = unit_class(prim);
+        self.pools[c] = UnitPool::new(per_cube);
+        self.stats.units[c] = UnitClassStats::of(&self.pools[c]);
     }
 
     /// Charges one failed attempt: the request transport that still
@@ -1011,22 +884,24 @@ impl CharonDevice {
             }
             FaultSite::Unit => {
                 let arrive = self.send_request(host, cube, t);
-                self.pool_mut(prim).record_wedge();
-                self.refresh_unit_stats();
+                let c = unit_class(prim);
+                self.pools[c].record_wedge();
+                self.stats.units[c] = UnitClassStats::of(&self.pools[c]);
                 arrive.max(t + timeout)
             }
         }
     }
 
-    /// The recovery-layer offload entry point (§4.1's blocking protocol
+    /// The device's one offload entry point (§4.1's blocking protocol
     /// plus the RAS story the paper leaves to "the system"): rolls each
     /// attempt through the armed [`FaultInjector`], charges timeout +
     /// bounded exponential backoff for every failure, retries within the
-    /// budget, and feeds the per-primitive watchdog.
+    /// budget, and feeds the per-primitive watchdog. An attempt that
+    /// rolls no fault runs through the offload envelope.
     ///
     /// With no fault layer armed — or one armed with all rates zero —
-    /// the first attempt succeeds unconditionally and timing is exactly
-    /// that of the matching raw `offload_*` call.
+    /// the first attempt succeeds unconditionally and nothing but the
+    /// envelope's own traffic is charged.
     ///
     /// # Errors
     ///
@@ -1046,46 +921,38 @@ impl CharonDevice {
     ) -> Result<OffloadGrant, OffloadAbandoned> {
         let prim = call.prim();
         let pi = prim.encode() as usize;
-        let Some(layer) = &self.faults else {
-            return match self.dispatch(host, now, &call) {
-                Ok(done) => Ok(OffloadGrant { done, retries: 0 }),
-                Err(_) => Err(self.abandon_misroute(prim, now, 0)),
-            };
-        };
-        let recovery = layer.recovery;
-        if layer.dead[pi] {
+        if self.unit_dead(prim) {
             // Watchdog already fired; don't waste simulated time probing.
             return Err(OffloadAbandoned { at: now, retries: 0, site: FaultSite::Unit, unit_dead: true });
         }
-        let addr = call.lead_addr();
+        let recovery = self.faults.as_ref().map(|f| f.recovery).unwrap_or_default();
         let mut t = now;
         let mut attempt = 0u32;
         loop {
-            let rolled = self.faults.as_mut().expect("fault layer armed").injector.roll_attempt();
-            let Some(site) = rolled else {
-                let done = match self.dispatch(host, t, &call) {
-                    Ok(done) => done,
-                    Err(_) => return Err(self.abandon_misroute(prim, t, attempt)),
+            let Some(site) = self.faults.as_mut().and_then(|f| f.injector.roll_attempt()) else {
+                let Ok(done) = self.execute(host, t, &call) else {
+                    // A misroute never reached a unit and would misroute
+                    // identically on a reissue: no time passes and no
+                    // watchdog state moves.
+                    self.telemetry
+                        .record(|| Event::Fault { site: "route", prim: prim.name(), at: t, attempt });
+                    return Err(OffloadAbandoned { at: t, retries: attempt, site: FaultSite::Unit, unit_dead: false });
                 };
-                let layer = self.faults.as_mut().expect("fault layer armed");
-                layer.consecutive[pi] = 0;
-                layer.probing[pi] = false; // the probe survived: fully re-armed
-                layer.retries[pi] += u64::from(attempt);
+                if let Some(layer) = &mut self.faults {
+                    layer.consecutive[pi] = 0;
+                    layer.probing[pi] = false; // the probe survived: fully re-armed
+                }
                 return Ok(OffloadGrant { done, retries: attempt });
             };
-            let observed = self.observe_failure(host, prim, addr, t, site, attempt, recovery.timeout);
+            let observed = self.observe_failure(host, prim, call.lead_addr(), t, site, attempt, recovery.timeout);
             self.telemetry
                 .record(|| Event::Fault { site: site.name(), prim: prim.name(), at: observed, attempt });
             if attempt >= recovery.retry_budget {
-                let layer = self.faults.as_mut().expect("fault layer armed");
-                layer.retries[pi] += u64::from(attempt);
-                layer.abandoned[pi] += 1;
+                let layer = self.faults.as_mut().expect("only an armed layer rolls a fault");
                 layer.consecutive[pi] += 1;
                 let unit_dead = layer.consecutive[pi] >= recovery.watchdog_threshold;
                 if unit_dead {
-                    layer.dead[pi] = true;
-                    layer.probing[pi] = false;
-                    layer.gcs_since_death[pi] = 0;
+                    self.kill_unit(prim);
                 }
                 return Err(OffloadAbandoned { at: observed, retries: attempt, site, unit_dead });
             }
@@ -1094,180 +961,122 @@ impl CharonDevice {
         }
     }
 
-    // --- the four primitives -------------------------------------------
-
-    /// Offloads a *Copy* of `bytes` from `src` to `dst` (§4.2). Returns the
-    /// time the host thread unblocks.
+    /// The offload envelope (§4.1), the same for every primitive. The
+    /// prologue routes to the scheduled cube, bounces a misroute before
+    /// any traffic is charged, sends the request packet and opens the MAI
+    /// stream. Then the primitive's own memory traffic runs. The epilogue
+    /// charges the unit pool (the queue wait), books the stats and the
+    /// §5.3 component energy, and sends the response packet. Returns when
+    /// the host thread unblocks.
     ///
     /// # Errors
     ///
-    /// [`NoUnits`] when the scheduled cube has no Copy/Search units; the
-    /// device and fabric are left untouched so the caller can degrade to
-    /// the host software path from `now`.
-    pub fn offload_copy(
-        &mut self,
-        host: &mut HostTiming,
-        now: Ps,
-        src: VAddr,
-        dst: VAddr,
-        bytes: u64,
-    ) -> Result<Ps, NoUnits> {
-        debug_assert!(bytes > 0);
+    /// [`NoUnits`] when the scheduled cube has no units of the primitive's
+    /// class; only the misroute counter moves.
+    fn execute(&mut self, host: &mut HostTiming, now: Ps, call: &OffloadCall<'_>) -> Result<Ps, NoUnits> {
+        let prim = call.prim();
+        // Copy/Search/Bitmap Count run on the cube their first operand
+        // falls in, Scan&Push on the central one (§4.2–4.4).
         let cube = match self.placement {
-            Placement::MemorySide => self.sched.cube_for(PrimType::Copy, src),
+            Placement::MemorySide => self.sched.cube_for(prim, call.lead_addr()),
             Placement::CpuSide => 0,
         };
-        self.route_check(PrimType::Copy, cube)?;
+        self.route_check(prim, cube)?;
         let arrive = self.send_request(host, cube, now);
-        let start = arrive;
-
-        // Host copies of the source and destination must be invalidated.
-        let flushed = self.clflush_range(host, src, bytes, start);
-        let flushed = self.clflush_range(host, dst, bytes, flushed);
-
-        // Reads stream out one per cycle as long as the MAI accepts
-        // (§4.2); the store stream starts when the head load returns and
-        // overlaps the remaining loads (chunk-pipelined, batched).
-        let mut stream = self.mai[self.mai_idx(cube)].stream();
-        let reads = self.unit_stream_run(host, &mut stream, cube, src, bytes, DramOp::Read, flushed);
-        let writes = self.unit_stream_run(host, &mut stream, cube, dst, bytes, DramOp::Write, reads.first);
-        let end = reads.last.max(writes.last);
-        let served = self.copy_units.charge(cube, start, end - start);
-        let queue_delay = served.saturating_sub(end);
-        let end = end.max(served);
-        self.record(PrimType::Copy, cube, start, end, 2 * bytes);
-        self.record_wait(PrimType::Copy, now, arrive, queue_delay);
-        Ok(self.send_response(host, cube, PrimType::Copy, end))
-    }
-
-    /// Offloads a *Search* over `scanned_bytes` of the card table starting
-    /// at `start_addr` (§4.2); the functional result (found or not) was
-    /// computed by the caller and determines how much was scanned.
-    ///
-    /// # Errors
-    ///
-    /// [`NoUnits`] when the scheduled cube has no Copy/Search units.
-    pub fn offload_search(
-        &mut self,
-        host: &mut HostTiming,
-        now: Ps,
-        start_addr: VAddr,
-        scanned_bytes: u64,
-    ) -> Result<Ps, NoUnits> {
-        let cube = match self.placement {
-            Placement::MemorySide => self.sched.cube_for(PrimType::Search, start_addr),
-            Placement::CpuSide => 0,
-        };
-        self.route_check(PrimType::Search, cube)?;
-        let arrive = self.send_request(host, cube, now);
-        let start = arrive;
-        let flushed = self.clflush_range(host, start_addr, scanned_bytes, start);
-
-        let mut stream = self.mai[self.mai_idx(cube)].stream();
-        let read_bytes = scanned_bytes.max(u64::from(MIN_ACCESS));
-        let run = self.unit_stream_run(host, &mut stream, cube, start_addr, read_bytes, DramOp::Read, flushed);
-        let end = flushed.max(run.last);
-        // Search shares the Copy unit (§4.2).
-        let served = self.copy_units.charge(cube, start, end - start);
-        let queue_delay = served.saturating_sub(end);
-        let end = end.max(served);
-        self.record(PrimType::Search, cube, start, end, scanned_bytes);
-        self.record_wait(PrimType::Search, now, arrive, queue_delay);
-        Ok(self.send_response(host, cube, PrimType::Search, end))
-    }
-
-    /// Offloads a *Bitmap Count* reading the given `(start, bytes)` spans
-    /// of the begin and end maps through the bitmap cache (§4.3). The host
-    /// never writes the bitmaps, so no clflush probing is needed.
-    ///
-    /// # Errors
-    ///
-    /// [`NoUnits`] when the scheduled cube has no Bitmap Count units.
-    pub fn offload_bitmap_count(
-        &mut self,
-        host: &mut HostTiming,
-        now: Ps,
-        spans: &[(VAddr, u64)],
-    ) -> Result<Ps, NoUnits> {
-        let first = spans.first().map(|&(a, _)| a).unwrap_or(VAddr::NULL);
-        // "This primitive is scheduled to the cube on which the bitmap
-        // address falls" (§4.3). Under the unified design the cache sits on
-        // the central cube, so off-center units exchange one range-granular
-        // request/response with it per span; distributed slices are local.
-        let cube = match self.placement {
-            Placement::CpuSide => 0,
-            Placement::MemorySide => self.sched.cube_for(PrimType::BitmapCount, first),
-        };
-        self.route_check(PrimType::BitmapCount, cube)?;
-        let arrive = self.send_request(host, cube, now);
-        let start = arrive;
         let mut stream = self.mai[self.mai_idx(cube)].stream();
 
-        // The unit knows the exact read set up front and issues everything
-        // immediately (§4.3). Short ranges — the repeated region-tail
-        // queries of the adjust phase — go through the bitmap cache, whose
-        // temporal locality the paper measures at ≈ 90 % hits. Long ranges
-        // (whole-region summary scans) stream through the MAI at full
-        // packet granularity, like Copy does; caching them would only
-        // thrash the 8 KB cache.
-        const CACHED_SPAN_LIMIT: u64 = 128;
-        let mut end = start;
-        let mut total = 0;
-        for &(span_start, bytes) in spans {
-            if bytes <= CACHED_SPAN_LIMIT {
-                let done = self.bitmap_cache.access_range(
-                    &mut host.fabric,
-                    cube,
-                    span_start.0,
-                    bytes,
-                    AccessKind::Read,
-                    start,
-                );
-                end = end.max(done);
-                total += bytes;
-            } else {
-                let run = self.unit_stream_run(host, &mut stream, cube, span_start, bytes, DramOp::Read, start);
-                end = end.max(run.last);
-                total += bytes;
+        let (end, bytes) = match *call {
+            OffloadCall::Copy { src, dst, bytes } => {
+                debug_assert!(bytes > 0);
+                // Host copies of the source and destination must be
+                // invalidated. Reads stream out one per cycle as long as
+                // the MAI accepts (§4.2); the store stream starts when the
+                // head load returns and overlaps the remaining loads.
+                let flushed = self.clflush_range(host, src, bytes, arrive);
+                let flushed = self.clflush_range(host, dst, bytes, flushed);
+                let reads = self.unit_stream_run(host, &mut stream, cube, src, bytes, DramOp::Read, flushed);
+                let writes = self.unit_stream_run(host, &mut stream, cube, dst, bytes, DramOp::Write, reads.first);
+                (reads.last.max(writes.last), 2 * bytes)
             }
-        }
-        let served = self.bc_units.charge(cube, start, end - start);
-        let queue_delay = served.saturating_sub(end);
+            OffloadCall::Search { start, scanned_bytes } => {
+                let flushed = self.clflush_range(host, start, scanned_bytes, arrive);
+                let read_bytes = scanned_bytes.max(u64::from(MIN_ACCESS));
+                let run = self.unit_stream_run(host, &mut stream, cube, start, read_bytes, DramOp::Read, flushed);
+                (flushed.max(run.last), scanned_bytes)
+            }
+            OffloadCall::BitmapCount { spans } => {
+                // The unit knows the exact read set up front and issues
+                // everything at once (§4.3). Short spans — the repeated
+                // region-tail queries of the adjust phase — go through the
+                // bitmap cache (≈ 90 % hits in the paper); long ones
+                // (whole-region summary scans) stream through the MAI like
+                // Copy does, since caching them would only thrash the 8 KB
+                // cache. Under the unified design an off-center unit
+                // exchanges one range-granular request/response per span.
+                const CACHED_SPAN_LIMIT: u64 = 128;
+                let mut end = arrive;
+                for &(span, bytes) in spans {
+                    let done = if bytes <= CACHED_SPAN_LIMIT {
+                        self.bitmap_cache
+                            .access_range(&mut host.fabric, cube, span.0, bytes, AccessKind::Read, arrive)
+                    } else {
+                        self.unit_stream_run(host, &mut stream, cube, span, bytes, DramOp::Read, arrive)
+                            .last
+                    };
+                    end = end.max(done);
+                }
+                (end, spans.iter().map(|&(_, bytes)| bytes).sum())
+            }
+            OffloadCall::ScanPush { fields_start, field_bytes, refs } => {
+                let end = self.scan_push_traffic(host, &mut stream, cube, arrive, fields_start, field_bytes, refs);
+                (end, field_bytes + refs.len() as u64 * 16)
+            }
+        };
+
+        let c = unit_class(prim);
+        let served = self.pools[c].charge(cube, arrive, end - arrive);
+        let queue = served.saturating_sub(end);
         let end = end.max(served);
-        self.record(PrimType::BitmapCount, cube, start, end, total);
-        self.record_wait(PrimType::BitmapCount, now, arrive, queue_delay);
-        Ok(self.send_response(host, cube, PrimType::BitmapCount, end))
+        let s = &mut self.stats.prims[prim.encode() as usize];
+        s.offloads += 1;
+        s.busy += end - arrive;
+        s.bytes += bytes;
+        s.transport += arrive - now;
+        s.queue += queue;
+        self.stats.units[c] = UnitClassStats::of(&self.pools[c]);
+        self.telemetry
+            .record(|| Event::UnitSpan { prim: prim.name(), cube, start: arrive, end, bytes });
+        // Component energy, recomputed from the structures' running totals.
+        let offloads = self.stats.total_offloads() as f64;
+        let requests = self.mai.iter().map(Mai::requests).sum::<u64>() as f64;
+        let e = &mut self.stats.energy;
+        e.units_pj += bytes as f64 * UNIT_PJ_PER_BYTE;
+        e.queues_pj = offloads * QUEUE_PJ_PER_OFFLOAD + requests * QUEUE_PJ_PER_REQUEST;
+        e.tlb_pj = self.tlb.stats().0 as f64 * TLB_PJ_PER_LOOKUP;
+        e.bitmap_cache_pj = self.bitmap_cache.stats().accesses() as f64 * BITMAP_PJ_PER_ACCESS;
+        Ok(self.send_response(host, cube, prim, end))
     }
 
-    /// Offloads a *Scan&Push* over an object whose reference fields occupy
-    /// `field_bytes` starting at `fields_start`; `refs` describes each
-    /// non-null referent and the dependent action (§4.4).
+    /// Scan&Push's memory traffic (§4.4) from `arrive`: the field loads,
+    /// the batch of referent-header loads, then each referent's dependent
+    /// action. Returns when the last of them completes.
     ///
-    /// Unlike Copy/Search/Bitmap Count, this primitive stays on the
+    /// Unlike the other three primitives, this one stays on the
     /// per-request path: its referent-header loads are irregular and its
     /// actions depend on each header's return time, so batching the runs
     /// would erase exactly the dependent-load behaviour §4.4 models.
-    ///
-    /// # Errors
-    ///
-    /// [`NoUnits`] when the scheduled cube has no Scan&Push units.
-    pub fn offload_scan_push(
+    #[allow(clippy::too_many_arguments)]
+    fn scan_push_traffic(
         &mut self,
         host: &mut HostTiming,
-        now: Ps,
+        stream: &mut Window,
+        cube: usize,
+        arrive: Ps,
         fields_start: VAddr,
         field_bytes: u64,
         refs: &[ScanRef],
-    ) -> Result<Ps, NoUnits> {
-        let cube = match self.placement {
-            Placement::MemorySide => Scheduler::CENTER,
-            Placement::CpuSide => 0,
-        };
-        self.route_check(PrimType::ScanPush, cube)?;
-        let arrive = self.send_request(host, cube, now);
-        let start = arrive;
-        let mut stream = self.mai[self.mai_idx(cube)].stream();
-        let flushed = self.clflush_range(host, fields_start, field_bytes, start);
+    ) -> Ps {
+        let flushed = self.clflush_range(host, fields_start, field_bytes, arrive);
 
         // Stream the field loads; remember when each granule's pointers
         // become available.
@@ -1276,7 +1085,7 @@ impl CharonDevice {
         for i in 0..granules {
             let off = i * STREAM_GRANULE;
             let len = STREAM_GRANULE.min(field_bytes.saturating_sub(off)).max(MIN_ACCESS as u64) as u32;
-            let d = self.unit_mem(host, &mut stream, cube, fields_start.add_bytes(off), len, DramOp::Read, flushed);
+            let d = self.unit_mem(host, stream, cube, fields_start.add_bytes(off), len, DramOp::Read, flushed);
             granule_done.push(d);
         }
 
@@ -1287,26 +1096,21 @@ impl CharonDevice {
         let mut header_done = Vec::with_capacity(refs.len());
         for (i, r) in refs.iter().enumerate() {
             let avail = granule_done[(i / refs_per_granule).min(granule_done.len() - 1)];
-            header_done.push(self.unit_mem(host, &mut stream, cube, r.referent, MIN_ACCESS, DramOp::Read, avail));
+            header_done.push(self.unit_mem(host, stream, cube, r.referent, MIN_ACCESS, DramOp::Read, avail));
         }
         // Phase 2: each referent's dependent action fires when its header
         // returns.
         let mut end = *granule_done.iter().max().expect("at least one granule");
-        for (i, r) in refs.iter().enumerate() {
-            let h_done = header_done[i];
+        for (r, &h_done) in refs.iter().zip(&header_done) {
             let a_done = match r.action {
-                ScanAction::Push { stack_slot } => {
-                    self.unit_mem(host, &mut stream, cube, stack_slot, MIN_ACCESS, DramOp::Write, h_done)
-                }
-                ScanAction::UpdateField { field_slot } => {
-                    self.unit_mem(host, &mut stream, cube, field_slot, MIN_ACCESS, DramOp::Write, h_done)
+                ScanAction::Push { stack_slot: slot }
+                | ScanAction::UpdateField { field_slot: slot }
+                | ScanAction::UpdateCard { card_addr: slot } => {
+                    self.unit_mem(host, stream, cube, slot, MIN_ACCESS, DramOp::Write, h_done)
                 }
                 ScanAction::UpdateFieldAndCard { field_slot, card_addr } => {
-                    let w = self.unit_mem(host, &mut stream, cube, field_slot, MIN_ACCESS, DramOp::Write, h_done);
-                    self.unit_mem(host, &mut stream, cube, card_addr, MIN_ACCESS, DramOp::Write, w)
-                }
-                ScanAction::UpdateCard { card_addr } => {
-                    self.unit_mem(host, &mut stream, cube, card_addr, MIN_ACCESS, DramOp::Write, h_done)
+                    let w = self.unit_mem(host, stream, cube, field_slot, MIN_ACCESS, DramOp::Write, h_done);
+                    self.unit_mem(host, stream, cube, card_addr, MIN_ACCESS, DramOp::Write, w)
                 }
                 ScanAction::MarkAndPush { beg_word, end_word, stack_slot } => {
                     // mark_obj: atomic RMWs on the begin and end map words,
@@ -1317,28 +1121,18 @@ impl CharonDevice {
                     let m2 = self
                         .bitmap_cache
                         .access(&mut host.fabric, cube, end_word.0, AccessKind::Write, m1);
-                    self.unit_mem(host, &mut stream, cube, stack_slot, MIN_ACCESS, DramOp::Write, m2)
+                    self.unit_mem(host, stream, cube, stack_slot, MIN_ACCESS, DramOp::Write, m2)
                 }
                 ScanAction::None => h_done,
             };
             end = end.max(a_done);
         }
-        let served = self.sp_units.charge(cube, start, end - start);
-        let queue_delay = served.saturating_sub(end);
-        let end = end.max(served);
-        self.record(PrimType::ScanPush, cube, start, end, field_bytes + refs.len() as u64 * 16);
-        self.record_wait(PrimType::ScanPush, now, arrive, queue_delay);
-        Ok(self.send_response(host, cube, PrimType::ScanPush, end))
+        end
     }
 
     /// Flushes the bitmap cache (after each MajorGC phase, §4.5).
     pub fn flush_bitmap_cache(&mut self, host: &mut HostTiming, now: Ps) -> Ps {
         self.bitmap_cache.flush(&mut host.fabric, now)
-    }
-
-    /// Total unit-busy time (all pools), for occupancy reporting.
-    pub fn total_unit_busy(&self) -> Ps {
-        self.copy_units.busy_time() + self.bc_units.busy_time() + self.sp_units.busy_time()
     }
 }
 
@@ -1353,12 +1147,19 @@ mod tests {
         (host, dev)
     }
 
+    /// One fault-free offload; returns when the host thread unblocks.
+    fn run(dev: &mut CharonDevice, host: &mut HostTiming, now: Ps, call: OffloadCall<'_>) -> Ps {
+        dev.offload(host, now, call).expect("routed cube has units").done
+    }
+
+    fn copy(src: u64, dst: u64, bytes: u64) -> OffloadCall<'static> {
+        OffloadCall::Copy { src: VAddr(src), dst: VAddr(dst), bytes }
+    }
+
     #[test]
     fn copy_moves_bytes_and_returns_later() {
         let (mut host, mut dev) = setup(Placement::MemorySide);
-        let t = dev
-            .offload_copy(&mut host, Ps::ZERO, VAddr(0x10000), VAddr(0x50000), 4096)
-            .expect("routed cube has units");
+        let t = run(&mut dev, &mut host, Ps::ZERO, copy(0x10000, 0x50000, 4096));
         assert!(t > Ps::from_ns(10.0));
         let s = dev.stats().prim(PrimType::Copy);
         assert_eq!(s.offloads, 1);
@@ -1374,12 +1175,11 @@ mod tests {
         assert_eq!(s.units[0].total_units, 8, "Table 2: 8 Copy/Search units");
         assert_eq!(s.units[2].total_units, 8, "Table 2: 8 Scan&Push units");
         assert_eq!(s.units[0].executions, 0);
-        dev.offload_copy(&mut host, Ps::ZERO, VAddr(0x10000), VAddr(0x50000), 4096)
-            .expect("routed cube has units");
+        run(&mut dev, &mut host, Ps::ZERO, copy(0x10000, 0x50000, 4096));
         let s = dev.stats();
         assert!(s.units[0].executions > 0, "copy offload runs on the Copy/Search pool");
         assert!(s.units[0].busy > Ps::ZERO);
-        assert_eq!(s.units[0].busy, dev.copy_units.busy_time());
+        assert_eq!(s.units[0].busy, dev.pools[0].busy_time());
         let j = s.to_json();
         let u = j.get("units").unwrap().get("copy_search").unwrap();
         assert_eq!(u.get("total_units").and_then(|v| v.as_u64()), Some(8));
@@ -1391,9 +1191,7 @@ mod tests {
         // could ever stream it — the internal-bandwidth advantage.
         let (mut host, mut dev) = setup(Placement::MemorySide);
         let bytes = 512 * 1024u64;
-        let t = dev
-            .offload_copy(&mut host, Ps::ZERO, VAddr(0), VAddr(0x4_0000), bytes)
-            .expect("routed cube has units");
+        let t = run(&mut dev, &mut host, Ps::ZERO, copy(0, 0x4_0000, bytes));
         let gbps = (2 * bytes) as f64 / t.as_secs() / 1e9;
         assert!(gbps > 80.0, "near-memory copy only reached {gbps:.1} GB/s");
     }
@@ -1402,22 +1200,16 @@ mod tests {
     fn cpu_side_copy_is_slower_than_memory_side() {
         let bytes = 256 * 1024u64;
         let (mut h1, mut d1) = setup(Placement::MemorySide);
-        let t_mem = d1
-            .offload_copy(&mut h1, Ps::ZERO, VAddr(0), VAddr(0x4_0000), bytes)
-            .expect("routed cube has units");
+        let t_mem = run(&mut d1, &mut h1, Ps::ZERO, copy(0, 0x4_0000, bytes));
         let (mut h2, mut d2) = setup(Placement::CpuSide);
-        let t_cpu = d2
-            .offload_copy(&mut h2, Ps::ZERO, VAddr(0), VAddr(0x4_0000), bytes)
-            .expect("routed cube has units");
+        let t_cpu = run(&mut d2, &mut h2, Ps::ZERO, copy(0, 0x4_0000, bytes));
         assert!(t_cpu.0 as f64 > 1.2 * t_mem.0 as f64, "CPU-side ({t_cpu}) should trail memory-side ({t_mem})");
     }
 
     #[test]
     fn search_scans_and_responds_with_value_packet() {
         let (mut host, mut dev) = setup(Placement::MemorySide);
-        let t = dev
-            .offload_search(&mut host, Ps::ZERO, VAddr(0x8000), 2048)
-            .expect("routed cube has units");
+        let t = run(&mut dev, &mut host, Ps::ZERO, OffloadCall::Search { start: VAddr(0x8000), scanned_bytes: 2048 });
         assert!(t > Ps::ZERO);
         assert_eq!(dev.stats().prim(PrimType::Search).offloads, 1);
     }
@@ -1428,17 +1220,14 @@ mod tests {
         // Small spans — the repeated region-tail queries — go through the
         // bitmap cache and hit on reuse.
         let spans = [(VAddr(0x1000), 64u64), (VAddr(0x9000), 64u64)];
-        let t1 = dev
-            .offload_bitmap_count(&mut host, Ps::ZERO, &spans)
-            .expect("routed cube has units");
-        let t2 = dev.offload_bitmap_count(&mut host, t1, &spans).expect("routed cube has units") - t1;
+        let t1 = run(&mut dev, &mut host, Ps::ZERO, OffloadCall::BitmapCount { spans: &spans });
+        let t2 = run(&mut dev, &mut host, t1, OffloadCall::BitmapCount { spans: &spans }) - t1;
         assert!(t2 < t1, "warm call ({t2}) should beat cold call ({t1})");
         assert!(dev.bitmap_cache_stats().hit_rate() > 0.4);
         // Large spans — whole-region summary scans — stream via the MAI
         // and leave the cache untouched.
         let before = dev.bitmap_cache_stats().accesses();
-        dev.offload_bitmap_count(&mut host, t1, &[(VAddr(0x2000), 4096u64)])
-            .expect("routed cube has units");
+        run(&mut dev, &mut host, t1, OffloadCall::BitmapCount { spans: &[(VAddr(0x2000), 4096u64)] });
         assert_eq!(dev.bitmap_cache_stats().accesses(), before);
     }
 
@@ -1463,9 +1252,8 @@ mod tests {
             },
             ScanRef { referent: VAddr(0x6000), action: ScanAction::None },
         ];
-        let t = dev
-            .offload_scan_push(&mut host, Ps::ZERO, VAddr(0x1000), 5 * 8, &refs)
-            .expect("routed cube has units");
+        let call = OffloadCall::ScanPush { fields_start: VAddr(0x1000), field_bytes: 5 * 8, refs: &refs };
+        let t = run(&mut dev, &mut host, Ps::ZERO, call);
         assert!(t > Ps::ZERO);
         assert_eq!(dev.stats().prim(PrimType::ScanPush).offloads, 1);
     }
@@ -1475,13 +1263,9 @@ mod tests {
         let (mut host, mut dev) = setup(Placement::MemorySide);
         // Issue more copies on the same cube than it has units; later ones
         // queue behind earlier ones.
-        let mut ends = Vec::new();
-        for i in 0..4u64 {
-            ends.push(
-                dev.offload_copy(&mut host, Ps::ZERO, VAddr(i * 4096), VAddr(0x8_0000 + i * 4096), 4096)
-                    .expect("routed cube has units"),
-            );
-        }
+        let ends: Vec<Ps> = (0..4u64)
+            .map(|i| run(&mut dev, &mut host, Ps::ZERO, copy(i * 4096, 0x8_0000 + i * 4096, 4096)))
+            .collect();
         assert!(ends[3] > ends[0], "queueing must delay the last offload");
     }
 
@@ -1499,33 +1283,24 @@ mod tests {
     }
 
     #[test]
-    fn offload_without_fault_layer_matches_raw_call() {
-        let (mut h1, mut d1) = setup(Placement::MemorySide);
-        let (mut h2, mut d2) = setup(Placement::MemorySide);
-        let raw = d1
-            .offload_copy(&mut h1, Ps::ZERO, VAddr(0x10000), VAddr(0x50000), 4096)
-            .expect("routed cube has units");
-        let call = OffloadCall::Copy { src: VAddr(0x10000), dst: VAddr(0x50000), bytes: 4096 };
-        let grant = d2.offload(&mut h2, Ps::ZERO, call).expect("no layer, cannot fail");
-        assert_eq!(grant.done, raw);
-        assert_eq!(grant.retries, 0);
-        assert_eq!(h1.fabric.stats(), h2.fabric.stats());
-    }
-
-    #[test]
-    fn offload_with_zero_rates_matches_raw_call() {
+    fn armed_at_zero_rates_equals_unarmed() {
         let (mut h1, mut d1) = setup(Placement::MemorySide);
         let (mut h2, mut d2) = setup(Placement::MemorySide);
         d2.enable_faults(42, FaultRates::zero(), RecoveryConfig::default());
-        let raw = d1
-            .offload_search(&mut h1, Ps::ZERO, VAddr(0x8000), 2048)
-            .expect("routed cube has units");
-        let grant = d2
-            .offload(&mut h2, Ps::ZERO, OffloadCall::Search { start: VAddr(0x8000), scanned_bytes: 2048 })
-            .expect("zero rates never fail");
-        assert_eq!(grant.done, raw);
-        assert_eq!(h1.fabric.stats(), h2.fabric.stats());
-        assert_eq!(d2.fault_counters(), DeviceFaultCounters::default());
+        let spans = [(VAddr(0x3000), 64u64)];
+        let calls = [
+            copy(0x10000, 0x50000, 4096),
+            OffloadCall::Search { start: VAddr(0x8000), scanned_bytes: 2048 },
+            OffloadCall::BitmapCount { spans: &spans },
+        ];
+        for call in calls {
+            let unarmed = d1.offload(&mut h1, Ps::ZERO, call).expect("no layer, cannot fail");
+            let armed = d2.offload(&mut h2, Ps::ZERO, call).expect("zero rates never fail");
+            assert_eq!(armed, unarmed);
+            assert_eq!(armed.retries, 0);
+            assert_eq!(h1.fabric.stats(), h2.fabric.stats());
+        }
+        assert_eq!(d2.fault_injector().unwrap().total_injected(), 0);
     }
 
     #[test]
@@ -1542,17 +1317,17 @@ mod tests {
         let mut t = Ps::ZERO;
         let mut total_retries = 0;
         for i in 0..20u64 {
-            let call = OffloadCall::Copy { src: VAddr(i * 4096), dst: VAddr(0x80_0000 + i * 4096), bytes: 1024 };
             let g = dev
-                .offload(&mut host, t, call)
+                .offload(&mut host, t, copy(i * 4096, 0x80_0000 + i * 4096, 1024))
                 .expect("budget 16 at ~41%/attempt cannot exhaust here");
             assert!(g.done > t, "time must advance");
             total_retries += g.retries;
             t = g.done;
         }
         assert!(total_retries > 0, "~41%/attempt over 20 offloads must retry at least once");
-        assert_eq!(u64::from(total_retries), dev.fault_counters().retries.iter().sum::<u64>());
-        assert!(dev.fault_injector().unwrap().total_injected() > 0);
+        let injector = dev.fault_injector().unwrap();
+        assert_eq!(u64::from(total_retries), injector.total_injected(), "every injected fault cost one retry");
+        assert_eq!(injector.attempts(), 20 + u64::from(total_retries));
     }
 
     #[test]
@@ -1569,7 +1344,7 @@ mod tests {
         let mut dead_seen = false;
         for _ in 0..3 {
             let e = dev
-                .offload(&mut host, t, OffloadCall::Copy { src: VAddr(0), dst: VAddr(0x8000), bytes: 256 })
+                .offload(&mut host, t, copy(0, 0x8000, 256))
                 .expect_err("p=1.0 must exhaust the budget");
             assert_eq!(e.site, FaultSite::Unit);
             assert_eq!(e.retries, 2);
@@ -1582,12 +1357,11 @@ mod tests {
         assert!(!dev.unit_dead(PrimType::ScanPush), "watchdog is per primitive");
         // Once dead, offloads bounce immediately without burning time.
         let e = dev
-            .offload(&mut host, t, OffloadCall::Copy { src: VAddr(0), dst: VAddr(0x8000), bytes: 256 })
+            .offload(&mut host, t, copy(0, 0x8000, 256))
             .expect_err("dead unit cannot serve");
         assert_eq!((e.at, e.retries, e.unit_dead), (t, 0, true));
-        let c = dev.fault_counters();
-        assert_eq!(c.abandoned[PrimType::Copy.encode() as usize], 3);
-        assert!(c.dead[PrimType::Copy.encode() as usize]);
+        assert_eq!(dev.fault_injector().unwrap().attempts(), 9, "a dead unit rolls no attempt");
+        assert_eq!(dev.dead_units(), [true, false, false, false]);
     }
 
     #[test]
@@ -1603,7 +1377,7 @@ mod tests {
         assert!(!dev.unit_dead(PrimType::Copy));
         assert!(dev.probing_units()[PrimType::Copy.encode() as usize]);
         // A surviving probe offload takes the unit off probation.
-        dev.offload(&mut host, Ps::ZERO, OffloadCall::Copy { src: VAddr(0), dst: VAddr(0x8000), bytes: 256 })
+        dev.offload(&mut host, Ps::ZERO, copy(0, 0x8000, 256))
             .expect("no faults armed, the probe must survive");
         assert!(!dev.probing_units()[PrimType::Copy.encode() as usize]);
         assert!(dev.gc_tick().is_empty(), "nothing left to re-arm");
@@ -1623,7 +1397,7 @@ mod tests {
         assert_eq!(dev.gc_tick(), vec![PrimType::Copy]);
         // One more abandonment — not watchdog_threshold of them — re-kills.
         let e = dev
-            .offload(&mut host, Ps::ZERO, OffloadCall::Copy { src: VAddr(0), dst: VAddr(0x8000), bytes: 256 })
+            .offload(&mut host, Ps::ZERO, copy(0, 0x8000, 256))
             .expect_err("wedged unit fails its probe");
         assert!(e.unit_dead, "a probing unit dies on its first strike");
         assert!(dev.unit_dead(PrimType::Copy));
@@ -1661,13 +1435,12 @@ mod tests {
                 .expect_err("p=1.0 must fail");
             assert_eq!(e.site, site);
             assert!(e.at > Ps::ZERO);
-            let injected = dev.injected_by_site();
-            assert_eq!(injected.iter().find(|&&(s, _)| s == site).unwrap().1, 2, "one per attempt");
+            assert_eq!(dev.fault_injector().unwrap().injected(site), 2, "one per attempt");
             match site {
                 FaultSite::Link => assert!(host.fabric.stats().link_drops > 0),
                 FaultSite::Tlb => assert!(dev.tlb.unserviceable_misses() > 0),
                 FaultSite::Mai => assert!(dev.mai.iter().map(Mai::parity_errors).sum::<u64>() > 0),
-                FaultSite::Unit => assert!(dev.copy_units.wedges() > 0),
+                FaultSite::Unit => assert_eq!(dev.stats().units[0].wedges, 2, "the mirror sees the wedges"),
                 FaultSite::Queue => {}
             }
         }
@@ -1678,14 +1451,10 @@ mod tests {
         let recovery = RecoveryConfig { retry_budget: 0, ..RecoveryConfig::default() };
         let (mut h1, mut d1) = setup(Placement::MemorySide);
         d1.enable_faults(5, FaultRates::only(FaultSite::Queue, 1.0), recovery);
-        let nack = d1
-            .offload(&mut h1, Ps::ZERO, OffloadCall::Copy { src: VAddr(0), dst: VAddr(0x8000), bytes: 256 })
-            .expect_err("queue full");
+        let nack = d1.offload(&mut h1, Ps::ZERO, copy(0, 0x8000, 256)).expect_err("queue full");
         let (mut h2, mut d2) = setup(Placement::MemorySide);
         d2.enable_faults(5, FaultRates::only(FaultSite::Unit, 1.0), recovery);
-        let wedge = d2
-            .offload(&mut h2, Ps::ZERO, OffloadCall::Copy { src: VAddr(0), dst: VAddr(0x8000), bytes: 256 })
-            .expect_err("unit wedged");
+        let wedge = d2.offload(&mut h2, Ps::ZERO, copy(0, 0x8000, 256)).expect_err("unit wedged");
         assert!(nack.at < wedge.at, "an explicit NACK ({}) must beat a silent timeout ({})", nack.at, wedge.at);
         assert!(wedge.at >= recovery.timeout);
     }
@@ -1693,7 +1462,7 @@ mod tests {
     /// A Scan&Push layout with every unit one cube off the central cube
     /// the scheduler routes that primitive to.
     fn off_center_scan_push(dev: &mut CharonDevice) -> usize {
-        let cubes = dev.sp_units.cube_count();
+        let cubes = dev.pools[2].cube_count();
         let mut per = vec![0usize; cubes];
         per[(Scheduler::CENTER + 1) % cubes] = 8;
         dev.set_unit_layout(PrimType::ScanPush, &per);
@@ -1704,8 +1473,9 @@ mod tests {
     fn misrouted_raw_offload_reports_typed_error() {
         let (mut host, mut dev) = setup(Placement::MemorySide);
         let cubes = off_center_scan_push(&mut dev);
+        let call = OffloadCall::ScanPush { fields_start: VAddr(0x1000), field_bytes: 8, refs: &[] };
         let e = dev
-            .offload_scan_push(&mut host, Ps::ZERO, VAddr(0x1000), 8, &[])
+            .execute(&mut host, Ps::ZERO, &call)
             .expect_err("no Scan&Push units on the central cube");
         assert_eq!(e, NoUnits { cube: Scheduler::CENTER, cubes });
         let s = dev.stats();
@@ -1732,11 +1502,10 @@ mod tests {
             .expect_err("misroute must abandon");
         assert_eq!((e.at, e.retries, e.unit_dead), (Ps::from_us(5.0), 0, false));
         assert!(!dev.unit_dead(PrimType::ScanPush));
-        assert_eq!(dev.fault_counters().abandoned, [0; 4]);
+        assert_eq!(dev.faults.as_ref().unwrap().consecutive, [0; 4], "the watchdog saw no strike");
         assert_eq!(dev.stats().misroutes[PrimType::ScanPush.encode() as usize], 2);
         // Correctly-routed primitives are unaffected.
-        dev.offload_copy(&mut host, Ps::ZERO, VAddr(0), VAddr(0x8000), 256)
-            .expect("copy routes fine");
+        run(&mut dev, &mut host, Ps::ZERO, copy(0, 0x8000, 256));
     }
 
     #[test]
@@ -1745,8 +1514,7 @@ mod tests {
         // Host dirties a line inside the copy source.
         host.mem_access(0, Ps::ZERO, 0x10040, 8, charon_sim::cache::AccessKind::Write);
         let before = host.fabric.stats().dram.write_bytes;
-        dev.offload_copy(&mut host, Ps::from_us(1.0), VAddr(0x10000), VAddr(0x5_0000), 256)
-            .expect("routed cube has units");
+        run(&mut dev, &mut host, Ps::from_us(1.0), copy(0x10000, 0x5_0000, 256));
         let after = host.fabric.stats().dram.write_bytes;
         assert!(after > before, "dirty host line must be written back before the unit reads");
     }

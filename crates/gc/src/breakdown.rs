@@ -235,20 +235,20 @@ impl RecoverySummary {
         Json::obj(fields)
     }
 
-    /// The change from `before` to `self`. Counters subtract; degradation
-    /// is monotone within a run, so a delta flags only primitives that
-    /// died in the interval.
+    /// The change from `before` to `self`. Counters subtract; a delta
+    /// flags as degraded only primitives that died in the interval — dead
+    /// at its end, and either alive at its start or re-armed inside it.
     pub fn since(&self, before: RecoverySummary) -> RecoverySummary {
         let mut out = RecoverySummary::default();
         for i in 0..4 {
             out.retries[i] = self.retries[i] - before.retries[i];
             out.fallbacks[i] = self.fallbacks[i] - before.fallbacks[i];
-            out.degraded[i] = self.degraded[i] && !before.degraded[i];
+            out.rearmed[i] = self.rearmed[i] - before.rearmed[i];
+            out.degraded[i] = self.degraded[i] && (!before.degraded[i] || out.rearmed[i] > 0);
             out.corrupt_injected[i] = self.corrupt_injected[i] - before.corrupt_injected[i];
             out.corrupt_detected[i] = self.corrupt_detected[i] - before.corrupt_detected[i];
             out.corrupt_repaired[i] = self.corrupt_repaired[i] - before.corrupt_repaired[i];
             out.corrupt_benign[i] = self.corrupt_benign[i] - before.corrupt_benign[i];
-            out.rearmed[i] = self.rearmed[i] - before.rearmed[i];
         }
         for i in 0..3 {
             out.repair_rungs[i] = self.repair_rungs[i] - before.repair_rungs[i];
@@ -646,6 +646,18 @@ mod tests {
         assert!(s.contains("quarantined[1]"), "{s}");
         assert!(s.contains("rearmed[Scan&Push]"), "{s}");
         assert!(!after.is_empty());
+    }
+
+    #[test]
+    fn a_unit_rearmed_and_dead_again_in_one_interval_is_degraded_in_it() {
+        let mut before = RecoverySummary::default();
+        before.degraded[1] = true;
+        let mut after = before;
+        assert!(!after.since(before).degraded[1], "dead since an earlier interval");
+        after.rearmed[1] = 1;
+        assert!(after.since(before).degraded[1], "re-armed, then dead again");
+        after.degraded[1] = false;
+        assert!(!after.since(before).degraded[1], "re-armed and alive");
     }
 
     #[test]

@@ -292,11 +292,6 @@ impl Collector {
         id
     }
 
-    /// Advances the wall clock by mutator (useful-work) time.
-    pub fn advance_mutator(&mut self, dur: Ps) {
-        self.now += dur;
-    }
-
     /// Runs one MinorGC now.
     pub fn minor_gc(&mut self, heap: &mut JavaHeap) -> &GcEvent {
         self.run(heap, GcKind::Minor)
@@ -330,6 +325,9 @@ impl Collector {
 
     fn run(&mut self, heap: &mut JavaHeap, kind: GcKind) -> &GcEvent {
         self.sys.collection_seq = self.events.len() as u64;
+        // Taken before the re-arm tick, so the re-arms it books belong to
+        // this collection's recovery delta.
+        let recovery_before = self.sys.recovery;
         // Re-arm prologue: watchdog-dead units that have sat out enough
         // collections come back in probe mode — before the adaptive
         // controller looks at unit health, so it sees the restored mask.
@@ -352,7 +350,6 @@ impl Collector {
         let start = self.now;
         let dram_before = self.sys.dram_bytes();
         let bw_before = self.sys.host.fabric.occupancy();
-        let recovery_before = self.sys.recovery;
         let mut threads = GcThreads::new(self.gc_threads, start);
         self.sys.host.barrier(start);
 

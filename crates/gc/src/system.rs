@@ -800,17 +800,19 @@ mod tests {
 
     #[test]
     fn fault_free_offload_path_is_unchanged() {
-        // The fault-aware entry point with no armed layer must produce the
-        // exact times the raw offload calls did (zero-rate bit-identity).
+        // With no armed layer, `prim_copy` costs the dispatch plus exactly
+        // the device's own offload time, and books no recovery.
         let bytes = 64 * 1024;
         let mut plain = System::charon();
         let dispatch = Ps::from_us(1.0) + plain.compute(plain.costs.prim_dispatch);
+        let call = OffloadCall::Copy { src: VAddr(0), dst: VAddr(0x10_0000), bytes };
         let t_raw = plain
             .device
             .as_mut()
             .expect("device")
-            .offload_copy(&mut plain.host, dispatch, VAddr(0), VAddr(0x10_0000), bytes)
-            .expect("routed cube has units");
+            .offload(&mut plain.host, dispatch, call)
+            .expect("routed cube has units")
+            .done;
         let mut wired = System::charon();
         let t_new = wired.prim_copy(0, Ps::from_us(1.0), VAddr(0), VAddr(0x10_0000), bytes);
         assert_eq!(t_new, t_raw);

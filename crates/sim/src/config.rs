@@ -290,11 +290,6 @@ impl HmcConfig {
         }
     }
 
-    /// Aggregate internal (TSV) bandwidth over all cubes.
-    pub fn total_internal_bw(&self) -> Bandwidth {
-        Bandwidth::gbps(self.internal_bw_per_cube.as_gbps() * self.cubes as f64)
-    }
-
     /// Which cube a physical address falls in, under the huge-page
     /// round-robin interleaving of §4.6.
     pub fn cube_of(&self, paddr: u64) -> usize {

@@ -422,6 +422,22 @@ mod tests {
     }
 
     #[test]
+    fn charon_runs_report_settled_structure_energy() {
+        let r = quick("KM", System::charon());
+        let j = r.to_json();
+        let e = j
+            .get("device")
+            .and_then(|d| d.get("energy_pj"))
+            .expect("Charon runs report device energy");
+        let pj = |key: &str| e.get(key).and_then(Json::as_f64).expect("energy part present");
+        assert!(pj("tlb") > 0.0, "TLB lookups were settled: {e}");
+        assert!(pj("queues") > 0.0, "queue traffic was settled: {e}");
+        assert_eq!(pj("total"), pj("units") + pj("queues") + pj("tlb") + pj("bitmap_cache"));
+        let general = r.device.expect("device stats").energy.general_fraction();
+        assert!(general > 0.0 && general < 0.05, "§5.3: general components are a few percent, got {general}");
+    }
+
+    #[test]
     fn sinks_on_the_system_survive_the_run() {
         let telemetry = charon_sim::telemetry::Telemetry::enabled();
         let mut sys = System::charon();

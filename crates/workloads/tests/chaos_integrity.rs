@@ -8,11 +8,15 @@
 //!    detects ≥ 95% of the injected live-region corruptions and the
 //!    repair ladder recovers every detected one.
 //! 3. **Oracle** — with the shadow oracle armed, *nothing* escapes.
+//! 4. **Ledger** — the per-collection recovery deltas add up to the
+//!    run's `System::recovery`, re-arms included.
 
+use charon_gc::breakdown::RecoverySummary;
 use charon_gc::integrity::IntegrityConfig;
 use charon_gc::system::System;
-use charon_sim::faults::CorruptionRates;
+use charon_sim::faults::{CorruptionRates, CorruptionSite};
 use charon_workloads::chaos::ChaosOptions;
+use charon_workloads::run::Run;
 use charon_workloads::spec::by_short;
 use charon_workloads::{run_chaos_campaign, run_workload, RunOptions};
 
@@ -125,4 +129,26 @@ fn oracle_campaign_has_zero_escapes() {
     assert!(report.pass(), "oracle campaign failed:\n{report}");
     assert!(report.injected() > 0);
     assert_eq!(report.escaped(), 0, "the oracle contract is zero escapes:\n{report}");
+}
+
+/// Every recovery the run books lands in exactly one collection's
+/// breakdown — the re-arms the GC-prologue tick books included, which
+/// is what the chaos cells' `rearmed` count and the gclog's `rearmed[…]`
+/// suffix read. (Degradation is a state, not a count: a unit that died
+/// and was re-armed reads degraded in its collection but not at the end.)
+#[test]
+fn rearm_run_breakdowns_sum_to_the_system_ledger() {
+    let spec = by_short("BS").unwrap();
+    let mut sys = System::charon();
+    let rates = CorruptionRates::only(CorruptionSite::CopyPayload, 0.3);
+    sys.enable_integrity(0xC0DE, rates, IntegrityConfig::default());
+    sys.set_rearm(1);
+    let mut run = Run::new(&spec, sys, &RunOptions { supersteps: Some(8), ..Default::default() });
+    run.drive().unwrap();
+    let r = run.result();
+    let ledger = run.gc.sys.recovery;
+    assert!(ledger.rearmed.iter().sum::<u64>() > 0, "quarantines at 30% must re-arm a unit: {ledger:?}");
+    let counts = |s: RecoverySummary| RecoverySummary { degraded: [false; 4], ..s };
+    let booked = r.minor_breakdown.recovery() + r.major_breakdown.recovery();
+    assert_eq!(counts(booked), counts(ledger));
 }
