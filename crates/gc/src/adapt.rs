@@ -10,11 +10,11 @@
 //! and this module closes the loop: at each GC prologue a [`Policy`] reads
 //! a [`Signals`] snapshot and chooses the next [`OffloadMask`].
 //!
-//! Three policies ship behind the one trait:
+//! Three policies ship as the variants of one [`Policy`] enum:
 //!
-//! * [`Static`] — returns a fixed mask; with the platform default this is
-//!   bit-identical to running without a controller (the fingerprint
-//!   baselines pin it).
+//! * [`Policy::Static`] — returns a fixed mask; with the platform default
+//!   this is bit-identical to running without a controller (the
+//!   fingerprint baselines pin it).
 //! * [`CensusThreshold`] — a two-regime rule on mean survivor size and
 //!   dead fraction with hysteresis, so the mask cannot flap between
 //!   adjacent minor GCs while a signal sits on a threshold.
@@ -138,53 +138,47 @@ pub fn predict(costs: &CostModel, r: &CensusRecord) -> Prediction {
     }
 }
 
-/// An offload-selection policy. Implementations must be deterministic
-/// functions of their own state and the [`Signals`] they are shown — no
-/// wall-clock, no OS randomness — so any run can be replayed exactly.
-pub trait Policy: fmt::Debug {
+/// An offload-selection policy. Every variant is a deterministic function
+/// of its own state and the [`Signals`] it is shown — no wall-clock, no OS
+/// randomness — so any run can be replayed exactly.
+#[derive(Debug, Clone)]
+pub enum Policy {
+    /// Today's behavior: one fixed mask for the whole run. With the
+    /// platform default mask this is indistinguishable — bit-identical
+    /// fingerprints — from running with no controller at all.
+    Static(OffloadMask),
+    /// The two-regime census rule.
+    Census(CensusThreshold),
+    /// The seeded epsilon-greedy bandit.
+    Bandit(Bandit),
+}
+
+impl Policy {
     /// Stable lowercase name (journal/telemetry/CLI key).
-    fn name(&self) -> &'static str;
+    pub fn name(&self) -> &'static str {
+        match self {
+            Policy::Static(_) => "static",
+            Policy::Census(_) => "census",
+            Policy::Bandit(_) => "bandit",
+        }
+    }
 
     /// Chooses the mask for the collection `sig` describes. The caller
     /// clamps the result against unit health before installing it.
-    fn decide(&mut self, sig: &Signals<'_>) -> OffloadMask;
+    pub fn decide(&mut self, sig: &Signals<'_>) -> OffloadMask {
+        match self {
+            Policy::Static(mask) => *mask,
+            Policy::Census(rule) => rule.decide(sig),
+            Policy::Bandit(bandit) => bandit.decide(sig),
+        }
+    }
 
     /// Feeds back the realized pause of the collection the last
     /// [`Policy::decide`] covered.
-    fn observe(&mut self, kind: GcKind, realized: Ps);
-
-    /// Clone through the trait object ([`Collector`](crate::collector::Collector) derives `Clone`).
-    fn box_clone(&self) -> Box<dyn Policy>;
-}
-
-impl Clone for Box<dyn Policy> {
-    fn clone(&self) -> Box<dyn Policy> {
-        self.box_clone()
-    }
-}
-
-/// Today's behavior: one fixed mask for the whole run. With the platform
-/// default mask this is indistinguishable — bit-identical fingerprints —
-/// from running with no controller at all.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Static {
-    /// The mask to hold.
-    pub mask: OffloadMask,
-}
-
-impl Policy for Static {
-    fn name(&self) -> &'static str {
-        "static"
-    }
-
-    fn decide(&mut self, _sig: &Signals<'_>) -> OffloadMask {
-        self.mask
-    }
-
-    fn observe(&mut self, _kind: GcKind, _realized: Ps) {}
-
-    fn box_clone(&self) -> Box<dyn Policy> {
-        Box::new(*self)
+    pub fn observe(&mut self, kind: GcKind, realized: Ps) {
+        if let Policy::Bandit(bandit) = self {
+            bandit.observe(kind, realized);
+        }
     }
 }
 
@@ -247,14 +241,9 @@ impl CensusThreshold {
     pub fn in_bulk_regime(&self) -> bool {
         self.bulk
     }
-}
 
-impl Policy for CensusThreshold {
-    fn name(&self) -> &'static str {
-        "census"
-    }
-
-    fn decide(&mut self, sig: &Signals<'_>) -> OffloadMask {
+    /// The mask for the collection `sig` describes.
+    pub fn decide(&mut self, sig: &Signals<'_>) -> OffloadMask {
         // Major collections evacuate the whole live old generation — a
         // bulk copy by construction — so they always run with the bulk
         // mask and never consult (or disturb) the regime latch.
@@ -274,12 +263,6 @@ impl Policy for CensusThreshold {
         } else {
             self.pointer_mask
         }
-    }
-
-    fn observe(&mut self, _kind: GcKind, _realized: Ps) {}
-
-    fn box_clone(&self) -> Box<dyn Policy> {
-        Box::new(*self)
     }
 }
 
@@ -367,14 +350,9 @@ impl Bandit {
             self.total_pause[row][arm] as f64 / self.pulls[row][arm] as f64
         }
     }
-}
 
-impl Policy for Bandit {
-    fn name(&self) -> &'static str {
-        "bandit"
-    }
-
-    fn decide(&mut self, sig: &Signals<'_>) -> OffloadMask {
+    /// Plays an arm for the collection `sig` describes.
+    pub fn decide(&mut self, sig: &Signals<'_>) -> OffloadMask {
         let row = kind_row(sig.kind);
         let arm = if let Some(cold) = (0..self.arms.len()).find(|&i| self.pulls[row][i] == 0) {
             cold
@@ -389,7 +367,9 @@ impl Policy for Bandit {
         self.arms[arm]
     }
 
-    fn observe(&mut self, kind: GcKind, realized: Ps) {
+    /// Books the realized pause against the arm the last
+    /// [`Bandit::decide`] played.
+    pub fn observe(&mut self, kind: GcKind, realized: Ps) {
         let row = kind_row(kind);
         if let Some((decided_row, arm)) = self.last_arm.take() {
             if decided_row == row {
@@ -398,16 +378,12 @@ impl Policy for Bandit {
             }
         }
     }
-
-    fn box_clone(&self) -> Box<dyn Policy> {
-        Box::new(self.clone())
-    }
 }
 
 /// Parseable policy selector, for run drivers and the CLI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyKind {
-    /// [`Static`] — hold the platform mask.
+    /// [`Policy::Static`] — hold the platform mask.
     Static,
     /// [`CensusThreshold`].
     Census,
@@ -428,13 +404,13 @@ impl PolicyKind {
         }
     }
 
-    /// Instantiates the policy: `static_mask` seeds [`Static`], `seed`
-    /// drives the [`Bandit`].
-    pub fn build(self, static_mask: OffloadMask, seed: u64) -> Box<dyn Policy> {
+    /// Instantiates the policy: `static_mask` seeds [`Policy::Static`],
+    /// `seed` drives the [`Bandit`].
+    pub fn build(self, static_mask: OffloadMask, seed: u64) -> Policy {
         match self {
-            PolicyKind::Static => Box::new(Static { mask: static_mask }),
-            PolicyKind::Census => Box::new(CensusThreshold::new()),
-            PolicyKind::Bandit => Box::new(Bandit::new(seed)),
+            PolicyKind::Static => Policy::Static(static_mask),
+            PolicyKind::Census => Policy::Census(CensusThreshold::new()),
+            PolicyKind::Bandit => Policy::Bandit(Bandit::new(seed)),
         }
     }
 }
@@ -566,14 +542,14 @@ impl DecisionJournal {
 #[derive(Debug, Clone)]
 pub struct Controller {
     /// The deciding policy.
-    pub policy: Box<dyn Policy>,
+    pub policy: Policy,
     /// Every decision made so far.
     pub journal: DecisionJournal,
 }
 
 impl Controller {
     /// Wraps a policy with an empty journal.
-    pub fn new(policy: Box<dyn Policy>) -> Controller {
+    pub fn new(policy: Policy) -> Controller {
         Controller { policy, journal: DecisionJournal::default() }
     }
 
@@ -686,7 +662,7 @@ mod tests {
     #[test]
     fn static_policy_always_returns_its_mask() {
         let costs = CostModel::default();
-        let mut p = Static { mask: OffloadMask::all() };
+        let mut p = Policy::Static(OffloadMask::all());
         let recs = [record(10, 10_000, 90_000, 10_000)];
         assert_eq!(p.decide(&signals(&recs, &costs)), OffloadMask::all());
         assert_eq!(p.decide(&signals(&[], &costs)), OffloadMask::all());
@@ -784,7 +760,7 @@ mod tests {
     #[test]
     fn controller_never_enables_a_dead_unit() {
         let mut sys = System::charon();
-        let mut ctl = Controller::new(Box::new(Static { mask: OffloadMask::all() }));
+        let mut ctl = Controller::new(Policy::Static(OffloadMask::all()));
         // Simulate a watchdog-killed Copy unit: clamp must hold even
         // though the policy asks for everything.
         let sig = Signals {
@@ -823,7 +799,7 @@ mod tests {
         dev.kill_unit(PrimType::Copy);
         sys.offload.set(PrimType::Copy, false);
         // While dead, the clamp strips Copy from whatever the policy asks.
-        let mut ctl = Controller::new(Box::new(Static { mask: OffloadMask::all() }));
+        let mut ctl = Controller::new(Policy::Static(OffloadMask::all()));
         ctl.decide(&mut sys, None, None, GcKind::Minor, Ps::ZERO);
         assert!(!sys.offload.copy, "dead Copy unit must stay clamped off");
         assert_eq!(ctl.journal.decisions[0].unit_dead, [true, false, false, false]);

@@ -87,6 +87,40 @@ fn site_prim(site: CorruptionSite) -> PrimType {
     }
 }
 
+/// What the layer concluded about corruptions at one site.
+#[derive(Debug, Clone, Copy)]
+enum Outcome {
+    /// `n` corruptions caught.
+    Detected(u64),
+    /// `n` injections proven harmless.
+    Benign(u64),
+    /// `fixed` corruptions repaired by ladder `rung`, which ran `runs`
+    /// times. Rung 3 quarantines the unit: it fixes none itself and counts
+    /// one quarantined extent.
+    Repaired { rung: u8, fixed: u64, runs: u64 },
+}
+
+/// Books `outcome` at `site`: its counters in [`System::recovery`] and one
+/// `Corruption`/`Repair` event in the telemetry journal.
+fn book(sys: &mut System, site: CorruptionSite, outcome: Outcome, addr: u64, at: Ps) {
+    let (i, r) = (site.index(), &mut sys.recovery);
+    match outcome {
+        Outcome::Detected(n) => r.corrupt_detected[i] += n,
+        Outcome::Benign(n) => r.corrupt_benign[i] += n,
+        Outcome::Repaired { rung, fixed, runs } => {
+            r.corrupt_repaired[i] += fixed;
+            r.repair_rungs[usize::from(rung - 1)] += runs;
+            r.quarantined_extents += u64::from(rung == 3);
+        }
+    }
+    let site = site.name();
+    sys.telemetry.record(|| match outcome {
+        Outcome::Detected(_) => Event::Corruption { site, addr, at, detected: true },
+        Outcome::Benign(_) => Event::Corruption { site, addr, at, detected: false },
+        Outcome::Repaired { rung, .. } => Event::Repair { site, rung, addr, at },
+    });
+}
+
 /// Bitmap geometry snapshot, captured lazily from the heap on first use.
 #[derive(Debug, Clone, Copy)]
 struct Geometry {
@@ -195,10 +229,7 @@ impl IntegrityState {
             if let Some(dev) = &mut sys.device {
                 dev.kill_unit(prim);
             }
-            sys.recovery.repair_rungs[2] += 1;
-            sys.recovery.quarantined_extents += 1;
-            sys.telemetry
-                .record(|| Event::Repair { site: site.name(), rung: 3, addr: 0, at: now });
+            book(sys, site, Outcome::Repaired { rung: 3, fixed: 0, runs: 1 }, 0, now);
         }
     }
 
@@ -247,24 +278,11 @@ impl IntegrityState {
             fold ^= heap.mem.read_word(src.add_words(w)) ^ heap.mem.read_word(dst.add_words(w));
         }
         debug_assert_ne!(fold, 0, "single-bit payload flip must unbalance the fold");
-        sys.recovery.corrupt_detected[CorruptionSite::CopyPayload.index()] += 1;
-        sys.telemetry.record(|| Event::Corruption {
-            site: CorruptionSite::CopyPayload.name(),
-            addr: victim.0,
-            at: now,
-            detected: true,
-        });
+        book(sys, CorruptionSite::CopyPayload, Outcome::Detected(1), victim.0, now);
         // Rung 1: re-execute the copy on the host and patch the extent.
         heap.mem.copy_words(src.add_words(1), dst.add_words(1), words - 1);
         let end = sys.repair_copy(core, now, src.add_words(1), dst.add_words(1), (words - 1) * WORD_BYTES);
-        sys.recovery.corrupt_repaired[CorruptionSite::CopyPayload.index()] += 1;
-        sys.recovery.repair_rungs[0] += 1;
-        sys.telemetry.record(|| Event::Repair {
-            site: CorruptionSite::CopyPayload.name(),
-            rung: 1,
-            addr: victim.0,
-            at: end,
-        });
+        book(sys, CorruptionSite::CopyPayload, Outcome::Repaired { rung: 1, fixed: 1, runs: 1 }, victim.0, end);
         self.strike(sys, CorruptionSite::CopyPayload, end, 1);
         end
     }
@@ -305,22 +323,10 @@ impl IntegrityState {
         if !bad {
             // The flip landed in the age bits, which a forwarded (evacuated)
             // header never exposes again — provably dead, counted benign.
-            sys.recovery.corrupt_benign[CorruptionSite::ForwardPointer.index()] += 1;
-            sys.telemetry.record(|| Event::Corruption {
-                site: CorruptionSite::ForwardPointer.name(),
-                addr: src.0,
-                at: now,
-                detected: false,
-            });
+            book(sys, CorruptionSite::ForwardPointer, Outcome::Benign(1), src.0, now);
             return now;
         }
-        sys.recovery.corrupt_detected[CorruptionSite::ForwardPointer.index()] += 1;
-        sys.telemetry.record(|| Event::Corruption {
-            site: CorruptionSite::ForwardPointer.name(),
-            addr: src.0,
-            at: now,
-            detected: true,
-        });
+        book(sys, CorruptionSite::ForwardPointer, Outcome::Detected(1), src.0, now);
         // Rung 1: reinstall the forwarding word (and, under the oracle, the
         // exact pre-copy age).
         object::forward_to(&mut heap.mem, src, dst);
@@ -328,14 +334,7 @@ impl IntegrityState {
             object::set_age(&mut heap.mem, src, age);
         }
         let end = sys.host_op(core, now, 2, &[(src, AccessKind::Write)]);
-        sys.recovery.corrupt_repaired[CorruptionSite::ForwardPointer.index()] += 1;
-        sys.recovery.repair_rungs[0] += 1;
-        sys.telemetry.record(|| Event::Repair {
-            site: CorruptionSite::ForwardPointer.name(),
-            rung: 1,
-            addr: src.0,
-            at: end,
-        });
+        book(sys, CorruptionSite::ForwardPointer, Outcome::Repaired { rung: 1, fixed: 1, runs: 1 }, src.0, end);
         self.strike(sys, CorruptionSite::ForwardPointer, end, 1);
         end
     }
@@ -376,27 +375,14 @@ impl IntegrityState {
             }
         }
         debug_assert!(!bad.is_empty(), "card flip must leave an invalid byte");
-        sys.recovery.corrupt_detected[CorruptionSite::CardByte.index()] += 1;
-        sys.telemetry.record(|| Event::Corruption {
-            site: CorruptionSite::CardByte.name(),
-            addr: victim.0,
-            at: now,
-            detected: true,
-        });
+        book(sys, CorruptionSite::CardByte, Outcome::Detected(1), victim.0, now);
         // Rung 1: conservatively re-dirty the damaged bytes (a spurious
         // DIRTY only costs a wasted scan; a lost DIRTY would lose refs).
         for &a in &bad {
             heap.mem.write_u8(a, DIRTY);
         }
         let end = sys.host_op(core, now, 4, &[(block, AccessKind::Read), (victim, AccessKind::Write)]);
-        sys.recovery.corrupt_repaired[CorruptionSite::CardByte.index()] += 1;
-        sys.recovery.repair_rungs[0] += 1;
-        sys.telemetry.record(|| Event::Repair {
-            site: CorruptionSite::CardByte.name(),
-            rung: 1,
-            addr: victim.0,
-            at: end,
-        });
+        book(sys, CorruptionSite::CardByte, Outcome::Repaired { rung: 1, fixed: 1, runs: 1 }, victim.0, end);
         self.strike(sys, CorruptionSite::CardByte, end, 1);
         end
     }
@@ -496,26 +482,14 @@ impl IntegrityState {
                 // bit-for-bit: provably benign. Only a full sweep can
                 // conclude this.
                 self.bitmap_accounted += pending;
-                sys.recovery.corrupt_benign[CorruptionSite::BitmapWord.index()] += pending;
                 for _ in 0..pending {
-                    sys.telemetry.record(|| Event::Corruption {
-                        site: CorruptionSite::BitmapWord.name(),
-                        addr: 0,
-                        at: now,
-                        detected: false,
-                    });
+                    book(sys, CorruptionSite::BitmapWord, Outcome::Benign(1), 0, now);
                 }
             }
             return now;
         }
         self.bitmap_accounted += pending;
-        sys.recovery.corrupt_detected[CorruptionSite::BitmapWord.index()] += pending;
-        sys.telemetry.record(|| Event::Corruption {
-            site: CorruptionSite::BitmapWord.name(),
-            addr: first_bad,
-            at: now,
-            detected: true,
-        });
+        book(sys, CorruptionSite::BitmapWord, Outcome::Detected(pending), first_bad, now);
         // Rung 2: bounded re-mark. Zero the damaged extents, then walk the
         // used regions re-setting bits for every header the host marked —
         // the header mark state is host-written and trusted.
@@ -567,14 +541,8 @@ impl IntegrityState {
             }
         }
         let end = sys.host_op(core, now, walked * 2 + rebuilt * EXTENT_MAP_WORDS, &accesses);
-        sys.recovery.corrupt_repaired[CorruptionSite::BitmapWord.index()] += pending;
-        sys.recovery.repair_rungs[1] += rebuilt;
-        sys.telemetry.record(|| Event::Repair {
-            site: CorruptionSite::BitmapWord.name(),
-            rung: 2,
-            addr: first_bad,
-            at: end,
-        });
+        let rung2 = Outcome::Repaired { rung: 2, fixed: pending, runs: rebuilt };
+        book(sys, CorruptionSite::BitmapWord, rung2, first_bad, end);
         self.strike(sys, CorruptionSite::BitmapWord, end, rebuilt as u32);
         end
     }

@@ -14,16 +14,16 @@
 //!   wedges. The simulated collector always performs its functional heap
 //!   work, so a timing fault can delay a collection or push a primitive
 //!   onto the host software path, but never corrupts the object graph.
-//!   The end-to-end campaign in `charon-workloads` checks exactly that —
-//!   `graph_signature` under any fault schedule must equal the
-//!   fault-free run's.
+//!   The end-to-end campaign in `charon-workloads::campaign` checks
+//!   exactly that — `graph_signature` under any fault schedule must equal
+//!   the zero-rate control's.
 //! * **Data corruption** ([`CorruptionSite`]/[`CorruptionInjector`]):
 //!   single-bit flips in the *outputs* an offloaded primitive writes
 //!   back into the heap — mark-bitmap words, forwarding pointers,
 //!   card-table bytes, copied object payloads. This models the
 //!   silent-corruption hazard of in-memory logic bypassing host-side
-//!   ECC; `charon-gc::integrity` owns detection and repair, and the
-//!   chaos campaign in `charon-workloads::chaos` drives the sweep.
+//!   ECC; `charon-gc::integrity` owns detection and repair, and the same
+//!   campaign driver in `charon-workloads::campaign` runs the sweep.
 //!
 //! Determinism: each site draws from its own SplitMix64 stream derived
 //! from the campaign seed, so enabling or re-rating one site never

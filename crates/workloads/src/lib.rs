@@ -31,11 +31,11 @@
 //! * [`parmatrix`] — deterministic parallel run matrix: workload ×
 //!   platform cells fanned across OS threads with bit-identical merged
 //!   output,
-//! * [`campaign`] — seeded fault-injection campaigns proving the offload
-//!   path degrades gracefully without changing GC correctness,
-//! * [`chaos`] — silent-corruption campaigns over the integrity
-//!   subsystem: sites × rates × workloads, detection/repair/escape
-//!   accounting ([`chaos::ChaosReport`]),
+//! * [`campaign`] — seeded campaigns for both fault tiers through one
+//!   driver: timing faults proving the offload path degrades gracefully
+//!   without changing GC correctness ([`CampaignReport`]), and silent
+//!   corruption over the integrity subsystem — sites × rates × workloads,
+//!   detection/repair/escape accounting ([`ChaosReport`]),
 //! * [`autotune`] — static-vs-adaptive offload comparison driver for the
 //!   [`charon_gc::adapt`] controller ([`autotune::AutotuneReport`]),
 //! * [`history`] — append-only `charon-history-v1` multi-run metric
@@ -44,7 +44,6 @@
 
 pub mod autotune;
 pub mod campaign;
-pub mod chaos;
 pub mod fleet;
 pub mod history;
 pub mod klasses;
@@ -55,8 +54,9 @@ pub mod run;
 pub mod spec;
 
 pub use autotune::{autotune, AutotuneReport};
-pub use campaign::{fault_matrix, run_fault_campaign, CampaignReport};
-pub use chaos::{chaos_matrix, run_chaos_campaign, ChaosOptions, ChaosReport};
+pub use campaign::{
+    chaos_matrix, fault_matrix, run_chaos_campaign, run_fault_campaign, CampaignReport, ChaosOptions, ChaosReport,
+};
 pub use fleet::{plan_tenants, run_fleet, FleetOptions, FleetReport, SchedKind};
 pub use history::{HistoryRun, Ledger};
 pub use parmatrix::{full_matrix, run_matrix, MatrixJob, MatrixOutcome};

@@ -8,7 +8,7 @@
 //! There is one run in the workspace and it is staged: [`Run`] orders
 //! heap → mutator → collector → resident structure → supersteps → result,
 //! and every driver goes through it. [`run_workload`] is the whole
-//! sequence in one call; [`crate::campaign`], [`crate::chaos`] and
+//! sequence in one call; [`crate::campaign`] (both fault tiers) and
 //! [`crate::fleet`] step or drive a `Run` themselves because they need
 //! the heap or the event log it ends with.
 
@@ -218,9 +218,8 @@ impl fmt::Display for RunResult {
 /// workspace that sizes the heap, builds the [`Mutator`] and [`Collector`]
 /// and applies every [`RunOptions`] field; [`Run::result`] is the only
 /// code that assembles a [`RunResult`]. A driver that has to look at the
-/// heap or the collector between stages — the fault campaign's graph
-/// checkpoints, the chaos campaign's end-of-run walk, the fleet's pause
-/// stream — steps a `Run` by hand and reads its fields; everything else
+/// heap or the collector between stages — the campaigns' graph
+/// checkpoints, the fleet's pause stream — steps a `Run` by hand and reads its fields; everything else
 /// calls [`run_workload`].
 ///
 /// ```

@@ -3,7 +3,8 @@
 //! 1. **Zero-rate bit-identity** — arming the corruption injector at all-
 //!    zero rates with the checksum/canary detectors ON must not move a
 //!    single picosecond: every committed workload × platform fingerprint
-//!    from `fingerprint_baseline.rs` must still hold exactly.
+//!    from `fingerprint_baseline.rs` must still hold exactly, and each
+//!    campaign tier's zero-rate control is the unarmed run.
 //! 2. **Detection** — without the shadow oracle, the checksum layer
 //!    detects ≥ 95% of the injected live-region corruptions and the
 //!    repair ladder recovers every detected one.
@@ -12,24 +13,15 @@
 //!    run's `System::recovery`, re-arms included.
 
 use charon_gc::breakdown::RecoverySummary;
+use charon_gc::collector::GcKind;
 use charon_gc::integrity::IntegrityConfig;
 use charon_gc::system::System;
+use charon_gc::verify::graph_signature;
 use charon_sim::faults::{CorruptionRates, CorruptionSite};
-use charon_workloads::chaos::ChaosOptions;
+use charon_workloads::parmatrix::system_by_label;
 use charon_workloads::run::Run;
 use charon_workloads::spec::by_short;
-use charon_workloads::{run_chaos_campaign, run_workload, RunOptions};
-
-fn system_by_label(label: &str) -> System {
-    match label {
-        "DDR4" => System::ddr4(),
-        "HMC" => System::hmc(),
-        "Charon" => System::charon(),
-        "Charon-CPU-side" => System::cpu_side(),
-        "Ideal" => System::ideal(),
-        other => panic!("unknown platform {other}"),
-    }
-}
+use charon_workloads::{run_chaos_campaign, run_fault_campaign, run_workload, ChaosOptions, RunOptions};
 
 /// The same table `fingerprint_baseline.rs` pins: `(workload, platform,
 /// gc_time ps, minor count, major count, allocated bytes)` at
@@ -60,7 +52,7 @@ fn integrity_armed_zero_rate_fingerprints_match_committed_baselines() {
     let mut mismatches = Vec::new();
     for &(wl, platform, gc_ps, minors, majors, alloc) in &BASELINES {
         let spec = by_short(wl).unwrap();
-        let mut sys = system_by_label(platform);
+        let mut sys = system_by_label(platform).expect("known platform");
         sys.enable_integrity(0xC0DE, CorruptionRates::zero(), IntegrityConfig::default());
         let opts = RunOptions { supersteps: Some(2), ..Default::default() };
         let r = run_workload(&spec, sys, &opts).unwrap();
@@ -95,6 +87,28 @@ fn shadow_oracle_zero_rate_is_also_timing_invisible() {
     }
 }
 
+/// Each campaign tier's control — its zero-rate cell, armed like the cells
+/// — is the unarmed run: `run_workload`'s fingerprint on a plain
+/// `System::charon()` and the same final graph signature.
+#[test]
+fn zero_rate_controls_equal_an_unarmed_run() {
+    let spec = by_short("BS").unwrap();
+    let opts = RunOptions { supersteps: Some(2), ..Default::default() };
+    let mut run = Run::new(&spec, System::charon(), &opts);
+    run.drive().unwrap();
+    let (r, sig) = (run.result(), graph_signature(&run.heap).unwrap().0);
+    let unarmed = (r.workload, r.gc_time, r.minor.1, r.major.1, r.allocated_bytes, sig);
+    let timing = run_fault_campaign(&spec, 42, &opts, 2).unwrap().baseline;
+    let chaos = ChaosOptions { rates: vec![0.05], run: opts, ..Default::default() };
+    let corruption = run_chaos_campaign(&[spec], &chaos, 2).unwrap().baselines.remove(0);
+    for (tier, c) in [("timing", timing), ("corruption", corruption)] {
+        let count = |kind| c.event_kinds.iter().filter(|&&k| k == kind).count();
+        let sig = c.signatures.last().expect("one checkpoint per stage").0;
+        let control = (c.workload, c.gc_time, count(GcKind::Minor), count(GcKind::Major), c.allocated_bytes, sig);
+        assert_eq!(control, unarmed, "{tier} control");
+    }
+}
+
 fn campaign_opts() -> ChaosOptions {
     ChaosOptions {
         rates: vec![0.05],
@@ -109,13 +123,14 @@ fn campaign_opts() -> ChaosOptions {
 #[test]
 fn checksum_detection_and_repair_meet_the_bar() {
     let specs = [by_short("BS").unwrap(), by_short("KM").unwrap()];
-    let report = run_chaos_campaign(&specs, &campaign_opts(), 4);
+    let report = run_chaos_campaign(&specs, &campaign_opts(), 4).unwrap();
     assert!(report.pass(), "chaos campaign failed:\n{report}");
     assert!(report.injected() > 0, "5% over two workloads must inject:\n{report}");
     assert!(report.detection_rate() >= 0.95, "detection below 95%:\n{report}");
     assert_eq!(report.repaired(), report.detected(), "every detected corruption must be repaired:\n{report}");
     for c in &report.cells {
-        assert!(c.graph_ok, "{}/{} rate {}: final graph corrupt", c.workload, c.site, c.rate);
+        let cell = &c.cell;
+        assert!(c.case.is_some(), "{}/{} rate {}: a graph checkpoint failed", cell.spec.short, cell.label, cell.rate);
     }
 }
 
@@ -125,7 +140,7 @@ fn checksum_detection_and_repair_meet_the_bar() {
 fn oracle_campaign_has_zero_escapes() {
     let specs = [by_short("BS").unwrap(), by_short("KM").unwrap()];
     let opts = ChaosOptions { oracle: true, ..campaign_opts() };
-    let report = run_chaos_campaign(&specs, &opts, 4);
+    let report = run_chaos_campaign(&specs, &opts, 4).unwrap();
     assert!(report.pass(), "oracle campaign failed:\n{report}");
     assert!(report.injected() > 0);
     assert_eq!(report.escaped(), 0, "the oracle contract is zero escapes:\n{report}");
@@ -151,4 +166,88 @@ fn rearm_run_breakdowns_sum_to_the_system_ledger() {
     let counts = |s: RecoverySummary| RecoverySummary { degraded: [false; 4], ..s };
     let booked = r.minor_breakdown.recovery() + r.major_breakdown.recovery();
     assert_eq!(counts(booked), counts(ledger));
+}
+
+/// What one site's run books: journal events `[Corruption{detected},
+/// Corruption{benign}, Repair{rung 1}, Repair{rung 2}, Repair{rung 3}]`,
+/// then the site's ledger `[injected, detected, repaired, benign]`, the
+/// rung counts, quarantined extents and whether a unit degraded.
+type SiteBooking = ([usize; 5], [u64; 4], [u64; 3], u64, bool);
+
+/// Runs BS for 10 supersteps (the first MajorGC, where the bitmap site
+/// fires) with corruption at `rate` on `site` and a telemetry journal
+/// attached; `quarantine: false` sets a threshold rung 3 never reaches.
+fn site_booking(site: CorruptionSite, rate: f64, shadow_oracle: bool, quarantine: bool) -> SiteBooking {
+    use charon_sim::telemetry::{Event, Telemetry};
+    let mut sys = System::charon();
+    let journal = Telemetry::enabled();
+    sys.set_telemetry(journal.clone());
+    let quarantine_threshold = if quarantine { IntegrityConfig::default().quarantine_threshold } else { u32::MAX };
+    let config = IntegrityConfig { shadow_oracle, quarantine_threshold, ..Default::default() };
+    sys.enable_integrity(0xC0DE, CorruptionRates::only(site, rate), config);
+    let mut run = Run::new(&by_short("BS").unwrap(), sys, &RunOptions { supersteps: Some(10), ..Default::default() });
+    run.drive().unwrap();
+    let mut events = [0; 5];
+    for e in journal.events() {
+        match e {
+            Event::Corruption { detected, .. } => events[usize::from(!detected)] += 1,
+            Event::Repair { rung, .. } => events[1 + usize::from(rung)] += 1,
+            _ => {}
+        }
+    }
+    let r = run.gc.sys.recovery;
+    let i = site.index();
+    let mut rest = r;
+    for counter in
+        [&mut rest.corrupt_injected, &mut rest.corrupt_detected, &mut rest.corrupt_repaired, &mut rest.corrupt_benign]
+    {
+        counter[i] = 0;
+    }
+    let rest = RecoverySummary { repair_rungs: [0; 3], quarantined_extents: 0, degraded: [false; 4], ..rest };
+    assert!(rest.is_empty(), "{site}: booked outside its own site: {rest:?}");
+    let ledger = [r.corrupt_injected[i], r.corrupt_detected[i], r.corrupt_repaired[i], r.corrupt_benign[i]];
+    (events, ledger, r.repair_rungs, r.quarantined_extents, r.degraded.iter().any(|&d| d))
+}
+
+/// Pins what the integrity layer books — the journal's per-kind event
+/// counts and the ledger — for every corruption site, with the checksum
+/// detectors and with the shadow oracle, at 30 % with quarantine and at
+/// 5 % without (where forwarding flips are proven benign and the bitmap
+/// verify repairs hundreds of extents). The journal and the ledger do not
+/// count one for one: a bitmap verify books all of its pending detections
+/// under one `Corruption` event, an oracle verify that finds damage with
+/// nothing pending books an event and no count, and a quarantine is a
+/// `Repair` event with no repaired corruption. The checksum-only bitmap
+/// row at 30 % is run at 5 %: at 30 % damage survives the end-of-mark
+/// verify and trips `live_words_fast`'s begin-bit assertion in the compact
+/// phase.
+#[test]
+fn integrity_bookings_are_pinned_per_site() {
+    use CorruptionSite::{BitmapWord, CardByte, CopyPayload, ForwardPointer};
+    const PINNED: [(CorruptionSite, f64, bool, bool, SiteBooking); 16] = [
+        (BitmapWord, 0.05, false, true, ([1, 0, 0, 1, 1], [199, 199, 199, 0], [0, 97, 1], 1, true)),
+        (ForwardPointer, 0.3, false, true, ([3, 0, 3, 0, 1], [3, 3, 3, 0], [3, 0, 1], 1, true)),
+        (CardByte, 0.3, false, true, ([3, 0, 3, 0, 1], [3, 3, 3, 0], [3, 0, 1], 1, true)),
+        (CopyPayload, 0.3, false, true, ([3, 0, 3, 0, 1], [3, 3, 3, 0], [3, 0, 1], 1, true)),
+        (BitmapWord, 0.3, true, true, ([3, 0, 0, 3, 1], [3, 3, 3, 0], [0, 3, 1], 1, true)),
+        (ForwardPointer, 0.3, true, true, ([3, 0, 3, 0, 1], [3, 3, 3, 0], [3, 0, 1], 1, true)),
+        (CardByte, 0.3, true, true, ([3, 0, 3, 0, 1], [3, 3, 3, 0], [3, 0, 1], 1, true)),
+        (CopyPayload, 0.3, true, true, ([3, 0, 3, 0, 1], [3, 3, 3, 0], [3, 0, 1], 1, true)),
+        (BitmapWord, 0.05, false, false, ([1, 0, 0, 1, 0], [199, 199, 199, 0], [0, 97, 0], 0, false)),
+        (ForwardPointer, 0.05, false, false, ([515, 37, 515, 0, 0], [552, 515, 515, 37], [515, 0, 0], 0, false)),
+        (CardByte, 0.05, false, false, ([13, 0, 13, 0, 0], [13, 13, 13, 0], [13, 0, 0], 0, false)),
+        (CopyPayload, 0.05, false, false, ([634, 0, 634, 0, 0], [634, 634, 634, 0], [634, 0, 0], 0, false)),
+        (BitmapWord, 0.05, true, false, ([200, 0, 0, 200, 0], [199, 199, 199, 0], [0, 206, 0], 0, false)),
+        (ForwardPointer, 0.05, true, false, ([552, 0, 552, 0, 0], [552, 552, 552, 0], [552, 0, 0], 0, false)),
+        (CardByte, 0.05, true, false, ([13, 0, 13, 0, 0], [13, 13, 13, 0], [13, 0, 0], 0, false)),
+        (CopyPayload, 0.05, true, false, ([634, 0, 634, 0, 0], [634, 634, 634, 0], [634, 0, 0], 0, false)),
+    ];
+    let mut drift = Vec::new();
+    for &(site, rate, oracle, quarantine, want) in &PINNED {
+        let got = site_booking(site, rate, oracle, quarantine);
+        if got != want {
+            drift.push(format!("  ({site:?}, {rate}, {oracle}, {quarantine}, {got:?}),"));
+        }
+    }
+    assert!(drift.is_empty(), "integrity bookings drifted:\n{}", drift.join("\n"));
 }

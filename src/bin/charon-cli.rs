@@ -212,8 +212,11 @@ fn parse_flags(rest: &[String], allowed: &[&str]) -> Result<Flags, String> {
                 let mut rates = Vec::new();
                 for part in val.split(',') {
                     let r: f64 = part.parse().map_err(|_| format!("bad corruption rate {part}"))?;
-                    if !(0.0..=1.0).contains(&r) {
-                        return Err(format!("--rates entry {r} out of range (0..=1, per invocation)"));
+                    if !(r > 0.0 && r <= 1.0) {
+                        return Err(format!(
+                            "--rates entry {r} out of range (0 < rate <= 1, per invocation; \
+                             every campaign already runs the zero-rate control)"
+                        ));
                     }
                     rates.push(r);
                 }
@@ -559,7 +562,7 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
                 flags_for(&args[2..], &["--seed", "--heap-factor", "--threads", "--steps", "--json", "--jobs"])?;
             let seed = flags.seed.unwrap_or(42);
             let report = run_fault_campaign(&spec, seed, &flags.run_options(), flags.jobs())
-                .map_err(|e| fail(format_args!("{short}: fault-free baseline failed: {e}")))?;
+                .map_err(|e| fail(format_args!("{short}: zero-rate control failed: {e}")))?;
             emit(&flags, None, || report.to_json(), || println!("{report}"))?;
             if !report.pass() {
                 return Err(fail(format_args!("fault campaign FAILED for {short} (seed {seed})")));
@@ -584,7 +587,8 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
                 ],
             )?;
             let specs = specs_for(shorts)?;
-            let report = run_chaos_campaign(&specs, &flags.chaos_options(), flags.jobs());
+            let report = run_chaos_campaign(&specs, &flags.chaos_options(), flags.jobs())
+                .map_err(|e| fail(format_args!("chaos: zero-rate control failed: {e}")))?;
             emit(&flags, flags.out.as_ref(), || report.to_json(), || print!("{report}"))?;
             if !report.pass() {
                 let cells = report.cells.len();
@@ -1098,6 +1102,10 @@ mod tests {
         let all = ["--rates", "--sites", "--rearm"];
         let e = parse_flags(&argv(&["--rates", "1.5"]), &all).unwrap_err();
         assert!(e.contains("out of range"), "{e}");
+        for zero in ["0", "0,0.1"] {
+            let e = parse_flags(&argv(&["--rates", zero]), &all).unwrap_err();
+            assert!(e.contains("out of range") && e.contains("zero-rate control"), "{e}");
+        }
         let e = parse_flags(&argv(&["--sites", "bitmap,nonsense"]), &all).unwrap_err();
         assert!(e.contains("unknown corruption site nonsense"), "{e}");
         let e = parse_flags(&argv(&["--sites", "card,card"]), &all).unwrap_err();
