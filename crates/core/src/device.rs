@@ -39,7 +39,7 @@ use charon_sim::bwres::{BatchCompletion, BwOccupancy};
 use charon_sim::cache::AccessKind;
 use charon_sim::config::SystemConfig;
 use charon_sim::dram::DramOp;
-use charon_sim::faults::{FaultInjector, FaultRates, FaultSite, RecoveryConfig};
+use charon_sim::faults::{FaultSite, Injector, RecoveryConfig};
 use charon_sim::host::HostTiming;
 use charon_sim::issue::Window;
 use charon_sim::noc::Node;
@@ -422,7 +422,9 @@ pub struct OffloadAbandoned {
 /// [`OffloadAbandoned`] carries them to the caller's recovery ledger.
 #[derive(Debug, Clone)]
 struct FaultLayer {
-    injector: FaultInjector,
+    /// The armed site; `None` when only the watchdog state machine is
+    /// needed (quarantine kills, re-arm probes).
+    injector: Option<Injector<FaultSite>>,
     recovery: RecoveryConfig,
     /// Consecutive abandoned offloads per primitive (watchdog input).
     consecutive: [u32; 4],
@@ -439,13 +441,11 @@ struct FaultLayer {
 }
 
 impl FaultLayer {
-    /// A layer that injects nothing: used when only the watchdog state
-    /// machine is needed (quarantine kills, re-arm probes). Zero rates
-    /// never draw from any stream, so arming this is timing-identical to
-    /// having no layer at all.
+    /// A layer that injects nothing, which is timing-identical to having
+    /// no layer at all.
     fn idle() -> FaultLayer {
         FaultLayer {
-            injector: FaultInjector::new(0, FaultRates::zero()),
+            injector: None,
             recovery: RecoveryConfig::default(),
             consecutive: [0; 4],
             dead: [false; 4],
@@ -558,13 +558,13 @@ impl CharonDevice {
         self.telemetry = telemetry;
     }
 
-    /// Arms the fault-injection and recovery layer. The default device
-    /// has none, and [`CharonDevice::offload`] with no layer (or one with
-    /// all rates zero) runs every call straight through the envelope.
-    pub fn enable_faults(&mut self, seed: u64, rates: FaultRates, recovery: RecoveryConfig) {
+    /// Arms the fault-injection and recovery layer at `injector`'s site.
+    /// The default device has none, and [`CharonDevice::offload`] with no
+    /// layer (or one armed at rate zero) runs every call straight through
+    /// the envelope.
+    pub fn enable_faults(&mut self, injector: Injector<FaultSite>, recovery: RecoveryConfig) {
         let rearm_after = self.faults.as_ref().and_then(|f| f.rearm_after);
-        self.faults =
-            Some(FaultLayer { injector: FaultInjector::new(seed, rates), recovery, rearm_after, ..FaultLayer::idle() });
+        self.faults = Some(FaultLayer { injector: Some(injector), recovery, rearm_after, ..FaultLayer::idle() });
     }
 
     /// Arms (or disarms, with `None`) probe-after-N-GCs re-enable of
@@ -630,8 +630,8 @@ impl CharonDevice {
     }
 
     /// The armed injector, for campaign reporting.
-    pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.faults.as_ref().map(|f| &f.injector)
+    pub fn fault_injector(&self) -> Option<&Injector<FaultSite>> {
+        self.faults.as_ref().and_then(|f| f.injector.as_ref())
     }
 
     /// Whether the watchdog has declared `prim`'s unit class dead.
@@ -894,12 +894,12 @@ impl CharonDevice {
 
     /// The device's one offload entry point (§4.1's blocking protocol
     /// plus the RAS story the paper leaves to "the system"): rolls each
-    /// attempt through the armed [`FaultInjector`], charges timeout +
+    /// attempt through the armed [`Injector`], charges timeout +
     /// bounded exponential backoff for every failure, retries within the
     /// budget, and feeds the per-primitive watchdog. An attempt that
     /// rolls no fault runs through the offload envelope.
     ///
-    /// With no fault layer armed — or one armed with all rates zero —
+    /// With no fault layer armed — or one armed at rate zero —
     /// the first attempt succeeds unconditionally and nothing but the
     /// envelope's own traffic is charged.
     ///
@@ -929,7 +929,7 @@ impl CharonDevice {
         let mut t = now;
         let mut attempt = 0u32;
         loop {
-            let Some(site) = self.faults.as_mut().and_then(|f| f.injector.roll_attempt()) else {
+            let Some(site) = self.faults.as_mut().and_then(|f| f.injector.as_mut()?.roll()) else {
                 let Ok(done) = self.execute(host, t, &call) else {
                     // A misroute never reached a unit and would misroute
                     // identically on a reissue: no time passes and no
@@ -1286,7 +1286,7 @@ mod tests {
     fn armed_at_zero_rates_equals_unarmed() {
         let (mut h1, mut d1) = setup(Placement::MemorySide);
         let (mut h2, mut d2) = setup(Placement::MemorySide);
-        d2.enable_faults(42, FaultRates::zero(), RecoveryConfig::default());
+        d2.enable_faults(FaultSite::Link.arm(42, 0.0), RecoveryConfig::default());
         let spans = [(VAddr(0x3000), 64u64)];
         let calls = [
             copy(0x10000, 0x50000, 4096),
@@ -1295,23 +1295,21 @@ mod tests {
         ];
         for call in calls {
             let unarmed = d1.offload(&mut h1, Ps::ZERO, call).expect("no layer, cannot fail");
-            let armed = d2.offload(&mut h2, Ps::ZERO, call).expect("zero rates never fail");
+            let armed = d2.offload(&mut h2, Ps::ZERO, call).expect("a zero rate never fails");
             assert_eq!(armed, unarmed);
             assert_eq!(armed.retries, 0);
             assert_eq!(h1.fabric.stats(), h2.fabric.stats());
         }
-        assert_eq!(d2.fault_injector().unwrap().total_injected(), 0);
+        assert_eq!(d2.fault_injector().unwrap().injected(), 0);
     }
 
     #[test]
     fn retries_cost_time_but_succeed_within_budget() {
         let (mut host, mut dev) = setup(Placement::MemorySide);
-        // p=0.1 per site compounds to ~41% per attempt; 17 consecutive
-        // failures is negligible and, more importantly, deterministic for
-        // this seed.
+        // 17 consecutive failures at 40% per attempt is negligible and,
+        // more importantly, deterministic for this seed.
         dev.enable_faults(
-            1,
-            FaultRates::uniform(0.1),
+            FaultSite::Link.arm(1, 0.4),
             RecoveryConfig { retry_budget: 16, ..RecoveryConfig::default() },
         );
         let mut t = Ps::ZERO;
@@ -1319,15 +1317,15 @@ mod tests {
         for i in 0..20u64 {
             let g = dev
                 .offload(&mut host, t, copy(i * 4096, 0x80_0000 + i * 4096, 1024))
-                .expect("budget 16 at ~41%/attempt cannot exhaust here");
+                .expect("budget 16 at 40%/attempt cannot exhaust here");
             assert!(g.done > t, "time must advance");
             total_retries += g.retries;
             t = g.done;
         }
-        assert!(total_retries > 0, "~41%/attempt over 20 offloads must retry at least once");
+        assert!(total_retries > 0, "40%/attempt over 20 offloads must retry at least once");
         let injector = dev.fault_injector().unwrap();
-        assert_eq!(u64::from(total_retries), injector.total_injected(), "every injected fault cost one retry");
-        assert_eq!(injector.attempts(), 20 + u64::from(total_retries));
+        assert_eq!(u64::from(total_retries), injector.injected(), "every injected fault cost one retry");
+        assert_eq!(injector.rolls(), 20 + u64::from(total_retries));
     }
 
     #[test]
@@ -1336,8 +1334,7 @@ mod tests {
         // Unit permanently wedged: every attempt fails, every offload
         // abandons, and the third abandonment kills the unit class.
         dev.enable_faults(
-            7,
-            FaultRates::only(FaultSite::Unit, 1.0),
+            FaultSite::Unit.arm(7, 1.0),
             RecoveryConfig { retry_budget: 2, watchdog_threshold: 3, ..RecoveryConfig::default() },
         );
         let mut t = Ps::ZERO;
@@ -1360,7 +1357,7 @@ mod tests {
             .offload(&mut host, t, copy(0, 0x8000, 256))
             .expect_err("dead unit cannot serve");
         assert_eq!((e.at, e.retries, e.unit_dead), (t, 0, true));
-        assert_eq!(dev.fault_injector().unwrap().attempts(), 9, "a dead unit rolls no attempt");
+        assert_eq!(dev.fault_injector().unwrap().rolls(), 9, "a dead unit rolls no attempt");
         assert_eq!(dev.dead_units(), [true, false, false, false]);
     }
 
@@ -1388,8 +1385,7 @@ mod tests {
         let (mut host, mut dev) = setup(Placement::MemorySide);
         // Unit permanently wedged: the probe after re-arm must fail too.
         dev.enable_faults(
-            7,
-            FaultRates::only(FaultSite::Unit, 1.0),
+            FaultSite::Unit.arm(7, 1.0),
             RecoveryConfig { retry_budget: 0, watchdog_threshold: 3, ..RecoveryConfig::default() },
         );
         dev.kill_unit(PrimType::Copy);
@@ -1425,17 +1421,13 @@ mod tests {
     fn each_fault_site_charges_its_own_bookkeeping() {
         for site in FaultSite::ALL {
             let (mut host, mut dev) = setup(Placement::MemorySide);
-            dev.enable_faults(
-                13,
-                FaultRates::only(site, 1.0),
-                RecoveryConfig { retry_budget: 1, ..RecoveryConfig::default() },
-            );
+            dev.enable_faults(site.arm(13, 1.0), RecoveryConfig { retry_budget: 1, ..RecoveryConfig::default() });
             let e = dev
                 .offload(&mut host, Ps::ZERO, OffloadCall::Search { start: VAddr(0x9000), scanned_bytes: 512 })
                 .expect_err("p=1.0 must fail");
             assert_eq!(e.site, site);
             assert!(e.at > Ps::ZERO);
-            assert_eq!(dev.fault_injector().unwrap().injected(site), 2, "one per attempt");
+            assert_eq!(dev.fault_injector().unwrap().injected(), 2, "one per attempt");
             match site {
                 FaultSite::Link => assert!(host.fabric.stats().link_drops > 0),
                 FaultSite::Tlb => assert!(dev.tlb.unserviceable_misses() > 0),
@@ -1450,10 +1442,10 @@ mod tests {
     fn queue_nack_is_observed_before_the_timeout() {
         let recovery = RecoveryConfig { retry_budget: 0, ..RecoveryConfig::default() };
         let (mut h1, mut d1) = setup(Placement::MemorySide);
-        d1.enable_faults(5, FaultRates::only(FaultSite::Queue, 1.0), recovery);
+        d1.enable_faults(FaultSite::Queue.arm(5, 1.0), recovery);
         let nack = d1.offload(&mut h1, Ps::ZERO, copy(0, 0x8000, 256)).expect_err("queue full");
         let (mut h2, mut d2) = setup(Placement::MemorySide);
-        d2.enable_faults(5, FaultRates::only(FaultSite::Unit, 1.0), recovery);
+        d2.enable_faults(FaultSite::Unit.arm(5, 1.0), recovery);
         let wedge = d2.offload(&mut h2, Ps::ZERO, copy(0, 0x8000, 256)).expect_err("unit wedged");
         assert!(nack.at < wedge.at, "an explicit NACK ({}) must beat a silent timeout ({})", nack.at, wedge.at);
         assert!(wedge.at >= recovery.timeout);
@@ -1496,7 +1488,7 @@ mod tests {
         assert_eq!(e, OffloadAbandoned { at: Ps::from_us(3.0), retries: 0, site: FaultSite::Unit, unit_dead: false });
         // With one armed: still immediate, and the watchdog stays quiet —
         // a deterministic misroute is not a transient unit fault.
-        dev.enable_faults(9, FaultRates::zero(), RecoveryConfig::default());
+        dev.enable_faults(FaultSite::Unit.arm(9, 0.0), RecoveryConfig::default());
         let e = dev
             .offload(&mut host, Ps::from_us(5.0), call)
             .expect_err("misroute must abandon");

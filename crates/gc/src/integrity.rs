@@ -7,11 +7,11 @@
 //! straight into the memory stack, bypassing the host's verification paths
 //! (the PIM-adoption hazard of Ghose et al.). Four pieces:
 //!
-//! 1. **Injection** — a seeded [`CorruptionInjector`] rolls each primitive
-//!    output write and, on a hit, flips one bit of the freshly written
-//!    data. A site only injects while its primitive actually offloads
-//!    (host-software writes are trusted), so quarantining a unit stops the
-//!    bleeding at that site.
+//! 1. **Injection** — a seeded [`Injector`] armed at one site rolls each
+//!    primitive output write there and, on a hit, flips one bit of the
+//!    freshly written data. The site only injects while its primitive
+//!    actually offloads (host-software writes are trusted), so quarantining
+//!    the unit stops the bleeding.
 //! 2. **Detection** — honest, redundancy-based checks that never peek at
 //!    ground truth: per-extent XOR checksums over the mark-bitmap words
 //!    (maintained incrementally as objects are marked; verified extent by
@@ -29,7 +29,7 @@
 //!    bitmap extents are zeroed and rebuilt from the object headers, whose
 //!    mark state the host wrote and is trusted; rung 3 quarantines the
 //!    unit (the existing watchdog kill + offload-mask clear) and counts
-//!    the extent once a site's strike count crosses the threshold.
+//!    the extent once the site's strike count crosses the threshold.
 //! 4. **Accounting** — every outcome lands in
 //!    [`RecoverySummary`](crate::breakdown::RecoverySummary) and the
 //!    telemetry journal (`Corruption`/`Repair` events).
@@ -37,8 +37,8 @@
 //! Detection charges **zero simulated time** — only repairs advance the
 //! calling thread's clock, through the public `System` repair paths. With
 //! the layer disabled every hook is one `Option` branch; with the layer
-//! enabled at zero rates no stream is ever drawn from and no repair runs,
-//! so timing stays bit-identical to a run without the layer.
+//! enabled at a zero rate the stream is never drawn from and no repair
+//! runs, so timing stays bit-identical to a run without the layer.
 
 use crate::system::System;
 use charon_core::packet::PrimType;
@@ -48,7 +48,7 @@ use charon_heap::heap::JavaHeap;
 use charon_heap::markbitmap::MarkBitmap;
 use charon_heap::object::{self, MarkState, AGE_SHIFT, FWD_SHIFT, STATE_FORWARDED, STATE_MASK};
 use charon_sim::cache::AccessKind;
-use charon_sim::faults::{CorruptionInjector, CorruptionRates, CorruptionSite};
+use charon_sim::faults::{CorruptionSite, Injector};
 use charon_sim::telemetry::Event;
 use charon_sim::time::Ps;
 
@@ -57,24 +57,22 @@ use charon_sim::time::Ps;
 /// rebuilds when bitmap damage is unlocalized.
 pub const EXTENT_MAP_WORDS: u64 = 64;
 
-/// What the integrity layer does beyond injecting.
+/// How the integrity layer checks and repairs. The checksum and
+/// read-back detectors always run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IntegrityConfig {
-    /// Maintain extent checksums and run the read-back/scan detectors.
-    /// Off = injection only (measures what *escapes* a bare heap).
-    pub checksums: bool,
     /// Re-check every primitive output immediately and exactly: bitmap
     /// extents refold at each mark instead of at end of phase, and the
     /// forwarding read-back compares the whole word (age bits included).
     pub shadow_oracle: bool,
-    /// Detected corruptions at one site before rung 3 quarantines its
-    /// unit.
+    /// Detected corruptions at the armed site before rung 3 quarantines
+    /// its unit.
     pub quarantine_threshold: u32,
 }
 
 impl Default for IntegrityConfig {
     fn default() -> IntegrityConfig {
-        IntegrityConfig { checksums: true, shadow_oracle: false, quarantine_threshold: 3 }
+        IntegrityConfig { shadow_oracle: false, quarantine_threshold: 3 }
     }
 }
 
@@ -158,47 +156,38 @@ impl Geometry {
 /// Mutable integrity state hung off [`System`].
 #[derive(Debug, Clone)]
 pub struct IntegrityState {
-    /// The layer's configuration.
-    pub config: IntegrityConfig,
-    injector: CorruptionInjector,
+    config: IntegrityConfig,
+    injector: Injector<CorruptionSite>,
+    /// Built at the first mark when the bitmap site is armed; while `None`
+    /// the bitmap detectors have nothing to check.
     geom: Option<Geometry>,
     /// Running XOR-fold per extent of the begin map, maintained at every
     /// mark; ditto `end_sums` for the end map.
     beg_sums: Vec<u64>,
     end_sums: Vec<u64>,
     /// Bitmap injections already classified (detected or benign) by a
-    /// verify pass; the delta to `injector.injected(BitmapWord)` is what
-    /// the next pass accounts for.
+    /// verify pass; the delta to the injector's count is what the next
+    /// pass accounts for.
     bitmap_accounted: u64,
-    /// Detected corruptions per site, indexed by [`CorruptionSite::index`].
-    strikes: [u32; 4],
-    quarantined: [bool; 4],
+    /// Detected corruptions at the armed site since it was last armed.
+    strikes: u32,
+    /// Whether rung 3 has quarantined the armed site's unit.
+    quarantined: bool,
 }
 
 impl IntegrityState {
-    /// Builds the layer. Streams replay bit-for-bit for a `(seed, rates)`
-    /// pair and are disjoint from the PR 2 fault streams under the same
-    /// seed.
-    pub fn new(seed: u64, rates: CorruptionRates, config: IntegrityConfig) -> IntegrityState {
+    /// Builds the layer around the one armed site.
+    pub(crate) fn new(injector: Injector<CorruptionSite>, config: IntegrityConfig) -> IntegrityState {
         IntegrityState {
             config,
-            injector: CorruptionInjector::new(seed, rates),
+            injector,
             geom: None,
             beg_sums: Vec::new(),
             end_sums: Vec::new(),
             bitmap_accounted: 0,
-            strikes: [0; 4],
-            quarantined: [false; 4],
+            strikes: 0,
+            quarantined: false,
         }
-    }
-
-    /// Injections per site so far, indexed by [`CorruptionSite::index`].
-    pub fn injected(&self) -> [u64; 4] {
-        let mut out = [0; 4];
-        for s in CorruptionSite::ALL {
-            out[s.index()] = self.injector.injected(s);
-        }
-        out
     }
 
     fn ensure_geometry(&mut self, heap: &JavaHeap) {
@@ -210,16 +199,25 @@ impl IntegrityState {
         }
     }
 
-    fn detectors_on(&self) -> bool {
-        self.config.checksums || self.config.shadow_oracle
+    /// Rolls one output write at `site`. When it is the armed site and the
+    /// write is corrupted, books the injection and returns the draw that
+    /// places the flip.
+    fn inject(&mut self, sys: &mut System, site: CorruptionSite) -> Option<u64> {
+        if self.injector.site() != site {
+            return None;
+        }
+        self.injector.roll()?;
+        sys.recovery.corrupt_injected[site.index()] += 1;
+        Some(self.injector.draw())
     }
 
-    /// One detected corruption at `site`; fires rung 3 at the threshold.
-    fn strike(&mut self, sys: &mut System, site: CorruptionSite, now: Ps, hits: u32) {
-        let i = site.index();
-        self.strikes[i] += hits;
-        if self.strikes[i] >= self.config.quarantine_threshold && !self.quarantined[i] {
-            self.quarantined[i] = true;
+    /// `hits` detected corruptions at the armed site; fires rung 3 at the
+    /// threshold.
+    fn strike(&mut self, sys: &mut System, now: Ps, hits: u32) {
+        self.strikes += hits;
+        if self.strikes >= self.config.quarantine_threshold && !self.quarantined {
+            self.quarantined = true;
+            let site = self.injector.site();
             let prim = site_prim(site);
             let pi = prim.encode() as usize;
             if sys.offload.get(prim) {
@@ -233,14 +231,12 @@ impl IntegrityState {
         }
     }
 
-    /// Re-arms `prim`'s sites after a unit probe re-enable: strikes reset
-    /// so the site can earn a fresh quarantine.
-    pub fn rearm_prim(&mut self, prim: PrimType) {
-        for site in CorruptionSite::ALL {
-            if site_prim(site) == prim {
-                self.strikes[site.index()] = 0;
-                self.quarantined[site.index()] = false;
-            }
+    /// Re-arms the site after a probe re-enabled `prim`'s unit: strikes
+    /// reset so the site can earn a fresh quarantine.
+    pub(crate) fn rearm_prim(&mut self, prim: PrimType) {
+        if site_prim(self.injector.site()) == prim {
+            self.strikes = 0;
+            self.quarantined = false;
         }
     }
 
@@ -260,7 +256,7 @@ impl IntegrityState {
         if words < 2 || !sys.prim_offloads(PrimType::Copy) {
             return now;
         }
-        let Some(draw) = self.injector.roll(CorruptionSite::CopyPayload) else {
+        let Some(draw) = self.inject(sys, CorruptionSite::CopyPayload) else {
             return now;
         };
         // Damage one payload word (word 0 is the mark word, rewritten by
@@ -269,10 +265,6 @@ impl IntegrityState {
         let wi = 1 + (draw >> 6) % (words - 1);
         let victim = dst.add_words(wi);
         heap.mem.write_word(victim, heap.mem.read_word(victim) ^ (1u64 << (draw % 64)));
-        sys.recovery.corrupt_injected[CorruptionSite::CopyPayload.index()] += 1;
-        if !self.detectors_on() {
-            return now; // injection-only mode: the flip escapes
-        }
         let mut fold = 0u64;
         for w in 1..words {
             fold ^= heap.mem.read_word(src.add_words(w)) ^ heap.mem.read_word(dst.add_words(w));
@@ -283,7 +275,7 @@ impl IntegrityState {
         heap.mem.copy_words(src.add_words(1), dst.add_words(1), words - 1);
         let end = sys.repair_copy(core, now, src.add_words(1), dst.add_words(1), (words - 1) * WORD_BYTES);
         book(sys, CorruptionSite::CopyPayload, Outcome::Repaired { rung: 1, fixed: 1, runs: 1 }, victim.0, end);
-        self.strike(sys, CorruptionSite::CopyPayload, end, 1);
+        self.strike(sys, end, 1);
         end
     }
 
@@ -303,14 +295,10 @@ impl IntegrityState {
         if !sys.prim_offloads(PrimType::Copy) {
             return now;
         }
-        let Some(draw) = self.injector.roll(CorruptionSite::ForwardPointer) else {
+        let Some(draw) = self.inject(sys, CorruptionSite::ForwardPointer) else {
             return now;
         };
         heap.mem.write_word(src, heap.mem.read_word(src) ^ (1u64 << (draw % 64)));
-        sys.recovery.corrupt_injected[CorruptionSite::ForwardPointer.index()] += 1;
-        if !self.detectors_on() {
-            return now;
-        }
         // Read-back: the word must decode as "forwarded to dst". The copy
         // target is in hand at the install site, so this is a legitimate
         // write-verify, not ground-truth peeking.
@@ -335,7 +323,7 @@ impl IntegrityState {
         }
         let end = sys.host_op(core, now, 2, &[(src, AccessKind::Write)]);
         book(sys, CorruptionSite::ForwardPointer, Outcome::Repaired { rung: 1, fixed: 1, runs: 1 }, src.0, end);
-        self.strike(sys, CorruptionSite::ForwardPointer, end, 1);
+        self.strike(sys, end, 1);
         end
     }
 
@@ -345,7 +333,7 @@ impl IntegrityState {
         if !sys.prim_offloads(PrimType::Search) {
             return now;
         }
-        let Some(draw) = self.injector.roll(CorruptionSite::CardByte) else {
+        let Some(draw) = self.inject(sys, CorruptionSite::CardByte) else {
             return now;
         };
         // Damage one bit somewhere in the 8-byte-aligned block holding the
@@ -357,10 +345,6 @@ impl IntegrityState {
             victim = card;
         }
         heap.mem.write_u8(victim, heap.mem.read_u8(victim) ^ (1u8 << (draw % 8)));
-        sys.recovery.corrupt_injected[CorruptionSite::CardByte.index()] += 1;
-        if !self.detectors_on() {
-            return now;
-        }
         // Every valid card byte is CLEAN or DIRTY; a single-bit flip of
         // either can never produce the other, so a block scan catches every
         // flip.
@@ -383,7 +367,7 @@ impl IntegrityState {
         }
         let end = sys.host_op(core, now, 4, &[(block, AccessKind::Read), (victim, AccessKind::Write)]);
         book(sys, CorruptionSite::CardByte, Outcome::Repaired { rung: 1, fixed: 1, runs: 1 }, victim.0, end);
-        self.strike(sys, CorruptionSite::CardByte, end, 1);
+        self.strike(sys, end, 1);
         end
     }
 
@@ -398,25 +382,25 @@ impl IntegrityState {
         obj: VAddr,
         size_words: u64,
     ) -> Ps {
+        if self.injector.site() != CorruptionSite::BitmapWord {
+            return now; // no flip to fold for: the extent sums stay unbuilt
+        }
         self.ensure_geometry(heap);
         let g = self.geom.expect("geometry ensured");
         let last = obj.add_words(size_words - 1);
         let beg_word = g.beg.map_word_addr(obj);
         let end_word = g.end.map_word_addr(last);
-        if self.config.checksums || self.config.shadow_oracle {
-            // Incremental fold update: `mark_object` set exactly one
-            // previously clear bit in each map (distinct objects own
-            // distinct begin/end bits), so the extent fold moves by the
-            // single-bit mask.
-            let beg_bit = obj.words_since(g.beg.covered().start) % 64;
-            let end_bit = last.words_since(g.end.covered().start) % 64;
-            self.beg_sums[Geometry::extent_of(&g.beg, beg_word)] ^= 1u64 << beg_bit;
-            self.end_sums[Geometry::extent_of(&g.end, end_word)] ^= 1u64 << end_bit;
-        }
+        // Incremental fold update: `mark_object` set exactly one previously
+        // clear bit in each map (distinct objects own distinct begin/end
+        // bits), so the extent fold moves by the single-bit mask.
+        let beg_bit = obj.words_since(g.beg.covered().start) % 64;
+        let end_bit = last.words_since(g.end.covered().start) % 64;
+        self.beg_sums[Geometry::extent_of(&g.beg, beg_word)] ^= 1u64 << beg_bit;
+        self.end_sums[Geometry::extent_of(&g.end, end_word)] ^= 1u64 << end_bit;
         if !sys.prim_offloads(PrimType::ScanPush) {
             return now;
         }
-        let Some(draw) = self.injector.roll(CorruptionSite::BitmapWord) else {
+        let Some(draw) = self.inject(sys, CorruptionSite::BitmapWord) else {
             return now;
         };
         // Flip one bit of one of the two map words this mark touched,
@@ -424,7 +408,6 @@ impl IntegrityState {
         // verify pass hunts.
         let victim = if draw & (1 << 12) == 0 { beg_word } else { end_word };
         heap.mem.write_word(victim, heap.mem.read_word(victim) ^ (1u64 << (draw % 64)));
-        sys.recovery.corrupt_injected[CorruptionSite::BitmapWord.index()] += 1;
         if self.config.shadow_oracle {
             let exts = [Geometry::extent_of(&g.beg, beg_word), Geometry::extent_of(&g.end, end_word)];
             return self.verify_extents(sys, heap, core, now, Some(&exts));
@@ -444,9 +427,6 @@ impl IntegrityState {
         only: Option<&[usize]>,
     ) -> Ps {
         let Some(g) = self.geom else { return now };
-        if !self.detectors_on() {
-            return now;
-        }
         let mut beg_damaged = vec![false; g.extents];
         let mut end_damaged = vec![false; g.extents];
         let mut any = false;
@@ -475,7 +455,7 @@ impl IntegrityState {
                 }
             }
         }
-        let pending = self.injector.injected(CorruptionSite::BitmapWord) - self.bitmap_accounted;
+        let pending = self.injector.injected() - self.bitmap_accounted;
         if !any {
             if pending > 0 && only.is_none() {
                 // Flips that cancelled (same bit twice) restored the words
@@ -543,7 +523,7 @@ impl IntegrityState {
         let end = sys.host_op(core, now, walked * 2 + rebuilt * EXTENT_MAP_WORDS, &accesses);
         let rung2 = Outcome::Repaired { rung: 2, fixed: pending, runs: rebuilt };
         book(sys, CorruptionSite::BitmapWord, rung2, first_bad, end);
-        self.strike(sys, CorruptionSite::BitmapWord, end, rebuilt as u32);
+        self.strike(sys, end, rebuilt as u32);
         end
     }
 
@@ -551,9 +531,8 @@ impl IntegrityState {
     /// All pending injections were classified by the end-of-mark verify,
     /// so nothing is lost with the bits.
     fn on_clear(&mut self) {
-        debug_assert_eq!(
-            self.injector.injected(CorruptionSite::BitmapWord),
-            self.bitmap_accounted,
+        debug_assert!(
+            self.geom.is_none() || self.injector.injected() == self.bitmap_accounted,
             "bitmap injections must be classified before the maps are cleared"
         );
         self.beg_sums.iter_mut().for_each(|s| *s = 0);
@@ -562,6 +541,15 @@ impl IntegrityState {
 }
 
 // ----- hook entry points (one Option branch when the layer is off) --------
+
+/// Runs `hook` on the armed layer, lent out of `sys` for the call; `now`
+/// when no layer is armed.
+fn with_layer(sys: &mut System, now: Ps, hook: impl FnOnce(&mut IntegrityState, &mut System) -> Ps) -> Ps {
+    let Some(mut st) = sys.integrity.take() else { return now };
+    let end = hook(&mut st, sys);
+    sys.integrity = Some(st);
+    end
+}
 
 /// After the functional copy of `words` words `src` → `dst` (minor-GC
 /// evacuation or major-GC compaction). `src`'s mark word may already hold
@@ -576,10 +564,7 @@ pub fn after_copy(
     dst: VAddr,
     words: u64,
 ) -> Ps {
-    let Some(mut st) = sys.integrity.take() else { return now };
-    let end = st.on_copy(sys, heap, core, now, src, dst, words);
-    sys.integrity = Some(st);
-    end
+    with_layer(sys, now, |st, sys| st.on_copy(sys, heap, core, now, src, dst, words))
 }
 
 /// After `forward_to(src, dst)` installed the forwarding word; `age` is the
@@ -595,38 +580,26 @@ pub fn after_forward(
     dst: VAddr,
     age: u8,
 ) -> Ps {
-    let Some(mut st) = sys.integrity.take() else { return now };
-    let end = st.on_forward(sys, heap, core, now, src, dst, age);
-    sys.integrity = Some(st);
-    end
+    with_layer(sys, now, |st, sys| st.on_forward(sys, heap, core, now, src, dst, age))
 }
 
 /// After a card byte at `card` was dirtied on an offload-written path.
 pub fn after_card_dirty(sys: &mut System, heap: &mut JavaHeap, core: usize, now: Ps, card: VAddr) -> Ps {
-    let Some(mut st) = sys.integrity.take() else { return now };
-    let end = st.on_card(sys, heap, core, now, card);
-    sys.integrity = Some(st);
-    end
+    with_layer(sys, now, |st, sys| st.on_card(sys, heap, core, now, card))
 }
 
-/// After `mark_object` set `obj`'s begin/end bits: maintains the extent
-/// folds, rolls the bitmap corruption site, and (under the oracle)
-/// verifies the touched extents immediately.
+/// After `mark_object` set `obj`'s begin/end bits. With the bitmap site
+/// armed: maintains the extent folds, rolls the site, and (under the
+/// oracle) verifies the touched extents immediately.
 pub fn after_mark(sys: &mut System, heap: &mut JavaHeap, core: usize, now: Ps, obj: VAddr, size_words: u64) -> Ps {
-    let Some(mut st) = sys.integrity.take() else { return now };
-    let end = st.on_mark(sys, heap, core, now, obj, size_words);
-    sys.integrity = Some(st);
-    end
+    with_layer(sys, now, |st, sys| st.on_mark(sys, heap, core, now, obj, size_words))
 }
 
 /// End-of-mark sweep: verifies every extent fold and repairs damage before
 /// the summary phase reads the bitmaps. Call after reference processing,
 /// before `summary_phase`.
 pub fn verify_marks(sys: &mut System, heap: &mut JavaHeap, core: usize, now: Ps) -> Ps {
-    let Some(mut st) = sys.integrity.take() else { return now };
-    let end = st.verify_extents(sys, heap, core, now, None);
-    sys.integrity = Some(st);
-    end
+    with_layer(sys, now, |st, sys| st.verify_extents(sys, heap, core, now, None))
 }
 
 /// The major epilogue cleared both mark bitmaps: reset the running folds.
@@ -643,13 +616,15 @@ mod tests {
     use charon_heap::klass::KlassKind;
     use charon_heap::markbitmap;
 
-    fn setup() -> (System, JavaHeap, VAddr, u64) {
+    /// A Charon system with `site` armed at rate 1, and one object in eden
+    /// with its size in words.
+    fn setup(site: CorruptionSite) -> (System, JavaHeap, VAddr, u64) {
         let mut sys = System::charon();
         let mut heap = JavaHeap::new(HeapConfig::with_heap_bytes(4 << 20));
         let point = heap.klasses_mut().register("Point", KlassKind::Instance, 4, vec![0, 1]);
         let obj = heap.alloc_eden(point, 0).expect("fits");
         let size = heap.obj_size_words(obj);
-        sys.enable_integrity(11, CorruptionRates::uniform(1.0), IntegrityConfig::default());
+        sys.enable_integrity(site.arm(11, 1.0), IntegrityConfig::default());
         (sys, heap, obj, size)
     }
 
@@ -665,8 +640,8 @@ mod tests {
 
     #[test]
     fn zero_rates_inject_nothing_and_charge_nothing() {
-        let (mut sys, mut heap, obj, size) = setup();
-        sys.enable_integrity(11, CorruptionRates::zero(), IntegrityConfig::default());
+        let (mut sys, mut heap, obj, size) = setup(CorruptionSite::BitmapWord);
+        sys.enable_integrity(CorruptionSite::BitmapWord.arm(11, 0.0), IntegrityConfig::default());
         let t = Ps::from_us(3.0);
         let (beg, end_map) = (*heap.beg_map(), *heap.end_map());
         markbitmap::mark_object(&mut heap.mem, &beg, &end_map, obj, size);
@@ -678,7 +653,7 @@ mod tests {
 
     #[test]
     fn payload_corruption_detected_and_repaired() {
-        let (mut sys, mut heap, obj, size) = setup();
+        let (mut sys, mut heap, obj, size) = setup(CorruptionSite::CopyPayload);
         let dst = heap.alloc_to(size).expect("fits");
         for w in 0..size {
             heap.mem.write_word(dst.add_words(w), heap.mem.read_word(obj.add_words(w)));
@@ -704,8 +679,8 @@ mod tests {
     #[test]
     fn forward_corruption_detected_or_provably_benign() {
         for seed in 0..32u64 {
-            let (mut sys, mut heap, obj, _) = setup();
-            sys.enable_integrity(seed, CorruptionRates::uniform(1.0), IntegrityConfig::default());
+            let (mut sys, mut heap, obj, _) = setup(CorruptionSite::ForwardPointer);
+            sys.enable_integrity(CorruptionSite::ForwardPointer.arm(seed, 1.0), IntegrityConfig::default());
             let dst = VAddr(heap.to_space().start().0);
             object::set_age(&mut heap.mem, obj, 3);
             object::forward_to(&mut heap.mem, obj, dst);
@@ -720,7 +695,7 @@ mod tests {
 
     #[test]
     fn card_corruption_repairs_to_valid_bytes() {
-        let (mut sys, mut heap, _, _) = setup();
+        let (mut sys, mut heap, _, _) = setup(CorruptionSite::CardByte);
         let slot = heap.old().start();
         let cards = *heap.cards();
         cards.dirty(&mut heap.mem, slot);
@@ -741,7 +716,7 @@ mod tests {
 
     #[test]
     fn bitmap_corruption_found_at_verify_and_rebuilt() {
-        let (mut sys, mut heap, obj, size) = setup();
+        let (mut sys, mut heap, obj, size) = setup(CorruptionSite::BitmapWord);
         let (beg, end_map) = (*heap.beg_map(), *heap.end_map());
         markbitmap::mark_object(&mut heap.mem, &beg, &end_map, obj, size);
         object::set_marked(&mut heap.mem, obj);
@@ -766,9 +741,9 @@ mod tests {
 
     #[test]
     fn oracle_verifies_marks_immediately() {
-        let (mut sys, mut heap, obj, size) = setup();
+        let (mut sys, mut heap, obj, size) = setup(CorruptionSite::BitmapWord);
         let cfg = IntegrityConfig { shadow_oracle: true, ..IntegrityConfig::default() };
-        sys.enable_integrity(11, CorruptionRates::uniform(1.0), cfg);
+        sys.enable_integrity(CorruptionSite::BitmapWord.arm(11, 1.0), cfg);
         let (beg, end_map) = (*heap.beg_map(), *heap.end_map());
         markbitmap::mark_object(&mut heap.mem, &beg, &end_map, obj, size);
         object::set_marked(&mut heap.mem, obj);
@@ -781,7 +756,7 @@ mod tests {
 
     #[test]
     fn repeated_detections_quarantine_the_unit() {
-        let (mut sys, mut heap, obj, size) = setup();
+        let (mut sys, mut heap, obj, size) = setup(CorruptionSite::CopyPayload);
         let dst = heap.alloc_to(size * 4).expect("fits");
         for round in 0..3 {
             let d = dst.add_words(round * size);

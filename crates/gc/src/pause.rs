@@ -337,7 +337,7 @@ mod tests {
     fn every_span_is_in_one_bucket_and_one_thread_clock() {
         for make in [System::ddr4, System::charon, System::ideal] {
             let mut sys = make();
-            sys.enable_integrity(1, charon_sim::faults::CorruptionRates::zero(), Default::default());
+            sys.enable_integrity(charon_sim::faults::CorruptionSite::BitmapWord.arm(1, 0.0), Default::default());
             let mut threads = GcThreads::new(3, START);
             let mut pc = Pause::new(&mut sys, &mut threads);
             mixed(&mut pc);

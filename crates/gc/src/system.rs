@@ -15,7 +15,7 @@ use charon_heap::addr::VAddr;
 use charon_sim::cache::AccessKind;
 use charon_sim::config::{MemPlatform, SystemConfig};
 use charon_sim::energy::{EnergyModel, EnergyParams};
-use charon_sim::faults::{CorruptionRates, FaultRates, RecoveryConfig};
+use charon_sim::faults::{CorruptionSite, FaultSite, Injector, RecoveryConfig};
 use charon_sim::host::HostTiming;
 use charon_sim::profile::{Channel, Profiler};
 use charon_sim::telemetry::{Event, Telemetry};
@@ -360,28 +360,29 @@ impl System {
         end.max(cursor)
     }
 
-    /// Arms the device's deterministic fault-injection layer (see
-    /// [`charon_sim::faults`]). Offloads then run through timeout/retry
-    /// recovery, and a watchdog-killed unit degrades its primitive to the
-    /// host software path for the rest of the run.
+    /// Arms the device's deterministic fault-injection layer at
+    /// `injector`'s site (see [`charon_sim::faults`]). Offloads then run
+    /// through timeout/retry recovery, and a watchdog-killed unit degrades
+    /// its primitive to the host software path for the rest of the run.
     ///
     /// # Panics
     ///
     /// Panics if the backend has no device to inject faults into.
-    pub fn inject_faults(&mut self, seed: u64, rates: FaultRates, recovery: RecoveryConfig) {
+    pub fn inject_faults(&mut self, injector: Injector<FaultSite>, recovery: RecoveryConfig) {
         self.device
             .as_mut()
             .expect("fault injection requires an offloading backend")
-            .enable_faults(seed, rates, recovery);
+            .enable_faults(injector, recovery);
     }
 
-    /// Arms the silent-corruption layer: seeded bit flips at the four
-    /// offload-output sites, the checksum/read-back detectors, and the
+    /// Arms the silent-corruption layer: seeded bit flips at `injector`'s
+    /// offload-output site, the checksum/read-back detectors, and the
     /// repair ladder (see [`crate::integrity`]). Works on any backend —
-    /// sites only inject while their primitive actually offloads. Zero
-    /// rates with the layer armed stay bit-identical to an unarmed run.
-    pub fn enable_integrity(&mut self, seed: u64, rates: CorruptionRates, config: crate::integrity::IntegrityConfig) {
-        self.integrity = Some(Box::new(crate::integrity::IntegrityState::new(seed, rates, config)));
+    /// the site only injects while its primitive actually offloads. A
+    /// zero rate with the layer armed stays bit-identical to an unarmed
+    /// run.
+    pub fn enable_integrity(&mut self, injector: Injector<CorruptionSite>, config: crate::integrity::IntegrityConfig) {
+        self.integrity = Some(Box::new(crate::integrity::IntegrityState::new(injector, config)));
     }
 
     /// Whether `prim` currently ships to a device unit (offloading backend,
@@ -844,10 +845,9 @@ mod tests {
 
     #[test]
     fn watchdog_degrades_primitive_to_host_path() {
-        use charon_sim::faults::{FaultRates, FaultSite, RecoveryConfig};
         let mut s = System::charon();
         let recovery = RecoveryConfig { retry_budget: 1, watchdog_threshold: 2, ..RecoveryConfig::default() };
-        s.inject_faults(7, FaultRates::only(FaultSite::Unit, 1.0), recovery);
+        s.inject_faults(FaultSite::Unit.arm(7, 1.0), recovery);
         let mut t = Ps::ZERO;
         for _ in 0..3 {
             t = s.prim_copy(0, t, VAddr(0), VAddr(0x10_0000), 4096);
@@ -860,10 +860,10 @@ mod tests {
         assert!(s.recovery.retries[pi] >= 2, "each abandonment burned the retry budget");
         // Degraded primitive now takes the host path without consulting
         // the (dead) device: the injector sees no further attempts.
-        let attempts_before = s.device.as_ref().and_then(|d| d.fault_injector()).expect("armed").attempts();
+        let attempts_before = s.device.as_ref().and_then(|d| d.fault_injector()).expect("armed").rolls();
         let done = s.prim_copy(0, Ps::from_ms(1.0), VAddr(0), VAddr(0x20_0000), 4096);
         assert!(done > Ps::from_ms(1.0));
-        let attempts_after = s.device.as_ref().and_then(|d| d.fault_injector()).expect("armed").attempts();
+        let attempts_after = s.device.as_ref().and_then(|d| d.fault_injector()).expect("armed").rolls();
         assert_eq!(attempts_after, attempts_before, "degraded primitive must bypass the device");
     }
 

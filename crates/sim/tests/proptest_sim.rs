@@ -6,7 +6,7 @@ use charon_sim::bwres::{EpochBw, HashMapOracle};
 use charon_sim::cache::{AccessKind, Cache};
 use charon_sim::config::{CacheConfig, SystemConfig};
 use charon_sim::dram::{Ddr4Sim, DramOp, HmcSim};
-use charon_sim::faults::{FaultInjector, FaultRates, RecoveryConfig};
+use charon_sim::faults::{FaultSite, RecoveryConfig};
 use charon_sim::issue::Window;
 use charon_sim::noc::{Noc, Node};
 use charon_sim::time::{Bandwidth, Ps};
@@ -227,20 +227,20 @@ proptest! {
 
     #[test]
     fn fault_injector_replays_and_respects_zero_rates(
-        seed in any::<u64>(), p_milli in 0u32..=1000, rolls in 1usize..300
+        seed in any::<u64>(), site in 0usize..5, p_milli in 0u32..=1000, rolls in 1usize..300
     ) {
-        // Same seed, same rates → the same fault schedule, roll for roll;
-        // and a zero-rate injector never fires no matter the seed.
-        let rates = FaultRates::uniform(f64::from(p_milli) / 1000.0);
-        let mut a = FaultInjector::new(seed, rates);
-        let mut b = FaultInjector::new(seed, rates);
+        // Same seed, site and rate → the same fault schedule, roll for
+        // roll; and a zero-rate injector never fires no matter the seed.
+        let site = FaultSite::ALL[site];
+        let p = f64::from(p_milli) / 1000.0;
+        let (mut a, mut b) = (site.arm(seed, p), site.arm(seed, p));
         for _ in 0..rolls {
-            prop_assert_eq!(a.roll_attempt(), b.roll_attempt());
+            prop_assert_eq!(a.roll(), b.roll());
         }
-        prop_assert_eq!(a.total_injected(), b.total_injected());
-        let mut z = FaultInjector::new(seed, FaultRates::zero());
+        prop_assert_eq!(a.injected(), b.injected());
+        let mut z = site.arm(seed, 0.0);
         for _ in 0..rolls {
-            prop_assert_eq!(z.roll_attempt(), None);
+            prop_assert_eq!(z.roll(), None);
         }
     }
 

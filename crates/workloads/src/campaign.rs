@@ -39,7 +39,7 @@ use charon_gc::system::System;
 use charon_gc::verify::{graph_signature, ReachableStats};
 use charon_heap::addr::VAddr;
 use charon_heap::heap::JavaHeap;
-use charon_sim::faults::{CorruptionRates, CorruptionSite, FaultRates, FaultSite, RecoveryConfig};
+use charon_sim::faults::{CorruptionSite, FaultSite, Injector, RecoveryConfig};
 use charon_sim::json::Json;
 use charon_sim::time::Ps;
 use std::fmt;
@@ -96,7 +96,7 @@ pub struct CaseReport {
     pub monotone_detail: Option<String>,
     /// The run's recovery ledger ([`System::recovery`]; empty on a control).
     pub recovery: RecoverySummary,
-    /// Timing faults the injector fired, total across sites.
+    /// Timing faults the injector fired.
     pub injected: u64,
     /// Bytes the mutator allocated.
     pub allocated_bytes: u64,
@@ -157,7 +157,7 @@ pub fn run_case(spec: &WorkloadSpec, sys: System, opts: &RunOptions) -> Result<C
         monotone: monotone_detail.is_none(),
         monotone_detail,
         recovery: gc.sys.recovery,
-        injected: injector.map_or(0, |inj| inj.total_injected()),
+        injected: injector.map_or(0, Injector::injected),
         allocated_bytes: run.mutator.allocated_bytes,
     })
 }
@@ -201,10 +201,10 @@ impl Cell {
     fn system(&self) -> System {
         let mut sys = System::charon();
         match self.arm {
-            Arm::Fault(at) => sys.inject_faults(self.seed, FaultRates::only(at, self.rate), RecoveryConfig::default()),
+            Arm::Fault(at) => sys.inject_faults(at.arm(self.seed, self.rate), RecoveryConfig::default()),
             Arm::Corruption { site, oracle, rearm } => {
                 let config = IntegrityConfig { shadow_oracle: oracle, ..Default::default() };
-                sys.enable_integrity(self.seed, CorruptionRates::only(site, self.rate), config);
+                sys.enable_integrity(site.arm(self.seed, self.rate), config);
                 if let Some(n) = rearm {
                     sys.set_rearm(n);
                 }

@@ -11,7 +11,7 @@
 
 use charon_gc::adapt::PolicyKind;
 use charon_gc::system::System;
-use charon_sim::faults::{FaultRates, FaultSite, RecoveryConfig};
+use charon_sim::faults::{FaultSite, RecoveryConfig};
 use charon_workloads::spec::{by_short, phase_shift};
 use charon_workloads::{autotune, run_workload, RunOptions};
 use proptest::prelude::*;
@@ -70,7 +70,7 @@ fn controller_never_enables_watchdog_dead_units() {
     // unit classes declared dead early in the run; the controller must
     // keep them clamped off from the first dead verdict onwards.
     let recovery = RecoveryConfig { retry_budget: 0, watchdog_threshold: 1, ..Default::default() };
-    sys.inject_faults(0xDEAD, FaultRates::only(FaultSite::Unit, 0.95), recovery);
+    sys.inject_faults(FaultSite::Unit.arm(0xDEAD, 0.95), recovery);
     let o = RunOptions { policy: Some(PolicyKind::Census), ..RunOptions::default() };
     let r = run_workload(&phase_shift(), sys, &o).unwrap();
     let journal = r.decisions.expect("controller attached");

@@ -1,7 +1,7 @@
 //! The integrity subsystem's end-to-end contract:
 //!
-//! 1. **Zero-rate bit-identity** — arming the corruption injector at all-
-//!    zero rates with the checksum/canary detectors ON must not move a
+//! 1. **Zero-rate bit-identity** — arming the corruption injector at a
+//!    zero rate with the checksum/canary detectors ON must not move a
 //!    single picosecond: every committed workload × platform fingerprint
 //!    from `fingerprint_baseline.rs` must still hold exactly, and each
 //!    campaign tier's zero-rate control is the unarmed run.
@@ -17,7 +17,7 @@ use charon_gc::collector::GcKind;
 use charon_gc::integrity::IntegrityConfig;
 use charon_gc::system::System;
 use charon_gc::verify::graph_signature;
-use charon_sim::faults::{CorruptionRates, CorruptionSite};
+use charon_sim::faults::CorruptionSite;
 use charon_workloads::parmatrix::system_by_label;
 use charon_workloads::run::Run;
 use charon_workloads::spec::by_short;
@@ -44,16 +44,18 @@ const BASELINES: [(&str, &str, u64, usize, usize, u64); 15] = [
     ("CC", "Ideal", 2312736447, 1, 0, 15862608),
 ];
 
-/// Detection charges no simulated time and zero-rate sites never draw
-/// from their RNG streams, so an armed-but-idle integrity layer is
-/// invisible: all 15 committed fingerprints must survive it bit-exact.
+/// Detection charges no simulated time and a zero-rate site never draws
+/// from its RNG stream, so an armed-but-idle integrity layer is invisible:
+/// all 15 committed fingerprints must survive it bit-exact. The rows take
+/// turns at the armed site, so each site is armed on several of them.
 #[test]
 fn integrity_armed_zero_rate_fingerprints_match_committed_baselines() {
     let mut mismatches = Vec::new();
-    for &(wl, platform, gc_ps, minors, majors, alloc) in &BASELINES {
+    for (i, &(wl, platform, gc_ps, minors, majors, alloc)) in BASELINES.iter().enumerate() {
         let spec = by_short(wl).unwrap();
         let mut sys = system_by_label(platform).expect("known platform");
-        sys.enable_integrity(0xC0DE, CorruptionRates::zero(), IntegrityConfig::default());
+        let site = CorruptionSite::ALL[i % CorruptionSite::ALL.len()];
+        sys.enable_integrity(site.arm(0xC0DE, 0.0), IntegrityConfig::default());
         let opts = RunOptions { supersteps: Some(2), ..Default::default() };
         let r = run_workload(&spec, sys, &opts).unwrap();
         let got = r.fingerprint();
@@ -71,19 +73,21 @@ fn integrity_armed_zero_rate_fingerprints_match_committed_baselines() {
 }
 
 /// The shadow oracle mode must additionally leave the fingerprints
-/// untouched at zero rates — it re-executes primitives but charges
+/// untouched at a zero rate — it re-executes primitives but charges
 /// nothing when nothing was corrupted.
 #[test]
 fn shadow_oracle_zero_rate_is_also_timing_invisible() {
     for wl in ["BS", "KM"] {
         let spec = by_short(wl).unwrap();
         let base = BASELINES.iter().find(|b| b.0 == wl && b.1 == "Charon").unwrap();
-        let mut sys = System::charon();
-        let config = IntegrityConfig { shadow_oracle: true, ..Default::default() };
-        sys.enable_integrity(7, CorruptionRates::zero(), config);
-        let opts = RunOptions { supersteps: Some(2), ..Default::default() };
-        let r = run_workload(&spec, sys, &opts).unwrap();
-        assert_eq!(r.fingerprint(), (base.0, base.1, base.2, base.3, base.4, base.5));
+        for site in CorruptionSite::ALL {
+            let mut sys = System::charon();
+            let config = IntegrityConfig { shadow_oracle: true, ..Default::default() };
+            sys.enable_integrity(site.arm(7, 0.0), config);
+            let opts = RunOptions { supersteps: Some(2), ..Default::default() };
+            let r = run_workload(&spec, sys, &opts).unwrap();
+            assert_eq!(r.fingerprint(), (base.0, base.1, base.2, base.3, base.4, base.5), "{site}");
+        }
     }
 }
 
@@ -155,8 +159,7 @@ fn oracle_campaign_has_zero_escapes() {
 fn rearm_run_breakdowns_sum_to_the_system_ledger() {
     let spec = by_short("BS").unwrap();
     let mut sys = System::charon();
-    let rates = CorruptionRates::only(CorruptionSite::CopyPayload, 0.3);
-    sys.enable_integrity(0xC0DE, rates, IntegrityConfig::default());
+    sys.enable_integrity(CorruptionSite::CopyPayload.arm(0xC0DE, 0.3), IntegrityConfig::default());
     sys.set_rearm(1);
     let mut run = Run::new(&spec, sys, &RunOptions { supersteps: Some(8), ..Default::default() });
     run.drive().unwrap();
@@ -183,8 +186,7 @@ fn site_booking(site: CorruptionSite, rate: f64, shadow_oracle: bool, quarantine
     let journal = Telemetry::enabled();
     sys.set_telemetry(journal.clone());
     let quarantine_threshold = if quarantine { IntegrityConfig::default().quarantine_threshold } else { u32::MAX };
-    let config = IntegrityConfig { shadow_oracle, quarantine_threshold, ..Default::default() };
-    sys.enable_integrity(0xC0DE, CorruptionRates::only(site, rate), config);
+    sys.enable_integrity(site.arm(0xC0DE, rate), IntegrityConfig { shadow_oracle, quarantine_threshold });
     let mut run = Run::new(&by_short("BS").unwrap(), sys, &RunOptions { supersteps: Some(10), ..Default::default() });
     run.drive().unwrap();
     let mut events = [0; 5];

@@ -10,7 +10,7 @@
 //!    JSON checker, and every trace event carries the required keys.
 
 use charon_gc::system::System;
-use charon_sim::faults::{FaultRates, RecoveryConfig};
+use charon_sim::faults::{FaultSite, RecoveryConfig};
 use charon_sim::json::Json;
 use charon_sim::telemetry::{chrome_trace, Event, Telemetry};
 use charon_workloads::campaign::run_case;
@@ -61,11 +61,10 @@ proptest! {
         rate in 50u32..400,
     ) {
         let spec = by_short("BS").unwrap();
-        let rates = FaultRates::only(charon_sim::faults::FaultSite::Unit, f64::from(rate) / 1000.0);
         let opts = RunOptions { supersteps: Some(2), ..Default::default() };
         let armed = || {
             let mut sys = System::charon();
-            sys.inject_faults(seed, rates, RecoveryConfig::default());
+            sys.inject_faults(FaultSite::Unit.arm(seed, f64::from(rate) / 1000.0), RecoveryConfig::default());
             sys
         };
         let off = run_case(&spec, armed(), &opts).unwrap();
