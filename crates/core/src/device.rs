@@ -175,12 +175,41 @@ impl UnitClassStats {
             self.busy.0 as f64 / capacity as f64
         }
     }
+
+    /// What the pool did since the earlier snapshot `before`: busy time,
+    /// executions and wedges as deltas; the queue high-water mark (a
+    /// monotone maximum over the run) and the pool size as of now.
+    pub fn since(&self, before: &UnitClassStats) -> UnitClassStats {
+        UnitClassStats {
+            busy: self.busy - before.busy,
+            executions: self.executions - before.executions,
+            wedges: self.wedges - before.wedges,
+            ..*self
+        }
+    }
 }
 
 /// JSON/report keys for the three unit classes, in the order of
 /// [`CharonStats::units`] (Copy/Search pool, Bitmap Count pool, Scan&Push
 /// pool).
 pub const UNIT_CLASS_NAMES: [&str; 3] = ["copy_search", "bitmap_count", "scan_push"];
+
+/// The three pools as one JSON object keyed by [`UNIT_CLASS_NAMES`], with
+/// each pool's utilization over `elapsed`.
+pub fn units_json(units: &[UnitClassStats; 3], elapsed: Ps) -> charon_sim::json::Json {
+    use charon_sim::json::Json;
+    Json::obj(UNIT_CLASS_NAMES.iter().zip(units).map(|(&name, u)| {
+        let fields = [
+            ("busy_ps", Json::U64(u.busy.0)),
+            ("executions", Json::U64(u.executions)),
+            ("wedges", Json::U64(u.wedges)),
+            ("queue_high_water", Json::U64(u.queue_high_water)),
+            ("total_units", Json::U64(u.total_units)),
+            ("utilization", Json::F64(u.utilization(elapsed))),
+        ];
+        (name, Json::obj(fields))
+    }))
+}
 
 /// Component-level dynamic energy of the accelerator, picojoules.
 ///
@@ -1183,6 +1212,31 @@ mod tests {
         let j = s.to_json();
         let u = j.get("units").unwrap().get("copy_search").unwrap();
         assert_eq!(u.get("total_units").and_then(|v| v.as_u64()), Some(8));
+    }
+
+    /// A per-collection delta subtracts the counters and keeps the
+    /// run-global high-water mark and the pool size; the JSON of the three
+    /// pools names each class and divides busy time by unit-time capacity.
+    #[test]
+    fn unit_deltas_subtract_counters_and_keep_the_high_water() {
+        let (mut host, mut dev) = setup(Placement::MemorySide);
+        run(&mut dev, &mut host, Ps::ZERO, copy(0x10000, 0x50000, 4096));
+        let before = dev.stats().units;
+        let t = run(&mut dev, &mut host, Ps::from_us(10.0), copy(0x10000, 0x50000, 4096));
+        let after = dev.stats().units;
+        let delta: [UnitClassStats; 3] = std::array::from_fn(|i| after[i].since(&before[i]));
+        assert_eq!(delta[0].busy, after[0].busy - before[0].busy);
+        assert_eq!(delta[0].executions, after[0].executions - before[0].executions);
+        assert!(delta[0].executions > 0 && delta[0].busy > Ps::ZERO);
+        assert_eq!(delta[0].queue_high_water, after[0].queue_high_water, "the high-water is not a delta");
+        assert_eq!(delta[0].total_units, 8);
+        assert_eq!(delta[1], UnitClassStats { total_units: after[1].total_units, ..Default::default() });
+        let wall = t - Ps::from_us(10.0);
+        let j = units_json(&delta, wall);
+        let copy_search = j.get("copy_search").expect("classes keyed by name");
+        assert_eq!(copy_search.get("busy_ps").and_then(|v| v.as_u64()), Some(delta[0].busy.0));
+        assert_eq!(copy_search.get("utilization").and_then(|v| v.as_f64()), Some(delta[0].utilization(wall)));
+        assert!(j.get("scan_push").is_some());
     }
 
     #[test]

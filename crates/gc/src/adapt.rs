@@ -33,9 +33,8 @@
 //! [`charon_sim::telemetry::Event::Decision`], so an adaptive run is as
 //! auditable as a static one.
 
-use crate::breakdown::Breakdown;
-use crate::census::{Census, CensusRecord};
-use crate::collector::GcKind;
+use crate::census::CensusRecord;
+use crate::collector::{GcEvent, GcKind};
 use crate::costs::CostModel;
 use crate::system::{OffloadMask, System};
 use charon_core::packet::PrimType;
@@ -63,25 +62,26 @@ pub struct Signals<'a> {
     /// Watchdog verdict per unit class, indexed by [`PrimType::encode`];
     /// `true` means the recovery ladder killed the class.
     pub unit_dead: [bool; 4],
-    /// Census records of every finished collection, oldest first. Empty
-    /// before the first collection or when the census is disabled.
-    pub records: &'a [CensusRecord],
-    /// Pause of the immediately preceding collection, if any.
-    pub last_pause: Option<Ps>,
-    /// Phase-time breakdown of the preceding collection, if any.
-    pub last_breakdown: Option<&'a Breakdown>,
+    /// Every finished collection, oldest first. Their census records
+    /// are absent when the census is off.
+    pub events: &'a [GcEvent],
     /// The host software-path cost model, for predictions.
     pub costs: &'a CostModel,
 }
 
 impl Signals<'_> {
+    /// The census records of the finished collections, oldest first.
+    fn records(&self) -> impl DoubleEndedIterator<Item = &CensusRecord> {
+        self.events.iter().filter_map(|e| e.census.as_ref())
+    }
+
     /// Mean size in bytes of a surviving (copied or promoted) object over
     /// the last [`SIGNAL_WINDOW`] records — the signal that separates
     /// bulk workloads (hundreds of bytes and up) from pointer-chasing
     /// ones (tens of bytes). `None` before the first record or when no
     /// object survived.
     pub fn mean_survivor_bytes(&self) -> Option<f64> {
-        let tail = self.records.iter().rev().take(SIGNAL_WINDOW);
+        let tail = self.records().rev().take(SIGNAL_WINDOW);
         let (mut objs, mut bytes) = (0u64, 0u64);
         for r in tail {
             objs += r.survived_objects + r.promoted_objects;
@@ -94,8 +94,7 @@ impl Signals<'_> {
     /// before the first record.
     pub fn mean_dead_fraction(&self) -> Option<f64> {
         let tail: Vec<f64> = self
-            .records
-            .iter()
+            .records()
             .rev()
             .take(SIGNAL_WINDOW)
             .map(CensusRecord::dead_fraction)
@@ -109,7 +108,7 @@ impl Signals<'_> {
 
     /// Cost-model prediction from the most recent census record, if any.
     pub fn prediction(&self) -> Option<Prediction> {
-        self.records.last().map(|r| predict(self.costs, r))
+        self.records().next_back().map(|r| predict(self.costs, r))
     }
 }
 
@@ -556,25 +555,9 @@ impl Controller {
     /// GC-prologue hook: build the [`Signals`] snapshot, let the policy
     /// choose, clamp the choice against unit health, install it on the
     /// system, and journal + telemetry the decision.
-    pub fn decide(
-        &mut self,
-        sys: &mut System,
-        census: Option<&Census>,
-        last: Option<&crate::collector::GcEvent>,
-        kind: GcKind,
-        now: Ps,
-    ) {
+    pub fn decide(&mut self, sys: &mut System, events: &[GcEvent], kind: GcKind, now: Ps) {
         let seq = sys.collection_seq;
-        let sig = Signals {
-            seq,
-            kind,
-            mask: sys.offload,
-            unit_dead: sys.unit_health(),
-            records: census.map_or(&[][..], |c| c.records.as_slice()),
-            last_pause: last.map(|e| e.wall),
-            last_breakdown: last.map(|e| &e.breakdown),
-            costs: &sys.costs,
-        };
+        let sig = Signals { seq, kind, mask: sys.offload, unit_dead: sys.unit_health(), events, costs: &sys.costs };
         let requested = self.policy.decide(&sig);
         let mut chosen = requested;
         for p in PrimType::ALL {
@@ -621,8 +604,10 @@ mod tests {
     use crate::census::SpaceCensus;
     use charon_heap::object::MAX_AGE;
 
-    fn record(survived_objects: u64, survived_bytes: u64, dead_bytes: u64, live_bytes: u64) -> CensusRecord {
-        CensusRecord {
+    /// A finished minor collection whose census saw these survivors.
+    fn record(survived_objects: u64, survived_bytes: u64, dead_bytes: u64, live_bytes: u64) -> GcEvent {
+        let mut e = GcEvent::blank(GcKind::Minor, 0);
+        e.census = Some(CensusRecord {
             seq: 0,
             kind: GcKind::Minor,
             spaces: [
@@ -643,18 +628,17 @@ mod tests {
             survived_objects,
             survived_bytes,
             tenuring_threshold: 0,
-        }
+        });
+        e
     }
 
-    fn signals<'a>(records: &'a [CensusRecord], costs: &'a CostModel) -> Signals<'a> {
+    fn signals<'a>(events: &'a [GcEvent], costs: &'a CostModel) -> Signals<'a> {
         Signals {
-            seq: records.len() as u64,
+            seq: events.len() as u64,
             kind: GcKind::Minor,
             mask: OffloadMask::all(),
             unit_dead: [false; 4],
-            records,
-            last_pause: None,
-            last_breakdown: None,
+            events,
             costs,
         }
     }
@@ -768,9 +752,7 @@ mod tests {
             kind: GcKind::Minor,
             mask: sys.offload,
             unit_dead: [true, false, false, false],
-            records: &[],
-            last_pause: None,
-            last_breakdown: None,
+            events: &[],
             costs: &sys.costs,
         };
         let requested = ctl.policy.decide(&sig);
@@ -785,7 +767,7 @@ mod tests {
         assert!(chosen.search && chosen.scan_push && chosen.bitmap_count);
         // The full decide() path (healthy device here) installs the mask
         // and journals the decision.
-        ctl.decide(&mut sys, None, None, GcKind::Minor, Ps::ZERO);
+        ctl.decide(&mut sys, &[], GcKind::Minor, Ps::ZERO);
         assert_eq!(sys.offload, OffloadMask::all());
         assert_eq!(ctl.journal.decisions.len(), 1);
         ctl.observe(GcKind::Minor, Ps(123));
@@ -800,7 +782,7 @@ mod tests {
         sys.offload.set(PrimType::Copy, false);
         // While dead, the clamp strips Copy from whatever the policy asks.
         let mut ctl = Controller::new(Policy::Static(OffloadMask::all()));
-        ctl.decide(&mut sys, None, None, GcKind::Minor, Ps::ZERO);
+        ctl.decide(&mut sys, &[], GcKind::Minor, Ps::ZERO);
         assert!(!sys.offload.copy, "dead Copy unit must stay clamped off");
         assert_eq!(ctl.journal.decisions[0].unit_dead, [true, false, false, false]);
         // Re-arm: after the probe interval the unit reports healthy again,
@@ -809,7 +791,7 @@ mod tests {
         sys.gc_rearm_tick(Ps::ZERO);
         assert_eq!(sys.unit_health(), [false; 4], "a probing unit is not dead");
         assert!(sys.device.as_ref().unwrap().probing_units()[0]);
-        ctl.decide(&mut sys, None, None, GcKind::Minor, Ps::ZERO);
+        ctl.decide(&mut sys, &[], GcKind::Minor, Ps::ZERO);
         assert_eq!(sys.offload, OffloadMask::all(), "probe passes the clamp");
         assert_eq!(ctl.journal.decisions[1].unit_dead, [false; 4]);
         assert_eq!(sys.recovery.rearmed, [1, 0, 0, 0]);

@@ -3,15 +3,17 @@
 //!
 //! Charon's motivating measurement (Figs. 2/5) is that most of the heap
 //! is *dead* at each collection — which is why clearing it near memory
-//! pays. A [`Census`] makes that measurable here: around every
-//! collection it walks the collected spaces and tallies, per klass and
-//! per space, how many objects (and bytes) survived versus died, plus
-//! the survivor age distribution and promotion traffic that the
-//! tenuring policy acts on.
+//! pays. With [`crate::collector::Collector::census`] on, the collector
+//! walks the collected spaces around every collection ([`pre`], [`post`])
+//! and files a [`CensusRecord`] on the event: per klass and per space,
+//! how many objects (and bytes) survived versus died, plus the survivor
+//! age distribution and promotion traffic that the tenuring policy acts
+//! on. [`Census`] folds a run's events into the report.
 //!
 //! The pass is purely functional — it reads the simulated heap without
-//! charging any simulated time — and opt-in, so runs without a census
-//! are bit-identical to runs before this module existed.
+//! charging any simulated time — and off by default because it walks
+//! the collected spaces around every collection; a run with it on is
+//! timing-identical to one without.
 //!
 //! How liveness is recovered without a shadow mark set:
 //!
@@ -28,7 +30,7 @@
 //!   packed region, and per-klass dead is the difference against the
 //!   pre-GC allocation walk.
 
-use crate::collector::GcKind;
+use crate::collector::{GcEvent, GcKind};
 use charon_heap::addr::VAddr;
 use charon_heap::heap::JavaHeap;
 use charon_heap::object::{self, MarkState, MAX_AGE};
@@ -188,7 +190,7 @@ impl fmt::Display for CensusRecord {
     }
 }
 
-/// All censuses taken during one run.
+/// The census of one run: every event's [`CensusRecord`], in order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Census {
     /// One record per collection, in order.
@@ -196,9 +198,10 @@ pub struct Census {
 }
 
 impl Census {
-    /// An empty census log.
-    pub fn new() -> Census {
-        Census::default()
+    /// Collects the records the events carry (events taken with the
+    /// census off carry none).
+    pub fn fold(events: &[GcEvent]) -> Census {
+        Census { records: events.iter().filter_map(|e| e.census.clone()).collect() }
     }
 
     /// Mean dead fraction over collections of `kind` (0.0 when none ran).
@@ -401,7 +404,7 @@ mod tests {
         };
         assert_eq!(record.collected_bytes(), 0);
         assert_eq!(record.dead_fraction(), 0.0);
-        let census = Census::new();
+        let census = Census::fold(&[]);
         assert_eq!(census.mean_dead_fraction(GcKind::Minor), 0.0);
         assert_eq!(census.mean_dead_fraction(GcKind::Major), 0.0);
     }
@@ -413,7 +416,7 @@ mod tests {
         let mut heap = JavaHeap::new(HeapConfig::with_heap_bytes(4 << 20));
         let bytes = heap.klasses_mut().register_array("byte[]", KlassKind::TypeArray);
         let mut gc = Collector::new(System::ddr4(), &heap, 4);
-        gc.census = Some(Census::new());
+        gc.census = true;
         for _ in 0..4000 {
             let obj = gc.alloc(&mut heap, bytes, 64).unwrap();
             heap.add_root(obj);
@@ -421,7 +424,7 @@ mod tests {
                 heap.set_root(heap.root_count() - 64, charon_heap::VAddr::NULL);
             }
         }
-        let census = gc.census.as_ref().unwrap();
+        let census = Census::fold(&gc.events);
         assert!(!census.records.is_empty(), "no collections ran");
         assert_eq!(census.records.len(), gc.events.len(), "one record per collection");
         for r in &census.records {
@@ -453,7 +456,7 @@ mod tests {
         let mut heap = JavaHeap::new(HeapConfig::with_heap_bytes(4 << 20));
         let bytes = heap.klasses_mut().register_array("byte[]", KlassKind::TypeArray);
         let mut gc = Collector::new(System::ddr4(), &heap, 4);
-        gc.census = Some(Census::new());
+        gc.census = true;
         // Long-lived roots survive repeated scavenges and eventually tenure.
         for _ in 0..8000 {
             let obj = gc.alloc(&mut heap, bytes, 64).unwrap();
@@ -461,7 +464,7 @@ mod tests {
                 heap.add_root(obj);
             }
         }
-        let census = gc.census.take().unwrap();
+        let census = Census::fold(&gc.events);
         let minors: Vec<_> = census.records.iter().filter(|r| r.kind == GcKind::Minor).collect();
         assert!(!minors.is_empty());
         let survived: u64 = minors.iter().map(|r| r.survived_objects).sum();
@@ -478,16 +481,42 @@ mod tests {
         assert!(census.to_json().get("records").is_some());
     }
 
+    /// The census is the collector's one switch: off, events carry no
+    /// record and the fold is empty; on, every event carries its own,
+    /// numbered like the event, and the timing is the same.
+    #[test]
+    fn records_ride_on_events_only_when_switched_on() {
+        let run = |census: bool| {
+            let mut heap = JavaHeap::new(HeapConfig::with_heap_bytes(4 << 20));
+            let bytes = heap.klasses_mut().register_array("byte[]", KlassKind::TypeArray);
+            let mut gc = Collector::new(System::ddr4(), &heap, 4);
+            gc.census = census;
+            for _ in 0..3000 {
+                gc.alloc(&mut heap, bytes, 64).unwrap();
+            }
+            gc.events
+        };
+        let (off, on) = (run(false), run(true));
+        assert!(!on.is_empty());
+        assert!(off.iter().all(|e| e.census.is_none()));
+        assert!(Census::fold(&off).records.is_empty());
+        for (e, o) in on.iter().zip(&off) {
+            assert_eq!(e.census.as_ref().map(|r| r.seq), Some(e.seq));
+            assert_eq!((e.start, e.wall), (o.start, o.wall), "the census walk charges no time");
+        }
+        assert_eq!(Census::fold(&on).records.len(), on.len());
+    }
+
     #[test]
     fn json_round_trips() {
         let mut heap = JavaHeap::new(HeapConfig::with_heap_bytes(4 << 20));
         let bytes = heap.klasses_mut().register_array("byte[]", KlassKind::TypeArray);
         let mut gc = Collector::new(System::ddr4(), &heap, 4);
-        gc.census = Some(Census::new());
+        gc.census = true;
         for _ in 0..3000 {
             gc.alloc(&mut heap, bytes, 64).unwrap();
         }
-        let census = gc.census.take().unwrap();
+        let census = Census::fold(&gc.events);
         let text = census.to_json().to_string();
         let back = Json::parse(&text).expect("census json parses");
         assert_eq!(back.get("collections").and_then(|v| v.as_u64()), Some(census.records.len() as u64));

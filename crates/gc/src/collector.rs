@@ -2,6 +2,7 @@
 //! collections, plus the event log every figure is computed from.
 
 use crate::breakdown::Breakdown;
+use crate::census::CensusRecord;
 use crate::concmark::ConcMark;
 use crate::freelist::FreeStore;
 use crate::g1lite::{g1_mixed_collect, G1Stats};
@@ -10,11 +11,13 @@ use crate::marksweep::{mark_sweep_into, SweepStats};
 use crate::minor::{minor_gc, MinorStats};
 use crate::system::{OffloadMask, System};
 use crate::threads::GcThreads;
+use charon_core::device::UnitClassStats;
 use charon_core::packet::InitializeParams;
 use charon_heap::addr::VAddr;
 use charon_heap::heap::JavaHeap;
 use charon_heap::klass::{KlassId, KlassKind};
 use charon_heap::object;
+use charon_sim::energy::EnergyAccount;
 use charon_sim::time::Ps;
 use std::fmt;
 
@@ -140,9 +143,13 @@ impl fmt::Display for MaskCollectorConflict {
 
 impl std::error::Error for MaskCollectorConflict {}
 
-/// One completed collection.
+/// One completed collection: everything measured about it, in one
+/// record. Every per-collection report (the gclog, the census, the
+/// postmortem, the adaptive controller's signals) is a fold over these.
 #[derive(Debug, Clone)]
 pub struct GcEvent {
+    /// Collection ordinal (index into the event log).
+    pub seq: u64,
     /// Minor or major.
     pub kind: GcKind,
     /// Wall-clock start.
@@ -159,6 +166,18 @@ pub struct GcEvent {
     pub dram_bytes: u64,
     /// Summed host-active core time.
     pub host_active: Ps,
+    /// Energy this collection drew (delta of the run account).
+    pub energy: EnergyAccount,
+    /// What each unit-class pool did during the pause
+    /// ([`UnitClassStats::since`]; offloading backends only), in
+    /// [`charon_core::device::UNIT_CLASS_NAMES`] order.
+    pub units: Option<[UnitClassStats; 3]>,
+    /// Heap bytes in use when the pause began.
+    pub used_before: u64,
+    /// Heap bytes in use when the pause ended.
+    pub used_after: u64,
+    /// Heap demographics, when [`Collector::census`] is on.
+    pub census: Option<CensusRecord>,
 }
 
 /// Allocation failed even after a full collection.
@@ -223,22 +242,16 @@ pub struct Collector {
     pub now: Ps,
     /// Every collection that has run.
     pub events: Vec<GcEvent>,
-    /// Heap demographics log ([`crate::census`]); `None` (the default)
-    /// skips the census walk entirely. Purely functional — enabling it
-    /// never changes simulated timing.
-    pub census: Option<crate::census::Census>,
+    /// Take the heap-demographics census ([`crate::census`]) into each
+    /// event. Off by default: the walk is costly. Purely functional —
+    /// enabling it never changes simulated timing.
+    pub census: bool,
     /// Adaptive offload controller ([`crate::adapt`]); `None` (the
     /// default) keeps the installed [`crate::system::OffloadMask`] fixed
     /// for the whole run. When present, it re-decides the mask at every
     /// GC prologue and observes the realized pause at the epilogue —
     /// without ever advancing the simulated clock itself.
     pub adapt: Option<crate::adapt::Controller>,
-    /// Tail-pause attribution capture ([`crate::postmortem`]); `None`
-    /// (the default) costs one branch per collection. When present, the
-    /// epilogue snapshots the energy account and unit-pool counters it
-    /// already has and records their per-pause deltas — read-only, so
-    /// simulated timing is bit-identical either way.
-    pub postmortem: Option<crate::postmortem::Postmortem>,
     /// Which old-generation collector the Major arm runs. Under the
     /// default [`CollectorKind::Ps`] the free store stays empty and the
     /// concurrent marker never starts — the committed PS fingerprints
@@ -270,9 +283,8 @@ impl Collector {
             gc_threads,
             now: Ps::ZERO,
             events: Vec::new(),
-            census: None,
+            census: false,
             adapt: None,
-            postmortem: None,
             kind: CollectorKind::Ps,
             free: FreeStore::new(),
             concmark: ConcMark::new(),
@@ -336,17 +348,15 @@ impl Collector {
         // so it can borrow the rest) re-decides the mask before any
         // collection work is timed.
         if let Some(mut ctl) = self.adapt.take() {
-            ctl.decide(&mut self.sys, self.census.as_ref(), self.events.last(), kind, self.now);
+            ctl.decide(&mut self.sys, &self.events, kind, self.now);
             self.adapt = Some(ctl);
         }
-        let pre_census = self.census.is_some().then(|| crate::census::pre(heap, kind));
-        // Postmortem prologue: snapshot the meters the epilogue deltas
-        // against. Read-only (never advances a clock), skipped entirely
-        // when capture is off.
-        let pm_before = self
-            .postmortem
-            .is_some()
-            .then(|| (self.sys.energy.account().clone(), self.sys.unit_stats()));
+        let pre_census = self.census.then(|| crate::census::pre(heap, kind));
+        // The meters this collection's deltas are taken against. Read-only:
+        // none of these snapshots advances a clock.
+        let energy_before = self.sys.energy.account().clone();
+        let units_before = self.sys.unit_stats();
+        let used_before = heap.used_bytes();
         let start = self.now;
         let dram_before = self.sys.dram_bytes();
         let bw_before = self.sys.host.fabric.occupancy();
@@ -408,15 +418,14 @@ impl Collector {
         breakdown.record_recovery(self.sys.recovery.since(recovery_before));
         self.sys.charge_gc_energy(wall, self.gc_threads, host_active, dram_bytes);
         let seq = self.sys.collection_seq;
-        // Postmortem epilogue: runs after the energy charge so the delta
-        // covers exactly this collection's draw.
-        if let (Some(pm), Some((energy_before, units_before))) = (self.postmortem.as_mut(), pm_before) {
-            let energy = self.sys.energy.account().since(&energy_before);
-            let units = self.sys.unit_stats().zip(units_before).map(|(after, before)| {
-                std::array::from_fn(|i| crate::postmortem::UnitDelta::capture(after[i], before[i]))
-            });
-            pm.observe(crate::postmortem::PauseRecord { seq, kind, start, wall, breakdown, energy, units });
-        }
+        // After the energy charge, so the delta covers exactly this
+        // collection's draw.
+        let energy = self.sys.energy.account().since(&energy_before);
+        let units = self
+            .sys
+            .unit_stats()
+            .zip(units_before)
+            .map(|(after, before)| std::array::from_fn(|i| after[i].since(&before[i])));
         self.sys.telemetry.record(|| charon_sim::telemetry::Event::Collection {
             seq,
             kind: match kind {
@@ -427,12 +436,26 @@ impl Collector {
             end,
         });
         self.now = end;
-        if let (Some(census), Some(pre)) = (&mut self.census, pre_census) {
+        let census = pre_census.map(|pre| {
             let threshold = minor.map_or(0, |m| m.tenuring_threshold);
-            census.records.push(crate::census::post(heap, kind, seq, &pre, threshold));
-        }
-        self.events
-            .push(GcEvent { kind, start, wall, breakdown, minor, major, dram_bytes, host_active });
+            crate::census::post(heap, kind, seq, &pre, threshold)
+        });
+        self.events.push(GcEvent {
+            seq,
+            kind,
+            start,
+            wall,
+            breakdown,
+            minor,
+            major,
+            dram_bytes,
+            host_active,
+            energy,
+            units,
+            used_before,
+            used_after: heap.used_bytes(),
+            census,
+        });
         if let Some(ctl) = self.adapt.as_mut() {
             ctl.observe(kind, wall);
         }
@@ -578,5 +601,28 @@ fn g1_to_major(st: &G1Stats) -> MajorStats {
         regions: st.regions as u64,
         stack_max: 0,
         cleared_weak_refs: 0,
+    }
+}
+
+#[cfg(test)]
+impl GcEvent {
+    /// Collection `seq` of `kind` with every measurement zero.
+    pub(crate) fn blank(kind: GcKind, seq: u64) -> GcEvent {
+        GcEvent {
+            seq,
+            kind,
+            start: Ps::ZERO,
+            wall: Ps::ZERO,
+            breakdown: Breakdown::new(),
+            minor: None,
+            major: None,
+            dram_bytes: 0,
+            host_active: Ps::ZERO,
+            energy: EnergyAccount::default(),
+            units: None,
+            used_before: 0,
+            used_after: 0,
+            census: None,
+        }
     }
 }

@@ -9,7 +9,7 @@
 //! [Full GC (Ergonomics) 4096K->1024K(10240K), 0.000912 secs]
 //! ```
 
-use crate::collector::{GcEvent, GcKind};
+use crate::collector::{Collector, CollectorKind, GcEvent, GcKind};
 use crate::concmark::ConcEvent;
 use crate::freelist::Occupancy;
 use charon_core::device::{UnitClassStats, UNIT_CLASS_NAMES};
@@ -17,47 +17,29 @@ use charon_heap::heap::JavaHeap;
 use charon_sim::hist::Histogram;
 use charon_sim::time::Ps;
 
-/// Heap occupancy bookkeeping the logger needs around each event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeapSnapshot {
-    /// Used bytes before the collection.
-    pub used_before: u64,
-    /// Used bytes after the collection.
-    pub used_after: u64,
-    /// Total heap capacity.
-    pub capacity: u64,
-}
-
-impl HeapSnapshot {
-    /// Captures the "after" side from a heap (the caller saved
-    /// `used_before` before triggering the GC).
-    ///
-    /// Capacity follows HotSpot's reporting convention: old generation
-    /// plus eden plus ONE survivor space. The second survivor is always
-    /// empty (it is the copy target), so `-verbose:gc` never counts it.
-    pub fn after(heap: &JavaHeap, used_before: u64) -> HeapSnapshot {
-        HeapSnapshot {
-            used_before,
-            used_after: heap.used_bytes(),
-            capacity: heap.old().capacity_bytes() + heap.layout().young_capacity_bytes(),
-        }
-    }
+/// The heap capacity a log line reports, following HotSpot's convention:
+/// old generation plus eden plus ONE survivor space. The second survivor
+/// is always empty (it is the copy target), so `-verbose:gc` never
+/// counts it.
+fn capacity(heap: &JavaHeap) -> u64 {
+    heap.old().capacity_bytes() + heap.layout().young_capacity_bytes()
 }
 
 /// Renders one event as a HotSpot-style log line. Under fault injection,
 /// collections that absorbed recovery events (retries, host fallbacks,
 /// watchdog degradations) get an `[offload ...]` suffix; fault-free lines
-/// are byte-identical to the pre-fault-layer format.
-pub fn render(event: &GcEvent, snap: HeapSnapshot) -> String {
+/// are byte-identical to the pre-fault-layer format. Occupancy is the
+/// event's own, at pause start and end.
+pub fn render(event: &GcEvent, capacity: u64) -> String {
     let (tag, cause) = match event.kind {
         GcKind::Minor => ("GC", "Allocation Failure"),
         GcKind::Major => ("Full GC", "Ergonomics"),
     };
     let mut line = format!(
         "[{tag} ({cause}) {}K->{}K({}K), {:.6} secs]",
-        snap.used_before / 1024,
-        snap.used_after / 1024,
-        snap.capacity / 1024,
+        event.used_before / 1024,
+        event.used_after / 1024,
+        capacity / 1024,
         event.wall.as_secs()
     );
     let recovery = event.breakdown.recovery();
@@ -133,38 +115,8 @@ pub fn unit_summary(units: &[UnitClassStats; 3], gc_time: Ps) -> String {
     groups.join(" ")
 }
 
-/// Renders a whole run, one line per event, given the per-event
-/// snapshots, followed by the [`pause_summary`] line (which reports
-/// `[pauses none]` on a zero-GC run).
-pub fn render_run(events: &[GcEvent], snaps: &[HeapSnapshot]) -> String {
-    render_run_with_units(events, snaps, None, Ps::ZERO)
-}
-
-/// [`render_run`] plus, when the run had a device, the [`unit_summary`]
-/// line after the pause summary (`units` is
-/// [`crate::system::System::unit_stats`]; `gc_time` the utilization
-/// denominator).
-pub fn render_run_with_units(
-    events: &[GcEvent],
-    snaps: &[HeapSnapshot],
-    units: Option<&[UnitClassStats; 3]>,
-    gc_time: Ps,
-) -> String {
-    assert_eq!(events.len(), snaps.len(), "one snapshot per event");
-    let mut lines: Vec<String> = events
-        .iter()
-        .zip(snaps)
-        .map(|(e, &s)| format!("{:>12}: {}", format!("{}", e.start), render(e, s)))
-        .collect();
-    lines.push(pause_summary(events));
-    if let Some(units) = units {
-        lines.push(unit_summary(units, gc_time));
-    }
-    lines.join("\n")
-}
-
 /// Renders one concurrent-marking event in the `[offload …]` suffix
-/// style (without the time prefix — [`render_run_cms`] adds it):
+/// style (without the time prefix — [`render_run`] adds it):
 ///
 /// ```text
 /// [concmark start zones=4 seeded=12]
@@ -180,7 +132,7 @@ pub fn concmark_line(event: &ConcEvent) -> String {
 }
 
 /// The simulated time a concurrent-marking event happened at — the sort
-/// key [`render_run_cms`] merges on.
+/// key [`render_run`] merges on.
 fn concmark_at(event: &ConcEvent) -> Ps {
     match *event {
         ConcEvent::Start { at, .. } | ConcEvent::Step { at, .. } | ConcEvent::Remark { at, .. } => at,
@@ -209,96 +161,100 @@ pub fn freelist_summary(occ: Occupancy) -> String {
     )
 }
 
-/// [`render_run_with_units`] for a concurrent-marking run: the
-/// `[concmark …]` lines are merged into the GC event lines in simulated
-/// time order (ties put the concurrent line first — a step that lands on
-/// a pause boundary happened before the world stopped), and the
-/// free-list occupancy line lands at the very end, after `[pauses …]`
-/// and `[units …]`.
-pub fn render_run_cms(
-    events: &[GcEvent],
-    snaps: &[HeapSnapshot],
-    conc: &[ConcEvent],
-    units: Option<&[UnitClassStats; 3]>,
-    gc_time: Ps,
-    occupancy: Occupancy,
-) -> String {
-    assert_eq!(events.len(), snaps.len(), "one snapshot per event");
-    let mut timed: Vec<(Ps, u8, String)> = events
+/// Renders a whole run from its collector: one line per event, then the
+/// [`pause_summary`] line (which reports `[pauses none]` on a zero-GC
+/// run) and, when the run had a device, the [`unit_summary`] line.
+///
+/// The `[concmark …]` lines of a [`CollectorKind::Cms`] run's concurrent
+/// cycles are merged into the event lines in simulated time order (ties
+/// put the concurrent line first — a step that lands on a pause boundary
+/// happened before the world stopped), and under cms the free-list
+/// occupancy line closes the log.
+pub fn render_run(gc: &Collector, heap: &JavaHeap) -> String {
+    let capacity = capacity(heap);
+    let mut timed: Vec<(Ps, u8, String)> = gc
+        .events
         .iter()
-        .zip(snaps)
-        .map(|(e, &s)| (e.start, 1, render(e, s)))
-        .chain(conc.iter().map(|c| (concmark_at(c), 0, concmark_line(c))))
+        .map(|e| (e.start, 1, render(e, capacity)))
+        .chain(gc.concmark.events.iter().map(|c| (concmark_at(c), 0, concmark_line(c))))
         .collect();
     timed.sort_by_key(|&(at, tie, _)| (at, tie));
     let mut lines: Vec<String> = timed
         .into_iter()
         .map(|(at, _, body)| format!("{:>12}: {}", format!("{at}"), body))
         .collect();
-    lines.push(pause_summary(events));
-    if let Some(units) = units {
-        lines.push(unit_summary(units, gc_time));
+    lines.push(pause_summary(&gc.events));
+    if let Some(units) = gc.sys.unit_stats() {
+        lines.push(unit_summary(&units, gc.gc_total_time()));
     }
-    lines.push(freelist_summary(occupancy));
+    if gc.kind == CollectorKind::Cms {
+        lines.push(freelist_summary(gc.free.occupancy()));
+    }
     lines.join("\n")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::breakdown::Breakdown;
-    use charon_sim::time::Ps;
+    use crate::system::System;
+    use charon_heap::heap::HeapConfig;
+    use charon_heap::VAddr;
 
     fn event(kind: GcKind, wall_us: f64) -> GcEvent {
-        GcEvent {
-            kind,
-            start: Ps::from_us(10.0),
-            wall: Ps::from_us(wall_us),
-            breakdown: Breakdown::new(),
-            minor: None,
-            major: None,
-            dram_bytes: 0,
-            host_active: Ps::ZERO,
-        }
+        let mut e = GcEvent::blank(kind, 0);
+        e.start = Ps::from_us(10.0);
+        e.wall = Ps::from_us(wall_us);
+        e
+    }
+
+    fn occupied(kind: GcKind, wall_us: f64, used_before: u64, used_after: u64) -> GcEvent {
+        GcEvent { used_before, used_after, ..event(kind, wall_us) }
+    }
+
+    /// A collector on `sys` holding `events` and nothing else.
+    fn collector_with(sys: System, heap: &JavaHeap, events: Vec<GcEvent>) -> Collector {
+        let mut gc = Collector::new(sys, heap, 1);
+        gc.events = events;
+        gc
+    }
+
+    fn heap() -> JavaHeap {
+        JavaHeap::new(HeapConfig::with_heap_bytes(8 << 20))
     }
 
     #[test]
     fn minor_line_matches_hotspot_shape() {
-        let snap = HeapSnapshot { used_before: 2748 * 1024, used_after: 312 * 1024, capacity: 10240 * 1024 };
-        let line = render(&event(GcKind::Minor, 183.0), snap);
+        let line = render(&occupied(GcKind::Minor, 183.0, 2748 * 1024, 312 * 1024), 10240 * 1024);
         assert_eq!(line, "[GC (Allocation Failure) 2748K->312K(10240K), 0.000183 secs]");
     }
 
     #[test]
     fn major_line_is_full_gc() {
-        let snap = HeapSnapshot { used_before: 4096 * 1024, used_after: 1024 * 1024, capacity: 10240 * 1024 };
-        let line = render(&event(GcKind::Major, 912.0), snap);
+        let line = render(&occupied(GcKind::Major, 912.0, 4096 * 1024, 1024 * 1024), 10240 * 1024);
         assert!(line.starts_with("[Full GC (Ergonomics) 4096K->1024K"));
     }
 
     #[test]
     fn recovery_events_append_an_offload_suffix() {
         use crate::breakdown::RecoverySummary;
-        let snap = HeapSnapshot { used_before: 100 << 10, used_after: 10 << 10, capacity: 1 << 20 };
-        let mut e = event(GcKind::Minor, 5.0);
+        let mut e = occupied(GcKind::Minor, 5.0, 100 << 10, 10 << 10);
         let mut r = RecoverySummary::default();
         r.retries[0] = 3;
         r.fallbacks[0] = 1;
         e.breakdown.record_recovery(r);
-        let line = render(&e, snap);
+        let line = render(&e, 1 << 20);
         assert!(line.contains("secs] [offload retries[Copy=3] fallbacks[Copy=1]"), "{line}");
     }
 
     #[test]
     fn run_rendering_joins_lines_and_appends_pause_summary() {
-        let snaps = [
-            HeapSnapshot { used_before: 100 << 10, used_after: 10 << 10, capacity: 1 << 20 },
-            HeapSnapshot { used_before: 200 << 10, used_after: 20 << 10, capacity: 1 << 20 },
-        ];
-        let events = [event(GcKind::Minor, 5.0), event(GcKind::Major, 9.0)];
-        let s = render_run(&events, &snaps);
+        let heap = heap();
+        let events =
+            vec![occupied(GcKind::Minor, 5.0, 100 << 10, 10 << 10), occupied(GcKind::Major, 9.0, 200 << 10, 20 << 10)];
+        let s = render_run(&collector_with(System::ddr4(), &heap, events), &heap);
         assert_eq!(s.lines().count(), 3, "two event lines plus the pause summary");
         assert!(s.contains("[GC") && s.contains("[Full GC"));
+        assert!(s.contains("100K->10K") && s.contains("200K->20K"), "{s}");
         let last = s.lines().last().unwrap();
         assert!(last.contains("[pauses MinorGC n=1"), "{last}");
         assert!(last.contains("[pauses MajorGC n=1"), "{last}");
@@ -319,13 +275,8 @@ mod tests {
         // collections must say "[pauses none]" rather than render nothing
         // (or worse, a 0 ps percentile).
         assert_eq!(pause_summary(&[]), "[pauses none]");
-        assert_eq!(render_run(&[], &[]), "[pauses none]");
-    }
-
-    #[test]
-    #[should_panic]
-    fn mismatched_snapshots_panic() {
-        render_run(&[event(GcKind::Minor, 1.0)], &[]);
+        let heap = heap();
+        assert_eq!(render_run(&collector_with(System::ddr4(), &heap, Vec::new()), &heap), "[pauses none]");
     }
 
     #[test]
@@ -338,14 +289,15 @@ mod tests {
         // 4us busy over 16 units × 10us = 2.5% utilization.
         assert_eq!(s, "[units copy_search util=2.5% qhw=7 busy=4.000 us execs=42 x16]");
         assert_eq!(unit_summary(&[UnitClassStats::default(); 3], gc_time), "[units idle]");
-        // Folded into the run rendering after the pause summary.
-        let snaps = [HeapSnapshot { used_before: 100 << 10, used_after: 10 << 10, capacity: 1 << 20 }];
-        let r = render_run_with_units(&[event(GcKind::Minor, 5.0)], &snaps, Some(&units), gc_time);
-        let last = r.lines().last().unwrap();
-        assert!(last.contains("qhw=7"), "{r}");
-        assert!(r.contains("[pauses MinorGC"), "{r}");
-        // The units-free path is unchanged.
-        assert!(!render_run(&[event(GcKind::Minor, 5.0)], &snaps).contains("[units"), "no device, no line");
+        // A run with a device closes with its unit line, after the pause
+        // summary; a host-only run has none.
+        let heap = heap();
+        let r = render_run(&collector_with(System::charon(), &heap, vec![event(GcKind::Minor, 5.0)]), &heap);
+        let lines: Vec<&str> = r.lines().collect();
+        assert!(lines[1].contains("[pauses MinorGC"), "{r}");
+        assert_eq!(lines[2], "[units idle]", "{r}");
+        let host = render_run(&collector_with(System::ddr4(), &heap, vec![event(GcKind::Minor, 5.0)]), &heap);
+        assert!(!host.contains("[units"), "no device, no line");
     }
 
     #[test]
@@ -376,15 +328,17 @@ mod tests {
         // Events at 10us (Minor) and a concmark step before, at, and
         // after it — the merged log must interleave by simulated time,
         // with the concurrent line winning ties.
-        let snaps = [HeapSnapshot { used_before: 100 << 10, used_after: 10 << 10, capacity: 1 << 20 }];
-        let events = [event(GcKind::Minor, 5.0)];
-        let conc = [
+        let heap = heap();
+        let mut gc = collector_with(System::ddr4(), &heap, vec![event(GcKind::Minor, 5.0)]);
+        gc.kind = CollectorKind::Cms;
+        gc.concmark.events = vec![
             ConcEvent::Start { at: Ps::from_us(4.0), seeded: 2, zones: 1 },
             ConcEvent::Step { at: Ps::from_us(10.0), zone: 0, scanned: 7 },
             ConcEvent::Remark { at: Ps::from_us(20.0), marked: 9 },
         ];
-        let occ = Occupancy { queues: 1, chunks: 2, free_words: 256, largest_hole_words: 128 };
-        let s = render_run_cms(&events, &snaps, &conc, None, Ps::ZERO, occ);
+        gc.free.recycle(VAddr(0x10_0000), 128);
+        gc.free.recycle(VAddr(0x20_0000), 128);
+        let s = render_run(&gc, &heap);
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 6, "4 timed lines + pauses + freelist: {s}");
         assert!(lines[0].contains("[concmark start"), "{s}");
@@ -393,10 +347,11 @@ mod tests {
         assert!(lines[3].contains("[concmark remark"), "{s}");
         assert!(lines[4].contains("[pauses MinorGC"), "{s}");
         assert_eq!(lines[5], "[freelist queues=1 chunks=2 free=2K largest=1K]");
-        // Without concurrent events the shape degenerates to the
-        // existing rendering plus the trailing freelist line.
-        let plain = render_run_cms(&events, &snaps, &[], None, Ps::ZERO, Occupancy::default());
-        assert_eq!(plain.lines().last().unwrap(), "[freelist empty]");
+        // Without concurrent events the shape degenerates to the event
+        // lines plus the trailing freelist line.
+        let mut plain = collector_with(System::ddr4(), &heap, vec![event(GcKind::Minor, 5.0)]);
+        plain.kind = CollectorKind::Cms;
+        assert_eq!(render_run(&plain, &heap).lines().last().unwrap(), "[freelist empty]");
     }
 
     #[test]
@@ -404,11 +359,9 @@ mod tests {
         // HotSpot's -verbose:gc capacity is old + eden + ONE survivor; the
         // copy-target survivor is never reported. Regression for the bug
         // where both survivors were counted.
-        use charon_heap::heap::{HeapConfig, JavaHeap};
-        let heap = JavaHeap::new(HeapConfig::with_heap_bytes(8 << 20));
-        let snap = HeapSnapshot::after(&heap, 0);
+        let heap = heap();
         let l = heap.layout();
-        assert_eq!(snap.capacity, heap.old().capacity_bytes() + l.eden.bytes() + l.from.bytes());
-        assert!(snap.capacity < heap.old().capacity_bytes() + l.young_bytes(), "both survivors must not be counted");
+        assert_eq!(capacity(&heap), heap.old().capacity_bytes() + l.eden.bytes() + l.from.bytes());
+        assert!(capacity(&heap) < heap.old().capacity_bytes() + l.young_bytes(), "both survivors must not be counted");
     }
 }

@@ -36,12 +36,17 @@
 //! * [`collector`] — the top-level [`collector::Collector`] driving both
 //!   GCs with HotSpot's sizing/triggering policy; [`collector::CollectorKind`]
 //!   selects which old-generation collector the Major arm dispatches to,
-//! * [`census`] — opt-in per-GC heap demographics (per-klass live/dead,
-//!   survivor ages, dead-bytes fraction — the paper's Figs. 2/5 input),
-//! * [`postmortem`] — opt-in tail-pause attribution: top-K worst pauses
-//!   per kind with full breakdown/unit/energy context, plus per-bucket
-//!   energy attribution (zero-cost when off),
-//! * [`gclog`] — `-verbose:gc`-style log rendering of the event stream,
+//!   and every collection files one [`collector::GcEvent`] carrying all
+//!   it measured (pause, breakdown, energy and unit-pool deltas, heap
+//!   occupancy, the census record),
+//! * [`census`] — per-GC heap demographics (per-klass live/dead, survivor
+//!   ages, dead-bytes fraction — the paper's Figs. 2/5 input), taken onto
+//!   the events when the collector's census switch is on, and folded
+//!   into a run report,
+//! * [`postmortem`] — tail-pause attribution folded over the events:
+//!   top-K worst pauses per kind with full breakdown/unit/energy context,
+//!   plus per-bucket energy attribution,
+//! * [`gclog`] — `-verbose:gc`-style log rendering of a collector's events,
 //! * [`trace`] — trace-driven re-timing: record a collection's operation
 //!   stream once, replay it on any machine configuration,
 //! * [`verify`] — heap-graph signatures used by tests to prove collections

@@ -162,14 +162,27 @@ impl<'a> Pause<'a> {
         self.run_prim(t.index, call, hw);
     }
 
-    /// Runs `call` on thread `t`, in the primitive's bucket. Whether the
-    /// thread executed the span or sat blocked on an offload response is
-    /// asked after the call, because a watchdog verdict inside it moves
-    /// the primitive to the host for good.
+    /// Runs `call` on thread `t`, in the primitive's bucket, and journals
+    /// the span on that thread's row. Whether the thread executed the span
+    /// or sat blocked on an offload response is asked after the call,
+    /// because a watchdog verdict inside it moves the primitive to the
+    /// host for good.
     #[inline]
     fn run_prim(&mut self, t: usize, call: OffloadCall<'_>, hw: bool) {
         let now = self.threads.clock(t);
         let end = self.sys.prim(t % self.cores, now, call, hw);
+        self.sys.telemetry.record(|| Event::Prim {
+            prim: call.prim().name(),
+            thread: t,
+            start: now,
+            end,
+            bytes: match call {
+                OffloadCall::Copy { bytes, .. } => bytes,
+                OffloadCall::Search { scanned_bytes, .. } => scanned_bytes,
+                OffloadCall::BitmapCount { spans } => spans.iter().map(|&(_, b)| b).sum(),
+                OffloadCall::ScanPush { field_bytes, .. } => field_bytes,
+            },
+        });
         self.bd.record(Bucket::of(call.prim()), end - now);
         self.threads.advance(t, end, !self.sys.prim_blocked(call.prim(), hw));
     }

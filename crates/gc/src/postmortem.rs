@@ -5,133 +5,46 @@
 //! pauses that dominate p99, not the average — but a pause histogram only
 //! says *that* p99 moved. [`Postmortem`] keeps, for the top-K worst
 //! pauses per GC kind, everything needed to say *why*: the full
-//! [`Breakdown`], the per-unit-class busy/queue deltas across that pause,
-//! and the fault/recovery counters the pause absorbed. It also attributes
-//! the per-collection [`EnergyAccount`] delta to pause-histogram buckets
-//! (the exact [`charon_sim::hist`] partition, via
+//! [`crate::breakdown::Breakdown`], the per-unit-class busy/queue deltas
+//! across that pause, and the fault/recovery counters the pause absorbed.
+//! It also attributes the per-collection [`EnergyAccount`] delta to
+//! pause-histogram buckets (the exact [`charon_sim::hist`] partition, via
 //! [`charon_sim::hist::bucket_index`]), so a report can answer "what does
 //! a p99 pause cost in nJ and where did its time go".
 //!
-//! Zero-cost-when-off, like [`charon_sim::telemetry::Telemetry`] and
-//! [`charon_sim::profile::Profiler`]: the collector holds an
-//! `Option<Postmortem>`; `None` costs one branch per collection. Enabled,
-//! capture is read-only over state the collector already computes —
-//! snapshots before, deltas after — and never advances a simulated clock,
-//! so every committed fingerprint is bit-identical with it on
-//! (`fingerprint_baseline.rs` pins exactly that).
+//! It is a fold over the run's [`GcEvent`]s ([`Postmortem::fold`]): the
+//! collector files every delta on the event at each collection's
+//! epilogue — read-only snapshots before, deltas after, no clock
+//! advanced — so there is nothing to switch on and nothing to capture
+//! here.
 
-use crate::breakdown::Breakdown;
-use crate::collector::GcKind;
-use charon_core::device::{UnitClassStats, UNIT_CLASS_NAMES};
+use crate::collector::{GcEvent, GcKind};
+use charon_core::device::{units_json, UNIT_CLASS_NAMES};
 use charon_sim::energy::EnergyAccount;
 use charon_sim::hist::{bucket_bounds, bucket_index, BUCKETS};
 use charon_sim::json::Json;
 use charon_sim::time::Ps;
 use std::fmt;
 
-/// What one unit-class pool did *during one pause*: busy/execution/wedge
-/// deltas across the pause, plus the pool's queue high-water mark and
-/// size at capture time (the high-water is a run-global monotone maximum,
-/// not a per-pause delta — it answers "how deep had queues ever been by
-/// this pause").
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct UnitDelta {
-    /// Unit-busy time accumulated during the pause.
-    pub busy: Ps,
-    /// Executions served during the pause.
-    pub executions: u64,
-    /// Stall/wedge events absorbed during the pause.
-    pub wedges: u64,
-    /// Queue-depth high-water mark as of this pause (monotone over the run).
-    pub queue_high_water: u64,
-    /// Unit instances in the pool.
-    pub total_units: u64,
-}
-
-impl UnitDelta {
-    /// The delta from `before` to `after`, carrying the after-side
-    /// high-water and pool size.
-    pub fn capture(after: UnitClassStats, before: UnitClassStats) -> UnitDelta {
-        UnitDelta {
-            busy: after.busy - before.busy,
-            executions: after.executions - before.executions,
-            wedges: after.wedges - before.wedges,
-            queue_high_water: after.queue_high_water,
-            total_units: after.total_units,
-        }
+fn worst_json(e: &GcEvent) -> Json {
+    let mut fields = vec![
+        ("seq", Json::U64(e.seq)),
+        ("start_ps", Json::U64(e.start.0)),
+        ("wall_ps", Json::U64(e.wall.0)),
+        ("breakdown", e.breakdown.to_json()),
+        ("energy", e.energy.to_json()),
+    ];
+    if let Some(units) = &e.units {
+        fields.push(("units", units_json(units, e.wall)));
     }
-
-    /// Pool utilization within a pause of length `wall`.
-    pub fn utilization(&self, wall: Ps) -> f64 {
-        let capacity = self.total_units * wall.0;
-        if capacity == 0 {
-            0.0
-        } else {
-            self.busy.0 as f64 / capacity as f64
-        }
-    }
-
-    fn to_json(self, wall: Ps) -> Json {
-        Json::obj(vec![
-            ("busy_ps", Json::U64(self.busy.0)),
-            ("executions", Json::U64(self.executions)),
-            ("wedges", Json::U64(self.wedges)),
-            ("queue_high_water", Json::U64(self.queue_high_water)),
-            ("total_units", Json::U64(self.total_units)),
-            ("utilization", Json::F64(self.utilization(wall))),
-        ])
-    }
-}
-
-/// Everything retained about one of the worst pauses.
-#[derive(Debug, Clone)]
-pub struct PauseRecord {
-    /// Collection sequence number (index into the event log).
-    pub seq: u64,
-    /// Minor or major.
-    pub kind: GcKind,
-    /// Wall-clock start of the pause.
-    pub start: Ps,
-    /// Pause duration.
-    pub wall: Ps,
-    /// The full per-bucket time breakdown (recovery delta included).
-    pub breakdown: Breakdown,
-    /// Energy this collection drew (delta of the run account).
-    pub energy: EnergyAccount,
-    /// Per-unit-class activity during the pause (offloading backends).
-    pub units: Option<[UnitDelta; 3]>,
-}
-
-impl PauseRecord {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("seq", Json::U64(self.seq)),
-            ("start_ps", Json::U64(self.start.0)),
-            ("wall_ps", Json::U64(self.wall.0)),
-            ("breakdown", self.breakdown.to_json()),
-            ("energy", self.energy.to_json()),
-        ];
-        if let Some(units) = &self.units {
-            fields.push((
-                "units",
-                Json::Obj(
-                    UNIT_CLASS_NAMES
-                        .iter()
-                        .zip(units.iter())
-                        .map(|(&name, u)| (name.to_string(), u.to_json(self.wall)))
-                        .collect(),
-                ),
-            ));
-        }
-        Json::obj(fields)
-    }
+    Json::obj(fields)
 }
 
 /// Per-kind accumulation: the top-K list plus the bucketed energy table.
 #[derive(Debug, Clone)]
 struct KindLane {
     /// Worst pauses, longest first, at most `top_k`.
-    worst: Vec<PauseRecord>,
+    worst: Vec<GcEvent>,
     /// Pause count per histogram bucket (this IS the pause histogram).
     bucket_count: [u64; BUCKETS],
     /// Summed pause time per bucket, picoseconds.
@@ -199,10 +112,14 @@ fn lane_idx(kind: GcKind) -> usize {
 }
 
 impl Postmortem {
-    /// A capture keeping the `top_k` worst pauses per kind (clamped to
-    /// at least 1).
-    pub fn new(top_k: usize) -> Postmortem {
-        Postmortem { top_k: top_k.max(1), lanes: [KindLane::new(), KindLane::new()] }
+    /// Folds a run's events, keeping the `top_k` worst pauses per kind
+    /// (clamped to at least 1).
+    pub fn fold(events: &[GcEvent], top_k: usize) -> Postmortem {
+        let mut pm = Postmortem { top_k: top_k.max(1), lanes: [KindLane::new(), KindLane::new()] };
+        for e in events {
+            pm.observe(e);
+        }
+        pm
     }
 
     /// The configured per-kind retention.
@@ -210,19 +127,17 @@ impl Postmortem {
         self.top_k
     }
 
-    /// Folds one finished collection in. Called by the collector at the
-    /// GC epilogue, after energy has been charged.
-    pub fn observe(&mut self, rec: PauseRecord) {
-        let lane = &mut self.lanes[lane_idx(rec.kind)];
-        let b = bucket_index(rec.wall.0);
+    fn observe(&mut self, e: &GcEvent) {
+        let lane = &mut self.lanes[lane_idx(e.kind)];
+        let b = bucket_index(e.wall.0);
         lane.bucket_count[b] += 1;
-        lane.bucket_ps[b] += rec.wall.0;
-        lane.bucket_energy[b].accumulate(&rec.energy);
+        lane.bucket_ps[b] += e.wall.0;
+        lane.bucket_energy[b].accumulate(&e.energy);
         // Keep `worst` sorted longest-first; ties keep the earlier pause
         // (first occurrence wins, like a stable sort by descending wall).
-        let pos = lane.worst.iter().position(|w| w.wall < rec.wall).unwrap_or(lane.worst.len());
+        let pos = lane.worst.iter().position(|w| w.wall < e.wall).unwrap_or(lane.worst.len());
         if pos < self.top_k {
-            lane.worst.insert(pos, rec);
+            lane.worst.insert(pos, e.clone());
             lane.worst.truncate(self.top_k);
         }
     }
@@ -233,7 +148,7 @@ impl Postmortem {
     }
 
     /// The retained worst pauses for `kind`, longest first.
-    pub fn worst(&self, kind: GcKind) -> &[PauseRecord] {
+    pub fn worst(&self, kind: GcKind) -> &[GcEvent] {
         &self.lanes[lane_idx(kind)].worst
     }
 
@@ -307,7 +222,7 @@ impl Postmortem {
                 ("energy", lane.energy_total().to_json()),
                 ("p99_bucket", p99),
                 ("buckets", Json::Arr(buckets)),
-                ("worst", Json::Arr(lane.worst.iter().map(PauseRecord::to_json).collect())),
+                ("worst", Json::Arr(lane.worst.iter().map(worst_json).collect())),
             ])
         };
         Json::obj(vec![
@@ -379,28 +294,22 @@ impl fmt::Display for Postmortem {
 mod tests {
     use super::*;
     use crate::breakdown::Bucket;
+    use charon_core::device::UnitClassStats;
 
-    fn rec(kind: GcKind, seq: u64, wall: u64, joules: f64) -> PauseRecord {
-        let mut breakdown = Breakdown::new();
-        breakdown.record(Bucket::Copy, Ps(wall * 3 / 4));
-        breakdown.record(Bucket::Other, Ps(wall / 4));
-        PauseRecord {
-            seq,
-            kind,
-            start: Ps(seq * 1000),
-            wall: Ps(wall),
-            breakdown,
-            energy: EnergyAccount { dram_j: joules, ..EnergyAccount::default() },
-            units: None,
-        }
+    fn rec(kind: GcKind, seq: u64, wall: u64, joules: f64) -> GcEvent {
+        let mut e = GcEvent::blank(kind, seq);
+        e.start = Ps(seq * 1000);
+        e.wall = Ps(wall);
+        e.breakdown.record(Bucket::Copy, Ps(wall * 3 / 4));
+        e.breakdown.record(Bucket::Other, Ps(wall / 4));
+        e.energy = EnergyAccount { dram_j: joules, ..EnergyAccount::default() };
+        e
     }
 
     #[test]
     fn keeps_top_k_longest_first() {
-        let mut pm = Postmortem::new(2);
-        for (seq, wall) in [(0, 100), (1, 900), (2, 500), (3, 950)] {
-            pm.observe(rec(GcKind::Minor, seq, wall, 0.0));
-        }
+        let events = [(0, 100), (1, 900), (2, 500), (3, 950)].map(|(seq, wall)| rec(GcKind::Minor, seq, wall, 0.0));
+        let pm = Postmortem::fold(&events, 2);
         let worst = pm.worst(GcKind::Minor);
         assert_eq!(worst.len(), 2);
         assert_eq!((worst[0].seq, worst[0].wall.0), (3, 950));
@@ -411,20 +320,20 @@ mod tests {
 
     #[test]
     fn ties_keep_the_earlier_pause() {
-        let mut pm = Postmortem::new(1);
-        pm.observe(rec(GcKind::Major, 5, 700, 0.0));
-        pm.observe(rec(GcKind::Major, 9, 700, 0.0));
+        let pm = Postmortem::fold(&[rec(GcKind::Major, 5, 700, 0.0), rec(GcKind::Major, 9, 700, 0.0)], 1);
         assert_eq!(pm.worst(GcKind::Major)[0].seq, 5);
     }
 
     #[test]
     fn bucket_energy_conserves_and_follows_hist_partition() {
-        let mut pm = Postmortem::new(3);
         // 100 and 120 share bucket [64, 127]; 5000 lands in [4096, 8191].
-        pm.observe(rec(GcKind::Minor, 0, 100, 1.0));
-        pm.observe(rec(GcKind::Minor, 1, 120, 2.0));
-        pm.observe(rec(GcKind::Minor, 2, 5000, 4.0));
-        pm.observe(rec(GcKind::Major, 3, 5000, 8.0));
+        let events = [
+            rec(GcKind::Minor, 0, 100, 1.0),
+            rec(GcKind::Minor, 1, 120, 2.0),
+            rec(GcKind::Minor, 2, 5000, 4.0),
+            rec(GcKind::Major, 3, 5000, 8.0),
+        ];
+        let pm = Postmortem::fold(&events, 3);
         assert!((pm.energy_total().total_j() - 15.0).abs() < 1e-12);
         assert!((pm.energy_by_kind(GcKind::Major).total_j() - 8.0).abs() < 1e-12);
         let rows = pm.energy_buckets(GcKind::Minor);
@@ -436,16 +345,14 @@ mod tests {
 
     #[test]
     fn p99_cost_names_the_tail_bucket() {
-        let mut pm = Postmortem::new(1);
-        for seq in 0..99 {
-            pm.observe(rec(GcKind::Minor, seq, 100, 0.001));
-        }
+        let mut events: Vec<GcEvent> = (0..99).map(|seq| rec(GcKind::Minor, seq, 100, 0.001)).collect();
         // Two slow pauses: with 101 samples the Histogram rank rule
         // (ceil(0.99·n), shared via bucket_index/bucket_bounds) puts
         // rank 100 in the slow bucket. A single outlier among 100 is
         // NOT the p99 under that rule — rank 99 is still fast.
-        pm.observe(rec(GcKind::Minor, 99, 100_000, 5.0));
-        pm.observe(rec(GcKind::Minor, 100, 100_000, 5.0));
+        events.push(rec(GcKind::Minor, 99, 100_000, 5.0));
+        events.push(rec(GcKind::Minor, 100, 100_000, 5.0));
+        let pm = Postmortem::fold(&events, 1);
         let (b, count, energy) = pm.p99_cost(GcKind::Minor).expect("pauses ran");
         assert_eq!(b, bucket_index(100_000), "p99 of 99×fast + 2×slow is the slow bucket");
         assert_eq!(count, 2);
@@ -455,14 +362,13 @@ mod tests {
 
     #[test]
     fn json_round_trips_and_display_renders() {
-        let mut pm = Postmortem::new(2);
         let mut r = rec(GcKind::Minor, 0, 2048, 0.5);
         r.units = Some([
-            UnitDelta { busy: Ps(512), executions: 4, wedges: 0, queue_high_water: 7, total_units: 2 },
-            UnitDelta::default(),
-            UnitDelta::default(),
+            UnitClassStats { busy: Ps(512), executions: 4, wedges: 0, queue_high_water: 7, total_units: 2 },
+            UnitClassStats::default(),
+            UnitClassStats::default(),
         ]);
-        pm.observe(r);
+        let pm = Postmortem::fold(&[r], 2);
         let j = pm.to_json();
         let back = Json::parse(&j.to_string()).expect("postmortem json parses");
         assert_eq!(back.get("top_k").and_then(Json::as_u64), Some(2));

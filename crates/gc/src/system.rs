@@ -490,11 +490,12 @@ impl System {
 
     /// One primitive, from `now` on `core`: run where the backend and mask
     /// say (free on Ideal, on a device unit, or the host software path),
-    /// journal the span, sample the latency. `hardware_iterable` is false
-    /// only for a Scan&Push over a metadata klass kind (§4.4), which stays
-    /// on the host under every backend.
+    /// sample the latency. `hardware_iterable` is false only for a
+    /// Scan&Push over a metadata klass kind (§4.4), which stays on the
+    /// host under every backend. Collectors reach it through
+    /// `Pause::prim`, which knows the GC thread and journals the span.
     #[inline]
-    pub(crate) fn prim(&mut self, core: usize, now: Ps, call: OffloadCall<'_>, hardware_iterable: bool) -> Ps {
+    pub fn prim(&mut self, core: usize, now: Ps, call: OffloadCall<'_>, hardware_iterable: bool) -> Ps {
         let prim = call.prim();
         let end = if self.backend == Backend::Ideal {
             now
@@ -504,18 +505,6 @@ impl System {
         } else {
             self.host_prim(core, now, call)
         };
-        self.telemetry.record(|| Event::Prim {
-            prim: prim.name(),
-            thread: core,
-            start: now,
-            end,
-            bytes: match call {
-                OffloadCall::Copy { bytes, .. } => bytes,
-                OffloadCall::Search { scanned_bytes, .. } => scanned_bytes,
-                OffloadCall::BitmapCount { spans } => spans.iter().map(|&(_, b)| b).sum(),
-                OffloadCall::ScanPush { field_bytes, .. } => field_bytes,
-            },
-        });
         let channel = match prim {
             PrimType::Copy => Channel::PrimCopy,
             PrimType::Search => Channel::PrimSearch,
@@ -538,6 +527,9 @@ impl System {
         }
     }
 
+    // Fixed-argument forms of [`System::prim`] for the per-primitive
+    // timing loops in `perfbench/`, which compiles against them.
+
     /// *Copy* `bytes` from `src` to `dst` (timing only).
     pub fn prim_copy(&mut self, core: usize, now: Ps, src: VAddr, dst: VAddr, bytes: u64) -> Ps {
         debug_assert!(bytes > 0);
@@ -553,21 +545,6 @@ impl System {
     /// *Bitmap Count* over byte `spans` of the begin and end maps.
     pub fn prim_bitmap_count(&mut self, core: usize, now: Ps, spans: &[(VAddr, u64)]) -> Ps {
         self.prim(core, now, OffloadCall::BitmapCount { spans }, true)
-    }
-
-    /// *Scan&Push* over an object's reference fields. `hardware_iterable`
-    /// reflects the klass kind (§4.4): metadata kinds always fall back to
-    /// the host path even under offloading backends.
-    pub fn prim_scan_push(
-        &mut self,
-        core: usize,
-        now: Ps,
-        fields_start: VAddr,
-        field_bytes: u64,
-        refs: &[ScanRef],
-        hardware_iterable: bool,
-    ) -> Ps {
-        self.prim(core, now, OffloadCall::ScanPush { fields_start, field_bytes, refs }, hardware_iterable)
     }
 
     // ----- host software implementations ---------------------------------
@@ -723,7 +700,10 @@ mod tests {
         assert_eq!(s.prim_copy(0, t, VAddr(0x1000), VAddr(0x2000), 4096), t);
         assert_eq!(s.prim_search(0, t, VAddr(0x1000), 4096), t);
         assert_eq!(s.prim_bitmap_count(0, t, &[(VAddr(0x1000), 64)]), t);
-        assert_eq!(s.prim_scan_push(0, t, VAddr(0x1000), 64, &[], true), t);
+        assert_eq!(
+            s.prim(0, t, OffloadCall::ScanPush { fields_start: VAddr(0x1000), field_bytes: 64, refs: &[] }, true),
+            t
+        );
     }
 
     #[test]
@@ -832,13 +812,18 @@ mod tests {
         per[(Scheduler::CENTER + 1) % cubes] = 8;
         s.device.as_mut().expect("device").set_unit_layout(PrimType::ScanPush, &per);
         let pi = PrimType::ScanPush.encode() as usize;
-        let t = s.prim_scan_push(0, Ps::from_us(1.0), VAddr(0x1000), 64, &[], true);
+        let t = s.prim(
+            0,
+            Ps::from_us(1.0),
+            OffloadCall::ScanPush { fields_start: VAddr(0x1000), field_bytes: 64, refs: &[] },
+            true,
+        );
         assert!(t > Ps::from_us(1.0), "host fallback still charges time");
         assert_eq!(s.recovery.fallbacks[pi], 1, "the misroute fell back to the host");
         assert!(!s.recovery.degraded[pi], "a misroute is not a watchdog verdict");
         assert!(s.offload.get(PrimType::ScanPush), "the offload bit stays set");
         // Every further call degrades the same way instead of panicking.
-        let t2 = s.prim_scan_push(0, t, VAddr(0x2000), 64, &[], true);
+        let t2 = s.prim(0, t, OffloadCall::ScanPush { fields_start: VAddr(0x2000), field_bytes: 64, refs: &[] }, true);
         assert!(t2 > t);
         assert_eq!(s.recovery.fallbacks[pi], 2);
     }

@@ -122,7 +122,7 @@ fn search_time_scales_with_scanned_bytes() {
 
 #[test]
 fn scan_push_time_grows_with_reference_count() {
-    use charon_core::device::{ScanAction, ScanRef};
+    use charon_core::device::{OffloadCall, ScanAction, ScanRef};
     let refs_of = |n: u64| -> Vec<ScanRef> {
         (0..n)
             .map(|i| ScanRef {
@@ -134,10 +134,12 @@ fn scan_push_time_grows_with_reference_count() {
     // Start past the rank's t=0 refresh window so the small case is not
     // dominated by a tRFC stall.
     let t0 = Ps::from_ns(300.0);
-    let mut sys = System::ddr4();
-    let few = sys.prim_scan_push(0, t0, VAddr(0x1000_0000), 4 * 8, &refs_of(4), true) - t0;
-    let mut sys = System::ddr4();
-    let many = sys.prim_scan_push(0, t0, VAddr(0x1000_0000), 512 * 8, &refs_of(512), true) - t0;
+    let scan = |n: u64| {
+        let refs = refs_of(n);
+        let call = OffloadCall::ScanPush { fields_start: VAddr(0x1000_0000), field_bytes: n * 8, refs: &refs };
+        System::ddr4().prim(0, t0, call, true) - t0
+    };
+    let (few, many) = (scan(4), scan(512));
     assert!(many.0 > 10 * few.0, "few={few}, many={many}");
 }
 

@@ -2,37 +2,39 @@
 //! practitioner would read.
 
 use charon_gc::collector::{Collector, CollectorKind};
-use charon_gc::gclog::{render_run, render_run_cms, render_run_with_units, HeapSnapshot};
+use charon_gc::gclog::render_run;
 use charon_gc::system::System;
+use charon_gc::GcKind;
 use charon_heap::heap::{HeapConfig, JavaHeap};
-use charon_heap::klass::KlassKind;
+use charon_heap::klass::{KlassId, KlassKind};
 use charon_heap::VAddr;
 
-#[test]
-fn log_renders_a_real_collection_sequence() {
-    let mut heap = JavaHeap::new(HeapConfig::with_heap_bytes(8 << 20));
-    let k = heap.klasses_mut().register_array("byte[]", KlassKind::TypeArray);
-    let mut gc = Collector::new(System::ddr4(), &heap, 4);
-
-    let mut snaps = Vec::new();
-    let mut events_seen = 0;
-    for i in 0..3000u32 {
-        let before = heap.used_bytes();
-        let a = gc.alloc(&mut heap, k, 120).unwrap();
+/// `allocs` arrays of `len` bytes, every fourth one rooted and at most
+/// 300 roots live.
+fn churn(gc: &mut Collector, heap: &mut JavaHeap, k: KlassId, allocs: u32, len: u32) {
+    for i in 0..allocs {
+        let a = gc.alloc(heap, k, len).unwrap();
         if i % 4 == 0 {
             heap.add_root(a);
         }
         if heap.root_count() > 300 {
             heap.set_root(heap.root_count() - 300, VAddr::NULL);
         }
-        // A collection happened during this alloc: snapshot it.
-        while events_seen < gc.events.len() {
-            snaps.push(HeapSnapshot::after(&heap, before));
-            events_seen += 1;
-        }
     }
+}
+
+fn byte_arrays(heap: &mut JavaHeap) -> KlassId {
+    heap.klasses_mut().register_array("byte[]", KlassKind::TypeArray)
+}
+
+#[test]
+fn log_renders_a_real_collection_sequence() {
+    let mut heap = JavaHeap::new(HeapConfig::with_heap_bytes(8 << 20));
+    let k = byte_arrays(&mut heap);
+    let mut gc = Collector::new(System::ddr4(), &heap, 4);
+    churn(&mut gc, &mut heap, k, 3000, 120);
     assert!(!gc.events.is_empty(), "the loop must trigger collections");
-    let log = render_run(&gc.events, &snaps);
+    let log = render_run(&gc, &heap);
     // Every event renders one line in the HotSpot shape, then the run
     // closes with the pause-distribution summary.
     assert_eq!(log.lines().count(), gc.events.len() + 1);
@@ -43,38 +45,56 @@ fn log_renders_a_real_collection_sequence() {
     }
     assert!(summary.contains("[pauses MinorGC n="), "{summary}");
     // Occupancy drops across each minor collection (garbage dominated).
-    for (e, s) in gc.events.iter().zip(&snaps) {
-        if e.kind == charon_gc::GcKind::Minor {
-            assert!(s.used_after <= s.used_before, "a scavenge must not grow the heap");
+    for e in &gc.events {
+        if e.kind == GcKind::Minor {
+            assert!(e.used_after <= e.used_before, "a scavenge must not grow the heap");
         }
     }
+}
+
+/// One allocation can run two collections (a scavenge, then the full
+/// collection that makes room for a large object in Old). Each line
+/// reports its own pause's occupancy: the second starts where the first
+/// ended.
+#[test]
+fn two_collections_in_one_allocation_report_their_own_occupancy() {
+    let mut heap = JavaHeap::new(HeapConfig::with_heap_bytes(8 << 20));
+    let k = byte_arrays(&mut heap);
+    let mut gc = Collector::new(System::ddr4(), &heap, 4);
+    // Tenure garbage until Old cannot take the large array below.
+    let large = ((heap.layout().eden.bytes() + (64 << 10)) / 8) as u32;
+    let large_bytes = heap.klasses().get(k).size_words(large) * 8;
+    while heap.old().free_bytes() >= large_bytes {
+        churn(&mut gc, &mut heap, k, 200, 1024);
+    }
+    for r in 0..heap.root_count() {
+        heap.set_root(r, VAddr::NULL);
+    }
+    let before = gc.events.len();
+    gc.alloc(&mut heap, k, large).unwrap();
+    let pair = &gc.events[before..];
+    assert_eq!(pair.len(), 2, "the large allocation runs two collections");
+    assert_eq!((pair[0].kind, pair[1].kind), (GcKind::Minor, GcKind::Major));
+    assert_ne!(
+        (pair[0].used_before, pair[0].used_after),
+        (pair[1].used_before, pair[1].used_after),
+        "each collection reports its own occupancy"
+    );
+    assert_eq!(pair[1].used_before, pair[0].used_after, "nothing was allocated between the two pauses");
+    let log = render_run(&gc, &heap);
+    let lines: Vec<&str> = log.lines().filter(|l| l.contains("secs]")).collect();
+    let tail = &lines[lines.len() - 2..];
+    assert_ne!(tail[0].split_once(") ").unwrap().1, tail[1].split_once(") ").unwrap().1, "{log}");
 }
 
 #[test]
 fn charon_log_closes_with_the_unit_pool_summary() {
     let mut heap = JavaHeap::new(HeapConfig::with_heap_bytes(8 << 20));
-    let k = heap.klasses_mut().register_array("byte[]", KlassKind::TypeArray);
+    let k = byte_arrays(&mut heap);
     let mut gc = Collector::new(System::charon(), &heap, 4);
-
-    let mut snaps = Vec::new();
-    let mut events_seen = 0;
-    for i in 0..3000u32 {
-        let before = heap.used_bytes();
-        let a = gc.alloc(&mut heap, k, 120).unwrap();
-        if i % 4 == 0 {
-            heap.add_root(a);
-        }
-        if heap.root_count() > 300 {
-            heap.set_root(heap.root_count() - 300, VAddr::NULL);
-        }
-        while events_seen < gc.events.len() {
-            snaps.push(HeapSnapshot::after(&heap, before));
-            events_seen += 1;
-        }
-    }
+    churn(&mut gc, &mut heap, k, 3000, 120);
     assert!(!gc.events.is_empty(), "the loop must trigger collections");
-    let units = gc.sys.unit_stats().expect("Charon systems expose pool stats");
-    let log = render_run_with_units(&gc.events, &snaps, Some(&units), gc.gc_total_time());
+    let log = render_run(&gc, &heap);
     // Event lines, then the pause summary, then the unit summary: the
     // queue-depth high-water mark a provisioning decision needs is on
     // the last line of the log, not buried in a JSON artifact.
@@ -90,28 +110,12 @@ fn charon_log_closes_with_the_unit_pool_summary() {
 #[test]
 fn cms_log_interleaves_a_real_concurrent_cycle() {
     let mut heap = JavaHeap::new(HeapConfig::with_heap_bytes(8 << 20));
-    let k = heap.klasses_mut().register_array("byte[]", KlassKind::TypeArray);
+    let k = byte_arrays(&mut heap);
     let mut gc = Collector::new(System::ddr4(), &heap, 4);
     gc.kind = CollectorKind::Cms;
-
-    let mut snaps = Vec::new();
-    let mut events_seen = 0;
     // Chunky survivors: old-gen occupancy must cross the cms trigger
     // (half of capacity) for the concurrent cycle to start.
-    for i in 0..6000u32 {
-        let before = heap.used_bytes();
-        let a = gc.alloc(&mut heap, k, 1024).unwrap();
-        if i % 4 == 0 {
-            heap.add_root(a);
-        }
-        if heap.root_count() > 300 {
-            heap.set_root(heap.root_count() - 300, VAddr::NULL);
-        }
-        while events_seen < gc.events.len() {
-            snaps.push(HeapSnapshot::after(&heap, before));
-            events_seen += 1;
-        }
-    }
+    churn(&mut gc, &mut heap, k, 6000, 1024);
     // The alloc-driven cms_tick must have run a full concurrent cycle:
     // start, bounded steps, and the STW remark all leave events.
     let conc = &gc.concmark.events;
@@ -123,7 +127,7 @@ fn cms_log_interleaves_a_real_concurrent_cycle() {
         .iter()
         .any(|e| matches!(e, charon_gc::concmark::ConcEvent::Remark { marked, .. } if *marked > 0)));
 
-    let log = render_run_cms(&gc.events, &snaps, conc, None, gc.gc_total_time(), gc.free.occupancy());
+    let log = render_run(&gc, &heap);
     // Pause lines and cycle lines share one simulated-time order; the
     // sweep left recycled chunks, so the log closes with occupancy.
     assert!(log.contains("[concmark start"), "{log}");

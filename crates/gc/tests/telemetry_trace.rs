@@ -3,7 +3,7 @@
 //! simulated times, with the phase spans nested inside their collection.
 
 use charon_gc::collector::Collector;
-use charon_gc::gclog::{render_run, HeapSnapshot};
+use charon_gc::gclog::render_run;
 use charon_gc::system::System;
 use charon_gc::GcKind;
 use charon_heap::heap::{HeapConfig, JavaHeap};
@@ -12,18 +12,16 @@ use charon_heap::VAddr;
 use charon_sim::json::Json;
 use charon_sim::telemetry::{chrome_trace, Event, Telemetry};
 
-/// Triggers several minor collections and one explicit major, journaling
-/// everything; returns the collector plus per-event heap snapshots.
-fn instrumented_run(telemetry: &Telemetry) -> (Collector, Vec<HeapSnapshot>) {
+/// Triggers several minor collections and one explicit major on
+/// `threads` GC threads, journaling everything; returns the collector and
+/// its heap.
+fn instrumented_run(telemetry: &Telemetry, threads: usize) -> (Collector, JavaHeap) {
     let mut heap = JavaHeap::new(HeapConfig::with_heap_bytes(8 << 20));
     let k = heap.klasses_mut().register_array("byte[]", KlassKind::TypeArray);
     let mut sys = System::charon();
     sys.set_telemetry(telemetry.clone());
-    let mut gc = Collector::new(sys, &heap, 4);
-    let mut snaps = Vec::new();
-    let mut events_seen = 0;
+    let mut gc = Collector::new(sys, &heap, threads);
     for i in 0..3000u32 {
-        let before = heap.used_bytes();
         let a = gc.alloc(&mut heap, k, 120).unwrap();
         if i % 4 == 0 {
             heap.add_root(a);
@@ -31,21 +29,15 @@ fn instrumented_run(telemetry: &Telemetry) -> (Collector, Vec<HeapSnapshot>) {
         if heap.root_count() > 300 {
             heap.set_root(heap.root_count() - 300, VAddr::NULL);
         }
-        while events_seen < gc.events.len() {
-            snaps.push(HeapSnapshot::after(&heap, before));
-            events_seen += 1;
-        }
     }
-    let before = heap.used_bytes();
     gc.major_gc(&mut heap);
-    snaps.push(HeapSnapshot::after(&heap, before));
-    (gc, snaps)
+    (gc, heap)
 }
 
 #[test]
 fn journal_mirrors_the_collector_event_log() {
     let telemetry = Telemetry::enabled();
-    let (gc, _snaps) = instrumented_run(&telemetry);
+    let (gc, _heap) = instrumented_run(&telemetry, 4);
     assert!(gc.events.len() >= 2, "scenario must trigger collections");
 
     let journaled: Vec<Event> = telemetry
@@ -94,8 +86,8 @@ fn journal_mirrors_the_collector_event_log() {
 #[test]
 fn chrome_trace_orders_collections_like_the_gclog() {
     let telemetry = Telemetry::enabled();
-    let (gc, snaps) = instrumented_run(&telemetry);
-    let log = render_run(&gc.events, &snaps);
+    let (gc, heap) = instrumented_run(&telemetry, 4);
+    let log = render_run(&gc, &heap);
     let trace = chrome_trace(&telemetry.events());
     let arr = trace.as_arr().expect("trace is an array");
 
@@ -109,8 +101,9 @@ fn chrome_trace_orders_collections_like_the_gclog() {
         })
         .map(|ev| (ev.get("name").and_then(Json::as_str).unwrap(), ev.get("ts").and_then(Json::as_f64).unwrap()))
         .collect();
-    // Drop the trailing `[pauses …]` summary: only event lines have spans.
-    let log_lines: Vec<&str> = log.lines().filter(|l| !l.trim_start().starts_with("[pauses")).collect();
+    // Drop the trailing `[pauses …]` and `[units …]` summaries: only
+    // event lines have spans.
+    let log_lines: Vec<&str> = log.lines().filter(|l| l.contains("secs]")).collect();
     assert_eq!(spans.len(), log_lines.len(), "one trace span per gclog event line");
     let mut last_ts = f64::NEG_INFINITY;
     for (i, ((name, ts), line)) in spans.iter().zip(&log_lines).enumerate() {
@@ -120,5 +113,36 @@ fn chrome_trace_orders_collections_like_the_gclog() {
         assert!(*ts >= last_ts, "span {i} goes backwards in time");
         assert!((*ts - gc.events[i].start.0 as f64 / 1e6).abs() < 1e-9, "span {i} ts");
         last_ts = *ts;
+    }
+}
+
+/// The `Prim` spans of a run with `threads` GC threads, per thread.
+fn prim_rows(threads: usize) -> Vec<Vec<(u64, u64)>> {
+    let telemetry = Telemetry::enabled();
+    instrumented_run(&telemetry, threads);
+    let mut rows = vec![Vec::new(); threads];
+    for e in telemetry.events() {
+        if let Event::Prim { thread, start, end, .. } = e {
+            rows[thread].push((start.0, end.0));
+        }
+    }
+    rows
+}
+
+/// Each primitive span is drawn on the row of the GC thread that ran it,
+/// not of the core that thread is pinned to: with more threads than the
+/// platform's 8 cores, threads 8 and up get rows of their own, and no
+/// row holds two overlapping spans.
+#[test]
+fn prim_spans_land_on_their_gc_thread_rows() {
+    let cores = System::charon().host.cores();
+    for threads in [cores, 2 * cores] {
+        let rows = prim_rows(threads);
+        for (t, row) in rows.iter().enumerate() {
+            assert!(!row.is_empty(), "{threads} threads: thread {t} journaled no primitive");
+            for w in row.windows(2) {
+                assert!(w[1].0 >= w[0].1, "{threads} threads: thread {t} spans {:?} and {:?} overlap", w[0], w[1]);
+            }
+        }
     }
 }

@@ -25,7 +25,8 @@
 //! * [`host`] — the host-processor timing path (per-core caches, shared LLC,
 //!   DRAM dispatch, compute throughput),
 //! * [`energy`] — DRAM/link/core/accelerator energy accounting,
-//! * [`report`] — aggregated machine reports for CLIs and examples,
+//! * [`report`] — the metric flattener and regression verdicts behind
+//!   `charon-cli regress`, the history ledger and the CI gates,
 //! * [`config`] — Table 2 encoded as data,
 //! * [`stats`] — traffic and event counters,
 //! * [`telemetry`] — the optional structured event journal and Chrome

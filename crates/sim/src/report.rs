@@ -1,115 +1,11 @@
-//! Aggregated simulation reporting: one struct collecting everything a run
-//! reveals about the machine — cache behaviour, traffic split, energy —
-//! with a human-readable rendering for the CLI and examples.
-//!
-//! Also home of the shared **metric flattener**: every machine-readable
-//! report the repo writes (bench, compare, bare run/profile, fleet,
-//! chaos) flattens through [`extract_metrics`] into the same
+//! The shared **metric flattener**: every machine-readable report the
+//! repo writes (bench, compare, bare run/profile, fleet, chaos) flattens
+//! through [`extract_metrics`] into the same
 //! `name → u64` rows, so `charon-cli regress`, the history ledger
 //! (`charon-workloads::history`), and CI gates all agree on metric names
 //! and on which direction each one regresses ([`higher_is_better`]).
 
-use crate::energy::EnergyAccount;
-use crate::host::HostTiming;
 use crate::json::Json;
-use crate::stats::{CacheStats, MemTrafficStats};
-use crate::time::Ps;
-use std::fmt;
-
-/// A machine-level summary at a point in simulated time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MachineReport {
-    /// Simulated time covered.
-    pub elapsed: Ps,
-    /// L1D stats (summed over cores).
-    pub l1d: CacheStats,
-    /// L2 stats (summed over cores).
-    pub l2: CacheStats,
-    /// Shared L3 stats.
-    pub l3: CacheStats,
-    /// Stream prefetches issued.
-    pub prefetches: u64,
-    /// DRAM / off-chip / inter-cube traffic and locality.
-    pub traffic: MemTrafficStats,
-    /// Per-cube DRAM bytes (empty on DDR4).
-    pub per_cube_bytes: Vec<u64>,
-    /// Energy spent so far.
-    pub energy: EnergyAccount,
-}
-
-impl MachineReport {
-    /// Snapshots a host (and its fabric) after `elapsed` of simulation,
-    /// with the energy meter's current account.
-    pub fn capture(host: &HostTiming, energy: EnergyAccount, elapsed: Ps) -> MachineReport {
-        let (l1d, l2, l3) = host.cache_stats();
-        MachineReport {
-            elapsed,
-            l1d,
-            l2,
-            l3,
-            prefetches: host.prefetches(),
-            traffic: host.fabric.stats(),
-            per_cube_bytes: host.fabric.per_cube_bytes().to_vec(),
-            energy,
-        }
-    }
-
-    /// Average DRAM bandwidth over the covered period, GB/s.
-    pub fn avg_dram_bandwidth_gbps(&self) -> f64 {
-        if self.elapsed == Ps::ZERO {
-            0.0
-        } else {
-            self.traffic.dram.total_bytes() as f64 / self.elapsed.as_secs() / 1e9
-        }
-    }
-
-    /// Ratio of DRAM traffic served without crossing the off-chip boundary
-    /// (only meaningful for near-memory configurations).
-    pub fn onchip_traffic_ratio(&self) -> f64 {
-        let total = self.traffic.dram.total_bytes();
-        if total == 0 {
-            return 0.0;
-        }
-        1.0 - (self.traffic.offchip.total_bytes() as f64 / total as f64).min(1.0)
-    }
-
-    /// Machine-readable form of the full report ([`crate::json`]).
-    pub fn to_json(&self) -> crate::json::Json {
-        use crate::json::Json;
-        Json::obj([
-            ("elapsed_ps", Json::U64(self.elapsed.0)),
-            ("l1d", self.l1d.to_json()),
-            ("l2", self.l2.to_json()),
-            ("l3", self.l3.to_json()),
-            ("prefetches", Json::U64(self.prefetches)),
-            ("traffic", self.traffic.to_json()),
-            ("per_cube_bytes", Json::Arr(self.per_cube_bytes.iter().map(|&b| Json::U64(b)).collect())),
-            ("avg_dram_bandwidth_gbps", Json::F64(self.avg_dram_bandwidth_gbps())),
-            ("onchip_traffic_ratio", Json::F64(self.onchip_traffic_ratio())),
-            ("energy", self.energy.to_json()),
-        ])
-    }
-}
-
-impl fmt::Display for MachineReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "machine report over {}:", self.elapsed)?;
-        writeln!(f, "  L1D {}", self.l1d)?;
-        writeln!(f, "  L2  {}", self.l2)?;
-        writeln!(f, "  L3  {}  ({} prefetches)", self.l3, self.prefetches)?;
-        writeln!(f, "  DRAM {} ({:.1} GB/s avg)", self.traffic.dram, self.avg_dram_bandwidth_gbps())?;
-        writeln!(f, "  off-chip {}", self.traffic.offchip)?;
-        if !self.per_cube_bytes.is_empty() {
-            write!(f, "  per-cube MB:")?;
-            for (i, b) in self.per_cube_bytes.iter().enumerate() {
-                write!(f, " cube{i}={:.1}", *b as f64 / 1e6)?;
-            }
-            writeln!(f)?;
-            writeln!(f, "  near-memory locality: {:.1}%", self.traffic.local_ratio() * 100.0)?;
-        }
-        write!(f, "  energy: {}", self.energy)
-    }
-}
 
 /// Pulls the gated metrics out of one run-shaped object (`RunResult` JSON,
 /// or a bare `RunProfile` JSON): wall GC time plus, when a profile is
@@ -264,38 +160,6 @@ pub fn regressions(old: &Json, new: &Json, tolerance_pct: f64) -> (usize, Vec<Re
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::AccessKind;
-    use crate::config::SystemConfig;
-    use crate::energy::{EnergyModel, EnergyParams};
-
-    #[test]
-    fn capture_reflects_host_activity() {
-        let mut host = HostTiming::new(&SystemConfig::table2_hmc());
-        let mut now = Ps::ZERO;
-        for i in 0..2000u64 {
-            now = host.mem_access(0, now, i * 64, 8, AccessKind::Read);
-        }
-        let mut meter = EnergyModel::new(EnergyParams::default());
-        meter.add_core_active(1, now);
-        let r = MachineReport::capture(&host, meter.account().clone(), now);
-        assert!(r.l1d.accesses() >= 2000);
-        assert!(r.traffic.dram.total_bytes() > 0);
-        assert!(r.avg_dram_bandwidth_gbps() > 0.0);
-        assert!(r.prefetches > 0, "a sequential stream must trigger the prefetcher");
-        assert_eq!(r.per_cube_bytes.len(), 4);
-        let text = r.to_string();
-        assert!(text.contains("L1D") && text.contains("per-cube MB"));
-    }
-
-    #[test]
-    fn empty_report_is_safe() {
-        let host = HostTiming::new(&SystemConfig::table2_ddr4());
-        let r = MachineReport::capture(&host, EnergyAccount::default(), Ps::ZERO);
-        assert_eq!(r.avg_dram_bandwidth_gbps(), 0.0);
-        assert_eq!(r.onchip_traffic_ratio(), 0.0);
-        assert!(r.per_cube_bytes.is_empty());
-        assert!(!r.to_string().is_empty());
-    }
 
     #[test]
     fn value_regressed_is_direction_aware() {
@@ -308,20 +172,5 @@ mod tests {
         assert!(value_regressed("chaos/detection_rate_bp", 100, 89, 10.0));
         assert!(!value_regressed("chaos/detection_rate_bp", 100, 90, 10.0));
         assert!(!value_regressed("chaos/detection_rate_bp", 100, 200, 10.0));
-    }
-
-    #[test]
-    fn onchip_ratio_reflects_near_memory_service() {
-        use crate::dram::DramOp;
-        use crate::noc::Node;
-        let mut host = HostTiming::new(&SystemConfig::table2_hmc());
-        // Near-memory accesses from cube 1 to its own pages: DRAM traffic
-        // grows, off-chip does not.
-        let page = 1u64 << SystemConfig::table2_hmc().hmc.cube_interleave_bits;
-        for i in 0..64 {
-            host.fabric.access(Node::Cube(1), page + i * 256, 256, DramOp::Read, Ps::ZERO);
-        }
-        let r = MachineReport::capture(&host, EnergyAccount::default(), Ps::from_us(1.0));
-        assert!(r.onchip_traffic_ratio() > 0.9, "{}", r.onchip_traffic_ratio());
     }
 }

@@ -9,7 +9,7 @@
 //! run; it is entirely opt-in (see [`crate::RunOptions`]) and never
 //! perturbs simulated timing.
 
-use charon_core::device::{UnitClassStats, UNIT_CLASS_NAMES};
+use charon_core::device::{units_json, UnitClassStats, UNIT_CLASS_NAMES};
 use charon_gc::census::Census;
 use charon_gc::collector::{Collector, GcKind};
 use charon_gc::postmortem::Postmortem;
@@ -34,7 +34,7 @@ pub struct RunProfile {
     pub pause_major: Histogram,
     /// Per-channel memory/offload latency distributions.
     pub latencies: LatencyProfile,
-    /// Heap demographics, when the census was enabled.
+    /// Heap demographics, when the collector's census was on.
     pub census: Option<Census>,
     /// Per-unit-class pool counters (offloading backends only), in
     /// [`UNIT_CLASS_NAMES`] order.
@@ -47,12 +47,15 @@ pub struct RunProfile {
 
 impl RunProfile {
     /// Assembles the profile from a finished collector plus the latency
-    /// snapshot the [`charon_sim::profile::Profiler`] accumulated.
+    /// snapshot the [`charon_sim::profile::Profiler`] accumulated; the
+    /// census and the postmortem (keeping `postmortem` worst pauses per
+    /// kind, when set) are folds over the collector's events.
     pub fn collect(
         workload: &'static str,
         platform: &'static str,
         gc: &Collector,
         latencies: LatencyProfile,
+        postmortem: Option<usize>,
     ) -> RunProfile {
         let mut pause_minor = Histogram::new();
         let mut pause_major = Histogram::new();
@@ -69,9 +72,9 @@ impl RunProfile {
             pause_minor,
             pause_major,
             latencies,
-            census: gc.census.clone(),
-            units: gc.sys.device.as_ref().map(|d| d.stats().units),
-            postmortem: gc.postmortem.clone(),
+            census: gc.census.then(|| Census::fold(&gc.events)),
+            units: gc.sys.unit_stats(),
+            postmortem: postmortem.map(|top_k| Postmortem::fold(&gc.events, top_k)),
         }
     }
 
@@ -106,28 +109,7 @@ impl RunProfile {
             ("latencies", self.latencies.to_json()),
         ];
         if let Some(units) = &self.units {
-            fields.push((
-                "units",
-                Json::Obj(
-                    UNIT_CLASS_NAMES
-                        .iter()
-                        .zip(units.iter())
-                        .map(|(&name, u)| {
-                            (
-                                name.to_string(),
-                                Json::obj(vec![
-                                    ("busy_ps", Json::U64(u.busy.0)),
-                                    ("executions", Json::U64(u.executions)),
-                                    ("wedges", Json::U64(u.wedges)),
-                                    ("queue_high_water", Json::U64(u.queue_high_water)),
-                                    ("total_units", Json::U64(u.total_units)),
-                                    ("utilization", Json::F64(u.utilization(self.gc_time))),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ));
+            fields.push(("units", units_json(units, self.gc_time)));
         }
         if let Some(census) = &self.census {
             fields.push(("census", census.to_json()));

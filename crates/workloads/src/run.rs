@@ -56,11 +56,11 @@ pub struct RunOptions {
     /// Seed for stochastic policies ([`PolicyKind::Bandit`]); ignored by
     /// the deterministic ones.
     pub policy_seed: u64,
-    /// Tail-pause attribution ([`charon_gc::postmortem`]): keep the top-K
-    /// worst pauses per GC kind with full breakdown/unit/energy context
-    /// and attribute energy to pause buckets. `None` (the default) costs
-    /// one branch per collection; either way simulated timing is
-    /// bit-identical.
+    /// Tail-pause attribution ([`charon_gc::postmortem`]) in the run
+    /// profile: keep the top-K worst pauses per GC kind with full
+    /// breakdown/unit/energy context and attribute energy to pause
+    /// buckets. A fold over the events at the end of the run, so it
+    /// never touches simulated timing.
     pub postmortem: Option<usize>,
     /// Which old-generation collector the Major arm dispatches to
     /// ([`CollectorKind::Ps`], the default, is the paper's
@@ -264,12 +264,7 @@ impl Run {
         gc.kind = opts.collector;
         // The controller reads census signals, so attaching one implies
         // the (timing-invisible) census walk.
-        if opts.census || opts.policy.is_some() {
-            gc.census = Some(charon_gc::census::Census::new());
-        }
-        if let Some(top_k) = opts.postmortem {
-            gc.postmortem = Some(charon_gc::postmortem::Postmortem::new(top_k));
-        }
+        gc.census = opts.census || opts.policy.is_some();
         if let Some(kind) = opts.policy {
             gc.adapt = Some(Controller::new(kind.build(gc.sys.offload, opts.policy_seed)));
         }
@@ -332,7 +327,7 @@ impl Run {
         let workload = self.mutator.spec().short;
         let platform = gc.sys.label();
         let profile = (gc.sys.profiler.is_enabled() || self.opts.census || self.opts.postmortem.is_some())
-            .then(|| RunProfile::collect(workload, platform, gc, gc.sys.profiler.snapshot()));
+            .then(|| RunProfile::collect(workload, platform, gc, gc.sys.profiler.snapshot(), self.opts.postmortem));
         RunResult {
             workload,
             platform,

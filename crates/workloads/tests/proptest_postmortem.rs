@@ -7,10 +7,12 @@
 //! histogram partition can only disagree with the final account through
 //! f64 rounding; the tolerance here is relative 1e-9.
 
-use charon_gc::collector::GcKind;
+use charon_gc::collector::{CollectorKind, GcKind};
+use charon_gc::system::System;
 use charon_sim::hist::bucket_index;
+use charon_sim::time::Ps;
 use charon_workloads::spec::by_short;
-use charon_workloads::{run_workload, RunOptions, RunResult};
+use charon_workloads::{run_workload, Run, RunOptions, RunResult};
 use proptest::prelude::*;
 
 const SHORTS: [&str; 2] = ["BS", "KM"];
@@ -89,6 +91,57 @@ proptest! {
                     "{kind}: worst pause bucket {b} missing from the energy table"
                 );
             }
+        }
+    }
+}
+
+/// Every event carries its own deltas whether or not a postmortem is
+/// asked for: with it off, the per-event energy sums to the run's
+/// account, and the per-event unit-pool busy time to the device's, under
+/// the moving and the concurrent collector alike. The cms runs are long
+/// enough (10 steps) for a concurrent cycle, whose steps run between
+/// pauses, to complete.
+#[test]
+fn event_deltas_conserve_with_postmortem_off() {
+    for (collector, steps) in [(CollectorKind::Ps, 4), (CollectorKind::Cms, 10)] {
+        for short in SHORTS {
+            let opts = RunOptions { supersteps: Some(steps), collector, ..Default::default() };
+            let mut run = Run::new(&by_short(short).unwrap(), System::charon(), &opts);
+            run.drive().expect("run completes");
+            if collector == CollectorKind::Cms {
+                assert!(run.gc.concmark.cycles_started > 0, "{short}: no concurrent cycle");
+            }
+            let r = run.result();
+            assert!(r.profile.is_none(), "nothing asked for a profile");
+            let events = &run.gc.events;
+            assert!(!events.is_empty(), "{short}/{collector}: no collections");
+
+            let mut energy = charon_sim::energy::EnergyAccount::default();
+            for e in events {
+                energy.accumulate(&e.energy);
+            }
+            for (got, want, name) in [
+                (energy.dram_j, r.energy.dram_j, "dram"),
+                (energy.core_active_j, r.energy.core_active_j, "core_active"),
+                (energy.core_idle_j, r.energy.core_idle_j, "core_idle"),
+                (energy.uncore_j, r.energy.uncore_j, "uncore"),
+                (energy.charon_j, r.energy.charon_j, "charon"),
+            ] {
+                assert!(
+                    (got - want).abs() <= want.abs() * 1e-9 + 1e-15,
+                    "{short}/{collector} {name}: events {got} J != run account {want} J"
+                );
+            }
+
+            let device = r.device.as_ref().expect("Charon has a device");
+            for (class, pool) in device.units.iter().enumerate() {
+                let busy: Ps = events
+                    .iter()
+                    .map(|e| e.units.expect("Charon events carry units")[class].busy)
+                    .sum();
+                assert_eq!(busy, pool.busy, "{short}/{collector}: unit class {class} busy");
+            }
+            assert!(device.units.iter().any(|u| u.busy > Ps::ZERO), "{short}/{collector}: nothing offloaded");
         }
     }
 }
