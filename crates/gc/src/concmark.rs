@@ -31,10 +31,9 @@ use crate::freelist::FreeStore;
 use crate::major::{count_regions, REGION_WORDS};
 use crate::marksweep::{assert_filler, clear_young_marks, drain, push_obj, seed_roots, sweep_old, SweepStats};
 use crate::minor::search_dirty_cards;
-use crate::pause::Pause;
+use crate::pause::{Pause, Step};
 use crate::system::System;
 use crate::threads::GcThreads;
-use crate::trace::Step;
 use charon_heap::addr::VAddr;
 use charon_heap::heap::JavaHeap;
 use charon_heap::klass::KlassId;

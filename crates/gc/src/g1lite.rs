@@ -27,10 +27,9 @@ use crate::breakdown::{Breakdown, Bucket};
 use crate::freelist::FreeStore;
 use crate::major::{clear_dead_referents, count_regions, mark_phase, MajorStats};
 use crate::marksweep::{assert_filler, clear_marks_in, clear_young_marks};
-use crate::pause::Pause;
+use crate::pause::{Pause, Step};
 use crate::system::System;
 use crate::threads::GcThreads;
-use crate::trace::Step;
 use charon_core::device::OffloadCall;
 use charon_heap::addr::{VAddr, VRange};
 use charon_heap::heap::JavaHeap;

@@ -21,6 +21,10 @@
 //! * [`breakdown`] — the Fig. 4 time buckets,
 //! * [`threads`] — deterministic simulated GC threads over shared memory
 //!   resources,
+//! * `pause` (crate-private) — the per-collection charging context every
+//!   collector books its host ops, primitives, steps and barriers through;
+//!   its `prim` is where a primitive's issue→complete is journaled and
+//!   profiled,
 //! * [`minor`] — the MinorGC scavenge (Fig. 3a),
 //! * [`major`] — the MajorGC mark–summarize–adjust–compact (Fig. 3b),
 //! * [`marksweep`] — a CMS-like old-generation mark-sweep (no compaction),
@@ -47,8 +51,6 @@
 //!   top-K worst pauses per kind with full breakdown/unit/energy context,
 //!   plus per-bucket energy attribution,
 //! * [`gclog`] — `-verbose:gc`-style log rendering of a collector's events,
-//! * [`trace`] — trace-driven re-timing: record a collection's operation
-//!   stream once, replay it on any machine configuration,
 //! * [`verify`] — heap-graph signatures used by tests to prove collections
 //!   preserve the reachable object graph.
 
@@ -69,7 +71,6 @@ mod pause;
 pub mod postmortem;
 pub mod system;
 pub mod threads;
-pub mod trace;
 pub mod verify;
 
 pub use breakdown::{Breakdown, Bucket};

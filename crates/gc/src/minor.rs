@@ -14,10 +14,9 @@
 use crate::breakdown::{Breakdown, Bucket};
 use crate::freelist::FreeStore;
 use crate::integrity;
-use crate::pause::{Pause, Tid};
+use crate::pause::{Pause, Step, Tid};
 use crate::system::System;
 use crate::threads::GcThreads;
-use crate::trace::Step;
 use charon_core::device::{OffloadCall, ScanAction, ScanRef};
 use charon_heap::addr::VAddr;
 use charon_heap::heap::JavaHeap;

@@ -9,33 +9,39 @@
 //! construction and the blocked-vs-executing decision that feeds the
 //! energy model is taken in one place ([`System::prim_blocked`]).
 //!
-//! It is also the trace recorder ([`crate::trace`]): every method that
-//! charges an op appends it — with its thread and whether that thread was
-//! picked or reused — to the collection's trace when
-//! [`System::record_traces`] is set, and a replay calls the same methods.
-//! DESIGN.md §3 "Charge protocol" states the contract.
+//! It is also where a primitive is observed: [`Pause::prim`] journals the
+//! span on its GC thread's row and samples its issue→complete latency,
+//! so [`System::prim`] is pure timing. DESIGN.md §3 "Charge protocol"
+//! states the contract.
 
 use crate::breakdown::{Breakdown, Bucket};
 use crate::system::System;
 use crate::threads::GcThreads;
-use crate::trace::{GcTrace, On, Step, TraceOp};
 use charon_core::device::OffloadCall;
+use charon_core::packet::PrimType;
 use charon_heap::addr::{VAddr, VRange};
 use charon_heap::markbitmap::MarkBitmap;
 use charon_sim::cache::AccessKind;
+use charon_sim::profile::Channel;
 use charon_sim::telemetry::Event;
 use charon_sim::time::Ps;
 
-/// A GC thread as [`Pause::pick`] chose it. The next op charged takes the
-/// pick; every later op on the same handle is a reuse of that op's thread,
-/// which is what lets a replay that picks differently keep dependent work
-/// together.
+/// A GC thread, as [`Pause::pick`] chose it: a plain handle that lets
+/// dependent work (a pop's copy, fixup and Scan&Push) stay on one thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Tid {
-    /// The thread's index in the team.
-    pub index: usize,
-    /// The index of the op the pick was taken for.
-    pick: u32,
+pub(crate) struct Tid(usize);
+
+/// A step the collector asks thread 0 to run while the rest of the team
+/// idles or goes on; what it costs is the machine's business (a flush on
+/// one platform is free on another).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// The GC prologue: a bulk host-cache flush under a memory-side
+    /// offloading backend (§4.6), nothing elsewhere.
+    Prologue,
+    /// A bitmap-cache flush at a MajorGC phase boundary (§4.5); nothing
+    /// without a device.
+    FlushBitmapCache,
 }
 
 /// The charging context of one collection.
@@ -52,10 +58,6 @@ pub(crate) struct Pause<'a> {
     drain: Ps,
     /// Where the telemetry phase now open began.
     phase_start: Ps,
-    /// The index the next op gets, counted whether or not a trace is kept.
-    seq: u32,
-    /// The trace being recorded, when [`System::record_traces`] is set.
-    trace: Option<GcTrace>,
     /// Each thread's last bitmap query since the last barrier, as
     /// `(region, object)` — HotSpot's per-compaction-manager last-query
     /// cache, which decides how much bitmap the next query reads.
@@ -67,40 +69,22 @@ impl<'a> Pause<'a> {
     pub fn new(sys: &'a mut System, threads: &'a mut GcThreads) -> Pause<'a> {
         let cores = sys.host.cores();
         let phase_start = threads.max_clock();
-        let trace = sys.record_traces.then(GcTrace::default);
         let last_query = vec![None; threads.len()];
-        Pause { sys, threads, bd: Breakdown::new(), cores, drain: Ps::ZERO, phase_start, seq: 0, trace, last_query }
+        Pause { sys, threads, bd: Breakdown::new(), cores, drain: Ps::ZERO, phase_start, last_query }
     }
 
     /// The least-loaded thread (work-stealing approximation), for the
     /// next op charged.
     #[inline]
     pub fn pick(&self) -> Tid {
-        Tid { index: self.threads.least_loaded(), pick: self.seq }
-    }
-
-    /// How the op about to be charged names thread `t`: picked for it, or
-    /// reusing an earlier op's pick.
-    #[inline]
-    fn on(&self, t: Tid) -> On {
-        On { thread: t.index as u32, reuse: (t.pick != self.seq).then_some(t.pick) }
-    }
-
-    /// Counts the op about to be charged and, when a trace is kept,
-    /// appends it.
-    #[inline]
-    fn record(&mut self, op: impl FnOnce() -> TraceOp) {
-        if let Some(trace) = &mut self.trace {
-            trace.ops.push(op());
-        }
-        self.seq += 1;
+        Tid(self.threads.least_loaded())
     }
 
     /// Books the span `f` takes on thread `t`, starting at the thread's
     /// clock, into `bucket`. `f` gets the system, the thread's core, and
     /// the start time, and returns the completion time.
     #[inline]
-    fn charge(&mut self, t: usize, bucket: Bucket, active: bool, f: impl FnOnce(&mut System, usize, Ps) -> Ps) {
+    fn charge(&mut self, Tid(t): Tid, bucket: Bucket, active: bool, f: impl FnOnce(&mut System, usize, Ps) -> Ps) {
         let now = self.threads.clock(t);
         let end = f(self.sys, t % self.cores, now);
         self.bd.record(bucket, end - now);
@@ -110,13 +94,6 @@ impl<'a> Pause<'a> {
     /// A host operation on thread `t`.
     #[inline]
     pub fn host_on(&mut self, t: Tid, bucket: Bucket, instrs: u64, accesses: &[(VAddr, AccessKind)]) {
-        let on = self.on(t);
-        self.record(|| TraceOp::Host { on, bucket, instrs, accesses: accesses.to_vec(), stream: false });
-        self.run_host(t.index, bucket, instrs, accesses);
-    }
-
-    #[inline]
-    fn run_host(&mut self, t: usize, bucket: Bucket, instrs: u64, accesses: &[(VAddr, AccessKind)]) {
         self.charge(t, bucket, true, |sys, core, now| sys.host_op(core, now, instrs, accesses));
     }
 
@@ -134,10 +111,8 @@ impl<'a> Pause<'a> {
     /// into the drain the next barrier absorbs.
     #[inline]
     pub fn stream_on(&mut self, t: Tid, bucket: Bucket, instrs: u64, accesses: &[(VAddr, AccessKind)]) {
-        let on = self.on(t);
-        self.record(|| TraceOp::Host { on, bucket, instrs, accesses: accesses.to_vec(), stream: true });
         let mut mem = Ps::ZERO;
-        self.charge(t.index, bucket, true, |sys, core, now| {
+        self.charge(t, bucket, true, |sys, core, now| {
             let (cpu, done) = sys.host_stream_op(core, now, instrs, accesses);
             mem = done;
             cpu
@@ -153,26 +128,20 @@ impl<'a> Pause<'a> {
         t
     }
 
-    /// One primitive on thread `t`; `hw` is false for a Scan&Push over a
-    /// klass kind the hardware cannot iterate (§4.4).
+    /// One primitive on thread `t`, in the primitive's bucket; `hw` is
+    /// false for a Scan&Push over a klass kind the hardware cannot iterate
+    /// (§4.4). The one place a primitive's issue→complete is observed: the
+    /// span is journaled on the thread's row and its latency sampled into
+    /// the profiler. Whether the thread executed the span or sat blocked
+    /// on an offload response is asked after the call, because a watchdog
+    /// verdict inside it moves the primitive to the host for good.
     #[inline]
-    pub fn prim(&mut self, t: Tid, call: OffloadCall<'_>, hw: bool) {
-        let on = self.on(t);
-        self.record(|| TraceOp::Prim { on, call: call.into(), hw });
-        self.run_prim(t.index, call, hw);
-    }
-
-    /// Runs `call` on thread `t`, in the primitive's bucket, and journals
-    /// the span on that thread's row. Whether the thread executed the span
-    /// or sat blocked on an offload response is asked after the call,
-    /// because a watchdog verdict inside it moves the primitive to the
-    /// host for good.
-    #[inline]
-    fn run_prim(&mut self, t: usize, call: OffloadCall<'_>, hw: bool) {
+    pub fn prim(&mut self, Tid(t): Tid, call: OffloadCall<'_>, hw: bool) {
         let now = self.threads.clock(t);
         let end = self.sys.prim(t % self.cores, now, call, hw);
+        let prim = call.prim();
         self.sys.telemetry.record(|| Event::Prim {
-            prim: call.prim().name(),
+            prim: prim.name(),
             thread: t,
             start: now,
             end,
@@ -183,16 +152,21 @@ impl<'a> Pause<'a> {
                 OffloadCall::ScanPush { field_bytes, .. } => field_bytes,
             },
         });
-        self.bd.record(Bucket::of(call.prim()), end - now);
-        self.threads.advance(t, end, !self.sys.prim_blocked(call.prim(), hw));
+        let channel = match prim {
+            PrimType::Copy => Channel::PrimCopy,
+            PrimType::Search => Channel::PrimSearch,
+            PrimType::BitmapCount => Channel::PrimBitmapCount,
+            PrimType::ScanPush => Channel::PrimScanPush,
+        };
+        self.sys.profiler.record(channel, end.saturating_sub(now));
+        self.bd.record(Bucket::of(prim), end - now);
+        self.threads.advance(t, end, !self.sys.prim_blocked(prim, hw));
     }
 
     /// A streaming clear of `range` on thread `t` (the major epilogue's
     /// bitmap and card-table memsets).
     pub fn clear(&mut self, t: Tid, range: VRange) {
-        let on = self.on(t);
-        self.record(|| TraceOp::Clear { on, range });
-        self.charge(t.index, Bucket::Other, true, |sys, core, now| sys.host_stream_clear(core, now, range));
+        self.charge(t, Bucket::Other, true, |sys, core, now| sys.host_stream_clear(core, now, range));
     }
 
     /// One `live_words_in_range` query on thread `t` for `obj`, in the
@@ -208,18 +182,13 @@ impl<'a> Pause<'a> {
     pub fn bitmap_query(&mut self, t: Tid, maps: (MarkBitmap, MarkBitmap), region: VAddr, obj: VAddr) {
         // Four 64-bit map words of coverage: 4 x 64 heap words x 8 B.
         const OFFLOAD_SPAN_BYTES: u64 = 4 * 64 * 8;
-        let on = self.on(t);
-        self.record(|| TraceOp::Query { on, region, obj });
-        if let Some(trace) = &mut self.trace {
-            trace.maps = Some(maps);
-        }
-        let from = match self.last_query[t.index].replace((region, obj)) {
+        let from = match self.last_query[t.0].replace((region, obj)) {
             Some((r, at)) if r == region && obj >= at => at,
             _ => region,
         };
         let span = VRange::new(from, obj);
         if span.is_empty() {
-            return self.run_host(t.index, Bucket::BitmapCount, 6, &[]);
+            return self.host_on(t, Bucket::BitmapCount, 6, &[]);
         }
         let (beg, end) = maps;
         let first = beg.map_word_addr(span.start);
@@ -229,36 +198,35 @@ impl<'a> Pause<'a> {
         if span.bytes() < OFFLOAD_SPAN_BYTES {
             // Host fast path: a few map words through the cache hierarchy.
             let (instrs, acc) = (self.sys.costs.bitmap_per_map_word * (bytes / 8), AccessKind::Read);
-            self.run_host(t.index, Bucket::BitmapCount, instrs, &[(first, acc), (end_first, acc)]);
+            self.host_on(t, Bucket::BitmapCount, instrs, &[(first, acc), (end_first, acc)]);
         } else {
-            self.run_prim(t.index, OffloadCall::BitmapCount { spans: &[(first, bytes), (end_first, bytes)] }, true);
+            self.prim(t, OffloadCall::BitmapCount { spans: &[(first, bytes), (end_first, bytes)] }, true);
         }
     }
 
     /// An integrity follow-up on thread `t` (`f` chains `integrity::after_*`
-    /// hooks): host-executed, free when the layer is off. Not recorded.
+    /// hooks): host-executed, free when the layer is off.
     #[inline]
     pub fn check(&mut self, t: Tid, bucket: Bucket, f: impl FnOnce(&mut System, usize, Ps) -> Ps) {
         if self.sys.integrity.is_some() {
-            self.charge(t.index, bucket, true, f);
+            self.charge(t, bucket, true, f);
         }
     }
 
     /// A serial integrity step (the end-of-mark verify): when the layer is
     /// armed, everyone waits, thread 0 runs `f` with the rest idle,
-    /// everyone waits again. Only the barriers are recorded.
+    /// everyone waits again.
     pub fn check_serial(&mut self, f: impl FnOnce(&mut System, Ps) -> Ps) {
         if self.sys.integrity.is_some() {
             self.barrier();
-            self.charge(0, Bucket::Other, false, |sys, _, now| f(sys, now));
+            self.charge(Tid(0), Bucket::Other, false, |sys, _, now| f(sys, now));
             self.phase_start = self.barrier();
         }
     }
 
     /// Thread 0 runs `step` while the others go on.
     pub fn step(&mut self, step: Step) {
-        self.record(|| TraceOp::Step(step));
-        self.charge(0, Bucket::Other, false, |sys, _, now| match step {
+        self.charge(Tid(0), Bucket::Other, false, |sys, _, now| match step {
             Step::Prologue => sys.gc_prologue(now),
             Step::FlushBitmapCache => sys.flush_bitmap_cache(now),
         });
@@ -277,7 +245,6 @@ impl<'a> Pause<'a> {
     /// all threads to the latest clock, which is returned. A phase ends
     /// here, and so does every thread's last bitmap query.
     pub fn barrier(&mut self) -> Ps {
-        self.record(|| TraceOp::Barrier);
         self.last_query.fill(None);
         self.threads.advance_all_to(std::mem::take(&mut self.drain));
         self.threads.barrier()
@@ -297,13 +264,9 @@ impl<'a> Pause<'a> {
         self.end_phase(name);
     }
 
-    /// Closes the context (after the collection's final barrier) and files
-    /// its trace, if one was recorded.
+    /// Closes the context (after the collection's final barrier).
     pub fn finish(self) -> Breakdown {
         debug_assert_eq!(self.drain, Ps::ZERO, "a stream drain is still outstanding: barrier first");
-        if let Some(trace) = self.trace {
-            self.sys.traces.push(trace);
-        }
         self.bd
     }
 }
@@ -339,11 +302,11 @@ mod tests {
         // out of rotation until the others catch up.
         let picked: Vec<usize> = [1000, 10, 10, 10, 10]
             .into_iter()
-            .map(|instrs| pc.host(Bucket::Other, instrs, &[]).index)
+            .map(|instrs| pc.host(Bucket::Other, instrs, &[]).0)
             .collect();
         assert_eq!(picked, [0, 1, 2, 1, 2]);
         pc.barrier();
-        assert_eq!(pc.pick().index, 0, "a barrier levels the team");
+        assert_eq!(pc.pick(), Tid(0), "a barrier levels the team");
     }
 
     #[test]

@@ -180,11 +180,6 @@ pub struct System {
     /// configured initial value; updated by the scavenger when the heap
     /// enables adaptive tenuring).
     pub tenuring: Option<u8>,
-    /// When set, every collection records its operation stream into
-    /// [`System::traces`] for trace-driven replay (`crate::trace`).
-    pub record_traces: bool,
-    /// Recorded traces, one per collection (only when `record_traces`).
-    pub traces: Vec<crate::trace::GcTrace>,
     /// The structured event journal ([`charon_sim::telemetry`]); disabled
     /// by default and never consulted by any timing computation.
     pub telemetry: Telemetry,
@@ -247,8 +242,6 @@ impl System {
             offload: OffloadMask::default(),
             recovery: RecoverySummary::default(),
             tenuring: None,
-            record_traces: false,
-            traces: Vec::new(),
             telemetry: Telemetry::disabled(),
             profiler: Profiler::disabled(),
             collection_seq: 0,
@@ -488,31 +481,23 @@ impl System {
 
     // ----- the four primitives ------------------------------------------
 
-    /// One primitive, from `now` on `core`: run where the backend and mask
-    /// say (free on Ideal, on a device unit, or the host software path),
-    /// sample the latency. `hardware_iterable` is false only for a
-    /// Scan&Push over a metadata klass kind (§4.4), which stays on the
-    /// host under every backend. Collectors reach it through
-    /// `Pause::prim`, which knows the GC thread and journals the span.
+    /// One primitive, from `now` on `core`, run where the backend and mask
+    /// say (free on Ideal, on a device unit, or the host software path);
+    /// returns the completion time. `hardware_iterable` is false only for
+    /// a Scan&Push over a metadata klass kind (§4.4), which stays on the
+    /// host under every backend. Pure timing: collectors reach it through
+    /// `Pause::prim`, which knows the GC thread, journals the span and
+    /// samples the latency.
     #[inline]
     pub fn prim(&mut self, core: usize, now: Ps, call: OffloadCall<'_>, hardware_iterable: bool) -> Ps {
-        let prim = call.prim();
-        let end = if self.backend == Backend::Ideal {
+        if self.backend == Backend::Ideal {
             now
-        } else if hardware_iterable && self.prim_offloads(prim) {
+        } else if hardware_iterable && self.prim_offloads(call.prim()) {
             let dispatch = now + self.compute(self.costs.prim_dispatch);
             self.offload_or_degrade(core, dispatch, call)
         } else {
             self.host_prim(core, now, call)
-        };
-        let channel = match prim {
-            PrimType::Copy => Channel::PrimCopy,
-            PrimType::Search => Channel::PrimSearch,
-            PrimType::BitmapCount => Channel::PrimBitmapCount,
-            PrimType::ScanPush => Channel::PrimScanPush,
-        };
-        self.profiler.record(channel, end.saturating_sub(now));
-        end
+        }
     }
 
     /// `call` on the host software path, from `now`.

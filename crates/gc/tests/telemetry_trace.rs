@@ -12,13 +12,12 @@ use charon_heap::VAddr;
 use charon_sim::json::Json;
 use charon_sim::telemetry::{chrome_trace, Event, Telemetry};
 
-/// Triggers several minor collections and one explicit major on
-/// `threads` GC threads, journaling everything; returns the collector and
-/// its heap.
-fn instrumented_run(telemetry: &Telemetry, threads: usize) -> (Collector, JavaHeap) {
+/// Triggers several minor collections and one explicit major on `sys`
+/// with `threads` GC threads, journaling everything; returns the collector
+/// and its heap.
+fn instrumented_run(mut sys: System, telemetry: &Telemetry, threads: usize) -> (Collector, JavaHeap) {
     let mut heap = JavaHeap::new(HeapConfig::with_heap_bytes(8 << 20));
     let k = heap.klasses_mut().register_array("byte[]", KlassKind::TypeArray);
-    let mut sys = System::charon();
     sys.set_telemetry(telemetry.clone());
     let mut gc = Collector::new(sys, &heap, threads);
     for i in 0..3000u32 {
@@ -37,7 +36,7 @@ fn instrumented_run(telemetry: &Telemetry, threads: usize) -> (Collector, JavaHe
 #[test]
 fn journal_mirrors_the_collector_event_log() {
     let telemetry = Telemetry::enabled();
-    let (gc, _heap) = instrumented_run(&telemetry, 4);
+    let (gc, _heap) = instrumented_run(System::charon(), &telemetry, 4);
     assert!(gc.events.len() >= 2, "scenario must trigger collections");
 
     let journaled: Vec<Event> = telemetry
@@ -86,7 +85,7 @@ fn journal_mirrors_the_collector_event_log() {
 #[test]
 fn chrome_trace_orders_collections_like_the_gclog() {
     let telemetry = Telemetry::enabled();
-    let (gc, heap) = instrumented_run(&telemetry, 4);
+    let (gc, heap) = instrumented_run(System::charon(), &telemetry, 4);
     let log = render_run(&gc, &heap);
     let trace = chrome_trace(&telemetry.events());
     let arr = trace.as_arr().expect("trace is an array");
@@ -119,7 +118,7 @@ fn chrome_trace_orders_collections_like_the_gclog() {
 /// The `Prim` spans of a run with `threads` GC threads, per thread.
 fn prim_rows(threads: usize) -> Vec<Vec<(u64, u64)>> {
     let telemetry = Telemetry::enabled();
-    instrumented_run(&telemetry, threads);
+    instrumented_run(System::charon(), &telemetry, threads);
     let mut rows = vec![Vec::new(); threads];
     for e in telemetry.events() {
         if let Event::Prim { thread, start, end, .. } = e {
@@ -143,6 +142,38 @@ fn prim_spans_land_on_their_gc_thread_rows() {
             for w in row.windows(2) {
                 assert!(w[1].0 >= w[0].1, "{threads} threads: thread {t} spans {:?} and {:?} overlap", w[0], w[1]);
             }
+        }
+    }
+}
+
+/// Each collection's flushes, as journaled between its predecessor's
+/// `Collection` span and its own: a Charon minor flushes the host caches
+/// once in its prologue, a Charon major flushes them once and the bitmap
+/// cache at the end of mark and of compaction, and DDR4 has nothing to
+/// flush.
+#[test]
+fn flushes_follow_the_collection_kind() {
+    for (sys, minor, major) in [
+        (System::charon(), &["host-caches"][..], &["host-caches", "bitmap-cache", "bitmap-cache"][..]),
+        (System::ddr4(), &[][..], &[][..]),
+    ] {
+        let label = sys.label();
+        let telemetry = Telemetry::enabled();
+        let (gc, _heap) = instrumented_run(sys, &telemetry, 4);
+        let mut flushes: Vec<Vec<&str>> = vec![Vec::new()];
+        for e in telemetry.events() {
+            match e {
+                Event::Flush { kind, .. } => flushes.last_mut().unwrap().push(kind),
+                Event::Collection { .. } => flushes.push(Vec::new()),
+                _ => {}
+            }
+        }
+        assert_eq!(flushes.pop(), Some(Vec::new()), "{label}: no flush after the last collection");
+        assert_eq!(flushes.len(), gc.events.len(), "{label}: one Collection span per GcEvent");
+        assert!(gc.events.iter().any(|e| e.kind == GcKind::Minor), "{label}: the scenario runs a minor");
+        for (i, (kinds, e)) in flushes.iter().zip(&gc.events).enumerate() {
+            let expected = if e.kind == GcKind::Minor { minor } else { major };
+            assert_eq!(kinds, expected, "{label}: the flushes of collection {i} ({})", e.kind);
         }
     }
 }

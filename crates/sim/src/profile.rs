@@ -27,13 +27,16 @@ pub enum Channel {
     DramBatch,
     /// One batched NoC transfer (`send_many` leg), issue to last flit.
     NocBatch,
-    /// One Copy-primitive offload, issue to completion.
+    /// One Copy primitive as the collector issued it, wherever it ran
+    /// (device unit, host software path, or free on Ideal): issue to
+    /// completion.
     PrimCopy,
-    /// One Search-primitive offload.
+    /// One Search primitive as the collector issued it, wherever it ran.
     PrimSearch,
-    /// One Scan&Push-primitive offload.
+    /// One Scan&Push primitive as the collector issued it, wherever it ran.
     PrimScanPush,
-    /// One Bitmap-Count-primitive offload.
+    /// One Bitmap Count primitive as the collector issued it, wherever it
+    /// ran.
     PrimBitmapCount,
     /// One Copy executed on the host software path (Host backends, masked
     /// primitives, and offload fallbacks alike).

@@ -147,29 +147,68 @@ impl FromStr for SchedKind {
 // Tenant planning
 // ---------------------------------------------------------------------------
 
+/// The most tenants one fleet holds: the `--tenants` range and the
+/// longest pattern a `--mix` may expand to.
+pub const MAX_TENANTS: usize = 256;
+
+/// Why a `--mix` string was refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MixError {
+    /// An entry whose weight is not a number.
+    BadWeight(String),
+    /// An entry whose weight is zero.
+    ZeroWeight(String),
+    /// A workload code that is not in Table 3.
+    UnknownWorkload(String),
+    /// No entries at all.
+    Empty,
+    /// The weights expand to more than [`MAX_TENANTS`] slots (at least
+    /// this many).
+    TooManySlots(usize),
+}
+
+impl fmt::Display for MixError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MixError::BadWeight(entry) => write!(f, "bad weight in mix entry '{entry}'"),
+            MixError::ZeroWeight(entry) => write!(f, "zero weight in mix entry '{entry}'"),
+            MixError::UnknownWorkload(short) => write!(f, "unknown workload '{short}' in mix"),
+            MixError::Empty => f.write_str("empty mix"),
+            MixError::TooManySlots(n) => write!(f, "mix expands to {n} tenant slots, more than {MAX_TENANTS}"),
+        }
+    }
+}
+
+impl std::error::Error for MixError {}
+
 /// Expands a `--mix` string (`"BS:4,PR:2,ALS:1"`) into a weighted
 /// workload pattern: each entry contributes `weight` consecutive slots
 /// (`"BS"` alone means weight 1).
 ///
 /// # Errors
 ///
-/// Unknown workload codes, zero weights, and malformed entries.
-pub fn parse_mix(mix: &str) -> Result<Vec<WorkloadSpec>, String> {
+/// Unknown workload codes, zero weights, malformed entries, and weights
+/// that expand past [`MAX_TENANTS`] slots (checked before any slot is
+/// allocated).
+pub fn parse_mix(mix: &str) -> Result<Vec<WorkloadSpec>, MixError> {
     let mut pattern = Vec::new();
     for entry in mix.split(',') {
         let entry = entry.trim();
         let (short, weight) = match entry.split_once(':') {
-            Some((s, w)) => (s, w.parse::<usize>().map_err(|_| format!("bad weight in mix entry '{entry}'"))?),
+            Some((s, w)) => (s, w.parse::<usize>().map_err(|_| MixError::BadWeight(entry.to_string()))?),
             None => (entry, 1),
         };
         if weight == 0 {
-            return Err(format!("zero weight in mix entry '{entry}'"));
+            return Err(MixError::ZeroWeight(entry.to_string()));
         }
-        let spec = by_short(short).ok_or_else(|| format!("unknown workload '{short}' in mix"))?;
+        let spec = by_short(short).ok_or_else(|| MixError::UnknownWorkload(short.to_string()))?;
+        if weight > MAX_TENANTS - pattern.len() {
+            return Err(MixError::TooManySlots(pattern.len().saturating_add(weight)));
+        }
         pattern.extend(std::iter::repeat_with(|| spec.clone()).take(weight));
     }
     if pattern.is_empty() {
-        return Err("empty mix".to_string());
+        return Err(MixError::Empty);
     }
     Ok(pattern)
 }
@@ -181,7 +220,7 @@ pub fn parse_mix(mix: &str) -> Result<Vec<WorkloadSpec>, String> {
 /// # Errors
 ///
 /// Propagates [`parse_mix`] errors.
-pub fn plan_tenants(tenants: usize, mix: Option<&str>) -> Result<Vec<WorkloadSpec>, String> {
+pub fn plan_tenants(tenants: usize, mix: Option<&str>) -> Result<Vec<WorkloadSpec>, MixError> {
     let pattern = match mix {
         Some(m) => parse_mix(m)?,
         None => table3(),
@@ -526,7 +565,7 @@ fn simulate(streams: &[TenantStream], sched: SchedKind) -> SimOut {
 /// Unknown platform, bad mix, or a tenant's solo run going out of
 /// memory — all as strings, ready for CLI reporting.
 pub fn run_fleet(opts: &FleetOptions) -> Result<FleetReport, String> {
-    let specs = plan_tenants(opts.tenants, opts.mix.as_deref())?;
+    let specs = plan_tenants(opts.tenants, opts.mix.as_deref()).map_err(|e| e.to_string())?;
     let platform = *PLATFORM_LABELS
         .iter()
         .find(|l| **l == opts.platform)
@@ -606,6 +645,12 @@ mod tests {
         assert!(parse_mix("XX:1").is_err(), "unknown workload rejected");
         assert!(parse_mix("BS:0").is_err(), "zero weight rejected");
         assert!(parse_mix("BS:two").is_err(), "non-numeric weight rejected");
+        // No more slots than a fleet has tenants, refused before expanding.
+        assert_eq!(parse_mix("BS:256").unwrap().len(), MAX_TENANTS);
+        assert_eq!(parse_mix("BS:257").unwrap_err(), MixError::TooManySlots(257));
+        assert_eq!(parse_mix("BS:200,KM:57").unwrap_err(), MixError::TooManySlots(257));
+        assert_eq!(parse_mix("BS:4000000000").unwrap_err(), MixError::TooManySlots(4_000_000_000));
+        assert_eq!(parse_mix(&format!("BS:{}", usize::MAX)).unwrap_err(), MixError::TooManySlots(usize::MAX));
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub use autotune::{autotune, AutotuneReport};
 pub use campaign::{
     chaos_matrix, fault_matrix, run_chaos_campaign, run_fault_campaign, CampaignReport, ChaosOptions, ChaosReport,
 };
-pub use fleet::{plan_tenants, run_fleet, FleetOptions, FleetReport, SchedKind};
+pub use fleet::{plan_tenants, run_fleet, FleetOptions, FleetReport, SchedKind, MAX_TENANTS};
 pub use history::{HistoryRun, Ledger};
 pub use parmatrix::{full_matrix, run_matrix, MatrixJob, MatrixOutcome};
 pub use profile::RunProfile;

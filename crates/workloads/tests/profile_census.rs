@@ -101,3 +101,32 @@ fn disabled_profiling_leaves_no_profile() {
     assert!(r.profile.is_none());
     assert!(r.to_json().get("profile").is_none());
 }
+
+/// The `prim_*` channels sample each primitive as the collector issued
+/// it, wherever it ran; the `prim_*_host` channels sample the host
+/// software path. On DDR4 every primitive runs that path, so each pair is
+/// one histogram; on Ideal every primitive is free and none runs it.
+#[test]
+fn prim_channels_sample_every_issued_primitive_wherever_it_ran() {
+    use charon_sim::profile::Channel::*;
+    let pairs = [
+        (PrimCopy, HostPrimCopy),
+        (PrimSearch, HostPrimSearch),
+        (PrimScanPush, HostPrimScanPush),
+        (PrimBitmapCount, HostPrimBitmapCount),
+    ];
+    let latencies = |sys| profiled("BS", sys).profile.unwrap().latencies;
+    let ddr4 = latencies(System::ddr4());
+    for (issued, host) in pairs {
+        assert_eq!(ddr4.get(issued), ddr4.get(host), "DDR4: {} is {}", issued.name(), host.name());
+    }
+    for ch in [PrimCopy, PrimScanPush] {
+        assert!(!ddr4.get(ch).is_empty(), "DDR4 issued no {}", ch.name());
+    }
+    let ideal = latencies(System::ideal());
+    for (issued, host) in pairs {
+        assert_eq!(ideal.get(issued).count(), ddr4.get(issued).count(), "Ideal issues what DDR4 issues");
+        assert_eq!(ideal.get(issued).max(), 0, "Ideal: every {} sample is 0 ps", issued.name());
+        assert!(ideal.get(host).is_empty(), "Ideal: no {} sample", host.name());
+    }
+}

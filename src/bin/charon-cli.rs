@@ -35,7 +35,7 @@ use charon::workloads::parmatrix::{system_by_label, PLATFORM_LABELS as PLATFORMS
 use charon::workloads::spec::{by_short, table3, WorkloadSpec};
 use charon::workloads::{
     autotune, full_matrix, plan_tenants, run_chaos_campaign, run_fault_campaign, run_fleet, run_matrix, run_workload,
-    ChaosOptions, FleetOptions, Ledger, MatrixOutcome, RunOptions, RunResult, SchedKind,
+    ChaosOptions, FleetOptions, Ledger, MatrixOutcome, RunOptions, RunResult, SchedKind, MAX_TENANTS,
 };
 use std::process::ExitCode;
 
@@ -244,8 +244,8 @@ fn parse_flags(rest: &[String], allowed: &[&str]) -> Result<Flags, String> {
             "--oracle" => flags.oracle = true,
             "--tenants" => {
                 let n: usize = val.parse().map_err(|_| format!("bad tenant count {val}"))?;
-                if n == 0 || n > 256 {
-                    return Err(format!("--tenants {n} out of range (1..=256)"));
+                if n == 0 || n > MAX_TENANTS {
+                    return Err(format!("--tenants {n} out of range (1..={MAX_TENANTS})"));
                 }
                 flags.tenants = Some(n);
             }

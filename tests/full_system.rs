@@ -2,7 +2,7 @@
 //! across every platform, checking the cross-crate invariants no unit
 //! test can see.
 
-use charon::gc::collector::Collector;
+use charon::gc::collector::{Collector, GcKind};
 use charon::gc::system::System;
 use charon::gc::verify::graph_signature;
 use charon::heap::heap::{HeapConfig, JavaHeap};
@@ -62,26 +62,44 @@ fn platform_ordering_holds_for_als() {
 
 #[test]
 fn functional_results_identical_on_all_platforms() {
-    // Timing backends may differ wildly; allocation, collection counts and
-    // the final object graph may not.
-    let spec = by_short("CC").unwrap();
-    let mut fingerprints = Vec::new();
-    for sys in [System::ddr4(), System::hmc(), System::charon(), System::cpu_side(), System::ideal()] {
-        let mut heap = JavaHeap::new(HeapConfig {
-            layout: LayoutParams { heap_bytes: spec.default_heap_bytes(), ..Default::default() },
-            ..Default::default()
-        });
-        let mut m = Mutator::new(spec.clone(), &mut heap);
-        let mut gc = Collector::new(sys, &heap, 8);
-        m.build_resident(&mut heap, &mut gc).unwrap();
-        for _ in 0..5 {
-            m.superstep(&mut heap, &mut gc).unwrap();
+    // Timing backends may differ wildly; allocation, the collections run
+    // and what each of them found, and the final object graph may not
+    // (DESIGN.md decision 6). BS at 10 supersteps is the run with a
+    // MajorGC.
+    for (short, supersteps) in [("CC", 5), ("BS", 10)] {
+        let spec = by_short(short).unwrap();
+        let mut fingerprints = Vec::new();
+        for sys in [System::ddr4(), System::hmc(), System::charon(), System::cpu_side(), System::ideal()] {
+            let label = sys.label();
+            let mut heap = JavaHeap::new(HeapConfig {
+                layout: LayoutParams { heap_bytes: spec.default_heap_bytes(), ..Default::default() },
+                ..Default::default()
+            });
+            let mut m = Mutator::new(spec.clone(), &mut heap);
+            let mut gc = Collector::new(sys, &heap, 8);
+            m.build_resident(&mut heap, &mut gc).unwrap();
+            for _ in 0..supersteps {
+                m.superstep(&mut heap, &mut gc).unwrap();
+            }
+            let (sig, stats) = graph_signature(&heap).expect("heap graph verifies");
+            let collections: Vec<_> = gc.events.iter().map(|e| (e.kind, e.minor, e.major)).collect();
+            fingerprints.push((label, (sig, stats.objects, stats.bytes, m.allocated_bytes), collections));
         }
-        let (sig, stats) = graph_signature(&heap).expect("heap graph verifies");
-        fingerprints.push((sig, stats.objects, stats.bytes, gc.events.len(), m.allocated_bytes));
-    }
-    for fp in &fingerprints[1..] {
-        assert_eq!(fp, &fingerprints[0], "a timing backend changed functional behaviour");
+        let (base, base_fp, base_gcs) = &fingerprints[0];
+        if short == "BS" {
+            assert!(base_gcs.iter().any(|c| c.0 == GcKind::Major), "BS at {supersteps} supersteps runs a MajorGC");
+        }
+        for (label, fp, gcs) in &fingerprints[1..] {
+            assert_eq!(fp, base_fp, "{short}: the {label} timing backend changed the heap (DESIGN.md decision 6)");
+            assert_eq!(gcs.len(), base_gcs.len(), "{short}: {label} ran a different number of collections than {base}");
+            for (i, (c, b)) in gcs.iter().zip(base_gcs).enumerate() {
+                assert_eq!(
+                    c, b,
+                    "{short}: collection {i} on {label} differs from {base} in (kind, minor, major) \
+                     — a DESIGN.md decision-6 violation"
+                );
+            }
+        }
     }
 }
 
