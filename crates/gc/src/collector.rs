@@ -16,7 +16,6 @@ use charon_core::packet::InitializeParams;
 use charon_heap::addr::VAddr;
 use charon_heap::heap::JavaHeap;
 use charon_heap::klass::{KlassId, KlassKind};
-use charon_heap::object;
 use charon_sim::energy::EnergyAccount;
 use charon_sim::time::Ps;
 use std::fmt;
@@ -505,13 +504,13 @@ impl Collector {
         // Dead-range allocation first: the free store (empty under PS,
         // where this consult is a constant-time `None`), then the bump
         // frontier.
-        let a = match self.free.allocate_old(heap, words) {
-            Some(a) => a,
-            None => heap.alloc_old(words)?,
-        };
-        object::init_header(&mut heap.mem, a, klass, array_len);
-        heap.mem.fill_words(a.add_words(2), words - 2, 0);
-        Some(a)
+        match self.free.allocate_old(heap, words) {
+            Some(a) => {
+                heap.init_recycled_object(a, klass, array_len);
+                Some(a)
+            }
+            None => heap.alloc_old_object(klass, array_len),
+        }
     }
 
     /// The `cms` mutator hook, called on every allocation: fires the

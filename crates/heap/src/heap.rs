@@ -45,8 +45,10 @@ impl HeapConfig {
     }
 }
 
-/// Sentinel in the block-offset table for "no object known".
-const BOT_NONE: u64 = u64::MAX;
+/// Sentinel in the block-offset table for "no object known": the null
+/// address, which no object has (the old generation never starts at 0), so
+/// a fresh table is zero memory.
+const BOT_NONE: u64 = VAddr::NULL.0;
 
 /// Errors from heap operations whose failure an untrusted workload can
 /// provoke (as opposed to collector-internal invariant violations, which
@@ -112,8 +114,15 @@ pub struct JavaHeap {
 
 impl JavaHeap {
     /// Builds a fresh heap: all spaces empty, cards clean, bitmaps clear.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layout puts the old generation at address 0, where
+    /// an object address would collide with the block-offset table's
+    /// "no object" sentinel.
     pub fn new(cfg: HeapConfig) -> JavaHeap {
         let layout = HeapLayout::compute(&cfg.layout);
+        assert!(!layout.old.start.is_null(), "the old generation must not start at address 0");
         let mut mem = HeapMemory::new(layout.total.start, layout.total.bytes());
         let cards = CardTable::new(layout.cards, layout.old, cfg.layout.card_bytes);
         cards.clear_all(&mut mem);
@@ -232,15 +241,49 @@ impl JavaHeap {
 
     // ----- allocation ------------------------------------------------
 
-    /// Allocates and header-initializes an object in Eden, zeroing its
+    /// Allocates and header-initializes an object in Eden with a zero
     /// payload (Java's guarantee). Returns `None` when Eden is full — the
     /// MinorGC trigger.
     pub fn alloc_eden(&mut self, klass: KlassId, array_len: u32) -> Option<VAddr> {
         let words = self.klasses.get(klass).size_words(array_len);
+        let fresh = self.eden.high_water();
         let obj = self.eden.alloc_words(words)?;
-        object::init_header(&mut self.mem, obj, klass, array_len);
-        self.mem.fill_words(obj.add_words(HEADER_WORDS), words - HEADER_WORDS, 0);
+        self.init_object(obj, klass, array_len, words, fresh);
         Some(obj)
+    }
+
+    /// Allocates and header-initializes an object with a zero payload at
+    /// Old's bump frontier (the large-object path), updating the
+    /// block-offset table. `None` when Old is full.
+    pub fn alloc_old_object(&mut self, klass: KlassId, array_len: u32) -> Option<VAddr> {
+        let words = self.klasses.get(klass).size_words(array_len);
+        let fresh = self.old.high_water();
+        let obj = self.alloc_old(words)?;
+        self.init_object(obj, klass, array_len, words, fresh);
+        Some(obj)
+    }
+
+    /// Header-initializes an object in recycled memory (a free-store chunk
+    /// the caller has already carved) and zeroes its whole payload.
+    pub fn init_recycled_object(&mut self, obj: VAddr, klass: KlassId, array_len: u32) {
+        let words = self.klasses.get(klass).size_words(array_len);
+        self.init_object(obj, klass, array_len, words, obj.add_words(words));
+    }
+
+    /// Writes the header of the `words`-word object at `obj` and zeroes
+    /// its payload below `fresh`. `fresh` is the high-water mark of the
+    /// object's space before the allocation: nothing has written at or
+    /// above it, so that part still reads zero from `HeapMemory::new`.
+    fn init_object(&mut self, obj: VAddr, klass: KlassId, array_len: u32, words: u64, fresh: VAddr) {
+        object::init_header(&mut self.mem, obj, klass, array_len);
+        let payload = obj.add_words(HEADER_WORDS);
+        let end = obj.add_words(words);
+        let written = fresh.clamp(payload, end);
+        self.mem.fill_words(payload, written.words_since(payload), 0);
+        debug_assert!(
+            self.mem.is_zero(written, end.words_since(written)),
+            "a word above the high-water mark of the space at {obj} was written"
+        );
     }
 
     /// Raw allocation in the to-space (MinorGC copy destination).
@@ -585,6 +628,61 @@ mod tests {
         // Sequential allocation.
         let b = h.alloc_eden(point, 0).unwrap();
         assert_eq!(b, a.add_words(6));
+    }
+
+    #[test]
+    fn recycled_eden_is_zeroed_again() {
+        let (mut h, _, _, bytes) = small_heap();
+        let a = h.alloc_eden(bytes, 80).unwrap();
+        let words = h.obj_size_words(a);
+        h.mem.fill_words(a.add_words(2), words - 2, 0xdead_beef);
+        h.swap_survivors();
+        assert_eq!(h.alloc_eden(bytes, 80), Some(a));
+        assert!(h.mem.is_zero(a.add_words(2), words - 2));
+    }
+
+    #[test]
+    fn lowered_old_top_is_zeroed_again() {
+        let (mut h, _, _, bytes) = small_heap();
+        let a = h.alloc_old_object(bytes, 1000).unwrap();
+        let words = h.obj_size_words(a);
+        assert!(h.mem.is_zero(a.add_words(2), words - 2));
+        h.mem.fill_words(a.add_words(2), words - 2, u64::MAX);
+        h.set_old_top(a);
+        assert_eq!(h.alloc_old_object(bytes, 1000), Some(a));
+        assert_eq!(h.obj_size_words(a), words);
+        assert!(h.mem.is_zero(a.add_words(2), words - 2));
+    }
+
+    #[test]
+    fn recycled_object_is_zeroed_in_full() {
+        let (mut h, point, ..) = small_heap();
+        let a = h.alloc_old(6).unwrap();
+        h.mem.fill_words(a, 6, 7);
+        h.init_recycled_object(a, point, 0);
+        assert_eq!(h.obj_klass(a).name(), "Point");
+        assert!(h.mem.is_zero(a.add_words(2), 4));
+    }
+
+    #[test]
+    fn fresh_and_cleared_bot_know_no_object() {
+        let (mut h, ..) = small_heap();
+        let first = h.cards().card_addr(h.old().start());
+        let last = h.cards().card_addr(VAddr(h.old().end().0 - WORD_BYTES));
+        assert_eq!(h.first_obj_for_card(first), None);
+        assert_eq!(h.first_obj_for_card(last), None);
+        let obj = h.alloc_old(4).unwrap();
+        assert_eq!(h.first_obj_for_card(first), Some(obj));
+        h.bot_clear();
+        assert_eq!(h.first_obj_for_card(first), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "must not start at address 0")]
+    fn old_generation_at_address_zero_is_refused() {
+        let mut cfg = HeapConfig::with_heap_bytes(4 << 20);
+        cfg.layout.base = VAddr::NULL;
+        JavaHeap::new(cfg);
     }
 
     #[test]

@@ -106,6 +106,15 @@ impl HeapMemory {
         let i = self.index(addr);
         self.words[i..i + words as usize].fill(value);
     }
+
+    /// Whether all `words` words starting at `addr` read zero.
+    pub fn is_zero(&self, addr: VAddr, words: u64) -> bool {
+        if words == 0 {
+            return true;
+        }
+        let i = self.index(addr);
+        self.words[i..i + words as usize].iter().all(|&w| w == 0)
+    }
 }
 
 #[cfg(test)]
@@ -193,6 +202,17 @@ mod tests {
         assert_eq!(m.read_word(VAddr(0x1078)), 0xff);
         m.fill_words(VAddr(0x1000), 16, 0);
         assert_eq!(m.read_word(VAddr(0x1078)), 0);
+    }
+
+    #[test]
+    fn is_zero_checks_the_span() {
+        let mut m = mem();
+        assert!(m.is_zero(VAddr(0x1000), 128));
+        m.write_word(VAddr(0x1018), 1);
+        assert!(!m.is_zero(VAddr(0x1000), 4));
+        assert!(m.is_zero(VAddr(0x1000), 3));
+        assert!(m.is_zero(VAddr(0x1020), 0));
+        assert!(m.is_zero(m.end(), 0));
     }
 
     #[test]

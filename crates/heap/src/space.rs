@@ -5,6 +5,10 @@ use std::fmt;
 
 /// One contiguous, bump-allocated region of the heap.
 ///
+/// The space also keeps a high-water mark: the highest `top` it has ever
+/// had. Every write into a space lands below its `top`, so words at or
+/// above the mark have never been written and still read zero.
+///
 /// ```
 /// use charon_heap::space::Space;
 /// use charon_heap::addr::VAddr;
@@ -20,6 +24,7 @@ pub struct Space {
     start: VAddr,
     end: VAddr,
     top: VAddr,
+    high_water: VAddr,
 }
 
 impl Space {
@@ -31,7 +36,7 @@ impl Space {
     pub fn new(name: &'static str, start: VAddr, end: VAddr) -> Space {
         assert!(start.is_word_aligned() && end.is_word_aligned(), "unaligned space bounds");
         assert!(end >= start, "inverted space bounds");
-        Space { name, start, end, top: start }
+        Space { name, start, end, top: start, high_water: start }
     }
 
     /// The space's name (for reports).
@@ -52,6 +57,12 @@ impl Space {
     /// Current allocation frontier.
     pub fn top(&self) -> VAddr {
         self.top
+    }
+
+    /// The highest `top` the space has ever had. `reset` and `set_top`
+    /// never lower it; everything in `[high_water, end)` reads zero.
+    pub fn high_water(&self) -> VAddr {
+        self.high_water
     }
 
     /// The whole region `[start, end)`.
@@ -101,6 +112,7 @@ impl Space {
         }
         let addr = self.top;
         self.top = self.top.add_bytes(bytes);
+        self.high_water = self.high_water.max(self.top);
         Some(addr)
     }
 
@@ -118,6 +130,7 @@ impl Space {
         assert!(top >= self.start && top <= self.end, "top outside space");
         assert!(top.is_word_aligned());
         self.top = top;
+        self.high_water = self.high_water.max(top);
     }
 }
 
@@ -168,6 +181,22 @@ mod tests {
         s.reset();
         assert_eq!(s.used_bytes(), 0);
         assert_eq!(s.alloc_words(1), Some(VAddr(0x1000)));
+    }
+
+    #[test]
+    fn high_water_survives_reset_and_lowered_top() {
+        let mut s = space();
+        assert_eq!(s.high_water(), VAddr(0x1000));
+        s.alloc_words(4).unwrap();
+        assert_eq!(s.high_water(), VAddr(0x1020));
+        s.reset();
+        assert_eq!(s.high_water(), VAddr(0x1020));
+        s.alloc_words(2).unwrap();
+        assert_eq!(s.high_water(), VAddr(0x1020));
+        s.set_top(VAddr(0x1008));
+        assert_eq!(s.high_water(), VAddr(0x1020));
+        s.set_top(VAddr(0x1080));
+        assert_eq!(s.high_water(), VAddr(0x1080));
     }
 
     #[test]

@@ -73,6 +73,8 @@ COMMANDS=(
     "run BS --collector ms --mask all --steps 2"
     "bench BS KM --steps 10 --collector cms --out BENCH_cms_new.json"
     "regress $REPO/BENCH_cms_baseline.json BENCH_cms_new.json --tolerance 10"
+    "run BS --heap-factor nan"
+    "run BS --heap-factor inf"
 )
 
 probe() {

@@ -172,9 +172,10 @@ fn parse_flags(rest: &[String], allowed: &[&str]) -> Result<Flags, String> {
             "--collector" => flags.collector = Some(val.parse::<CollectorKind>()?),
             "--heap-factor" => {
                 let f: f64 = val.parse().map_err(|_| format!("bad factor {val}"))?;
-                if f < 1.0 {
+                // `contains` is false for NaN, so non-finite factors land here too.
+                if !(1.0..=16.0).contains(&f) {
                     return Err(format!(
-                        "--heap-factor {f} is below 1.0 — factors are relative to the minimum OOM-free heap"
+                        "--heap-factor {f} out of range (1.0..=16.0) — factors are relative to the minimum OOM-free heap"
                     ));
                 }
                 flags.heap_factor = Some(f);
@@ -893,6 +894,18 @@ mod tests {
         }
         let no_bc: OffloadMask = "copy,search,scan-push".parse().unwrap();
         CollectorKind::Ms.validate_mask(no_bc).unwrap();
+    }
+
+    #[test]
+    fn heap_factor_outside_its_range_is_a_usage_error() {
+        for bad in ["nan", "inf", "-inf", "1e9", "0.5", "16.5"] {
+            let e = parse_flags(&argv(&["--heap-factor", bad]), &RUN_FLAGS).unwrap_err();
+            assert!(e.contains("out of range (1.0..=16.0)"), "{bad}: {e}");
+        }
+        for ok in ["1", "1.25", "16"] {
+            let f = parse_flags(&argv(&["--heap-factor", ok]), &RUN_FLAGS).unwrap();
+            assert_eq!(f.heap_factor, Some(ok.parse().unwrap()), "{ok}");
+        }
     }
 
     #[test]
