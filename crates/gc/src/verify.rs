@@ -182,12 +182,18 @@ pub fn graph_signature(heap: &JavaHeap) -> Result<(u64, ReachableStats), Corrupt
     Ok((h, stats))
 }
 
-/// Total bytes reachable from the roots (a light walk — no hashing).
+/// Total bytes reachable from the roots, counting each object once.
 /// The collector uses this to detect that a full compaction could not
 /// possibly fit the live set into the old generation (an
 /// `OutOfMemoryError` in JVM terms) before destroying any state.
+///
+/// Visited objects are bits in a bitmap over the heap's words — the
+/// structure Charon's Bitmap Count reads instead of per-object lookups
+/// (§4.3) — so the walk hashes nothing, and the bitmap (heap/64 bytes,
+/// zeroed) costs memory only where live objects are.
 pub fn reachable_bytes(heap: &JavaHeap) -> u64 {
-    let mut seen = std::collections::HashSet::new();
+    let span = heap.layout().heap;
+    let mut seen = vec![0u64; span.bytes().div_ceil(64 * 8) as usize];
     let mut queue: Vec<_> = (0..heap.root_count())
         .filter_map(|i| {
             let r = heap.read_root(i);
@@ -196,9 +202,12 @@ pub fn reachable_bytes(heap: &JavaHeap) -> u64 {
         .collect();
     let mut bytes = 0;
     while let Some(obj) = queue.pop() {
-        if !seen.insert(obj.0) {
+        let word = obj.bytes_since(span.start) / 8;
+        let (at, bit) = ((word / 64) as usize, 1 << (word % 64));
+        if seen[at] & bit != 0 {
             continue;
         }
+        seen[at] |= bit;
         bytes += heap.obj_size_words(obj) * 8;
         for slot in heap.ref_slots(obj) {
             let v = heap.read_ref(slot);

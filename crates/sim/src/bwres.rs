@@ -19,7 +19,7 @@
 //! eviction sweeps. The ring remembers the last [`WINDOW_EPOCHS`] epochs
 //! behind the highest epoch ever touched (the *bounded-skew window*,
 //! DESIGN.md "Bounded-skew ring-buffer metering"). A slot whose stored
-//! epoch tag falls out of the window is reclaimed lazily on next touch and
+//! epoch falls out of the window is reclaimed lazily on next touch and
 //! its units fold into a `spilled_units` counter, so the conservation
 //! invariant — live slot fills plus spilled units equals
 //! [`EpochBw::total_units`] — always holds. A reservation that starts
@@ -30,6 +30,14 @@
 //! the map grew past 65k entries, letting an out-of-order early agent
 //! reserve against an epoch that had in fact been full — un-serializing
 //! traffic.
+//!
+//! A slot is one word, `(lap + 1) << used_bits | used`: an epoch's slot
+//! position is its index's low bits, so the *lap* (`index / WINDOW_EPOCHS`)
+//! names the epoch, and `used_bits` is the width of the epoch's capacity,
+//! fixed when the meter is built. A zero word is a never-used slot, so a
+//! ring is a 32 KiB zeroed allocation whose untouched pages cost nothing.
+//! The lap must fit the bits above `used_bits`; that bound is checked where
+//! the highest epoch advances.
 //!
 //! # Division-free placement
 //!
@@ -55,16 +63,8 @@ use std::ops::{Add, AddAssign, Sub};
 /// the window floor (see `BwOccupancy::late_reservations`).
 pub const WINDOW_EPOCHS: usize = 4096;
 
-/// Tag value of a never-used ring slot (no real epoch index gets here: it
-/// would need a start time of ~u64::MAX picoseconds).
-const EMPTY: u64 = u64::MAX;
-
-/// One ring slot: the epoch index currently stored and its fill level.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    tag: u64,
-    used: u64,
-}
+/// `log2(WINDOW_EPOCHS)`: an epoch index shifted right by this is its lap.
+const WINDOW_BITS: u32 = WINDOW_EPOCHS.trailing_zeros();
 
 /// Monotonic occupancy counters of one metered resource, cheap to snapshot
 /// and to aggregate across resources.
@@ -139,8 +139,11 @@ pub struct EpochBw {
     units_per_epoch: u64,
     /// `⌊(2⁶⁴ − 1) / units_per_epoch⌋`; see [`EpochBw::div_cap`].
     cap_recip: u64,
-    /// Ring of epoch slots, allocated lazily on first reservation.
-    slots: Vec<Slot>,
+    /// Bits of a slot below its lap: enough to hold `units_per_epoch`.
+    used_bits: u32,
+    /// Ring of packed epoch slots (module docs), allocated lazily on first
+    /// reservation.
+    slots: Vec<u64>,
     mask: u64,
     /// Highest epoch index ever touched; the window floor derives from it.
     max_idx: u64,
@@ -171,16 +174,19 @@ impl EpochBw {
     /// # Panics
     ///
     /// Panics unless the rate and epoch are positive and the epoch holds at
-    /// least one unit.
+    /// least one unit and fewer than 2⁶³ (a slot keeps the lap above them).
     pub fn new(units_per_sec: f64, epoch: Ps) -> EpochBw {
         assert!(units_per_sec > 0.0 && units_per_sec.is_finite());
         assert!(epoch > Ps::ZERO);
         let units_per_epoch = (units_per_sec * epoch.as_secs()).floor() as u64;
         assert!(units_per_epoch >= 1, "epoch too short for the rate");
+        let used_bits = u64::BITS - units_per_epoch.leading_zeros();
+        assert!(used_bits < u64::BITS, "epoch too long for the rate");
         EpochBw {
             epoch,
             units_per_epoch,
             cap_recip: u64::MAX / units_per_epoch,
+            used_bits,
             slots: Vec::new(),
             mask: WINDOW_EPOCHS as u64 - 1,
             max_idx: 0,
@@ -242,11 +248,21 @@ impl EpochBw {
         let mut out: Vec<(Ps, u64)> = self
             .slots
             .iter()
-            .filter(|s| s.tag != EMPTY && s.tag >= floor && s.used > 0)
-            .map(|s| (Ps(s.tag * self.epoch.0), s.used))
+            .enumerate()
+            .filter_map(|(pos, &slot)| {
+                let lap = (slot >> self.used_bits).checked_sub(1)?;
+                let idx = lap << WINDOW_BITS | pos as u64;
+                let used = slot & self.used_mask();
+                (idx >= floor && used > 0).then_some((Ps(idx * self.epoch.0), used))
+            })
             .collect();
         out.sort_unstable_by_key(|&(t, _)| t);
         out
+    }
+
+    /// The `used` field of a slot.
+    fn used_mask(&self) -> u64 {
+        (1 << self.used_bits) - 1
     }
 
     /// Reserves `units` starting no earlier than `start`; returns the time
@@ -298,7 +314,7 @@ impl EpochBw {
     fn place(&mut self, start: Ps, units: u64) -> Ps {
         self.total_units += units;
         if self.slots.is_empty() {
-            self.slots = vec![Slot { tag: EMPTY, used: 0 }; WINDOW_EPOCHS];
+            self.slots = vec![0; WINDOW_EPOCHS];
         }
         let floor = self.max_idx.saturating_sub(self.mask);
         if start.0.wrapping_sub(self.start_epoch.1) >= self.epoch.0 {
@@ -321,27 +337,33 @@ impl EpochBw {
             }
         }
         let cap = self.units_per_epoch;
+        let (used_bits, used_mask) = (self.used_bits, self.used_mask());
         let mut remaining = units;
         loop {
             if idx > self.max_idx {
+                assert!(idx >> WINDOW_BITS < u64::MAX >> used_bits, "epoch {idx} is past the ring's lap range");
                 self.max_idx = idx;
             }
+            let tag = ((idx >> WINDOW_BITS) + 1) << used_bits;
             let slot = &mut self.slots[(idx & self.mask) as usize];
-            if slot.tag != idx {
+            // The fill, if the slot holds this epoch; a never-used slot or
+            // another lap's reads above `cap` (`cap < 1 << used_bits`).
+            let mut used = slot.wrapping_sub(tag);
+            if used > cap {
                 // Lazily reclaim whatever epoch lived here; its units are
                 // out of the window and fold into the spill counter.
-                self.spilled_units += slot.used;
-                slot.tag = idx;
-                slot.used = 0;
+                self.spilled_units += *slot & used_mask;
+                *slot = tag;
+                used = 0;
             }
-            if slot.used >= cap {
+            if used >= cap {
                 idx += 1;
                 t = t.max(Ps(idx * self.epoch.0));
                 continue;
             }
-            let take = remaining.min(cap - slot.used);
-            slot.used += take;
-            let fill = slot.used;
+            let take = remaining.min(cap - used);
+            *slot += take;
+            let fill = used + take;
             let epoch_base = Ps(idx * self.epoch.0);
             let occupancy_end = epoch_base + Ps(self.div_cap(self.epoch.0.saturating_mul(fill)));
             // Served no earlier than the request itself plus its own
@@ -446,8 +468,127 @@ impl HashMapOracle {
     }
 }
 
+/// The predecessor ring — one 16-byte `{tag, used}` slot per epoch, armed
+/// all-`EMPTY` — kept as the oracle the packed slots are held to past the
+/// skew window, where spills and clamped reservations happen.
+#[cfg(test)]
+mod reference {
+    use crate::time::Ps;
+
+    const EMPTY: u64 = u64::MAX;
+
+    #[derive(Debug, Clone, Copy)]
+    struct Slot {
+        tag: u64,
+        used: u64,
+    }
+
+    pub struct SlotRing {
+        epoch: Ps,
+        units_per_epoch: u64,
+        slots: Vec<Slot>,
+        mask: u64,
+        max_idx: u64,
+        total_units: u64,
+        spilled_units: u64,
+        late_reservations: u64,
+        memo: Option<(Ps, u64)>,
+    }
+
+    impl SlotRing {
+        pub fn new(units_per_sec: f64, epoch: Ps) -> SlotRing {
+            let units_per_epoch = (units_per_sec * epoch.as_secs()).floor() as u64;
+            SlotRing {
+                epoch,
+                units_per_epoch,
+                slots: Vec::new(),
+                mask: super::WINDOW_EPOCHS as u64 - 1,
+                max_idx: 0,
+                total_units: 0,
+                spilled_units: 0,
+                late_reservations: 0,
+                memo: None,
+            }
+        }
+
+        pub fn occupancy(&self) -> super::BwOccupancy {
+            super::BwOccupancy {
+                total_units: self.total_units,
+                spilled_units: self.spilled_units,
+                late_reservations: self.late_reservations,
+            }
+        }
+
+        pub fn epoch_fills(&self) -> Vec<(Ps, u64)> {
+            let floor = self.max_idx.saturating_sub(self.mask);
+            let mut out: Vec<(Ps, u64)> = self
+                .slots
+                .iter()
+                .filter(|s| s.tag != EMPTY && s.tag >= floor && s.used > 0)
+                .map(|s| (Ps(s.tag * self.epoch.0), s.used))
+                .collect();
+            out.sort_unstable_by_key(|&(t, _)| t);
+            out
+        }
+
+        pub fn reserve(&mut self, start: Ps, units: u64) -> Ps {
+            self.total_units += units;
+            if self.slots.is_empty() {
+                self.slots = vec![Slot { tag: EMPTY, used: 0 }; super::WINDOW_EPOCHS];
+            }
+            let floor = self.max_idx.saturating_sub(self.mask);
+            let mut idx = start.0 / self.epoch.0;
+            let mut t = start;
+            if idx < floor {
+                self.late_reservations += 1;
+                idx = floor;
+                t = Ps(idx * self.epoch.0);
+            }
+            if let Some((memo_start, memo_idx)) = self.memo {
+                if memo_start == start && memo_idx.max(floor) > idx {
+                    idx = memo_idx.max(floor);
+                    t = Ps(idx * self.epoch.0);
+                }
+            }
+            let cap = self.units_per_epoch;
+            let mut remaining = units;
+            loop {
+                if idx > self.max_idx {
+                    self.max_idx = idx;
+                }
+                let slot = &mut self.slots[(idx & self.mask) as usize];
+                if slot.tag != idx {
+                    self.spilled_units += slot.used;
+                    slot.tag = idx;
+                    slot.used = 0;
+                }
+                if slot.used >= cap {
+                    idx += 1;
+                    t = t.max(Ps(idx * self.epoch.0));
+                    continue;
+                }
+                let take = remaining.min(cap - slot.used);
+                slot.used += take;
+                let fill = slot.used;
+                let epoch_base = Ps(idx * self.epoch.0);
+                let occupancy_end = epoch_base + Ps(self.epoch.0.saturating_mul(fill) / cap);
+                let own = Ps((take as f64 / cap as f64 * self.epoch.0 as f64) as u64);
+                t = (t + own).max(occupancy_end.min(Ps((idx + 1) * self.epoch.0)));
+                remaining -= take;
+                if remaining == 0 {
+                    self.memo = Some((start, if fill >= cap { idx + 1 } else { idx }));
+                    return t;
+                }
+                idx += 1;
+                t = t.max(Ps(idx * self.epoch.0));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::SlotRing;
     use super::*;
     use proptest::prelude::*;
 
@@ -506,6 +647,55 @@ mod tests {
                 prop_assert_eq!(ring.occupancy(), BwOccupancy { total_units, spilled_units: 0, late_reservations: 0 });
             }
         }
+
+        /// The packed one-word slots agree with the 16-byte ring call by
+        /// call once the run leaves the skew window: every completion,
+        /// `occupancy()` (spilled units and clamped reservations included)
+        /// and `epoch_fills()`, over the same capacities as above — so a
+        /// capacity that needs 34 bits of a slot too — with leaps of whole
+        /// windows and laps, returns below the floor, and stays inside.
+        #[test]
+        fn packed_slots_match_reference_ring_past_the_window(
+            cap in 0..CAPS.len(),
+            sizes in proptest::collection::vec((0u64..=6, 0u64..3), 1..4),
+            ops in proptest::collection::vec((0u8..8, 0u64..1000), 1..200),
+        ) {
+            let (cap, epoch) = (CAPS[cap], 1_000_000u64);
+            let (mut ring, _) = with_cap(cap, Ps(epoch));
+            let mut reference = SlotRing::new((cap as f64 + 0.5) / Ps(epoch).as_secs(), Ps(epoch));
+            let window = WINDOW_EPOCHS as u64 * epoch;
+            let mut at = 0u64;
+            for (call, &(kind, frac)) in ops.iter().enumerate() {
+                at = match kind {
+                    0..=2 => at / epoch * epoch + epoch * frac / 1000,
+                    3 => at + epoch * (frac % 7),
+                    // Up to three windows ahead, landing anywhere in a lap.
+                    4 => at + window * (frac % 3) + epoch * frac,
+                    // Back past the window floor, or just inside it.
+                    5 => at.saturating_sub(window + epoch * (frac % 5)),
+                    6 => at.saturating_sub(window - epoch * (1 + frac % 5)),
+                    _ => at.saturating_sub(epoch * (1 + frac % 3)),
+                };
+                let (quarters, extra) = sizes[call % sizes.len()];
+                let units = cap * quarters / 4 + extra;
+                prop_assert_eq!(ring.reserve(Ps(at), units), reference.reserve(Ps(at), units), "call {}", call);
+                prop_assert_eq!(ring.occupancy(), reference.occupancy(), "call {}", call);
+                prop_assert_eq!(ring.epoch_fills(), reference.epoch_fills(), "call {}", call);
+            }
+        }
+    }
+
+    #[test]
+    fn lap_bound_is_checked_where_the_highest_epoch_advances() {
+        // 2⁶⁰ units an epoch take 61 slot bits, leaving three for lap + 1:
+        // laps 0 to 6 fit, and the first epoch of lap 7 is refused.
+        let mut r = EpochBw::new(((1u64 << 60) as f64 + 0.5) * 1e6, Ps(1_000_000));
+        assert_eq!(r.used_bits, 61);
+        let lap = |n: u64| Ps(n * WINDOW_EPOCHS as u64 * 1_000_000);
+        r.reserve(lap(7) - Ps(1), 1);
+        assert_eq!(r.epoch_fills(), vec![(lap(7) - Ps(1_000_000), 1)]);
+        let past = std::panic::catch_unwind(move || r.reserve(lap(7), 1));
+        assert!(past.is_err(), "lap 7 does not fit in three bits");
     }
 
     fn link() -> EpochBw {

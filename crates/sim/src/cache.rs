@@ -208,6 +208,14 @@ impl Cache {
         self.keys.iter().filter(|&&k| k != 0).count()
     }
 
+    /// Base addresses of the blocks currently held, in set order.
+    pub fn resident_blocks(&self) -> impl Iterator<Item = u64> + '_ {
+        self.keys.iter().enumerate().filter(|&(_, &k)| k != 0).map(|(i, &k)| {
+            let set = (i / self.cfg.ways) as u64;
+            (((k >> 2) << self.set_bits) | set) << self.block_shift
+        })
+    }
+
     /// Panics unless, in every set, valid keys precede invalid ones and no
     /// two valid keys carry the same tag.
     #[cfg(test)]
@@ -380,6 +388,10 @@ mod tests {
                 }
                 prop_assert_eq!(packed.stats(), oracle.stats());
                 prop_assert_eq!(packed.resident_lines(), oracle.resident_lines());
+                // Every block listed is one the oracle holds, once each.
+                let blocks: Vec<u64> = packed.resident_blocks().collect();
+                prop_assert_eq!(blocks.len(), oracle.resident_lines());
+                prop_assert!(blocks.iter().all(|&b| b % block_bytes as u64 == 0 && oracle.probe(b)), "{:x?}", blocks);
                 packed.assert_recency_order();
             }
         }
@@ -394,6 +406,7 @@ mod tests {
         assert!(c.probe(addr));
         assert!(!c.probe((addr >> 1) & !0x3f));
         let set_stride = 4 * 64;
+        assert_eq!(c.resident_blocks().collect::<Vec<_>>(), [addr]);
         c.access(addr - set_stride, AccessKind::Read);
         assert_eq!(c.access(addr - 2 * set_stride, AccessKind::Read).writeback, Some(addr));
     }

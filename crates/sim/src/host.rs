@@ -339,13 +339,14 @@ struct CoreSide {
 /// resident in some host cache, so [`HostTiming::clflush_line`] can answer
 /// "nowhere" from one load instead of probing every cache.
 ///
-/// Invariant while armed: a resident line's bit is set. Fills set it,
-/// victim write-downs only move lines whose bit is already set, and only
-/// the whole-hierarchy flush clears bits — lines sharing a bit rule out
+/// Invariant while armed: a resident line's bit is set. Arming sets the
+/// bits of exactly the lines the caches hold, fills set theirs, victim
+/// write-downs only move lines whose bit is already set, and only the
+/// whole-hierarchy flush clears bits — lines sharing a bit rule out
 /// clearing on a single-line flush — so a shared bit costs a needless
-/// probe and never skips a needed one. The table arms itself on the first
-/// query, as all-ones ("anything may be resident") until the next
-/// whole-hierarchy flush: a host no accelerator probes never allocates it.
+/// probe and never skips a needed one. The table arms on the first probe:
+/// a host no accelerator probes never allocates it, and until then every
+/// line "may be resident".
 #[derive(Debug, Clone)]
 struct MaybeResident {
     line_shift: u32,
@@ -367,6 +368,13 @@ impl MaybeResident {
         ((bit >> 6) as usize, 1 << (bit & 63))
     }
 
+    /// Allocates the table zeroed and sets the bit of every `resident`
+    /// line: the caches' contents at the moment of arming.
+    fn arm(&mut self, resident: impl Iterator<Item = u64>) {
+        self.bits = Some(vec![0; (Self::BITS / 64) as usize]);
+        resident.for_each(|addr| self.mark(addr));
+    }
+
     /// `addr`'s line is about to be filled into some cache.
     fn mark(&mut self, addr: u64) {
         if let Some(bits) = &mut self.bits {
@@ -375,18 +383,18 @@ impl MaybeResident {
         }
     }
 
-    /// Every cache was just emptied.
+    /// Every cache was just emptied. Only words with a bit set are
+    /// written, so untouched stretches of the table stay zero pages.
     fn clear(&mut self) {
         if let Some(bits) = &mut self.bits {
-            bits.fill(0);
+            bits.iter_mut().filter(|w| **w != 0).for_each(|w| *w = 0);
         }
     }
 
-    /// Whether any cache may hold `addr`'s line; arms the table.
-    fn query(&mut self, addr: u64) -> bool {
+    /// Whether any cache may hold `addr`'s line.
+    fn query(&self, addr: u64) -> bool {
         let (word, bit) = Self::slot(addr >> self.line_shift);
-        let bits = self.bits.get_or_insert_with(|| vec![u64::MAX; (Self::BITS / 64) as usize]);
-        bits[word] & bit != 0
+        self.bits.as_ref().is_none_or(|bits| bits[word] & bit != 0)
     }
 }
 
@@ -614,6 +622,10 @@ impl HostTiming {
     /// probe does before the unit touches `vaddr` (§4.1). Returns `true`
     /// if any copy was dirty (needing a write-back before the unit reads).
     pub fn clflush_line(&mut self, vaddr: u64) -> bool {
+        if self.maybe_resident.bits.is_none() {
+            let caches = self.cores.iter().flat_map(|c| [&c.l1d, &c.l2]).chain([&self.l3]);
+            self.maybe_resident.arm(caches.flat_map(Cache::resident_blocks));
+        }
         self.maybe_resident.query(vaddr) && self.clflush_line_everywhere(vaddr)
     }
 
@@ -771,6 +783,35 @@ mod tests {
     }
 
     #[test]
+    fn filter_armed_after_a_flush_answers_nowhere_for_a_never_filled_line() {
+        // A warm hierarchy, emptied before any probe armed the filter:
+        // arming reads the (now empty) caches, so the probe is answered
+        // from the table and no cache is scanned or changed.
+        let mut h = hmc_host();
+        let mut now = Ps::ZERO;
+        for i in 0..4096u64 {
+            now = h.mem_access((i % 8) as usize, now, i * 64, 8, AccessKind::Write);
+        }
+        h.flush_all_caches(now);
+        let never_filled = 1 << 30;
+        let per_cache = |h: &HostTiming| {
+            h.cores
+                .iter()
+                .flat_map(|c| [c.l1d.stats(), c.l2.stats()])
+                .chain([h.l3.stats()])
+                .collect::<Vec<_>>()
+        };
+        let stats = per_cache(&h);
+        assert!(!h.clflush_line(never_filled));
+        assert_eq!(per_cache(&h), stats);
+        assert!(!h.maybe_resident.query(never_filled), "an empty hierarchy arms an empty table");
+        // A line filled after arming passes the filter again.
+        h.mem_access(0, now, never_filled, 8, AccessKind::Write);
+        assert!(h.maybe_resident.query(never_filled));
+        assert!(h.clflush_line(never_filled), "the write left it dirty");
+    }
+
+    #[test]
     fn stale_prefetch_table_clears_on_the_same_call_in_every_host() {
         // Misses eight lines apart: each prefetches the line two ahead,
         // which nobody demands, so every call leaves one stale entry.
@@ -812,20 +853,24 @@ mod tests {
         /// probing every cache: same answers, same cache and fabric
         /// statistics, under any interleaving with accesses (prefetcher
         /// on) and whole-hierarchy flushes, including lines one and two
-        /// table spans apart that share a bit.
+        /// table spans apart that share a bit — on a hierarchy that the
+        /// `warm` accesses fill before the first probe arms the filter.
         #[test]
         fn clflush_filter_is_exact(
+            warm in proptest::collection::vec((0usize..3, 0u64..3, 0u64..96, any::<bool>()), 0..300),
             ops in proptest::collection::vec((0u8..10, 0usize..3, 0u64..3, 0u64..96, any::<bool>()), 1..600),
         ) {
             let span = MaybeResident::BITS * 64;
             let mut filtered = hmc_host();
             let mut probing = hmc_host();
             let mut now = Ps::ZERO;
-            for &(op, core, alias, line, write) in &ops {
-                // Four adjacent lines (prefetcher streams) in each of 24
-                // groups 8192 lines apart: every group maps to the same set
-                // of L1, L2 and L3, so victims write down through all levels.
-                let addr = alias * span + ((line % 4) + 8192 * (line / 4)) * 64;
+            // Four adjacent lines (prefetcher streams) in each of 24 groups
+            // 8192 lines apart: every group maps to the same set of L1, L2
+            // and L3, so victims write down through all levels.
+            let addr = |alias: u64, line: u64| alias * span + ((line % 4) + 8192 * (line / 4)) * 64;
+            let ops = warm.iter().map(|&(core, alias, line, write)| (0, core, alias, line, write)).chain(ops);
+            for (op, core, alias, line, write) in ops {
+                let addr = addr(alias, line);
                 match op {
                     0..=4 => {
                         let kind = if write { AccessKind::Write } else { AccessKind::Read };
