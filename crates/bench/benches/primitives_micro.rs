@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the functional kernels and hot simulator paths —
-//! real wall-clock performance of this library (as opposed to the other
-//! bench targets, which report *simulated* time).
+//! real wall-clock performance of this library (as opposed to
+//! `charon-cli paper`, which reports *simulated* time).
 //!
 //! Uses a plain `std::time::Instant` harness instead of criterion so the
 //! workspace builds with no registry access (see README "Building

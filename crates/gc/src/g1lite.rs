@@ -224,9 +224,17 @@ fn update_references(pc: &mut Pause, heap: &mut JavaHeap, cset: &[VRange], copie
     }
     // The evacuated copies are not in the mark bitmap (they were born
     // after marking); their fields may point back into the collection set.
+    // A copy is a new old-generation home, so a field of it that holds a
+    // young referent dirties its card, or the next scavenge would miss
+    // that old→young edge.
     for &obj in copies {
         for slot in heap.ref_slots(obj) {
             forward(pc, heap, slot);
+            if heap.in_young(heap.read_ref(slot)) {
+                let cards = *heap.cards();
+                cards.dirty(&mut heap.mem, slot);
+                pc.host(Bucket::Other, 4, &[(cards.card_addr(slot), AccessKind::Write)]);
+            }
         }
     }
     // Live heap slots. Walk every marked object (bitmap iteration) across

@@ -48,6 +48,7 @@ pub mod fleet;
 pub mod history;
 pub mod klasses;
 pub mod mutator;
+pub mod paper;
 pub mod parmatrix;
 pub mod profile;
 pub mod run;

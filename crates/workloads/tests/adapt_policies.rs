@@ -12,21 +12,13 @@
 use charon_gc::adapt::PolicyKind;
 use charon_gc::system::System;
 use charon_sim::faults::{FaultSite, RecoveryConfig};
+use charon_workloads::parmatrix::system_by_label;
 use charon_workloads::spec::{by_short, phase_shift};
 use charon_workloads::{autotune, run_workload, RunOptions};
 use proptest::prelude::*;
 
 fn opts() -> RunOptions {
     RunOptions { supersteps: Some(2), ..Default::default() }
-}
-
-fn system_by_label(label: &str) -> System {
-    match label {
-        "DDR4" => System::ddr4(),
-        "Charon" => System::charon(),
-        "Ideal" => System::ideal(),
-        other => panic!("unknown platform {other}"),
-    }
 }
 
 /// A slice of the committed baselines from `fingerprint_baseline.rs`:
@@ -43,7 +35,7 @@ fn static_policy_fingerprints_match_committed_baselines() {
     for &(wl, platform, gc_ps, minors, majors, alloc) in &STATIC_BASELINES {
         let spec = by_short(wl).unwrap();
         let o = RunOptions { census: true, policy: Some(PolicyKind::Static), ..opts() };
-        let r = run_workload(&spec, system_by_label(platform), &o).unwrap();
+        let r = run_workload(&spec, system_by_label(platform).unwrap(), &o).unwrap();
         assert_eq!(r.fingerprint(), (wl, platform, gc_ps, minors, majors, alloc));
         let journal = r.decisions.expect("controller attached");
         assert!(!journal.decisions.is_empty(), "every GC is journaled");

@@ -14,20 +14,12 @@
 use charon_gc::breakdown::Bucket;
 use charon_gc::collector::CollectorKind;
 use charon_gc::system::System;
+use charon_workloads::parmatrix::system_by_label;
 use charon_workloads::spec::by_short;
 use charon_workloads::{run_workload, RunOptions};
 
 fn opts(collector: CollectorKind) -> RunOptions {
     RunOptions { collector, ..Default::default() }
-}
-
-fn system_by_label(label: &str) -> System {
-    match label {
-        "DDR4" => System::ddr4(),
-        "HMC" => System::hmc(),
-        "Charon" => System::charon(),
-        other => panic!("unknown platform {other}"),
-    }
 }
 
 /// `(collector, workload, platform, gc_time ps, minor count, major
@@ -36,7 +28,10 @@ fn system_by_label(label: &str) -> System {
 /// The ps rows pin `major.rs` timing (the 15 short PS fingerprints are
 /// 1 minor / 0 majors), and the Charon rows pin the offloaded/blocked
 /// path of every old-generation collector. Captured at commit `d8ae845`,
-/// before the pause-context refactor touched any of it.
+/// before the pause-context refactor touched any of it. The two g1 rows
+/// were re-captured when g1lite began dirtying the card of an evacuated
+/// copy's field that holds a young referent (2553686448 and 1594155233
+/// ps before).
 const BASELINES: [(CollectorKind, &str, &str, u64, usize, usize, u64); 18] = [
     (CollectorKind::Cms, "BS", "DDR4", 5012736392, 7, 3, 46332904),
     (CollectorKind::Cms, "BS", "HMC", 3745665157, 7, 3, 46332904),
@@ -46,8 +41,8 @@ const BASELINES: [(CollectorKind, &str, &str, u64, usize, usize, u64); 18] = [
     (CollectorKind::Cms, "PS", "HMC", 8751733288, 8, 1, 67682712),
     (CollectorKind::Ms, "BS", "DDR4", 4760417046, 7, 1, 46332904),
     (CollectorKind::Ms, "BS", "HMC", 3346904781, 7, 1, 46332904),
-    (CollectorKind::G1, "KM", "DDR4", 2553686448, 5, 1, 29430312),
-    (CollectorKind::G1, "KM", "HMC", 1594155233, 5, 1, 29430312),
+    (CollectorKind::G1, "KM", "DDR4", 2564749555, 5, 1, 29430312),
+    (CollectorKind::G1, "KM", "HMC", 1611111154, 5, 1, 29430312),
     (CollectorKind::Ps, "BS", "DDR4", 5893683596, 6, 1, 46332904),
     (CollectorKind::Ps, "BS", "Charon", 1676237246, 6, 1, 46332904),
     (CollectorKind::Ps, "KM", "DDR4", 3117527392, 4, 1, 29430312),
@@ -63,7 +58,7 @@ fn collector_fingerprints_match_committed_baselines() {
     let mut mismatches = Vec::new();
     for &(collector, wl, platform, gc_ps, minors, majors, alloc) in &BASELINES {
         let spec = by_short(wl).unwrap();
-        let r = run_workload(&spec, system_by_label(platform), &opts(collector)).unwrap();
+        let r = run_workload(&spec, system_by_label(platform).unwrap(), &opts(collector)).unwrap();
         let got = r.fingerprint();
         let want = (wl, platform, gc_ps, minors, majors, alloc);
         if got != want {

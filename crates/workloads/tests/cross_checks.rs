@@ -16,12 +16,16 @@ use charon_workloads::RunOptions;
 use proptest::prelude::*;
 use std::collections::HashSet;
 
-/// `g1` is left out on purpose: it fails the card check on every one of
-/// these workloads, the next bug to fix (ROADMAP, correctness item (b)).
 #[test]
 fn cross_checks_hold_after_every_superstep() {
     for wl in ["BS", "KM", "PR"] {
-        for collector in [CollectorKind::Ps, CollectorKind::Ms, CollectorKind::Cms] {
+        for collector in [CollectorKind::Ps, CollectorKind::Ms, CollectorKind::Cms, CollectorKind::G1] {
+            // g1 runs BS out of memory within these supersteps: BS
+            // allocates objects larger than one region chunk, which
+            // g1lite cannot evacuate (DESIGN.md §13, the humongous limit).
+            if collector == CollectorKind::G1 && wl == "BS" {
+                continue;
+            }
             let opts = RunOptions { supersteps: Some(12), collector, ..Default::default() };
             let mut run = Run::new(&by_short(wl).unwrap(), System::ddr4(), &opts);
             run.build_resident().unwrap();

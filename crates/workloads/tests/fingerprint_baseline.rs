@@ -8,6 +8,7 @@
 //! deliberate timing change lands, re-capture with the loop at the bottom.
 
 use charon_gc::system::System;
+use charon_workloads::parmatrix::system_by_label;
 use charon_workloads::spec::by_short;
 use charon_workloads::{run_workload, RunOptions};
 
@@ -17,20 +18,9 @@ fn opts() -> RunOptions {
 
 /// The platform with an enabled latency profiler attached.
 fn profiled_system(label: &str) -> System {
-    let mut sys = system_by_label(label);
+    let mut sys = system_by_label(label).unwrap();
     sys.set_profiler(charon_sim::profile::Profiler::enabled());
     sys
-}
-
-fn system_by_label(label: &str) -> System {
-    match label {
-        "DDR4" => System::ddr4(),
-        "HMC" => System::hmc(),
-        "Charon" => System::charon(),
-        "Charon-CPU-side" => System::cpu_side(),
-        "Ideal" => System::ideal(),
-        other => panic!("unknown platform {other}"),
-    }
 }
 
 /// `(workload, platform, gc_time ps, minor count, major count, allocated
@@ -58,7 +48,7 @@ fn telemetry_off_fingerprints_match_committed_baselines() {
     let mut mismatches = Vec::new();
     for &(wl, platform, gc_ps, minors, majors, alloc) in &BASELINES {
         let spec = by_short(wl).unwrap();
-        let r = run_workload(&spec, system_by_label(platform), &opts()).unwrap();
+        let r = run_workload(&spec, system_by_label(platform).unwrap(), &opts()).unwrap();
         let got = r.fingerprint();
         let want = (wl, platform, gc_ps, minors, majors, alloc);
         if got != want {
@@ -139,7 +129,7 @@ fn fingerprints_pin_heap_factor_and_steps() {
     for (wl, platform, gc_ps, minors) in cases {
         let spec = by_short(wl).unwrap();
         let o = RunOptions { heap_factor: Some(1.0), supersteps: Some(2), ..Default::default() };
-        let r = run_workload(&spec, system_by_label(platform), &o).unwrap();
+        let r = run_workload(&spec, system_by_label(platform).unwrap(), &o).unwrap();
         assert_eq!((r.gc_time.0, r.minor.1, r.major.1), (gc_ps, minors, 0), "{wl} on {platform} at heap factor 1.0");
     }
 }

@@ -11,6 +11,7 @@ use charon_gc::collector::{CollectorKind, GcKind};
 use charon_gc::system::System;
 use charon_sim::hist::bucket_index;
 use charon_sim::time::Ps;
+use charon_workloads::parmatrix::system_by_label;
 use charon_workloads::spec::by_short;
 use charon_workloads::{run_workload, Run, RunOptions, RunResult};
 use proptest::prelude::*;
@@ -18,19 +19,9 @@ use proptest::prelude::*;
 const SHORTS: [&str; 2] = ["BS", "KM"];
 const PLATFORMS: [&str; 3] = ["DDR4", "Charon", "Charon-CPU-side"];
 
-fn system_by_label(label: &str) -> charon_gc::system::System {
-    use charon_gc::system::System;
-    match label {
-        "DDR4" => System::ddr4(),
-        "Charon" => System::charon(),
-        "Charon-CPU-side" => System::cpu_side(),
-        other => panic!("unknown platform {other}"),
-    }
-}
-
 fn run(short: &str, platform: &str, top_k: usize) -> RunResult {
     let opts = RunOptions { supersteps: Some(2), postmortem: Some(top_k), ..Default::default() };
-    run_workload(&by_short(short).unwrap(), system_by_label(platform), &opts).expect("run completes")
+    run_workload(&by_short(short).unwrap(), system_by_label(platform).unwrap(), &opts).expect("run completes")
 }
 
 proptest! {

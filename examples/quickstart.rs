@@ -68,5 +68,5 @@ fn main() {
         println!("[{label}] energy: {}\n", gc.sys.energy.account());
     }
     println!("Charon finishes the same collections faster by offloading Copy/Search/Scan&Push/Bitmap Count");
-    println!("to the HMC logic layer (see DESIGN.md and `cargo bench` for the full evaluation).");
+    println!("to the HMC logic layer (see DESIGN.md and `charon-cli paper` for the full evaluation).");
 }

@@ -75,6 +75,8 @@ COMMANDS=(
     "regress $REPO/BENCH_cms_baseline.json BENCH_cms_new.json --tolerance 10"
     "run BS --heap-factor nan"
     "run BS --heap-factor inf"
+    "paper --steps 2"
+    "paper BS"
 )
 
 probe() {

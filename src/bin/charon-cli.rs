@@ -10,6 +10,7 @@
 //! charon-cli check-json report.json       # validate a JSON artifact
 //! charon-cli config                       # Table 2
 //! charon-cli area                         # Table 4
+//! charon-cli paper --jobs 2               # every §5 figure and table, with verdicts
 //! charon-cli fault-campaign BS --seed 42  # seeded offload fault matrix
 //! charon-cli chaos BS KM --rates 0.02,0.1 # silent-corruption campaign
 //! charon-cli fleet --tenants 4 --mix BS:2,PR:2 --sched fair   # multi-tenant interference
@@ -551,6 +552,11 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
             let path = flags.out.as_deref().unwrap_or("BENCH_compare.json");
             write_file(path, &report.to_string())?;
             println!("wrote {path}");
+        }
+        Some("paper") => {
+            let flags = flags_for(&args[1..], &["--json", "--jobs"])?;
+            let report = charon::workloads::paper::report(flags.jobs());
+            emit(&flags, None, || report.to_json(), || print!("{}", report.to_markdown()))?;
         }
         Some("check-json") => {
             let path = args.get(1).ok_or_else(usage)?;

@@ -1,7 +1,8 @@
 //! Shape-regression tests: the paper's evaluation claims, held as
 //! assertions with tolerant bands so recalibration noise does not flake
-//! them, but structural regressions do fail them. EXPERIMENTS.md records
-//! the exact measured values.
+//! them, but structural regressions do fail them. `charon-cli paper`
+//! reports the exact values (EXPERIMENTS.md), from the same cells and
+//! folds (`charon::workloads::paper`) these tests read.
 //!
 //! This binary holds the single-platform claims (breakdown shapes, the
 //! heap-pressure curve, the area table); the DDR4-vs-offload comparisons
@@ -9,35 +10,18 @@
 //! runs overlap on the wall clock instead of queueing.
 
 use charon::gc::breakdown::Bucket;
-use charon::gc::system::System;
-use charon::workloads::spec::table3;
-use charon::workloads::{run_workload, RunOptions, RunResult};
-
-fn run(short_list: &[&str], platform: &str) -> Vec<RunResult> {
-    table3()
-        .into_iter()
-        .filter(|w| short_list.contains(&w.short))
-        .map(|w| {
-            let sys = match platform {
-                "DDR4" => System::ddr4(),
-                "HMC" => System::hmc(),
-                "Charon" => System::charon(),
-                _ => unreachable!(),
-            };
-            run_workload(&w, sys, &RunOptions::default()).expect("no OOM")
-        })
-        .collect()
-}
+use charon::workloads::paper::Cell;
 
 #[test]
 fn fig04_shape_offloadable_fraction_dominates() {
     // Paper: the three/four offloaded primitives cover 69-93% of GC time.
-    for r in run(&["BS", "CC"], "DDR4") {
+    for w in ["BS", "CC"] {
+        let r = Cell::new(w, "DDR4").run().expect("no OOM");
         let f = r.minor_breakdown.offloadable_fraction();
-        assert!(f > 0.6, "{}: minor offloadable fraction {f:.2} too low (paper ~0.71-0.78)", r.workload);
+        assert!(f > 0.6, "{w}: minor offloadable fraction {f:.2} too low (paper ~0.71-0.78)");
         if r.major.1 > 0 {
             let f = r.major_breakdown.offloadable_fraction();
-            assert!(f > 0.6, "{}: major offloadable fraction {f:.2} too low", r.workload);
+            assert!(f > 0.6, "{w}: major offloadable fraction {f:.2} too low");
         }
     }
 }
@@ -45,8 +29,8 @@ fn fig04_shape_offloadable_fraction_dominates() {
 #[test]
 fn fig04_shape_demographics_differ_by_framework() {
     // Paper: Spark leans on Copy+Search; GraphChi leans on Scan&Push.
-    let spark = &run(&["LR"], "DDR4")[0];
-    let graph = &run(&["PR"], "DDR4")[0];
+    let spark = Cell::new("LR", "DDR4").run().expect("no OOM");
+    let graph = Cell::new("PR", "DDR4").run().expect("no OOM");
     assert!(
         spark.minor_breakdown.fraction(Bucket::Copy) > graph.minor_breakdown.fraction(Bucket::Copy),
         "Spark must be more copy-dominated than GraphChi"
@@ -60,13 +44,13 @@ fn fig04_shape_demographics_differ_by_framework() {
 #[test]
 fn fig02_shape_overhead_explodes_toward_min_heap() {
     // Paper: GC overhead rises steeply as the heap approaches the minimum.
-    let spec = table3().into_iter().find(|w| w.short == "CC").unwrap();
-    let tight = run_workload(&spec, System::ddr4(), &RunOptions { heap_factor: Some(1.0), ..Default::default() })
-        .unwrap()
-        .gc_overhead();
-    let roomy = run_workload(&spec, System::ddr4(), &RunOptions { heap_factor: Some(2.0), ..Default::default() })
-        .unwrap()
-        .gc_overhead();
+    let overhead = |f| {
+        Cell { heap_factor: Some(f), ..Cell::new("CC", "DDR4") }
+            .run()
+            .unwrap()
+            .gc_overhead()
+    };
+    let (tight, roomy) = (overhead(1.0), overhead(2.0));
     assert!(
         tight > 1.5 * roomy,
         "overhead must explode toward the minimum heap: 1.0x -> {tight:.2}, 2.0x -> {roomy:.2}"
