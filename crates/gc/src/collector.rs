@@ -625,3 +625,24 @@ impl GcEvent {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn mask_collector_conflicts_are_typed_errors() {
+        // ms never issues Bitmap Count (Table 1 N/A) — asserting it is
+        // a contradiction; every other collector accepts the full mask.
+        let mask: OffloadMask = "all".parse().unwrap();
+        let e = CollectorKind::Ms.validate_mask(mask).unwrap_err();
+        assert_eq!(e.collector, CollectorKind::Ms);
+        assert_eq!(e.primitive, "bitmap-count");
+        assert!(e.to_string().contains("never issues it"), "{e}");
+        for kind in [CollectorKind::Ps, CollectorKind::Cms, CollectorKind::G1] {
+            kind.validate_mask(mask).unwrap();
+        }
+        let no_bc: OffloadMask = "copy,search,scan-push".parse().unwrap();
+        CollectorKind::Ms.validate_mask(no_bc).unwrap();
+    }
+}

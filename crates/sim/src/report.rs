@@ -173,4 +173,220 @@ mod tests {
         assert!(!value_regressed("chaos/detection_rate_bp", 100, 90, 10.0));
         assert!(!value_regressed("chaos/detection_rate_bp", 100, 200, 10.0));
     }
+
+    /// A minimal bench-shaped report with one run per (workload, gc_time).
+    fn bench_report(runs: &[(&str, u64, u64)]) -> Json {
+        Json::obj(vec![(
+            "benches",
+            Json::Arr(vec![Json::obj(vec![(
+                "runs",
+                Json::Arr(
+                    runs.iter()
+                        .map(|&(w, gc, p99)| {
+                            Json::obj(vec![
+                                ("workload", Json::str(w)),
+                                ("platform", Json::str("Charon")),
+                                ("gc_time_ps", Json::U64(gc)),
+                                (
+                                    "profile",
+                                    Json::obj(vec![(
+                                        "pauses",
+                                        Json::obj(vec![("minor", Json::obj(vec![("p99", Json::U64(p99))]))]),
+                                    )]),
+                                ),
+                            ])
+                        })
+                        .collect(),
+                ),
+            )])]),
+        )])
+    }
+
+    #[test]
+    fn identical_reports_pass_the_gate() {
+        let r = bench_report(&[("BS", 1_000, 100), ("KM", 2_000, 200)]);
+        let (compared, regs, ..) = regressions(&r, &r, 10.0);
+        assert_eq!(compared, 4, "gc_time + p99 per run");
+        assert!(regs.is_empty(), "{regs:?}");
+    }
+
+    #[test]
+    fn doubled_gc_time_is_flagged() {
+        let old = bench_report(&[("BS", 1_000, 100)]);
+        let new = bench_report(&[("BS", 2_000, 100)]);
+        let (compared, regs, ..) = regressions(&old, &new, 10.0);
+        assert_eq!(compared, 2);
+        assert_eq!(regs.len(), 1);
+        assert_eq!(regs[0].metric, "BS/Charon/gc_time_ps");
+        assert!((regs[0].ratio() - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn p99_regression_is_flagged_independently() {
+        let old = bench_report(&[("BS", 1_000, 100)]);
+        let new = bench_report(&[("BS", 1_000, 250)]);
+        let (_, regs, ..) = regressions(&old, &new, 10.0);
+        assert_eq!(regs.len(), 1);
+        assert_eq!(regs[0].metric, "BS/Charon/pause_minor_p99_ps");
+    }
+
+    #[test]
+    fn growth_within_tolerance_passes() {
+        let old = bench_report(&[("BS", 1_000, 100)]);
+        let new = bench_report(&[("BS", 1_050, 104)]);
+        let (_, regs, ..) = regressions(&old, &new, 10.0);
+        assert!(regs.is_empty(), "{regs:?}");
+        let (_, regs, ..) = regressions(&old, &new, 1.0);
+        assert_eq!(regs.len(), 2, "tighter tolerance flags both");
+    }
+
+    #[test]
+    fn zero_baseline_regresses_on_any_growth() {
+        let old = bench_report(&[("BS", 0, 0)]);
+        let new = bench_report(&[("BS", 1, 0)]);
+        let (_, regs, ..) = regressions(&old, &new, 10.0);
+        assert_eq!(regs.len(), 1);
+    }
+
+    #[test]
+    fn disjoint_reports_compare_nothing() {
+        let old = bench_report(&[("BS", 1_000, 100)]);
+        let new = bench_report(&[("KM", 1_000, 100)]);
+        let (compared, regs, missing, _) = regressions(&old, &new, 10.0);
+        assert_eq!((compared, regs.len()), (0, 0));
+        assert_eq!(missing.len(), extract_metrics(&old).len(), "nothing of OLD is in NEW");
+    }
+
+    #[test]
+    fn metric_dropped_from_new_is_reported_missing() {
+        let old = bench_report(&[("BS", 1_000, 100), ("KM", 2_000, 200)]);
+        let new = bench_report(&[("BS", 1_000, 100)]);
+        let (compared, regs, missing, _) = regressions(&old, &new, 10.0);
+        assert!(compared > 0 && regs.is_empty());
+        assert!(!missing.is_empty() && missing.iter().all(|m| m.starts_with("KM/")), "{missing:?}");
+        // A metric only NEW has is not a finding.
+        assert_eq!(regressions(&new, &old, 10.0).2, Vec::<String>::new());
+    }
+
+    #[test]
+    fn metric_only_new_has_is_returned_as_added() {
+        let old = bench_report(&[("BS", 1_000, 100)]);
+        let new = bench_report(&[("BS", 1_000, 100), ("KM", 2_000, 200)]);
+        let (compared, regs, missing, added) = regressions(&old, &new, 10.0);
+        assert_eq!((compared, regs.len(), missing.len()), (extract_metrics(&old).len(), 0, 0));
+        assert_eq!(added.len(), extract_metrics(&new).len() - compared);
+        assert!(added.iter().all(|m| m.starts_with("KM/")), "{added:?}");
+        assert_eq!(regressions(&old, &old, 10.0).3, Vec::<String>::new());
+    }
+
+    #[test]
+    fn bare_profile_reports_are_comparable() {
+        // The `profile --profile-out` shape: pauses at top level.
+        let p = Json::obj(vec![
+            ("workload", Json::str("KM")),
+            ("platform", Json::str("DDR4")),
+            ("gc_time_ps", Json::U64(5_000)),
+            ("pauses", Json::obj(vec![("major", Json::obj(vec![("p99", Json::U64(900))]))])),
+        ]);
+        let m = extract_metrics(&p);
+        assert_eq!(m, vec![("KM/DDR4/gc_time_ps".to_string(), 5_000), ("KM/DDR4/pause_major_p99_ps".to_string(), 900)]);
+    }
+
+    /// A minimal fleet-shaped report with one tenant.
+    fn fleet_report(p99: u64, makespan: u64, inflation: u64) -> Json {
+        Json::obj(vec![
+            ("schema", Json::str("charon-fleet-v1")),
+            ("sched", Json::str("fifo")),
+            (
+                "fleet",
+                Json::obj(vec![
+                    ("p99_ps", Json::U64(p99)),
+                    ("max_inflation_bp", Json::U64(inflation)),
+                    ("makespan_ps", Json::U64(makespan)),
+                ]),
+            ),
+            (
+                "tenant_detail",
+                Json::Arr(vec![Json::obj(vec![("label", Json::str("t0:BS")), ("inflation_bp", Json::U64(inflation))])]),
+            ),
+        ])
+    }
+
+    #[test]
+    fn fleet_reports_extract_lower_is_better_metrics() {
+        let m = extract_metrics(&fleet_report(500, 9_000, 12_000));
+        assert_eq!(
+            m,
+            vec![
+                ("fleet/fifo/p99_ps".to_string(), 500),
+                ("fleet/fifo/max_inflation_bp".to_string(), 12_000),
+                ("fleet/fifo/makespan_ps".to_string(), 9_000),
+                ("fleet/fifo/t0:BS/inflation_bp".to_string(), 12_000),
+            ]
+        );
+        for (name, _) in &m {
+            assert!(!higher_is_better(name), "{name} must regress upward");
+        }
+        // Worse interference trips the gate; identical reports pass.
+        let old = fleet_report(500, 9_000, 12_000);
+        let (compared, regs, ..) = regressions(&old, &fleet_report(500, 9_000, 15_000), 10.0);
+        assert_eq!(compared, 4);
+        assert_eq!(regs.len(), 2, "fleet-wide and per-tenant inflation both flagged");
+        let (_, regs, ..) = regressions(&old, &old, 10.0);
+        assert!(regs.is_empty(), "{regs:?}");
+    }
+
+    /// A minimal chaos-campaign report with the given counts and one cell.
+    fn chaos_report(injected: u64, detected: u64, repaired: u64, escaped: u64) -> Json {
+        Json::obj(vec![
+            ("schema", Json::str("charon-chaos-v1")),
+            ("injected", Json::U64(injected)),
+            ("detected", Json::U64(detected)),
+            ("repaired", Json::U64(repaired)),
+            ("benign", Json::U64(0)),
+            ("escaped", Json::U64(escaped)),
+            (
+                "cells",
+                Json::Arr(vec![Json::obj(vec![
+                    ("workload", Json::str("BS")),
+                    ("site", Json::str("bitmap")),
+                    ("rate", Json::F64(0.05)),
+                    ("escaped", Json::U64(escaped)),
+                ])]),
+            ),
+        ])
+    }
+
+    #[test]
+    fn chaos_reports_extract_direction_aware_metrics() {
+        let m = extract_metrics(&chaos_report(200, 190, 190, 10));
+        assert_eq!(
+            m,
+            vec![
+                ("chaos/detection_rate_bp".to_string(), 9_500),
+                ("chaos/repair_rate_bp".to_string(), 10_000),
+                ("chaos/escaped".to_string(), 10),
+                ("chaos/BS/bitmap/0.05/escaped".to_string(), 10),
+            ]
+        );
+        assert!(higher_is_better("chaos/detection_rate_bp"));
+        assert!(higher_is_better("chaos/repair_rate_bp"));
+        assert!(!higher_is_better("chaos/escaped"));
+    }
+
+    #[test]
+    fn chaos_detection_regresses_downward_and_escapes_upward() {
+        let old = chaos_report(200, 200, 200, 0);
+        // Detection dropped 100% -> 80%: trips the higher-is-better gate.
+        let worse_detection = chaos_report(200, 160, 160, 40);
+        let (compared, regs, ..) = regressions(&old, &worse_detection, 10.0);
+        assert_eq!(compared, 4);
+        let names: Vec<&str> = regs.iter().map(|r| r.metric.as_str()).collect();
+        assert!(names.contains(&"chaos/detection_rate_bp"), "{names:?}");
+        // Escapes over a zero baseline regress on any nonzero count.
+        assert!(names.contains(&"chaos/escaped"), "{names:?}");
+        // Identical reports pass clean.
+        let (_, regs, ..) = regressions(&old, &chaos_report(200, 200, 200, 0), 10.0);
+        assert!(regs.is_empty(), "{regs:?}");
+    }
 }

@@ -40,70 +40,99 @@ use charon::workloads::{
 };
 use std::process::ExitCode;
 
+/// One row per subcommand: its words, then its usage line. The line's first
+/// line is the subcommand's grammar and the only place its arguments are
+/// listed: words before the first `[--` are positionals (`[<W>...]` takes
+/// every leading word that does not start with `--`, any other word takes
+/// exactly one), `[--flag <V>]` takes a value and `[--switch]` none. Later
+/// lines are notes, printed verbatim.
+const COMMANDS: [(&str, &str); 18] = [
+    ("list", ""),
+    ("config", ""),
+    ("area", ""),
+    (
+        "run",
+        "<BS|KM|LR|CC|PR|ALS> [--platform <P>] [--collector <ps|ms|cms|g1>] [--heap-factor <F>] [--threads <N>] \
+         [--steps <N>] [--mask <M>] [--rearm <N>] [--json] [--trace-out <FILE>]",
+    ),
+    ("compare", "<BS|KM|LR|CC|PR|ALS> [--heap-factor <F>] [--threads <N>] [--steps <N>] [--json]"),
+    (
+        "bench",
+        "[<W>...] [--collector <ps|ms|cms|g1>] [--heap-factor <F>] [--threads <N>] [--steps <N>] [--out <FILE>] \
+         [--jobs <N>]",
+    ),
+    ("paper", "[--json] [--jobs <N>]"),
+    ("check-json", "<FILE>"),
+    (
+        "fault-campaign",
+        "<BS|KM|LR|CC|PR|ALS> [--seed <S>] [--heap-factor <F>] [--threads <N>] [--steps <N>] [--json] [--jobs <N>]",
+    ),
+    (
+        "chaos",
+        "[<W>...] [--rates <R,R,...>] [--sites <bitmap,forward,card,payload>] [--oracle] [--rearm <N>] [--seed <S>] \
+         [--heap-factor <F>] [--threads <N>] [--steps <N>] [--json] [--out <FILE>] [--jobs <N>]",
+    ),
+    (
+        "profile",
+        "<BS|KM|LR|CC|PR|ALS> [--platform <P>] [--collector <ps|ms|cms|g1>] [--heap-factor <F>] [--threads <N>] \
+         [--steps <N>] [--top <K>] [--json] [--profile-out <FILE>]",
+    ),
+    (
+        "explain",
+        "<BS|KM|LR|CC|PR|ALS> [--platform <P>] [--top <K>] [--heap-factor <F>] [--threads <N>] [--steps <N>] [--json]
+    (tail-pause attribution: top-K worst pauses with breakdown, unit, and energy context)",
+    ),
+    (
+        "fleet",
+        "[--tenants <N>] [--mix <W:N,W:N,...>] [--sched <fifo|fair|deadline>] [--platform <P>] [--seed <S>] \
+         [--heap-factor <F>] [--threads <N>] [--steps <N>] [--json] [--out <FILE>] [--jobs <N>]",
+    ),
+    (
+        "regress",
+        "<OLD.json> <NEW.json> [--tolerance <PCT>] [--metric <SUBSTR>]
+    (exit 2 = regression beyond tolerance or a metric of OLD missing from NEW, 1 = usage/IO error;
+     a metric only NEW has prints a NEW line and changes no exit code)",
+    ),
+    ("trend record", "<LEDGER.json> <REPORT.json> [--label <L>]"),
+    ("trend report", "<LEDGER.json> [--metric <SUBSTR>] [--tolerance <PCT>] [--json] [--out <FILE>]"),
+    (
+        "trend bisect",
+        "<LEDGER.json> [--metric <SUBSTR>] [--tolerance <PCT>] [--json]
+    (exit 2 = regression found; prints the first regressing run per metric)",
+    ),
+    (
+        "autotune",
+        "<BS|KM|LR|CC|PR|ALS|PS> [--platform <P>] [--policy <static|census|bandit>] [--seed <S>] [--heap-factor <F>] \
+         [--threads <N>] [--steps <N>] [--json] [--out <FILE>] [--jobs <N>]",
+    ),
+];
+
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  charon-cli list\n  charon-cli config\n  charon-cli area\n  \
-         charon-cli run <BS|KM|LR|CC|PR|ALS> [--platform <P>] [--collector <ps|ms|cms|g1>] [--heap-factor <F>] \
-         [--threads <N>] [--steps <N>] [--mask <M>] [--rearm <N>] [--json] [--trace-out <FILE>]\n  \
-         charon-cli compare <BS|KM|LR|CC|PR|ALS> [--heap-factor <F>] [--threads <N>] [--steps <N>] [--json]\n  \
-         charon-cli bench [<W>...] [--collector <ps|ms|cms|g1>] [--heap-factor <F>] [--threads <N>] [--steps <N>] \
-         [--out <FILE>] [--jobs <N>]\n  \
-         charon-cli check-json <FILE>\n  \
-         charon-cli fault-campaign <BS|KM|LR|CC|PR|ALS> [--seed <S>] [--heap-factor <F>] [--threads <N>] \
-         [--steps <N>] [--json] [--jobs <N>]\n  \
-         charon-cli chaos [<W>...] [--rates <R,R,...>] [--sites <bitmap,forward,card,payload>] [--oracle] \
-         [--rearm <N>] [--seed <S>] [--heap-factor <F>] [--threads <N>] [--steps <N>] [--json] [--out <FILE>] \
-         [--jobs <N>]\n  \
-         charon-cli profile <BS|KM|LR|CC|PR|ALS> [--platform <P>] [--collector <ps|ms|cms|g1>] [--heap-factor <F>] \
-         [--threads <N>] [--steps <N>] [--top <K>] [--json] [--profile-out <FILE>]\n  \
-         charon-cli explain <BS|KM|LR|CC|PR|ALS> [--platform <P>] [--top <K>] [--heap-factor <F>] [--threads <N>] \
-         [--steps <N>] [--json]\n    \
-         (tail-pause attribution: top-K worst pauses with breakdown, unit, and energy context)\n  \
-         charon-cli fleet [--tenants <N>] [--mix <W:N,W:N,...>] [--sched <fifo|fair|deadline>] [--platform <P>] \
-         [--seed <S>] [--heap-factor <F>] [--threads <N>] [--steps <N>] [--json] [--out <FILE>] [--jobs <N>]\n  \
-         charon-cli regress <OLD.json> <NEW.json> [--tolerance <PCT>] [--metric <SUBSTR>]\n    \
-         (exit 2 = regression beyond tolerance or a metric of OLD missing from NEW, 1 = usage/IO error;\n     \
-         a metric only NEW has prints a NEW line and changes no exit code)\n  \
-         charon-cli trend record <LEDGER.json> <REPORT.json> [--label <L>]\n  \
-         charon-cli trend report <LEDGER.json> [--metric <SUBSTR>] [--tolerance <PCT>] [--json] [--out <FILE>]\n  \
-         charon-cli trend bisect <LEDGER.json> [--metric <SUBSTR>] [--tolerance <PCT>] [--json]\n    \
-         (exit 2 = regression found; prints the first regressing run per metric)\n  \
-         charon-cli autotune <BS|KM|LR|CC|PR|ALS|PS> [--platform <P>] [--policy <static|census|bandit>] [--seed <S>] \
-         [--heap-factor <F>] [--threads <N>] [--steps <N>] [--json] [--out <FILE>] [--jobs <N>]\n\
-         platforms: {}",
-        PLATFORMS.join(", ")
-    );
+    eprintln!("usage:");
+    for (words, line) in COMMANDS {
+        eprintln!("  charon-cli {}", format!("{words} {line}").trim_end());
+    }
+    eprintln!("platforms: {}", PLATFORMS.join(", "));
     ExitCode::FAILURE
 }
 
-/// Every flag any subcommand accepts: `(name, takes_value)`. One table,
-/// one parser — each subcommand passes the subset it allows.
-const FLAG_TABLE: [(&str, bool); 24] = [
-    ("--jobs", true),
-    ("--platform", true),
-    ("--collector", true),
-    ("--heap-factor", true),
-    ("--threads", true),
-    ("--steps", true),
-    ("--seed", true),
-    ("--json", false),
-    ("--trace-out", true),
-    ("--out", true),
-    ("--profile-out", true),
-    ("--tolerance", true),
-    ("--mask", true),
-    ("--policy", true),
-    ("--rearm", true),
-    ("--rates", true),
-    ("--sites", true),
-    ("--oracle", false),
-    ("--tenants", true),
-    ("--mix", true),
-    ("--sched", true),
-    ("--top", true),
-    ("--metric", true),
-    ("--label", true),
-];
+/// The words of a row's grammar, the first line of its usage line.
+fn grammar(line: &str) -> std::str::SplitWhitespace<'_> {
+    line.lines().next().unwrap_or_default().split_whitespace()
+}
+
+/// Whether a row's grammar names `flag`, and if so whether it takes a
+/// value.
+fn arity(line: &str, flag: &str) -> Option<bool> {
+    let flag = flag.strip_prefix("--")?;
+    grammar(line).find_map(|token| {
+        let token = token.strip_prefix("[--")?;
+        match token.strip_suffix(']') {
+            Some(switch) => (switch == flag).then_some(false),
+            None => (token == flag).then_some(true),
+        }
+    })
+}
 
 /// Parsed flag values, superset over all subcommands.
 #[derive(Debug, Clone, Default)]
@@ -134,21 +163,21 @@ struct Flags {
     label: Option<String>,
 }
 
-/// Table-driven flag parser. Rejects flags outside `allowed`, duplicate
-/// flags, missing values, and malformed values — uniformly for every
-/// subcommand.
-fn parse_flags(rest: &[String], allowed: &[&str]) -> Result<Flags, String> {
+/// Parses the flags after a subcommand's positionals against its row's
+/// `line`. Rejects flags the line does not name, duplicate flags, missing
+/// values, and malformed values — uniformly for every subcommand.
+fn parse_flags(rest: &[String], line: &str) -> Result<Flags, String> {
     let mut flags = Flags::default();
     let mut seen: Vec<&str> = Vec::new();
     let mut i = 0;
     while i < rest.len() {
-        let flag = rest[i].as_str();
-        let Some(&(name, takes_value)) = FLAG_TABLE.iter().find(|(n, _)| *n == flag) else {
-            return Err(format!("unknown flag {flag}"));
+        let name = rest[i].as_str();
+        let Some(takes_value) = arity(line, name) else {
+            if COMMANDS.iter().any(|(_, other)| arity(other, name).is_some()) {
+                return Err(format!("{name} is not valid for this subcommand"));
+            }
+            return Err(format!("unknown flag {name}"));
         };
-        if !allowed.contains(&name) {
-            return Err(format!("{name} is not valid for this subcommand"));
-        }
         if seen.contains(&name) {
             return Err(format!("duplicate flag {name}"));
         }
@@ -262,7 +291,7 @@ fn parse_flags(rest: &[String], allowed: &[&str]) -> Result<Flags, String> {
             }
             "--metric" => flags.metric = Some(val.to_string()),
             "--label" => flags.label = Some(val.to_string()),
-            _ => unreachable!("flag in table"),
+            _ => unreachable!("{name} is on a row but has no parser"),
         }
     }
     Ok(flags)
@@ -370,32 +399,17 @@ fn misuse(e: impl std::fmt::Display) -> ExitCode {
     usage()
 }
 
-fn flags_for(rest: &[String], allowed: &[&str]) -> Result<Flags, ExitCode> {
-    parse_flags(rest, allowed).map_err(misuse)
-}
-
 /// The `<W>` argument of a single-workload subcommand.
-fn workload(args: &[String]) -> Result<(&str, WorkloadSpec), ExitCode> {
-    let short = args.get(1).ok_or_else(usage)?;
-    let spec = by_short(short).ok_or_else(|| misuse(format_args!("unknown workload {short}")))?;
-    Ok((short, spec))
-}
-
-/// The leading `[<W>...]` arguments of a sweep subcommand.
-fn leading_workloads(args: &[String]) -> &[String] {
-    let n = args[1..].iter().take_while(|a| !a.starts_with("--")).count();
-    &args[1..1 + n]
+fn workload(short: &str) -> Result<WorkloadSpec, ExitCode> {
+    by_short(short).ok_or_else(|| misuse(format_args!("unknown workload {short}")))
 }
 
 /// The specs `shorts` name, or all of Table 3 when none are given.
-fn specs_for(shorts: &[String]) -> Result<Vec<WorkloadSpec>, ExitCode> {
+fn specs_for(shorts: &[&str]) -> Result<Vec<WorkloadSpec>, ExitCode> {
     if shorts.is_empty() {
         return Ok(table3());
     }
-    shorts
-        .iter()
-        .map(|s| by_short(s).ok_or_else(|| misuse(format_args!("unknown workload {s}"))))
-        .collect()
+    shorts.iter().map(|s| workload(s)).collect()
 }
 
 /// The machine `label` names.
@@ -460,34 +474,42 @@ fn main() -> ExitCode {
     cli(&args).unwrap_or_else(|code| code)
 }
 
+/// Reads `args` by the grammar of the row whose words lead it: the
+/// positionals, then the flags. `Err(None)` is a bare usage error (no row
+/// matches, or too few positionals); `Err(Some(e))` is a flag error.
+fn parse(args: &[String]) -> Result<(&'static str, Vec<&str>, Flags), Option<String>> {
+    let (words, line) = COMMANDS
+        .into_iter()
+        .find(|(words, _)| words.split(' ').enumerate().all(|(i, w)| args.get(i).is_some_and(|a| a == w)))
+        .ok_or(None)?;
+    let mut rest = &args[words.split(' ').count()..];
+    let mut pos = Vec::new();
+    for token in grammar(line).take_while(|t| !t.starts_with("[--")) {
+        let n = if token == "[<W>...]" { rest.iter().take_while(|a| !a.starts_with("--")).count() } else { 1 };
+        if rest.len() < n {
+            return Err(None);
+        }
+        pos.extend(rest[..n].iter().map(String::as_str));
+        rest = &rest[n..];
+    }
+    Ok((words, pos, parse_flags(rest, line).map_err(Some)?))
+}
+
 /// One subcommand; `Err` is an exit code whose message is already out.
 fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
-    match args.first().map(String::as_str) {
-        Some("list") => {
+    let (name, pos, flags) = parse(args).map_err(|e| e.map_or_else(usage, misuse))?;
+    match name {
+        "list" => {
             println!("workloads (Table 3, scaled):");
             for w in table3() {
                 println!("  {w}");
             }
             println!("platforms: {}", PLATFORMS.join(", "));
         }
-        Some("config") => println!("{}", charon::sim::config::SystemConfig::table2_ddr4()),
-        Some("area") => println!("{}", charon::accel::area::report()),
-        Some("run") => {
-            let (_, spec) = workload(args)?;
-            let flags = flags_for(
-                &args[2..],
-                &[
-                    "--platform",
-                    "--collector",
-                    "--heap-factor",
-                    "--threads",
-                    "--steps",
-                    "--mask",
-                    "--rearm",
-                    "--json",
-                    "--trace-out",
-                ],
-            )?;
+        "config" => println!("{}", charon::sim::config::SystemConfig::table2_ddr4()),
+        "area" => println!("{}", charon::accel::area::report()),
+        "run" => {
+            let spec = workload(pos[0])?;
             let mut sys = platform(&flags.platform())?;
             // A mask asserting a primitive the chosen collector never
             // issues (Table 1 marks it N/A) is a contradiction, not a
@@ -507,9 +529,8 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
             }
             print_run(&r, flags.json);
         }
-        Some("compare") => {
-            let (short, spec) = workload(args)?;
-            let flags = flags_for(&args[2..], &["--heap-factor", "--threads", "--steps", "--json"])?;
+        "compare" => {
+            let (short, spec) = (pos[0], workload(pos[0])?);
             let runs = platform_runs(run_matrix(&full_matrix(&[spec]), &flags.run_options(), 1).into_iter())?;
             emit(
                 &flags,
@@ -529,13 +550,8 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
                 },
             )?;
         }
-        Some("bench") => {
-            let shorts = leading_workloads(args);
-            let flags = flags_for(
-                &args[1 + shorts.len()..],
-                &["--collector", "--heap-factor", "--threads", "--steps", "--out", "--jobs"],
-            )?;
-            let specs = specs_for(shorts)?;
+        "bench" => {
+            let specs = specs_for(&pos)?;
             // The whole workload × platform matrix runs through the
             // parallel runner; at --jobs 1 (the default) it is a plain
             // serial loop. Cell order — and with it BENCH_compare.json —
@@ -553,20 +569,17 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
             write_file(path, &report.to_string())?;
             println!("wrote {path}");
         }
-        Some("paper") => {
-            let flags = flags_for(&args[1..], &["--json", "--jobs"])?;
+        "paper" => {
             let report = charon::workloads::paper::report(flags.jobs());
             emit(&flags, None, || report.to_json(), || print!("{}", report.to_markdown()))?;
         }
-        Some("check-json") => {
-            let path = args.get(1).ok_or_else(usage)?;
+        "check-json" => {
+            let path = pos[0];
             read_json(path)?;
             println!("{path}: valid JSON");
         }
-        Some("fault-campaign") => {
-            let (short, spec) = workload(args)?;
-            let flags =
-                flags_for(&args[2..], &["--seed", "--heap-factor", "--threads", "--steps", "--json", "--jobs"])?;
+        "fault-campaign" => {
+            let (short, spec) = (pos[0], workload(pos[0])?);
             let seed = flags.seed.unwrap_or(42);
             let report = run_fault_campaign(&spec, seed, &flags.run_options(), flags.jobs())
                 .map_err(|e| fail(format_args!("{short}: zero-rate control failed: {e}")))?;
@@ -575,25 +588,8 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
                 return Err(fail(format_args!("fault campaign FAILED for {short} (seed {seed})")));
             }
         }
-        Some("chaos") => {
-            let shorts = leading_workloads(args);
-            let flags = flags_for(
-                &args[1 + shorts.len()..],
-                &[
-                    "--rates",
-                    "--sites",
-                    "--oracle",
-                    "--rearm",
-                    "--seed",
-                    "--heap-factor",
-                    "--threads",
-                    "--steps",
-                    "--json",
-                    "--out",
-                    "--jobs",
-                ],
-            )?;
-            let specs = specs_for(shorts)?;
+        "chaos" => {
+            let specs = specs_for(&pos)?;
             let report = run_chaos_campaign(&specs, &flags.chaos_options(), flags.jobs())
                 .map_err(|e| fail(format_args!("chaos: zero-rate control failed: {e}")))?;
             emit(&flags, flags.out.as_ref(), || report.to_json(), || print!("{report}"))?;
@@ -602,23 +598,7 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
                 return Err(fail(format_args!("chaos campaign FAILED ({} escaped, {cells} cells)", report.escaped())));
             }
         }
-        Some("fleet") => {
-            let flags = flags_for(
-                &args[1..],
-                &[
-                    "--tenants",
-                    "--mix",
-                    "--sched",
-                    "--platform",
-                    "--seed",
-                    "--heap-factor",
-                    "--threads",
-                    "--steps",
-                    "--json",
-                    "--out",
-                    "--jobs",
-                ],
-            )?;
+        "fleet" => {
             let opts = flags.fleet_options();
             // A one-tenant fleet has nothing to schedule: it IS a plain
             // run, and prints byte-identically to `charon-cli run` so
@@ -636,21 +616,8 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
                 emit(&flags, flags.out.as_ref(), || rep.to_json(), || print!("{rep}"))?;
             }
         }
-        Some("profile") => {
-            let (_, spec) = workload(args)?;
-            let flags = flags_for(
-                &args[2..],
-                &[
-                    "--platform",
-                    "--collector",
-                    "--heap-factor",
-                    "--threads",
-                    "--steps",
-                    "--top",
-                    "--json",
-                    "--profile-out",
-                ],
-            )?;
+        "profile" => {
+            let spec = workload(pos[0])?;
             let mut sys = platform(&flags.platform())?;
             sys.set_profiler(Profiler::enabled());
             let opts = RunOptions { census: true, postmortem: Some(flags.top.unwrap_or(3)), ..flags.run_options() };
@@ -658,10 +625,8 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
             let profile = r.profile.as_ref().expect("profiler was enabled");
             emit(&flags, flags.profile_out.as_ref(), || profile.to_json(), || print!("{profile}"))?;
         }
-        Some("explain") => {
-            let (short, spec) = workload(args)?;
-            let flags =
-                flags_for(&args[2..], &["--platform", "--top", "--heap-factor", "--threads", "--steps", "--json"])?;
+        "explain" => {
+            let (short, spec) = (pos[0], workload(pos[0])?);
             let label = flags.platform();
             let sys = platform(&label)?;
             let opts = RunOptions { postmortem: Some(flags.top.unwrap_or(3)), ..flags.run_options() };
@@ -677,22 +642,8 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
                 },
             )?;
         }
-        Some("autotune") => {
-            let (_, spec) = workload(args)?;
-            let flags = flags_for(
-                &args[2..],
-                &[
-                    "--platform",
-                    "--policy",
-                    "--seed",
-                    "--heap-factor",
-                    "--threads",
-                    "--steps",
-                    "--json",
-                    "--out",
-                    "--jobs",
-                ],
-            )?;
+        "autotune" => {
+            let spec = workload(pos[0])?;
             let label = flags.platform();
             platform(&label)?;
             let policy = flags.policy.unwrap_or(PolicyKind::Census);
@@ -704,9 +655,8 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
             let rep = autotune(&spec, make, policy, &opts, flags.jobs()).map_err(fail)?;
             emit(&flags, flags.out.as_ref(), || rep.to_json(), || print!("{rep}"))?;
         }
-        Some("regress") => {
-            let (Some(old_path), Some(new_path)) = (args.get(1), args.get(2)) else { return Err(usage()) };
-            let flags = flags_for(&args[3..], &["--tolerance", "--metric"])?;
+        "regress" => {
+            let (old_path, new_path) = (pos[0], pos[1]);
             let tolerance = flags.tolerance.unwrap_or(10.0);
             let (old, new) = (read_json(old_path)?, read_json(new_path)?);
             // --metric narrows the comparison count and both verdicts, so
@@ -743,79 +693,73 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
             }
             println!("{compared} metrics within {tolerance}% of {old_path}");
         }
-        Some("trend") => match args.get(1).map(String::as_str) {
-            Some("record") => {
-                let (Some(ledger_path), Some(report_path)) = (args.get(2), args.get(3)) else { return Err(usage()) };
-                let flags = flags_for(&args[4..], &["--label"])?;
-                // A missing ledger starts fresh; an unreadable or
-                // malformed one is an error, never silently replaced.
-                let mut ledger =
-                    if std::path::Path::new(ledger_path).exists() { read_ledger(ledger_path)? } else { Ledger::new() };
-                let report = read_json(report_path)?;
-                let label = flags.label.clone().unwrap_or_else(|| format!("run-{}", ledger.runs.len()));
-                let n = ledger.record(label.clone(), &report);
-                if n == 0 {
-                    return Err(fail(format_args!("{report_path}: no comparable metrics in this report shape")));
-                }
-                write_file(ledger_path, &ledger.to_json().to_string())?;
-                println!("recorded {label}: {n} metrics as run {} in {ledger_path}", ledger.runs.len() - 1);
+        "trend record" => {
+            let (ledger_path, report_path) = (pos[0], pos[1]);
+            // A missing ledger starts fresh; an unreadable or
+            // malformed one is an error, never silently replaced.
+            let mut ledger =
+                if std::path::Path::new(ledger_path).exists() { read_ledger(ledger_path)? } else { Ledger::new() };
+            let report = read_json(report_path)?;
+            let label = flags.label.clone().unwrap_or_else(|| format!("run-{}", ledger.runs.len()));
+            let n = ledger.record(label.clone(), &report);
+            if n == 0 {
+                return Err(fail(format_args!("{report_path}: no comparable metrics in this report shape")));
             }
-            Some("report") => {
-                let ledger_path = args.get(2).ok_or_else(usage)?;
-                let flags = flags_for(&args[3..], &["--metric", "--tolerance", "--json", "--out"])?;
-                let ledger = read_ledger(ledger_path)?;
-                let tolerance = flags.tolerance.unwrap_or(10.0);
-                let filter = flags.metric.as_deref();
-                emit(
-                    &flags,
-                    flags.out.as_ref(),
-                    || ledger.trend_json(filter, tolerance),
-                    || {
-                        print!("{}", ledger.trend_report(filter, tolerance));
-                    },
-                )?;
-            }
-            Some("bisect") => {
-                let ledger_path = args.get(2).ok_or_else(usage)?;
-                let flags = flags_for(&args[3..], &["--metric", "--tolerance", "--json"])?;
-                let ledger = read_ledger(ledger_path)?;
-                let tolerance = flags.tolerance.unwrap_or(10.0);
-                let hits = ledger.bisect_all(flags.metric.as_deref(), tolerance);
-                let hits_json = || {
-                    let hit = |h: &charon::workloads::history::BisectHit| {
-                        Json::obj(vec![
-                            ("metric", Json::str(&h.metric)),
-                            ("first_bad", Json::U64(h.first_bad as u64)),
-                            ("label", Json::str(&h.label)),
-                            ("old", Json::U64(h.old)),
-                            ("new", Json::U64(h.new)),
-                        ])
-                    };
+            write_file(ledger_path, &ledger.to_json().to_string())?;
+            println!("recorded {label}: {n} metrics as run {} in {ledger_path}", ledger.runs.len() - 1);
+        }
+        "trend report" => {
+            let ledger_path = pos[0];
+            let ledger = read_ledger(ledger_path)?;
+            let tolerance = flags.tolerance.unwrap_or(10.0);
+            let filter = flags.metric.as_deref();
+            emit(
+                &flags,
+                flags.out.as_ref(),
+                || ledger.trend_json(filter, tolerance),
+                || {
+                    print!("{}", ledger.trend_report(filter, tolerance));
+                },
+            )?;
+        }
+        "trend bisect" => {
+            let ledger_path = pos[0];
+            let ledger = read_ledger(ledger_path)?;
+            let tolerance = flags.tolerance.unwrap_or(10.0);
+            let hits = ledger.bisect_all(flags.metric.as_deref(), tolerance);
+            let hits_json = || {
+                let hit = |h: &charon::workloads::history::BisectHit| {
                     Json::obj(vec![
-                        ("schema", Json::str("charon-bisect-v1")),
-                        ("tolerance_pct", Json::F64(tolerance)),
-                        ("hits", Json::Arr(hits.iter().map(hit).collect())),
+                        ("metric", Json::str(&h.metric)),
+                        ("first_bad", Json::U64(h.first_bad as u64)),
+                        ("label", Json::str(&h.label)),
+                        ("old", Json::U64(h.old)),
+                        ("new", Json::U64(h.new)),
                     ])
                 };
-                emit(&flags, None, hits_json, || {
-                    for h in &hits {
-                        println!(
-                            "FIRST-BAD {}: run {} ({}) {} -> {} (tolerance {tolerance}%)",
-                            h.metric, h.first_bad, h.label, h.old, h.new
-                        );
-                    }
-                    if hits.is_empty() {
-                        println!("no metric regressed across {} runs in {ledger_path}", ledger.runs.len());
-                    }
-                })?;
-                if !hits.is_empty() {
-                    eprintln!("{} metrics regressed since run 0 of {ledger_path}", hits.len());
-                    return Ok(ExitCode::from(2));
+                Json::obj(vec![
+                    ("schema", Json::str("charon-bisect-v1")),
+                    ("tolerance_pct", Json::F64(tolerance)),
+                    ("hits", Json::Arr(hits.iter().map(hit).collect())),
+                ])
+            };
+            emit(&flags, None, hits_json, || {
+                for h in &hits {
+                    println!(
+                        "FIRST-BAD {}: run {} ({}) {} -> {} (tolerance {tolerance}%)",
+                        h.metric, h.first_bad, h.label, h.old, h.new
+                    );
                 }
+                if hits.is_empty() {
+                    println!("no metric regressed across {} runs in {ledger_path}", ledger.runs.len());
+                }
+            })?;
+            if !hits.is_empty() {
+                eprintln!("{} metrics regressed since run 0 of {ledger_path}", hits.len());
+                return Ok(ExitCode::from(2));
             }
-            _ => return Err(usage()),
-        },
-        _ => return Err(usage()),
+        }
+        _ => unreachable!("{name} has a row but no body"),
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -823,14 +767,159 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use charon::sim::report::higher_is_better;
+    use proptest::prelude::*;
 
     fn argv(s: &[&str]) -> Vec<String> {
         s.iter().map(|a| a.to_string()).collect()
     }
 
-    const RUN_FLAGS: [&str; 7] =
-        ["--platform", "--collector", "--heap-factor", "--threads", "--steps", "--json", "--trace-out"];
+    /// The usage line of the row named `words`.
+    fn row(words: &str) -> &'static str {
+        COMMANDS.into_iter().find(|(w, _)| *w == words).expect("a row").1
+    }
+
+    /// Every flag any row names, in row order, each once.
+    fn all_flags() -> Vec<String> {
+        let mut flags: Vec<String> = Vec::new();
+        for (_, line) in COMMANDS {
+            for token in grammar(line).filter(|t| t.starts_with("[--")) {
+                let flag = token.trim_matches(['[', ']']).to_string();
+                if !flags.contains(&flag) {
+                    flags.push(flag);
+                }
+            }
+        }
+        flags
+    }
+
+    /// A value `flag` accepts (`4` serves every count, factor and path).
+    fn sample(flag: &str) -> &'static str {
+        match flag {
+            "--collector" => "cms",
+            "--mask" => "all",
+            "--policy" => "bandit",
+            "--rates" => "0.02,0.1",
+            "--sites" => "bitmap,card",
+            "--mix" => "BS:2,KM:2",
+            "--sched" => "fair",
+            _ => "4",
+        }
+    }
+
+    /// The flags `f` has set, named after its fields (`heap_factor` is
+    /// `--heap-factor`), so a field added to `Flags` is covered unasked.
+    fn set_flags(f: &Flags) -> Vec<String> {
+        format!("{f:#?}")
+            .lines()
+            .filter_map(|l| {
+                let (field, value) = l.strip_prefix("    ")?.split_once(": ")?;
+                let set = !field.starts_with(' ') && value != "None," && value != "false,";
+                set.then(|| format!("--{}", field.replace('_', "-")))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_flag_on_every_row_parses_and_every_row_has_a_body() {
+        let source = include_str!("charon-cli.rs");
+        let bodies = &source[source.find("fn cli(").unwrap()..source.find("#[cfg(test)]").unwrap()];
+        let flags = all_flags();
+        for (words, line) in COMMANDS {
+            let mut args = Vec::new();
+            let mut named = Vec::new();
+            for flag in &flags {
+                let Some(takes_value) = arity(line, flag) else { continue };
+                // One flag reads the same on every row that names it.
+                for (_, other) in COMMANDS {
+                    assert!(arity(other, flag).is_none_or(|t| t == takes_value), "{flag} on {words}");
+                }
+                args.push(flag.clone());
+                if takes_value {
+                    args.push(sample(flag).to_string());
+                }
+                named.push(flag.clone());
+            }
+            let f = parse_flags(&args, line).unwrap_or_else(|e| panic!("{words}: {e}"));
+            named.sort();
+            let mut set = set_flags(&f);
+            set.sort();
+            assert_eq!(set, named, "{words}");
+            assert!(bodies.contains(&format!("\"{words}\" =>")), "row {words} reaches no subcommand body");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16384))]
+
+        /// Random argv, run against every row: each word pair is any row's
+        /// flag followed by nothing, a sample value, a junk word or a
+        /// hostile number.
+        #[test]
+        fn flag_parser_never_panics_and_keeps_to_its_row(
+            picks in proptest::collection::vec((0usize..1024, 0usize..1024, 0u8..5), 0..4),
+        ) {
+            let hostile = ["nan", "inf", "-1", "0", "65", "257", "1e9", "1", "64", "256", "1000"];
+            let junk = ["extra", "BS", "", "--", "--bogus", "cms,ms", "0.1,,0.2"];
+            let flags = all_flags();
+            let mut args = Vec::new();
+            for (flag, value, kind) in picks {
+                let flag = &flags[flag % flags.len()];
+                args.push(flag.clone());
+                match kind {
+                    0 => {}
+                    1 => args.push(sample(flag).to_string()),
+                    2 => args.push(junk[value % junk.len()].to_string()),
+                    _ => args.push(hostile[value % hostile.len()].to_string()),
+                }
+            }
+            for (words, line) in COMMANDS {
+                let Ok(f) = parse_flags(&args, line) else { continue };
+                for flag in set_flags(&f) {
+                    prop_assert!(arity(line, &flag).is_some(), "{flag} set for {words} from {args:?}");
+                }
+                prop_assert!(f.heap_factor.is_none_or(|h| (1.0..=16.0).contains(&h)), "{args:?}");
+                for n in [f.threads, f.jobs, f.top] {
+                    prop_assert!(n.is_none_or(|n| (1..=64).contains(&n)), "{args:?}");
+                }
+                prop_assert!(f.tenants.is_none_or(|n| (1..=256).contains(&n)), "{args:?}");
+                prop_assert!(f.tolerance.is_none_or(|t| (0.0..=1000.0).contains(&t)), "{args:?}");
+                prop_assert!(f.rates.iter().flatten().all(|&r| r > 0.0 && r <= 1.0), "{args:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn positionals_follow_the_grammar() {
+        let read = |args: &[&str]| {
+            let args = argv(args);
+            let (name, pos, f) = parse(&args).unwrap();
+            (name, pos.join(" "), f)
+        };
+        let (name, pos, f) = read(&["bench", "BS", "KM", "--steps", "2"]);
+        assert_eq!((name, pos.as_str(), f.steps), ("bench", "BS KM", Some(2)));
+        let (name, pos, f) = read(&["chaos", "--json"]);
+        assert_eq!((name, pos.as_str(), f.json), ("chaos", "", true));
+        let (name, pos, f) = read(&["trend", "record", "L.json", "R.json", "--label", "x"]);
+        assert_eq!((name, pos.as_str(), f.label.as_deref()), ("trend record", "L.json R.json", Some("x")));
+        // A single positional takes the next word whatever it is.
+        let (name, pos, _) = read(&["run", "--json"]);
+        assert_eq!((name, pos.as_str()), ("run", "--json"));
+    }
+
+    #[test]
+    fn trailing_words_are_usage_errors() {
+        for (args, error) in [
+            (&["list", "extra"][..], "unknown flag extra"),
+            (&["config", "--json"], "--json is not valid for this subcommand"),
+            (&["check-json", "BENCH_baseline.json", "extra"], "unknown flag extra"),
+        ] {
+            assert_eq!(parse(&argv(args)).unwrap_err(), Some(error.to_string()), "{args:?}");
+        }
+        // No row, or too few positionals: the bare usage text.
+        for args in [&[][..], &["trend"], &["trend", "bogus"], &["check-json"], &["regress", "a.json"]] {
+            assert_eq!(parse(&argv(args)).unwrap_err(), None, "{args:?}");
+        }
+    }
 
     #[test]
     fn parses_every_run_flag() {
@@ -850,7 +939,7 @@ mod tests {
                 "--trace-out",
                 "t.json",
             ]),
-            &RUN_FLAGS,
+            row("run"),
         )
         .unwrap();
         assert_eq!(f.platform.as_deref(), Some("Charon"));
@@ -870,244 +959,111 @@ mod tests {
             ("cms", CollectorKind::Cms),
             ("g1", CollectorKind::G1),
         ] {
-            let f = parse_flags(&argv(&["--collector", name]), &RUN_FLAGS).unwrap();
+            let f = parse_flags(&argv(&["--collector", name]), row("run")).unwrap();
             assert_eq!(f.collector, Some(kind), "{name}");
         }
-        let e = parse_flags(&argv(&["--collector", "zgc"]), &RUN_FLAGS).unwrap_err();
+        let e = parse_flags(&argv(&["--collector", "zgc"]), row("run")).unwrap_err();
         assert!(e.contains("unknown collector 'zgc'"), "{e}");
         assert!(e.contains("ps, ms, cms, or g1"), "{e}");
     }
 
     #[test]
     fn collector_defaults_to_ps_in_run_options() {
-        let f = parse_flags(&argv(&[]), &RUN_FLAGS).unwrap();
+        let f = parse_flags(&argv(&[]), row("run")).unwrap();
         assert_eq!(f.run_options().collector, CollectorKind::Ps);
-        let f = parse_flags(&argv(&["--collector", "g1"]), &RUN_FLAGS).unwrap();
+        let f = parse_flags(&argv(&["--collector", "g1"]), row("run")).unwrap();
         assert_eq!(f.run_options().collector, CollectorKind::G1);
-    }
-
-    #[test]
-    fn mask_collector_conflicts_are_typed_errors() {
-        // ms never issues Bitmap Count (Table 1 N/A) — asserting it is
-        // a contradiction; every other collector accepts the full mask.
-        let mask: OffloadMask = "all".parse().unwrap();
-        let e = CollectorKind::Ms.validate_mask(mask).unwrap_err();
-        assert_eq!(e.collector, CollectorKind::Ms);
-        assert_eq!(e.primitive, "bitmap-count");
-        assert!(e.to_string().contains("never issues it"), "{e}");
-        for kind in [CollectorKind::Ps, CollectorKind::Cms, CollectorKind::G1] {
-            kind.validate_mask(mask).unwrap();
-        }
-        let no_bc: OffloadMask = "copy,search,scan-push".parse().unwrap();
-        CollectorKind::Ms.validate_mask(no_bc).unwrap();
     }
 
     #[test]
     fn heap_factor_outside_its_range_is_a_usage_error() {
         for bad in ["nan", "inf", "-inf", "1e9", "0.5", "16.5"] {
-            let e = parse_flags(&argv(&["--heap-factor", bad]), &RUN_FLAGS).unwrap_err();
+            let e = parse_flags(&argv(&["--heap-factor", bad]), row("run")).unwrap_err();
             assert!(e.contains("out of range (1.0..=16.0)"), "{bad}: {e}");
         }
         for ok in ["1", "1.25", "16"] {
-            let f = parse_flags(&argv(&["--heap-factor", ok]), &RUN_FLAGS).unwrap();
+            let f = parse_flags(&argv(&["--heap-factor", ok]), row("run")).unwrap();
             assert_eq!(f.heap_factor, Some(ok.parse().unwrap()), "{ok}");
         }
     }
 
     #[test]
     fn rejects_duplicate_flags() {
-        let e = parse_flags(&argv(&["--threads", "4", "--threads", "8"]), &RUN_FLAGS).unwrap_err();
+        let e = parse_flags(&argv(&["--threads", "4", "--threads", "8"]), row("run")).unwrap_err();
         assert!(e.contains("duplicate flag --threads"), "{e}");
-        let e = parse_flags(&argv(&["--json", "--json"]), &RUN_FLAGS).unwrap_err();
+        let e = parse_flags(&argv(&["--json", "--json"]), row("run")).unwrap_err();
         assert!(e.contains("duplicate flag --json"), "{e}");
     }
 
     #[test]
     fn rejects_flags_outside_the_subcommand_allowlist() {
         // `compare` takes no --platform; `fault-campaign` owns --seed.
-        let e = parse_flags(&argv(&["--platform", "Charon"]), &["--heap-factor", "--json"]).unwrap_err();
+        let e = parse_flags(&argv(&["--platform", "Charon"]), row("compare")).unwrap_err();
         assert!(e.contains("not valid for this subcommand"), "{e}");
-        let e = parse_flags(&argv(&["--seed", "7"]), &RUN_FLAGS).unwrap_err();
+        let e = parse_flags(&argv(&["--seed", "7"]), row("run")).unwrap_err();
         assert!(e.contains("not valid for this subcommand"), "{e}");
     }
 
     #[test]
     fn rejects_unknown_flags_and_missing_values() {
-        let e = parse_flags(&argv(&["--bogus"]), &RUN_FLAGS).unwrap_err();
+        let e = parse_flags(&argv(&["--bogus"]), row("run")).unwrap_err();
         assert!(e.contains("unknown flag --bogus"), "{e}");
-        let e = parse_flags(&argv(&["--threads"]), &RUN_FLAGS).unwrap_err();
+        let e = parse_flags(&argv(&["--threads"]), row("run")).unwrap_err();
         assert!(e.contains("--threads needs a value"), "{e}");
     }
 
     #[test]
     fn validates_flag_values() {
-        assert!(parse_flags(&argv(&["--heap-factor", "0.5"]), &RUN_FLAGS).is_err());
-        assert!(parse_flags(&argv(&["--threads", "0"]), &RUN_FLAGS).is_err());
-        assert!(parse_flags(&argv(&["--threads", "65"]), &RUN_FLAGS).is_err());
-        assert!(parse_flags(&argv(&["--steps", "abc"]), &RUN_FLAGS).is_err());
+        assert!(parse_flags(&argv(&["--heap-factor", "0.5"]), row("run")).is_err());
+        assert!(parse_flags(&argv(&["--threads", "0"]), row("run")).is_err());
+        assert!(parse_flags(&argv(&["--threads", "65"]), row("run")).is_err());
+        assert!(parse_flags(&argv(&["--steps", "abc"]), row("run")).is_err());
     }
 
     #[test]
     fn boolean_flags_take_no_value() {
         // `--json 5` parses --json alone; "5" is then an unknown token.
-        let e = parse_flags(&argv(&["--json", "5"]), &RUN_FLAGS).unwrap_err();
+        let e = parse_flags(&argv(&["--json", "5"]), row("run")).unwrap_err();
         assert!(e.contains("unknown flag 5"), "{e}");
     }
 
     #[test]
     fn tolerance_is_validated() {
-        let f = parse_flags(&argv(&["--tolerance", "12.5"]), &["--tolerance"]).unwrap();
+        let f = parse_flags(&argv(&["--tolerance", "12.5"]), row("regress")).unwrap();
         assert_eq!(f.tolerance, Some(12.5));
-        assert!(parse_flags(&argv(&["--tolerance", "-1"]), &["--tolerance"]).is_err());
-        assert!(parse_flags(&argv(&["--tolerance", "abc"]), &["--tolerance"]).is_err());
-    }
-
-    /// A minimal bench-shaped report with one run per (workload, gc_time).
-    fn bench_report(runs: &[(&str, u64, u64)]) -> Json {
-        Json::obj(vec![(
-            "benches",
-            Json::Arr(vec![Json::obj(vec![(
-                "runs",
-                Json::Arr(
-                    runs.iter()
-                        .map(|&(w, gc, p99)| {
-                            Json::obj(vec![
-                                ("workload", Json::str(w)),
-                                ("platform", Json::str("Charon")),
-                                ("gc_time_ps", Json::U64(gc)),
-                                (
-                                    "profile",
-                                    Json::obj(vec![(
-                                        "pauses",
-                                        Json::obj(vec![("minor", Json::obj(vec![("p99", Json::U64(p99))]))]),
-                                    )]),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            )])]),
-        )])
-    }
-
-    #[test]
-    fn identical_reports_pass_the_gate() {
-        let r = bench_report(&[("BS", 1_000, 100), ("KM", 2_000, 200)]);
-        let (compared, regs, ..) = regressions(&r, &r, 10.0);
-        assert_eq!(compared, 4, "gc_time + p99 per run");
-        assert!(regs.is_empty(), "{regs:?}");
-    }
-
-    #[test]
-    fn doubled_gc_time_is_flagged() {
-        let old = bench_report(&[("BS", 1_000, 100)]);
-        let new = bench_report(&[("BS", 2_000, 100)]);
-        let (compared, regs, ..) = regressions(&old, &new, 10.0);
-        assert_eq!(compared, 2);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].metric, "BS/Charon/gc_time_ps");
-        assert!((regs[0].ratio() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn p99_regression_is_flagged_independently() {
-        let old = bench_report(&[("BS", 1_000, 100)]);
-        let new = bench_report(&[("BS", 1_000, 250)]);
-        let (_, regs, ..) = regressions(&old, &new, 10.0);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].metric, "BS/Charon/pause_minor_p99_ps");
-    }
-
-    #[test]
-    fn growth_within_tolerance_passes() {
-        let old = bench_report(&[("BS", 1_000, 100)]);
-        let new = bench_report(&[("BS", 1_050, 104)]);
-        let (_, regs, ..) = regressions(&old, &new, 10.0);
-        assert!(regs.is_empty(), "{regs:?}");
-        let (_, regs, ..) = regressions(&old, &new, 1.0);
-        assert_eq!(regs.len(), 2, "tighter tolerance flags both");
-    }
-
-    #[test]
-    fn zero_baseline_regresses_on_any_growth() {
-        let old = bench_report(&[("BS", 0, 0)]);
-        let new = bench_report(&[("BS", 1, 0)]);
-        let (_, regs, ..) = regressions(&old, &new, 10.0);
-        assert_eq!(regs.len(), 1);
-    }
-
-    #[test]
-    fn disjoint_reports_compare_nothing() {
-        let old = bench_report(&[("BS", 1_000, 100)]);
-        let new = bench_report(&[("KM", 1_000, 100)]);
-        let (compared, regs, missing, _) = regressions(&old, &new, 10.0);
-        assert_eq!((compared, regs.len()), (0, 0));
-        assert_eq!(missing.len(), extract_metrics(&old).len(), "nothing of OLD is in NEW");
-    }
-
-    #[test]
-    fn metric_dropped_from_new_is_reported_missing() {
-        let old = bench_report(&[("BS", 1_000, 100), ("KM", 2_000, 200)]);
-        let new = bench_report(&[("BS", 1_000, 100)]);
-        let (compared, regs, missing, _) = regressions(&old, &new, 10.0);
-        assert!(compared > 0 && regs.is_empty());
-        assert!(!missing.is_empty() && missing.iter().all(|m| m.starts_with("KM/")), "{missing:?}");
-        // A metric only NEW has is not a finding.
-        assert_eq!(regressions(&new, &old, 10.0).2, Vec::<String>::new());
-    }
-
-    #[test]
-    fn metric_only_new_has_is_returned_as_added() {
-        let old = bench_report(&[("BS", 1_000, 100)]);
-        let new = bench_report(&[("BS", 1_000, 100), ("KM", 2_000, 200)]);
-        let (compared, regs, missing, added) = regressions(&old, &new, 10.0);
-        assert_eq!((compared, regs.len(), missing.len()), (extract_metrics(&old).len(), 0, 0));
-        assert_eq!(added.len(), extract_metrics(&new).len() - compared);
-        assert!(added.iter().all(|m| m.starts_with("KM/")), "{added:?}");
-        assert_eq!(regressions(&old, &old, 10.0).3, Vec::<String>::new());
+        assert!(parse_flags(&argv(&["--tolerance", "-1"]), row("regress")).is_err());
+        assert!(parse_flags(&argv(&["--tolerance", "abc"]), row("regress")).is_err());
     }
 
     #[test]
     fn parses_trend_and_explain_flags() {
-        let all = ["--top", "--metric", "--label"];
-        let f = parse_flags(&argv(&["--top", "5", "--metric", "gc_time", "--label", "abc123"]), &all).unwrap();
+        let f = parse_flags(&argv(&["--top", "5"]), row("explain")).unwrap();
         assert_eq!(f.top, Some(5));
+        let f = parse_flags(&argv(&["--metric", "gc_time"]), row("trend report")).unwrap();
         assert_eq!(f.metric.as_deref(), Some("gc_time"));
+        let f = parse_flags(&argv(&["--label", "abc123"]), row("trend record")).unwrap();
         assert_eq!(f.label.as_deref(), Some("abc123"));
-        assert!(parse_flags(&argv(&["--top", "0"]), &all).is_err());
-        assert!(parse_flags(&argv(&["--top", "65"]), &all).is_err());
-        assert!(parse_flags(&argv(&["--top", "x"]), &all).is_err());
+        assert!(parse_flags(&argv(&["--top", "0"]), row("explain")).is_err());
+        assert!(parse_flags(&argv(&["--top", "65"]), row("explain")).is_err());
+        assert!(parse_flags(&argv(&["--top", "x"]), row("explain")).is_err());
     }
 
     #[test]
     fn jobs_flag_is_validated() {
-        let f = parse_flags(&argv(&["--jobs", "4"]), &["--jobs"]).unwrap();
+        let f = parse_flags(&argv(&["--jobs", "4"]), row("paper")).unwrap();
         assert_eq!(f.jobs, Some(4));
         assert_eq!(f.jobs(), 4);
         assert_eq!(Flags::default().jobs(), 1, "default is serial");
-        assert!(parse_flags(&argv(&["--jobs", "0"]), &["--jobs"]).is_err());
-        assert!(parse_flags(&argv(&["--jobs", "65"]), &["--jobs"]).is_err());
-        assert!(parse_flags(&argv(&["--jobs", "x"]), &["--jobs"]).is_err());
-    }
-
-    #[test]
-    fn bare_profile_reports_are_comparable() {
-        // The `profile --profile-out` shape: pauses at top level.
-        let p = Json::obj(vec![
-            ("workload", Json::str("KM")),
-            ("platform", Json::str("DDR4")),
-            ("gc_time_ps", Json::U64(5_000)),
-            ("pauses", Json::obj(vec![("major", Json::obj(vec![("p99", Json::U64(900))]))])),
-        ]);
-        let m = extract_metrics(&p);
-        assert_eq!(m, vec![("KM/DDR4/gc_time_ps".to_string(), 5_000), ("KM/DDR4/pause_major_p99_ps".to_string(), 900)]);
+        assert!(parse_flags(&argv(&["--jobs", "0"]), row("paper")).is_err());
+        assert!(parse_flags(&argv(&["--jobs", "65"]), row("paper")).is_err());
+        assert!(parse_flags(&argv(&["--jobs", "x"]), row("paper")).is_err());
     }
 
     #[test]
     fn parses_chaos_flags() {
         let f = parse_flags(
             &argv(&["--rates", "0.02,0.1", "--sites", "bitmap,card", "--oracle", "--rearm", "3"]),
-            &["--rates", "--sites", "--oracle", "--rearm"],
+            row("chaos"),
         )
         .unwrap();
         assert_eq!(f.rates, Some(vec![0.02, 0.1]));
@@ -1118,129 +1074,31 @@ mod tests {
 
     #[test]
     fn rejects_bad_chaos_flag_values() {
-        let all = ["--rates", "--sites", "--rearm"];
-        let e = parse_flags(&argv(&["--rates", "1.5"]), &all).unwrap_err();
+        let chaos = row("chaos");
+        let e = parse_flags(&argv(&["--rates", "1.5"]), chaos).unwrap_err();
         assert!(e.contains("out of range"), "{e}");
         for zero in ["0", "0,0.1"] {
-            let e = parse_flags(&argv(&["--rates", zero]), &all).unwrap_err();
+            let e = parse_flags(&argv(&["--rates", zero]), chaos).unwrap_err();
             assert!(e.contains("out of range") && e.contains("zero-rate control"), "{e}");
         }
-        let e = parse_flags(&argv(&["--sites", "bitmap,nonsense"]), &all).unwrap_err();
+        let e = parse_flags(&argv(&["--sites", "bitmap,nonsense"]), chaos).unwrap_err();
         assert!(e.contains("unknown corruption site nonsense"), "{e}");
-        let e = parse_flags(&argv(&["--sites", "card,card"]), &all).unwrap_err();
+        let e = parse_flags(&argv(&["--sites", "card,card"]), chaos).unwrap_err();
         assert!(e.contains("duplicate corruption site"), "{e}");
-        let e = parse_flags(&argv(&["--rearm", "0"]), &all).unwrap_err();
+        let e = parse_flags(&argv(&["--rearm", "0"]), chaos).unwrap_err();
         assert!(e.contains("--rearm 0"), "{e}");
     }
 
     #[test]
     fn parses_fleet_flags() {
-        let all = ["--tenants", "--mix", "--sched"];
-        let f = parse_flags(&argv(&["--tenants", "4", "--mix", "BS:2,PR:2", "--sched", "fair"]), &all).unwrap();
+        let fleet = row("fleet");
+        let f = parse_flags(&argv(&["--tenants", "4", "--mix", "BS:2,PR:2", "--sched", "fair"]), fleet).unwrap();
         assert_eq!(f.tenants, Some(4));
         assert_eq!(f.mix.as_deref(), Some("BS:2,PR:2"));
         assert_eq!(f.sched, Some(SchedKind::FairShare));
-        assert!(parse_flags(&argv(&["--tenants", "0"]), &all).is_err());
-        assert!(parse_flags(&argv(&["--tenants", "257"]), &all).is_err());
-        let e = parse_flags(&argv(&["--sched", "rr"]), &all).unwrap_err();
+        assert!(parse_flags(&argv(&["--tenants", "0"]), fleet).is_err());
+        assert!(parse_flags(&argv(&["--tenants", "257"]), fleet).is_err());
+        let e = parse_flags(&argv(&["--sched", "rr"]), fleet).unwrap_err();
         assert!(e.contains("unknown scheduler"), "{e}");
-    }
-
-    /// A minimal fleet-shaped report with one tenant.
-    fn fleet_report(p99: u64, makespan: u64, inflation: u64) -> Json {
-        Json::obj(vec![
-            ("schema", Json::str("charon-fleet-v1")),
-            ("sched", Json::str("fifo")),
-            (
-                "fleet",
-                Json::obj(vec![
-                    ("p99_ps", Json::U64(p99)),
-                    ("max_inflation_bp", Json::U64(inflation)),
-                    ("makespan_ps", Json::U64(makespan)),
-                ]),
-            ),
-            (
-                "tenant_detail",
-                Json::Arr(vec![Json::obj(vec![("label", Json::str("t0:BS")), ("inflation_bp", Json::U64(inflation))])]),
-            ),
-        ])
-    }
-
-    #[test]
-    fn fleet_reports_extract_lower_is_better_metrics() {
-        let m = extract_metrics(&fleet_report(500, 9_000, 12_000));
-        assert_eq!(
-            m,
-            vec![
-                ("fleet/fifo/p99_ps".to_string(), 500),
-                ("fleet/fifo/max_inflation_bp".to_string(), 12_000),
-                ("fleet/fifo/makespan_ps".to_string(), 9_000),
-                ("fleet/fifo/t0:BS/inflation_bp".to_string(), 12_000),
-            ]
-        );
-        for (name, _) in &m {
-            assert!(!higher_is_better(name), "{name} must regress upward");
-        }
-        // Worse interference trips the gate; identical reports pass.
-        let old = fleet_report(500, 9_000, 12_000);
-        let (compared, regs, ..) = regressions(&old, &fleet_report(500, 9_000, 15_000), 10.0);
-        assert_eq!(compared, 4);
-        assert_eq!(regs.len(), 2, "fleet-wide and per-tenant inflation both flagged");
-        let (_, regs, ..) = regressions(&old, &old, 10.0);
-        assert!(regs.is_empty(), "{regs:?}");
-    }
-
-    /// A minimal chaos-campaign report with the given counts and one cell.
-    fn chaos_report(injected: u64, detected: u64, repaired: u64, escaped: u64) -> Json {
-        Json::obj(vec![
-            ("schema", Json::str("charon-chaos-v1")),
-            ("injected", Json::U64(injected)),
-            ("detected", Json::U64(detected)),
-            ("repaired", Json::U64(repaired)),
-            ("benign", Json::U64(0)),
-            ("escaped", Json::U64(escaped)),
-            (
-                "cells",
-                Json::Arr(vec![Json::obj(vec![
-                    ("workload", Json::str("BS")),
-                    ("site", Json::str("bitmap")),
-                    ("rate", Json::F64(0.05)),
-                    ("escaped", Json::U64(escaped)),
-                ])]),
-            ),
-        ])
-    }
-
-    #[test]
-    fn chaos_reports_extract_direction_aware_metrics() {
-        let m = extract_metrics(&chaos_report(200, 190, 190, 10));
-        assert_eq!(
-            m,
-            vec![
-                ("chaos/detection_rate_bp".to_string(), 9_500),
-                ("chaos/repair_rate_bp".to_string(), 10_000),
-                ("chaos/escaped".to_string(), 10),
-                ("chaos/BS/bitmap/0.05/escaped".to_string(), 10),
-            ]
-        );
-        assert!(higher_is_better("chaos/detection_rate_bp"));
-        assert!(higher_is_better("chaos/repair_rate_bp"));
-        assert!(!higher_is_better("chaos/escaped"));
-    }
-
-    #[test]
-    fn chaos_detection_regresses_downward_and_escapes_upward() {
-        let old = chaos_report(200, 200, 200, 0);
-        // Detection dropped 100% -> 80%: trips the higher-is-better gate.
-        let worse_detection = chaos_report(200, 160, 160, 40);
-        let (compared, regs, ..) = regressions(&old, &worse_detection, 10.0);
-        assert_eq!(compared, 4);
-        let names: Vec<&str> = regs.iter().map(|r| r.metric.as_str()).collect();
-        assert!(names.contains(&"chaos/detection_rate_bp"), "{names:?}");
-        // Escapes over a zero baseline regress on any nonzero count.
-        assert!(names.contains(&"chaos/escaped"), "{names:?}");
-        // Identical reports pass clean.
-        let (_, regs, ..) = regressions(&old, &chaos_report(200, 200, 200, 0), 10.0);
-        assert!(regs.is_empty(), "{regs:?}");
     }
 }
