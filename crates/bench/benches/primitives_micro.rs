@@ -1,6 +1,8 @@
 //! Micro-benchmarks of the functional kernels and hot simulator paths —
 //! real wall-clock performance of this library (as opposed to
-//! `charon-cli paper`, which reports *simulated* time).
+//! `charon-cli paper`, which reports *simulated* time). The L1-geometry
+//! cache access and the single-meter `EpochBw` reservation are timed by
+//! `perfbench` (`sim.cache_access_ns`, `sim.bwres_reserve_ns`), not here.
 //!
 //! Uses a plain `std::time::Instant` harness instead of criterion so the
 //! workspace builds with no registry access (see README "Building
@@ -60,17 +62,10 @@ fn bench_bitmap_count() {
     });
 }
 
+/// The in-situ shape of a cache access: the Table 2 L3, whose metadata
+/// outgrows the host's L2, under scattered line addresses that mostly miss
+/// and evict.
 fn bench_cache() {
-    let mut cache = Cache::new("l1", HostConfig::table2().l1d);
-    let mut i = 0u64;
-    bench("cache/set-associative access", 1_000_000, || {
-        i = i.wrapping_add(64);
-        black_box(cache.access(i % (1 << 20), AccessKind::Read));
-    });
-    // The loop above keeps the whole model in the host's own L1, so it
-    // times the miss path's instructions. This one has the in-situ shape:
-    // the Table 2 L3, whose metadata outgrows the host's L2, under
-    // scattered line addresses that mostly miss and evict.
     let l3 = HostConfig::table2().l3;
     let lines = 4 * (l3.size_bytes / l3.block_bytes) as u64;
     let mut cache = Cache::new("l3", l3);
@@ -107,16 +102,10 @@ fn bench_clflush() {
     });
 }
 
+/// What a Charon cell does to its vault and link meters: ~160 of them
+/// touched in turn, simulated time moving on by one epoch for every ten
+/// calls a meter sees, the request size changing on three calls in ten.
 fn bench_epoch_bw() {
-    let mut lane = EpochBw::from_bandwidth(Bandwidth::gbps(80.0), Ps::from_us(1.0));
-    let mut t = 0u64;
-    bench("bwres/epoch reservation (mixed skew)", 1_000_000, || {
-        t = t.wrapping_add(100_000);
-        black_box(lane.reserve(Ps(t % 1_000_000_000), 256));
-    });
-    // What a Charon cell does to its vault and link meters: ~160 of them
-    // touched in turn, simulated time moving on by one epoch for every ten
-    // calls a meter sees, the request size changing on three calls in ten.
     let mut lanes = vec![EpochBw::from_bandwidth(Bandwidth::gbps(10.0), Ps::from_us(1.0)); 160];
     let mut call = 0u64;
     bench("bwres/160 lanes, advancing start, 16/64/80-unit mix", 4_000_000, || {

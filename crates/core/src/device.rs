@@ -30,7 +30,7 @@
 
 use crate::bitmap_cache::{BitmapCache, SliceMode};
 use crate::mai::Mai;
-use crate::packet::{InitializeParams, PrimType, REQUEST_BYTES, RESPONSE_NACK_BYTES};
+use crate::packet::{PrimType, REQUEST_BYTES, RESPONSE_NACK_BYTES};
 use crate::sched::Scheduler;
 use crate::tlb::{AccelTlb, TlbMode};
 use crate::units::{NoUnits, UnitPool};
@@ -42,6 +42,7 @@ use charon_sim::dram::DramOp;
 use charon_sim::faults::{FaultSite, Injector, RecoveryConfig};
 use charon_sim::host::HostTiming;
 use charon_sim::issue::Window;
+use charon_sim::json::Json;
 use charon_sim::noc::Node;
 use charon_sim::telemetry::{Event, Telemetry};
 use charon_sim::time::Ps;
@@ -136,9 +137,9 @@ pub struct PrimStats {
     pub queue: Ps,
 }
 
-/// Per-unit-class utilization counters, mirrored out of the
-/// [`UnitPool`]s so [`CharonStats`] readers (reports, the profiler) see
-/// pool occupancy without reaching into the device internals.
+/// Per-unit-class utilization counters, read out of the [`UnitPool`]s by
+/// [`CharonDevice::stats`] so [`CharonStats`] readers (reports, the
+/// profiler) see pool occupancy without reaching into the device internals.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UnitClassStats {
     /// Total unit-busy time accumulated by the pool.
@@ -194,20 +195,24 @@ impl UnitClassStats {
 /// pool).
 pub const UNIT_CLASS_NAMES: [&str; 3] = ["copy_search", "bitmap_count", "scan_push"];
 
+/// One pool's counters as a JSON object.
+fn unit_class_json(u: &UnitClassStats) -> Json {
+    Json::obj([
+        ("busy_ps", Json::U64(u.busy.0)),
+        ("executions", Json::U64(u.executions)),
+        ("wedges", Json::U64(u.wedges)),
+        ("queue_high_water", Json::U64(u.queue_high_water)),
+        ("total_units", Json::U64(u.total_units)),
+    ])
+}
+
 /// The three pools as one JSON object keyed by [`UNIT_CLASS_NAMES`], with
 /// each pool's utilization over `elapsed`.
-pub fn units_json(units: &[UnitClassStats; 3], elapsed: Ps) -> charon_sim::json::Json {
-    use charon_sim::json::Json;
+pub fn units_json(units: &[UnitClassStats; 3], elapsed: Ps) -> Json {
     Json::obj(UNIT_CLASS_NAMES.iter().zip(units).map(|(&name, u)| {
-        let fields = [
-            ("busy_ps", Json::U64(u.busy.0)),
-            ("executions", Json::U64(u.executions)),
-            ("wedges", Json::U64(u.wedges)),
-            ("queue_high_water", Json::U64(u.queue_high_water)),
-            ("total_units", Json::U64(u.total_units)),
-            ("utilization", Json::F64(u.utilization(elapsed))),
-        ];
-        (name, Json::obj(fields))
+        let mut fields = unit_class_json(u);
+        fields.push("utilization", Json::F64(u.utilization(elapsed)));
+        (name, fields)
     }))
 }
 
@@ -280,8 +285,7 @@ impl CharonStats {
 
     /// Machine-readable view: per-primitive counters keyed by name, plus
     /// the component-energy split.
-    pub fn to_json(&self) -> charon_sim::json::Json {
-        use charon_sim::json::Json;
+    pub fn to_json(&self) -> Json {
         let prims = Json::obj(
             PrimType::ALL
                 .iter()
@@ -304,20 +308,8 @@ impl CharonStats {
         let units = Json::obj(
             UNIT_CLASS_NAMES
                 .iter()
-                .zip(self.units.iter())
-                .map(|(&name, u)| {
-                    (
-                        name.to_string(),
-                        Json::obj(vec![
-                            ("busy_ps", Json::U64(u.busy.0)),
-                            ("executions", Json::U64(u.executions)),
-                            ("wedges", Json::U64(u.wedges)),
-                            ("queue_high_water", Json::U64(u.queue_high_water)),
-                            ("total_units", Json::U64(u.total_units)),
-                        ]),
-                    )
-                })
-                .collect::<Vec<_>>(),
+                .zip(&self.units)
+                .map(|(&name, u)| (name, unit_class_json(u))),
         );
         Json::obj(vec![
             ("prims", prims),
@@ -496,7 +488,8 @@ pub struct CharonDevice {
     mai: Vec<Mai>,
     tlb: AccelTlb,
     bitmap_cache: BitmapCache,
-    init: Option<InitializeParams>,
+    /// Per-primitive counters, misroutes and the accumulated unit energy;
+    /// [`CharonDevice::stats`] adds what the structures themselves count.
     stats: CharonStats,
     faults: Option<FaultLayer>,
     telemetry: Telemetry,
@@ -565,7 +558,6 @@ impl CharonDevice {
             Placement::MemorySide => BitmapCache::new(slice_mode, cubes, ch.bitmap_cache, ch.unit_freq),
             Placement::CpuSide => BitmapCache::new_host_side(ch.bitmap_cache, ch.unit_freq),
         };
-        let stats = CharonStats { units: pools.each_ref().map(UnitClassStats::of), ..CharonStats::default() };
         CharonDevice {
             cfg: cfg.clone(),
             placement,
@@ -574,8 +566,7 @@ impl CharonDevice {
             mai: (0..mai_count).map(|_| Mai::new(ch.mai_entries, ch.unit_freq)).collect(),
             tlb: AccelTlb::new(tlb_mode, cubes, ch.tlb_entries_per_cube, ch.unit_freq),
             bitmap_cache,
-            init: None,
-            stats,
+            stats: CharonStats::default(),
             faults: None,
             telemetry: Telemetry::disabled(),
         }
@@ -677,21 +668,23 @@ impl CharonDevice {
         }
     }
 
-    /// The `initialize()` intrinsic (§4.1): ships global addresses to every
-    /// cube's memory-mapped registers. Called once at program launch.
-    pub fn initialize(&mut self, params: InitializeParams) {
-        self.init = Some(params);
-    }
-
-    /// Whether `initialize()` has run.
-    pub fn is_initialized(&self) -> bool {
-        self.init.is_some()
-    }
-
-    /// Accumulated statistics, component energy included (settled at the
-    /// end of every offload).
-    pub fn stats(&self) -> &CharonStats {
-        &self.stats
+    /// Accumulated statistics. The unit-class counters come from the pools
+    /// and the queue, TLB and bitmap-cache energy from those structures'
+    /// running totals, both read now; the unit energy is accumulated per
+    /// offload.
+    pub fn stats(&self) -> CharonStats {
+        let offloads = self.stats.total_offloads() as f64;
+        let requests = self.mai.iter().map(Mai::requests).sum::<u64>() as f64;
+        CharonStats {
+            units: self.pools.each_ref().map(UnitClassStats::of),
+            energy: ComponentEnergy {
+                units_pj: self.stats.energy.units_pj,
+                queues_pj: offloads * QUEUE_PJ_PER_OFFLOAD + requests * QUEUE_PJ_PER_REQUEST,
+                tlb_pj: self.tlb.stats().0 as f64 * TLB_PJ_PER_LOOKUP,
+                bitmap_cache_pj: self.bitmap_cache.stats().accesses() as f64 * BITMAP_PJ_PER_ACCESS,
+            },
+            ..self.stats.clone()
+        }
     }
 
     /// Bitmap-cache statistics (the paper reports ≈ 90 % hits).
@@ -850,7 +843,6 @@ impl CharonDevice {
     pub fn set_unit_layout(&mut self, prim: PrimType, per_cube: &[usize]) {
         let c = unit_class(prim);
         self.pools[c] = UnitPool::new(per_cube);
-        self.stats.units[c] = UnitClassStats::of(&self.pools[c]);
     }
 
     /// Charges one failed attempt: the request transport that still
@@ -913,9 +905,7 @@ impl CharonDevice {
             }
             FaultSite::Unit => {
                 let arrive = self.send_request(host, cube, t);
-                let c = unit_class(prim);
-                self.pools[c].record_wedge();
-                self.stats.units[c] = UnitClassStats::of(&self.pools[c]);
+                self.pools[unit_class(prim)].record_wedge();
                 arrive.max(t + timeout)
             }
         }
@@ -995,7 +985,7 @@ impl CharonDevice {
     /// any traffic is charged, sends the request packet and opens the MAI
     /// stream. Then the primitive's own memory traffic runs. The epilogue
     /// charges the unit pool (the queue wait), books the stats and the
-    /// §5.3 component energy, and sends the response packet. Returns when
+    /// units' §5.3 energy, and sends the response packet. Returns when
     /// the host thread unblocks.
     ///
     /// # Errors
@@ -1072,17 +1062,9 @@ impl CharonDevice {
         s.bytes += bytes;
         s.transport += arrive - now;
         s.queue += queue;
-        self.stats.units[c] = UnitClassStats::of(&self.pools[c]);
         self.telemetry
             .record(|| Event::UnitSpan { prim: prim.name(), cube, start: arrive, end, bytes });
-        // Component energy, recomputed from the structures' running totals.
-        let offloads = self.stats.total_offloads() as f64;
-        let requests = self.mai.iter().map(Mai::requests).sum::<u64>() as f64;
-        let e = &mut self.stats.energy;
-        e.units_pj += bytes as f64 * UNIT_PJ_PER_BYTE;
-        e.queues_pj = offloads * QUEUE_PJ_PER_OFFLOAD + requests * QUEUE_PJ_PER_REQUEST;
-        e.tlb_pj = self.tlb.stats().0 as f64 * TLB_PJ_PER_LOOKUP;
-        e.bitmap_cache_pj = self.bitmap_cache.stats().accesses() as f64 * BITMAP_PJ_PER_ACCESS;
+        self.stats.energy.units_pj += bytes as f64 * UNIT_PJ_PER_BYTE;
         Ok(self.send_response(host, cube, prim, end))
     }
 
@@ -1324,19 +1306,6 @@ mod tests {
     }
 
     #[test]
-    fn initialize_records_params() {
-        let (_, mut dev) = setup(Placement::MemorySide);
-        assert!(!dev.is_initialized());
-        dev.initialize(InitializeParams {
-            heap_base: VAddr(0x1000_0000),
-            beg_map_base: VAddr(0x2000_0000),
-            bitmap_offset: 0x10_0000,
-            card_table_base: VAddr(0x3000_0000),
-        });
-        assert!(dev.is_initialized());
-    }
-
-    #[test]
     fn armed_at_zero_rates_equals_unarmed() {
         let (mut h1, mut d1) = setup(Placement::MemorySide);
         let (mut h2, mut d2) = setup(Placement::MemorySide);
@@ -1486,7 +1455,7 @@ mod tests {
                 FaultSite::Link => assert!(host.fabric.stats().link_drops > 0),
                 FaultSite::Tlb => assert!(dev.tlb.unserviceable_misses() > 0),
                 FaultSite::Mai => assert!(dev.mai.iter().map(Mai::parity_errors).sum::<u64>() > 0),
-                FaultSite::Unit => assert_eq!(dev.stats().units[0].wedges, 2, "the mirror sees the wedges"),
+                FaultSite::Unit => assert_eq!(dev.stats().units[0].wedges, 2, "the stats see the wedges"),
                 FaultSite::Queue => {}
             }
         }

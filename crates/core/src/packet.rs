@@ -1,9 +1,10 @@
 //! The host↔Charon offload interface (§4.1).
 //!
-//! Two intrinsics exist. `initialize()` is called once at program launch
-//! and writes the globally accessed addresses (heap base, bitmap base and
-//! the begin→end map `OFFSET`, card-table base) into memory-mapped unit
-//! registers. `offload()` ships one primitive:
+//! The paper's host has two intrinsics. `initialize()` is called once at
+//! program launch and writes the globally accessed addresses (heap base,
+//! bitmap base and the begin→end map `OFFSET`, card-table base) into
+//! memory-mapped unit registers; it costs nothing per collection, so the
+//! model does not carry it. `offload()` ships one primitive:
 //!
 //! ```text
 //! val offload(val type, addr src, addr dst, val arg)
@@ -13,8 +14,8 @@
 //! (including the destination cube id), a 4-bit primitive type, two 8-byte
 //! addresses, and up to 124 bits of extra operands. The response packet is
 //! **32 bytes** when it carries a return value and **16 bytes** otherwise.
+//! The model charges these sizes on the links; it builds no packet.
 
-use charon_heap::addr::VAddr;
 use std::fmt;
 
 /// Size of every offload request packet, bytes.
@@ -29,10 +30,10 @@ pub const RESPONSE_EMPTY_BYTES: u32 = 16;
 /// payload. Silent failures — a dropped packet, a wedged unit — produce
 /// no packet at all; the host only learns of those through its timeout.
 pub const RESPONSE_NACK_BYTES: u32 = 16;
-/// HMC header/tail bytes inside the request.
-pub const HEADER_TAIL_BYTES: u32 = 16;
-/// Bits available for extra operands.
-pub const EXTRA_OPERAND_BITS: u32 = 124;
+
+// The 4-bit type, two 8-byte addresses and 124 bits of extra operands fit
+// beside the 16 B header/tail in the 48 B request.
+const _: () = assert!(4 + 64 + 64 + 124 <= (REQUEST_BYTES - 16) * 8);
 
 /// The offloaded primitive, encoded in 4 bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -49,27 +50,12 @@ pub enum PrimType {
 }
 
 impl PrimType {
-    /// All primitive types.
+    /// All primitive types, in wire-encoding order.
     pub const ALL: [PrimType; 4] = [PrimType::Copy, PrimType::Search, PrimType::ScanPush, PrimType::BitmapCount];
 
-    /// The 4-bit wire encoding.
+    /// The 4-bit wire encoding (also the index of per-primitive arrays).
     pub fn encode(self) -> u8 {
         self as u8
-    }
-
-    /// Decodes the 4-bit wire value.
-    ///
-    /// # Errors
-    ///
-    /// Returns `None` for undefined encodings.
-    pub fn decode(v: u8) -> Option<PrimType> {
-        match v {
-            0 => Some(PrimType::Copy),
-            1 => Some(PrimType::Search),
-            2 => Some(PrimType::ScanPush),
-            3 => Some(PrimType::BitmapCount),
-            _ => None,
-        }
     }
 
     /// Whether this primitive's response carries a return value
@@ -87,7 +73,8 @@ impl PrimType {
         }
     }
 
-    /// Stable static name (telemetry event labels; matches [`fmt::Display`]).
+    /// Stable static name (telemetry event labels, report keys; matches
+    /// [`fmt::Display`]).
     pub fn name(self) -> &'static str {
         match self {
             PrimType::Copy => "Copy",
@@ -104,88 +91,23 @@ impl fmt::Display for PrimType {
     }
 }
 
-/// One offload request, as the host's intrinsic builds it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OffloadRequest {
-    /// Which primitive.
-    pub prim: PrimType,
-    /// First address operand (copy source / search start / object /
-    /// bitmap-range start).
-    pub src: VAddr,
-    /// Second address operand (copy destination / search end / metadata /
-    /// bitmap-range end).
-    pub dst: VAddr,
-    /// Extra operand (size, flags…), ≤ 124 bits.
-    pub arg: u64,
-}
-
-impl OffloadRequest {
-    /// Serialized wire size — always [`REQUEST_BYTES`].
-    pub fn wire_bytes(&self) -> u32 {
-        REQUEST_BYTES
-    }
-
-    /// Payload bits actually carried: type + two addresses + arg, which
-    /// must fit beside the 16 B header/tail in the 48 B packet.
-    pub fn payload_bits(&self) -> u32 {
-        4 + 64 + 64 + EXTRA_OPERAND_BITS
-    }
-}
-
-/// One offload response.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OffloadResponse {
-    /// Return value, present for value-bearing primitives.
-    pub value: Option<u64>,
-}
-
-impl OffloadResponse {
-    /// Serialized wire size: 32 B with a value, 16 B without.
-    pub fn wire_bytes(&self) -> u32 {
-        if self.value.is_some() {
-            RESPONSE_WITH_VALUE_BYTES
-        } else {
-            RESPONSE_EMPTY_BYTES
-        }
-    }
-}
-
-/// The constants `initialize()` ships to every cube's memory-mapped
-/// registers at program launch (§4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InitializeParams {
-    /// Heap base address.
-    pub heap_base: VAddr,
-    /// Begin-bitmap base address.
-    pub beg_map_base: VAddr,
-    /// The static begin→end map offset (Fig. 8 line 3).
-    pub bitmap_offset: u64,
-    /// Card-table base address.
-    pub card_table_base: VAddr,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn prim_type_fits_four_bits() {
-        for p in PrimType::ALL {
+        for (i, p) in PrimType::ALL.into_iter().enumerate() {
+            assert_eq!(usize::from(p.encode()), i, "ALL is in wire-encoding order");
             assert!(p.encode() < 16);
-            assert_eq!(PrimType::decode(p.encode()), Some(p));
         }
-        assert_eq!(PrimType::decode(9), None);
     }
 
     #[test]
     fn packet_sizes_match_paper() {
-        let req = OffloadRequest { prim: PrimType::Copy, src: VAddr(0), dst: VAddr(0), arg: 0 };
-        assert_eq!(req.wire_bytes(), 48);
-        // Payload must fit in 48 B minus 16 B header/tail.
-        assert!(req.payload_bits() <= (REQUEST_BYTES - HEADER_TAIL_BYTES) * 8);
-
-        assert_eq!(OffloadResponse { value: Some(7) }.wire_bytes(), 32);
-        assert_eq!(OffloadResponse { value: None }.wire_bytes(), 16);
+        assert_eq!(REQUEST_BYTES, 48);
+        assert_eq!(RESPONSE_WITH_VALUE_BYTES, 32);
+        assert_eq!(RESPONSE_EMPTY_BYTES, 16);
     }
 
     #[test]

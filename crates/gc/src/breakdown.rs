@@ -4,7 +4,9 @@
 //! runtime breakdowns (Fig. 4a/4b) and per-primitive speedups (Fig. 14)
 //! are ratios over these.
 
+use charon_core::packet::PrimType;
 use charon_sim::bwres::BwOccupancy;
+use charon_sim::faults::CorruptionSite;
 use charon_sim::json::Json;
 use charon_sim::time::Ps;
 use std::fmt;
@@ -37,8 +39,7 @@ impl Bucket {
         [Bucket::Search, Bucket::ScanPush, Bucket::Copy, Bucket::BitmapCount, Bucket::Pop, Bucket::Push, Bucket::Other];
 
     /// The bucket primitive `prim`'s time lands in.
-    pub fn of(prim: charon_core::packet::PrimType) -> Bucket {
-        use charon_core::packet::PrimType;
+    pub fn of(prim: PrimType) -> Bucket {
         match prim {
             PrimType::Copy => Bucket::Copy,
             PrimType::Search => Bucket::Search,
@@ -67,13 +68,6 @@ impl fmt::Display for Bucket {
         f.write_str(s)
     }
 }
-
-/// Per-primitive display names in wire-encoding order (`PrimType::ALL`).
-const PRIM_NAMES: [&str; 4] = ["Copy", "Search", "Scan&Push", "Bitmap Count"];
-
-/// Corruption-site display names in [`charon_sim::faults::CorruptionSite`]
-/// index order (bitmap=0, forward=1, card=2, payload=3).
-const SITE_NAMES: [&str; 4] = ["bitmap", "forward", "card", "payload"];
 
 /// Offload-recovery accounting under fault injection, indexed by the
 /// primitive's wire encoding (Copy=0, Search=1, Scan&Push=2, Bitmap
@@ -170,26 +164,18 @@ impl RecoverySummary {
     /// Machine-readable view: per-primitive retry/fallback/degraded
     /// counters keyed by display name, plus the totals.
     pub fn to_json(&self) -> Json {
-        let per_prim = |vals: &[u64; 4]| {
-            Json::obj(
-                PRIM_NAMES
-                    .iter()
-                    .zip(vals)
-                    .map(|(n, &v)| (n.to_string(), Json::U64(v)))
-                    .collect::<Vec<_>>(),
-            )
-        };
+        let per_prim =
+            |vals: &[u64; 4]| Json::obj(PrimType::ALL.iter().zip(vals).map(|(p, &v)| (p.name(), Json::U64(v))));
         let mut fields = vec![
             ("retries", per_prim(&self.retries)),
             ("fallbacks", per_prim(&self.fallbacks)),
             (
                 "degraded",
                 Json::obj(
-                    PRIM_NAMES
+                    PrimType::ALL
                         .iter()
                         .zip(&self.degraded)
-                        .map(|(n, &d)| (n.to_string(), Json::Bool(d)))
-                        .collect::<Vec<_>>(),
+                        .map(|(p, &d)| (p.name(), Json::Bool(d))),
                 ),
             ),
             ("total_retries", Json::U64(self.total_retries())),
@@ -199,13 +185,7 @@ impl RecoverySummary {
         // fault-free JSON stays byte-identical to the committed baselines.
         if self.has_corruption() {
             let per_site = |vals: &[u64; 4]| {
-                Json::obj(
-                    SITE_NAMES
-                        .iter()
-                        .zip(vals)
-                        .map(|(n, &v)| (n.to_string(), Json::U64(v)))
-                        .collect::<Vec<_>>(),
-                )
+                Json::obj(CorruptionSite::ALL.iter().zip(vals).map(|(c, &v)| (c.name(), Json::U64(v))))
             };
             fields.push((
                 "corruption",
@@ -221,16 +201,7 @@ impl RecoverySummary {
             ));
         }
         if self.rearmed.iter().any(|&r| r > 0) {
-            fields.push((
-                "rearmed",
-                Json::obj(
-                    PRIM_NAMES
-                        .iter()
-                        .zip(&self.rearmed)
-                        .map(|(n, &v)| (n.to_string(), Json::U64(v)))
-                        .collect::<Vec<_>>(),
-                ),
-            ));
+            fields.push(("rearmed", per_prim(&self.rearmed)));
         }
         Json::obj(fields)
     }
@@ -295,7 +266,7 @@ impl fmt::Display for RecoverySummary {
             vals.iter()
                 .enumerate()
                 .filter(|(_, &v)| v > 0)
-                .map(|(i, v)| format!("{}={v}", PRIM_NAMES[i]))
+                .map(|(i, v)| format!("{}={v}", PrimType::ALL[i].name()))
                 .collect::<Vec<_>>()
                 .join(",")
         };
@@ -312,7 +283,7 @@ impl fmt::Display for RecoverySummary {
                 .iter()
                 .enumerate()
                 .filter(|(_, &d)| d)
-                .map(|(i, _)| PRIM_NAMES[i])
+                .map(|(i, _)| PrimType::ALL[i].name())
                 .collect::<Vec<_>>()
                 .join(",");
             parts.push(format!("degraded[{dead}]"));
@@ -322,7 +293,7 @@ impl fmt::Display for RecoverySummary {
                 vals.iter()
                     .enumerate()
                     .filter(|(_, &v)| v > 0)
-                    .map(|(i, v)| format!("{}={v}", SITE_NAMES[i]))
+                    .map(|(i, v)| format!("{}={v}", CorruptionSite::ALL[i].name()))
                     .collect::<Vec<_>>()
                     .join(",")
             };
@@ -344,7 +315,7 @@ impl fmt::Display for RecoverySummary {
                 .iter()
                 .enumerate()
                 .filter(|(_, &v)| v > 0)
-                .map(|(i, _)| PRIM_NAMES[i])
+                .map(|(i, _)| PrimType::ALL[i].name())
                 .collect::<Vec<_>>()
                 .join(",");
             parts.push(format!("rearmed[{armed}]"));

@@ -12,7 +12,6 @@ use crate::minor::{minor_gc, MinorStats};
 use crate::system::{OffloadMask, System};
 use crate::threads::GcThreads;
 use charon_core::device::UnitClassStats;
-use charon_core::packet::InitializeParams;
 use charon_heap::addr::VAddr;
 use charon_heap::heap::JavaHeap;
 use charon_heap::klass::{KlassId, KlassKind};
@@ -265,18 +264,11 @@ pub struct Collector {
 }
 
 impl Collector {
-    /// Creates the collector and, when a device is present, runs the
-    /// `initialize()` intrinsic with the heap's global addresses (§4.1).
-    pub fn new(mut sys: System, heap: &JavaHeap, gc_threads: usize) -> Collector {
+    /// Creates the collector for a heap on `sys`. Nothing is read from the
+    /// heap until the first collection (the device's launch-time
+    /// `initialize()`, §4.1, costs no simulated time and is not modelled).
+    pub fn new(sys: System, _heap: &JavaHeap, gc_threads: usize) -> Collector {
         assert!(gc_threads > 0, "need at least one GC thread");
-        if let Some(dev) = sys.device.as_mut() {
-            dev.initialize(InitializeParams {
-                heap_base: heap.layout().heap.start,
-                beg_map_base: heap.layout().beg_map.start,
-                bitmap_offset: heap.layout().bitmap_offset(),
-                card_table_base: heap.layout().cards.start,
-            });
-        }
         Collector {
             sys,
             gc_threads,
@@ -585,7 +577,6 @@ fn sweep_to_major(st: &SweepStats) -> MajorStats {
         moved_bytes: 0,
         marked_objects: st.marked_objects,
         regions: st.free_chunks,
-        stack_max: 0,
         cleared_weak_refs: 0,
     }
 }
@@ -598,7 +589,6 @@ fn g1_to_major(st: &G1Stats) -> MajorStats {
         moved_bytes: st.evacuated_bytes,
         marked_objects: st.marked_objects,
         regions: st.regions as u64,
-        stack_max: 0,
         cleared_weak_refs: 0,
     }
 }

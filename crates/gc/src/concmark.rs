@@ -88,8 +88,6 @@ pub enum ConcEvent {
 /// Work one [`ConcMark::step`] performed, for the caller's time charge.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StepWork {
-    /// The zone drained.
-    pub zone: usize,
     /// Objects popped and scanned.
     pub scanned: u64,
     /// Reference slots examined.
@@ -226,7 +224,7 @@ impl ConcMark {
             self.remark_pending = true;
             return StepWork::default();
         };
-        let mut work = StepWork { zone: z, ..StepWork::default() };
+        let mut work = StepWork::default();
         for _ in 0..budget {
             let Some(obj) = self.zones[z].pop() else { break };
             work.scanned += 1;

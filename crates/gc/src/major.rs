@@ -45,8 +45,6 @@ pub struct MajorStats {
     pub marked_objects: u64,
     /// Compaction regions summarized.
     pub regions: u64,
-    /// Peak marking-stack depth.
-    pub stack_max: usize,
     /// Weak referents cleared by reference processing.
     pub cleared_weak_refs: u64,
 }
@@ -135,7 +133,6 @@ pub fn major_gc(sys: &mut System, heap: &mut JavaHeap, threads: &mut GcThreads) 
     pc.serial(Step::Prologue);
 
     let discovered = mark_phase(&mut pc, heap, &mut st, &mut stack);
-    st.stack_max = stack.max_depth();
     pc.end_phase("mark");
     st.cleared_weak_refs = clear_dead_referents(&mut pc, heap, discovered);
     pc.barrier();

@@ -38,10 +38,6 @@ pub struct MinorStats {
     pub objects_copied: u64,
     /// Dirty cards found by *Search*.
     pub dirty_cards: u64,
-    /// Peak object-stack depth.
-    pub stack_max: usize,
-    /// Root slots that seeded the scavenge.
-    pub roots_pushed: u64,
     /// `java.lang.ref` referents cleared because only weak paths reached
     /// them.
     pub cleared_weak_refs: u64,
@@ -99,7 +95,6 @@ pub fn minor_gc(
         if !r.is_null() && heap.in_young(r) {
             let s = sc.stack.push(slot);
             pc.host_on(t, Bucket::Push, pc.sys.costs.push, &[(s, AccessKind::Write)]);
-            sc.st.roots_pushed += 1;
         }
     }
     pc.end_phase("roots");
@@ -116,7 +111,6 @@ pub fn minor_gc(
         let t = pc.host(Bucket::Pop, pc.sys.costs.pop, &[(slot_addr, AccessKind::Read), (slot, AccessKind::Read)]);
         process_slot(&mut pc, heap, &mut sc, slot, t);
     }
-    sc.st.stack_max = sc.stack.max_depth();
     pc.end_phase("drain");
 
     // Reference processing: a weak referent that no strong path copied is

@@ -631,7 +631,7 @@ impl System {
     /// Charges energy for one completed GC spanning `wall`, with
     /// `host_active_total` summed active core-time and `dram_bytes` moved.
     pub fn charge_gc_energy(&mut self, wall: Ps, gc_threads: usize, host_active_total: Ps, dram_bytes: u64) {
-        self.energy.add_dram_bytes(self.cfg.platform, dram_bytes);
+        self.energy.add_dram_bytes(self.cfg.dram_pj_per_bit(), dram_bytes);
         self.energy.add_core_active(1, host_active_total);
         let idle = Ps(((gc_threads as u64) * wall.0).saturating_sub(host_active_total.0));
         self.energy.add_core_idle(1, idle);

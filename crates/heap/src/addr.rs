@@ -70,12 +70,6 @@ impl VAddr {
         debug_assert!(align.is_power_of_two());
         VAddr(self.0 & !(align - 1))
     }
-
-    /// Rounds up to a multiple of `align` (a power of two).
-    pub fn align_up(self, align: u64) -> VAddr {
-        debug_assert!(align.is_power_of_two());
-        VAddr((self.0 + align - 1) & !(align - 1))
-    }
 }
 
 impl Add<u64> for VAddr {
@@ -171,8 +165,6 @@ mod tests {
         assert!(VAddr(0x10).is_word_aligned());
         assert!(!VAddr(0x11).is_word_aligned());
         assert_eq!(VAddr(0x13).align_down(16), VAddr(0x10));
-        assert_eq!(VAddr(0x13).align_up(16), VAddr(0x20));
-        assert_eq!(VAddr(0x20).align_up(16), VAddr(0x20));
     }
 
     #[test]

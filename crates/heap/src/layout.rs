@@ -144,12 +144,6 @@ impl HeapLayout {
         HeapLayout { heap, old, eden, from, to, beg_map, end_map, cards, minor_stack, major_stack, roots, total }
     }
 
-    /// The constant `OFFSET` the paper adds to a begin-map address to reach
-    /// the corresponding end-map address (Fig. 8, line 3).
-    pub fn bitmap_offset(&self) -> u64 {
-        self.end_map.start - self.beg_map.start
-    }
-
     /// Which space-free young capacity exists (eden + both survivors).
     pub fn young_bytes(&self) -> u64 {
         self.eden.bytes() + self.from.bytes() + self.to.bytes()
@@ -204,7 +198,6 @@ mod tests {
         let l = layout();
         assert!(l.beg_map.bytes() * 8 >= l.heap.words());
         assert_eq!(l.beg_map.bytes(), l.end_map.bytes());
-        assert_eq!(l.bitmap_offset(), l.end_map.start - l.beg_map.start);
     }
 
     #[test]

@@ -50,11 +50,6 @@ impl HeapMemory {
         VRange::new(self.base, self.end())
     }
 
-    /// Size in bytes.
-    pub fn len_bytes(&self) -> u64 {
-        self.words.len() as u64 * WORD_BYTES
-    }
-
     fn index(&self, addr: VAddr) -> usize {
         debug_assert!(addr.is_word_aligned(), "unaligned word access at {addr}");
         debug_assert!(addr >= self.base && addr < self.end(), "access at {addr} outside mapped {}", self.range());
@@ -130,7 +125,6 @@ mod tests {
         let m = mem();
         assert_eq!(m.read_word(VAddr(0x1000)), 0);
         assert_eq!(m.read_word(VAddr(0x13f8)), 0); // last mapped word
-        assert_eq!(m.len_bytes(), 1024);
         assert_eq!(m.end(), VAddr(0x1400));
     }
 

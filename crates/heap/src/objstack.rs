@@ -22,40 +22,17 @@ use crate::addr::{VAddr, VRange, WORD_BYTES};
 pub struct ObjStack {
     region: VRange,
     items: Vec<VAddr>,
-    max_depth: usize,
-    pushes: u64,
-    pops: u64,
 }
 
 impl ObjStack {
     /// Creates an empty stack backed by `region`.
     pub fn new(region: VRange) -> ObjStack {
-        ObjStack { region, items: Vec::new(), max_depth: 0, pushes: 0, pops: 0 }
-    }
-
-    /// The backing region.
-    pub fn region(&self) -> VRange {
-        self.region
-    }
-
-    /// Current depth.
-    pub fn len(&self) -> usize {
-        self.items.len()
+        ObjStack { region, items: Vec::new() }
     }
 
     /// Whether the stack is drained.
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
-    }
-
-    /// High-water mark of the depth.
-    pub fn max_depth(&self) -> usize {
-        self.max_depth
-    }
-
-    /// `(pushes, pops)` so far.
-    pub fn op_counts(&self) -> (u64, u64) {
-        (self.pushes, self.pops)
     }
 
     /// The simulated address of the slot at `depth`.
@@ -73,21 +50,13 @@ impl ObjStack {
         let depth = self.items.len();
         assert!(((depth as u64) + 1) * WORD_BYTES <= self.region.bytes(), "object stack overflow at depth {depth}");
         self.items.push(obj);
-        self.max_depth = self.max_depth.max(self.items.len());
-        self.pushes += 1;
         self.slot_addr(depth)
     }
 
     /// Pops the top entry; returns `(object, slot_address_read)`.
     pub fn pop(&mut self) -> Option<(VAddr, VAddr)> {
         let obj = self.items.pop()?;
-        self.pops += 1;
         Some((obj, self.slot_addr(self.items.len())))
-    }
-
-    /// Empties the stack without counting pops (end-of-phase cleanup).
-    pub fn clear(&mut self) {
-        self.items.clear();
     }
 }
 
@@ -118,20 +87,6 @@ mod tests {
         assert_eq!(s.push(VAddr(16)), VAddr(0x8008));
         let (_, slot) = s.pop().unwrap();
         assert_eq!(slot, VAddr(0x8008));
-    }
-
-    #[test]
-    fn tracks_max_depth_and_ops() {
-        let mut s = stack();
-        s.push(VAddr(8));
-        s.push(VAddr(16));
-        s.pop();
-        s.push(VAddr(24));
-        assert_eq!(s.max_depth(), 2);
-        assert_eq!(s.op_counts(), (3, 1));
-        s.clear();
-        assert!(s.is_empty());
-        assert_eq!(s.op_counts(), (3, 1));
     }
 
     #[test]

@@ -391,10 +391,10 @@ impl EpochBw {
 }
 
 /// The pre-ring `HashMap` implementation, kept as a differential oracle
-/// for the proptest equivalence property and as the baseline of
-/// `benches/bwres_micro.rs`. The epoch arithmetic is the old code with one
-/// shared correction — the serialization floor is carried across epoch
-/// boundaries, matching [`EpochBw`], so completions are monotone in units.
+/// for the proptest equivalence property. The epoch arithmetic is the old
+/// code with one shared correction — the serialization floor is carried
+/// across epoch boundaries, matching [`EpochBw`], so completions are
+/// monotone in units.
 /// Not used by the simulator itself — it still carries the latent eviction
 /// bug described in the module docs.
 #[derive(Debug, Clone)]
@@ -418,11 +418,6 @@ impl HashMapOracle {
     /// See [`EpochBw::from_bandwidth`].
     pub fn from_bandwidth(bw: Bandwidth, epoch: Ps) -> HashMapOracle {
         HashMapOracle::new(bw.as_bytes_per_sec(), epoch)
-    }
-
-    /// See [`EpochBw::from_period`].
-    pub fn from_period(period: Ps, epoch: Ps) -> HashMapOracle {
-        HashMapOracle::new(1e12 / period.0 as f64, epoch)
     }
 
     /// See [`EpochBw::total_units`].

@@ -198,9 +198,6 @@ pub struct CharonConfig {
     /// paper's units "issue a request every cycle" — 1 GHz documented
     /// default, conservative for a 40 nm logic layer.)
     pub unit_freq: Freq,
-    /// Average power drawn by all Charon logic while active, watts
-    /// (§5.3: 2.98 W average, 4.51 W max).
-    pub active_power_w: f64,
 }
 
 /// The complete simulated system: host + memory platform (+ Charon config,
@@ -315,7 +312,6 @@ impl CharonConfig {
             tlb_entries_per_cube: 32,
             mai_entries: 64,
             unit_freq: Freq::ghz(1.0),
-            active_power_w: 2.98,
         }
     }
 }
@@ -336,6 +332,14 @@ impl SystemConfig {
     /// Charon and Ideal backends).
     pub fn table2_hmc() -> SystemConfig {
         SystemConfig { platform: MemPlatform::Hmc, ..SystemConfig::table2_ddr4() }
+    }
+
+    /// The selected platform's DRAM access energy, pJ/bit (Table 2).
+    pub fn dram_pj_per_bit(&self) -> f64 {
+        match self.platform {
+            MemPlatform::Ddr4 => self.ddr4.pj_per_bit,
+            MemPlatform::Hmc => self.hmc.pj_per_bit,
+        }
     }
 }
 

@@ -4,7 +4,8 @@
 //!
 //! * **DRAM + interconnect** — per-bit access energy from Table 2
 //!   (35 pJ/bit DDR4, 21 pJ/bit HMC, the latter including SerDes per the
-//!   paper's HMC energy source),
+//!   paper's HMC energy source), read from the platform's config
+//!   (`Ddr4Config::pj_per_bit`, `HmcConfig::pj_per_bit`),
 //! * **host cores** — a McPAT-like two-state model: an active core burns
 //!   `core_active_w`; a core whose GC thread is blocked on an offloaded
 //!   primitive clock-gates down to `core_idle_w`; shared uncore is a
@@ -12,7 +13,6 @@
 //! * **Charon units** — the paper's measured 2.98 W average while active
 //!   (§5.3), plus negligible idle leakage.
 
-use crate::config::MemPlatform;
 use crate::time::Ps;
 use std::fmt;
 
@@ -27,24 +27,14 @@ pub struct EnergyParams {
     pub core_idle_w: f64,
     /// Watts for the shared uncore (LLC, ring, memory controllers).
     pub uncore_w: f64,
-    /// Average watts for all Charon logic while any unit is active (§5.3).
+    /// Average watts for all Charon logic while any unit is active (§5.3:
+    /// 2.98 W average, 4.51 W max).
     pub charon_active_w: f64,
-    /// DDR4 access energy, pJ/bit (Table 2).
-    pub ddr4_pj_per_bit: f64,
-    /// HMC access energy incl. links, pJ/bit (Table 2).
-    pub hmc_pj_per_bit: f64,
 }
 
 impl Default for EnergyParams {
     fn default() -> EnergyParams {
-        EnergyParams {
-            core_active_w: 7.5,
-            core_idle_w: 1.0,
-            uncore_w: 8.0,
-            charon_active_w: 2.98,
-            ddr4_pj_per_bit: 35.0,
-            hmc_pj_per_bit: 21.0,
-        }
+        EnergyParams { core_active_w: 7.5, core_idle_w: 1.0, uncore_w: 8.0, charon_active_w: 2.98 }
     }
 }
 
@@ -136,18 +126,10 @@ impl EnergyModel {
         EnergyModel { params, account: EnergyAccount::default() }
     }
 
-    /// The constants in use.
-    pub fn params(&self) -> &EnergyParams {
-        &self.params
-    }
-
-    /// Charges DRAM access energy for `bytes` moved on `platform`.
-    pub fn add_dram_bytes(&mut self, platform: MemPlatform, bytes: u64) {
-        let pj_bit = match platform {
-            MemPlatform::Ddr4 => self.params.ddr4_pj_per_bit,
-            MemPlatform::Hmc => self.params.hmc_pj_per_bit,
-        };
-        self.account.dram_j += bytes as f64 * 8.0 * pj_bit * 1e-12;
+    /// Charges DRAM access energy for `bytes` moved at `pj_per_bit`
+    /// ([`crate::config::SystemConfig::dram_pj_per_bit`]).
+    pub fn add_dram_bytes(&mut self, pj_per_bit: f64, bytes: u64) {
+        self.account.dram_j += bytes as f64 * 8.0 * pj_per_bit * 1e-12;
     }
 
     /// Charges `cores` host cores running actively for `dur`.
@@ -179,15 +161,16 @@ impl EnergyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SystemConfig;
 
     #[test]
     fn dram_energy_matches_pj_per_bit() {
         let mut m = EnergyModel::new(EnergyParams::default());
-        m.add_dram_bytes(MemPlatform::Ddr4, 1_000_000); // 1 MB
-                                                        // 1e6 B * 8 b/B * 35 pJ = 2.8e8 pJ = 2.8e-4 J.
+        // 1 MB at 35 pJ/bit: 1e6 B * 8 b/B * 35 pJ = 2.8e8 pJ = 2.8e-4 J.
+        m.add_dram_bytes(SystemConfig::table2_ddr4().dram_pj_per_bit(), 1_000_000);
         assert!((m.account().dram_j - 2.8e-4).abs() < 1e-9);
         let mut h = EnergyModel::new(EnergyParams::default());
-        h.add_dram_bytes(MemPlatform::Hmc, 1_000_000);
+        h.add_dram_bytes(SystemConfig::table2_hmc().dram_pj_per_bit(), 1_000_000);
         assert!(h.account().dram_j < m.account().dram_j, "HMC bit energy is lower");
     }
 
@@ -212,7 +195,7 @@ mod tests {
     fn since_and_accumulate_telescope() {
         let mut m = EnergyModel::new(EnergyParams::default());
         let start = m.account().clone();
-        m.add_dram_bytes(MemPlatform::Ddr4, 1_000_000);
+        m.add_dram_bytes(35.0, 1_000_000);
         m.add_core_active(4, Ps::from_ms(1.0));
         let mid = m.account().clone();
         m.add_uncore(Ps::from_ms(2.0));

@@ -148,10 +148,11 @@ impl Json {
 
     /// Parses (and thereby validates) a JSON document. This is the in-repo
     /// checker CI uses on emitted artifacts: balanced brackets, legal
-    /// escapes, exactly one value, nothing trailing.
+    /// escapes, exactly one value, nothing trailing, and arrays and objects
+    /// nested at most [`MAX_DEPTH`] deep.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser { bytes, pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -214,9 +215,16 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// How deep [`Json::parse`] lets arrays and objects nest. The parser
+/// recurses once per level, so a deeper document is an error rather than
+/// a stack overflow; the repo's own reports nest 8 deep.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -258,8 +266,15 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                Err(self.err(&format!("nested deeper than {MAX_DEPTH} levels")))
+            }
+            Some(open @ (b'[' | b'{')) => {
+                self.depth += 1;
+                let v = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(self.err(&format!("unexpected character '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
@@ -503,6 +518,20 @@ mod tests {
         let arr = v.get("a").and_then(Json::as_arr).unwrap();
         assert_eq!(arr.len(), 3);
         assert_eq!(arr[2].as_f64(), Some(-450.0));
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_an_error_not_the_stack() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        for depth in [MAX_DEPTH + 1, 200_000] {
+            let e = Json::parse(&nested(depth)).unwrap_err();
+            assert_eq!(e.pos, MAX_DEPTH, "rejected at the first bracket too deep");
+            assert!(e.msg.contains("nested deeper"), "{e}");
+        }
+        let objects = r#"{"a":"#.repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).is_err());
+        assert!(Json::parse(&objects[5..objects.len() - 1]).is_ok(), "one level less parses");
     }
 
     #[test]

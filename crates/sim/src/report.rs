@@ -37,12 +37,14 @@ pub fn extract_metrics(report: &Json) -> Vec<(String, u64)> {
         // Chaos campaign report: rates are gated upward (higher is
         // better), escapes downward. Rates are re-derived from the integer
         // counts in basis points so the gate compares integers like every
-        // other metric.
+        // other metric; the products saturate, so a hostile count cannot
+        // wrap or panic.
         let count = |k: &str| report.get(k).and_then(Json::as_u64).unwrap_or(0);
         let (injected, detected, repaired) = (count("injected"), count("detected"), count("repaired"));
         let harmful = injected.saturating_sub(count("benign"));
-        out.push(("chaos/detection_rate_bp".into(), (detected * 10_000).checked_div(harmful).unwrap_or(10_000)));
-        out.push(("chaos/repair_rate_bp".into(), (repaired * 10_000).checked_div(detected).unwrap_or(10_000)));
+        let bp = |part: u64, whole: u64| part.saturating_mul(10_000).checked_div(whole).unwrap_or(10_000);
+        out.push(("chaos/detection_rate_bp".into(), bp(detected, harmful)));
+        out.push(("chaos/repair_rate_bp".into(), bp(repaired, detected)));
         out.push(("chaos/escaped".into(), count("escaped")));
         for c in report.get("cells").and_then(Json::as_arr).unwrap_or(&[]) {
             let w = c.get("workload").and_then(Json::as_str).unwrap_or("?");

@@ -194,11 +194,6 @@ impl Freq {
     pub fn cycles_to_ps(self, cycles: u64) -> Ps {
         Ps(((cycles as f64) * 1e12 / self.hz).round() as u64)
     }
-
-    /// How many whole cycles fit in `d` (rounds up; a partial cycle counts).
-    pub fn ps_to_cycles(self, d: Ps) -> u64 {
-        ((d.0 as f64) * self.hz / 1e12).ceil() as u64
-    }
 }
 
 impl fmt::Display for Freq {
@@ -308,7 +303,6 @@ mod tests {
         let f = Freq::ghz(1.0);
         assert_eq!(f.period(), Ps(1000));
         assert_eq!(f.cycles_to_ps(28), Ps(28_000));
-        assert_eq!(f.ps_to_cycles(Ps(1500)), 2); // rounds up
     }
 
     #[test]

@@ -431,6 +431,34 @@ mod tests {
         assert!(general > 0.0 && general < 0.05, "§5.3: general components are a few percent, got {general}");
     }
 
+    /// DRAM energy reads the platform's pJ/bit from `sys.cfg` (Table 2):
+    /// doubling it doubles `energy.dram_j` and moves nothing else.
+    #[test]
+    fn the_config_drives_dram_energy() {
+        use charon_sim::config::MemPlatform;
+        use charon_sim::energy::EnergyAccount;
+        let spec = by_short("BS").unwrap();
+        let opts = RunOptions { supersteps: Some(2), ..Default::default() };
+        for make in [System::hmc, System::ddr4] {
+            let base = run_workload(&spec, make(), &opts).unwrap();
+            let mut sys = make();
+            match sys.cfg.platform {
+                MemPlatform::Ddr4 => sys.cfg.ddr4.pj_per_bit *= 2.0,
+                MemPlatform::Hmc => sys.cfg.hmc.pj_per_bit *= 2.0,
+            }
+            let doubled = run_workload(&spec, sys, &opts).unwrap();
+            assert_eq!(doubled.fingerprint(), base.fingerprint());
+            let (want, got) = (2.0 * base.energy.dram_j, doubled.energy.dram_j);
+            assert!(
+                want > 0.0 && ((got - want) / want).abs() <= 1e-12,
+                "{}: dram {got} J, want {want} J",
+                base.platform
+            );
+            let rest = |e: &EnergyAccount| EnergyAccount { dram_j: 0.0, ..e.clone() };
+            assert_eq!(rest(&doubled.energy), rest(&base.energy), "{}", base.platform);
+        }
+    }
+
     #[test]
     fn sinks_on_the_system_survive_the_run() {
         let telemetry = charon_sim::telemetry::Telemetry::enabled();

@@ -470,6 +470,20 @@ fn compare_json(short: &str, runs: &[RunResult]) -> Json {
 }
 
 fn main() -> ExitCode {
+    // The Rust runtime ignores SIGPIPE, so a closed stdout (`charon-cli …
+    // | head -1`) would make the next `println!` panic. Restoring the
+    // default disposition ends the process quietly, as for any Unix filter.
+    #[cfg(unix)]
+    {
+        extern "C" {
+            fn signal(signum: i32, handler: usize) -> usize;
+        }
+        const SIGPIPE: i32 = 13;
+        const SIG_DFL: usize = 0;
+        // SAFETY: called before any other thread exists; SIG_DFL installs
+        // no handler code.
+        unsafe { signal(SIGPIPE, SIG_DFL) };
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     cli(&args).unwrap_or_else(|code| code)
 }
