@@ -57,19 +57,7 @@ pub enum Placement {
     CpuSide,
 }
 
-/// Placement of the shared accelerator structures (bitmap cache + TLB),
-/// §4.6 and Fig. 15.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StructureMode {
-    /// The paper's default build (Table 4): one bitmap cache at the
-    /// central cube, a TLB slice on every cube.
-    Table4,
-    /// Single bitmap cache *and* TLB at the central cube (Fig. 15's
-    /// "unified design").
-    Unified,
-    /// Per-cube slices of both (Fig. 15's "distributed design").
-    Distributed,
-}
+pub use charon_sim::config::StructureMode;
 
 /// One referent processed by a Scan&Push invocation, with the dependent
 /// action the unit performs once the referent's header returns.
@@ -480,7 +468,8 @@ impl FaultLayer {
 /// The assembled accelerator.
 #[derive(Debug, Clone)]
 pub struct CharonDevice {
-    cfg: SystemConfig,
+    /// One logic-layer cycle (`CharonConfig::unit_freq`).
+    unit_period: Ps,
     placement: Placement,
     sched: Scheduler,
     /// The unit pools, in [`UNIT_CLASS_NAMES`] order.
@@ -527,11 +516,12 @@ fn unit_class(prim: PrimType) -> usize {
 }
 
 impl CharonDevice {
-    /// Builds the device for the given system configuration, placement and
-    /// structure mode. The default paper configuration is
-    /// `(MemorySide, Unified)` — one bitmap cache at the center (Table 4)
-    /// — with Scan&Push concentrated on the central cube.
-    pub fn new(cfg: &SystemConfig, placement: Placement, structure: StructureMode) -> CharonDevice {
+    /// Builds the device for the given system configuration and placement;
+    /// the structure mode is `cfg.charon.structure`. The paper's build is
+    /// memory-side with [`StructureMode::Table4`] — one bitmap cache at
+    /// the center, a TLB slice per cube — and Scan&Push concentrated on
+    /// the central cube.
+    pub fn new(cfg: &SystemConfig, placement: Placement) -> CharonDevice {
         let cubes = cfg.hmc.cubes;
         let ch = &cfg.charon;
         let (pools, mai_count) = match placement {
@@ -549,7 +539,7 @@ impl CharonDevice {
                 1,
             ),
         };
-        let (tlb_mode, slice_mode) = match structure {
+        let (tlb_mode, slice_mode) = match ch.structure {
             StructureMode::Table4 => (TlbMode::Distributed, SliceMode::Unified),
             StructureMode::Unified => (TlbMode::Unified, SliceMode::Unified),
             StructureMode::Distributed => (TlbMode::Distributed, SliceMode::Distributed),
@@ -559,9 +549,9 @@ impl CharonDevice {
             Placement::CpuSide => BitmapCache::new_host_side(ch.bitmap_cache, ch.unit_freq),
         };
         CharonDevice {
-            cfg: cfg.clone(),
+            unit_period: ch.unit_freq.period(),
             placement,
-            sched: Scheduler::new(cfg.hmc.clone()),
+            sched: Scheduler::new(cfg.hmc),
             pools,
             mai: (0..mai_count).map(|_| Mai::new(ch.mai_entries, ch.unit_freq)).collect(),
             tlb: AccelTlb::new(tlb_mode, cubes, ch.tlb_entries_per_cube, ch.unit_freq),
@@ -697,6 +687,20 @@ impl CharonDevice {
         self.tlb.stats()
     }
 
+    /// MAI request-buffer entries per cube, as the MAIs were built.
+    pub fn mai_entries(&self) -> usize {
+        self.mai[0].entries()
+    }
+
+    /// The structure mode the TLB and bitmap cache were built in.
+    pub fn structure(&self) -> StructureMode {
+        match (self.tlb.mode(), self.bitmap_cache.mode()) {
+            (TlbMode::Unified, _) => StructureMode::Unified,
+            (TlbMode::Distributed, SliceMode::Unified) => StructureMode::Table4,
+            (TlbMode::Distributed, SliceMode::Distributed) => StructureMode::Distributed,
+        }
+    }
+
     fn node_of(&self, cube: usize) -> Node {
         match self.placement {
             Placement::MemorySide => Node::Cube(cube),
@@ -732,7 +736,7 @@ impl CharonDevice {
                 self.tlb.translate(&mut host.fabric, cube, dest, t)
             }
             // CPU-side units use the host MMU: one cycle, no hops.
-            Placement::CpuSide => t + self.cfg.charon.unit_freq.period(),
+            Placement::CpuSide => t + self.unit_period,
         };
         let done = host.fabric.access(self.node_of(cube), addr.0, bytes, op, t);
         stream.complete(done);
@@ -768,7 +772,7 @@ impl CharonDevice {
                 let dest = host.fabric.cube_of(addr.0).unwrap_or(0);
                 self.tlb.translate(&mut host.fabric, cube, dest, issued.first)
             }
-            Placement::CpuSide => issued.first + self.cfg.charon.unit_freq.period(),
+            Placement::CpuSide => issued.first + self.unit_period,
         };
         let run = host.fabric.access_many(self.node_of(cube), addr.0, bytes, op, t);
         let last = run.last.max(issued.last);
@@ -890,7 +894,7 @@ impl CharonDevice {
                 };
                 // On-chip NACKs (CpuSide) are instantaneous; keep time
                 // strictly advancing with one unit cycle.
-                nack.max(t + self.cfg.charon.unit_freq.period())
+                nack.max(t + self.unit_period)
             }
             FaultSite::Tlb => {
                 let arrive = self.send_request(host, cube, t);
@@ -1152,9 +1156,10 @@ mod tests {
     use super::*;
 
     fn setup(placement: Placement) -> (HostTiming, CharonDevice) {
-        let cfg = SystemConfig::table2_hmc();
+        let mut cfg = SystemConfig::table2_hmc();
+        cfg.charon.structure = StructureMode::Unified;
         let host = HostTiming::new(&cfg);
-        let dev = CharonDevice::new(&cfg, placement, StructureMode::Unified);
+        let dev = CharonDevice::new(&cfg, placement);
         (host, dev)
     }
 

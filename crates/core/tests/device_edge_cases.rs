@@ -9,8 +9,9 @@ use charon_sim::host::HostTiming;
 use charon_sim::time::Ps;
 
 fn setup(structure: StructureMode) -> (HostTiming, CharonDevice) {
-    let cfg = SystemConfig::table2_hmc();
-    (HostTiming::new(&cfg), CharonDevice::new(&cfg, Placement::MemorySide, structure))
+    let mut cfg = SystemConfig::table2_hmc();
+    cfg.charon.structure = structure;
+    (HostTiming::new(&cfg), CharonDevice::new(&cfg, Placement::MemorySide))
 }
 
 /// One fault-free offload; returns when the host thread unblocks.

@@ -9,7 +9,7 @@
 
 use crate::breakdown::RecoverySummary;
 use crate::costs::CostModel;
-use charon_core::device::{CharonDevice, OffloadCall, Placement, ScanRef, StructureMode};
+use charon_core::device::{CharonDevice, OffloadCall, Placement, ScanRef};
 use charon_core::packet::PrimType;
 use charon_heap::addr::VAddr;
 use charon_sim::cache::AccessKind;
@@ -154,11 +154,11 @@ impl fmt::Display for OffloadMask {
     }
 }
 
-/// The simulated machine.
+/// The simulated machine, built by [`System::new`] from a backend and a
+/// [`SystemConfig`]. The host keeps the one copy of the config
+/// (`host.config()`); there is none to edit after the build.
 #[derive(Debug, Clone)]
 pub struct System {
-    /// Architectural parameters (Table 2).
-    pub cfg: SystemConfig,
     /// Host cores, caches, and the memory fabric.
     pub host: HostTiming,
     /// The accelerator, when the backend offloads.
@@ -197,45 +197,30 @@ pub struct System {
 }
 
 impl System {
-    /// Host + DDR4 (the Fig. 12 baseline).
-    pub fn ddr4() -> System {
-        System::build(SystemConfig::table2_ddr4(), Backend::Host, None)
-    }
-
-    /// Host + HMC, no offloading (Fig. 12's second bar).
-    pub fn hmc() -> System {
-        System::build(SystemConfig::table2_hmc(), Backend::Host, None)
-    }
-
-    /// Host + HMC + memory-side Charon with the paper's Table 4 build:
-    /// one bitmap cache at the center, per-cube TLB slices.
-    pub fn charon() -> System {
-        System::charon_structured(StructureMode::Table4)
-    }
-
-    /// Memory-side Charon with an explicit structure mode (Fig. 15).
-    pub fn charon_structured(structure: StructureMode) -> System {
-        let cfg = SystemConfig::table2_hmc();
-        let dev = CharonDevice::new(&cfg, Placement::MemorySide, structure);
-        System::build(cfg, Backend::Charon, Some(dev))
-    }
-
-    /// CPU-side Charon paired with the HMC memory system (Fig. 16).
-    pub fn cpu_side() -> System {
-        let cfg = SystemConfig::table2_hmc();
-        let dev = CharonDevice::new(&cfg, Placement::CpuSide, StructureMode::Table4);
-        System::build(cfg, Backend::CpuSideCharon, Some(dev))
-    }
-
-    /// Host + HMC + an ideal zero-cycle offload device (Fig. 12's last bar).
-    pub fn ideal() -> System {
-        System::build(SystemConfig::table2_hmc(), Backend::Ideal, None)
-    }
-
-    fn build(cfg: SystemConfig, backend: Backend, device: Option<CharonDevice>) -> System {
+    /// The machine `cfg` describes, with `backend` executing the
+    /// primitives: the host and its DRAM side, and for [`Backend::Charon`]
+    /// and [`Backend::CpuSideCharon`] the device, placed memory-side or
+    /// CPU-side with `cfg.charon`'s structure mode. Every primitive is
+    /// offloaded ([`OffloadMask::all`]). The paper runs its offloading
+    /// backends on the HMC platform.
+    ///
+    /// # Panics
+    ///
+    /// Panics on memory-side Charon over DDR4: its units sit in the HMC
+    /// cubes, and the DDR4 model serves only the host.
+    pub fn new(cfg: SystemConfig, backend: Backend) -> System {
+        assert!(
+            backend != Backend::Charon || cfg.platform == MemPlatform::Hmc,
+            "memory-side Charon needs the HMC platform"
+        );
+        let placement = match backend {
+            Backend::Charon => Some(Placement::MemorySide),
+            Backend::CpuSideCharon => Some(Placement::CpuSide),
+            Backend::Host | Backend::Ideal => None,
+        };
         System {
             host: HostTiming::new(&cfg),
-            device,
+            device: placement.map(|p| CharonDevice::new(&cfg, p)),
             backend,
             energy: EnergyModel::new(EnergyParams::default()),
             costs: CostModel::default(),
@@ -246,8 +231,33 @@ impl System {
             profiler: Profiler::disabled(),
             collection_seq: 0,
             integrity: None,
-            cfg,
         }
+    }
+
+    /// Host + DDR4 (the Fig. 12 baseline).
+    pub fn ddr4() -> System {
+        System::new(SystemConfig::table2_ddr4(), Backend::Host)
+    }
+
+    /// Host + HMC, no offloading (Fig. 12's second bar).
+    pub fn hmc() -> System {
+        System::new(SystemConfig::table2_hmc(), Backend::Host)
+    }
+
+    /// Host + HMC + memory-side Charon with the paper's Table 4 build:
+    /// one bitmap cache at the center, per-cube TLB slices.
+    pub fn charon() -> System {
+        System::new(SystemConfig::table2_hmc(), Backend::Charon)
+    }
+
+    /// CPU-side Charon paired with the HMC memory system (Fig. 16).
+    pub fn cpu_side() -> System {
+        System::new(SystemConfig::table2_hmc(), Backend::CpuSideCharon)
+    }
+
+    /// Host + HMC + an ideal zero-cycle offload device (Fig. 12's last bar).
+    pub fn ideal() -> System {
+        System::new(SystemConfig::table2_hmc(), Backend::Ideal)
     }
 
     /// Attaches a telemetry journal to this system and its device. The
@@ -270,7 +280,7 @@ impl System {
 
     /// A short label for reports ("DDR4", "HMC", "Charon", …).
     pub fn label(&self) -> &'static str {
-        match (self.backend, self.cfg.platform) {
+        match (self.backend, self.host.config().platform) {
             (Backend::Host, MemPlatform::Ddr4) => "DDR4",
             (Backend::Host, MemPlatform::Hmc) => "HMC",
             (Backend::Charon, _) => "Charon",
@@ -631,7 +641,7 @@ impl System {
     /// Charges energy for one completed GC spanning `wall`, with
     /// `host_active_total` summed active core-time and `dram_bytes` moved.
     pub fn charge_gc_energy(&mut self, wall: Ps, gc_threads: usize, host_active_total: Ps, dram_bytes: u64) {
-        self.energy.add_dram_bytes(self.cfg.dram_pj_per_bit(), dram_bytes);
+        self.energy.add_dram_bytes(self.host.config().dram_pj_per_bit(), dram_bytes);
         self.energy.add_core_active(1, host_active_total);
         let idle = Ps(((gc_threads as u64) * wall.0).saturating_sub(host_active_total.0));
         self.energy.add_core_idle(1, idle);
@@ -676,6 +686,12 @@ mod tests {
         assert_eq!(System::charon().label(), "Charon");
         assert_eq!(System::ideal().label(), "Ideal");
         assert_eq!(System::cpu_side().label(), "Charon-CPU-side");
+    }
+
+    #[test]
+    #[should_panic(expected = "memory-side Charon needs the HMC platform")]
+    fn memory_side_charon_over_ddr4_is_refused_at_the_build() {
+        System::new(SystemConfig::table2_ddr4(), Backend::Charon);
     }
 
     #[test]
@@ -792,7 +808,7 @@ mod tests {
         // central cube the scheduler routes that primitive to. The run
         // must degrade to the host software path, not crash.
         let mut s = System::charon();
-        let cubes = s.cfg.hmc.cubes;
+        let cubes = s.host.config().hmc.cubes;
         let mut per = vec![0usize; cubes];
         per[(Scheduler::CENTER + 1) % cubes] = 8;
         s.device.as_mut().expect("device").set_unit_layout(PrimType::ScanPush, &per);

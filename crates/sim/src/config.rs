@@ -57,29 +57,27 @@ impl CacheConfig {
     }
 }
 
-/// Host out-of-order processor (Table 2, top block).
-#[derive(Debug, Clone, PartialEq)]
+/// Host out-of-order processor (Table 2, top block). Table 2's 36-entry
+/// instruction window, 128-entry ROB, 4-way issue and L1I are not
+/// modelled: no timing reads them, so they are not fields.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostConfig {
     /// Number of cores ("8 × 2.67 GHz Westmere OoO core").
     pub cores: usize,
     /// Core clock.
     pub freq: Freq,
-    /// Instruction-window entries (36).
-    pub instr_window: usize,
-    /// Reorder-buffer entries (128).
-    pub rob: usize,
-    /// Issue width (4).
-    pub issue_width: usize,
-    /// Maximum outstanding off-core misses per core.
+    /// Maximum outstanding off-core misses per core — the host's only
+    /// bound on memory-level parallelism.
     ///
     /// Table 2 gives a 36-entry instruction window; with dependent work
-    /// between loads this bounds memory-level parallelism well below the
-    /// window size. The paper reports host GC IPC below 0.5; a 10-entry MSHR
-    /// per core reproduces that ceiling. (Not in Table 2 — documented
-    /// default.)
+    /// between loads the window sustains far fewer misses than its size.
+    /// The paper reports host GC IPC below 0.5; a 10-entry MSHR per core
+    /// reproduces that ceiling. (Not in Table 2 — documented default.)
     pub mshr_per_core: usize,
-    /// L1 instruction cache (32 KB, 4-way, 3-cycle).
-    pub l1i: CacheConfig,
+    /// Next-line stream prefetching into L2 (Westmere has it; the
+    /// ablation turns it off to show how much of the host's streaming
+    /// throughput — and thus how much of Charon's margin — depends on it).
+    pub prefetch: bool,
     /// L1 data cache (32 KB, 8-way, 4-cycle).
     pub l1d: CacheConfig,
     /// Private L2 (256 KB, 8-way, 12-cycle).
@@ -88,8 +86,9 @@ pub struct HostConfig {
     pub l3: CacheConfig,
 }
 
-/// DDR4 main-memory system (Table 2, middle block).
-#[derive(Debug, Clone, PartialEq)]
+/// DDR4 main-memory system (Table 2, middle block). Table 2's tCK is not
+/// modelled: every timing below is given in picoseconds.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ddr4Config {
     /// Total capacity in bytes (32 GB in the paper; capacity is not modeled
     /// for timing, only for address-mapping width).
@@ -100,8 +99,6 @@ pub struct Ddr4Config {
     pub ranks_per_channel: usize,
     /// Banks per rank (8).
     pub banks_per_rank: usize,
-    /// DRAM clock period tCK = 0.937 ns.
-    pub t_ck: Ps,
     /// Row-active time tRAS = 35 ns.
     pub t_ras: Ps,
     /// Row-to-column delay tRCD = 13.5 ns.
@@ -126,8 +123,9 @@ pub struct Ddr4Config {
     pub row_bytes: u64,
 }
 
-/// HMC main-memory system (Table 2, bottom block).
-#[derive(Debug, Clone, PartialEq)]
+/// HMC main-memory system (Table 2, bottom block). Table 2's tCK is not
+/// modelled, as for DDR4.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HmcConfig {
     /// Total capacity in bytes (32 GB).
     pub capacity_bytes: u64,
@@ -138,8 +136,6 @@ pub struct HmcConfig {
     /// Banks per vault. (Not in Table 2; HMC 2.1 has 2 banks per vault per
     /// layer × 8 layers = 16 — documented default.)
     pub banks_per_vault: usize,
-    /// DRAM clock period tCK = 1.6 ns.
-    pub t_ck: Ps,
     /// tRAS = 22.4 ns.
     pub t_ras: Ps,
     /// tRCD = 11.2 ns.
@@ -178,8 +174,22 @@ pub struct HmcConfig {
     pub cube_interleave_bits: u32,
 }
 
+/// Placement of Charon's shared structures (bitmap cache + TLB), §4.6
+/// and Fig. 15.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum StructureMode {
+    /// The paper's default build (Table 4): one bitmap cache at the
+    /// central cube, a TLB slice on every cube.
+    Table4,
+    /// Single bitmap cache *and* TLB at the central cube (Fig. 15's
+    /// "unified design").
+    Unified,
+    /// Per-cube slices of both (Fig. 15's "distributed design").
+    Distributed,
+}
+
 /// Charon accelerator configuration (Table 2, bottom block + §4).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CharonConfig {
     /// Copy/Search units in total (8: 2 per cube).
     pub copy_search_units: usize,
@@ -198,11 +208,15 @@ pub struct CharonConfig {
     /// paper's units "issue a request every cycle" — 1 GHz documented
     /// default, conservative for a 40 nm logic layer.)
     pub unit_freq: Freq,
+    /// Where the bitmap cache and TLB sit (Table 4's build by default).
+    pub structure: StructureMode,
 }
 
 /// The complete simulated system: host + memory platform (+ Charon config,
-/// used only when an offloading backend is selected).
-#[derive(Debug, Clone, PartialEq)]
+/// used only when an offloading backend is selected). Plain `Copy` data:
+/// a knob or a counterfactual is an edit of this value before the
+/// machine is built from it.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// Host processor and cache hierarchy.
     pub host: HostConfig,
@@ -222,11 +236,8 @@ impl HostConfig {
         HostConfig {
             cores: 8,
             freq: Freq::ghz(2.67),
-            instr_window: 36,
-            rob: 128,
-            issue_width: 4,
             mshr_per_core: 10,
-            l1i: CacheConfig { size_bytes: 32 * 1024, ways: 4, block_bytes: 64, latency_cycles: 3 },
+            prefetch: true,
             l1d: CacheConfig { size_bytes: 32 * 1024, ways: 8, block_bytes: 64, latency_cycles: 4 },
             l2: CacheConfig { size_bytes: 256 * 1024, ways: 8, block_bytes: 64, latency_cycles: 12 },
             l3: CacheConfig { size_bytes: 8 * 1024 * 1024, ways: 16, block_bytes: 64, latency_cycles: 28 },
@@ -242,7 +253,6 @@ impl Ddr4Config {
             channels: 2,
             ranks_per_channel: 4,
             banks_per_rank: 8,
-            t_ck: Ps::from_ns(0.937),
             t_ras: Ps::from_ns(35.0),
             t_rcd: Ps::from_ns(13.50),
             t_cas: Ps::from_ns(13.50),
@@ -270,7 +280,6 @@ impl HmcConfig {
             cubes: 4,
             vaults_per_cube: 32,
             banks_per_vault: 16,
-            t_ck: Ps::from_ns(1.6),
             t_ras: Ps::from_ns(22.4),
             t_rcd: Ps::from_ns(11.2),
             t_cas: Ps::from_ns(11.2),
@@ -312,6 +321,7 @@ impl CharonConfig {
             tlb_entries_per_cube: 32,
             mai_entries: 64,
             unit_freq: Freq::ghz(1.0),
+            structure: StructureMode::Table4,
         }
     }
 }
@@ -347,18 +357,14 @@ impl fmt::Display for SystemConfig {
     /// Renders the configuration in the shape of the paper's Table 2.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Host Processor")?;
+        // Table 2's values for what no timing reads are fixed text.
         writeln!(
             f,
-            "  {} x {} OoO cores, {}-entry IW / {}-entry ROB / {}-way issue, {} MSHRs/core",
-            self.host.cores,
-            self.host.freq,
-            self.host.instr_window,
-            self.host.rob,
-            self.host.issue_width,
-            self.host.mshr_per_core
+            "  {} x {} OoO cores, 36-entry IW / 128-entry ROB / 4-way issue (not modelled), {} MSHRs/core",
+            self.host.cores, self.host.freq, self.host.mshr_per_core
         )?;
         let c = |cc: &CacheConfig| format!("{} KB, {}-way, {}-cycle", cc.size_bytes / 1024, cc.ways, cc.latency_cycles);
-        writeln!(f, "  L1I {} / L1D {}", c(&self.host.l1i), c(&self.host.l1d))?;
+        writeln!(f, "  L1I 32 KB, 4-way, 3-cycle (not modelled) / L1D {}", c(&self.host.l1d))?;
         writeln!(f, "  L2  {}", c(&self.host.l2))?;
         writeln!(f, "  L3  {} (shared)", c(&self.host.l3))?;
         writeln!(f, "DDR4 Main Memory System")?;
@@ -372,8 +378,8 @@ impl fmt::Display for SystemConfig {
         )?;
         writeln!(
             f,
-            "  tCK={} tRAS={} tRCD={} tCAS={} tWR={} tRP={}",
-            self.ddr4.t_ck, self.ddr4.t_ras, self.ddr4.t_rcd, self.ddr4.t_cas, self.ddr4.t_wr, self.ddr4.t_rp
+            "  tCK=937 ps (not modelled) tRAS={} tRCD={} tCAS={} tWR={} tRP={}",
+            self.ddr4.t_ras, self.ddr4.t_rcd, self.ddr4.t_cas, self.ddr4.t_wr, self.ddr4.t_rp
         )?;
         writeln!(
             f,
@@ -392,8 +398,8 @@ impl fmt::Display for SystemConfig {
         )?;
         writeln!(
             f,
-            "  tCK={} tRAS={} tRCD={} tCAS={} tWR={} tRP={}",
-            self.hmc.t_ck, self.hmc.t_ras, self.hmc.t_rcd, self.hmc.t_cas, self.hmc.t_wr, self.hmc.t_rp
+            "  tCK=1.600 ns (not modelled) tRAS={} tRCD={} tCAS={} tWR={} tRP={}",
+            self.hmc.t_ras, self.hmc.t_rcd, self.hmc.t_cas, self.hmc.t_wr, self.hmc.t_rp
         )?;
         writeln!(f, "  {} per cube / {} pJ/bit", self.hmc.internal_bw_per_cube, self.hmc.pj_per_bit)?;
         writeln!(f, "  {} per link, {} latency", self.hmc.link_bw, self.hmc.link_latency)?;
@@ -426,9 +432,6 @@ mod tests {
     fn table2_host_matches_paper() {
         let h = HostConfig::table2();
         assert_eq!(h.cores, 8);
-        assert_eq!(h.instr_window, 36);
-        assert_eq!(h.rob, 128);
-        assert_eq!(h.issue_width, 4);
         assert_eq!(h.l1d.size_bytes, 32 * 1024);
         assert_eq!(h.l3.size_bytes, 8 * 1024 * 1024);
         assert_eq!(h.l3.latency_cycles, 28);
@@ -475,7 +478,7 @@ mod tests {
     #[test]
     fn table2_display_mentions_key_numbers() {
         let s = SystemConfig::table2_ddr4().to_string();
-        assert!(s.contains("36-entry IW"));
+        assert!(s.contains("36-entry IW / 128-entry ROB / 4-way issue (not modelled)"));
         assert!(s.contains("320.0 GB/s per cube"));
         assert!(s.contains("80.0 GB/s per link"));
         assert!(s.contains("8 KB, 8-way, 32 B blocks"));

@@ -496,7 +496,7 @@ mod tests {
     #[test]
     fn hmc_read_run_matches_per_packet_loop() {
         let cfg = HmcConfig::table2();
-        let mut a = HmcSim::new(cfg.clone());
+        let mut a = HmcSim::new(cfg);
         let mut b = HmcSim::new(cfg);
         let (base, bytes, start) = (0x200u64, 256 * 40 + 100u64, Ps::from_us(2.0));
         let run = a.vault_access_run(base, bytes, DramOp::Read, start);
@@ -549,11 +549,11 @@ mod refresh_tests {
     #[test]
     fn access_during_refresh_window_stalls() {
         let cfg = Ddr4Config::table2();
-        let mut d = Ddr4Sim::new(cfg.clone());
+        let mut d = Ddr4Sim::new(cfg);
         // An access at the very start of a tREFI interval collides with
         // the refresh and waits out tRFC.
         let t_hit = d.access(0, 64, DramOp::Read, cfg.t_refi);
-        let mut d2 = Ddr4Sim::new(cfg.clone());
+        let mut d2 = Ddr4Sim::new(cfg);
         // The same access safely after the refresh window.
         let safe_start = cfg.t_refi + cfg.t_rfc;
         let t_safe = d2.access(0, 64, DramOp::Read, safe_start);

@@ -47,8 +47,8 @@ impl MemFabric {
     /// Builds the fabric selected by `cfg.platform`.
     pub fn new(cfg: &SystemConfig) -> MemFabric {
         let side = match cfg.platform {
-            MemPlatform::Ddr4 => DramSide::Ddr4(Ddr4Sim::new(cfg.ddr4.clone())),
-            MemPlatform::Hmc => DramSide::Hmc { hmc: HmcSim::new(cfg.hmc.clone()), noc: Noc::new(&cfg.hmc) },
+            MemPlatform::Ddr4 => DramSide::Ddr4(Ddr4Sim::new(cfg.ddr4)),
+            MemPlatform::Hmc => DramSide::Hmc { hmc: HmcSim::new(cfg.hmc), noc: Noc::new(&cfg.hmc) },
         };
         MemFabric { side, stats: MemTrafficStats::default(), profiler: Profiler::disabled() }
     }
@@ -413,16 +413,13 @@ pub struct HostTiming {
     l3_lat: Ps,
     /// The DRAM side, public so an accelerator model can share it.
     pub fabric: MemFabric,
-    /// Effective non-memory IPC for GC code. Table 2's core is 4-wide; GC's
-    /// pointer-chasing control flow sustains roughly half of that on real
-    /// hardware, which also matches the paper's sub-0.5 IPC observation
-    /// once cache misses are added by the timing model.
-    pub exec_ipc: f64,
-    /// Next-line stream prefetching (Westmere has it; the ablation bench
-    /// turns it off to show how much of the host's streaming throughput —
-    /// and thus how much of Charon's margin — depends on it).
-    pub prefetch_enabled: bool,
 }
+
+/// Effective non-memory IPC for GC code. Table 2's core is 4-wide; GC's
+/// pointer-chasing control flow sustains roughly half of that on real
+/// hardware, which also matches the paper's sub-0.5 IPC observation once
+/// cache misses are added by the timing model.
+const EXEC_IPC: f64 = 2.0;
 
 impl HostTiming {
     /// Builds the host from a system configuration.
@@ -445,9 +442,7 @@ impl HostTiming {
             l2_lat: h.freq.cycles_to_ps(h.l2.latency_cycles),
             l3_lat: h.freq.cycles_to_ps(h.l3.latency_cycles),
             fabric: MemFabric::new(cfg),
-            exec_ipc: 2.0,
-            prefetch_enabled: true,
-            cfg: cfg.clone(),
+            cfg: *cfg,
         }
     }
 
@@ -464,7 +459,7 @@ impl HostTiming {
     /// Time to execute `instrs` instructions that hit in the L1 (pure
     /// compute / control overhead).
     pub fn compute(&self, instrs: u64) -> Ps {
-        let secs = instrs as f64 / (self.exec_ipc * self.cfg.host.freq.as_hz());
+        let secs = instrs as f64 / (EXEC_IPC * self.cfg.host.freq.as_hz());
         Ps((secs * 1e12).round() as u64)
     }
 
@@ -553,7 +548,7 @@ impl HostTiming {
     /// a miss-window slot and DRAM bandwidth like any other request; its
     /// arrival time gates the demand access that later consumes the line.
     fn prefetch(&mut self, core: usize, addr: u64, now: Ps) {
-        if !self.prefetch_enabled {
+        if !self.cfg.host.prefetch {
             return;
         }
         let c = &mut self.cores[core];

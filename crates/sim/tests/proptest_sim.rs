@@ -186,7 +186,7 @@ proptest! {
     #[test]
     fn hmc_accesses_route_to_the_owning_cube(paddr in 0u64..(1 << 26)) {
         let cfg = SystemConfig::table2_hmc().hmc;
-        let mut h = HmcSim::new(cfg.clone());
+        let mut h = HmcSim::new(cfg);
         let before = h.per_cube_bytes().to_vec();
         h.vault_access(paddr, 128, DramOp::Write, Ps::ZERO);
         let after = h.per_cube_bytes().to_vec();

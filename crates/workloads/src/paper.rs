@@ -2,8 +2,9 @@
 //! each claim row with our number, the paper's number and a verdict.
 //!
 //! A section (one figure or table) is a function of a cell lookup, where
-//! a [`Cell`] is one workload run on one machine at one heap factor,
-//! GC-thread count and collector. Building the sections over an empty
+//! a [`Cell`] is one workload run on one [`Machine`] (a backend and the
+//! config it is built from) with one set of run options (heap factor,
+//! GC threads, collector). Building the sections over an empty
 //! lookup lists the cells they read — each distinct cell once, so Fig. 4
 //! reads Fig. 2's 1.25× runs and Figs. 12–17 share the 6 × 5 matrix —
 //! the cells run through [`parallel_map_result`], and building the
@@ -17,98 +18,100 @@
 //! blocks into EXPERIMENTS.md. Cell order, and with it every byte of
 //! both renderings, is the same at any job count.
 
-use crate::parmatrix::{parallel_map_result, system_by_label};
+use crate::parmatrix::{parallel_map_result, PLATFORMS};
 use crate::run::{run_workload, RunOptions, RunResult};
 use crate::spec::{by_short, table3, Framework, WorkloadSpec};
-use charon_core::{area, CharonDevice, Placement, PrimType, StructureMode};
+use charon_core::{area, PrimType, StructureMode};
 use charon_gc::breakdown::{Breakdown, Bucket};
 use charon_gc::collector::CollectorKind;
-use charon_gc::system::{OffloadMask, System};
+use charon_gc::system::{Backend, OffloadMask, System};
 use charon_sim::config::SystemConfig;
 use charon_sim::json::Json;
 use std::cell::RefCell;
 use std::fmt::Write as _;
 
-/// The machine a cell runs on.
+/// The machine a cell runs on: a backend, the config it is built from,
+/// and the primitives it offloads. A variant the paper measures (Fig. 15's
+/// structure placements, the ablation's masks, MAI depths, unit counts and
+/// prefetcher) is a platform with one edit, so two machines are the same
+/// exactly when they are equal.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Machine {
-    /// A [`crate::parmatrix::PLATFORM_LABELS`] platform as built.
-    Platform(&'static str),
-    /// Memory-side Charon with Fig. 15's placement of the bitmap cache and TLB.
-    Structured(StructureMode),
-    /// Charon offloading only the primitives in the mask.
-    Mask(OffloadMask),
-    /// Charon with this many MAI request-buffer entries per unit.
-    Mai(usize),
-    /// Charon with this many Copy/Search units.
-    Units(usize),
-    /// The platform with the host's stream prefetcher off.
-    NoPrefetch(&'static str),
+pub struct Machine {
+    /// Which backend executes the primitives.
+    pub backend: Backend,
+    /// What the host, the DRAM side and the device are built from.
+    pub cfg: SystemConfig,
+    /// Which primitives the backend offloads.
+    pub mask: OffloadMask,
 }
 
 impl Machine {
-    /// Builds the machine; `None` for an unknown platform label.
-    fn system(self) -> Option<System> {
-        let mut sys = match self {
-            Machine::Platform(label) | Machine::NoPrefetch(label) => system_by_label(label)?,
-            Machine::Structured(mode) => System::charon_structured(mode),
-            Machine::Mask(_) | Machine::Mai(_) | Machine::Units(_) => System::charon(),
-        };
-        match self {
-            Machine::Mask(mask) => sys.offload = mask,
-            Machine::NoPrefetch(_) => sys.host.prefetch_enabled = false,
-            Machine::Mai(n) => sys.cfg.charon.mai_entries = n,
-            Machine::Units(n) => sys.cfg.charon.copy_search_units = n,
-            Machine::Platform(_) | Machine::Structured(_) => {}
-        }
-        if let Machine::Mai(_) | Machine::Units(_) = self {
-            sys.device = Some(CharonDevice::new(&sys.cfg, Placement::MemorySide, StructureMode::Table4));
-        }
-        Some(sys)
+    /// A [`crate::parmatrix::PLATFORM_LABELS`] platform as built: its
+    /// Table 2 config, every primitive offloaded; `None` for an unknown
+    /// label.
+    pub fn platform(label: &str) -> Option<Machine> {
+        let &(_, backend, platform) = PLATFORMS.iter().find(|(l, ..)| *l == label)?;
+        let cfg = SystemConfig { platform, ..SystemConfig::table2_ddr4() };
+        Some(Machine { backend, cfg, mask: OffloadMask::all() })
+    }
+
+    /// The machine with `edit` applied to its config.
+    pub fn with(mut self, edit: impl FnOnce(&mut SystemConfig)) -> Machine {
+        edit(&mut self.cfg);
+        self
+    }
+
+    /// Builds the machine.
+    pub fn system(&self) -> System {
+        let mut sys = System::new(self.cfg, self.backend);
+        sys.offload = self.mask;
+        sys
     }
 }
 
-/// One full-length run the report reads.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One run: a workload on a machine with these run options.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
-    /// Two-letter workload code.
-    pub workload: &'static str,
+    /// The workload.
+    pub spec: WorkloadSpec,
     /// The machine.
     pub machine: Machine,
-    /// Heap size over the workload's minimum; `None` is the spec's default.
-    pub heap_factor: Option<f64>,
-    /// GC threads.
-    pub threads: usize,
-    /// The old-generation collector.
-    pub collector: CollectorKind,
+    /// Heap factor, GC threads, collector and the rest of the run's options.
+    pub opts: RunOptions,
 }
 
 impl Cell {
     /// `workload` on a [`crate::parmatrix::PLATFORM_LABELS`] platform with
-    /// the default heap, GC threads and collector.
-    pub fn new(workload: &'static str, platform: &'static str) -> Cell {
-        let opts = RunOptions::default();
-        let machine = Machine::Platform(platform);
-        Cell { workload, machine, heap_factor: None, threads: opts.gc_threads, collector: opts.collector }
+    /// the default options.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown workload or platform.
+    pub fn new(workload: &str, platform: &str) -> Cell {
+        let spec = by_short(workload).unwrap_or_else(|| panic!("unknown workload {workload}"));
+        let machine = Machine::platform(platform).unwrap_or_else(|| panic!("unknown platform {platform}"));
+        Cell { spec, machine, opts: RunOptions::default() }
     }
 
-    /// Runs the cell; an unknown workload or platform, or running out of
-    /// memory, is the error.
+    /// The cell with `edit` applied to its run options.
+    pub fn with(mut self, edit: impl FnOnce(&mut RunOptions)) -> Cell {
+        edit(&mut self.opts);
+        self
+    }
+
+    /// Runs the cell; running out of memory is the error.
     pub fn run(&self) -> Result<RunResult, String> {
-        let spec = by_short(self.workload).ok_or_else(|| format!("unknown workload {}", self.workload))?;
-        let sys = self.machine.system();
-        let sys = sys.ok_or_else(|| format!("unknown machine {:?}", self.machine))?;
-        let (heap_factor, gc_threads, collector) = (self.heap_factor, self.threads, self.collector);
-        let opts = RunOptions { heap_factor, gc_threads, collector, ..RunOptions::default() };
-        run_workload(&spec, sys, &opts).map_err(|e| e.to_string())
+        run_workload(&self.spec, self.machine.system(), &self.opts).map_err(|e| e.to_string())
     }
 }
 
 /// Runs `cells` on up to `jobs` threads, results in cell order; a cell
-/// that panics reads as its error.
+/// that panics reads as `"panic: <message>"`.
 pub fn run_cells(cells: &[Cell], jobs: usize) -> Vec<Result<RunResult, String>> {
     let runs = parallel_map_result(cells, jobs, Cell::run);
-    runs.into_iter().map(|r| r.and_then(|r| r)).collect()
+    runs.into_iter()
+        .map(|r| r.unwrap_or_else(|msg| Err(format!("panic: {msg}"))))
+        .collect()
 }
 
 /// GC-time speedup of `r` over `base`.
@@ -347,7 +350,7 @@ impl Cells {
         self.runs.get(i)?.as_ref()
     }
 
-    fn on(&self, workload: &'static str, platform: &'static str) -> Option<&RunResult> {
+    fn on(&self, workload: &str, platform: &str) -> Option<&RunResult> {
         self.get(Cell::new(workload, platform))
     }
 }
@@ -404,6 +407,11 @@ impl PaperReport {
     }
 }
 
+/// A platform the report names.
+fn platform(label: &str) -> Machine {
+    Machine::platform(label).expect("a PLATFORM_LABELS label")
+}
+
 fn sections(c: &Cells) -> Vec<Section> {
     let workloads = table3().iter().map(|w| w.to_string()).collect::<Vec<_>>().join("\n");
     vec![
@@ -434,7 +442,7 @@ fn fig02(c: &Cells) -> Section {
     let mut s = table("fig02", caption, FACTORS.map(|f| format!("{f:.2}× min")), Unit::Pct);
     s.rows = by_workload(|w| {
         // The spec's own factor is the default heap: the matrix's DDR4 cell.
-        let cell = |f| Cell { heap_factor: (f != w.default_heap_factor).then_some(f), ..Cell::new(w.short, "DDR4") };
+        let cell = |f| Cell::new(w.short, "DDR4").with(|o| o.heap_factor = (f != w.default_heap_factor).then_some(f));
         FACTORS.map(|f| c.get(cell(f)).map(RunResult::gc_overhead)).to_vec()
     });
     let all: Vec<Option<f64>> = s.rows.iter().flat_map(|(_, v)| v.clone()).collect();
@@ -455,7 +463,7 @@ fn fig04(c: &Cells, id: &'static str, kind: &str, pick: fn(&RunResult) -> &Break
     let mut s = table(id, &caption, columns, Unit::Pct);
     let mut offloadable = [Vec::new(), Vec::new()];
     s.rows = by_workload(|w| {
-        let bd = c.get(Cell { heap_factor: Some(1.25), ..Cell::new(w.short, "DDR4") }).map(pick);
+        let bd = c.get(Cell::new(w.short, "DDR4").with(|o| o.heap_factor = Some(1.25))).map(pick);
         offloadable[usize::from(w.framework == Framework::GraphChi)].push(bd.map(Breakdown::offloadable_fraction));
         let fractions = Bucket::ALL.iter().map(|&b| bd.map(|bd| bd.fraction(b)));
         fractions.chain([bd.map(Breakdown::offloadable_fraction)]).collect()
@@ -525,14 +533,15 @@ fn fig15(c: &Cells) -> Section {
     let caption = "GC throughput by GC thread count (columns), over the same workload's 1-thread DDR4 run.";
     let mut s = table("fig15", caption, THREADS, Unit::Ratio);
     s.head[0] = "workload, machine".into();
+    let charon = |mode| platform("Charon").with(|c| c.charon.structure = mode);
     for w in ["LR", "CC", "PR"] {
-        let base = || c.get(Cell { threads: 1, ..Cell::new(w, "DDR4") });
+        let on = |machine, threads| c.get(Cell { machine, ..Cell::new(w, "DDR4") }.with(|o| o.gc_threads = threads));
         for (label, machine) in [
-            ("DDR4", Machine::Platform("DDR4")),
-            ("Charon-unified", Machine::Structured(StructureMode::Unified)),
-            ("Charon-distributed", Machine::Structured(StructureMode::Distributed)),
+            ("DDR4", platform("DDR4")),
+            ("Charon-unified", charon(StructureMode::Unified)),
+            ("Charon-distributed", charon(StructureMode::Distributed)),
         ] {
-            let vals = THREADS.map(|threads| gain(base(), c.get(Cell { machine, threads, ..Cell::new(w, "DDR4") })));
+            let vals = THREADS.map(|threads| gain(on(platform("DDR4"), 1), on(machine, threads)));
             s.rows.push((format!("{w} {label}"), vals.to_vec()));
         }
     }
@@ -584,7 +593,7 @@ fn table1(c: &Cells) -> Section {
     let mut s = table("table1", caption, PRIMS, Unit::Fixed(0));
     s.head[0] = "collector".into();
     for collector in [CollectorKind::Ps, CollectorKind::G1, CollectorKind::Cms, CollectorKind::Ms] {
-        let run = c.get(Cell { collector, ..Cell::new("KM", "Charon") });
+        let run = c.get(Cell::new("KM", "Charon").with(|o| o.collector = collector));
         let offloads = |p| run.and_then(|r| r.device.as_ref()).map(|d| d.prim(p).offloads as f64);
         s.rows.push((collector.to_string(), PRIMS.map(offloads).to_vec()));
     }
@@ -601,28 +610,32 @@ fn table1(c: &Cells) -> Section {
 }
 
 fn ablation(c: &Cells) -> Section {
-    let table2 = SystemConfig::table2_hmc().charon;
-    let (ddr4, none) = (Machine::Platform("DDR4"), OffloadMask::none());
-    let mask =
-        |copy, search, scan_push, bitmap_count| Machine::Mask(OffloadMask { copy, search, scan_push, bitmap_count });
+    let (ddr4, charon) = (platform("DDR4"), platform("Charon"));
+    let table2 = charon.cfg.charon;
+    let mask = |copy, search, scan_push, bitmap_count| Machine {
+        mask: OffloadMask { copy, search, scan_push, bitmap_count },
+        ..charon
+    };
+    let no_prefetch = |m: Machine| m.with(|c| c.host.prefetch = false);
     // (change, baseline, machine): each row changes one ingredient of the
     // Table 2 build and reads its speedup over the baseline.
     let mut changes = vec![
-        ("none: the Table 2 build".to_string(), ddr4, Machine::Platform("Charon")),
-        ("offload nothing".into(), ddr4, Machine::Mask(none)),
+        ("none: the Table 2 build".to_string(), ddr4, charon),
+        ("offload nothing".into(), ddr4, Machine { mask: OffloadMask::none(), ..charon }),
         ("offload Copy only".into(), ddr4, mask(true, false, false, false)),
         ("offload Search only".into(), ddr4, mask(false, true, false, false)),
         ("offload Scan&Push only".into(), ddr4, mask(false, false, true, false)),
         ("offload Bitmap Count only".into(), ddr4, mask(false, false, false, true)),
-        ("host prefetcher off, on both hosts".into(), Machine::NoPrefetch("DDR4"), Machine::NoPrefetch("Charon")),
-        ("DDR4 itself with its prefetcher off".into(), ddr4, Machine::NoPrefetch("DDR4")),
+        ("host prefetcher off, on both hosts".into(), no_prefetch(ddr4), no_prefetch(charon)),
+        ("DDR4 itself with its prefetcher off".into(), ddr4, no_prefetch(ddr4)),
     ];
     for n in [4, 16, 256] {
-        changes.push((format!("MAI {n} entries (Table 2: {})", table2.mai_entries), ddr4, Machine::Mai(n)));
+        let mai = charon.with(|c| c.charon.mai_entries = n);
+        changes.push((format!("MAI {n} entries (Table 2: {})", table2.mai_entries), ddr4, mai));
     }
     for n in [4, 16] {
         let units = format!("{n} Copy/Search units (Table 2: {})", table2.copy_search_units);
-        changes.push((units, ddr4, Machine::Units(n)));
+        changes.push((units, ddr4, charon.with(|c| c.charon.copy_search_units = n)));
     }
     let caption = "LR: one ingredient of the Table 2 Charon build changed per row; GC speedup over the DDR4 host.";
     let mut s = table("ablation", caption, ["speedup"], Unit::Ratio);
@@ -704,7 +717,35 @@ mod tests {
             .flat_map(|w| PLATFORM_LABELS.map(|p| Cell::new(w.short, p)))
             .collect();
         assert!(matrix.iter().all(|c| cells.contains(c)));
-        assert_eq!(Machine::Mai(4).system().map(|s| s.cfg.charon.mai_entries), Some(4));
-        assert_eq!(Cell::new("XX", "DDR4").run().unwrap_err(), "unknown workload XX");
+    }
+
+    #[test]
+    fn every_planned_machine_is_built_as_its_config_says() {
+        use charon_sim::cache::AccessKind;
+        use charon_sim::time::Ps;
+        let mut machines: Vec<Machine> = Vec::new();
+        for cell in plan() {
+            if !machines.contains(&cell.machine) {
+                machines.push(cell.machine);
+            }
+        }
+        // Five platforms, Fig. 15's two placements, and the ablation's five
+        // masks, two prefetcher-off hosts, three MAI depths and two pools.
+        assert_eq!(machines.len(), 5 + 2 + 5 + 2 + 3 + 2);
+        for m in machines {
+            let mut sys = m.system();
+            assert_eq!((sys.backend, sys.offload), (m.backend, m.mask));
+            // A cold miss kicks the stream prefetcher, unless it is off.
+            sys.host.mem_access(0, Ps::ZERO, 1 << 20, 8, AccessKind::Read);
+            assert_eq!(sys.host.prefetches() > 0, m.cfg.host.prefetch, "{m:?}");
+            let offloads = matches!(m.backend, Backend::Charon | Backend::CpuSideCharon);
+            assert_eq!(sys.device.is_some(), offloads, "{m:?}");
+            if let Some(dev) = &sys.device {
+                let ch = m.cfg.charon;
+                assert_eq!(dev.mai_entries(), ch.mai_entries);
+                assert_eq!(dev.stats().units[0].total_units, ch.copy_search_units as u64);
+                assert_eq!(dev.structure(), ch.structure);
+            }
+        }
     }
 }

@@ -24,27 +24,33 @@
 //! ([`MatrixOutcome::wall_ns`]); `perfbench/` is what turns it into a
 //! simulator-speed metric (DESIGN.md §9).
 
-use crate::run::{run_workload, RunOptions, RunResult};
+use crate::paper::{Cell, Machine};
+use crate::run::{RunOptions, RunResult};
 use crate::spec::WorkloadSpec;
-use charon_gc::system::System;
+use charon_gc::system::{Backend, System};
+use charon_sim::config::MemPlatform;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// Platform labels in canonical matrix order. DDR4 first — it is the
+/// The paper's platforms in canonical matrix order: label, backend and
+/// the memory platform of its Table 2 config. DDR4 first — it is the
 /// speedup baseline everywhere (Fig. 12), so reports index from it.
-pub const PLATFORM_LABELS: [&str; 5] = ["DDR4", "HMC", "Charon", "Charon-CPU-side", "Ideal"];
+pub(crate) const PLATFORMS: [(&str, Backend, MemPlatform); 5] = [
+    ("DDR4", Backend::Host, MemPlatform::Ddr4),
+    ("HMC", Backend::Host, MemPlatform::Hmc),
+    ("Charon", Backend::Charon, MemPlatform::Hmc),
+    ("Charon-CPU-side", Backend::CpuSideCharon, MemPlatform::Hmc),
+    ("Ideal", Backend::Ideal, MemPlatform::Hmc),
+];
+
+/// Platform labels in canonical matrix order, DDR4 first, read from the
+/// one platform table.
+pub const PLATFORM_LABELS: [&str; 5] = [PLATFORMS[0].0, PLATFORMS[1].0, PLATFORMS[2].0, PLATFORMS[3].0, PLATFORMS[4].0];
 
 /// Builds the [`System`] for a platform label, `None` for an unknown one.
 pub fn system_by_label(label: &str) -> Option<System> {
-    Some(match label {
-        "DDR4" => System::ddr4(),
-        "HMC" => System::hmc(),
-        "Charon" => System::charon(),
-        "Charon-CPU-side" => System::cpu_side(),
-        "Ideal" => System::ideal(),
-        _ => return None,
-    })
+    Machine::platform(label).map(|m| m.system())
 }
 
 /// The options of a matrix run are the options of a run.
@@ -180,37 +186,29 @@ where
         .collect()
 }
 
-/// Runs every matrix cell on up to `jobs` threads. Each worker builds its
-/// own [`System`] inside the thread, times the run,
-/// and the outcomes come back in cell order. A cell that panics (a
-/// simulator invariant tripping under an extreme configuration) is
-/// reported as that cell's error outcome; the rest of the matrix
-/// completes normally.
+/// Runs every matrix job on up to `jobs` threads as a [`Cell`] of its
+/// spec, its platform and `opts`, timing each [`Cell::run`]; the outcomes
+/// come back in job order. A cell that panics (a simulator invariant
+/// tripping under an extreme configuration) is reported as that job's
+/// error outcome; the rest of the matrix completes normally.
 pub fn run_matrix(cells: &[MatrixJob], opts: &RunOptions, jobs: usize) -> Vec<MatrixOutcome> {
-    parallel_map_result(cells, jobs, |cell| {
+    let timed = |job: &MatrixJob| {
         let started = Instant::now();
-        let result = match system_by_label(cell.platform) {
-            Some(sys) => run_workload(&cell.spec, sys, opts).map_err(|e| format!("{}: {e}", cell.platform)),
-            None => Err(format!("{}: unknown platform", cell.platform)),
+        let result = match Machine::platform(job.platform) {
+            Some(machine) => Cell { spec: job.spec.clone(), machine, opts: *opts }.run(),
+            None => Err("unknown platform".into()),
         };
-        MatrixOutcome {
-            workload: cell.spec.short,
-            platform: cell.platform,
-            result,
-            wall_ns: started.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-        }
-    })
-    .into_iter()
-    .zip(cells)
-    .map(|(r, cell)| {
-        r.unwrap_or_else(|msg| MatrixOutcome {
-            workload: cell.spec.short,
-            platform: cell.platform,
-            result: Err(format!("{}: panic: {msg}", cell.platform)),
-            wall_ns: 0,
+        (result, started.elapsed().as_nanos().min(u64::MAX as u128) as u64)
+    };
+    parallel_map_result(cells, jobs, timed)
+        .into_iter()
+        .zip(cells)
+        .map(|(r, job)| {
+            let (result, wall_ns) = r.unwrap_or_else(|msg| (Err(format!("panic: {msg}")), 0));
+            let result = result.map_err(|e| format!("{}: {e}", job.platform));
+            MatrixOutcome { workload: job.spec.short, platform: job.platform, result, wall_ns }
         })
-    })
-    .collect()
+        .collect()
 }
 
 /// Simulated picoseconds a run advanced (mutator + stop-the-world GC).

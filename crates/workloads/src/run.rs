@@ -431,22 +431,24 @@ mod tests {
         assert!(general > 0.0 && general < 0.05, "§5.3: general components are a few percent, got {general}");
     }
 
-    /// DRAM energy reads the platform's pJ/bit from `sys.cfg` (Table 2):
-    /// doubling it doubles `energy.dram_j` and moves nothing else.
+    /// DRAM energy reads the platform's pJ/bit from the config the
+    /// machine is built from (Table 2): doubling it doubles
+    /// `energy.dram_j` and moves nothing else.
     #[test]
     fn the_config_drives_dram_energy() {
-        use charon_sim::config::MemPlatform;
+        use charon_gc::system::Backend;
+        use charon_sim::config::{MemPlatform, SystemConfig};
         use charon_sim::energy::EnergyAccount;
         let spec = by_short("BS").unwrap();
         let opts = RunOptions { supersteps: Some(2), ..Default::default() };
-        for make in [System::hmc, System::ddr4] {
-            let base = run_workload(&spec, make(), &opts).unwrap();
-            let mut sys = make();
-            match sys.cfg.platform {
-                MemPlatform::Ddr4 => sys.cfg.ddr4.pj_per_bit *= 2.0,
-                MemPlatform::Hmc => sys.cfg.hmc.pj_per_bit *= 2.0,
+        for cfg in [SystemConfig::table2_hmc(), SystemConfig::table2_ddr4()] {
+            let base = run_workload(&spec, System::new(cfg, Backend::Host), &opts).unwrap();
+            let mut doubled = cfg;
+            match cfg.platform {
+                MemPlatform::Ddr4 => doubled.ddr4.pj_per_bit *= 2.0,
+                MemPlatform::Hmc => doubled.hmc.pj_per_bit *= 2.0,
             }
-            let doubled = run_workload(&spec, sys, &opts).unwrap();
+            let doubled = run_workload(&spec, System::new(doubled, Backend::Host), &opts).unwrap();
             assert_eq!(doubled.fingerprint(), base.fingerprint());
             let (want, got) = (2.0 * base.energy.dram_j, doubled.energy.dram_j);
             assert!(

@@ -26,17 +26,18 @@
 use charon::gc::adapt::PolicyKind;
 use charon::gc::breakdown::Bucket;
 use charon::gc::collector::CollectorKind;
-use charon::gc::system::{OffloadMask, System};
+use charon::gc::system::OffloadMask;
 use charon::sim::faults::CorruptionSite;
 use charon::sim::json::Json;
 use charon::sim::profile::Profiler;
 use charon::sim::report::{extract_metrics, regressions};
 use charon::sim::telemetry::{chrome_trace, Telemetry};
-use charon::workloads::parmatrix::{system_by_label, PLATFORM_LABELS as PLATFORMS};
+use charon::workloads::paper::{run_cells, Cell, Machine};
+use charon::workloads::parmatrix::PLATFORM_LABELS as PLATFORMS;
 use charon::workloads::spec::{by_short, table3, WorkloadSpec};
 use charon::workloads::{
-    autotune, full_matrix, plan_tenants, run_chaos_campaign, run_fault_campaign, run_fleet, run_matrix, run_workload,
-    ChaosOptions, FleetOptions, Ledger, MatrixOutcome, RunOptions, RunResult, SchedKind, MAX_TENANTS,
+    autotune, plan_tenants, run_chaos_campaign, run_fault_campaign, run_fleet, run_workload, ChaosOptions,
+    FleetOptions, Ledger, RunOptions, RunResult, SchedKind, MAX_TENANTS,
 };
 use std::process::ExitCode;
 
@@ -413,8 +414,8 @@ fn specs_for(shorts: &[&str]) -> Result<Vec<WorkloadSpec>, ExitCode> {
 }
 
 /// The machine `label` names.
-fn platform(label: &str) -> Result<System, ExitCode> {
-    system_by_label(label).ok_or_else(|| misuse(format_args!("unknown platform {label}")))
+fn platform(label: &str) -> Result<Machine, ExitCode> {
+    Machine::platform(label).ok_or_else(|| misuse(format_args!("unknown platform {label}")))
 }
 
 fn write_file(path: &str, content: &str) -> Result<(), ExitCode> {
@@ -426,7 +427,7 @@ fn read_file(path: &str) -> Result<String, ExitCode> {
 }
 
 fn read_json(path: &str) -> Result<Json, ExitCode> {
-    Json::parse(&read_file(path)?).map_err(|e| fail(format_args!("{path}: invalid JSON: {e}")))
+    Json::parse(&read_file(path)?).map_err(|e| fail(format_args!("{path}: {e}")))
 }
 
 fn read_ledger(path: &str) -> Result<Ledger, ExitCode> {
@@ -448,10 +449,14 @@ fn emit(flags: &Flags, out: Option<&String>, json: impl Fn() -> Json, text: impl
     Ok(())
 }
 
-/// The runs of one workload's matrix cells, in `PLATFORMS` order; the
-/// first failed cell's error is reported instead.
-fn platform_runs(outcomes: impl Iterator<Item = MatrixOutcome>) -> Result<Vec<RunResult>, ExitCode> {
-    outcomes.map(|o| o.result.map_err(fail)).collect()
+/// Each spec on every platform, workload-major, on up to `jobs` threads;
+/// a failed cell reads as `"<platform>: <error>"`.
+fn platform_runs(specs: &[WorkloadSpec], opts: RunOptions, jobs: usize) -> Vec<Result<RunResult, String>> {
+    let machines = PLATFORMS.map(|p| Machine::platform(p).expect("a PLATFORMS label"));
+    let on = |spec: &WorkloadSpec| machines.map(|machine| Cell { spec: spec.clone(), machine, opts });
+    let cells: Vec<Cell> = specs.iter().flat_map(on).collect();
+    let runs = run_cells(&cells, jobs).into_iter().zip(PLATFORMS.iter().cycle());
+    runs.map(|(r, p)| r.map_err(|e| format!("{p}: {e}"))).collect()
 }
 
 /// The `compare` JSON shape: the workload, every platform's full report,
@@ -524,7 +529,7 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
         "area" => println!("{}", charon::accel::area::report()),
         "run" => {
             let spec = workload(pos[0])?;
-            let mut sys = platform(&flags.platform())?;
+            let mut sys = platform(&flags.platform())?.system();
             // A mask asserting a primitive the chosen collector never
             // issues (Table 1 marks it N/A) is a contradiction, not a
             // no-op — reject it before the run starts.
@@ -545,7 +550,8 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
         }
         "compare" => {
             let (short, spec) = (pos[0], workload(pos[0])?);
-            let runs = platform_runs(run_matrix(&full_matrix(&[spec]), &flags.run_options(), 1).into_iter())?;
+            let runs: Result<Vec<_>, _> = platform_runs(&[spec], flags.run_options(), 1).into_iter().collect();
+            let runs = runs.map_err(fail)?;
             emit(
                 &flags,
                 None,
@@ -570,11 +576,11 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
             // parallel runner; at --jobs 1 (the default) it is a plain
             // serial loop. Cell order — and with it BENCH_compare.json —
             // is identical at every job count.
-            let cells = full_matrix(&specs);
-            let mut outcomes = run_matrix(&cells, &flags.run_options(), flags.jobs()).into_iter();
+            let mut runs = platform_runs(&specs, flags.run_options(), flags.jobs()).into_iter();
             let mut benches = Vec::new();
             for spec in &specs {
-                let runs = platform_runs(outcomes.by_ref().take(PLATFORMS.len()))?;
+                let runs: Result<Vec<_>, _> = runs.by_ref().take(PLATFORMS.len()).collect();
+                let runs = runs.map_err(fail)?;
                 println!("{}: {} platforms benched", spec.short, runs.len());
                 benches.push(compare_json(spec.short, &runs));
             }
@@ -619,7 +625,7 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
             // CI can diff the two with `cmp`.
             if opts.tenants == 1 {
                 let spec = plan_tenants(1, opts.mix.as_deref()).map_err(misuse)?.remove(0);
-                let sys = platform(&opts.platform)?;
+                let sys = platform(&opts.platform)?.system();
                 let r = run_workload(&spec, sys, &flags.run_options()).map_err(fail)?;
                 if let Some(path) = &flags.out {
                     write_file(path, &r.to_json().to_string())?;
@@ -632,7 +638,7 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
         }
         "profile" => {
             let spec = workload(pos[0])?;
-            let mut sys = platform(&flags.platform())?;
+            let mut sys = platform(&flags.platform())?.system();
             sys.set_profiler(Profiler::enabled());
             let opts = RunOptions { census: true, postmortem: Some(flags.top.unwrap_or(3)), ..flags.run_options() };
             let r = run_workload(&spec, sys, &opts).map_err(fail)?;
@@ -642,7 +648,7 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
         "explain" => {
             let (short, spec) = (pos[0], workload(pos[0])?);
             let label = flags.platform();
-            let sys = platform(&label)?;
+            let sys = platform(&label)?.system();
             let opts = RunOptions { postmortem: Some(flags.top.unwrap_or(3)), ..flags.run_options() };
             let r = run_workload(&spec, sys, &opts).map_err(fail)?;
             let profile = r.profile.as_ref().expect("postmortem forces profile collection");
@@ -658,15 +664,13 @@ fn cli(args: &[String]) -> Result<ExitCode, ExitCode> {
         }
         "autotune" => {
             let spec = workload(pos[0])?;
-            let label = flags.platform();
-            platform(&label)?;
+            let machine = platform(&flags.platform())?;
             let policy = flags.policy.unwrap_or(PolicyKind::Census);
             let mut opts = flags.run_options();
             if let Some(seed) = flags.seed {
                 opts.policy_seed = seed;
             }
-            let make = || system_by_label(&label).expect("validated above");
-            let rep = autotune(&spec, make, policy, &opts, flags.jobs()).map_err(fail)?;
+            let rep = autotune(&spec, || machine.system(), policy, &opts, flags.jobs()).map_err(fail)?;
             emit(&flags, flags.out.as_ref(), || rep.to_json(), || print!("{rep}"))?;
         }
         "regress" => {

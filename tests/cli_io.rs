@@ -1,6 +1,7 @@
 //! The CLI at the edges of its input and output: a reader that closes
-//! stdout early, and a JSON file nested deeper than the parser allows.
-//! Both used to end in a panic or an abort instead of an orderly exit.
+//! stdout early, a JSON file nested deeper than the parser allows, and a
+//! malformed one. Each must end in an orderly exit with one clear message,
+//! not a panic or an abort.
 
 use std::process::{Command, Stdio};
 
@@ -35,4 +36,17 @@ fn check_json_rejects_a_too_deep_document() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("nested deeper than"), "{stderr}");
+}
+
+/// A malformed file is named once and its parse error once: the message
+/// says "invalid JSON" a single time, and the exit code is 1.
+#[test]
+fn check_json_names_a_malformed_file_once() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("malformed.json");
+    std::fs::write(&path, "{\"a\": [1, 2,]}").expect("write malformed.json");
+    let out = cli().arg("check-json").arg(&path).output().expect("run charon-cli");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.matches("invalid JSON").count(), 1, "{stderr}");
+    assert!(stderr.starts_with(&format!("{}: ", path.display())), "{stderr}");
 }

@@ -45,7 +45,8 @@ fn fig04_shape_demographics_differ_by_framework() {
 fn fig02_shape_overhead_explodes_toward_min_heap() {
     // Paper: GC overhead rises steeply as the heap approaches the minimum.
     let overhead = |f| {
-        Cell { heap_factor: Some(f), ..Cell::new("CC", "DDR4") }
+        Cell::new("CC", "DDR4")
+            .with(|o| o.heap_factor = Some(f))
             .run()
             .unwrap()
             .gc_overhead()

@@ -24,7 +24,7 @@ fn cell(workload: &'static str, platform: &'static str) -> &'static RunResult {
             .collect();
         cells
             .iter()
-            .copied()
+            .cloned()
             .zip(run_cells(&cells, 2))
             .map(|(c, r)| (c, r.expect("no OOM")))
             .collect()
