@@ -23,24 +23,29 @@
 //! primitive. Only steps 3–4 are per primitive: clflush probes, stream
 //! runs, bitmap-cache spans, and Scan&Push's granules, headers and actions.
 //!
-//! [`Placement::CpuSide`] moves the same units next to the host memory
-//! controller (Fig. 16): packets become on-chip (free), no clflush probes
-//! or accelerator TLB are needed, but every memory request pays the
-//! off-chip serial-link path instead of cube-internal TSV bandwidth.
+//! Where a unit or the bitmap cache sits is a [`Node`], fixed when the
+//! device is built. Memory-side units sit at
+//! `Node::Cube(c)`. [`Placement::CpuSide`] moves the same units, all in
+//! cube 0's pool, and one unified bitmap cache to `Node::Host`, next to the
+//! host memory controller (Fig. 16). A packet from a node to itself is
+//! free, so their request, response and bitmap-cache packets cost nothing;
+//! they translate through the host MMU instead of the accelerator TLB, and
+//! every memory request pays the off-chip serial-link path instead of
+//! cube-internal TSV bandwidth.
 
 use crate::bitmap_cache::{BitmapCache, SliceMode};
 use crate::mai::Mai;
 use crate::packet::{PrimType, REQUEST_BYTES, RESPONSE_NACK_BYTES};
 use crate::sched::Scheduler;
-use crate::tlb::{AccelTlb, TlbMode};
+use crate::tlb::AccelTlb;
 use crate::units::{NoUnits, UnitPool};
-use charon_heap::addr::VAddr;
+use charon_heap::addr::{VAddr, WORD_BYTES};
 use charon_sim::bwres::{BatchCompletion, BwOccupancy};
 use charon_sim::cache::AccessKind;
 use charon_sim::config::SystemConfig;
 use charon_sim::dram::DramOp;
 use charon_sim::faults::{FaultSite, Injector, RecoveryConfig};
-use charon_sim::host::HostTiming;
+use charon_sim::host::{HostTiming, MemFabric};
 use charon_sim::issue::Window;
 use charon_sim::json::Json;
 use charon_sim::noc::Node;
@@ -55,6 +60,17 @@ pub enum Placement {
     MemorySide,
     /// Beside the host memory controller.
     CpuSide,
+}
+
+impl Placement {
+    /// Where the units of cube `cube`'s pool sit: in that cube's logic
+    /// layer, or beside the host memory controller.
+    fn node_of(self, cube: usize) -> Node {
+        match self {
+            Placement::MemorySide => Node::Cube(cube),
+            Placement::CpuSide => Node::Host,
+        }
+    }
 }
 
 pub use charon_sim::config::StructureMode;
@@ -470,6 +486,9 @@ impl FaultLayer {
 pub struct CharonDevice {
     /// One logic-layer cycle (`CharonConfig::unit_freq`).
     unit_period: Ps,
+    /// Granularity of the units' streamed requests: the largest HMC
+    /// packet payload (`HmcConfig::max_access_bytes`, §4.2).
+    stream_granule: u64,
     placement: Placement,
     sched: Scheduler,
     /// The unit pools, in [`UNIT_CLASS_NAMES`] order.
@@ -484,9 +503,6 @@ pub struct CharonDevice {
     telemetry: Telemetry,
 }
 
-/// Granularity of the Copy/Search unit's streamed requests (the maximum
-/// HMC packet payload, §4.2).
-const STREAM_GRANULE: u64 = 256;
 /// Minimum HMC access granularity (§4.5's over-fetch remark).
 const MIN_ACCESS: u32 = 16;
 
@@ -520,11 +536,17 @@ impl CharonDevice {
     /// the structure mode is `cfg.charon.structure`. The paper's build is
     /// memory-side with [`StructureMode::Table4`] — one bitmap cache at
     /// the center, a TLB slice per cube — and Scan&Push concentrated on
-    /// the central cube.
+    /// the central cube. CPU-side, every unit is in cube 0's pool behind
+    /// one MAI, with one unified bitmap cache beside them at the host.
     pub fn new(cfg: &SystemConfig, placement: Placement) -> CharonDevice {
         let cubes = cfg.hmc.cubes;
         let ch = &cfg.charon;
-        let (pools, mai_count) = match placement {
+        let (tlb_mode, cache_mode) = match ch.structure {
+            StructureMode::Table4 => (SliceMode::Distributed, SliceMode::Unified),
+            StructureMode::Unified => (SliceMode::Unified, SliceMode::Unified),
+            StructureMode::Distributed => (SliceMode::Distributed, SliceMode::Distributed),
+        };
+        let (pools, mai_count, cache_mode) = match placement {
             Placement::MemorySide => (
                 [
                     UnitPool::spread(ch.copy_search_units, cubes),
@@ -532,30 +554,25 @@ impl CharonDevice {
                     UnitPool::concentrated(ch.scan_push_units, cubes, Scheduler::CENTER),
                 ],
                 cubes,
+                cache_mode,
             ),
             Placement::CpuSide => (
                 [ch.copy_search_units, ch.bitmap_count_units, ch.scan_push_units]
                     .map(|units| UnitPool::concentrated(units, cubes, 0)),
                 1,
+                SliceMode::Unified,
             ),
         };
-        let (tlb_mode, slice_mode) = match ch.structure {
-            StructureMode::Table4 => (TlbMode::Distributed, SliceMode::Unified),
-            StructureMode::Unified => (TlbMode::Unified, SliceMode::Unified),
-            StructureMode::Distributed => (TlbMode::Distributed, SliceMode::Distributed),
-        };
-        let bitmap_cache = match placement {
-            Placement::MemorySide => BitmapCache::new(slice_mode, cubes, ch.bitmap_cache, ch.unit_freq),
-            Placement::CpuSide => BitmapCache::new_host_side(ch.bitmap_cache, ch.unit_freq),
-        };
+        let center = placement.node_of(Scheduler::CENTER);
         CharonDevice {
             unit_period: ch.unit_freq.period(),
+            stream_granule: u64::from(cfg.hmc.max_access_bytes),
             placement,
             sched: Scheduler::new(cfg.hmc),
             pools,
             mai: (0..mai_count).map(|_| Mai::new(ch.mai_entries, ch.unit_freq)).collect(),
-            tlb: AccelTlb::new(tlb_mode, cubes, ch.tlb_entries_per_cube, ch.unit_freq),
-            bitmap_cache,
+            tlb: AccelTlb::new(tlb_mode, cubes, ch.unit_freq),
+            bitmap_cache: BitmapCache::new(cache_mode, center, cubes, ch.bitmap_cache, ch.unit_freq),
             stats: CharonStats::default(),
             faults: None,
             telemetry: Telemetry::disabled(),
@@ -695,23 +712,33 @@ impl CharonDevice {
     /// The structure mode the TLB and bitmap cache were built in.
     pub fn structure(&self) -> StructureMode {
         match (self.tlb.mode(), self.bitmap_cache.mode()) {
-            (TlbMode::Unified, _) => StructureMode::Unified,
-            (TlbMode::Distributed, SliceMode::Unified) => StructureMode::Table4,
-            (TlbMode::Distributed, SliceMode::Distributed) => StructureMode::Distributed,
+            (SliceMode::Unified, _) => StructureMode::Unified,
+            (SliceMode::Distributed, SliceMode::Unified) => StructureMode::Table4,
+            (SliceMode::Distributed, SliceMode::Distributed) => StructureMode::Distributed,
         }
     }
 
-    fn node_of(&self, cube: usize) -> Node {
+    /// The cube whose pool serves attempt `attempt` of `prim` on `addr`:
+    /// memory-side, the scheduled cube ([`Scheduler::cube_for_attempt`]);
+    /// CPU-side, cube 0, whose pool holds every unit.
+    fn cube_for(&self, prim: PrimType, addr: VAddr, attempt: u32) -> usize {
         match self.placement {
-            Placement::MemorySide => Node::Cube(cube),
-            Placement::CpuSide => Node::Host,
-        }
-    }
-
-    fn mai_idx(&self, cube: usize) -> usize {
-        match self.placement {
-            Placement::MemorySide => cube,
+            Placement::MemorySide => self.sched.cube_for_attempt(prim, addr, attempt),
             Placement::CpuSide => 0,
+        }
+    }
+
+    /// When a unit on `cube` has the physical address of `addr`, asked at
+    /// `t`: memory-side units look it up in the accelerator TLB slice that
+    /// maps `addr`'s cube; CPU-side units use the host MMU (one cycle, no
+    /// hops).
+    fn translate(&mut self, fabric: &mut MemFabric, cube: usize, addr: VAddr, t: Ps) -> Ps {
+        match self.placement {
+            Placement::MemorySide => {
+                let dest = fabric.cube_of(addr.0).unwrap_or(0);
+                self.tlb.translate(fabric, cube, dest, t)
+            }
+            Placement::CpuSide => t + self.unit_period,
         }
     }
 
@@ -728,23 +755,15 @@ impl CharonDevice {
         op: DramOp,
         now: Ps,
     ) -> Ps {
-        let mi = self.mai_idx(cube);
-        let t = self.mai[mi].issue(stream, now);
-        let t = match self.placement {
-            Placement::MemorySide => {
-                let dest = host.fabric.cube_of(addr.0).unwrap_or(0);
-                self.tlb.translate(&mut host.fabric, cube, dest, t)
-            }
-            // CPU-side units use the host MMU: one cycle, no hops.
-            Placement::CpuSide => t + self.unit_period,
-        };
-        let done = host.fabric.access(self.node_of(cube), addr.0, bytes, op, t);
+        let t = self.mai[cube].issue(stream, now);
+        let t = self.translate(&mut host.fabric, cube, addr, t);
+        let done = host.fabric.access(self.placement.node_of(cube), addr.0, bytes, op, t);
         stream.complete(done);
         done
     }
 
     /// A batched streaming run: `bytes` of contiguous memory issued as one
-    /// run of [`STREAM_GRANULE`]-sized unit requests. The run occupies one
+    /// run of `stream_granule`-sized unit requests. The run occupies one
     /// MAI window slot for its head, takes one cube issue cycle per chunk
     /// (metered as a batch), translates once at the head (the unit's
     /// sequential walk reuses the translation), and streams the fabric
@@ -764,17 +783,10 @@ impl CharonDevice {
         now: Ps,
     ) -> BatchCompletion {
         debug_assert!(bytes > 0);
-        let chunks = bytes.div_ceil(STREAM_GRANULE).max(1);
-        let mi = self.mai_idx(cube);
-        let issued = self.mai[mi].issue_many(stream, now, chunks);
-        let t = match self.placement {
-            Placement::MemorySide => {
-                let dest = host.fabric.cube_of(addr.0).unwrap_or(0);
-                self.tlb.translate(&mut host.fabric, cube, dest, issued.first)
-            }
-            Placement::CpuSide => issued.first + self.unit_period,
-        };
-        let run = host.fabric.access_many(self.node_of(cube), addr.0, bytes, op, t);
+        let chunks = bytes.div_ceil(self.stream_granule).max(1);
+        let issued = self.mai[cube].issue_many(stream, now, chunks);
+        let t = self.translate(&mut host.fabric, cube, addr, issued.first);
+        let run = host.fabric.access_many(self.placement.node_of(cube), addr.0, bytes, op, t);
         let last = run.last.max(issued.last);
         stream.complete(last);
         BatchCompletion { first: run.first, last }
@@ -805,21 +817,11 @@ impl CharonDevice {
         t
     }
 
+    /// The request packet from the host to `cube`'s units; returns its
+    /// arrival (free when the units sit at the host).
     fn send_request(&mut self, host: &mut HostTiming, cube: usize, now: Ps) -> Ps {
-        match self.placement {
-            Placement::MemorySide => host.fabric.control_packet(Node::Host, Node::Cube(cube), REQUEST_BYTES, now),
-            Placement::CpuSide => now,
-        }
-    }
-
-    fn send_response(&mut self, host: &mut HostTiming, cube: usize, prim: PrimType, done: Ps) -> Ps {
-        match self.placement {
-            Placement::MemorySide => {
-                host.fabric
-                    .control_packet(Node::Cube(cube), Node::Host, prim.response_bytes(), done)
-            }
-            Placement::CpuSide => done,
-        }
+        host.fabric
+            .control_packet(Node::Host, self.placement.node_of(cube), REQUEST_BYTES, now)
     }
 
     /// Verifies the routed cube can serve `prim` *before* any request
@@ -865,19 +867,15 @@ impl CharonDevice {
         attempt: u32,
         timeout: Ps,
     ) -> Ps {
-        let cube = match self.placement {
-            Placement::MemorySide => self.sched.cube_for_attempt(prim, addr, attempt),
-            Placement::CpuSide => 0,
-        };
+        let cube = self.cube_for(prim, addr, attempt);
+        let units = self.placement.node_of(cube);
         match site {
             FaultSite::Link => {
                 // The packet left the host and died en route: first-hop
                 // bandwidth is consumed, nothing arrives, and the host
-                // only learns at its timeout.
-                if self.placement == Placement::MemorySide {
-                    host.fabric
-                        .control_packet_dropped(Node::Host, Node::Cube(cube), REQUEST_BYTES, t);
-                }
+                // only learns at its timeout. A request to units at the
+                // host crosses no link, so none is dropped.
+                host.fabric.control_packet_dropped(Node::Host, units, REQUEST_BYTES, t);
                 t + timeout
             }
             FaultSite::Queue => {
@@ -885,13 +883,7 @@ impl CharonDevice {
                 // cube NACKs explicitly, so the host learns at the NACK's
                 // arrival rather than its timeout.
                 let arrive = self.send_request(host, cube, t);
-                let nack = match self.placement {
-                    Placement::MemorySide => {
-                        host.fabric
-                            .control_packet(Node::Cube(cube), Node::Host, RESPONSE_NACK_BYTES, arrive)
-                    }
-                    Placement::CpuSide => arrive,
-                };
+                let nack = host.fabric.control_packet(units, Node::Host, RESPONSE_NACK_BYTES, arrive);
                 // On-chip NACKs (CpuSide) are instantaneous; keep time
                 // strictly advancing with one unit cycle.
                 nack.max(t + self.unit_period)
@@ -903,8 +895,7 @@ impl CharonDevice {
             }
             FaultSite::Mai => {
                 let arrive = self.send_request(host, cube, t);
-                let mi = self.mai_idx(cube);
-                self.mai[mi].record_parity_error();
+                self.mai[cube].record_parity_error();
                 arrive.max(t + timeout)
             }
             FaultSite::Unit => {
@@ -1000,13 +991,10 @@ impl CharonDevice {
         let prim = call.prim();
         // Copy/Search/Bitmap Count run on the cube their first operand
         // falls in, Scan&Push on the central one (§4.2–4.4).
-        let cube = match self.placement {
-            Placement::MemorySide => self.sched.cube_for(prim, call.lead_addr()),
-            Placement::CpuSide => 0,
-        };
+        let cube = self.cube_for(prim, call.lead_addr(), 0);
         self.route_check(prim, cube)?;
         let arrive = self.send_request(host, cube, now);
-        let mut stream = self.mai[self.mai_idx(cube)].stream();
+        let mut stream = self.mai[cube].stream();
 
         let (end, bytes) = match *call {
             OffloadCall::Copy { src, dst, bytes } => {
@@ -1038,10 +1026,11 @@ impl CharonDevice {
                 // exchanges one range-granular request/response per span.
                 const CACHED_SPAN_LIMIT: u64 = 128;
                 let mut end = arrive;
+                let unit = self.placement.node_of(cube);
                 for &(span, bytes) in spans {
                     let done = if bytes <= CACHED_SPAN_LIMIT {
                         self.bitmap_cache
-                            .access_range(&mut host.fabric, cube, span.0, bytes, AccessKind::Read, arrive)
+                            .access_range(&mut host.fabric, unit, span.0, bytes, AccessKind::Read, arrive)
                     } else {
                         self.unit_stream_run(host, &mut stream, cube, span, bytes, DramOp::Read, arrive)
                             .last
@@ -1069,7 +1058,9 @@ impl CharonDevice {
         self.telemetry
             .record(|| Event::UnitSpan { prim: prim.name(), cube, start: arrive, end, bytes });
         self.stats.energy.units_pj += bytes as f64 * UNIT_PJ_PER_BYTE;
-        Ok(self.send_response(host, cube, prim, end))
+        Ok(host
+            .fabric
+            .control_packet(self.placement.node_of(cube), Node::Host, prim.response_bytes(), end))
     }
 
     /// Scan&Push's memory traffic (§4.4) from `arrive`: the field loads,
@@ -1095,11 +1086,12 @@ impl CharonDevice {
 
         // Stream the field loads; remember when each granule's pointers
         // become available.
-        let granules = field_bytes.div_ceil(STREAM_GRANULE).max(1);
+        let granule = self.stream_granule;
+        let granules = field_bytes.div_ceil(granule).max(1);
         let mut granule_done = Vec::with_capacity(granules as usize);
         for i in 0..granules {
-            let off = i * STREAM_GRANULE;
-            let len = STREAM_GRANULE.min(field_bytes.saturating_sub(off)).max(MIN_ACCESS as u64) as u32;
+            let off = i * granule;
+            let len = granule.min(field_bytes.saturating_sub(off)).max(MIN_ACCESS as u64) as u32;
             let d = self.unit_mem(host, stream, cube, fields_start.add_bytes(off), len, DramOp::Read, flushed);
             granule_done.push(d);
         }
@@ -1107,7 +1099,7 @@ impl CharonDevice {
         // Phase 1: the batch of referent-header loads (a 16 B
         // minimum-granularity load each), issued as fast as the MAI
         // accepts — this is the MLP the unit exploits (§4.4).
-        let refs_per_granule = (STREAM_GRANULE / 8) as usize;
+        let refs_per_granule = (granule / WORD_BYTES) as usize;
         let mut header_done = Vec::with_capacity(refs.len());
         for (i, r) in refs.iter().enumerate() {
             let avail = granule_done[(i / refs_per_granule).min(granule_done.len() - 1)];
@@ -1115,6 +1107,7 @@ impl CharonDevice {
         }
         // Phase 2: each referent's dependent action fires when its header
         // returns.
+        let unit = self.placement.node_of(cube);
         let mut end = *granule_done.iter().max().expect("at least one granule");
         for (r, &h_done) in refs.iter().zip(&header_done) {
             let a_done = match r.action {
@@ -1130,13 +1123,11 @@ impl CharonDevice {
                 ScanAction::MarkAndPush { beg_word, end_word, stack_slot } => {
                     // mark_obj: atomic RMWs on the begin and end map words,
                     // served by the bitmap cache (§4.5).
-                    let m1 = self
-                        .bitmap_cache
-                        .access(&mut host.fabric, cube, beg_word.0, AccessKind::Write, h_done);
-                    let m2 = self
-                        .bitmap_cache
-                        .access(&mut host.fabric, cube, end_word.0, AccessKind::Write, m1);
-                    self.unit_mem(host, stream, cube, stack_slot, MIN_ACCESS, DramOp::Write, m2)
+                    let marked = [beg_word, end_word].into_iter().fold(h_done, |t, word| {
+                        let cache = &mut self.bitmap_cache;
+                        cache.access_range(&mut host.fabric, unit, word.0, WORD_BYTES, AccessKind::Write, t)
+                    });
+                    self.unit_mem(host, stream, cube, stack_slot, MIN_ACCESS, DramOp::Write, marked)
                 }
                 ScanAction::None => h_done,
             };
@@ -1464,6 +1455,23 @@ mod tests {
                 FaultSite::Queue => {}
             }
         }
+    }
+
+    /// A CPU-side request never leaves the host, so a Link fault costs the
+    /// host its timeout but drops no packet and moves no link.
+    #[test]
+    fn cpu_side_link_fault_drops_no_packet() {
+        let (mut host, mut dev) = setup(Placement::CpuSide);
+        let recovery = RecoveryConfig { retry_budget: 1, ..RecoveryConfig::default() };
+        dev.enable_faults(FaultSite::Link.arm(13, 1.0), recovery);
+        let e = dev
+            .offload(&mut host, Ps::ZERO, OffloadCall::Search { start: VAddr(0x9000), scanned_bytes: 512 })
+            .expect_err("p=1.0 must fail");
+        assert_eq!((e.site, e.retries), (FaultSite::Link, 1));
+        assert!(e.at >= recovery.timeout * 2, "each attempt waits out its timeout");
+        let s = host.fabric.stats();
+        assert_eq!(s.link_drops, 0);
+        assert_eq!(s.offchip.total_bytes(), 0);
     }
 
     #[test]

@@ -13,53 +13,42 @@
 //! slice always has the entry and no extra hops arise. Fig. 15 compares
 //! the two designs.
 
+use crate::bitmap_cache::{SliceMode, PORT_EPOCH};
 use charon_sim::bwres::EpochBw;
 use charon_sim::host::MemFabric;
 use charon_sim::noc::Node;
 use charon_sim::time::{Freq, Ps};
 
-/// Metering epoch for lookup-port accounting.
-const TLB_EPOCH: Ps = Ps(1_000_000); // 1 us
-
 /// TLB lookup-packet size (a VA and a tag — one 16 B control flit each way).
 const TLB_PKT_BYTES: u32 = 16;
 
-/// Unified (single structure at the center cube) vs distributed
-/// (per-cube slices) accelerator metadata structures (§4.6, Fig. 15).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TlbMode {
-    /// One TLB at cube 0, shared by all cubes.
-    Unified,
-    /// A slice per cube, holding only local-page mappings.
-    Distributed,
-}
-
-/// The accelerator TLB structure(s).
+/// The accelerator TLB structure(s): one TLB at cube 0 shared by all
+/// cubes ([`SliceMode::Unified`]), or a slice per cube holding only
+/// local-page mappings ([`SliceMode::Distributed`]).
 #[derive(Debug, Clone)]
 pub struct AccelTlb {
-    mode: TlbMode,
+    mode: SliceMode,
     /// Lookup port per structure (`[0]` only, when unified).
     ports: Vec<EpochBw>,
-    entries_per_cube: usize,
     lookups: u64,
     remote_lookups: u64,
     unserviceable_misses: u64,
 }
 
 impl AccelTlb {
-    /// Builds the TLB(s) for `cubes` cubes with the given per-cube entry
-    /// count and logic-layer clock.
-    pub fn new(mode: TlbMode, cubes: usize, entries_per_cube: usize, unit_freq: Freq) -> AccelTlb {
+    /// Builds the TLB(s) for `cubes` cubes with the given logic-layer
+    /// clock. The entries cover the pinned huge pages, so no lookup
+    /// misses by construction and the entry count is not modelled.
+    pub fn new(mode: SliceMode, cubes: usize, unit_freq: Freq) -> AccelTlb {
         let ports = match mode {
-            TlbMode::Unified => 1,
-            TlbMode::Distributed => cubes,
+            SliceMode::Unified => 1,
+            SliceMode::Distributed => cubes,
         };
         AccelTlb {
             mode,
             ports: (0..ports)
-                .map(|_| EpochBw::from_period(unit_freq.period(), TLB_EPOCH))
+                .map(|_| EpochBw::from_period(unit_freq.period(), PORT_EPOCH))
                 .collect(),
-            entries_per_cube,
             lookups: 0,
             remote_lookups: 0,
             unserviceable_misses: 0,
@@ -67,14 +56,8 @@ impl AccelTlb {
     }
 
     /// The configured mode.
-    pub fn mode(&self) -> TlbMode {
+    pub fn mode(&self) -> SliceMode {
         self.mode
-    }
-
-    /// Entries per cube (pinned huge pages covered; no misses by
-    /// construction).
-    pub fn entries_per_cube(&self) -> usize {
-        self.entries_per_cube
     }
 
     /// `(total_lookups, lookups_that_crossed_a_link)`.
@@ -102,7 +85,7 @@ impl AccelTlb {
     pub fn translate(&mut self, fabric: &mut MemFabric, from_cube: usize, dest_cube: usize, now: Ps) -> Ps {
         self.lookups += 1;
         match self.mode {
-            TlbMode::Unified => {
+            SliceMode::Unified => {
                 // Reach the center cube's TLB.
                 let at_tlb = if from_cube == 0 {
                     now
@@ -117,7 +100,7 @@ impl AccelTlb {
                     fabric.control_packet(Node::Cube(0), Node::Cube(from_cube), TLB_PKT_BYTES, done)
                 }
             }
-            TlbMode::Distributed => {
+            SliceMode::Distributed => {
                 // The destination cube's slice holds the mapping; requests
                 // are VA-routed, so translation overlaps the trip with no
                 // extra hops.
@@ -144,7 +127,7 @@ mod tests {
     #[test]
     fn distributed_local_lookup_costs_one_cycle() {
         let mut f = fabric();
-        let mut t = AccelTlb::new(TlbMode::Distributed, 4, 32, Freq::ghz(1.0));
+        let mut t = AccelTlb::new(SliceMode::Distributed, 4, Freq::ghz(1.0));
         let done = t.translate(&mut f, 2, 2, Ps::ZERO);
         assert_eq!(done, Ps::from_ns(1.0));
         assert_eq!(t.stats(), (1, 0));
@@ -153,7 +136,7 @@ mod tests {
     #[test]
     fn unified_remote_lookup_pays_link_round_trip() {
         let mut f = fabric();
-        let mut t = AccelTlb::new(TlbMode::Unified, 4, 32, Freq::ghz(1.0));
+        let mut t = AccelTlb::new(SliceMode::Unified, 4, Freq::ghz(1.0));
         let local = t.translate(&mut f, 0, 0, Ps::ZERO);
         assert_eq!(local, Ps::from_ns(1.0));
         let remote = t.translate(&mut f, 3, 3, Ps::ZERO);
@@ -165,7 +148,7 @@ mod tests {
     #[test]
     fn unified_port_serializes_all_cubes() {
         let mut f = fabric();
-        let mut t = AccelTlb::new(TlbMode::Unified, 4, 32, Freq::ghz(1.0));
+        let mut t = AccelTlb::new(SliceMode::Unified, 4, Freq::ghz(1.0));
         let a = t.translate(&mut f, 0, 0, Ps::ZERO);
         let b = t.translate(&mut f, 0, 0, Ps::ZERO);
         assert_eq!(b - a, Ps::from_ns(1.0));
@@ -174,7 +157,7 @@ mod tests {
     #[test]
     fn distributed_slices_do_not_contend() {
         let mut f = fabric();
-        let mut t = AccelTlb::new(TlbMode::Distributed, 4, 32, Freq::ghz(1.0));
+        let mut t = AccelTlb::new(SliceMode::Distributed, 4, Freq::ghz(1.0));
         let a = t.translate(&mut f, 0, 0, Ps::ZERO);
         let b = t.translate(&mut f, 1, 1, Ps::ZERO);
         assert_eq!(a, b, "independent slices must serve in parallel");

@@ -110,11 +110,6 @@ impl Cache {
         self.stats
     }
 
-    /// Block-aligns an address.
-    pub fn block_base(&self, addr: u64) -> u64 {
-        addr & !((self.cfg.block_bytes as u64) - 1)
-    }
-
     /// The slice range of `addr`'s set and the key a clean resident copy
     /// of its block would carry.
     fn index(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
@@ -543,6 +538,6 @@ mod tests {
                 evicted = Some(wb);
             }
         }
-        assert_eq!(evicted, Some(c.block_base(addr)));
+        assert_eq!(evicted, Some(addr & !63), "the victim is the block of the first write");
     }
 }

@@ -86,13 +86,11 @@ pub struct HostConfig {
     pub l3: CacheConfig,
 }
 
-/// DDR4 main-memory system (Table 2, middle block). Table 2's tCK is not
-/// modelled: every timing below is given in picoseconds.
+/// DDR4 main-memory system (Table 2, middle block). Table 2's tCK and
+/// 32 GB capacity are not modelled: every timing below is given in
+/// picoseconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ddr4Config {
-    /// Total capacity in bytes (32 GB in the paper; capacity is not modeled
-    /// for timing, only for address-mapping width).
-    pub capacity_bytes: u64,
     /// Independent channels (2).
     pub channels: usize,
     /// Ranks per channel (4).
@@ -123,12 +121,11 @@ pub struct Ddr4Config {
     pub row_bytes: u64,
 }
 
-/// HMC main-memory system (Table 2, bottom block). Table 2's tCK is not
-/// modelled, as for DDR4.
+/// HMC main-memory system (Table 2, bottom block). Table 2's tCK and
+/// capacity are not modelled, as for DDR4. A bank's row is one
+/// `max_access_bytes` block.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HmcConfig {
-    /// Total capacity in bytes (32 GB).
-    pub capacity_bytes: u64,
     /// Number of cubes (4, star topology around cube 0).
     pub cubes: usize,
     /// Vaults per cube (32).
@@ -144,7 +141,8 @@ pub struct HmcConfig {
     pub t_cas: Ps,
     /// tWR = 14.4 ns.
     pub t_wr: Ps,
-    /// tRP = 11.2 ns.
+    /// tRP = 11.2 ns. No timing reads it yet: the bank model's row cycle
+    /// is tRAS alone, without the precharge.
     pub t_rp: Ps,
     /// Internal (TSV) bandwidth per cube: 320 GB/s.
     pub internal_bw_per_cube: Bandwidth,
@@ -162,9 +160,6 @@ pub struct HmcConfig {
     /// contemporary literature run 25–45 ns above DDR4's, which is why the
     /// paper's host gains only 1.21× from the HMC's bandwidth (Fig. 12).
     pub host_protocol_latency: Ps,
-    /// Row-buffer size per bank in bytes. (Not in Table 2; HMC uses small
-    /// 256 B DRAM pages — documented default.)
-    pub row_bytes: u64,
     /// log2 of the interleaving granularity at which consecutive huge pages
     /// are spread across cubes. The paper pins 1 GB huge pages and
     /// interleaves them over cubes (`[row:cube[31:30]:…]`) — 1 GB pages on
@@ -188,7 +183,9 @@ pub enum StructureMode {
     Distributed,
 }
 
-/// Charon accelerator configuration (Table 2, bottom block + §4).
+/// Charon accelerator configuration (Table 2, bottom block + §4). Table 2's
+/// 32 TLB entries per cube cover the pinned huge pages, so no lookup misses
+/// and the entry count is not modelled.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CharonConfig {
     /// Copy/Search units in total (8: 2 per cube).
@@ -199,8 +196,6 @@ pub struct CharonConfig {
     pub scan_push_units: usize,
     /// Bitmap cache: 8 KB, 8-way, 32 B blocks.
     pub bitmap_cache: CacheConfig,
-    /// Accelerator TLB entries per cube (32).
-    pub tlb_entries_per_cube: usize,
     /// MAI request-buffer entries per cube. (Not in Table 2; bounds
     /// outstanding memory requests per cube — documented default 64.)
     pub mai_entries: usize,
@@ -249,7 +244,6 @@ impl Ddr4Config {
     /// The paper's DDR4 memory system (Table 2, middle block).
     pub fn table2() -> Ddr4Config {
         Ddr4Config {
-            capacity_bytes: 32 << 30,
             channels: 2,
             ranks_per_channel: 4,
             banks_per_rank: 8,
@@ -276,7 +270,6 @@ impl HmcConfig {
     /// The paper's HMC memory system (Table 2, bottom block).
     pub fn table2() -> HmcConfig {
         HmcConfig {
-            capacity_bytes: 32 << 30,
             cubes: 4,
             vaults_per_cube: 32,
             banks_per_vault: 16,
@@ -291,7 +284,6 @@ impl HmcConfig {
             link_latency: Ps::from_ns(3.0),
             max_access_bytes: 256,
             host_protocol_latency: Ps::from_ns(25.0),
-            row_bytes: 256,
             cube_interleave_bits: 20,
         }
     }
@@ -318,7 +310,6 @@ impl CharonConfig {
             bitmap_count_units: 8,
             scan_push_units: 8,
             bitmap_cache: CacheConfig { size_bytes: 8 * 1024, ways: 8, block_bytes: 32, latency_cycles: 1 },
-            tlb_entries_per_cube: 32,
             mai_entries: 64,
             unit_freq: Freq::ghz(1.0),
             structure: StructureMode::Table4,
@@ -370,11 +361,8 @@ impl fmt::Display for SystemConfig {
         writeln!(f, "DDR4 Main Memory System")?;
         writeln!(
             f,
-            "  {} GB, {} channels, {} ranks/ch, {} banks/rank",
-            self.ddr4.capacity_bytes >> 30,
-            self.ddr4.channels,
-            self.ddr4.ranks_per_channel,
-            self.ddr4.banks_per_rank
+            "  32 GB (not modelled), {} channels, {} ranks/ch, {} banks/rank",
+            self.ddr4.channels, self.ddr4.ranks_per_channel, self.ddr4.banks_per_rank
         )?;
         writeln!(
             f,
@@ -389,13 +377,7 @@ impl fmt::Display for SystemConfig {
             self.ddr4.pj_per_bit
         )?;
         writeln!(f, "HMC Main Memory System")?;
-        writeln!(
-            f,
-            "  {} GB, {} cubes, {} vaults per cube",
-            self.hmc.capacity_bytes >> 30,
-            self.hmc.cubes,
-            self.hmc.vaults_per_cube
-        )?;
+        writeln!(f, "  32 GB (not modelled), {} cubes, {} vaults per cube", self.hmc.cubes, self.hmc.vaults_per_cube)?;
         writeln!(
             f,
             "  tCK=1.600 ns (not modelled) tRAS={} tRCD={} tCAS={} tWR={} tRP={}",
@@ -416,11 +398,7 @@ impl fmt::Display for SystemConfig {
             self.charon.bitmap_cache.ways,
             self.charon.bitmap_cache.block_bytes
         )?;
-        write!(
-            f,
-            "  TLB {} entries per cube / MAI {} entries",
-            self.charon.tlb_entries_per_cube, self.charon.mai_entries
-        )
+        write!(f, "  TLB 32 entries per cube (not modelled) / MAI {} entries", self.charon.mai_entries)
     }
 }
 

@@ -897,6 +897,31 @@ mod tests {
         assert_eq!(h.fabric.control_packet(Node::Host, Node::Cube(0), 48, Ps(5)), Ps(5));
     }
 
+    /// A packet from a node to itself is free on both platforms: it
+    /// arrives at its start, moves no link meter, drops nothing and records
+    /// no latency sample. CPU-side Charon's packets rest on this.
+    #[test]
+    fn fabric_packets_to_self_are_free() {
+        for cfg in [SystemConfig::table2_hmc(), SystemConfig::table2_ddr4()] {
+            let mut f = MemFabric::new(&cfg);
+            let profiler = Profiler::enabled();
+            f.set_profiler(profiler.clone());
+            for n in [Node::Host, Node::Cube(0), Node::Cube(3)] {
+                assert_eq!(f.control_packet(n, n, 48, Ps(5)), Ps(5));
+                assert_eq!(f.control_packet_dropped(n, n, 48, Ps(5)), Ps(5));
+            }
+            assert_eq!(f.stats(), MemFabric::new(&cfg).stats(), "{:?}", cfg.platform);
+            assert_eq!(profiler.snapshot().total_samples(), 0, "{:?}", cfg.platform);
+        }
+        // The same probes see a packet that does cross a link.
+        let mut f = MemFabric::new(&SystemConfig::table2_hmc());
+        let profiler = Profiler::enabled();
+        f.set_profiler(profiler.clone());
+        assert!(f.control_packet(Node::Host, Node::Cube(0), 48, Ps(5)) > Ps(5));
+        assert_eq!(f.stats().offchip.total_bytes(), 48);
+        assert_eq!(profiler.snapshot().total_samples(), 1);
+    }
+
     #[test]
     fn fabric_ddr4_read_run_matches_access_loop() {
         let cfg = SystemConfig::table2_ddr4();

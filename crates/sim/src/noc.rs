@@ -217,7 +217,8 @@ impl Noc {
     /// layer — but the packet never arrives and nothing crosses the
     /// second hop. Returns when the packet would have cleared hop 1,
     /// which is when the loss becomes physically final; the sender
-    /// observes nothing until its own timeout.
+    /// observes nothing until its own timeout. A packet from a node to
+    /// itself crosses no link, so none is lost and none is counted.
     ///
     /// # Panics
     ///
@@ -225,11 +226,11 @@ impl Noc {
     pub fn send_dropped(&mut self, from: Node, to: Node, bytes: u32, start: Ps, is_read_data: bool) -> Ps {
         self.check(from);
         self.check(to);
-        self.dropped_packets += 1;
-        self.dropped_bytes += u64::from(bytes);
         if from == to {
             return start;
         }
+        self.dropped_packets += 1;
+        self.dropped_bytes += u64::from(bytes);
         match from {
             Node::Host => self.host_link.inbound.transfer(bytes, start, self.latency, is_read_data),
             // Loss on the center's own logic layer: no link crossed.

@@ -461,6 +461,20 @@ mod tests {
         }
     }
 
+    /// The units stream in packets of `hmc.max_access_bytes`, whatever
+    /// that is: with 128 B packets, CC's Scan&Push field loads are cut at
+    /// 128 B and the run completes.
+    #[test]
+    fn charon_streams_in_the_configured_packet_size() {
+        use charon_gc::system::Backend;
+        use charon_sim::config::SystemConfig;
+        let mut cfg = SystemConfig::table2_hmc();
+        cfg.hmc.max_access_bytes = 128;
+        let opts = RunOptions { supersteps: Some(3), ..Default::default() };
+        let r = run_workload(&by_short("CC").unwrap(), System::new(cfg, Backend::Charon), &opts).unwrap();
+        assert_eq!((r.gc_time, r.minor.1), (Ps(6_494_784_553), 2));
+    }
+
     #[test]
     fn sinks_on_the_system_survive_the_run() {
         let telemetry = charon_sim::telemetry::Telemetry::enabled();

@@ -77,6 +77,7 @@ COMMANDS=(
     "run BS --heap-factor inf"
     "paper --steps 2"
     "paper BS"
+    "run KM --platform Charon-CPU-side --steps 2 --json --trace-out kmcpu.trace.json"
 )
 
 probe() {
