@@ -532,21 +532,18 @@ fn unit_class(prim: PrimType) -> usize {
 }
 
 impl CharonDevice {
-    /// Builds the device for the given system configuration and placement;
-    /// the structure mode is `cfg.charon.structure`. The paper's build is
-    /// memory-side with [`StructureMode::Table4`] — one bitmap cache at
-    /// the center, a TLB slice per cube — and Scan&Push concentrated on
-    /// the central cube. CPU-side, every unit is in cube 0's pool behind
-    /// one MAI, with one unified bitmap cache beside them at the host.
+    /// Builds the device for the given system configuration and placement.
+    /// The paper's build is memory-side with [`StructureMode::Table4`] — one
+    /// bitmap cache at the center, a TLB slice per cube — and Scan&Push
+    /// concentrated on the central cube; `cfg.charon.structure` places the
+    /// memory-side structures. CPU-side, every unit is in cube 0's pool
+    /// behind one MAI, with one bitmap cache beside them and one
+    /// translation point (the host MMU), both at the host: that build is
+    /// [`StructureMode::Unified`] whatever the config says.
     pub fn new(cfg: &SystemConfig, placement: Placement) -> CharonDevice {
         let cubes = cfg.hmc.cubes;
         let ch = &cfg.charon;
-        let (tlb_mode, cache_mode) = match ch.structure {
-            StructureMode::Table4 => (SliceMode::Distributed, SliceMode::Unified),
-            StructureMode::Unified => (SliceMode::Unified, SliceMode::Unified),
-            StructureMode::Distributed => (SliceMode::Distributed, SliceMode::Distributed),
-        };
-        let (pools, mai_count, cache_mode) = match placement {
+        let (pools, mai_count, structure) = match placement {
             Placement::MemorySide => (
                 [
                     UnitPool::spread(ch.copy_search_units, cubes),
@@ -554,14 +551,19 @@ impl CharonDevice {
                     UnitPool::concentrated(ch.scan_push_units, cubes, Scheduler::CENTER),
                 ],
                 cubes,
-                cache_mode,
+                ch.structure,
             ),
             Placement::CpuSide => (
                 [ch.copy_search_units, ch.bitmap_count_units, ch.scan_push_units]
                     .map(|units| UnitPool::concentrated(units, cubes, 0)),
                 1,
-                SliceMode::Unified,
+                StructureMode::Unified,
             ),
+        };
+        let (tlb_mode, cache_mode) = match structure {
+            StructureMode::Table4 => (SliceMode::Distributed, SliceMode::Unified),
+            StructureMode::Unified => (SliceMode::Unified, SliceMode::Unified),
+            StructureMode::Distributed => (SliceMode::Distributed, SliceMode::Distributed),
         };
         let center = placement.node_of(Scheduler::CENTER);
         CharonDevice {

@@ -7,10 +7,10 @@ use crate::concmark::ConcMark;
 use crate::freelist::FreeStore;
 use crate::g1lite::{g1_mixed_collect, G1Stats};
 use crate::major::{major_gc, MajorStats};
-use crate::marksweep::{mark_sweep_into, SweepStats};
+use crate::marksweep::{mark_sweep, SweepStats};
 use crate::minor::{minor_gc, MinorStats};
+use crate::pause::PauseTotals;
 use crate::system::{OffloadMask, System};
-use crate::threads::GcThreads;
 use charon_core::device::UnitClassStats;
 use charon_heap::addr::VAddr;
 use charon_heap::heap::JavaHeap;
@@ -351,40 +351,41 @@ impl Collector {
         let start = self.now;
         let dram_before = self.sys.dram_bytes();
         let bw_before = self.sys.host.fabric.occupancy();
-        let mut threads = GcThreads::new(self.gc_threads, start);
-        self.sys.host.barrier(start);
+        let threads = self.gc_threads;
 
-        let (mut breakdown, minor, major) = match kind {
+        let (pause, minor, major) = match kind {
             GcKind::Minor => {
-                let (bd, st) = minor_gc(&mut self.sys, heap, &mut threads, &mut self.free);
-                (bd, Some(st), None)
+                let (pause, st) = minor_gc(&mut self.sys, heap, threads, start, &mut self.free);
+                (pause, Some(st), None)
             }
             GcKind::Major => match self.kind {
                 CollectorKind::Ps => {
-                    let (bd, st) = major_gc(&mut self.sys, heap, &mut threads);
-                    (bd, None, Some(st))
+                    let (pause, st) = major_gc(&mut self.sys, heap, threads, start);
+                    (pause, None, Some(st))
                 }
                 CollectorKind::Ms => {
                     let filler = self.ensure_filler(heap);
-                    let (bd, st) = mark_sweep_into(&mut self.sys, heap, &mut threads, filler, &mut self.free);
+                    let (pause, st) = mark_sweep(&mut self.sys, heap, threads, start, filler, &mut self.free);
                     crate::concmark::rebuild_old_bot(heap);
-                    (bd, None, Some(sweep_to_major(&st)))
+                    (pause, None, Some(sweep_to_major(&st)))
                 }
                 CollectorKind::Cms => {
                     let filler = self.ensure_filler(heap);
-                    let (bd, st) = crate::concmark::cms_old_gc(
+                    let (pause, st) = crate::concmark::cms_old_gc(
                         &mut self.sys,
                         heap,
-                        &mut threads,
+                        threads,
+                        start,
                         &mut self.concmark,
                         &mut self.free,
                         filler,
                     );
-                    (bd, None, Some(sweep_to_major(&st)))
+                    (pause, None, Some(sweep_to_major(&st)))
                 }
                 CollectorKind::G1 => {
                     let filler = self.ensure_filler(heap);
-                    let (bd, st, regions) = g1_mixed_collect(&mut self.sys, heap, &mut threads, filler, &mut self.free);
+                    let (pause, st, regions) =
+                        g1_mixed_collect(&mut self.sys, heap, threads, start, filler, &mut self.free);
                     // Fresh victims join the store; chunks from earlier
                     // cycles stay (they were excluded from the cset, so
                     // the collection never re-reported them).
@@ -392,7 +393,7 @@ impl Collector {
                         self.free.recycle(r.start, r.words());
                     }
                     crate::concmark::rebuild_old_bot(heap);
-                    (bd, None, Some(g1_to_major(&st)))
+                    (pause, None, Some(g1_to_major(&st)))
                 }
             },
         };
@@ -401,9 +402,8 @@ impl Collector {
         if self.kind == CollectorKind::Cms && kind == GcKind::Minor {
             self.concmark.arm();
         }
-        let end = threads.barrier();
+        let PauseTotals { mut breakdown, end, host_active } = pause;
         let wall = end - start;
-        let host_active = threads.total_host_active();
         let dram_bytes = self.sys.dram_bytes() - dram_before;
         breakdown.record_bw(self.sys.host.fabric.occupancy() - bw_before);
         breakdown.record_recovery(self.sys.recovery.since(recovery_before));

@@ -26,14 +26,13 @@
 //!
 //! Weak references are treated as strong, matching [`crate::marksweep`].
 
-use crate::breakdown::{Breakdown, Bucket};
+use crate::breakdown::Bucket;
 use crate::freelist::FreeStore;
 use crate::major::{count_regions, REGION_WORDS};
 use crate::marksweep::{assert_filler, clear_young_marks, drain, push_obj, seed_roots, sweep_old, SweepStats};
 use crate::minor::search_dirty_cards;
-use crate::pause::{Pause, Step};
+use crate::pause::{Pause, PauseTotals, Step};
 use crate::system::System;
-use crate::threads::GcThreads;
 use charon_heap::addr::VAddr;
 use charon_heap::heap::JavaHeap;
 use charon_heap::klass::KlassId;
@@ -282,8 +281,9 @@ pub(crate) fn rebuild_old_bot(heap: &mut JavaHeap) -> u64 {
     n
 }
 
-/// The `cms` old-generation collection: stop-the-world remark (or, when
-/// no cycle is in flight, a full STW mark), *Bitmap Count* region
+/// The `cms` old-generation collection from `start` on `threads` GC
+/// threads: stop-the-world remark at `start` (or, when no cycle is in
+/// flight, a full STW mark), *Bitmap Count* region
 /// liveness over Old, and a sweep that recycles dead ranges into the
 /// free store. Disarms the write barrier and birth log on the way out.
 ///
@@ -293,18 +293,16 @@ pub(crate) fn rebuild_old_bot(heap: &mut JavaHeap) -> u64 {
 pub fn cms_old_gc(
     sys: &mut System,
     heap: &mut JavaHeap,
-    threads: &mut GcThreads,
+    threads: usize,
+    start: Ps,
     cm: &mut ConcMark,
     free: &mut FreeStore,
     filler_klass: KlassId,
-) -> (Breakdown, SweepStats) {
+) -> (PauseTotals, SweepStats) {
     assert_filler(heap, filler_klass);
-    let remark_at = threads.max_clock();
-    let mut pc = Pause::new(sys, threads);
+    let mut pc = Pause::open(sys, threads, start);
     let mut st = SweepStats { marked_objects: cm.marked_concurrent, ..SweepStats::default() };
     let mut stack = ObjStack::new(heap.layout().major_stack);
-
-    pc.serial(Step::Prologue);
 
     // Remark seed 1: the concurrent backlog — already marked, fields
     // still unscanned.
@@ -324,7 +322,7 @@ pub fn cms_old_gc(
     // and the card rescan covered mid-cycle mutations.
     drain(&mut pc, heap, &mut stack, &mut st, mark_one);
     pc.serial(Step::FlushBitmapCache);
-    cm.events.push(ConcEvent::Remark { at: remark_at, marked: st.marked_objects });
+    cm.events.push(ConcEvent::Remark { at: start, marked: st.marked_objects });
 
     // Region liveness via Bitmap Count over the old generation — with no
     // compaction there is no Copy and no per-reference adjust, so this

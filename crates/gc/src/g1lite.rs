@@ -23,13 +23,12 @@
 //! exercises every Charon primitive, Bitmap Count included — exactly the
 //! ✓✓/✓✓/✓ applicability row the paper claims for G1.
 
-use crate::breakdown::{Breakdown, Bucket};
+use crate::breakdown::Bucket;
 use crate::freelist::FreeStore;
 use crate::major::{clear_dead_referents, count_regions, mark_phase, MajorStats};
 use crate::marksweep::{assert_filler, clear_marks_in, clear_young_marks};
-use crate::pause::{Pause, Step};
+use crate::pause::{Pause, PauseTotals, Step};
 use crate::system::System;
-use crate::threads::GcThreads;
 use charon_core::device::OffloadCall;
 use charon_heap::addr::{VAddr, VRange};
 use charon_heap::heap::JavaHeap;
@@ -37,6 +36,7 @@ use charon_heap::klass::KlassId;
 use charon_heap::object;
 use charon_heap::objstack::ObjStack;
 use charon_sim::cache::AccessKind;
+use charon_sim::time::Ps;
 
 /// Heap words per G1 region (64 KB regions at the scaled heap sizes; the
 /// real G1 uses 1–32 MB on multi-GB heaps).
@@ -64,7 +64,8 @@ pub struct G1Stats {
     pub remset_updates: u64,
 }
 
-/// Runs one G1-lite mixed collection over the old generation.
+/// Runs one G1-lite mixed collection over the old generation, from `start`
+/// on `threads` GC threads.
 /// `filler_klass` must be a primitive-array klass (used to keep reclaimed
 /// regions parsable). Returns the free-region list.
 ///
@@ -82,18 +83,18 @@ pub struct G1Stats {
 pub fn g1_mixed_collect(
     sys: &mut System,
     heap: &mut JavaHeap,
-    threads: &mut GcThreads,
+    threads: usize,
+    start: Ps,
     filler_klass: KlassId,
     free: &mut FreeStore,
-) -> (Breakdown, G1Stats, Vec<VRange>) {
+) -> (PauseTotals, G1Stats, Vec<VRange>) {
     assert_filler(heap, filler_klass);
-    let mut pc = Pause::new(sys, threads);
+    let mut pc = Pause::open(sys, threads, start);
     let mut g1 = G1Stats::default();
 
-    // Prologue + mark + reference processing (shared with MajorGC): weak
-    // referents the mark never reached strongly are cleared before any
-    // region is condemned.
-    pc.serial(Step::Prologue);
+    // Mark + reference processing (shared with MajorGC): weak referents
+    // the mark never reached strongly are cleared before any region is
+    // condemned.
     let mut stack = ObjStack::new(heap.layout().major_stack);
     let mut mstats = MajorStats::default();
     let discovered = mark_phase(&mut pc, heap, &mut mstats, &mut stack);

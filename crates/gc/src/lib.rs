@@ -19,12 +19,12 @@
 //!   and the per-backend primitive timing paths,
 //! * [`costs`] — the calibrated instruction-cost model for host-side GC code,
 //! * [`breakdown`] — the Fig. 4 time buckets,
-//! * [`threads`] — deterministic simulated GC threads over shared memory
-//!   resources,
 //! * `pause` (crate-private) — the per-collection charging context every
-//!   collector books its host ops, primitives, steps and barriers through;
-//!   its `prim` is where a primitive's issue→complete is journaled and
-//!   profiled,
+//!   collector books its host ops, primitives, steps and barriers through:
+//!   it owns the simulated GC threads' clocks, opens every collection with
+//!   the miss-window reset and the §4.6 prologue, and closes it into a
+//!   [`PauseTotals`]; its `prim` is where a primitive's issue→complete is
+//!   journaled and profiled,
 //! * [`minor`] — the MinorGC scavenge (Fig. 3a),
 //! * [`major`] — the MajorGC mark–summarize–adjust–compact (Fig. 3b),
 //! * [`marksweep`] — a CMS-like old-generation mark-sweep (no compaction),
@@ -70,9 +70,9 @@ pub mod minor;
 mod pause;
 pub mod postmortem;
 pub mod system;
-pub mod threads;
 pub mod verify;
 
 pub use breakdown::{Breakdown, Bucket};
 pub use collector::{Collector, CollectorKind, GcEvent, GcKind};
+pub use pause::PauseTotals;
 pub use system::{Backend, System};

@@ -16,11 +16,10 @@
 //! footnote 2); what it calls *Bitmap Count* time is the bitmap work
 //! charged here across summary and adjust.
 
-use crate::breakdown::{Breakdown, Bucket};
+use crate::breakdown::Bucket;
 use crate::integrity;
-use crate::pause::{Pause, Step, Tid};
+use crate::pause::{Pause, PauseTotals, Step, Tid};
 use crate::system::System;
-use crate::threads::GcThreads;
 use charon_core::device::{OffloadCall, ScanAction, ScanRef};
 use charon_heap::addr::{VAddr, VRange};
 use charon_heap::heap::JavaHeap;
@@ -29,6 +28,7 @@ use charon_heap::markbitmap::{live_words_fast, mark_object};
 use charon_heap::object::{self, MarkState};
 use charon_heap::objstack::ObjStack;
 use charon_sim::cache::AccessKind;
+use charon_sim::time::Ps;
 
 /// Heap words per compaction region (HotSpot `ParallelCompactData`
 /// regions; 512 words = 4 KB).
@@ -124,13 +124,11 @@ pub struct LastQuery {
     carry: bool,
 }
 
-/// Runs one MajorGC.
-pub fn major_gc(sys: &mut System, heap: &mut JavaHeap, threads: &mut GcThreads) -> (Breakdown, MajorStats) {
-    let mut pc = Pause::new(sys, threads);
+/// Runs one MajorGC from `start` on `threads` GC threads.
+pub fn major_gc(sys: &mut System, heap: &mut JavaHeap, threads: usize, start: Ps) -> (PauseTotals, MajorStats) {
+    let mut pc = Pause::open(sys, threads, start);
     let mut st = MajorStats::default();
     let mut stack = ObjStack::new(heap.layout().major_stack);
-
-    pc.serial(Step::Prologue);
 
     let discovered = mark_phase(&mut pc, heap, &mut st, &mut stack);
     pc.end_phase("mark");

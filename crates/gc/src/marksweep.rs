@@ -10,11 +10,10 @@
 //! old generation linearly and, as HotSpot does, overwrites dead ranges
 //! with filler arrays so the space remains parsable.
 
-use crate::breakdown::{Breakdown, Bucket};
+use crate::breakdown::Bucket;
 use crate::freelist::FreeStore;
-use crate::pause::{Pause, Step, Tid};
+use crate::pause::{Pause, PauseTotals, Tid};
 use crate::system::System;
-use crate::threads::GcThreads;
 use charon_core::device::{OffloadCall, ScanAction, ScanRef};
 use charon_heap::addr::{VAddr, VRange};
 use charon_heap::heap::JavaHeap;
@@ -22,6 +21,7 @@ use charon_heap::klass::{KlassId, KlassKind};
 use charon_heap::object::{self, MarkState};
 use charon_heap::objstack::ObjStack;
 use charon_sim::cache::AccessKind;
+use charon_sim::time::Ps;
 
 /// Outcome of one old-generation mark-sweep.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -36,41 +36,28 @@ pub struct SweepStats {
     pub free_chunks: u64,
 }
 
-/// Runs a stop-the-world mark of the whole graph followed by a sweep of
-/// the old generation. Dead ranges are overwritten with `filler_klass`
-/// arrays (which must be a [`charon_heap::klass::KlassKind::TypeArray`]
-/// klass). Returns the free list as `(address, words)` chunks in address
-/// order.
+/// Runs a stop-the-world mark of the whole graph from `start` on
+/// `threads` GC threads, followed by a sweep of the old generation into
+/// `free` (which is rebuilt from scratch; `free.chunks_by_address()` is
+/// the free list). Dead ranges are overwritten with `filler_klass` arrays
+/// (which must be a [`charon_heap::klass::KlassKind::TypeArray`] klass).
 ///
 /// # Panics
 ///
 /// Panics if `filler_klass` is not a type-array klass.
-pub fn mark_sweep_old(
+pub fn mark_sweep(
     sys: &mut System,
     heap: &mut JavaHeap,
-    threads: &mut GcThreads,
-    filler_klass: KlassId,
-) -> (Breakdown, SweepStats, Vec<(VAddr, u64)>) {
-    let mut free = FreeStore::new();
-    let (bd, st) = mark_sweep_into(sys, heap, threads, filler_klass, &mut free);
-    (bd, st, free.chunks_by_address())
-}
-
-/// [`mark_sweep_old`], sweeping straight into `free` (which is rebuilt
-/// from scratch) — the collector's `ms` arm.
-pub(crate) fn mark_sweep_into(
-    sys: &mut System,
-    heap: &mut JavaHeap,
-    threads: &mut GcThreads,
+    threads: usize,
+    start: Ps,
     filler_klass: KlassId,
     free: &mut FreeStore,
-) -> (Breakdown, SweepStats) {
+) -> (PauseTotals, SweepStats) {
     assert_filler(heap, filler_klass);
-    let mut pc = Pause::new(sys, threads);
+    let mut pc = Pause::open(sys, threads, start);
     let mut st = SweepStats::default();
     let mut stack = ObjStack::new(heap.layout().major_stack);
 
-    pc.serial(Step::Prologue);
     // Header marks only — no compaction bitmaps in a plain mark-sweep.
     seed_roots(&mut pc, heap, &mut stack, &mut st, mark_header, true);
     drain(&mut pc, heap, &mut stack, &mut st, mark_header);

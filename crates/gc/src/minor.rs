@@ -11,12 +11,11 @@
 //! Every functional step is paired with a timing charge into the Fig. 4
 //! buckets through the backend-dispatching [`System`] primitives.
 
-use crate::breakdown::{Breakdown, Bucket};
+use crate::breakdown::Bucket;
 use crate::freelist::FreeStore;
 use crate::integrity;
-use crate::pause::{Pause, Step, Tid};
+use crate::pause::{Pause, PauseTotals, Tid};
 use crate::system::System;
-use crate::threads::GcThreads;
 use charon_core::device::{OffloadCall, ScanAction, ScanRef};
 use charon_heap::addr::VAddr;
 use charon_heap::heap::JavaHeap;
@@ -24,6 +23,7 @@ use charon_heap::klass::KlassKind;
 use charon_heap::object::{self, MarkState};
 use charon_heap::objstack::ObjStack;
 use charon_sim::cache::AccessKind;
+use charon_sim::time::Ps;
 
 /// Outcome counters of one MinorGC.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -63,19 +63,19 @@ fn dirty_card(heap: &mut JavaHeap, slot: VAddr) -> VAddr {
     ct.card_addr(slot)
 }
 
-/// Runs one MinorGC. `threads` carries the start time; the caller reads
-/// the end time from the barrier it returns into the thread clocks.
-/// `free` is the old generation's free store: promotion consults it for
+/// Runs one MinorGC from `start` on `threads` GC threads; the returned
+/// totals say when it ended. `free` is the old generation's free store: promotion consults it for
 /// a dead range before touching the bump frontier. Under PS it is empty
 /// and every consult is a constant-time `None` — timing unchanged.
 pub fn minor_gc(
     sys: &mut System,
     heap: &mut JavaHeap,
-    threads: &mut GcThreads,
+    threads: usize,
+    start: Ps,
     free: &mut FreeStore,
-) -> (Breakdown, MinorStats) {
+) -> (PauseTotals, MinorStats) {
     let tenuring = sys.tenuring.unwrap_or(heap.config().tenuring_threshold);
-    let mut pc = Pause::new(sys, threads);
+    let mut pc = Pause::open(sys, threads, start);
     let mut sc = Scavenge {
         st: MinorStats { tenuring_threshold: tenuring, ..MinorStats::default() },
         stack: ObjStack::new(heap.layout().minor_stack),
@@ -83,9 +83,6 @@ pub fn minor_gc(
         free,
         tenuring,
     };
-
-    // Prologue: bulk host-cache flush under offloading backends (§4.6).
-    pc.serial(Step::Prologue);
 
     // Phase 1: root set → stack.
     for idx in 0..heap.root_count() {

@@ -9,6 +9,14 @@
 //! construction and the blocked-vs-executing decision that feeds the
 //! energy model is taken in one place ([`System::prim_blocked`]).
 //!
+//! The GC threads are ParallelScavenge's team, one per core: each work
+//! item goes to the least-loaded thread, whose clock advances to the
+//! item's completion, and a barrier jumps every clock to the latest.
+//! There are no OS threads, so every schedule replays bit for bit
+//! (DESIGN.md decision 6). Every collection opens the same way, in
+//! [`Pause::open`]: the clocks at the start time, each core's miss window
+//! reset there, and the §4.6 prologue.
+//!
 //! It is also where a primitive is observed: [`Pause::prim`] journals the
 //! span on its GC thread's row and samples its issue→complete latency,
 //! so [`System::prim`] is pure timing. DESIGN.md §3 "Charge protocol"
@@ -16,7 +24,6 @@
 
 use crate::breakdown::{Breakdown, Bucket};
 use crate::system::System;
-use crate::threads::GcThreads;
 use charon_core::device::OffloadCall;
 use charon_core::packet::PrimType;
 use charon_heap::addr::{VAddr, VRange};
@@ -37,7 +44,8 @@ pub(crate) struct Tid(usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Step {
     /// The GC prologue: a bulk host-cache flush under a memory-side
-    /// offloading backend (§4.6), nothing elsewhere.
+    /// offloading backend that offloads something (§4.6), nothing
+    /// elsewhere. [`Pause::open`] runs it; no collector asks for it.
     Prologue,
     /// A bitmap-cache flush at a MajorGC phase boundary (§4.5); nothing
     /// without a device.
@@ -50,7 +58,11 @@ pub(crate) struct Pause<'a> {
     /// integrity hooks through it; time only moves through the methods
     /// below.
     pub sys: &'a mut System,
-    threads: &'a mut GcThreads,
+    /// Each GC thread's clock.
+    clocks: Vec<Ps>,
+    /// Each GC thread's time executing on its host core, as opposed to
+    /// blocked on an offload response.
+    host_active: Vec<Ps>,
     bd: Breakdown,
     cores: usize,
     /// High-water completion time of the streamed memory operations
@@ -64,20 +76,68 @@ pub(crate) struct Pause<'a> {
     last_query: Vec<Option<(VAddr, VAddr)>>,
 }
 
+/// What a closed pause adds up to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PauseTotals {
+    /// Every span the pause booked, by Fig. 4 bucket.
+    pub breakdown: Breakdown,
+    /// When the last GC thread finished (the final barrier).
+    pub end: Ps,
+    /// Host-active time summed over the GC threads; feeds the energy
+    /// model.
+    pub host_active: Ps,
+}
+
 impl<'a> Pause<'a> {
-    /// Opens the context at the threads' current time.
-    pub fn new(sys: &'a mut System, threads: &'a mut GcThreads) -> Pause<'a> {
+    /// Opens a collection at `start` on `threads` GC threads: every clock
+    /// at `start`, each core's miss window reset there, then the GC
+    /// prologue as a serial step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads` is zero.
+    pub fn open(sys: &'a mut System, threads: usize, start: Ps) -> Pause<'a> {
+        assert!(threads > 0, "need at least one GC thread");
+        sys.host.barrier(start);
         let cores = sys.host.cores();
-        let phase_start = threads.max_clock();
-        let last_query = vec![None; threads.len()];
-        Pause { sys, threads, bd: Breakdown::new(), cores, drain: Ps::ZERO, phase_start, last_query }
+        let mut pc = Pause {
+            sys,
+            clocks: vec![start; threads],
+            host_active: vec![Ps::ZERO; threads],
+            bd: Breakdown::new(),
+            cores,
+            drain: Ps::ZERO,
+            phase_start: start,
+            last_query: vec![None; threads],
+        };
+        pc.serial(Step::Prologue);
+        pc
     }
 
     /// The least-loaded thread (work-stealing approximation), for the
-    /// next op charged.
+    /// next op charged; ties go to the lowest index, which is what makes
+    /// dispatch order deterministic.
     #[inline]
     pub fn pick(&self) -> Tid {
-        Tid(self.threads.least_loaded())
+        let earliest = self.clocks.iter().enumerate().min_by_key(|&(_, &c)| c);
+        Tid(earliest.expect("at least one GC thread").0)
+    }
+
+    /// Moves thread `t`'s clock to `to`, booking the span as host-active
+    /// when the thread executed it rather than waited on an offload.
+    #[inline]
+    fn advance(&mut self, t: usize, to: Ps, active: bool) {
+        let from = self.clocks[t];
+        debug_assert!(to >= from, "GC thread {t} moving backwards: {from} -> {to}");
+        self.clocks[t] = to;
+        if active {
+            self.host_active[t] += to.saturating_sub(from);
+        }
+    }
+
+    /// The latest thread clock, without synchronizing anything.
+    fn max_clock(&self) -> Ps {
+        self.clocks.iter().copied().max().expect("at least one GC thread")
     }
 
     /// Books the span `f` takes on thread `t`, starting at the thread's
@@ -85,10 +145,10 @@ impl<'a> Pause<'a> {
     /// the start time, and returns the completion time.
     #[inline]
     fn charge(&mut self, Tid(t): Tid, bucket: Bucket, active: bool, f: impl FnOnce(&mut System, usize, Ps) -> Ps) {
-        let now = self.threads.clock(t);
+        let now = self.clocks[t];
         let end = f(self.sys, t % self.cores, now);
         self.bd.record(bucket, end - now);
-        self.threads.advance(t, end, active);
+        self.advance(t, end, active);
     }
 
     /// A host operation on thread `t`.
@@ -137,7 +197,7 @@ impl<'a> Pause<'a> {
     /// verdict inside it moves the primitive to the host for good.
     #[inline]
     pub fn prim(&mut self, Tid(t): Tid, call: OffloadCall<'_>, hw: bool) {
-        let now = self.threads.clock(t);
+        let now = self.clocks[t];
         let end = self.sys.prim(t % self.cores, now, call, hw);
         let prim = call.prim();
         self.sys.telemetry.record(|| Event::Prim {
@@ -160,7 +220,7 @@ impl<'a> Pause<'a> {
         };
         self.sys.profiler.record(channel, end.saturating_sub(now));
         self.bd.record(Bucket::of(prim), end - now);
-        self.threads.advance(t, end, !self.sys.prim_blocked(prim, hw));
+        self.advance(t, end, !self.sys.prim_blocked(prim, hw));
     }
 
     /// A streaming clear of `range` on thread `t` (the major epilogue's
@@ -242,18 +302,20 @@ impl<'a> Pause<'a> {
     }
 
     /// A barrier: absorbs the outstanding stream drain and synchronizes
-    /// all threads to the latest clock, which is returned. A phase ends
-    /// here, and so does every thread's last bitmap query.
+    /// all threads to the latest clock, which is returned. Waiting for the
+    /// drain or for another thread is not host-active. A phase ends here,
+    /// and so does every thread's last bitmap query.
     pub fn barrier(&mut self) -> Ps {
         self.last_query.fill(None);
-        self.threads.advance_all_to(std::mem::take(&mut self.drain));
-        self.threads.barrier()
+        let end = self.max_clock().max(std::mem::take(&mut self.drain));
+        self.clocks.fill(end);
+        end
     }
 
     /// Ends the open telemetry phase at the latest thread clock, without
     /// synchronizing anything (MinorGC's phases overlap).
     pub fn end_phase(&mut self, name: &'static str) {
-        let (seq, start, end) = (self.sys.collection_seq, self.phase_start, self.threads.max_clock());
+        let (seq, start, end) = (self.sys.collection_seq, self.phase_start, self.max_clock());
         self.sys.telemetry.record(|| Event::Phase { seq, name, start, end });
         self.phase_start = end;
     }
@@ -265,9 +327,9 @@ impl<'a> Pause<'a> {
     }
 
     /// Closes the context (after the collection's final barrier).
-    pub fn finish(self) -> Breakdown {
+    pub fn finish(self) -> PauseTotals {
         debug_assert_eq!(self.drain, Ps::ZERO, "a stream drain is still outstanding: barrier first");
-        self.bd
+        PauseTotals { breakdown: self.bd, end: self.max_clock(), host_active: self.host_active.iter().copied().sum() }
     }
 }
 
@@ -277,6 +339,11 @@ mod tests {
     use crate::system::OffloadMask;
 
     const START: Ps = Ps(1_000_000);
+
+    /// `START` plus `ps`.
+    fn at(ps: u64) -> Ps {
+        START + Ps(ps)
+    }
 
     /// A mixed sequence on `pc`: host ops, all four primitives, a
     /// follow-up check, and a streamed op last (so nothing absorbs its
@@ -296,8 +363,7 @@ mod tests {
     #[test]
     fn work_goes_to_the_least_loaded_thread_in_order() {
         let mut sys = System::ddr4();
-        let mut threads = GcThreads::new(3, START);
-        let mut pc = Pause::new(&mut sys, &mut threads);
+        let mut pc = Pause::open(&mut sys, 3, START);
         // Equal clocks: lowest index first; a longer op keeps its thread
         // out of rotation until the others catch up.
         let picked: Vec<usize> = [1000, 10, 10, 10, 10]
@@ -310,64 +376,155 @@ mod tests {
     }
 
     #[test]
+    fn earliest_breaks_ties_to_lowest_index() {
+        let mut sys = System::ddr4();
+        let mut pc = Pause::open(&mut sys, 3, START);
+        assert_eq!(pc.pick(), Tid(0), "all equal: lowest index wins");
+        pc.advance(0, at(100), true);
+        assert_eq!(pc.pick(), Tid(1));
+        pc.advance(1, at(100), true);
+        pc.advance(2, at(100), true);
+        assert_eq!(pc.pick(), Tid(0), "equal again: back to the lowest index");
+    }
+
+    #[test]
+    fn least_loaded_balances() {
+        let mut sys = System::ddr4();
+        let mut pc = Pause::open(&mut sys, 2, START);
+        let a = pc.pick();
+        pc.advance(a.0, at(100), true);
+        let b = pc.pick();
+        assert_ne!(a, b);
+        pc.advance(b.0, at(50), true);
+        assert_eq!(pc.pick(), b, "b is still earlier");
+    }
+
+    #[test]
+    fn advance_returns_the_covered_span() {
+        let mut sys = System::ddr4();
+        let mut pc = Pause::open(&mut sys, 1, START);
+        pc.advance(0, at(100), true);
+        pc.advance(0, at(100), true);
+        assert_eq!(pc.clocks[0], at(100));
+        assert_eq!(pc.host_active[0], Ps(100), "a no-op advance covers nothing");
+    }
+
+    #[test]
+    fn active_vs_blocked_accounting() {
+        let mut sys = System::ddr4();
+        let mut pc = Pause::open(&mut sys, 1, START);
+        pc.advance(0, at(100), true);
+        pc.advance(0, at(300), false); // blocked 200
+        pc.advance(0, at(350), true); // active 50
+        let totals = pc.finish();
+        assert_eq!((totals.host_active, totals.end), (Ps(150), at(350)));
+    }
+
+    #[test]
+    fn barrier_syncs_all() {
+        let mut sys = System::ddr4();
+        let mut pc = Pause::open(&mut sys, 3, START);
+        pc.advance(0, at(500), true);
+        pc.advance(1, at(200), false);
+        assert_eq!(pc.barrier(), at(500));
+        assert_eq!(pc.clocks, [at(500); 3]);
+        assert_eq!(pc.finish().host_active, Ps(500), "waiting at a barrier is not host-active");
+    }
+
+    #[test]
+    fn barrier_and_raise_interact_correctly() {
+        let mut sys = System::ddr4();
+        let mut pc = Pause::open(&mut sys, 3, START);
+        // A drain short of the latest clock: that clock keeps its lead.
+        pc.advance(1, at(500), true);
+        pc.drain = at(200);
+        assert_eq!(pc.barrier(), at(500));
+        assert_eq!(pc.clocks, [at(500); 3]);
+        // A drain past every clock: the team waits for it, once.
+        pc.drain = at(800);
+        assert_eq!(pc.barrier(), at(800));
+        assert_eq!(pc.barrier(), at(800));
+        assert_eq!(pc.finish().host_active, Ps(500));
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one GC thread")]
+    fn zero_clocks_panics() {
+        let _ = Pause::open(&mut System::ddr4(), 0, START);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one GC thread")]
+    fn zero_threads_panics() {
+        // A public collector reaches the same check.
+        let mut heap = charon_heap::heap::JavaHeap::new(charon_heap::heap::HeapConfig::with_heap_bytes(1 << 20));
+        let _ =
+            crate::minor::minor_gc(&mut System::ddr4(), &mut heap, 0, START, &mut crate::freelist::FreeStore::new());
+    }
+
+    #[test]
     fn every_span_is_in_one_bucket_and_one_thread_clock() {
         for make in [System::ddr4, System::charon, System::ideal] {
             let mut sys = make();
             sys.enable_integrity(charon_sim::faults::CorruptionSite::BitmapWord.arm(1, 0.0), Default::default());
-            let mut threads = GcThreads::new(3, START);
-            let mut pc = Pause::new(&mut sys, &mut threads);
+            let mut pc = Pause::open(&mut sys, 3, START);
+            let (opened, prologue) = (pc.phase_start, pc.bd.total());
             mixed(&mut pc);
-            let bd = pc.bd;
-            let spans: Ps = (0..3).map(|t| threads.clock(t) - START).sum();
-            assert_eq!(bd.total(), spans, "Σ breakdown == Σ thread spans on {}", sys.label());
-            assert_eq!(bd.get(Bucket::Copy) > Ps(7), sys.label() != "Ideal", "the check lands beside its primitive");
+            let spans: Ps = pc.clocks.iter().map(|&c| c - opened).sum();
+            assert_eq!(pc.bd.total() - prologue, spans, "Σ breakdown == Σ thread spans on {}", pc.sys.label());
+            let copy = pc.bd.get(Bucket::Copy);
+            assert_eq!(copy > Ps(7), pc.sys.label() != "Ideal", "the check lands beside its primitive");
         }
-        // One thread, serial steps included: the pause is its bookings.
+        // One thread, the prologue included: the pause is its bookings.
         let mut sys = System::charon();
-        let mut threads = GcThreads::new(1, START);
-        let mut pc = Pause::new(&mut sys, &mut threads);
-        pc.serial(Step::Prologue);
+        sys.host.mem_access(0, Ps::ZERO, 0x40, 8, AccessKind::Write);
+        let mut pc = Pause::open(&mut sys, 1, START);
+        assert!(pc.phase_start > START, "a dirty line makes the prologue flush");
         mixed(&mut pc);
-        let bd = pc.bd;
-        assert_eq!(bd.total(), threads.clock(0) - START);
+        assert_eq!(pc.bd.total(), pc.clocks[0] - START);
     }
 
     #[test]
     fn the_stream_drain_is_absorbed_at_phase_close() {
         let acc = [(VAddr(0x60_0000), AccessKind::Read)];
-        let (cpu, mem) = System::ddr4().host_stream_op(0, START, 9, &acc);
+        let mut fresh = System::ddr4();
+        fresh.host.barrier(START);
+        let (cpu, mem) = fresh.host_stream_op(0, START, 9, &acc);
         assert!(mem > cpu, "a cold miss outlives its instructions");
         let mut sys = System::ddr4();
-        let mut threads = GcThreads::new(2, START);
-        let mut pc = Pause::new(&mut sys, &mut threads);
+        let mut pc = Pause::open(&mut sys, 2, START);
         pc.stream(Bucket::Other, 9, &acc);
-        assert_eq!(pc.threads.max_clock(), cpu, "the thread moves on after the compute");
+        assert_eq!(pc.max_clock(), cpu, "the thread moves on after the compute");
         pc.close_phase("walk");
         assert_eq!(pc.barrier(), mem, "the phase ends when the memory does, once");
-        assert_eq!(pc.finish().total(), cpu - START, "waiting for the drain is nobody's bucket");
+        let totals = pc.finish();
+        assert_eq!(totals.end, mem);
+        assert_eq!(totals.breakdown.total(), cpu - START, "waiting for the drain is nobody's bucket");
     }
 
     #[test]
     fn host_active_follows_where_the_primitive_ran() {
         let run = |mut sys: System| {
-            let mut threads = GcThreads::new(2, START);
-            let mut pc = Pause::new(&mut sys, &mut threads);
+            let mut pc = Pause::open(&mut sys, 2, START);
+            let prologue = pc.bd.total();
             mixed(&mut pc);
             pc.barrier();
-            let bd = pc.finish();
-            (threads.total_host_active(), bd)
+            (pc.finish(), prologue)
         };
-        // Mask off: the device is never asked, so the machine is the HMC
-        // host and every span is host-active, primitive or not.
+        // Mask off: the device is never asked and the prologue flushes
+        // nothing, so the machine is the HMC host and every span is
+        // host-active, primitive or not.
         let mut masked = System::charon();
         masked.offload = OffloadMask::none();
-        let (active, bd) = run(masked);
-        assert_eq!((active, bd), run(System::hmc()));
-        assert_eq!(active, bd.total());
-        // Default mask: the three hardware-iterable primitives block, the
-        // metadata-kind Scan&Push and the host ops execute.
-        let (active, bd) = run(System::charon());
-        let blocked = bd.get(Bucket::Copy) + bd.get(Bucket::Search) + bd.get(Bucket::BitmapCount);
-        assert_eq!(active, bd.total() - blocked, "exactly the offloaded spans are blocked");
+        let (totals, prologue) = run(masked);
+        assert_eq!((totals, prologue), run(System::hmc()));
+        assert_eq!(totals.host_active, totals.breakdown.total());
+        // Default mask: the three hardware-iterable primitives and the
+        // prologue flush block, the metadata-kind Scan&Push and the host
+        // ops execute.
+        let (totals, prologue) = run(System::charon());
+        let bd = totals.breakdown;
+        let blocked = bd.get(Bucket::Copy) + bd.get(Bucket::Search) + bd.get(Bucket::BitmapCount) + prologue;
+        assert_eq!(totals.host_active, bd.total() - blocked, "exactly the offloaded spans are blocked");
     }
 }

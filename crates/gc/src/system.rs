@@ -310,7 +310,7 @@ impl System {
     /// instructions and moves on while the misses drain in its window.
     /// Returns `(cpu_done, memory_done)` — the caller advances its thread
     /// clock by the former and folds the latter into a phase-level drain
-    /// time (see `GcThreads::advance_all_to`).
+    /// time (see `Pause::barrier`).
     pub fn host_stream_op(&mut self, core: usize, now: Ps, instrs: u64, accesses: &[(VAddr, AccessKind)]) -> (Ps, Ps) {
         let cpu = now + self.compute(instrs);
         let mut mem = cpu;
@@ -321,10 +321,11 @@ impl System {
     }
 
     /// GC prologue: under a memory-side offloading backend, bulk-flush the
-    /// host caches so the units read up-to-date data (§4.6). Returns the
-    /// time the flush traffic has drained.
+    /// host caches so the units read up-to-date data (§4.6). A mask that
+    /// offloads nothing leaves every primitive on the host, which needs no
+    /// flush. Returns the time the flush traffic has drained.
     pub fn gc_prologue(&mut self, now: Ps) -> Ps {
-        if self.backend != Backend::Charon {
+        if self.backend != Backend::Charon || self.offload.count() == 0 {
             return now;
         }
         let (lines, _, end) = self.host.flush_all_caches(now);
@@ -736,13 +737,15 @@ mod tests {
 
     #[test]
     fn gc_prologue_flushes_only_under_charon() {
-        let mut s = System::charon();
-        s.host.mem_access(0, Ps::ZERO, 0x40, 8, AccessKind::Write);
-        let t = s.gc_prologue(Ps::from_us(1.0));
-        assert!(t > Ps::from_us(1.0), "dirty line must delay the prologue");
-        let mut h = System::hmc();
-        h.host.mem_access(0, Ps::ZERO, 0x40, 8, AccessKind::Write);
-        assert_eq!(h.gc_prologue(Ps::from_us(1.0)), Ps::from_us(1.0));
+        let prologue = |mut s: System| {
+            s.host.mem_access(0, Ps::ZERO, 0x40, 8, AccessKind::Write);
+            s.gc_prologue(Ps::from_us(1.0))
+        };
+        assert!(prologue(System::charon()) > Ps::from_us(1.0), "dirty line must delay the prologue");
+        assert_eq!(prologue(System::hmc()), Ps::from_us(1.0));
+        let mut masked = System::charon();
+        masked.offload = OffloadMask::none();
+        assert_eq!(prologue(masked), Ps::from_us(1.0), "nothing offloaded, nothing to flush");
     }
 
     #[test]

@@ -6,7 +6,6 @@ use charon_core::PrimType;
 use charon_gc::collector::Collector;
 use charon_gc::g1lite::{g1_mixed_collect, G1_REGION_WORDS};
 use charon_gc::system::System;
-use charon_gc::threads::GcThreads;
 use charon_gc::verify::graph_signature;
 use charon_heap::heap::{HeapConfig, JavaHeap};
 use charon_heap::klass::{KlassId, KlassKind};
@@ -44,9 +43,9 @@ fn g1_preserves_graph_and_reclaims_garbage() {
     let (sig, before) = graph_signature(&heap).expect("heap graph verifies");
     let used_before = heap.old().used_bytes();
 
-    let mut threads = GcThreads::new(8, gc.now);
-    let (bd, stats, free) =
-        g1_mixed_collect(&mut gc.sys, &mut heap, &mut threads, filler, &mut charon_gc::freelist::FreeStore::new());
+    let (totals, stats, free) =
+        g1_mixed_collect(&mut gc.sys, &mut heap, 8, gc.now, filler, &mut charon_gc::freelist::FreeStore::new());
+    let bd = totals.breakdown;
 
     let (sig2, after) = graph_signature(&heap).expect("heap graph verifies");
     assert_eq!(sig, sig2, "G1 evacuation corrupted the graph");
@@ -71,9 +70,8 @@ fn g1_preserves_graph_and_reclaims_garbage() {
 fn g1_exercises_all_primitives_under_charon() {
     let (mut heap, mut gc, filler) = build(System::charon());
     let before = gc.sys.device.as_ref().unwrap().stats().clone();
-    let mut threads = GcThreads::new(8, gc.now);
     let (_, stats, _) =
-        g1_mixed_collect(&mut gc.sys, &mut heap, &mut threads, filler, &mut charon_gc::freelist::FreeStore::new());
+        g1_mixed_collect(&mut gc.sys, &mut heap, 8, gc.now, filler, &mut charon_gc::freelist::FreeStore::new());
     let after = gc.sys.device.as_ref().unwrap().stats().clone();
     assert!(stats.collection_set > 0);
     for p in [PrimType::Copy, PrimType::ScanPush, PrimType::BitmapCount] {
@@ -84,8 +82,7 @@ fn g1_exercises_all_primitives_under_charon() {
 #[test]
 fn g1_after_collection_heap_still_collectable() {
     let (mut heap, mut gc, filler) = build(System::ddr4());
-    let mut threads = GcThreads::new(4, gc.now);
-    let _ = g1_mixed_collect(&mut gc.sys, &mut heap, &mut threads, filler, &mut charon_gc::freelist::FreeStore::new());
+    let _ = g1_mixed_collect(&mut gc.sys, &mut heap, 4, gc.now, filler, &mut charon_gc::freelist::FreeStore::new());
     let (sig, _) = graph_signature(&heap).expect("heap graph verifies");
     // A following full compaction must cope with filler regions.
     gc.major_gc(&mut heap);

@@ -295,8 +295,8 @@ fn breakdowns_cover_all_phases() {
 
 #[test]
 fn mark_sweep_preserves_graph_and_frees_old_garbage() {
-    use charon_gc::marksweep::mark_sweep_old;
-    use charon_gc::threads::GcThreads;
+    use charon_gc::freelist::FreeStore;
+    use charon_gc::marksweep::mark_sweep;
     let mut fx = fixture(8 << 20);
     let mut gc = Collector::new(System::ddr4(), &fx.heap, 4);
     populate(&mut fx, &mut gc, 11, 4000);
@@ -308,8 +308,9 @@ fn mark_sweep_preserves_graph_and_frees_old_garbage() {
         }
     }
     let (sig, _) = graph_signature(&fx.heap).expect("heap graph verifies");
-    let mut threads = GcThreads::new(4, gc.now);
-    let (_bd, st, free) = mark_sweep_old(&mut gc.sys, &mut fx.heap, &mut threads, fx.bytes);
+    let mut free = FreeStore::new();
+    let (_, st) = mark_sweep(&mut gc.sys, &mut fx.heap, 4, gc.now, fx.bytes, &mut free);
+    let free = free.chunks_by_address();
     let (sig2, _) = graph_signature(&fx.heap).expect("heap graph verifies");
     assert_eq!(sig, sig2, "mark-sweep corrupted the graph");
     assert!(st.freed_bytes > 0, "dropping roots must free old garbage");
@@ -327,8 +328,7 @@ fn mark_sweep_preserves_graph_and_frees_old_garbage() {
 fn mark_sweep_and_idle_cms_agree_on_liveness_and_free_ranges() {
     use charon_gc::concmark::{cms_old_gc, ConcMark};
     use charon_gc::freelist::FreeStore;
-    use charon_gc::marksweep::mark_sweep_old;
-    use charon_gc::threads::GcThreads;
+    use charon_gc::marksweep::mark_sweep;
     let build = || {
         let mut fx = fixture(8 << 20);
         let mut gc = Collector::new(System::charon(), &fx.heap, 4);
@@ -350,19 +350,22 @@ fn mark_sweep_and_idle_cms_agree_on_liveness_and_free_ranges() {
 
     let (mut fx, mut gc) = build();
     let (sig, _) = graph_signature(&fx.heap).expect("heap graph verifies");
-    let mut threads = GcThreads::new(4, gc.now);
-    let (_, ms, ms_chunks) = mark_sweep_old(&mut gc.sys, &mut fx.heap, &mut threads, fx.bytes);
+    let mut ms_free = FreeStore::new();
+    let (_, ms) = mark_sweep(&mut gc.sys, &mut fx.heap, 4, gc.now, fx.bytes, &mut ms_free);
     assert_eq!(graph_signature(&fx.heap).expect("heap graph verifies").0, sig, "mark-sweep changed the graph");
     assert_headers_clean(&fx.heap);
 
     let (mut fx, mut gc) = build();
-    let mut threads = GcThreads::new(4, gc.now);
     let (mut cm, mut free) = (ConcMark::new(), FreeStore::new());
-    let (_, cms) = cms_old_gc(&mut gc.sys, &mut fx.heap, &mut threads, &mut cm, &mut free, fx.bytes);
+    let (_, cms) = cms_old_gc(&mut gc.sys, &mut fx.heap, 4, gc.now, &mut cm, &mut free, fx.bytes);
     assert_eq!(graph_signature(&fx.heap).expect("heap graph verifies").0, sig, "cms changed the graph");
     assert_headers_clean(&fx.heap);
 
     assert!(ms.freed_bytes > 0 && ms.free_chunks > 1, "the fixture must leave old garbage to sweep");
     assert_eq!(ms, cms, "marked objects, old live bytes, freed bytes and free chunks must agree");
-    assert_eq!(ms_chunks, free.chunks_by_address(), "both sweeps must recycle the same (addr, words) ranges");
+    assert_eq!(
+        ms_free.chunks_by_address(),
+        free.chunks_by_address(),
+        "both sweeps must recycle the same (addr, words) ranges"
+    );
 }

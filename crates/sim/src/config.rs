@@ -203,7 +203,9 @@ pub struct CharonConfig {
     /// paper's units "issue a request every cycle" — 1 GHz documented
     /// default, conservative for a 40 nm logic layer.)
     pub unit_freq: Freq,
-    /// Where the bitmap cache and TLB sit (Table 4's build by default).
+    /// Where the bitmap cache and TLB sit in a memory-side build (Table
+    /// 4's build by default). A CPU-side build has one of each at the
+    /// host and ignores this field.
     pub structure: StructureMode,
 }
 

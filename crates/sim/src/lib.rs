@@ -17,8 +17,6 @@
 //!   wedge) plus the retry/backoff/watchdog recovery parameters,
 //! * [`bwres`] — epoch-metered shared-resource bandwidth accounting (no
 //!   phantom serialization between loosely-ordered agents),
-//! * [`clocks`] — deterministic per-agent simulated clock sets, the
-//!   pattern shared by GC thread teams and fleet tenant clocks,
 //! * [`issue`] — the bounded-window memory-level-parallelism model shared by
 //!   host cores (small instruction window) and Charon units (large MAI
 //!   request buffer),
@@ -58,7 +56,6 @@
 
 pub mod bwres;
 pub mod cache;
-pub mod clocks;
 pub mod config;
 pub mod dram;
 pub mod energy;

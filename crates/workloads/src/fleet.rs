@@ -16,10 +16,8 @@
 //!    are bit-for-bit reproducible.
 //! 2. **Schedule phase** — a serial discrete-event loop replays every
 //!    tenant's GC requests against the shared device, arbitrated by a
-//!    [`SchedKind`]. Each tenant owns a simulated clock in a
-//!    [`charon_sim::clocks::ClockSet`] — the same pattern GC threads use
-//!    inside one collection — advanced only at its own GC completions;
-//!    the final barrier is the fleet makespan.
+//!    [`SchedKind`]. A tenant's time moves only at its own GC
+//!    completions, and the last completion is the fleet makespan.
 //!
 //! Because phase 1 is reproducible at any `--jobs` and phase 2 is
 //! serial integer arithmetic, the whole fleet report is bit-for-bit
@@ -34,7 +32,6 @@
 use crate::parmatrix::{parallel_map_labeled, system_by_label, PLATFORM_LABELS};
 use crate::run::{Run, RunOptions};
 use crate::spec::{by_short, table3, WorkloadSpec};
-use charon_sim::clocks::ClockSet;
 use charon_sim::hist::Histogram;
 use charon_sim::json::Json;
 use charon_sim::time::Ps;
@@ -436,11 +433,10 @@ struct SimOut {
 /// job stream: job `j+1` arrives `gap` after job `j` completes (the
 /// mutator between GCs is unaffected by other tenants — only the
 /// shared device is contended). At every arrival or completion the
-/// policy re-decides; tenant clocks advance only at their own
-/// completions, and the final barrier is the makespan.
+/// policy re-decides; the last completion is the makespan.
 fn simulate(streams: &[TenantStream], sched: SchedKind) -> SimOut {
     let n = streams.len();
-    let mut clocks = ClockSet::new(n.max(1), Ps::ZERO);
+    let mut makespan = Ps::ZERO;
     let mut sched_pause = vec![Ps::ZERO; n];
     let mut pauses = Histogram::new();
     // Per-tenant cursor into its job stream and the pending arrival of
@@ -485,15 +481,15 @@ fn simulate(streams: &[TenantStream], sched: SchedKind) -> SimOut {
             }
         }
 
-        // Completes `active[i]` at `now`: records the pause, advances
-        // the tenant clock, and releases the tenant's next job.
+        // Completes `active[i]` at `now`: records the pause, moves the
+        // makespan, and releases the tenant's next job.
         let mut complete = |i: usize, now: Ps, active: &mut Vec<JobView>| {
             let job = active.remove(i);
             let t = job.tenant;
             let pause = now - job.arrival;
             sched_pause[t] += pause;
             pauses.record(pause.0);
-            clocks.advance(t, now);
+            makespan = makespan.max(now);
             next_job[t] += 1;
             if let Some(&(gap, _)) = streams[t].jobs.get(next_job[t]) {
                 pending[t] = Some(now + gap);
@@ -553,7 +549,6 @@ fn simulate(streams: &[TenantStream], sched: SchedKind) -> SimOut {
         }
     }
 
-    let makespan = if n == 0 { Ps::ZERO } else { clocks.barrier() };
     SimOut { sched_pause, pauses, makespan }
 }
 
@@ -718,6 +713,16 @@ mod tests {
         assert_eq!(out.sched_pause, [Ps(150)]);
         // offset 5 + gap 10 + service 100 + gap 20 + service 50.
         assert_eq!(out.makespan, Ps(185));
+    }
+
+    #[test]
+    fn makespan_is_the_last_completion() {
+        // t0 arrives late and finishes last, t1 finishes first, t2 never
+        // asks: the makespan is t0's completion, whatever the index order.
+        let streams = [stream(0, &[(50, 100)]), stream(0, &[(0, 10)]), stream(0, &[])];
+        assert_eq!(simulate(&streams, SchedKind::Fifo).makespan, Ps(150));
+        assert_eq!(simulate(&[stream(0, &[])], SchedKind::Fifo).makespan, Ps::ZERO, "no completion, no makespan");
+        assert_eq!(simulate(&[], SchedKind::Fifo).makespan, Ps::ZERO);
     }
 
     #[test]

@@ -475,6 +475,40 @@ mod tests {
         assert_eq!((r.gc_time, r.minor.1), (Ps(6_494_784_553), 2));
     }
 
+    /// Charon with a mask that offloads nothing is the HMC machine: no
+    /// primitive reaches the device, so the GC prologue has nothing to
+    /// flush for. (Energy still differs: the idle device draws power.)
+    #[test]
+    fn an_empty_mask_is_the_hmc_machine() {
+        use charon_gc::system::OffloadMask;
+        let opts = RunOptions { supersteps: Some(3), ..Default::default() };
+        let lr = by_short("LR").unwrap();
+        let mut masked = System::charon();
+        masked.offload = OffloadMask::none();
+        let masked = run_workload(&lr, masked, &opts).unwrap();
+        let hmc = run_workload(&lr, System::hmc(), &opts).unwrap();
+        assert_eq!(masked.gc_time, Ps(1_286_159_095));
+        assert_eq!((masked.gc_time, masked.minor.1, masked.major.1), (hmc.gc_time, hmc.minor.1, hmc.major.1));
+        assert_eq!(masked.traffic, hmc.traffic);
+    }
+
+    /// A CPU-side device has one bitmap cache and one translation point,
+    /// both at the host, so the structure knob places nothing there.
+    #[test]
+    fn cpu_side_builds_are_unified_whatever_the_structure_knob_says() {
+        use charon_gc::system::Backend;
+        use charon_sim::config::{StructureMode, SystemConfig};
+        let mut cfg = SystemConfig::table2_hmc();
+        cfg.charon.structure = StructureMode::Distributed;
+        let sys = System::new(cfg, Backend::CpuSideCharon);
+        assert_eq!(sys.device.as_ref().map(|d| d.structure()), Some(StructureMode::Unified));
+        let opts = RunOptions { supersteps: Some(2), ..Default::default() };
+        let km = by_short("KM").unwrap();
+        let distributed = run_workload(&km, sys, &opts).unwrap();
+        let default = run_workload(&km, System::cpu_side(), &opts).unwrap();
+        assert_eq!(distributed.fingerprint(), default.fingerprint());
+    }
+
     #[test]
     fn sinks_on_the_system_survive_the_run() {
         let telemetry = charon_sim::telemetry::Telemetry::enabled();

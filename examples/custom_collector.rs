@@ -5,10 +5,11 @@
 //! The collector logic lives in this repository's `charon_gc::marksweep`;
 //! this example drives it directly, shows which primitives fire (and that
 //! Bitmap Count does not — CMS never compacts), and inspects the free list
-//! the sweep produces. `mark_sweep_old` is the shortest collector in the
-//! crate — prologue → seed roots → drain → sweep → clear, each step a
-//! shared function over the per-collection charging context — and
-//! DESIGN.md §3 "Charge protocol" says how to write the next one that way.
+//! the sweep produces. `mark_sweep` is the shortest collector in the
+//! crate — open the pause (which runs the prologue) → seed roots → drain →
+//! sweep → clear, each step a shared function over the per-collection
+//! charging context — and DESIGN.md §3 "Charge protocol" says how to write
+//! the next one that way.
 //!
 //! ```bash
 //! cargo run --release --example custom_collector
@@ -16,9 +17,9 @@
 
 use charon::accel::PrimType;
 use charon::gc::collector::Collector;
-use charon::gc::marksweep::mark_sweep_old;
+use charon::gc::freelist::FreeStore;
+use charon::gc::marksweep::mark_sweep;
 use charon::gc::system::System;
-use charon::gc::threads::GcThreads;
 use charon::gc::verify::graph_signature;
 use charon::heap::heap::{HeapConfig, JavaHeap};
 use charon::heap::VAddr;
@@ -49,9 +50,9 @@ fn main() {
 
     // The custom collection: stop-the-world mark (offloaded Scan&Push) +
     // sweep with filler objects and a free list.
-    let mut threads = GcThreads::new(8, gc.now);
-    let (bd, stats, free_list) = mark_sweep_old(&mut gc.sys, &mut heap, &mut threads, m.klasses().data_array);
-    let wall = threads.barrier() - gc.now;
+    let mut free = FreeStore::new();
+    let (totals, stats) = mark_sweep(&mut gc.sys, &mut heap, 8, gc.now, m.klasses().data_array, &mut free);
+    let (wall, bd) = (totals.end - gc.now, totals.breakdown);
 
     let (sig2, after) = graph_signature(&heap).expect("heap graph verifies");
     assert_eq!(sig, sig2, "mark-sweep must preserve the reachable graph");
@@ -66,7 +67,7 @@ fn main() {
         stats.freed_bytes / 1024,
         stats.free_chunks
     );
-    let biggest = free_list.iter().map(|&(_, w)| w * 8).max().unwrap_or(0);
+    let biggest = free.chunks_by_address().iter().map(|&(_, w)| w * 8).max().unwrap_or(0);
     println!("  largest free chunk: {} KB (free-list allocation would serve from here)", biggest / 1024);
 
     let d = gc.sys.device.as_ref().expect("Charon backend").stats().clone();

@@ -78,6 +78,7 @@ COMMANDS=(
     "paper --steps 2"
     "paper BS"
     "run KM --platform Charon-CPU-side --steps 2 --json --trace-out kmcpu.trace.json"
+    "run LR --platform Charon --mask none --steps 3 --json"
 )
 
 probe() {
