@@ -206,12 +206,13 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics on memory-side Charon over DDR4: its units sit in the HMC
-    /// cubes, and the DDR4 model serves only the host.
+    /// Panics on Charon over DDR4, memory-side or CPU-side: memory-side
+    /// units sit in the HMC cubes, and only the HMC fabric streams a
+    /// unit's runs.
     pub fn new(cfg: SystemConfig, backend: Backend) -> System {
         assert!(
-            backend != Backend::Charon || cfg.platform == MemPlatform::Hmc,
-            "memory-side Charon needs the HMC platform"
+            !matches!(backend, Backend::Charon | Backend::CpuSideCharon) || cfg.platform == MemPlatform::Hmc,
+            "a Charon device needs the HMC platform"
         );
         let placement = match backend {
             Backend::Charon => Some(Placement::MemorySide),
@@ -690,9 +691,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "memory-side Charon needs the HMC platform")]
+    #[should_panic(expected = "a Charon device needs the HMC platform")]
     fn memory_side_charon_over_ddr4_is_refused_at_the_build() {
         System::new(SystemConfig::table2_ddr4(), Backend::Charon);
+    }
+
+    #[test]
+    #[should_panic(expected = "a Charon device needs the HMC platform")]
+    fn cpu_side_charon_over_ddr4_is_refused_at_the_build() {
+        System::new(SystemConfig::table2_ddr4(), Backend::CpuSideCharon);
     }
 
     #[test]

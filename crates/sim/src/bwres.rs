@@ -25,8 +25,8 @@
 //! [`EpochBw::total_units`] — always holds. A reservation that starts
 //! *below* the window floor is clamped to the floor and counted in
 //! `late_reservations` rather than being granted capacity the resource
-//! already handed out; the predecessor `HashMap` implementation (kept
-//! below as [`HashMapOracle`]) instead dropped old epochs wholesale once
+//! already handed out; the predecessor `HashMap` implementation (kept as
+//! a test oracle, `HashMapOracle`) instead dropped old epochs wholesale once
 //! the map grew past 65k entries, letting an out-of-order early agent
 //! reserve against an epoch that had in fact been full — un-serializing
 //! traffic.
@@ -48,11 +48,10 @@
 //! inside that epoch, the fill-level division goes through a precomputed
 //! reciprocal with an exact fix-up, and the `f64` serialization time is
 //! re-evaluated — exactly as the oracle writes it — only when the request
-//! size differs from the previous one. [`HashMapOracle`] keeps the plain
+//! size differs from the previous one. The `HashMapOracle` keeps the plain
 //! `/` forms and the tests hold the two equal call by call.
 
 use crate::time::{Bandwidth, Ps};
-use std::collections::HashMap;
 use std::ops::{Add, AddAssign, Sub};
 
 /// Epochs the ring remembers behind the newest one touched. Power of two.
@@ -390,85 +389,83 @@ impl EpochBw {
     }
 }
 
-/// The pre-ring `HashMap` implementation, kept as a differential oracle
-/// for the proptest equivalence property. The epoch arithmetic is the old
-/// code with one shared correction — the serialization floor is carried
-/// across epoch boundaries, matching [`EpochBw`], so completions are
-/// monotone in units.
-/// Not used by the simulator itself — it still carries the latent eviction
-/// bug described in the module docs.
-#[derive(Debug, Clone)]
-pub struct HashMapOracle {
-    epoch: Ps,
-    units_per_epoch: u64,
-    used: HashMap<u64, u64>,
-    total_units: u64,
-}
-
-impl HashMapOracle {
-    /// See [`EpochBw::new`].
-    pub fn new(units_per_sec: f64, epoch: Ps) -> HashMapOracle {
-        assert!(units_per_sec > 0.0 && units_per_sec.is_finite());
-        assert!(epoch > Ps::ZERO);
-        let units_per_epoch = (units_per_sec * epoch.as_secs()).floor() as u64;
-        assert!(units_per_epoch >= 1, "epoch too short for the rate");
-        HashMapOracle { epoch, units_per_epoch, used: HashMap::new(), total_units: 0 }
-    }
-
-    /// See [`EpochBw::from_bandwidth`].
-    pub fn from_bandwidth(bw: Bandwidth, epoch: Ps) -> HashMapOracle {
-        HashMapOracle::new(bw.as_bytes_per_sec(), epoch)
-    }
-
-    /// See [`EpochBw::total_units`].
-    pub fn total_units(&self) -> u64 {
-        self.total_units
-    }
-
-    /// See [`EpochBw::reserve`].
-    pub fn reserve(&mut self, start: Ps, units: u64) -> Ps {
-        self.total_units += units;
-        // Bound the bookkeeping: epochs far behind the current request can
-        // no longer be reserved against (agent clock skew is bounded), so
-        // drop them once the map grows large.
-        if self.used.len() > 65_536 {
-            let horizon = (start.0 / self.epoch.0).saturating_sub(16_384);
-            self.used.retain(|&idx, _| idx >= horizon);
-        }
-        let mut remaining = units;
-        let mut idx = start.0 / self.epoch.0;
-        let mut t = start;
-        loop {
-            let cap = self.units_per_epoch;
-            let used = self.used.entry(idx).or_insert(0);
-            if *used >= cap {
-                idx += 1;
-                t = t.max(Ps(idx * self.epoch.0));
-                continue;
-            }
-            let take = remaining.min(cap - *used);
-            *used += take;
-            let fill = *used;
-            let epoch_base = Ps(idx * self.epoch.0);
-            let occupancy_end = epoch_base + Ps(self.epoch.0.saturating_mul(fill) / cap);
-            let own = Ps((take as f64 / cap as f64 * self.epoch.0 as f64) as u64);
-            t = (t + own).max(occupancy_end.min(Ps((idx + 1) * self.epoch.0)));
-            remaining -= take;
-            if remaining == 0 {
-                return t;
-            }
-            idx += 1;
-            t = t.max(Ps(idx * self.epoch.0));
-        }
-    }
-}
-
-/// The predecessor ring — one 16-byte `{tag, used}` slot per epoch, armed
-/// all-`EMPTY` — kept as the oracle the packed slots are held to past the
-/// skew window, where spills and clamped reservations happen.
+/// The meters [`EpochBw`] replaced, kept as the oracles the tests hold it
+/// to: `HashMapOracle` inside the skew window and `SlotRing` past it.
 #[cfg(test)]
 mod reference {
-    use crate::time::Ps;
+    use crate::time::{Bandwidth, Ps};
+    use std::collections::HashMap;
+
+    /// The pre-ring `HashMap` implementation. The epoch arithmetic is the
+    /// old code with one shared correction — the serialization floor is
+    /// carried across epoch boundaries, matching `EpochBw`, so completions
+    /// are monotone in units. It still carries the eviction bug described
+    /// in the module docs.
+    #[derive(Debug, Clone)]
+    pub struct HashMapOracle {
+        epoch: Ps,
+        units_per_epoch: u64,
+        used: HashMap<u64, u64>,
+        total_units: u64,
+    }
+
+    impl HashMapOracle {
+        /// See `EpochBw::new`.
+        pub fn new(units_per_sec: f64, epoch: Ps) -> HashMapOracle {
+            assert!(units_per_sec > 0.0 && units_per_sec.is_finite());
+            assert!(epoch > Ps::ZERO);
+            let units_per_epoch = (units_per_sec * epoch.as_secs()).floor() as u64;
+            assert!(units_per_epoch >= 1, "epoch too short for the rate");
+            HashMapOracle { epoch, units_per_epoch, used: HashMap::new(), total_units: 0 }
+        }
+
+        /// See `EpochBw::from_bandwidth`.
+        pub fn from_bandwidth(bw: Bandwidth, epoch: Ps) -> HashMapOracle {
+            HashMapOracle::new(bw.as_bytes_per_sec(), epoch)
+        }
+
+        /// See `EpochBw::total_units`.
+        pub fn total_units(&self) -> u64 {
+            self.total_units
+        }
+
+        /// See `EpochBw::reserve`.
+        pub fn reserve(&mut self, start: Ps, units: u64) -> Ps {
+            self.total_units += units;
+            // Bound the bookkeeping: epochs far behind the current request
+            // can no longer be reserved against (agent clock skew is
+            // bounded), so drop them once the map grows large.
+            if self.used.len() > 65_536 {
+                let horizon = (start.0 / self.epoch.0).saturating_sub(16_384);
+                self.used.retain(|&idx, _| idx >= horizon);
+            }
+            let mut remaining = units;
+            let mut idx = start.0 / self.epoch.0;
+            let mut t = start;
+            loop {
+                let cap = self.units_per_epoch;
+                let used = self.used.entry(idx).or_insert(0);
+                if *used >= cap {
+                    idx += 1;
+                    t = t.max(Ps(idx * self.epoch.0));
+                    continue;
+                }
+                let take = remaining.min(cap - *used);
+                *used += take;
+                let fill = *used;
+                let epoch_base = Ps(idx * self.epoch.0);
+                let occupancy_end = epoch_base + Ps(self.epoch.0.saturating_mul(fill) / cap);
+                let own = Ps((take as f64 / cap as f64 * self.epoch.0 as f64) as u64);
+                t = (t + own).max(occupancy_end.min(Ps((idx + 1) * self.epoch.0)));
+                remaining -= take;
+                if remaining == 0 {
+                    return t;
+                }
+                idx += 1;
+                t = t.max(Ps(idx * self.epoch.0));
+            }
+        }
+    }
 
     const EMPTY: u64 = u64::MAX;
 
@@ -478,6 +475,9 @@ mod reference {
         used: u64,
     }
 
+    /// The predecessor ring — one 16-byte `{tag, used}` slot per epoch,
+    /// armed all-`EMPTY` — kept as the oracle the packed slots are held to
+    /// past the skew window, where spills and clamped reservations happen.
     pub struct SlotRing {
         epoch: Ps,
         units_per_epoch: u64,
@@ -583,7 +583,7 @@ mod reference {
 
 #[cfg(test)]
 mod tests {
-    use super::reference::SlotRing;
+    use super::reference::{HashMapOracle, SlotRing};
     use super::*;
     use proptest::prelude::*;
 
@@ -877,5 +877,27 @@ mod tests {
     #[test]
     fn occupancy_is_zero_before_any_reservation() {
         assert_eq!(link().occupancy(), BwOccupancy::default());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn ring_matches_hashmap_oracle_within_window(
+            reqs in proptest::collection::vec((0u64..4_000_000_000, 1u64..200_000), 1..100)
+        ) {
+            // Differential check against the pre-ring implementation: while all
+            // starts stay inside the bounded-skew window (4000 epochs < 4096),
+            // the ring is bit-for-bit the old HashMap meter, with nothing
+            // spilled and nothing clamped.
+            let mut ring = EpochBw::from_bandwidth(Bandwidth::gbps(80.0), Ps::from_us(1.0));
+            let mut oracle = HashMapOracle::from_bandwidth(Bandwidth::gbps(80.0), Ps::from_us(1.0));
+            for &(s, u) in &reqs {
+                prop_assert_eq!(ring.reserve(Ps(s), u), oracle.reserve(Ps(s), u));
+            }
+            prop_assert_eq!(ring.total_units(), oracle.total_units());
+            prop_assert_eq!(ring.occupancy().spilled_units, 0);
+            prop_assert_eq!(ring.occupancy().late_reservations, 0);
+        }
     }
 }

@@ -141,8 +141,9 @@ pub struct HmcConfig {
     pub t_cas: Ps,
     /// tWR = 14.4 ns.
     pub t_wr: Ps,
-    /// tRP = 11.2 ns. No timing reads it yet: the bank model's row cycle
-    /// is tRAS alone, without the precharge.
+    /// tRP = 11.2 ns. No timing reads it yet: an HMC row conflict pays
+    /// activate + CAS without this precharge (`dram::HMC_PRECHARGE` is
+    /// zero), so the bank's row cycle is tRAS alone.
     pub t_rp: Ps,
     /// Internal (TSV) bandwidth per cube: 320 GB/s.
     pub internal_bw_per_cube: Bandwidth,

@@ -34,10 +34,52 @@ pub enum DramOp {
     Write,
 }
 
+/// HMC's row-conflict precharge. It should be `HmcConfig::t_rp` (tRP, as
+/// DDR4 charges); until ROADMAP item 9(c) lands, an HMC row conflict pays
+/// activate + CAS alone, so its row cycle is tRAS without tRP.
+const HMC_PRECHARGE: Ps = Ps::ZERO;
+
+/// The array timings one bank obeys.
+#[derive(Debug, Clone, Copy)]
+struct BankTiming {
+    t_rp: Ps,
+    t_rcd: Ps,
+    t_cas: Ps,
+    t_ras: Ps,
+}
+
 #[derive(Debug, Clone, Copy, Default)]
 struct Bank {
     open_row: Option<u64>,
     ready_at: Ps,
+}
+
+impl Bank {
+    /// Opens `row` for an access arriving at `start` and returns when its
+    /// data may take the bus, and whether the row was already open. A row
+    /// hit pipelines at the bus rate: successive CAS commands to an open
+    /// row overlap, so only tCAS precedes the burst. A miss waits for the
+    /// bank to be ready, pays (precharge +) activate + CAS, and holds the
+    /// bank for the tRAS row cycle before the next activation.
+    fn open(&mut self, row: u64, start: Ps, t: BankTiming) -> (Ps, bool) {
+        let hit = self.open_row == Some(row);
+        let bus_start = if hit {
+            start + t.t_cas
+        } else {
+            let precharge = if self.open_row.is_some() { t.t_rp } else { Ps::ZERO };
+            let begin = start.max(self.ready_at);
+            self.ready_at = begin + t.t_ras;
+            begin + precharge + t.t_rcd + t.t_cas
+        };
+        self.open_row = Some(row);
+        (bus_start, hit)
+    }
+
+    /// Write recovery: the bank re-activates no sooner than tWR after the
+    /// write's data, finished at `done`, has reached it.
+    fn recover(&mut self, done: Ps, t_wr: Ps) {
+        self.ready_at = self.ready_at.max(done + t_wr);
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -69,8 +111,7 @@ fn flush_group(ch: &mut Channel, group: PendingGroup, op: DramOp, chunk: u64, t_
     let run = ch.bus.reserve_many(group.bus_start, group.bytes, chunk);
     if op == DramOp::Write {
         for b in group.banks {
-            let bank = &mut ch.banks[b];
-            bank.ready_at = bank.ready_at.max(run.last + t_wr);
+            ch.banks[b].recover(run.last, t_wr);
         }
     }
     run
@@ -91,6 +132,7 @@ pub struct DramCoord {
 #[derive(Debug, Clone)]
 pub struct Ddr4Sim {
     cfg: Ddr4Config,
+    timing: BankTiming,
     channels: Vec<Channel>,
     traffic: Traffic,
     row_hits: u64,
@@ -102,7 +144,8 @@ impl Ddr4Sim {
     pub fn new(cfg: Ddr4Config) -> Ddr4Sim {
         let banks = cfg.ranks_per_channel * cfg.banks_per_rank;
         let channels = (0..cfg.channels).map(|_| Channel::new(banks, cfg.channel_bw)).collect();
-        Ddr4Sim { cfg, channels, traffic: Traffic::new(), row_hits: 0, row_misses: 0 }
+        let timing = BankTiming { t_rp: cfg.t_rp, t_rcd: cfg.t_rcd, t_cas: cfg.t_cas, t_ras: cfg.t_ras };
+        Ddr4Sim { cfg, timing, channels, traffic: Traffic::new(), row_hits: 0, row_misses: 0 }
     }
 
     /// The configuration this model was built from.
@@ -153,38 +196,20 @@ impl Ddr4Sim {
     pub fn access(&mut self, paddr: u64, bytes: u32, op: DramOp, start: Ps) -> Ps {
         debug_assert!(bytes > 0 && bytes <= 64, "DDR4 bursts are at most 64 B");
         let start = start + self.refresh_delay(start);
-        let coord = self.decode(paddr);
-        let Ddr4Config { t_ras, t_rcd, t_cas, t_wr, t_rp, .. } = self.cfg;
-        let ch = &mut self.channels[coord.channel];
-        let bank = &mut ch.banks[coord.bank];
-
-        let hit = bank.open_row == Some(coord.row);
-        // Row hits pipeline at the data-bus rate: successive CAS commands
-        // to an open row overlap, so only the burst occupies the bank.
-        // Row misses pay (precharge +) activate + CAS and must respect the
-        // bank's ready time (tRAS row-cycle + tWR write recovery).
-        let done = if hit {
+        let at = self.decode(paddr);
+        let ch = &mut self.channels[at.channel];
+        let bank = &mut ch.banks[at.bank];
+        let (bus_start, hit) = bank.open(at.row, start, self.timing);
+        let done = ch.bus.reserve(bus_start, u64::from(bytes));
+        if op == DramOp::Write {
+            bank.recover(done, self.cfg.t_wr);
+        }
+        if hit {
             self.row_hits += 1;
-            ch.bus.reserve(start + t_cas, u64::from(bytes))
         } else {
             self.row_misses += 1;
-            let array_lat = match bank.open_row {
-                Some(_) => t_rp + t_rcd + t_cas,
-                None => t_rcd + t_cas,
-            };
-            let begin = start.max(bank.ready_at);
-            bank.ready_at = begin + t_ras; // row cycle before re-activation
-            ch.bus.reserve(begin + array_lat, u64::from(bytes))
-        };
-        bank.open_row = Some(coord.row);
-        if op == DramOp::Write {
-            bank.ready_at = bank.ready_at.max(done + t_wr);
         }
-
-        match op {
-            DramOp::Read => self.traffic.record_read(u64::from(bytes)),
-            DramOp::Write => self.traffic.record_write(u64::from(bytes)),
-        }
+        self.traffic.record(op == DramOp::Read, u64::from(bytes), 1);
         done
     }
 
@@ -203,6 +228,7 @@ impl Ddr4Sim {
 #[derive(Debug, Clone)]
 pub struct HmcSim {
     cfg: HmcConfig,
+    timing: BankTiming,
     /// `cubes[c]` holds one [`Channel`] per vault.
     cubes: Vec<Vec<Channel>>,
     traffic: Traffic,
@@ -220,8 +246,8 @@ impl HmcSim {
                     .collect()
             })
             .collect();
-        let num_cubes = cfg.cubes;
-        HmcSim { cfg, cubes, traffic: Traffic::new(), per_cube_bytes: vec![0; num_cubes] }
+        let timing = BankTiming { t_rp: HMC_PRECHARGE, t_rcd: cfg.t_rcd, t_cas: cfg.t_cas, t_ras: cfg.t_ras };
+        HmcSim { cfg, timing, cubes, traffic: Traffic::new(), per_cube_bytes: vec![0; cfg.cubes] }
     }
 
     /// The configuration this model was built from.
@@ -244,6 +270,21 @@ impl HmcSim {
         self.cfg.cube_of(paddr)
     }
 
+    /// The cube owning `paddr` and its vault (`channel`), bank and row
+    /// there. A row is one `max_access_bytes` packet, and consecutive
+    /// packets go to consecutive vaults, then to consecutive banks.
+    fn locate(&self, paddr: u64) -> (usize, DramCoord) {
+        let row = paddr / u64::from(self.cfg.max_access_bytes);
+        let bank = ((row / self.cfg.vaults_per_cube as u64) % self.cfg.banks_per_vault as u64) as usize;
+        (self.cfg.cube_of(paddr), DramCoord { channel: self.cfg.vault_of(paddr), bank, row })
+    }
+
+    /// Counts one packet of `bytes` served by `cube`.
+    fn count(&mut self, cube: usize, op: DramOp, bytes: u64) {
+        self.traffic.record(op == DramOp::Read, bytes, 1);
+        self.per_cube_bytes[cube] += bytes;
+    }
+
     /// Times one packet-sized access (≤ 256 B) to the DRAM arrays of the
     /// cube that owns `paddr`, arriving at the cube's logic layer at
     /// `start`. Link traversal is the caller's job (see
@@ -254,39 +295,15 @@ impl HmcSim {
             "HMC packets carry at most {} B",
             self.cfg.max_access_bytes
         );
-        let cube = self.cfg.cube_of(paddr);
-        let vault = self.cfg.vault_of(paddr);
-        let HmcConfig { t_ras, t_rcd, t_cas, t_wr, max_access_bytes, .. } = self.cfg;
-        let bank_idx = ((paddr / u64::from(max_access_bytes) / self.cfg.vaults_per_cube as u64)
-            % self.cfg.banks_per_vault as u64) as usize;
-
-        let v = &mut self.cubes[cube][vault];
-        let bank = &mut v.banks[bank_idx];
-
-        // HMC rows are one 256 B packet wide: sub-packet host accesses to
-        // the same row pipeline at the TSV rate; a new row pays
-        // activate + CAS and the row-cycle time before re-activation.
-        let row = paddr / u64::from(max_access_bytes);
-        let hit = bank.open_row == Some(row);
-        let done = if hit {
-            v.bus.reserve(start + t_cas, u64::from(bytes))
-        } else {
-            let begin = start.max(bank.ready_at);
-            bank.ready_at = begin + t_ras;
-            v.bus.reserve(begin + t_rcd + t_cas, u64::from(bytes))
-        };
-        bank.open_row = Some(row);
+        let (cube, at) = self.locate(paddr);
+        let v = &mut self.cubes[cube][at.channel];
+        let bank = &mut v.banks[at.bank];
+        let (bus_start, _) = bank.open(at.row, start, self.timing);
+        let done = v.bus.reserve(bus_start, u64::from(bytes));
         if op == DramOp::Write {
-            bank.ready_at = bank.ready_at.max(done + t_wr);
+            bank.recover(done, self.cfg.t_wr);
         }
-
-        match op {
-            DramOp::Read => self.traffic.record_read(u64::from(bytes)),
-            DramOp::Write => self.traffic.record_write(u64::from(bytes)),
-        }
-        if cube < self.per_cube_bytes.len() {
-            self.per_cube_bytes[cube] += u64::from(bytes);
-        }
+        self.count(cube, op, u64::from(bytes));
         done
     }
 
@@ -304,61 +321,38 @@ impl HmcSim {
     /// and of the whole run.
     pub fn vault_access_run(&mut self, paddr: u64, bytes: u64, op: DramOp, start: Ps) -> BatchCompletion {
         debug_assert!(bytes > 0);
-        let HmcConfig { t_ras, t_rcd, t_cas, t_wr, max_access_bytes, vaults_per_cube: vaults, banks_per_vault, .. } =
-            self.cfg;
-        let packet = u64::from(max_access_bytes);
-        let packets = bytes.div_ceil(packet);
+        let (packet, vaults, t_wr) = (u64::from(self.cfg.max_access_bytes), self.cfg.vaults_per_cube, self.cfg.t_wr);
         let head_key = self.cfg.cube_of(paddr) * vaults + self.cfg.vault_of(paddr);
         let mut pending: Vec<(usize, PendingGroup)> = Vec::new();
         let mut first: Option<Ps> = None;
         let mut last = start;
-        for i in 0..packets {
+        for i in 0..bytes.div_ceil(packet) {
             let off = i * packet;
             let len = (bytes - off).min(packet);
-            let pa = paddr + off;
-            let cube = self.cfg.cube_of(pa);
-            let vault = self.cfg.vault_of(pa);
-            let key = cube * vaults + vault;
-            let bank_idx = ((pa / packet / vaults as u64) % banks_per_vault as u64) as usize;
-            let row = pa / packet;
-            let v = &mut self.cubes[cube][vault];
-            let bank = &mut v.banks[bank_idx];
-            let hit = bank.open_row == Some(row);
-            let bus_start = if hit {
-                start + t_cas
-            } else {
-                let begin = start.max(bank.ready_at);
-                bank.ready_at = begin + t_ras;
-                begin + t_rcd + t_cas
-            };
-            bank.open_row = Some(row);
-            match op {
-                DramOp::Read => self.traffic.record_read(len),
-                DramOp::Write => self.traffic.record_write(len),
-            }
-            if cube < self.per_cube_bytes.len() {
-                self.per_cube_bytes[cube] += len;
-            }
+            let (cube, at) = self.locate(paddr + off);
+            let key = cube * vaults + at.channel;
+            let (bus_start, _) = self.cubes[cube][at.channel].banks[at.bank].open(at.row, start, self.timing);
+            self.count(cube, op, len);
             match pending.iter().position(|(k, _)| *k == key) {
                 Some(p) if pending[p].1.bus_start == bus_start => {
                     let g = &mut pending[p].1;
                     g.bytes += len;
-                    if !g.banks.contains(&bank_idx) {
-                        g.banks.push(bank_idx);
+                    if !g.banks.contains(&at.bank) {
+                        g.banks.push(at.bank);
                     }
                 }
                 Some(p) => {
                     let group = std::mem::replace(
                         &mut pending[p].1,
-                        PendingGroup { bus_start, bytes: len, banks: vec![bank_idx] },
+                        PendingGroup { bus_start, bytes: len, banks: vec![at.bank] },
                     );
-                    let run = flush_group(&mut self.cubes[cube][vault], group, op, packet, t_wr);
+                    let run = flush_group(&mut self.cubes[cube][at.channel], group, op, packet, t_wr);
                     if first.is_none() && key == head_key {
                         first = Some(run.first);
                     }
                     last = last.max(run.last);
                 }
-                None => pending.push((key, PendingGroup { bus_start, bytes: len, banks: vec![bank_idx] })),
+                None => pending.push((key, PendingGroup { bus_start, bytes: len, banks: vec![at.bank] })),
             }
         }
         for (key, group) in pending {

@@ -94,24 +94,13 @@ impl MemFabric {
             DramSide::Ddr4(ddr) => {
                 assert_eq!(from, Node::Host, "only the host reaches DDR4");
                 let done = ddr.access(paddr, bytes, op, start);
-                match op {
-                    DramOp::Read => self.stats.offchip.record_read(u64::from(bytes)),
-                    DramOp::Write => self.stats.offchip.record_write(u64::from(bytes)),
-                }
                 self.profiler.record(Channel::DramPacket, done.saturating_sub(start));
                 done
             }
             DramSide::Hmc { hmc, noc } => {
                 assert!(bytes <= hmc.config().max_access_bytes, "HMC packet too large");
                 let dest = Node::Cube(hmc.cube_of(paddr));
-                // Near-memory locality accounting (Fig. 13).
-                if let Node::Cube(c) = from {
-                    if Node::Cube(c) == dest {
-                        self.stats.local_accesses += 1;
-                    } else {
-                        self.stats.remote_accesses += 1;
-                    }
-                }
+                book_locality(&mut self.stats, from, dest, 1);
                 let req_bytes = PACKET_OVERHEAD_BYTES + if op == DramOp::Write { bytes } else { 0 };
                 let at_cube = noc.send(from, dest, req_bytes, start, false);
                 let served = hmc.vault_access(paddr, bytes, op, at_cube);
@@ -133,95 +122,66 @@ impl MemFabric {
     }
 
     /// Batched [`MemFabric::access`]: streams `bytes` from `from` as one
-    /// run of platform-granularity transactions all issued at `start`.
+    /// run of packets all issued at `start`, over HMC only. No requester
+    /// streams over DDR4: the one caller is the Charon device, and
+    /// `System::new` builds a device only over HMC.
     ///
-    /// * On DDR4 this is one [`Ddr4Sim::access`] per 64 B line, all at
-    ///   `start`. No requester streams over DDR4 today (the only caller is
-    ///   the Charon device, which sits on HMC), so there is no batched
-    ///   bank model to keep in step with the per-line one.
-    /// * On HMC the run is split at cube-interleave boundaries; each
-    ///   segment sends one batched request burst to its owning cube,
-    ///   streams the vault accesses when the *head* request packet
-    ///   arrives, and streams the response burst when the head packet is
-    ///   served — a pipelined model of a streaming unit, deterministic
-    ///   but intentionally coarser than per-packet `access` calls.
+    /// The run is split at cube-interleave boundaries; each segment sends
+    /// one batched request burst to its owning cube, streams the vault
+    /// accesses when the *head* request packet arrives, and streams the
+    /// response burst when the head packet is served — a pipelined model
+    /// of a streaming unit, deterministic but intentionally coarser than
+    /// per-packet `access` calls.
     ///
-    /// Returns the completion window at the requester. Host-issued HMC
-    /// runs pay `host_protocol_latency` once.
+    /// Returns the completion window at the requester. Host-issued runs
+    /// pay `host_protocol_latency` once.
     ///
     /// # Panics
     ///
-    /// Panics if a non-host node issues on DDR4, or `bytes == 0`.
+    /// Panics on DDR4, or if `bytes == 0`.
     pub fn access_many(&mut self, from: Node, paddr: u64, bytes: u64, op: DramOp, start: Ps) -> BatchCompletion {
         assert!(bytes > 0, "empty runs have no completion time");
-        match &mut self.side {
-            DramSide::Ddr4(ddr) => {
-                assert_eq!(from, Node::Host, "only the host reaches DDR4");
-                let lines = bytes.div_ceil(64);
-                let mut line = |off: u64| ddr.access(paddr + off, (bytes - off).min(64) as u32, op, start);
-                let first = line(0);
-                let last = (1..lines).fold(first, |last, i| last.max(line(i * 64)));
-                let run = BatchCompletion { first, last };
-                match op {
-                    DramOp::Read => self.stats.offchip.record_reads(bytes, lines),
-                    DramOp::Write => self.stats.offchip.record_writes(bytes, lines),
-                }
-                self.profiler.record(Channel::DramBatch, run.last.saturating_sub(start));
-                run
+        let DramSide::Hmc { hmc, noc } = &mut self.side else {
+            unreachable!("no requester streams over DDR4");
+        };
+        let packet = u64::from(hmc.config().max_access_bytes);
+        let page = 1u64 << hmc.config().cube_interleave_bits;
+        let overhead = u64::from(PACKET_OVERHEAD_BYTES);
+        let mut first: Option<Ps> = None;
+        let mut last = start;
+        let mut pa = paddr;
+        let end = paddr + bytes;
+        while pa < end {
+            let seg_end = end.min((pa | (page - 1)) + 1);
+            let seg_bytes = seg_end - pa;
+            let packets = seg_bytes.div_ceil(packet);
+            let dest = Node::Cube(hmc.cube_of(pa));
+            book_locality(&mut self.stats, from, dest, packets);
+            let wr_payload = if op == DramOp::Write { seg_bytes } else { 0 };
+            let req_chunk = overhead + if op == DramOp::Write { packet } else { 0 };
+            let req = noc.send_many(from, dest, packets * overhead + wr_payload, start, false, req_chunk);
+            let served = hmc.vault_access_run(pa, seg_bytes, op, req.first);
+            let rd_payload = if op == DramOp::Read { seg_bytes } else { 0 };
+            let rsp_chunk = overhead + if op == DramOp::Read { packet } else { 0 };
+            let rsp =
+                noc.send_many(dest, from, packets * overhead + rd_payload, served.first, op == DramOp::Read, rsp_chunk);
+            self.profiler.record(Channel::DramBatch, served.last.saturating_sub(req.first));
+            if from != dest {
+                self.profiler.record(Channel::NocBatch, req.last.saturating_sub(start));
+                self.profiler.record(Channel::NocBatch, rsp.last.saturating_sub(served.first));
             }
-            DramSide::Hmc { hmc, noc } => {
-                let packet = u64::from(hmc.config().max_access_bytes);
-                let page = 1u64 << hmc.config().cube_interleave_bits;
-                let overhead = u64::from(PACKET_OVERHEAD_BYTES);
-                let mut first: Option<Ps> = None;
-                let mut last = start;
-                let mut pa = paddr;
-                let end = paddr + bytes;
-                while pa < end {
-                    let seg_end = end.min((pa | (page - 1)) + 1);
-                    let seg_bytes = seg_end - pa;
-                    let packets = seg_bytes.div_ceil(packet);
-                    let dest = Node::Cube(hmc.cube_of(pa));
-                    if let Node::Cube(c) = from {
-                        if Node::Cube(c) == dest {
-                            self.stats.local_accesses += packets;
-                        } else {
-                            self.stats.remote_accesses += packets;
-                        }
-                    }
-                    let wr_payload = if op == DramOp::Write { seg_bytes } else { 0 };
-                    let req_chunk = overhead + if op == DramOp::Write { packet } else { 0 };
-                    let req = noc.send_many(from, dest, packets * overhead + wr_payload, start, false, req_chunk);
-                    let served = hmc.vault_access_run(pa, seg_bytes, op, req.first);
-                    let rd_payload = if op == DramOp::Read { seg_bytes } else { 0 };
-                    let rsp_chunk = overhead + if op == DramOp::Read { packet } else { 0 };
-                    let rsp = noc.send_many(
-                        dest,
-                        from,
-                        packets * overhead + rd_payload,
-                        served.first,
-                        op == DramOp::Read,
-                        rsp_chunk,
-                    );
-                    self.profiler.record(Channel::DramBatch, served.last.saturating_sub(req.first));
-                    if from != dest {
-                        self.profiler.record(Channel::NocBatch, req.last.saturating_sub(start));
-                        self.profiler.record(Channel::NocBatch, rsp.last.saturating_sub(served.first));
-                    }
-                    if first.is_none() {
-                        first = Some(rsp.first);
-                    }
-                    last = last.max(rsp.last).max(served.last);
-                    pa = seg_end;
-                }
-                let mut run = BatchCompletion { first: first.expect("bytes > 0 yields a segment"), last };
-                if from == Node::Host {
-                    run.first += hmc.config().host_protocol_latency;
-                    run.last += hmc.config().host_protocol_latency;
-                }
-                run
+            if first.is_none() {
+                first = Some(rsp.first);
             }
+            last = last.max(rsp.last).max(served.last);
+            pa = seg_end;
         }
+        let mut run = BatchCompletion { first: first.expect("bytes > 0 yields a segment"), last };
+        if from == Node::Host {
+            run.first += hmc.config().host_protocol_latency;
+            run.last += hmc.config().host_protocol_latency;
+        }
+        run
     }
 
     /// Aggregate epoch-meter occupancy over every bandwidth resource the
@@ -270,14 +230,18 @@ impl MemFabric {
     }
 
     /// Traffic summary (Fig. 13 inputs). Only what the fabric alone sees is
-    /// counted per packet (DDR4 off-chip traffic, near-memory locality);
-    /// everything the DRAM and link models already count is composed in
-    /// at snapshot time.
+    /// counted per packet (near-memory locality); everything the DRAM and
+    /// link models already count is composed in at snapshot time. Every
+    /// DDR4 byte crosses the channels, so there off-chip traffic is the
+    /// DRAM's own.
     pub fn stats(&self) -> MemTrafficStats {
         let mut s = self.stats;
         s.bw = self.occupancy();
         match &self.side {
-            DramSide::Ddr4(ddr) => s.dram = ddr.traffic(),
+            DramSide::Ddr4(ddr) => {
+                s.dram = ddr.traffic();
+                s.offchip = s.dram;
+            }
             DramSide::Hmc { hmc, noc } => {
                 s.dram = hmc.traffic();
                 s.offchip = noc.host_link_traffic();
@@ -294,6 +258,16 @@ impl MemFabric {
             DramSide::Ddr4(_) => &[],
             DramSide::Hmc { hmc, .. } => hmc.per_cube_bytes(),
         }
+    }
+}
+
+/// Books `n` accesses from `from` to cube `dest` as near-memory local or
+/// remote (Fig. 13's line series); the host's accesses are neither.
+fn book_locality(stats: &mut MemTrafficStats, from: Node, dest: Node, n: u64) {
+    match from {
+        Node::Host => {}
+        _ if from == dest => stats.local_accesses += n,
+        Node::Cube(_) => stats.remote_accesses += n,
     }
 }
 
@@ -494,19 +468,13 @@ impl HostTiming {
         // sits in L2; consuming it advances the stream by one more line
         // (next-line prefetch with distance 2, Westmere-style).
         let was_prefetched = c.prefetched.remove(&addr);
-        // A dirty L1 victim is written into L2 off the critical path.
+        // Dirty victims are written down off the critical path.
         if let Some(victim) = r1.writeback {
-            let r2v = c.l2.access(victim, AccessKind::Write);
-            if let Some(v2) = r2v.writeback {
-                let r3v = self.l3.access(v2, AccessKind::Write);
-                if let Some(v3) = r3v.writeback {
-                    self.fabric.access(Node::Host, v3, line as u32, DramOp::Write, now);
-                }
-            }
+            self.write_back(core, 1, victim, now);
         }
 
         // L2.
-        let r2 = c.l2.access(addr, AccessKind::Read);
+        let r2 = self.cores[core].l2.access(addr, AccessKind::Read);
         if r2.hit {
             let base = now + l1_lat + l2_lat;
             let done = match was_prefetched {
@@ -519,10 +487,7 @@ impl HostTiming {
             return done;
         }
         if let Some(victim) = r2.writeback {
-            let r3v = self.l3.access(victim, AccessKind::Write);
-            if let Some(v3) = r3v.writeback {
-                self.fabric.access(Node::Host, v3, line as u32, DramOp::Write, now);
-            }
+            self.write_back(core, 2, victim, now);
         }
 
         // Shared L3.
@@ -531,11 +496,12 @@ impl HostTiming {
             return now + l1_lat + l2_lat + l3_lat;
         }
         if let Some(victim) = r3.writeback {
-            self.fabric.access(Node::Host, victim, line as u32, DramOp::Write, now);
+            self.write_back(core, 3, victim, now);
         }
 
         // DRAM fill, bounded by the core's miss window.
         let lookup_done = now + l1_lat + l2_lat + l3_lat;
+        let c = &mut self.cores[core];
         let issue = c.misses.issue(lookup_done);
         let done = self.fabric.access(Node::Host, addr, line as u32, DramOp::Read, issue);
         c.misses.complete(done);
@@ -562,18 +528,31 @@ impl HostTiming {
         let c = &mut self.cores[core];
         c.misses.complete(done);
         c.prefetches += 1;
-        let r = c.l2.access(addr, AccessKind::Read);
-        if let Some(victim) = r.writeback {
-            let r3 = self.l3.access(victim, AccessKind::Write);
-            if let Some(v3) = r3.writeback {
-                self.fabric.access(Node::Host, v3, line as u32, DramOp::Write, done);
-            }
+        if let Some(victim) = c.l2.access(addr, AccessKind::Read).writeback {
+            self.write_back(core, 2, victim, done);
         }
         self.cores[core].prefetched.insert(addr, done);
         // Bound the stale-entry table.
         if self.cores[core].prefetched.len() > 4096 {
             self.cores[core].prefetched.clear();
         }
+    }
+
+    /// Writes a dirty `victim` that left cache `level` (1 = L1D, 2 = L2,
+    /// 3 = L3) down the hierarchy at `now`: each level below write-allocates
+    /// it, and a dirty line the L3 evicts goes to DRAM. The whole-hierarchy
+    /// flush ([`HostTiming::flush_all_caches`]) is the one write-back that
+    /// does not come through here.
+    fn write_back(&mut self, core: usize, level: u8, mut victim: u64, now: Ps) {
+        for below in level + 1..=3 {
+            let cache = if below == 2 { &mut self.cores[core].l2 } else { &mut self.l3 };
+            match cache.access(victim, AccessKind::Write).writeback {
+                Some(next) => victim = next,
+                None => return,
+            }
+        }
+        let line = self.cfg.host.l1d.block_bytes as u32;
+        self.fabric.access(Node::Host, victim, line, DramOp::Write, now);
     }
 
     /// Total stream prefetches issued (all cores).
@@ -920,29 +899,6 @@ mod tests {
         assert!(f.control_packet(Node::Host, Node::Cube(0), 48, Ps(5)) > Ps(5));
         assert_eq!(f.stats().offchip.total_bytes(), 48);
         assert_eq!(profiler.snapshot().total_samples(), 1);
-    }
-
-    #[test]
-    fn fabric_ddr4_read_run_matches_access_loop() {
-        let cfg = SystemConfig::table2_ddr4();
-        let mut a = MemFabric::new(&cfg);
-        let mut b = MemFabric::new(&cfg);
-        let (base, bytes, start) = (0x8000u64, 64 * 21 + 40u64, Ps::from_us(1.5));
-        let run = a.access_many(Node::Host, base, bytes, DramOp::Read, start);
-        let mut first = Ps::ZERO;
-        let mut last = Ps::ZERO;
-        for i in 0..bytes.div_ceil(64) {
-            let off = i * 64;
-            let len = (bytes - off).min(64) as u32;
-            let t = b.access(Node::Host, base + off, len, DramOp::Read, start);
-            if i == 0 {
-                first = t;
-            }
-            last = last.max(t);
-        }
-        assert_eq!(run.first, first);
-        assert_eq!(run.last, last);
-        assert_eq!(a.stats(), b.stats());
     }
 
     #[test]

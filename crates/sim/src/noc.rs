@@ -27,37 +27,29 @@ pub enum Node {
 #[derive(Debug, Clone)]
 struct LinkDir {
     lane: EpochBw,
+    latency: Ps,
     traffic: Traffic,
 }
 
 impl LinkDir {
-    fn new(bw: Bandwidth) -> LinkDir {
-        LinkDir { lane: EpochBw::from_bandwidth(bw, LINK_EPOCH), traffic: Traffic::new() }
+    fn new(bw: Bandwidth, latency: Ps) -> LinkDir {
+        LinkDir { lane: EpochBw::from_bandwidth(bw, LINK_EPOCH), latency, traffic: Traffic::new() }
     }
 
-    fn transfer(&mut self, bytes: u32, start: Ps, latency: Ps, is_read_data: bool) -> Ps {
+    fn transfer(&mut self, bytes: u32, start: Ps, is_read_data: bool) -> Ps {
         let served = self.lane.reserve(start, u64::from(bytes));
-        if is_read_data {
-            self.traffic.record_read(u64::from(bytes));
-        } else {
-            self.traffic.record_write(u64::from(bytes));
-        }
-        served + latency
+        self.traffic.record(is_read_data, u64::from(bytes), 1);
+        served + self.latency
     }
 
     /// Batched [`LinkDir::transfer`]: `bytes` total, metered in
     /// `chunk`-sized packets issued together at `start`. Completions are
     /// bit-for-bit those of a per-packet `transfer` loop at the same
-    /// `start` (both sides of the returned window include `latency`).
-    fn transfer_many(&mut self, bytes: u64, start: Ps, latency: Ps, is_read_data: bool, chunk: u64) -> BatchCompletion {
+    /// `start` (both sides of the returned window include the latency).
+    fn transfer_many(&mut self, bytes: u64, start: Ps, is_read_data: bool, chunk: u64) -> BatchCompletion {
         let run = self.lane.reserve_many(start, bytes, chunk);
-        let packets = bytes.div_ceil(chunk).max(1);
-        if is_read_data {
-            self.traffic.record_reads(bytes, packets);
-        } else {
-            self.traffic.record_writes(bytes, packets);
-        }
-        BatchCompletion { first: run.first + latency, last: run.last + latency }
+        self.traffic.record(is_read_data, bytes, bytes.div_ceil(chunk).max(1));
+        BatchCompletion { first: run.first + self.latency, last: run.last + self.latency }
     }
 }
 
@@ -70,15 +62,14 @@ struct Link {
 }
 
 impl Link {
-    fn new(bw: Bandwidth) -> Link {
-        Link { inbound: LinkDir::new(bw), outbound: LinkDir::new(bw) }
+    fn new(bw: Bandwidth, latency: Ps) -> Link {
+        Link { inbound: LinkDir::new(bw, latency), outbound: LinkDir::new(bw, latency) }
     }
 }
 
 /// The star network: `host ↔ cube0 ↔ {cube1, cube2, …}`.
 #[derive(Debug, Clone)]
 pub struct Noc {
-    latency: Ps,
     cubes: usize,
     host_link: Link,
     /// `spokes[k]` is the link between the center and cube `k+1`.
@@ -103,26 +94,24 @@ impl Noc {
     pub fn new(cfg: &HmcConfig) -> Noc {
         assert!(cfg.cubes >= 1, "need at least the central cube");
         Noc {
-            latency: cfg.link_latency,
             cubes: cfg.cubes,
-            host_link: Link::new(cfg.link_bw),
-            spokes: (1..cfg.cubes).map(|_| Link::new(cfg.link_bw)).collect(),
+            host_link: Link::new(cfg.link_bw, cfg.link_latency),
+            spokes: (1..cfg.cubes).map(|_| Link::new(cfg.link_bw, cfg.link_latency)).collect(),
             dropped_packets: 0,
             dropped_bytes: 0,
         }
     }
 
-    /// Number of link hops between two nodes (0 when `from == to`, or for
-    /// traffic that never leaves its cube's logic layer).
-    pub fn hops(&self, from: Node, to: Node) -> usize {
-        match (from, to) {
-            (a, b) if a == b => 0,
-            (Node::Host, Node::Host) => 0,
-            (Node::Host, Node::Cube(0)) | (Node::Cube(0), Node::Host) => 1,
-            (Node::Host, Node::Cube(_)) | (Node::Cube(_), Node::Host) => 2,
-            (Node::Cube(0), Node::Cube(_)) | (Node::Cube(_), Node::Cube(0)) => 1,
-            (Node::Cube(_), Node::Cube(_)) => 2,
-        }
+    /// The link direction a packet crosses between `node` and the center:
+    /// toward the center when `inbound`, away from it otherwise. `None` at
+    /// the center itself, whose logic layer every route passes through.
+    fn leg(&mut self, node: Node, inbound: bool) -> Option<&mut LinkDir> {
+        let link = match node {
+            Node::Host => &mut self.host_link,
+            Node::Cube(0) => return None,
+            Node::Cube(c) => &mut self.spokes[c - 1],
+        };
+        Some(if inbound { &mut link.inbound } else { &mut link.outbound })
     }
 
     /// Sends `bytes` from `from` to `to`, starting at `start`; returns the
@@ -138,20 +127,9 @@ impl Noc {
         if from == to {
             return start;
         }
-        let mut t = start;
-        // Hop 1: from → center (unless already at center).
-        t = match from {
-            Node::Host => self.host_link.inbound.transfer(bytes, t, self.latency, is_read_data),
-            Node::Cube(0) => t,
-            Node::Cube(c) => self.spokes[c - 1].inbound.transfer(bytes, t, self.latency, is_read_data),
-        };
-        // Hop 2: center → to (unless the destination is the center).
-        t = match to {
-            Node::Host => self.host_link.outbound.transfer(bytes, t, self.latency, is_read_data),
-            Node::Cube(0) => t,
-            Node::Cube(c) => self.spokes[c - 1].outbound.transfer(bytes, t, self.latency, is_read_data),
-        };
-        t
+        let at_center = self.leg(from, true).map_or(start, |l| l.transfer(bytes, start, is_read_data));
+        self.leg(to, false)
+            .map_or(at_center, |l| l.transfer(bytes, at_center, is_read_data))
     }
 
     /// Batched [`Noc::send`]: streams `bytes` from `from` to `to` as
@@ -181,32 +159,15 @@ impl Noc {
         if from == to || bytes == 0 {
             return BatchCompletion { first: start, last: start };
         }
-        let lat = self.latency;
-        // Hop 1: from → center (unless already at center).
-        let hop1 = match from {
-            Node::Host => Some(self.host_link.inbound.transfer_many(bytes, start, lat, is_read_data, chunk)),
-            Node::Cube(0) => None,
-            Node::Cube(c) => Some(self.spokes[c - 1].inbound.transfer_many(bytes, start, lat, is_read_data, chunk)),
+        let at_center = match self.leg(from, true) {
+            Some(l) => l.transfer_many(bytes, start, is_read_data, chunk),
+            None => BatchCompletion { first: start, last: start },
         };
-        let at_center = hop1.unwrap_or(BatchCompletion { first: start, last: start });
-        // Hop 2: center → to (unless the destination is the center).
-        let hop2 = match to {
-            Node::Host => Some(
-                self.host_link
-                    .outbound
-                    .transfer_many(bytes, at_center.first, lat, is_read_data, chunk),
-            ),
-            Node::Cube(0) => None,
-            Node::Cube(c) => {
-                Some(
-                    self.spokes[c - 1]
-                        .outbound
-                        .transfer_many(bytes, at_center.first, lat, is_read_data, chunk),
-                )
+        match self.leg(to, false) {
+            Some(l) => {
+                let hop2 = l.transfer_many(bytes, at_center.first, is_read_data, chunk);
+                BatchCompletion { first: hop2.first, last: hop2.last.max(at_center.last) }
             }
-        };
-        match hop2 {
-            Some(h2) => BatchCompletion { first: h2.first, last: h2.last.max(at_center.last) },
             None => at_center,
         }
     }
@@ -231,12 +192,8 @@ impl Noc {
         }
         self.dropped_packets += 1;
         self.dropped_bytes += u64::from(bytes);
-        match from {
-            Node::Host => self.host_link.inbound.transfer(bytes, start, self.latency, is_read_data),
-            // Loss on the center's own logic layer: no link crossed.
-            Node::Cube(0) => start,
-            Node::Cube(c) => self.spokes[c - 1].inbound.transfer(bytes, start, self.latency, is_read_data),
-        }
+        // A loss on the center's own logic layer crosses no link.
+        self.leg(from, true).map_or(start, |l| l.transfer(bytes, start, is_read_data))
     }
 
     /// `(packets, bytes)` lost to injected link faults so far.
@@ -301,12 +258,19 @@ mod tests {
 
     #[test]
     fn hop_counts_match_star_topology() {
-        let n = noc();
-        assert_eq!(n.hops(Node::Host, Node::Cube(0)), 1);
-        assert_eq!(n.hops(Node::Host, Node::Cube(3)), 2);
-        assert_eq!(n.hops(Node::Cube(0), Node::Cube(2)), 1);
-        assert_eq!(n.hops(Node::Cube(1), Node::Cube(2)), 2);
-        assert_eq!(n.hops(Node::Cube(1), Node::Cube(1)), 0);
+        // Each link direction a one-byte packet crosses meters one unit.
+        let hops = |from, to| {
+            let mut n = noc();
+            n.send(from, to, 1, Ps::ZERO, false);
+            n.occupancy().total_units
+        };
+        assert_eq!(hops(Node::Host, Node::Cube(0)), 1);
+        assert_eq!(hops(Node::Host, Node::Cube(3)), 2);
+        assert_eq!(hops(Node::Cube(0), Node::Host), 1);
+        assert_eq!(hops(Node::Cube(2), Node::Host), 2);
+        assert_eq!(hops(Node::Cube(0), Node::Cube(2)), 1);
+        assert_eq!(hops(Node::Cube(1), Node::Cube(2)), 2);
+        assert_eq!(hops(Node::Cube(1), Node::Cube(1)), 0);
     }
 
     #[test]

@@ -24,28 +24,16 @@ impl Traffic {
         Traffic::default()
     }
 
-    /// Records one read of `bytes`.
-    pub fn record_read(&mut self, bytes: u64) {
-        self.read_bytes += bytes;
-        self.reads += 1;
-    }
-
-    /// Records one write of `bytes`.
-    pub fn record_write(&mut self, bytes: u64) {
-        self.write_bytes += bytes;
-        self.writes += 1;
-    }
-
-    /// Records `n` reads totalling `bytes` (batched transfers).
-    pub fn record_reads(&mut self, bytes: u64, n: u64) {
-        self.read_bytes += bytes;
-        self.reads += n;
-    }
-
-    /// Records `n` writes totalling `bytes` (batched transfers).
-    pub fn record_writes(&mut self, bytes: u64, n: u64) {
-        self.write_bytes += bytes;
-        self.writes += n;
+    /// Records `ops` transactions totalling `bytes`, as reads when `read`
+    /// and as writes otherwise.
+    pub fn record(&mut self, read: bool, bytes: u64, ops: u64) {
+        if read {
+            self.read_bytes += bytes;
+            self.reads += ops;
+        } else {
+            self.write_bytes += bytes;
+            self.writes += ops;
+        }
     }
 
     /// Total bytes moved in either direction.
@@ -241,9 +229,8 @@ mod tests {
     #[test]
     fn traffic_records_and_sums() {
         let mut t = Traffic::new();
-        t.record_read(64);
-        t.record_read(64);
-        t.record_write(256);
+        t.record(true, 128, 2);
+        t.record(false, 256, 1);
         assert_eq!(t.read_bytes, 128);
         assert_eq!(t.reads, 2);
         assert_eq!(t.write_bytes, 256);
@@ -251,7 +238,7 @@ mod tests {
         assert_eq!(t.total_ops(), 3);
 
         let mut u = Traffic::new();
-        u.record_write(1);
+        u.record(false, 1, 1);
         u += t;
         assert_eq!(u.write_bytes, 257);
     }

@@ -2,9 +2,9 @@
 //! serve faster than their configured rates, never travel back in time,
 //! and caches never exceed their geometry.
 
-use charon_sim::bwres::{EpochBw, HashMapOracle};
+use charon_sim::bwres::EpochBw;
 use charon_sim::cache::{AccessKind, Cache};
-use charon_sim::config::{CacheConfig, SystemConfig};
+use charon_sim::config::{CacheConfig, HmcConfig, SystemConfig};
 use charon_sim::dram::{Ddr4Sim, DramOp, HmcSim};
 use charon_sim::faults::{FaultSite, RecoveryConfig};
 use charon_sim::issue::Window;
@@ -94,24 +94,6 @@ proptest! {
     }
 
     #[test]
-    fn ring_matches_hashmap_oracle_within_window(
-        reqs in proptest::collection::vec((0u64..4_000_000_000, 1u64..200_000), 1..100)
-    ) {
-        // Differential check against the pre-ring implementation: while all
-        // starts stay inside the bounded-skew window (4000 epochs < 4096),
-        // the ring is bit-for-bit the old HashMap meter, with nothing
-        // spilled and nothing clamped.
-        let mut ring = EpochBw::from_bandwidth(Bandwidth::gbps(80.0), Ps::from_us(1.0));
-        let mut oracle = HashMapOracle::from_bandwidth(Bandwidth::gbps(80.0), Ps::from_us(1.0));
-        for &(s, u) in &reqs {
-            prop_assert_eq!(ring.reserve(Ps(s), u), oracle.reserve(Ps(s), u));
-        }
-        prop_assert_eq!(ring.total_units(), oracle.total_units());
-        prop_assert_eq!(ring.occupancy().spilled_units, 0);
-        prop_assert_eq!(ring.occupancy().late_reservations, 0);
-    }
-
-    #[test]
     fn reserve_many_equals_repeated_reserve(
         prefill in 0u64..200_000, start in 0u64..2_000_000,
         units in 1u64..500_000, chunk in 1u64..5_000
@@ -194,6 +176,43 @@ proptest! {
         for c in 0..cfg.cubes {
             let grew = after[c] - before[c];
             prop_assert_eq!(grew, if c == cube { 128 } else { 0 });
+        }
+    }
+
+    #[test]
+    fn batched_vault_reads_equal_the_per_packet_loop(
+        busy in proptest::collection::vec((0u64..(1 << 22), 1u32..=256, any::<bool>(), 0u64..2_000_000), 0..48),
+        base in 0u64..(1 << 22), bytes in 1u64..(1 << 16), start in 0u64..2_000_000,
+    ) {
+        // `vault_access_run` folds a read run's same-start packets into
+        // one bus reservation per vault; on twin models whose banks the
+        // same earlier traffic left open and busy, that equals one
+        // `vault_access` per packet at every bank count and interleave.
+        for banks_per_vault in [4, 8, 12, 16, 32] {
+            for cube_interleave_bits in [12, 16, 20] {
+                let cfg = HmcConfig { banks_per_vault, cube_interleave_bits, ..HmcConfig::table2() };
+                let mut batched = HmcSim::new(cfg);
+                for &(paddr, len, write, at) in &busy {
+                    let op = if write { DramOp::Write } else { DramOp::Read };
+                    batched.vault_access(paddr, len, op, Ps(at));
+                }
+                let mut looped = batched.clone();
+                let run = batched.vault_access_run(base, bytes, DramOp::Read, Ps(start));
+                let packet = u64::from(cfg.max_access_bytes);
+                let mut first = None;
+                let mut last = Ps::ZERO;
+                for off in (0..bytes).step_by(packet as usize) {
+                    let len = (bytes - off).min(packet) as u32;
+                    let t = looped.vault_access(base + off, len, DramOp::Read, Ps(start));
+                    first.get_or_insert(t);
+                    last = last.max(t);
+                }
+                prop_assert_eq!(run.first, first.expect("bytes >= 1"));
+                prop_assert_eq!(run.last, last);
+                prop_assert_eq!(batched.traffic(), looped.traffic());
+                prop_assert_eq!(batched.per_cube_bytes(), looped.per_cube_bytes());
+                prop_assert_eq!(batched.occupancy(), looped.occupancy());
+            }
         }
     }
 
