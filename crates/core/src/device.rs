@@ -126,6 +126,48 @@ pub enum ScanAction {
     None,
 }
 
+/// One dependent write of a [`ScanAction`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScanWrite {
+    /// An 8 B mark-bitmap word: `mark_obj`'s atomic RMW, which a unit
+    /// serves from its bitmap cache (§4.5).
+    MapWord(VAddr),
+    /// A stack slot, field slot or card byte.
+    Slot(VAddr),
+}
+
+impl ScanWrite {
+    /// The written address.
+    pub fn addr(self) -> VAddr {
+        match self {
+            ScanWrite::MapWord(a) | ScanWrite::Slot(a) => a,
+        }
+    }
+}
+
+impl ScanAction {
+    /// The action's dependent writes in issue order, map words first and
+    /// then slots; each one starts when the one before it completes, the
+    /// first when the referent's header returns. The host path and a
+    /// device unit both charge this chain.
+    pub fn writes(self) -> impl Iterator<Item = ScanWrite> {
+        use ScanWrite::{MapWord, Slot};
+        let chain = match self {
+            ScanAction::Push { stack_slot: slot }
+            | ScanAction::UpdateField { field_slot: slot }
+            | ScanAction::UpdateCard { card_addr: slot } => [Some(Slot(slot)), None, None],
+            ScanAction::UpdateFieldAndCard { field_slot, card_addr } => {
+                [Some(Slot(field_slot)), Some(Slot(card_addr)), None]
+            }
+            ScanAction::MarkAndPush { beg_word, end_word, stack_slot } => {
+                [Some(MapWord(beg_word)), Some(MapWord(end_word)), Some(Slot(stack_slot))]
+            }
+            ScanAction::None => [None; 3],
+        };
+        chain.into_iter().flatten()
+    }
+}
+
 /// Per-primitive offload counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PrimStats {
@@ -434,51 +476,11 @@ pub struct OffloadAbandoned {
     pub retries: u32,
     /// The site that killed the final attempt.
     pub site: FaultSite,
-    /// `true` once the watchdog has declared this primitive's unit class
-    /// dead: the caller should clear the primitive's `OffloadMask` bit so
-    /// no further offloads are attempted.
+    /// `true` when this abandonment made the watchdog declare the
+    /// primitive's unit class dead. The device refuses the class from now
+    /// on ([`CharonDevice::unit_dead`]), so callers that ask it first keep
+    /// the primitive on the host without re-paying the timeouts.
     pub unit_dead: bool,
-}
-
-/// The device's fault-injection, watchdog and re-arm state. Absent by
-/// default — the fault-free path never consults it, which is what keeps
-/// zero-rate timing bit-identical to a build without the layer. Retry and
-/// fallback counts are not kept here: each [`OffloadGrant`] and
-/// [`OffloadAbandoned`] carries them to the caller's recovery ledger.
-#[derive(Debug, Clone)]
-struct FaultLayer {
-    /// The armed site; `None` when only the watchdog state machine is
-    /// needed (quarantine kills, re-arm probes).
-    injector: Option<Injector<FaultSite>>,
-    recovery: RecoveryConfig,
-    /// Consecutive abandoned offloads per primitive (watchdog input).
-    consecutive: [u32; 4],
-    /// Primitives the watchdog has declared dead.
-    dead: [bool; 4],
-    /// Probe-after-N-GCs re-enable of dead units (`None` = dead forever,
-    /// the pre-rearm behavior and the default).
-    rearm_after: Option<u32>,
-    /// GC prologues seen since each unit died (rearm input).
-    gcs_since_death: [u32; 4],
-    /// Re-armed units on probation: one more watchdog strike re-kills
-    /// them instead of a full `watchdog_threshold` run.
-    probing: [bool; 4],
-}
-
-impl FaultLayer {
-    /// A layer that injects nothing, which is timing-identical to having
-    /// no layer at all.
-    fn idle() -> FaultLayer {
-        FaultLayer {
-            injector: None,
-            recovery: RecoveryConfig::default(),
-            consecutive: [0; 4],
-            dead: [false; 4],
-            rearm_after: None,
-            gcs_since_death: [0; 4],
-            probing: [false; 4],
-        }
-    }
 }
 
 /// The assembled accelerator.
@@ -499,7 +501,26 @@ pub struct CharonDevice {
     /// Per-primitive counters, misroutes and the accumulated unit energy;
     /// [`CharonDevice::stats`] adds what the structures themselves count.
     stats: CharonStats,
-    faults: Option<FaultLayer>,
+    /// The armed fault site, if any. Unarmed (or armed at rate zero), no
+    /// attempt fails and every offload runs straight through the envelope.
+    /// Retry and fallback counts are not kept here: each [`OffloadGrant`]
+    /// and [`OffloadAbandoned`] carries them to the caller's ledger.
+    injector: Option<Injector<FaultSite>>,
+    recovery: RecoveryConfig,
+    // Unit health, the one verdict on whether a primitive's unit class
+    // may serve (all indexed by `PrimType::encode`).
+    /// Consecutive abandoned offloads (the watchdog's input).
+    consecutive: [u32; 4],
+    /// Classes the watchdog (or a quarantine) has declared dead.
+    dead: [bool; 4],
+    /// Probe-after-N-GCs re-enable of dead classes; `None` keeps them
+    /// dead for the rest of the run (the default).
+    rearm_after: Option<u32>,
+    /// GC prologues seen since each class died (the re-arm input).
+    gcs_since_death: [u32; 4],
+    /// Re-armed classes on probation: one more watchdog strike re-kills
+    /// them instead of a full `watchdog_threshold` run.
+    probing: [bool; 4],
     telemetry: Telemetry,
 }
 
@@ -576,7 +597,13 @@ impl CharonDevice {
             tlb: AccelTlb::new(tlb_mode, cubes, ch.unit_freq),
             bitmap_cache: BitmapCache::new(cache_mode, center, cubes, ch.bitmap_cache, ch.unit_freq),
             stats: CharonStats::default(),
-            faults: None,
+            injector: None,
+            recovery: RecoveryConfig::default(),
+            consecutive: [0; 4],
+            dead: [false; 4],
+            rearm_after: None,
+            gcs_since_death: [0; 4],
+            probing: [false; 4],
             telemetry: Telemetry::disabled(),
         }
     }
@@ -587,37 +614,38 @@ impl CharonDevice {
         self.telemetry = telemetry;
     }
 
-    /// Arms the fault-injection and recovery layer at `injector`'s site.
-    /// The default device has none, and [`CharonDevice::offload`] with no
-    /// layer (or one armed at rate zero) runs every call straight through
-    /// the envelope.
+    /// Arms fault injection at `injector`'s site with `recovery`'s retry
+    /// budget and watchdog, and clears every unit-health verdict (the
+    /// re-arm interval stays). An unarmed device, or one armed at rate
+    /// zero, runs every call straight through the envelope.
     pub fn enable_faults(&mut self, injector: Injector<FaultSite>, recovery: RecoveryConfig) {
-        let rearm_after = self.faults.as_ref().and_then(|f| f.rearm_after);
-        self.faults = Some(FaultLayer { injector: Some(injector), recovery, rearm_after, ..FaultLayer::idle() });
+        self.injector = Some(injector);
+        self.recovery = recovery;
+        self.consecutive = [0; 4];
+        self.dead = [false; 4];
+        self.gcs_since_death = [0; 4];
+        self.probing = [false; 4];
     }
 
     /// Arms (or disarms, with `None`) probe-after-N-GCs re-enable of
-    /// watchdog-dead units. Creates an inject-nothing layer if none is
-    /// armed yet, which leaves timing bit-identical.
+    /// dead unit classes; an interval of 0 disarms.
     pub fn set_rearm(&mut self, after_gcs: Option<u32>) {
-        self.ensure_fault_layer().rearm_after = after_gcs.filter(|&n| n > 0);
+        self.rearm_after = after_gcs.filter(|&n| n > 0);
     }
 
     /// The armed probe interval, if any.
     pub fn rearm_after(&self) -> Option<u32> {
-        self.faults.as_ref().and_then(|f| f.rearm_after)
+        self.rearm_after
     }
 
     /// Declares `prim`'s unit class dead, exactly as if its watchdog had
-    /// fired — the integrity layer's rung-3 quarantine path. Creates an
-    /// inject-nothing layer if none is armed yet.
+    /// fired — the integrity layer's rung-3 quarantine path.
     pub fn kill_unit(&mut self, prim: PrimType) {
-        let layer = self.ensure_fault_layer();
         let pi = prim.encode() as usize;
-        layer.consecutive[pi] = layer.consecutive[pi].max(layer.recovery.watchdog_threshold);
-        layer.dead[pi] = true;
-        layer.probing[pi] = false;
-        layer.gcs_since_death[pi] = 0;
+        self.consecutive[pi] = self.consecutive[pi].max(self.recovery.watchdog_threshold);
+        self.dead[pi] = true;
+        self.probing[pi] = false;
+        self.gcs_since_death[pi] = 0;
     }
 
     /// GC-prologue tick for the re-arm path: every dead unit ages one GC;
@@ -626,18 +654,17 @@ impl CharonDevice {
     /// still-broken unit re-dies after a single abandoned offload).
     /// Returns the re-armed unit classes.
     pub fn gc_tick(&mut self) -> Vec<PrimType> {
-        let Some(layer) = &mut self.faults else { return Vec::new() };
-        let Some(n) = layer.rearm_after else { return Vec::new() };
+        let Some(n) = self.rearm_after else { return Vec::new() };
         let mut rearmed = Vec::new();
         for prim in PrimType::ALL {
             let pi = prim.encode() as usize;
-            if layer.dead[pi] {
-                layer.gcs_since_death[pi] += 1;
-                if layer.gcs_since_death[pi] >= n {
-                    layer.dead[pi] = false;
-                    layer.probing[pi] = true;
-                    layer.consecutive[pi] = layer.recovery.watchdog_threshold.saturating_sub(1);
-                    layer.gcs_since_death[pi] = 0;
+            if self.dead[pi] {
+                self.gcs_since_death[pi] += 1;
+                if self.gcs_since_death[pi] >= n {
+                    self.dead[pi] = false;
+                    self.probing[pi] = true;
+                    self.consecutive[pi] = self.recovery.watchdog_threshold.saturating_sub(1);
+                    self.gcs_since_death[pi] = 0;
                     rearmed.push(prim);
                 }
             }
@@ -648,33 +675,24 @@ impl CharonDevice {
     /// Units currently on re-arm probation, indexed by
     /// [`PrimType::encode`].
     pub fn probing_units(&self) -> [bool; 4] {
-        match &self.faults {
-            None => [false; 4],
-            Some(f) => f.probing,
-        }
-    }
-
-    fn ensure_fault_layer(&mut self) -> &mut FaultLayer {
-        self.faults.get_or_insert_with(FaultLayer::idle)
+        self.probing
     }
 
     /// The armed injector, for campaign reporting.
     pub fn fault_injector(&self) -> Option<&Injector<FaultSite>> {
-        self.faults.as_ref().and_then(|f| f.injector.as_ref())
+        self.injector.as_ref()
     }
 
-    /// Whether the watchdog has declared `prim`'s unit class dead.
+    /// Whether `prim`'s unit class is dead (the watchdog fired or a
+    /// quarantine killed it, and no probe has re-armed it since).
     pub fn unit_dead(&self, prim: PrimType) -> bool {
-        self.faults.as_ref().is_some_and(|f| f.dead[prim.encode() as usize])
+        self.dead[prim.encode() as usize]
     }
 
-    /// Watchdog verdict for all four unit classes at once, indexed by
-    /// [`PrimType::encode`]. All-false when no fault layer is armed.
+    /// [`CharonDevice::unit_dead`] for all four primitives at once,
+    /// indexed by [`PrimType::encode`].
     pub fn dead_units(&self) -> [bool; 4] {
-        match &self.faults {
-            None => [false; 4],
-            Some(f) => f.dead,
-        }
+        self.dead
     }
 
     /// Accumulated statistics. The unit-class counters come from the pools
@@ -915,17 +933,18 @@ impl CharonDevice {
     /// budget, and feeds the per-primitive watchdog. An attempt that
     /// rolls no fault runs through the offload envelope.
     ///
-    /// With no fault layer armed — or one armed at rate zero —
-    /// the first attempt succeeds unconditionally and nothing but the
-    /// envelope's own traffic is charged.
+    /// With no injector armed — or one armed at rate zero — the first
+    /// attempt succeeds unconditionally and nothing but the envelope's own
+    /// traffic is charged.
     ///
     /// # Errors
     ///
     /// [`OffloadAbandoned`] when the retry budget is exhausted (or the
     /// unit class is already dead): the caller completes the primitive on
-    /// the host software path starting at `OffloadAbandoned::at`, and
-    /// clears the primitive's offload bit when `unit_dead` is set. A
-    /// misrouted call — scheduled onto a cube with no units of the class
+    /// the host software path starting at `OffloadAbandoned::at`. Once
+    /// `unit_dead` is set the device's own verdict
+    /// ([`CharonDevice::unit_dead`]) keeps the class's later work on the
+    /// host; no caller-side mask changes. A misrouted call — scheduled onto a cube with no units of the class
     /// ([`NoUnits`]) — is deterministic, so it abandons immediately at the
     /// issue time without burning retries and without feeding the
     /// watchdog; the unit class stays alive for correctly-routed work.
@@ -941,11 +960,11 @@ impl CharonDevice {
             // Watchdog already fired; don't waste simulated time probing.
             return Err(OffloadAbandoned { at: now, retries: 0, site: FaultSite::Unit, unit_dead: true });
         }
-        let recovery = self.faults.as_ref().map(|f| f.recovery).unwrap_or_default();
+        let recovery = self.recovery;
         let mut t = now;
         let mut attempt = 0u32;
         loop {
-            let Some(site) = self.faults.as_mut().and_then(|f| f.injector.as_mut()?.roll()) else {
+            let Some(site) = self.injector.as_mut().and_then(Injector::roll) else {
                 let Ok(done) = self.execute(host, t, &call) else {
                     // A misroute never reached a unit and would misroute
                     // identically on a reissue: no time passes and no
@@ -954,19 +973,16 @@ impl CharonDevice {
                         .record(|| Event::Fault { site: "route", prim: prim.name(), at: t, attempt });
                     return Err(OffloadAbandoned { at: t, retries: attempt, site: FaultSite::Unit, unit_dead: false });
                 };
-                if let Some(layer) = &mut self.faults {
-                    layer.consecutive[pi] = 0;
-                    layer.probing[pi] = false; // the probe survived: fully re-armed
-                }
+                self.consecutive[pi] = 0;
+                self.probing[pi] = false; // the probe survived: fully re-armed
                 return Ok(OffloadGrant { done, retries: attempt });
             };
             let observed = self.observe_failure(host, prim, call.lead_addr(), t, site, attempt, recovery.timeout);
             self.telemetry
                 .record(|| Event::Fault { site: site.name(), prim: prim.name(), at: observed, attempt });
             if attempt >= recovery.retry_budget {
-                let layer = self.faults.as_mut().expect("only an armed layer rolls a fault");
-                layer.consecutive[pi] += 1;
-                let unit_dead = layer.consecutive[pi] >= recovery.watchdog_threshold;
+                self.consecutive[pi] += 1;
+                let unit_dead = self.consecutive[pi] >= recovery.watchdog_threshold;
                 if unit_dead {
                     self.kill_unit(prim);
                 }
@@ -1112,27 +1128,13 @@ impl CharonDevice {
         let unit = self.placement.node_of(cube);
         let mut end = *granule_done.iter().max().expect("at least one granule");
         for (r, &h_done) in refs.iter().zip(&header_done) {
-            let a_done = match r.action {
-                ScanAction::Push { stack_slot: slot }
-                | ScanAction::UpdateField { field_slot: slot }
-                | ScanAction::UpdateCard { card_addr: slot } => {
-                    self.unit_mem(host, stream, cube, slot, MIN_ACCESS, DramOp::Write, h_done)
+            let a_done = r.action.writes().fold(h_done, |t, w| match w {
+                ScanWrite::MapWord(word) => {
+                    self.bitmap_cache
+                        .access_range(&mut host.fabric, unit, word.0, WORD_BYTES, AccessKind::Write, t)
                 }
-                ScanAction::UpdateFieldAndCard { field_slot, card_addr } => {
-                    let w = self.unit_mem(host, stream, cube, field_slot, MIN_ACCESS, DramOp::Write, h_done);
-                    self.unit_mem(host, stream, cube, card_addr, MIN_ACCESS, DramOp::Write, w)
-                }
-                ScanAction::MarkAndPush { beg_word, end_word, stack_slot } => {
-                    // mark_obj: atomic RMWs on the begin and end map words,
-                    // served by the bitmap cache (§4.5).
-                    let marked = [beg_word, end_word].into_iter().fold(h_done, |t, word| {
-                        let cache = &mut self.bitmap_cache;
-                        cache.access_range(&mut host.fabric, unit, word.0, WORD_BYTES, AccessKind::Write, t)
-                    });
-                    self.unit_mem(host, stream, cube, stack_slot, MIN_ACCESS, DramOp::Write, marked)
-                }
-                ScanAction::None => h_done,
-            };
+                ScanWrite::Slot(slot) => self.unit_mem(host, stream, cube, slot, MIN_ACCESS, DramOp::Write, t),
+            });
             end = end.max(a_done);
         }
         end
@@ -1532,7 +1534,7 @@ mod tests {
             .expect_err("misroute must abandon");
         assert_eq!((e.at, e.retries, e.unit_dead), (Ps::from_us(5.0), 0, false));
         assert!(!dev.unit_dead(PrimType::ScanPush));
-        assert_eq!(dev.faults.as_ref().unwrap().consecutive, [0; 4], "the watchdog saw no strike");
+        assert_eq!(dev.consecutive, [0; 4], "the watchdog saw no strike");
         assert_eq!(dev.stats().misroutes[PrimType::ScanPush.encode() as usize], 2);
         // Correctly-routed primitives are unaffected.
         run(&mut dev, &mut host, Ps::ZERO, copy(0, 0x8000, 256));

@@ -23,15 +23,17 @@
 //!   from the workspace's deterministic [`StdRng`], so identical seeds
 //!   replay bit-for-bit.
 //!
-//! Whatever a policy asks for, the [`Controller`] clamps it against the
-//! watchdog verdicts from the PR 2 recovery ladder
-//! ([`crate::system::System::unit_health`]): a unit class the watchdog
-//! declared dead is never offloaded to again, no matter how attractive the
-//! census makes it look. Every decision — inputs, cost-model predictions,
-//! requested and clamped masks, and later the realized pause — is appended
-//! to a [`DecisionJournal`] and mirrored into telemetry as
-//! [`charon_sim::telemetry::Event::Decision`], so an adaptive run is as
-//! auditable as a static one.
+//! Whatever a policy asks for, a unit class the device has declared dead
+//! ([`crate::system::System::unit_health`]) is never offloaded to, no
+//! matter how attractive the census makes it look: the [`Controller`]
+//! installs the policy's mask, and [`crate::system::System::prim_offloads`]
+//! asks the device's verdict on every call. The journal's `chosen` mask is
+//! the request with dead unit classes cleared (on a backend without a
+//! device nothing offloads, whatever it says). Every
+//! decision — inputs, cost-model predictions, requested and clamped masks,
+//! and later the realized pause — is appended to a [`DecisionJournal`] and
+//! mirrored into telemetry as [`charon_sim::telemetry::Event::Decision`],
+//! so an adaptive run is as auditable as a static one.
 
 use crate::census::CensusRecord;
 use crate::collector::{GcEvent, GcKind};
@@ -57,8 +59,6 @@ pub struct Signals<'a> {
     pub seq: u64,
     /// Kind of the collection about to run.
     pub kind: GcKind,
-    /// The mask currently installed on the system.
-    pub mask: OffloadMask,
     /// Watchdog verdict per unit class, indexed by [`PrimType::encode`];
     /// `true` means the recovery ladder killed the class.
     pub unit_dead: [bool; 4],
@@ -162,8 +162,8 @@ impl Policy {
         }
     }
 
-    /// Chooses the mask for the collection `sig` describes. The caller
-    /// clamps the result against unit health before installing it.
+    /// Chooses the mask for the collection `sig` describes. Dead unit
+    /// classes stay on the host whatever it asks for.
     pub fn decide(&mut self, sig: &Signals<'_>) -> OffloadMask {
         match self {
             Policy::Static(mask) => *mask,
@@ -444,9 +444,11 @@ pub struct Decision {
     pub kind: GcKind,
     /// Name of the deciding policy.
     pub policy: &'static str,
-    /// The mask the policy returned.
+    /// The mask the policy returned, installed as `System::offload`.
     pub requested: OffloadMask,
-    /// The mask actually installed after clamping dead units off.
+    /// `requested` with the unit classes dead at decision time cleared.
+    /// On a backend without a device it equals `requested`, though
+    /// nothing offloads there.
     pub chosen: OffloadMask,
     /// Watchdog verdicts at decision time ([`PrimType::encode`] order).
     pub unit_dead: [bool; 4],
@@ -553,11 +555,11 @@ impl Controller {
     }
 
     /// GC-prologue hook: build the [`Signals`] snapshot, let the policy
-    /// choose, clamp the choice against unit health, install it on the
-    /// system, and journal + telemetry the decision.
+    /// choose, install its mask on the system, and journal + telemetry the
+    /// decision with the request's dead unit classes cleared.
     pub fn decide(&mut self, sys: &mut System, events: &[GcEvent], kind: GcKind, now: Ps) {
         let seq = sys.collection_seq;
-        let sig = Signals { seq, kind, mask: sys.offload, unit_dead: sys.unit_health(), events, costs: &sys.costs };
+        let sig = Signals { seq, kind, unit_dead: sys.unit_health(), events, costs: &sys.costs };
         let requested = self.policy.decide(&sig);
         let mut chosen = requested;
         for p in PrimType::ALL {
@@ -577,7 +579,7 @@ impl Controller {
             predicted: sig.prediction(),
             realized_pause: None,
         };
-        sys.offload = chosen;
+        sys.offload = requested;
         let policy_name = self.policy.name();
         sys.telemetry.record(|| charon_sim::telemetry::Event::Decision {
             seq,
@@ -633,14 +635,7 @@ mod tests {
     }
 
     fn signals<'a>(events: &'a [GcEvent], costs: &'a CostModel) -> Signals<'a> {
-        Signals {
-            seq: events.len() as u64,
-            kind: GcKind::Minor,
-            mask: OffloadMask::all(),
-            unit_dead: [false; 4],
-            events,
-            costs,
-        }
+        Signals { seq: events.len() as u64, kind: GcKind::Minor, unit_dead: [false; 4], events, costs }
     }
 
     #[test]
@@ -750,7 +745,6 @@ mod tests {
         let sig = Signals {
             seq: 0,
             kind: GcKind::Minor,
-            mask: sys.offload,
             unit_dead: [true, false, false, false],
             events: &[],
             costs: &sys.costs,
@@ -779,11 +773,12 @@ mod tests {
         let mut sys = System::charon();
         let dev = sys.device.as_mut().expect("Charon has a device");
         dev.kill_unit(PrimType::Copy);
-        sys.offload.set(PrimType::Copy, false);
-        // While dead, the clamp strips Copy from whatever the policy asks.
+        // While dead, Copy stays on the host whatever the policy asks, and
+        // the journal's chosen mask says so.
         let mut ctl = Controller::new(Policy::Static(OffloadMask::all()));
         ctl.decide(&mut sys, &[], GcKind::Minor, Ps::ZERO);
-        assert!(!sys.offload.copy, "dead Copy unit must stay clamped off");
+        assert!(!sys.prim_offloads(PrimType::Copy), "dead Copy unit must stay on the host");
+        assert!(!ctl.journal.decisions[0].chosen.copy, "dead Copy unit must stay clamped off");
         assert_eq!(ctl.journal.decisions[0].unit_dead, [true, false, false, false]);
         // Re-arm: after the probe interval the unit reports healthy again,
         // so the very next decide() lets the requested mask through whole.
@@ -792,7 +787,8 @@ mod tests {
         assert_eq!(sys.unit_health(), [false; 4], "a probing unit is not dead");
         assert!(sys.device.as_ref().unwrap().probing_units()[0]);
         ctl.decide(&mut sys, &[], GcKind::Minor, Ps::ZERO);
-        assert_eq!(sys.offload, OffloadMask::all(), "probe passes the clamp");
+        assert_eq!(ctl.journal.decisions[1].chosen, OffloadMask::all(), "probe passes the clamp");
+        assert!(sys.prim_offloads(PrimType::Copy));
         assert_eq!(ctl.journal.decisions[1].unit_dead, [false; 4]);
         assert_eq!(sys.recovery.rearmed, [1, 0, 0, 0]);
     }

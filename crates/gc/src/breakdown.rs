@@ -84,8 +84,9 @@ pub struct RecoverySummary {
     /// Offloads abandoned to the host software path after the retry
     /// budget ran out.
     pub fallbacks: [u64; 4],
-    /// Primitives the watchdog declared dead, clearing their offload-mask
-    /// bit for the rest of the run (graceful degradation).
+    /// Primitives whose unit class the device declared dead (watchdog or
+    /// quarantine) while they offloaded; the device's verdict keeps them
+    /// on the host software path until a re-arm (graceful degradation).
     pub degraded: [bool; 4],
     /// Corruptions injected into primitive outputs, per site.
     pub corrupt_injected: [u64; 4],

@@ -333,7 +333,7 @@ impl Collector {
         let recovery_before = self.sys.recovery;
         // Re-arm prologue: watchdog-dead units that have sat out enough
         // collections come back in probe mode — before the adaptive
-        // controller looks at unit health, so it sees the restored mask.
+        // controller looks at unit health, so it sees them alive.
         self.sys.gc_rearm_tick(self.now);
         // Adaptive-offload prologue: the controller (taken out of `self`
         // so it can borrow the rest) re-decides the mask before any

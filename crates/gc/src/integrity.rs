@@ -28,19 +28,22 @@
 //!    rewrite, card re-dirty); rung 2 is a bounded re-mark — damaged
 //!    bitmap extents are zeroed and rebuilt from the object headers, whose
 //!    mark state the host wrote and is trusted; rung 3 quarantines the
-//!    unit (the existing watchdog kill + offload-mask clear) and counts
-//!    the extent once the site's strike count crosses the threshold.
+//!    unit (the device's watchdog kill, whose verdict keeps the primitive
+//!    on the host) and counts the extent once the site's strike count
+//!    crosses the threshold.
 //! 4. **Accounting** — every outcome lands in
 //!    [`RecoverySummary`](crate::breakdown::RecoverySummary) and the
 //!    telemetry journal (`Corruption`/`Repair` events).
 //!
 //! Detection charges **zero simulated time** — only repairs advance the
-//! calling thread's clock, through the public `System` repair paths. With
-//! the layer disabled every hook is one `Option` branch; with the layer
-//! enabled at a zero rate the stream is never drawn from and no repair
-//! runs, so timing stays bit-identical to a run without the layer.
+//! calling thread's clock, through `System::host_prim` (the host software
+//! path) and `System::host_op`. With the layer disabled every hook is one
+//! `Option` branch; with the layer enabled at a zero rate the stream is
+//! never drawn from and no repair runs, so timing stays bit-identical to a
+//! run without the layer.
 
 use crate::system::System;
+use charon_core::device::OffloadCall;
 use charon_core::packet::PrimType;
 use charon_heap::addr::{VAddr, WORD_BYTES};
 use charon_heap::cardtable::{CLEAN, DIRTY};
@@ -219,10 +222,8 @@ impl IntegrityState {
             self.quarantined = true;
             let site = self.injector.site();
             let prim = site_prim(site);
-            let pi = prim.encode() as usize;
-            if sys.offload.get(prim) {
-                sys.offload.set(prim, false);
-                sys.recovery.degraded[pi] = true;
+            if sys.prim_offloads(prim) {
+                sys.recovery.degraded[prim.encode() as usize] = true;
             }
             if let Some(dev) = &mut sys.device {
                 dev.kill_unit(prim);
@@ -273,7 +274,9 @@ impl IntegrityState {
         book(sys, CorruptionSite::CopyPayload, Outcome::Detected(1), victim.0, now);
         // Rung 1: re-execute the copy on the host and patch the extent.
         heap.mem.copy_words(src.add_words(1), dst.add_words(1), words - 1);
-        let end = sys.repair_copy(core, now, src.add_words(1), dst.add_words(1), (words - 1) * WORD_BYTES);
+        let payload =
+            OffloadCall::Copy { src: src.add_words(1), dst: dst.add_words(1), bytes: (words - 1) * WORD_BYTES };
+        let end = sys.host_prim(core, now, payload);
         book(sys, CorruptionSite::CopyPayload, Outcome::Repaired { rung: 1, fixed: 1, runs: 1 }, victim.0, end);
         self.strike(sys, end, 1);
         end
@@ -765,8 +768,8 @@ mod tests {
             }
             after_copy(&mut sys, &mut heap, 0, Ps::ZERO, obj, d, size);
         }
-        assert!(!sys.offload.get(PrimType::Copy), "rung 3 clears the Copy offload bit");
-        assert!(sys.offload.get(PrimType::Search), "other units untouched");
+        assert!(!sys.prim_offloads(PrimType::Copy), "rung 3 keeps Copy on the host");
+        assert!(sys.prim_offloads(PrimType::Search), "other units untouched");
         assert_eq!(sys.recovery.repair_rungs[2], 1);
         assert_eq!(sys.recovery.quarantined_extents, 1);
         assert!(sys.unit_health()[PrimType::Copy.encode() as usize], "watchdog records the kill");
@@ -775,5 +778,35 @@ mod tests {
         let before = sys.recovery.corrupt_injected[CorruptionSite::CopyPayload.index()];
         after_copy(&mut sys, &mut heap, 0, Ps::ZERO, obj, dst, size);
         assert_eq!(sys.recovery.corrupt_injected[CorruptionSite::CopyPayload.index()], before);
+    }
+
+    /// Rung 3 kills the unit on the device and leaves the machine's mask
+    /// alone: Copy stops reaching the device until a probe re-arms it.
+    #[test]
+    fn quarantine_is_the_device_verdict_not_a_mask_edit() {
+        let (mut sys, mut heap, obj, size) = setup(CorruptionSite::CopyPayload);
+        let built = sys.offload;
+        let dst = heap.alloc_to(size * 3).expect("fits");
+        for round in 0..3 {
+            let d = dst.add_words(round * size);
+            for w in 0..size {
+                heap.mem.write_word(d.add_words(w), heap.mem.read_word(obj.add_words(w)));
+            }
+            after_copy(&mut sys, &mut heap, 0, Ps::ZERO, obj, d, size);
+        }
+        let pi = PrimType::Copy.encode() as usize;
+        assert_eq!((sys.recovery.quarantined_extents, sys.recovery.degraded[pi]), (1, true));
+        assert_eq!(sys.offload, built, "the quarantine leaves the mask alone");
+        assert!(!sys.prim_offloads(PrimType::Copy));
+        let offloads = |sys: &System| sys.device.as_ref().expect("device").stats().prim(PrimType::Copy).offloads;
+        let before = offloads(&sys);
+        let t = sys.prim_copy(0, Ps::ZERO, obj, dst, size * WORD_BYTES);
+        assert_eq!(offloads(&sys), before, "a quarantined class is not offloaded to");
+        sys.set_rearm(1);
+        sys.gc_rearm_tick(t);
+        assert_eq!((sys.offload, sys.recovery.degraded[pi]), (built, false));
+        assert!(sys.prim_offloads(PrimType::Copy), "the probe lets Copy offload again");
+        sys.prim_copy(0, t, obj, dst, size * WORD_BYTES);
+        assert_eq!(offloads(&sys), before + 1, "the probe ran on the unit");
     }
 }

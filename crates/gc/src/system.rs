@@ -90,8 +90,7 @@ impl OffloadMask {
         PrimType::ALL.iter().filter(|&&p| self.get(p)).count()
     }
 
-    /// Enables or disables offloading of one primitive (the degradation
-    /// path flips bits off here when the watchdog kills a unit).
+    /// Enables or disables offloading of one primitive.
     pub fn set(&mut self, prim: PrimType, on: bool) {
         match prim {
             PrimType::Copy => self.copy = on,
@@ -169,8 +168,9 @@ pub struct System {
     pub energy: EnergyModel,
     /// Host instruction-cost calibration.
     pub costs: CostModel,
-    /// Per-primitive offload enablement (ablations; also cleared
-    /// dynamically by the degradation path when a unit's watchdog fires).
+    /// Per-primitive offload enablement: the machine's mask, or the
+    /// adaptive controller's latest choice. A dead unit class is the
+    /// device's verdict ([`CharonDevice::unit_dead`]), not a cleared bit.
     pub offload: OffloadMask,
     /// Cumulative offload-recovery accounting (all zero outside fault
     /// campaigns). The collector records per-collection deltas into each
@@ -322,11 +322,12 @@ impl System {
     }
 
     /// GC prologue: under a memory-side offloading backend, bulk-flush the
-    /// host caches so the units read up-to-date data (§4.6). A mask that
-    /// offloads nothing leaves every primitive on the host, which needs no
-    /// flush. Returns the time the flush traffic has drained.
+    /// host caches so the units read up-to-date data (§4.6). When no
+    /// primitive offloads (an empty mask, or every unit class dead), every
+    /// primitive stays on the host, which needs no flush. Returns the time
+    /// the flush traffic has drained.
     pub fn gc_prologue(&mut self, now: Ps) -> Ps {
-        if self.backend != Backend::Charon || self.offload.count() == 0 {
+        if self.backend != Backend::Charon || !PrimType::ALL.iter().any(|&p| self.prim_offloads(p)) {
             return now;
         }
         let (lines, _, end) = self.host.flush_all_caches(now);
@@ -365,10 +366,10 @@ impl System {
         end.max(cursor)
     }
 
-    /// Arms the device's deterministic fault-injection layer at
-    /// `injector`'s site (see [`charon_sim::faults`]). Offloads then run
-    /// through timeout/retry recovery, and a watchdog-killed unit degrades
-    /// its primitive to the host software path for the rest of the run.
+    /// Arms the device's deterministic fault injection at `injector`'s
+    /// site (see [`charon_sim::faults`]). Offloads then run through
+    /// timeout/retry recovery, and a watchdog-killed unit class keeps its
+    /// primitive on the host software path until a probe re-arms it.
     ///
     /// # Panics
     ///
@@ -390,27 +391,22 @@ impl System {
         self.integrity = Some(Box::new(crate::integrity::IntegrityState::new(injector, config)));
     }
 
-    /// Whether `prim` currently ships to a device unit (offloading backend,
-    /// mask bit set). The corruption model only distrusts unit-written
+    /// Whether `prim` currently ships to a device unit: the backend
+    /// offloads, the mask bit is set, and the device has not declared the
+    /// unit class dead. The corruption model only distrusts unit-written
     /// outputs, so injection sites gate on this.
     pub fn prim_offloads(&self, prim: PrimType) -> bool {
-        matches!(self.backend, Backend::Charon | Backend::CpuSideCharon) && self.offload.get(prim)
+        self.offload.get(prim) && self.device.as_ref().is_some_and(|d| !d.unit_dead(prim))
     }
 
     /// Whether a thread that just issued `prim` sat blocked on an offload
     /// response (`true`) or executed the primitive itself — the one place
     /// the host-active accounting behind the energy model is decided. It
     /// follows where the primitive ran: a cleared mask bit (ablation,
-    /// autotune, a watchdog-dead unit) or a klass kind the hardware
+    /// autotune), a dead unit class or a klass kind the hardware
     /// cannot iterate keeps the work, and the core's power, on the host.
     pub fn prim_blocked(&self, prim: PrimType, hardware_iterable: bool) -> bool {
         self.backend == Backend::Ideal || (hardware_iterable && self.prim_offloads(prim))
-    }
-
-    /// Host-software re-execution of a corrupted *Copy* — the repair
-    /// ladder's rung 1. Charges exactly the host fallback path's time.
-    pub fn repair_copy(&mut self, core: usize, now: Ps, src: VAddr, dst: VAddr, bytes: u64) -> Ps {
-        self.host_copy(core, now, src, dst, bytes)
     }
 
     /// Arms probe-after-N-GCs re-enable of watchdog-dead units. No-op on
@@ -422,10 +418,10 @@ impl System {
     }
 
     /// GC-prologue tick for the re-arm path: units dead long enough come
-    /// back as probes — their offload-mask bits are restored, the
-    /// degradation flag clears, and the integrity layer's strike counters
-    /// for the unit's sites reset so a still-bad unit earns a fresh
-    /// quarantine (one more strike re-kills it at the watchdog).
+    /// back as probes — the device's verdict lets their primitives offload
+    /// again, the degradation flag clears, and the integrity layer's strike
+    /// counters for the unit's sites reset so a still-bad unit earns a
+    /// fresh quarantine (one more strike re-kills it at the watchdog).
     pub fn gc_rearm_tick(&mut self, now: Ps) {
         let Some(dev) = &mut self.device else { return };
         let rearmed = dev.gc_tick();
@@ -434,7 +430,6 @@ impl System {
         }
         let gcs = dev.rearm_after().unwrap_or(0);
         for prim in rearmed {
-            self.offload.set(prim, true);
             let pi = prim.encode() as usize;
             self.recovery.rearmed[pi] += 1;
             self.recovery.degraded[pi] = false;
@@ -447,9 +442,9 @@ impl System {
 
     /// Ships one offload through the device's fault-aware entry point.
     /// A grant completes the primitive on the device; an abandoned offload
-    /// falls back to the host software path from the abandonment time, and
-    /// a watchdog verdict additionally clears the primitive's offload-mask
-    /// bit so later calls degrade without re-paying the timeouts.
+    /// falls back to the host software path from the abandonment time. A
+    /// watchdog verdict is booked as a degradation; the device's verdict
+    /// then keeps later calls on the host without re-paying the timeouts.
     fn offload_or_degrade(&mut self, core: usize, dispatch: Ps, call: OffloadCall<'_>) -> Ps {
         let prim = call.prim();
         let pi = prim.encode() as usize;
@@ -475,8 +470,7 @@ impl System {
                 self.recovery.retries[pi] += u64::from(abandoned.retries);
                 self.recovery.fallbacks[pi] += 1;
                 let mut outcome_name = "fallback";
-                if abandoned.unit_dead && self.offload.get(prim) {
-                    self.offload.set(prim, false);
+                if abandoned.unit_dead {
                     self.recovery.degraded[pi] = true;
                     outcome_name = "degraded";
                 }
@@ -512,16 +506,26 @@ impl System {
         }
     }
 
-    /// `call` on the host software path, from `now`.
-    fn host_prim(&mut self, core: usize, now: Ps, call: OffloadCall<'_>) -> Ps {
-        match call {
-            OffloadCall::Copy { src, dst, bytes } => self.host_copy(core, now, src, dst, bytes),
-            OffloadCall::Search { start, scanned_bytes } => self.host_search(core, now, start, scanned_bytes),
-            OffloadCall::BitmapCount { spans } => self.host_bitmap_count(core, now, spans),
-            OffloadCall::ScanPush { fields_start, field_bytes, refs } => {
-                self.host_scan_push(core, now, fields_start, field_bytes, refs)
+    /// `call` on the host software path, from `now`, sampled into the
+    /// primitive's `HostPrim*` profiler channel. Integrity's rung-1
+    /// re-copy runs here too, so it costs exactly the fallback path's time.
+    pub(crate) fn host_prim(&mut self, core: usize, now: Ps, call: OffloadCall<'_>) -> Ps {
+        let (channel, end) = match call {
+            OffloadCall::Copy { src, dst, bytes } => {
+                (Channel::HostPrimCopy, self.host_copy(core, now, src, dst, bytes))
             }
-        }
+            OffloadCall::Search { start, scanned_bytes } => {
+                (Channel::HostPrimSearch, self.host_search(core, now, start, scanned_bytes))
+            }
+            OffloadCall::BitmapCount { spans } => {
+                (Channel::HostPrimBitmapCount, self.host_bitmap_count(core, now, spans))
+            }
+            OffloadCall::ScanPush { fields_start, field_bytes, refs } => {
+                (Channel::HostPrimScanPush, self.host_scan_push(core, now, fields_start, field_bytes, refs))
+            }
+        };
+        self.profiler.record(channel, end.saturating_sub(now));
+        end
     }
 
     // Fixed-argument forms of [`System::prim`] for the per-primitive
@@ -558,9 +562,7 @@ impl System {
             end = end.max(w);
             cursor += self.compute(self.costs.copy_per_line);
         }
-        let end = end.max(cursor);
-        self.profiler.record(Channel::HostPrimCopy, end.saturating_sub(now));
-        end
+        end.max(cursor)
     }
 
     fn host_search(&mut self, core: usize, now: Ps, start: VAddr, scanned_bytes: u64) -> Ps {
@@ -572,9 +574,7 @@ impl System {
             end = end.max(self.host.mem_access(core, cursor, a.0, 64, AccessKind::Read));
             cursor += self.compute(self.costs.search_per_block * 8);
         }
-        let end = end.max(cursor);
-        self.profiler.record(Channel::HostPrimSearch, end.saturating_sub(now));
-        end
+        end.max(cursor)
     }
 
     fn host_bitmap_count(&mut self, core: usize, now: Ps, spans: &[(VAddr, u64)]) -> Ps {
@@ -589,13 +589,10 @@ impl System {
                 cursor += self.compute(self.costs.bitmap_per_map_word * words);
             }
         }
-        let end = end.max(cursor);
-        self.profiler.record(Channel::HostPrimBitmapCount, end.saturating_sub(now));
-        end
+        end.max(cursor)
     }
 
     fn host_scan_push(&mut self, core: usize, now: Ps, fields_start: VAddr, field_bytes: u64, refs: &[ScanRef]) -> Ps {
-        use charon_core::device::ScanAction;
         let mut cursor = now;
         let mut end = now;
         // Field loads: sequential lines, good locality.
@@ -611,31 +608,14 @@ impl System {
         for (i, r) in refs.iter().enumerate() {
             let avail = line_done[(i / 8).min(line_done.len() - 1)];
             let h = self.host.mem_access(core, avail.max(cursor), r.referent.0, 8, AccessKind::Read);
-            let a_done = match r.action {
-                ScanAction::Push { stack_slot } => self.host.mem_access(core, h, stack_slot.0, 8, AccessKind::Write),
-                ScanAction::UpdateField { field_slot } => {
-                    self.host.mem_access(core, h, field_slot.0, 8, AccessKind::Write)
-                }
-                ScanAction::UpdateFieldAndCard { field_slot, card_addr } => {
-                    let w = self.host.mem_access(core, h, field_slot.0, 8, AccessKind::Write);
-                    self.host.mem_access(core, w, card_addr.0, 8, AccessKind::Write)
-                }
-                ScanAction::UpdateCard { card_addr } => {
-                    self.host.mem_access(core, h, card_addr.0, 8, AccessKind::Write)
-                }
-                ScanAction::MarkAndPush { beg_word, end_word, stack_slot } => {
-                    let m1 = self.host.mem_access(core, h, beg_word.0, 8, AccessKind::Write);
-                    let m2 = self.host.mem_access(core, m1, end_word.0, 8, AccessKind::Write);
-                    self.host.mem_access(core, m2, stack_slot.0, 8, AccessKind::Write)
-                }
-                ScanAction::None => h,
-            };
+            let a_done = r
+                .action
+                .writes()
+                .fold(h, |t, w| self.host.mem_access(core, t, w.addr().0, 8, AccessKind::Write));
             end = end.max(a_done);
             cursor += self.compute(self.costs.scan_per_ref);
         }
-        let end = end.max(cursor).max(*line_done.last().expect("at least one line"));
-        self.profiler.record(Channel::HostPrimScanPush, end.saturating_sub(now));
-        end
+        end.max(cursor).max(*line_done.last().expect("at least one line"))
     }
 
     // ----- energy ---------------------------------------------------------
@@ -665,10 +645,11 @@ impl System {
         self.device.as_ref().map(|d| d.stats().units)
     }
 
-    /// Watchdog verdict per unit class, indexed by [`PrimType::encode`].
-    /// All-false on host-only platforms and on devices without a fault
-    /// layer; a `true` entry means the recovery ladder killed that unit
-    /// class and it must never be offloaded to again.
+    /// The device's unit-health verdict per primitive, indexed by
+    /// [`PrimType::encode`]; all-false on host-only platforms. A `true`
+    /// entry means the watchdog or a quarantine killed that unit class and
+    /// [`System::prim_offloads`] keeps it on the host until a probe
+    /// re-arms it.
     pub fn unit_health(&self) -> [bool; 4] {
         match &self.device {
             None => [false; 4],
@@ -848,8 +829,8 @@ mod tests {
         for _ in 0..3 {
             t = s.prim_copy(0, t, VAddr(0), VAddr(0x10_0000), 4096);
         }
-        assert!(!s.offload.get(PrimType::Copy), "watchdog must clear the Copy offload bit");
-        assert!(s.offload.get(PrimType::Search), "other primitives stay offloaded");
+        assert!(!s.prim_offloads(PrimType::Copy), "the watchdog keeps Copy on the host");
+        assert!(s.prim_offloads(PrimType::Search), "other primitives stay offloaded");
         let pi = PrimType::Copy.encode() as usize;
         assert!(s.recovery.degraded[pi]);
         assert_eq!(s.recovery.fallbacks[pi], 2, "both abandoned offloads fell back to the host");
@@ -861,6 +842,74 @@ mod tests {
         assert!(done > Ps::from_ms(1.0));
         let attempts_after = s.device.as_ref().and_then(|d| d.fault_injector()).expect("armed").rolls();
         assert_eq!(attempts_after, attempts_before, "degraded primitive must bypass the device");
+    }
+
+    /// A watchdog kill and the re-arm probe move the device's verdict, not
+    /// the machine's mask: `prim_offloads` follows the unit, and a dead
+    /// class is never offloaded to.
+    #[test]
+    fn unit_health_is_the_device_verdict_not_a_mask_edit() {
+        let mut s = System::charon();
+        let built = s.offload;
+        let recovery = RecoveryConfig { retry_budget: 0, watchdog_threshold: 1, ..RecoveryConfig::default() };
+        s.inject_faults(FaultSite::Unit.arm(7, 1.0), recovery);
+        let t = s.prim_copy(0, Ps::ZERO, VAddr(0), VAddr(0x10_0000), 4096);
+        let pi = PrimType::Copy.encode() as usize;
+        assert!(s.recovery.degraded[pi], "one abandonment trips a threshold-1 watchdog");
+        assert_eq!(s.offload, built, "the kill leaves the mask alone");
+        assert!(!s.prim_offloads(PrimType::Copy) && s.prim_offloads(PrimType::Search));
+        // Attempts rolled, and Copy offloads served, by the device so far.
+        let seen = |s: &System| {
+            let dev = s.device.as_ref().expect("device");
+            (dev.fault_injector().expect("armed").rolls(), dev.stats().prim(PrimType::Copy).offloads)
+        };
+        let before = seen(&s);
+        let t = s.prim_copy(0, t, VAddr(0), VAddr(0x10_0000), 4096);
+        assert_eq!(seen(&s), before, "a dead class is neither rolled nor offloaded to");
+        s.set_rearm(1);
+        s.gc_rearm_tick(t);
+        assert_eq!((s.offload, s.recovery.rearmed[pi], s.recovery.degraded[pi]), (built, 1, false));
+        assert!(s.prim_offloads(PrimType::Copy), "the probe lets Copy offload again");
+        s.prim_copy(0, t, VAddr(0), VAddr(0x10_0000), 4096);
+        assert!(seen(&s).0 > before.0, "the probe reached the device");
+    }
+
+    /// Every Scan&Push action charges its `writes()` chain on both paths:
+    /// the host dirties exactly those lines; a device unit sends each slot
+    /// to DRAM and each map word through its bitmap cache.
+    #[test]
+    fn scan_actions_charge_one_write_chain_on_host_and_device() {
+        use charon_core::device::{ScanAction, ScanWrite};
+        use ScanWrite::{MapWord, Slot};
+        let (a, b, c) = (VAddr(0x8_0000), VAddr(0x9_0000), VAddr(0xA_0000));
+        let cases = [
+            (ScanAction::Push { stack_slot: a }, vec![Slot(a)]),
+            (ScanAction::UpdateField { field_slot: a }, vec![Slot(a)]),
+            (ScanAction::UpdateCard { card_addr: a }, vec![Slot(a)]),
+            (ScanAction::UpdateFieldAndCard { field_slot: a, card_addr: b }, vec![Slot(a), Slot(b)]),
+            (
+                ScanAction::MarkAndPush { beg_word: a, end_word: b, stack_slot: c },
+                vec![MapWord(a), MapWord(b), Slot(c)],
+            ),
+            (ScanAction::None, vec![]),
+        ];
+        for (action, chain) in cases {
+            assert_eq!(action.writes().collect::<Vec<_>>(), chain, "{action:?}");
+            let refs = [ScanRef { referent: VAddr(0x4_0000), action }];
+            let call = OffloadCall::ScanPush { fields_start: VAddr(0x1000), field_bytes: 8, refs: &refs };
+            let mut host = System::hmc();
+            host.prim(0, Ps::ZERO, call, true);
+            for w in &chain {
+                assert!(host.host.clflush_line(w.addr().0), "{action:?}: the host wrote {w:?}");
+            }
+            assert!(!host.host.clflush_line(0x4_0000), "{action:?}: the header is only read");
+            let mut unit = System::charon();
+            unit.prim(0, Ps::ZERO, call, true);
+            let dev = unit.device.as_ref().expect("device");
+            let slots = chain.iter().filter(|w| matches!(w, Slot(_))).count() as u64;
+            assert_eq!(unit.host.fabric.stats().dram.write_bytes, 16 * slots, "{action:?}: one 16 B write per slot");
+            assert_eq!(dev.bitmap_cache_stats().accesses(), chain.len() as u64 - slots, "{action:?}: map words");
+        }
     }
 
     #[test]

@@ -108,8 +108,9 @@ pub struct RecoveryConfig {
     /// Upper bound on a single backoff interval.
     pub backoff_cap: Ps,
     /// Consecutive abandoned offloads of one primitive before the
-    /// watchdog declares that unit class dead and degradation clears its
-    /// `OffloadMask` bit for the rest of the run.
+    /// watchdog declares that unit class dead; the device's verdict then
+    /// keeps the primitive on the host software path until a probe
+    /// re-arms it (for the rest of the run without one).
     pub watchdog_threshold: u32,
 }
 
