@@ -63,8 +63,9 @@ pub struct AreaReport {
 pub const LOGIC_LAYER_MM2: f64 = 100.0;
 /// Number of cubes.
 pub const CUBES: usize = 4;
-/// Average Charon power, W (§5.3).
-pub const AVG_POWER_W: f64 = 2.98;
+/// Average Charon power, W (§5.3): the power the energy meter charges
+/// while a unit is active.
+pub use charon_sim::energy::CHARON_ACTIVE_W as AVG_POWER_W;
 /// Maximum Charon power, W (§5.3, ALS).
 pub const MAX_POWER_W: f64 = 4.51;
 /// Maximum allowable power density for a low-end passive heat sink,

@@ -44,7 +44,7 @@ use charon_sim::bwres::{BatchCompletion, BwOccupancy};
 use charon_sim::cache::AccessKind;
 use charon_sim::config::SystemConfig;
 use charon_sim::dram::DramOp;
-use charon_sim::faults::{FaultSite, Injector, RecoveryConfig};
+use charon_sim::faults::{backoff, FaultSite, Injector, RecoveryConfig, OFFLOAD_TIMEOUT};
 use charon_sim::host::{HostTiming, MemFabric};
 use charon_sim::issue::Window;
 use charon_sim::json::Json;
@@ -876,7 +876,6 @@ impl CharonDevice {
     /// until the host *observes* the failure. Returns the observation
     /// time (strictly after `t` — silent failures cost the full timeout,
     /// an explicit queue NACK costs its round trip).
-    #[allow(clippy::too_many_arguments)]
     fn observe_failure(
         &mut self,
         host: &mut HostTiming,
@@ -885,7 +884,6 @@ impl CharonDevice {
         t: Ps,
         site: FaultSite,
         attempt: u32,
-        timeout: Ps,
     ) -> Ps {
         let cube = self.cube_for(prim, addr, attempt);
         let units = self.placement.node_of(cube);
@@ -896,7 +894,7 @@ impl CharonDevice {
                 // only learns at its timeout. A request to units at the
                 // host crosses no link, so none is dropped.
                 host.fabric.control_packet_dropped(Node::Host, units, REQUEST_BYTES, t);
-                t + timeout
+                t + OFFLOAD_TIMEOUT
             }
             FaultSite::Queue => {
                 // The packet arrived but the command queue was full; the
@@ -911,17 +909,17 @@ impl CharonDevice {
             FaultSite::Tlb => {
                 let arrive = self.send_request(host, cube, t);
                 self.tlb.record_unserviceable();
-                arrive.max(t + timeout)
+                arrive.max(t + OFFLOAD_TIMEOUT)
             }
             FaultSite::Mai => {
                 let arrive = self.send_request(host, cube, t);
                 self.mai[cube].record_parity_error();
-                arrive.max(t + timeout)
+                arrive.max(t + OFFLOAD_TIMEOUT)
             }
             FaultSite::Unit => {
                 let arrive = self.send_request(host, cube, t);
                 self.pools[unit_class(prim)].record_wedge();
-                arrive.max(t + timeout)
+                arrive.max(t + OFFLOAD_TIMEOUT)
             }
         }
     }
@@ -977,7 +975,7 @@ impl CharonDevice {
                 self.probing[pi] = false; // the probe survived: fully re-armed
                 return Ok(OffloadGrant { done, retries: attempt });
             };
-            let observed = self.observe_failure(host, prim, call.lead_addr(), t, site, attempt, recovery.timeout);
+            let observed = self.observe_failure(host, prim, call.lead_addr(), t, site, attempt);
             self.telemetry
                 .record(|| Event::Fault { site: site.name(), prim: prim.name(), at: observed, attempt });
             if attempt >= recovery.retry_budget {
@@ -988,7 +986,7 @@ impl CharonDevice {
                 }
                 return Err(OffloadAbandoned { at: observed, retries: attempt, site, unit_dead });
             }
-            t = observed + recovery.backoff(attempt);
+            t = observed + backoff(attempt);
             attempt += 1;
         }
     }
@@ -1356,10 +1354,7 @@ mod tests {
         let (mut host, mut dev) = setup(Placement::MemorySide);
         // Unit permanently wedged: every attempt fails, every offload
         // abandons, and the third abandonment kills the unit class.
-        dev.enable_faults(
-            FaultSite::Unit.arm(7, 1.0),
-            RecoveryConfig { retry_budget: 2, watchdog_threshold: 3, ..RecoveryConfig::default() },
-        );
+        dev.enable_faults(FaultSite::Unit.arm(7, 1.0), RecoveryConfig { retry_budget: 2, watchdog_threshold: 3 });
         let mut t = Ps::ZERO;
         let mut dead_seen = false;
         for _ in 0..3 {
@@ -1407,10 +1402,7 @@ mod tests {
     fn rearmed_probe_redies_on_a_single_strike() {
         let (mut host, mut dev) = setup(Placement::MemorySide);
         // Unit permanently wedged: the probe after re-arm must fail too.
-        dev.enable_faults(
-            FaultSite::Unit.arm(7, 1.0),
-            RecoveryConfig { retry_budget: 0, watchdog_threshold: 3, ..RecoveryConfig::default() },
-        );
+        dev.enable_faults(FaultSite::Unit.arm(7, 1.0), RecoveryConfig { retry_budget: 0, watchdog_threshold: 3 });
         dev.kill_unit(PrimType::Copy);
         dev.set_rearm(Some(1));
         assert_eq!(dev.gc_tick(), vec![PrimType::Copy]);
@@ -1472,7 +1464,7 @@ mod tests {
             .offload(&mut host, Ps::ZERO, OffloadCall::Search { start: VAddr(0x9000), scanned_bytes: 512 })
             .expect_err("p=1.0 must fail");
         assert_eq!((e.site, e.retries), (FaultSite::Link, 1));
-        assert!(e.at >= recovery.timeout * 2, "each attempt waits out its timeout");
+        assert!(e.at >= OFFLOAD_TIMEOUT * 2, "each attempt waits out its timeout");
         let s = host.fabric.stats();
         assert_eq!(s.link_drops, 0);
         assert_eq!(s.offchip.total_bytes(), 0);
@@ -1488,7 +1480,7 @@ mod tests {
         d2.enable_faults(FaultSite::Unit.arm(5, 1.0), recovery);
         let wedge = d2.offload(&mut h2, Ps::ZERO, copy(0, 0x8000, 256)).expect_err("unit wedged");
         assert!(nack.at < wedge.at, "an explicit NACK ({}) must beat a silent timeout ({})", nack.at, wedge.at);
-        assert!(wedge.at >= recovery.timeout);
+        assert!(wedge.at >= OFFLOAD_TIMEOUT);
     }
 
     /// A Scan&Push layout with every unit one cube off the central cube

@@ -181,6 +181,20 @@ impl Policy {
     }
 }
 
+/// Mask [`CensusThreshold`] installs in the bulk regime: everything.
+pub const BULK_MASK: OffloadMask = OffloadMask::all();
+/// Mask [`CensusThreshold`] installs in the pointer regime: nothing — the
+/// dispatch overhead outweighs every unit for tiny survivors.
+pub const POINTER_MASK: OffloadMask = OffloadMask::none();
+/// Enter the bulk regime at/above this mean survivor size (bytes).
+pub const SURVIVOR_ON: f64 = 512.0;
+/// The pointer regime needs the mean survivor size below this (bytes).
+pub const SURVIVOR_OFF: f64 = 256.0;
+/// Enter the bulk regime at/above this mean dead fraction.
+pub const DEAD_ON: f64 = 0.75;
+/// The pointer regime needs the mean dead fraction below this.
+pub const DEAD_OFF: f64 = 0.55;
+
 /// Two-regime threshold rule with hysteresis.
 ///
 /// Two census signals discriminate the regimes (measured in this repo's
@@ -191,26 +205,13 @@ impl Policy {
 /// near-memory units clear without host traffic (the paper's headline
 /// case), while a mostly-live nursery turns the scavenge into per-object
 /// copy fix-ups the host does cheaper. Either signal alone can demand the
-/// bulk regime (`survivor >= survivor_on` **or** `dead >= dead_on`); the
-/// pointer regime needs both to read low. The `..._on` > `..._off` gap
+/// bulk regime (`survivor >= SURVIVOR_ON` **or** `dead >= DEAD_ON`); the
+/// pointer regime needs both to read low. The `..._ON` > `..._OFF` gap
 /// per signal forms a hysteresis band: inside the band the previous
 /// regime sticks, so a signal hovering on one threshold cannot flap the
 /// mask between adjacent minor GCs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CensusThreshold {
-    /// Mask installed in the bulk regime (default: everything).
-    pub bulk_mask: OffloadMask,
-    /// Mask installed in the pointer regime (default: nothing — the
-    /// dispatch overhead outweighs every unit for tiny survivors).
-    pub pointer_mask: OffloadMask,
-    /// Enter the bulk regime at/above this mean survivor size (bytes).
-    pub survivor_on: f64,
-    /// The pointer regime needs the mean survivor size below this (bytes).
-    pub survivor_off: f64,
-    /// Enter the bulk regime at/above this mean dead fraction.
-    pub dead_on: f64,
-    /// The pointer regime needs the mean dead fraction below this.
-    pub dead_off: f64,
     /// Current regime (`true` = bulk). Starts `true`: before any census
     /// record exists the controller behaves like the platform default.
     bulk: bool,
@@ -218,20 +219,12 @@ pub struct CensusThreshold {
 
 impl Default for CensusThreshold {
     fn default() -> CensusThreshold {
-        CensusThreshold {
-            bulk_mask: OffloadMask::all(),
-            pointer_mask: OffloadMask::none(),
-            survivor_on: 512.0,
-            survivor_off: 256.0,
-            dead_on: 0.75,
-            dead_off: 0.55,
-            bulk: true,
-        }
+        CensusThreshold { bulk: true }
     }
 }
 
 impl CensusThreshold {
-    /// The calibrated default rule.
+    /// The calibrated rule, in the bulk regime.
     pub fn new() -> CensusThreshold {
         CensusThreshold::default()
     }
@@ -247,20 +240,20 @@ impl CensusThreshold {
         // bulk copy by construction — so they always run with the bulk
         // mask and never consult (or disturb) the regime latch.
         if sig.kind == GcKind::Major {
-            return self.bulk_mask;
+            return BULK_MASK;
         }
         if let (Some(survivor), Some(dead)) = (sig.mean_survivor_bytes(), sig.mean_dead_fraction()) {
-            if survivor >= self.survivor_on || dead >= self.dead_on {
+            if survivor >= SURVIVOR_ON || dead >= DEAD_ON {
                 self.bulk = true;
-            } else if survivor < self.survivor_off && dead < self.dead_off {
+            } else if survivor < SURVIVOR_OFF && dead < DEAD_OFF {
                 self.bulk = false;
             }
             // In the band between the thresholds the previous regime holds.
         }
         if self.bulk {
-            self.bulk_mask
+            BULK_MASK
         } else {
-            self.pointer_mask
+            POINTER_MASK
         }
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::breakdown::Breakdown;
 use crate::census::CensusRecord;
-use crate::concmark::ConcMark;
+use crate::concmark::{ConcMark, MarkPhase};
 use crate::freelist::FreeStore;
 use crate::g1lite::{g1_mixed_collect, G1Stats};
 use crate::major::{major_gc, MajorStats};
@@ -514,30 +514,31 @@ impl Collector {
     ///
     /// Propagates [`OutOfMemory`] from a remark-triggered full GC.
     fn cms_tick(&mut self, heap: &mut JavaHeap) -> Result<(), OutOfMemory> {
-        if self.concmark.remark_pending {
-            self.try_major_gc(heap)?;
-            return Ok(());
-        }
-        if self.concmark.active {
-            let w = self.concmark.step(heap, crate::concmark::STEP_BUDGET, self.now);
-            if w.scanned > 0 || w.refs > 0 {
-                let instrs = w.scanned * (self.sys.costs.pop + self.sys.costs.walk_per_obj) + w.refs * 8;
-                // Pure compute between pauses: not part of any
-                // collection, so nothing to book or trace.
-                let end = self.now + self.sys.compute(instrs);
-                self.concmark.conc_time += end - self.now;
-                self.now = end;
+        match self.concmark.phase() {
+            MarkPhase::RemarkPending => {
+                self.try_major_gc(heap)?;
             }
-            return Ok(());
-        }
-        if self.concmark.armed {
-            let live_est = heap.old().used_bytes().saturating_sub(self.free.free_bytes());
-            if live_est * 100 >= heap.old().capacity_bytes() * crate::concmark::CMS_TRIGGER_PCT {
-                self.ensure_filler(heap);
-                heap.set_concmark_barrier(true);
-                self.free.set_log_births(true);
-                self.concmark.start_cycle(heap, self.now);
+            MarkPhase::Marking => {
+                let w = self.concmark.step(heap, crate::concmark::STEP_BUDGET, self.now);
+                if w.scanned > 0 || w.refs > 0 {
+                    let instrs = w.scanned * (self.sys.costs.pop + self.sys.costs.walk_per_obj) + w.refs * 8;
+                    // Pure compute between pauses: not part of any
+                    // collection, so nothing to book or trace.
+                    let end = self.now + self.sys.compute(instrs);
+                    self.concmark.conc_time += end - self.now;
+                    self.now = end;
+                }
             }
+            MarkPhase::Armed => {
+                let live_est = heap.old().used_bytes().saturating_sub(self.free.free_bytes());
+                if live_est * 100 >= heap.old().capacity_bytes() * crate::concmark::CMS_TRIGGER_PCT {
+                    self.ensure_filler(heap);
+                    heap.set_concmark_barrier(true);
+                    self.free.set_log_births(true);
+                    self.concmark.start_cycle(heap, self.now);
+                }
+            }
+            MarkPhase::Idle => {}
         }
         Ok(())
     }

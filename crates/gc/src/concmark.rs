@@ -93,17 +93,25 @@ pub struct StepWork {
     pub refs: u64,
 }
 
+/// Where the incremental marker stands between allocations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MarkPhase {
+    /// No cycle in flight, and none may start until the next MinorGC
+    /// re-arms the marker.
+    Idle,
+    /// No cycle in flight; one starts at the next occupancy trigger.
+    Armed,
+    /// A cycle is in flight: the barrier is armed, zones hold work.
+    Marking,
+    /// A cycle is in flight and every zone stack drained; the next
+    /// allocation triggers the stop-the-world remark.
+    RemarkPending,
+}
+
 /// State of the incremental marker across a cycle.
 #[derive(Debug, Clone)]
 pub struct ConcMark {
-    /// A cycle is in flight: the barrier is armed, zones hold work.
-    pub active: bool,
-    /// Every zone stack drained; the next allocation triggers the
-    /// stop-the-world remark.
-    pub remark_pending: bool,
-    /// A new cycle may start at the next occupancy trigger (re-armed
-    /// after each MinorGC).
-    pub armed: bool,
+    phase: MarkPhase,
     /// Per-zone pending-object stacks. Plain vectors (not simulated-heap
     /// [`ObjStack`]s) are sound because the old generation never moves
     /// under this collector.
@@ -148,9 +156,7 @@ impl ConcMark {
     /// A marker with no cycle in flight.
     pub fn new() -> ConcMark {
         ConcMark {
-            active: false,
-            remark_pending: false,
-            armed: true,
+            phase: MarkPhase::Armed,
             zones: Vec::new(),
             old_start: VAddr::NULL,
             watermark: VAddr::NULL,
@@ -163,11 +169,21 @@ impl ConcMark {
         }
     }
 
+    /// Where the marker stands.
+    pub fn phase(&self) -> MarkPhase {
+        self.phase
+    }
+
+    /// Whether a cycle is in flight (marking or awaiting its remark).
+    fn in_cycle(&self) -> bool {
+        matches!(self.phase, MarkPhase::Marking | MarkPhase::RemarkPending)
+    }
+
     /// Permits the next occupancy check to start a cycle (called after
     /// each MinorGC, so at most one cycle starts per mutator window).
     pub fn arm(&mut self) {
-        if !self.active && !self.remark_pending {
-            self.armed = true;
+        if self.phase == MarkPhase::Idle {
+            self.phase = MarkPhase::Armed;
         }
     }
 
@@ -180,9 +196,9 @@ impl ConcMark {
     /// records the allocation watermark, and seeds the zone stacks with
     /// unmarked old objects the roots reference. The caller arms the
     /// heap's write barrier and the free store's birth log first. An
-    /// empty seed closes the cycle immediately (`remark_pending`).
+    /// empty seed closes the cycle immediately ([`MarkPhase::RemarkPending`]).
     pub fn start_cycle(&mut self, heap: &mut JavaHeap, now: Ps) {
-        debug_assert!(!self.active, "cycle already in flight");
+        debug_assert!(!self.in_cycle(), "cycle already in flight");
         let old_words = (heap.old().end() - heap.old().start()) / 8;
         let zone_count = (old_words.div_ceil(CONC_ZONE_WORDS)).max(1) as usize;
         self.zones = vec![Vec::new(); zone_count];
@@ -190,8 +206,7 @@ impl ConcMark {
         self.watermark = heap.old().top();
         self.cursor = 0;
         self.marked_concurrent = 0;
-        self.active = true;
-        self.armed = false;
+        self.phase = MarkPhase::Marking;
         self.cycles_started += 1;
 
         let mut seeded = 0u64;
@@ -206,7 +221,7 @@ impl ConcMark {
         }
         self.marked_concurrent = seeded;
         if seeded == 0 {
-            self.remark_pending = true;
+            self.phase = MarkPhase::RemarkPending;
         }
         self.events.push(ConcEvent::Start { at: now, seeded, zones: zone_count });
     }
@@ -214,13 +229,13 @@ impl ConcMark {
     /// One bounded mark step: drains up to `budget` objects from the
     /// next non-empty zone (round-robin), marking and routing unmarked
     /// old targets to their owners' zones. Young targets are skipped —
-    /// the remark re-traverses the young generation. Sets
-    /// `remark_pending` when every zone is dry.
+    /// the remark re-traverses the young generation. Moves to
+    /// [`MarkPhase::RemarkPending`] when every zone is dry.
     pub fn step(&mut self, heap: &mut JavaHeap, budget: usize, now: Ps) -> StepWork {
-        debug_assert!(self.active, "no cycle in flight");
+        debug_assert!(self.in_cycle(), "no cycle in flight");
         let n = self.zones.len();
         let Some(z) = (0..n).map(|i| (self.cursor + i) % n).find(|&i| !self.zones[i].is_empty()) else {
-            self.remark_pending = true;
+            self.phase = MarkPhase::RemarkPending;
             return StepWork::default();
         };
         let mut work = StepWork::default();
@@ -241,7 +256,7 @@ impl ConcMark {
         self.cursor = (z + 1) % n;
         self.steps += 1;
         if self.zones.iter().all(Vec::is_empty) {
-            self.remark_pending = true;
+            self.phase = MarkPhase::RemarkPending;
         }
         self.events.push(ConcEvent::Step { at: now, zone: z, scanned: work.scanned });
         work
@@ -257,10 +272,13 @@ impl ConcMark {
         out
     }
 
-    /// Closes the cycle's book-keeping (the remark's last act).
+    /// Closes the cycle's book-keeping (the remark's last act). A full
+    /// STW collection with no cycle in flight leaves the phase as it was,
+    /// so an armed marker stays armed.
     fn finish(&mut self) {
-        self.active = false;
-        self.remark_pending = false;
+        if self.in_cycle() {
+            self.phase = MarkPhase::Idle;
+        }
         self.zones.clear();
         self.cursor = 0;
         self.marked_concurrent = 0;
@@ -313,7 +331,7 @@ pub fn cms_old_gc(
     // young generation in full, which is why young-slot stores need no
     // barrier).
     seed_roots(&mut pc, heap, &mut stack, &mut st, mark_one, false);
-    if cm.active {
+    if cm.in_cycle() {
         seed_cycle_survivors(&mut pc, heap, &mut stack, &mut st, cm.watermark, free.take_births());
     }
 
@@ -449,10 +467,9 @@ mod tests {
         let (mut h, objs) = heap_with_old_chain(10);
         let mut cm = ConcMark::new();
         cm.start_cycle(&mut h, Ps::ZERO);
-        assert!(cm.active);
-        assert!(!cm.remark_pending, "the chain head was seeded");
+        assert_eq!(cm.phase(), MarkPhase::Marking, "the chain head was seeded");
         let mut guard = 0;
-        while !cm.remark_pending {
+        while cm.phase() != MarkPhase::RemarkPending {
             cm.step(&mut h, 2, Ps::ZERO);
             guard += 1;
             assert!(guard < 100, "cycle failed to converge");
@@ -468,9 +485,25 @@ mod tests {
         let mut h = JavaHeap::new(HeapConfig::with_heap_bytes(4 << 20));
         let mut cm = ConcMark::new();
         cm.start_cycle(&mut h, Ps::ZERO);
-        assert!(cm.active);
-        assert!(cm.remark_pending, "nothing to mark concurrently");
+        assert_eq!(cm.phase(), MarkPhase::RemarkPending, "nothing to mark concurrently");
         assert!(matches!(cm.events[0], ConcEvent::Start { seeded: 0, .. }));
+    }
+
+    #[test]
+    fn finish_closes_only_a_cycle_in_flight() {
+        // A full STW collection with no cycle in flight leaves an armed
+        // marker armed and an idle one idle.
+        let mut cm = ConcMark::new();
+        cm.finish();
+        assert_eq!(cm.phase(), MarkPhase::Armed);
+        let (mut h, _) = heap_with_old_chain(3);
+        cm.start_cycle(&mut h, Ps::ZERO);
+        cm.finish();
+        assert_eq!(cm.phase(), MarkPhase::Idle);
+        cm.finish();
+        assert_eq!(cm.phase(), MarkPhase::Idle);
+        cm.arm();
+        assert_eq!(cm.phase(), MarkPhase::Armed);
     }
 
     #[test]
@@ -479,6 +512,6 @@ mod tests {
         let mut cm = ConcMark::new();
         cm.start_cycle(&mut h, Ps::ZERO);
         cm.arm();
-        assert!(!cm.armed, "a cycle in flight blocks re-arming");
+        assert_eq!(cm.phase(), MarkPhase::Marking, "a cycle in flight blocks re-arming");
     }
 }

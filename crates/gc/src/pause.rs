@@ -25,7 +25,6 @@
 use crate::breakdown::{Breakdown, Bucket};
 use crate::system::System;
 use charon_core::device::OffloadCall;
-use charon_core::packet::PrimType;
 use charon_heap::addr::{VAddr, VRange};
 use charon_heap::markbitmap::MarkBitmap;
 use charon_sim::cache::AccessKind;
@@ -212,13 +211,9 @@ impl<'a> Pause<'a> {
                 OffloadCall::ScanPush { field_bytes, .. } => field_bytes,
             },
         });
-        let channel = match prim {
-            PrimType::Copy => Channel::PrimCopy,
-            PrimType::Search => Channel::PrimSearch,
-            PrimType::BitmapCount => Channel::PrimBitmapCount,
-            PrimType::ScanPush => Channel::PrimScanPush,
-        };
-        self.sys.profiler.record(channel, end.saturating_sub(now));
+        self.sys
+            .profiler
+            .record(Channel::prim(prim.encode(), false), end.saturating_sub(now));
         self.bd.record(Bucket::of(prim), end - now);
         self.advance(t, end, !self.sys.prim_blocked(prim, hw));
     }

@@ -14,7 +14,7 @@ use charon_core::packet::PrimType;
 use charon_heap::addr::VAddr;
 use charon_sim::cache::AccessKind;
 use charon_sim::config::{MemPlatform, SystemConfig};
-use charon_sim::energy::{EnergyModel, EnergyParams};
+use charon_sim::energy::EnergyModel;
 use charon_sim::faults::{CorruptionSite, FaultSite, Injector, RecoveryConfig};
 use charon_sim::host::HostTiming;
 use charon_sim::profile::{Channel, Profiler};
@@ -54,18 +54,18 @@ pub struct OffloadMask {
 
 impl Default for OffloadMask {
     fn default() -> OffloadMask {
-        OffloadMask { copy: true, search: true, scan_push: true, bitmap_count: true }
+        OffloadMask::all()
     }
 }
 
 impl OffloadMask {
     /// Everything offloaded (the paper's configuration).
-    pub fn all() -> OffloadMask {
-        OffloadMask::default()
+    pub const fn all() -> OffloadMask {
+        OffloadMask { copy: true, search: true, scan_push: true, bitmap_count: true }
     }
 
     /// Nothing offloaded (degenerates to the HMC host).
-    pub fn none() -> OffloadMask {
+    pub const fn none() -> OffloadMask {
         OffloadMask { copy: false, search: false, scan_push: false, bitmap_count: false }
     }
 
@@ -223,7 +223,7 @@ impl System {
             host: HostTiming::new(&cfg),
             device: placement.map(|p| CharonDevice::new(&cfg, p)),
             backend,
-            energy: EnergyModel::new(EnergyParams::default()),
+            energy: EnergyModel::new(),
             costs: CostModel::default(),
             offload: OffloadMask::default(),
             recovery: RecoverySummary::default(),
@@ -510,21 +510,16 @@ impl System {
     /// primitive's `HostPrim*` profiler channel. Integrity's rung-1
     /// re-copy runs here too, so it costs exactly the fallback path's time.
     pub(crate) fn host_prim(&mut self, core: usize, now: Ps, call: OffloadCall<'_>) -> Ps {
-        let (channel, end) = match call {
-            OffloadCall::Copy { src, dst, bytes } => {
-                (Channel::HostPrimCopy, self.host_copy(core, now, src, dst, bytes))
-            }
-            OffloadCall::Search { start, scanned_bytes } => {
-                (Channel::HostPrimSearch, self.host_search(core, now, start, scanned_bytes))
-            }
-            OffloadCall::BitmapCount { spans } => {
-                (Channel::HostPrimBitmapCount, self.host_bitmap_count(core, now, spans))
-            }
+        let end = match call {
+            OffloadCall::Copy { src, dst, bytes } => self.host_copy(core, now, src, dst, bytes),
+            OffloadCall::Search { start, scanned_bytes } => self.host_search(core, now, start, scanned_bytes),
+            OffloadCall::BitmapCount { spans } => self.host_bitmap_count(core, now, spans),
             OffloadCall::ScanPush { fields_start, field_bytes, refs } => {
-                (Channel::HostPrimScanPush, self.host_scan_push(core, now, fields_start, field_bytes, refs))
+                self.host_scan_push(core, now, fields_start, field_bytes, refs)
             }
         };
-        self.profiler.record(channel, end.saturating_sub(now));
+        self.profiler
+            .record(Channel::prim(call.prim().encode(), true), end.saturating_sub(now));
         end
     }
 
@@ -823,7 +818,7 @@ mod tests {
     #[test]
     fn watchdog_degrades_primitive_to_host_path() {
         let mut s = System::charon();
-        let recovery = RecoveryConfig { retry_budget: 1, watchdog_threshold: 2, ..RecoveryConfig::default() };
+        let recovery = RecoveryConfig { retry_budget: 1, watchdog_threshold: 2 };
         s.inject_faults(FaultSite::Unit.arm(7, 1.0), recovery);
         let mut t = Ps::ZERO;
         for _ in 0..3 {
@@ -851,7 +846,7 @@ mod tests {
     fn unit_health_is_the_device_verdict_not_a_mask_edit() {
         let mut s = System::charon();
         let built = s.offload;
-        let recovery = RecoveryConfig { retry_budget: 0, watchdog_threshold: 1, ..RecoveryConfig::default() };
+        let recovery = RecoveryConfig { retry_budget: 0, watchdog_threshold: 1 };
         s.inject_faults(FaultSite::Unit.arm(7, 1.0), recovery);
         let t = s.prim_copy(0, Ps::ZERO, VAddr(0), VAddr(0x10_0000), 4096);
         let pi = PrimType::Copy.encode() as usize;
@@ -922,5 +917,24 @@ mod tests {
         assert!(a.core_idle_j > 0.0);
         assert!(a.charon_j > 0.0);
         assert!(a.uncore_j > 0.0);
+    }
+
+    /// Each joule term is its named constant times its time (DRAM: Table 2
+    /// bit energy times bytes); the Charon term is the §5.3 average power
+    /// `charon_core::area` reports, charged only where a device exists.
+    #[test]
+    fn energy_charges_equal_their_named_constants() {
+        use charon_core::area::AVG_POWER_W;
+        use charon_sim::energy::{CORE_ACTIVE_W, CORE_IDLE_W, UNCORE_W};
+        let (wall, active, bytes) = (Ps::from_ms(1.0), Ps::from_ms(4.0), 1u64 << 20);
+        for (mut s, pj_per_bit, charon) in [(System::charon(), 21.0, true), (System::ddr4(), 35.0, false)] {
+            s.charge_gc_energy(wall, 8, active, bytes);
+            let a = s.energy.account();
+            assert_eq!(a.dram_j, bytes as f64 * 8.0 * pj_per_bit * 1e-12);
+            assert_eq!(a.core_active_j, CORE_ACTIVE_W * active.as_secs());
+            assert_eq!(a.core_idle_j, CORE_IDLE_W * (wall * 8 - active).as_secs());
+            assert_eq!(a.uncore_j, UNCORE_W * wall.as_secs());
+            assert_eq!(a.charon_j, if charon { AVG_POWER_W * wall.as_secs() } else { 0.0 });
+        }
     }
 }

@@ -13,6 +13,8 @@ use crate::mem::HeapMemory;
 pub const CLEAN: u8 = 0xff;
 /// Value of a dirty card (HotSpot `dirty_card_val() == 0`).
 pub const DIRTY: u8 = 0x00;
+/// Bytes of heap covered by one card byte (HotSpot: 512).
+pub const CARD_BYTES: u64 = 512;
 
 /// The card-table view over a region of simulated memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,8 +23,6 @@ pub struct CardTable {
     table: VRange,
     /// The heap region the cards describe (Old generation).
     covered: VRange,
-    /// Bytes of heap per card.
-    card_bytes: u64,
 }
 
 impl CardTable {
@@ -33,15 +33,14 @@ impl CardTable {
     /// # Panics
     ///
     /// Panics if the table region is too small for the covered region.
-    pub fn new(table: VRange, covered: VRange, card_bytes: u64) -> CardTable {
-        assert!(card_bytes.is_power_of_two());
+    pub fn new(table: VRange, covered: VRange) -> CardTable {
         assert!(
-            table.bytes() * card_bytes >= covered.bytes(),
+            table.bytes() * CARD_BYTES >= covered.bytes(),
             "card table too small: {} cards for {} bytes",
             table.bytes(),
             covered.bytes()
         );
-        CardTable { table, covered, card_bytes }
+        CardTable { table, covered }
     }
 
     /// The card bytes' own address range (what *Search* scans).
@@ -54,14 +53,9 @@ impl CardTable {
         self.covered
     }
 
-    /// Bytes of heap per card.
-    pub fn card_bytes(&self) -> u64 {
-        self.card_bytes
-    }
-
     /// Number of cards actually covering the region.
     pub fn cards(&self) -> u64 {
-        self.covered.bytes().div_ceil(self.card_bytes)
+        self.covered.bytes().div_ceil(CARD_BYTES)
     }
 
     /// Address of the card byte for heap address `a`.
@@ -71,14 +65,14 @@ impl CardTable {
     /// Panics in debug builds if `a` is outside the covered region.
     pub fn card_addr(&self, a: VAddr) -> VAddr {
         debug_assert!(self.covered.contains(a), "{a} outside covered {}", self.covered);
-        self.table.start.add_bytes((a - self.covered.start) / self.card_bytes)
+        self.table.start.add_bytes((a - self.covered.start) / CARD_BYTES)
     }
 
     /// The heap range covered by the card whose byte sits at `card`.
     pub fn card_region(&self, card: VAddr) -> VRange {
         let idx = card - self.table.start;
-        let start = self.covered.start.add_bytes(idx * self.card_bytes);
-        let end = VAddr((start.0 + self.card_bytes).min(self.covered.end.0));
+        let start = self.covered.start.add_bytes(idx * CARD_BYTES);
+        let end = VAddr((start.0 + CARD_BYTES).min(self.covered.end.0));
         VRange::new(start, end)
     }
 
@@ -150,7 +144,7 @@ mod tests {
         let mut mem = HeapMemory::new(VAddr(0x1000), 0x40000);
         let covered = VRange::new(VAddr(0x1000), VAddr(0x11000));
         let table = VRange::new(VAddr(0x20000), VAddr(0x20080));
-        let ct = CardTable::new(table, covered, 512);
+        let ct = CardTable::new(table, covered);
         ct.clear_all(&mut mem);
         (mem, ct)
     }
@@ -227,6 +221,6 @@ mod tests {
     fn undersized_table_panics() {
         let covered = VRange::new(VAddr(0x1000), VAddr(0x101000));
         let table = VRange::new(VAddr(0x200000), VAddr(0x200008));
-        let _ = CardTable::new(table, covered, 512);
+        let _ = CardTable::new(table, covered);
     }
 }

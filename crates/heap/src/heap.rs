@@ -8,9 +8,9 @@
 //! the collector uses. Purely functional — timing lives in `charon-gc`.
 
 use crate::addr::{VAddr, WORD_BYTES};
-use crate::cardtable::CardTable;
+use crate::cardtable::{CardTable, CARD_BYTES};
 use crate::klass::{Klass, KlassId, KlassKind, KlassTable};
-use crate::layout::{HeapLayout, LayoutParams};
+use crate::layout::{HeapLayout, LayoutParams, HEAP_BASE};
 use crate::markbitmap::MarkBitmap;
 use crate::mem::HeapMemory;
 use crate::object::{self, HEADER_WORDS};
@@ -46,9 +46,10 @@ impl HeapConfig {
 }
 
 /// Sentinel in the block-offset table for "no object known": the null
-/// address, which no object has (the old generation never starts at 0), so
-/// a fresh table is zero memory.
+/// address, which no object has (the old generation starts at
+/// [`HEAP_BASE`], never at 0), so a fresh table is zero memory.
 const BOT_NONE: u64 = VAddr::NULL.0;
+const _: () = assert!(HEAP_BASE.0 != BOT_NONE, "the old generation must not start at address 0");
 
 /// Errors from heap operations whose failure an untrusted workload can
 /// provoke (as opposed to collector-internal invariant violations, which
@@ -114,17 +115,10 @@ pub struct JavaHeap {
 
 impl JavaHeap {
     /// Builds a fresh heap: all spaces empty, cards clean, bitmaps clear.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the layout puts the old generation at address 0, where
-    /// an object address would collide with the block-offset table's
-    /// "no object" sentinel.
     pub fn new(cfg: HeapConfig) -> JavaHeap {
         let layout = HeapLayout::compute(&cfg.layout);
-        assert!(!layout.old.start.is_null(), "the old generation must not start at address 0");
         let mut mem = HeapMemory::new(layout.total.start, layout.total.bytes());
-        let cards = CardTable::new(layout.cards, layout.old, cfg.layout.card_bytes);
+        let cards = CardTable::new(layout.cards, layout.old);
         cards.clear_all(&mut mem);
         let beg_map = MarkBitmap::new(layout.beg_map, layout.heap);
         let end_map = MarkBitmap::new(layout.end_map, layout.heap);
@@ -481,9 +475,8 @@ impl JavaHeap {
     /// so card-walks can find it.
     pub fn bot_update(&mut self, obj: VAddr, words: u64) {
         debug_assert!(self.in_old(obj));
-        let cb = self.cards.card_bytes();
-        let first_card = (obj - self.old.start()) / cb;
-        let last_card = (obj.add_words(words - 1).add_bytes(WORD_BYTES - 1) - self.old.start()) / cb;
+        let first_card = (obj - self.old.start()) / CARD_BYTES;
+        let last_card = (obj.add_words(words - 1).add_bytes(WORD_BYTES - 1) - self.old.start()) / CARD_BYTES;
         // The card the object starts in keeps its existing covering object;
         // only record if this object begins exactly at the card boundary or
         // nothing is known yet.
@@ -513,7 +506,7 @@ impl JavaHeap {
             region.start >= self.old.start(),
             "card-table invariant: card at {card_addr} is below the old generation"
         );
-        let idx = (region.start - self.old.start()) / self.cards.card_bytes();
+        let idx = (region.start - self.old.start()) / CARD_BYTES;
         let raw = *self
             .bot
             .get(idx as usize)
@@ -675,14 +668,6 @@ mod tests {
         assert_eq!(h.first_obj_for_card(first), Some(obj));
         h.bot_clear();
         assert_eq!(h.first_obj_for_card(first), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "must not start at address 0")]
-    fn old_generation_at_address_zero_is_refused() {
-        let mut cfg = HeapConfig::with_heap_bytes(4 << 20);
-        cfg.layout.base = VAddr::NULL;
-        JavaHeap::new(cfg);
     }
 
     #[test]

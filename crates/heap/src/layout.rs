@@ -29,15 +29,20 @@
 //! live object toward `base`.
 
 use crate::addr::{VAddr, VRange, WORD_BYTES};
+use crate::cardtable::CARD_BYTES;
 
 /// Alignment for every section boundary (one compaction region).
 pub const SECTION_ALIGN: u64 = 4096;
+/// Base virtual address of the whole mapping (where Old starts).
+pub const HEAP_BASE: VAddr = VAddr(0x1000_0000);
+/// Capacity of each object stack, in entries.
+pub const STACK_ENTRIES: u64 = 1 << 20;
+/// Bytes reserved for root slots.
+pub const ROOT_BYTES: u64 = 1 << 20;
 
 /// Sizing policy knobs for [`HeapLayout::compute`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayoutParams {
-    /// Base virtual address of the whole mapping.
-    pub base: VAddr,
     /// Requested Java heap size in bytes (Old + Young).
     pub heap_bytes: u64,
     /// Old gets `old_parts / (old_parts + young_parts)` of the heap.
@@ -47,26 +52,11 @@ pub struct LayoutParams {
     pub young_parts: u64,
     /// HotSpot `SurvivorRatio`: Eden is `survivor_ratio ×` one survivor.
     pub survivor_ratio: u64,
-    /// Bytes covered by one card-table byte (HotSpot: 512).
-    pub card_bytes: u64,
-    /// Capacity of each object stack, in entries.
-    pub stack_entries: u64,
-    /// Bytes reserved for root slots.
-    pub root_bytes: u64,
 }
 
 impl Default for LayoutParams {
     fn default() -> LayoutParams {
-        LayoutParams {
-            base: VAddr(0x1000_0000),
-            heap_bytes: 32 << 20,
-            old_parts: 2,
-            young_parts: 1,
-            survivor_ratio: 8,
-            card_bytes: 512,
-            stack_entries: 1 << 20,
-            root_bytes: 1 << 20,
-        }
+        LayoutParams { heap_bytes: 32 << 20, old_parts: 2, young_parts: 1, survivor_ratio: 8 }
     }
 }
 
@@ -109,7 +99,6 @@ impl HeapLayout {
     pub fn compute(p: &LayoutParams) -> HeapLayout {
         assert!(p.heap_bytes >= 64 * 1024, "heap too small to be meaningful");
         assert!(p.old_parts > 0 && p.young_parts > 0 && p.survivor_ratio > 0);
-        assert!(p.card_bytes.is_power_of_two());
 
         let align = |b: u64| -> u64 { (b + SECTION_ALIGN - 1) & !(SECTION_ALIGN - 1) };
 
@@ -119,7 +108,7 @@ impl HeapLayout {
         let survivor_bytes = align(young_bytes / (p.survivor_ratio + 2));
         let eden_bytes = align(young_bytes - 2 * survivor_bytes);
 
-        let mut cursor = p.base;
+        let mut cursor = HEAP_BASE;
         let mut take = |bytes: u64| -> VRange {
             let r = VRange::new(cursor, cursor.add_bytes(align(bytes)));
             cursor = r.end;
@@ -135,11 +124,11 @@ impl HeapLayout {
         let bitmap_bytes = heap.words().div_ceil(8);
         let beg_map = take(bitmap_bytes);
         let end_map = take(bitmap_bytes);
-        let cards = take(old.bytes() / p.card_bytes);
-        let minor_stack = take(p.stack_entries * WORD_BYTES);
-        let major_stack = take(p.stack_entries * WORD_BYTES);
-        let roots = take(p.root_bytes);
-        let total = VRange::new(p.base, roots.end);
+        let cards = take(old.bytes() / CARD_BYTES);
+        let minor_stack = take(STACK_ENTRIES * WORD_BYTES);
+        let major_stack = take(STACK_ENTRIES * WORD_BYTES);
+        let roots = take(ROOT_BYTES);
+        let total = VRange::new(HEAP_BASE, roots.end);
 
         HeapLayout { heap, old, eden, from, to, beg_map, end_map, cards, minor_stack, major_stack, roots, total }
     }

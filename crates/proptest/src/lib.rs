@@ -19,6 +19,7 @@ pub mod strategy {
     //! The [`Strategy`] trait and combinators.
 
     use crate::test_runner::TestRng;
+    use rand::{Rng, SampleRange};
     use std::fmt::Debug;
     use std::ops::{Range, RangeInclusive};
 
@@ -62,29 +63,26 @@ pub mod strategy {
         }
     }
 
-    macro_rules! impl_int_range_strategy {
-        ($($t:ty),* $(,)?) => {$(
-            impl Strategy for Range<$t> {
-                type Value = $t;
-                fn generate(&self, rng: &mut TestRng) -> $t {
-                    assert!(self.start < self.end, "empty range strategy");
-                    let span = (self.end as i128 - self.start as i128) as u128;
-                    (self.start as i128 + (rng.next_u64() as u128 % span) as i128) as $t
-                }
-            }
-            impl Strategy for RangeInclusive<$t> {
-                type Value = $t;
-                fn generate(&self, rng: &mut TestRng) -> $t {
-                    let (start, end) = (*self.start(), *self.end());
-                    assert!(start <= end, "empty range strategy");
-                    let span = (end as i128 - start as i128) as u128 + 1;
-                    (start as i128 + (rng.next_u64() as u128 % span) as i128) as $t
-                }
-            }
-        )*};
+    // Integer ranges sample exactly as `rand`'s `gen_range` does.
+    impl<T: Debug> Strategy for Range<T>
+    where
+        Range<T>: SampleRange<T> + Clone,
+    {
+        type Value = T;
+        fn generate(&self, rng: &mut TestRng) -> T {
+            rng.gen_range(self.clone())
+        }
     }
 
-    impl_int_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+    impl<T: Debug> Strategy for RangeInclusive<T>
+    where
+        RangeInclusive<T>: SampleRange<T> + Clone,
+    {
+        type Value = T;
+        fn generate(&self, rng: &mut TestRng) -> T {
+            rng.gen_range(self.clone())
+        }
+    }
 
     macro_rules! impl_tuple_strategy {
         ($($S:ident . $idx:tt),+) => {
@@ -110,6 +108,7 @@ pub mod arbitrary {
 
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
+    use rand::RngCore;
     use std::fmt::Debug;
     use std::marker::PhantomData;
 
@@ -157,6 +156,7 @@ pub mod collection {
 
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
+    use rand::RngCore;
     use std::ops::{Range, RangeInclusive};
 
     /// Length bounds for [`vec`], convertible from the usual range types.
@@ -212,6 +212,7 @@ pub mod bool {
 
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
+    use rand::Rng;
 
     /// Strategy returned by [`weighted`].
     pub struct Weighted {
@@ -221,7 +222,7 @@ pub mod bool {
     impl Strategy for Weighted {
         type Value = bool;
         fn generate(&self, rng: &mut TestRng) -> bool {
-            rng.next_f64() < self.p
+            rng.gen_bool(self.p)
         }
     }
 
@@ -237,6 +238,7 @@ pub mod option {
 
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
+    use rand::Rng;
 
     /// Strategy returned by [`weighted`].
     pub struct Weighted<S> {
@@ -249,7 +251,7 @@ pub mod option {
         fn generate(&self, rng: &mut TestRng) -> Option<S::Value> {
             // Draw the probability first so inner consumption only happens
             // on Some — mirrors real proptest's lazy inner generation.
-            if rng.next_f64() < self.p {
+            if rng.gen_bool(self.p) {
                 Some(self.inner.generate(rng))
             } else {
                 None
@@ -305,30 +307,10 @@ pub mod test_runner {
         }
     }
 
-    /// Deterministic per-case RNG (SplitMix64).
-    #[derive(Debug, Clone)]
-    pub struct TestRng {
-        state: u64,
-    }
+    use rand::SeedableRng;
 
-    impl TestRng {
-        pub fn from_seed(seed: u64) -> TestRng {
-            TestRng { state: seed }
-        }
-
-        pub fn next_u64(&mut self) -> u64 {
-            self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        /// Uniform in `[0, 1)` with 53 bits of precision.
-        pub fn next_f64(&mut self) -> f64 {
-            ((self.next_u64() >> 11) as f64) * (1.0 / (1u64 << 53) as f64)
-        }
-    }
+    /// Deterministic per-case RNG: the workspace `rand` shim's SplitMix64.
+    pub type TestRng = rand::rngs::StdRng;
 
     fn fnv1a(s: &str) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -361,7 +343,7 @@ pub mod test_runner {
                  ({accepted}/{} cases accepted) — prop_assume! rejects too much",
                 cfg.cases
             );
-            let mut rng = TestRng::from_seed(base ^ attempts.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let mut rng = TestRng::seed_from_u64(base ^ attempts.wrapping_mul(0x9E37_79B9_7F4A_7C15));
             let (inputs, outcome) = case(&mut rng);
             match outcome {
                 Ok(Ok(())) => accepted += 1,
@@ -504,19 +486,43 @@ macro_rules! prop_assume {
 mod tests {
     use crate::prelude::*;
     use crate::test_runner::TestRng;
+    use rand::SeedableRng;
 
     #[test]
     fn strategies_are_deterministic_per_seed() {
         let strat = crate::collection::vec((0u64..100, any::<bool>()), 1..10);
-        let a = strat.generate(&mut TestRng::from_seed(9));
-        let b = strat.generate(&mut TestRng::from_seed(9));
+        let a = strat.generate(&mut TestRng::seed_from_u64(9));
+        let b = strat.generate(&mut TestRng::seed_from_u64(9));
         assert_eq!(a, b);
+    }
+
+    /// The case stream every strategy draws from one seed, pinned: a change
+    /// to the generator or to any strategy's sampling shows here.
+    #[test]
+    fn case_stream_is_pinned() {
+        let strat = (
+            0u64..1000,
+            any::<bool>(),
+            -3i32..=5,
+            crate::bool::weighted(0.3),
+            crate::option::weighted(0.5, 0u8..10),
+            crate::collection::vec(any::<u16>(), 0..4),
+        );
+        let mut rng = TestRng::seed_from_u64(9);
+        let got: Vec<_> = (0..4).map(|_| strat.generate(&mut rng)).collect();
+        let want = [
+            (228, false, 3, false, Some(0), vec![]),
+            (165, true, 3, false, Some(1), vec![]),
+            (137, true, -1, true, None, vec![15740, 64677]),
+            (101, false, -3, false, None, vec![15452, 27731]),
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]
     fn prop_map_and_ranges_compose() {
         let strat = (0u32..10).prop_map(|x| x * 2);
-        let mut rng = TestRng::from_seed(1);
+        let mut rng = TestRng::seed_from_u64(1);
         for _ in 0..100 {
             let v = strat.generate(&mut rng);
             assert!(v % 2 == 0 && v < 20);

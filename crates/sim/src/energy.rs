@@ -7,36 +7,29 @@
 //!   paper's HMC energy source), read from the platform's config
 //!   (`Ddr4Config::pj_per_bit`, `HmcConfig::pj_per_bit`),
 //! * **host cores** — a McPAT-like two-state model: an active core burns
-//!   `core_active_w`; a core whose GC thread is blocked on an offloaded
-//!   primitive clock-gates down to `core_idle_w`; shared uncore is a
+//!   [`CORE_ACTIVE_W`]; a core whose GC thread is blocked on an offloaded
+//!   primitive clock-gates down to [`CORE_IDLE_W`]; shared uncore is a
 //!   constant,
-//! * **Charon units** — the paper's measured 2.98 W average while active
-//!   (§5.3), plus negligible idle leakage.
+//! * **Charon units** — the paper's measured average ([`CHARON_ACTIVE_W`])
+//!   while active (§5.3), plus negligible idle leakage.
 
 use crate::time::Ps;
 use std::fmt;
 
-/// Power/energy constants. Values not given by the paper carry documented
-/// defaults calibrated against the paper's Fig. 17 outcome (60.7% GC energy
-/// reduction vs. DDR4, 51.6% vs. HMC).
-#[derive(Debug, Clone, PartialEq)]
-pub struct EnergyParams {
-    /// Watts for one active host core (Westmere-class, ~2.67 GHz).
-    pub core_active_w: f64,
-    /// Watts for one clock-gated core blocked on an offload response.
-    pub core_idle_w: f64,
-    /// Watts for the shared uncore (LLC, ring, memory controllers).
-    pub uncore_w: f64,
-    /// Average watts for all Charon logic while any unit is active (§5.3:
-    /// 2.98 W average, 4.51 W max).
-    pub charon_active_w: f64,
-}
+// Power constants. Values not given by the paper are calibrated against
+// the paper's Fig. 17 outcome (60.7% GC energy reduction vs. DDR4, 51.6%
+// vs. HMC).
 
-impl Default for EnergyParams {
-    fn default() -> EnergyParams {
-        EnergyParams { core_active_w: 7.5, core_idle_w: 1.0, uncore_w: 8.0, charon_active_w: 2.98 }
-    }
-}
+/// Watts for one active host core (Westmere-class, ~2.67 GHz).
+pub const CORE_ACTIVE_W: f64 = 7.5;
+/// Watts for one clock-gated core blocked on an offload response.
+pub const CORE_IDLE_W: f64 = 1.0;
+/// Watts for the shared uncore (LLC, ring, memory controllers).
+pub const UNCORE_W: f64 = 8.0;
+/// Average watts for all Charon logic while any unit is active (§5.3:
+/// 2.98 W average; `charon_core::area` reports it beside the 4.51 W
+/// maximum).
+pub const CHARON_ACTIVE_W: f64 = 2.98;
 
 /// Accumulated energy for one simulated run.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -116,14 +109,13 @@ impl fmt::Display for EnergyAccount {
 /// The energy meter: feed it time and traffic, read off joules.
 #[derive(Debug, Clone, Default)]
 pub struct EnergyModel {
-    params: EnergyParams,
     account: EnergyAccount,
 }
 
 impl EnergyModel {
-    /// Creates a meter with the given constants.
-    pub fn new(params: EnergyParams) -> EnergyModel {
-        EnergyModel { params, account: EnergyAccount::default() }
+    /// A meter at zero joules.
+    pub fn new() -> EnergyModel {
+        EnergyModel::default()
     }
 
     /// Charges DRAM access energy for `bytes` moved at `pj_per_bit`
@@ -134,22 +126,22 @@ impl EnergyModel {
 
     /// Charges `cores` host cores running actively for `dur`.
     pub fn add_core_active(&mut self, cores: usize, dur: Ps) {
-        self.account.core_active_j += self.params.core_active_w * cores as f64 * dur.as_secs();
+        self.account.core_active_j += CORE_ACTIVE_W * cores as f64 * dur.as_secs();
     }
 
     /// Charges `cores` host cores sitting blocked for `dur`.
     pub fn add_core_idle(&mut self, cores: usize, dur: Ps) {
-        self.account.core_idle_j += self.params.core_idle_w * cores as f64 * dur.as_secs();
+        self.account.core_idle_j += CORE_IDLE_W * cores as f64 * dur.as_secs();
     }
 
     /// Charges the uncore for `dur` of wall-clock.
     pub fn add_uncore(&mut self, dur: Ps) {
-        self.account.uncore_j += self.params.uncore_w * dur.as_secs();
+        self.account.uncore_j += UNCORE_W * dur.as_secs();
     }
 
     /// Charges Charon logic being active for `dur`.
     pub fn add_charon_active(&mut self, dur: Ps) {
-        self.account.charon_j += self.params.charon_active_w * dur.as_secs();
+        self.account.charon_j += CHARON_ACTIVE_W * dur.as_secs();
     }
 
     /// The joules accumulated so far.
@@ -165,18 +157,18 @@ mod tests {
 
     #[test]
     fn dram_energy_matches_pj_per_bit() {
-        let mut m = EnergyModel::new(EnergyParams::default());
+        let mut m = EnergyModel::new();
         // 1 MB at 35 pJ/bit: 1e6 B * 8 b/B * 35 pJ = 2.8e8 pJ = 2.8e-4 J.
         m.add_dram_bytes(SystemConfig::table2_ddr4().dram_pj_per_bit(), 1_000_000);
         assert!((m.account().dram_j - 2.8e-4).abs() < 1e-9);
-        let mut h = EnergyModel::new(EnergyParams::default());
+        let mut h = EnergyModel::new();
         h.add_dram_bytes(SystemConfig::table2_hmc().dram_pj_per_bit(), 1_000_000);
         assert!(h.account().dram_j < m.account().dram_j, "HMC bit energy is lower");
     }
 
     #[test]
     fn core_energy_scales_with_time_and_count() {
-        let mut m = EnergyModel::new(EnergyParams::default());
+        let mut m = EnergyModel::new();
         m.add_core_active(8, Ps::from_ms(1.0));
         // 8 cores * 7.5 W * 1 ms = 60 mJ.
         assert!((m.account().core_active_j - 0.060).abs() < 1e-9);
@@ -186,14 +178,14 @@ mod tests {
 
     #[test]
     fn charon_power_is_paper_average() {
-        let mut m = EnergyModel::new(EnergyParams::default());
+        let mut m = EnergyModel::new();
         m.add_charon_active(Ps::from_ms(10.0));
         assert!((m.account().charon_j - 0.0298).abs() < 1e-9);
     }
 
     #[test]
     fn since_and_accumulate_telescope() {
-        let mut m = EnergyModel::new(EnergyParams::default());
+        let mut m = EnergyModel::new();
         let start = m.account().clone();
         m.add_dram_bytes(35.0, 1_000_000);
         m.add_core_active(4, Ps::from_ms(1.0));
@@ -214,7 +206,7 @@ mod tests {
 
     #[test]
     fn total_sums_components() {
-        let mut m = EnergyModel::new(EnergyParams::default());
+        let mut m = EnergyModel::new();
         m.add_uncore(Ps::from_ms(2.0));
         m.add_core_active(1, Ps::from_ms(2.0));
         let a = m.account();

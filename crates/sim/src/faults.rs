@@ -92,21 +92,31 @@ impl fmt::Display for FaultSite {
     }
 }
 
+/// How long the blocked host core waits for an offload response before it
+/// declares the attempt lost: ~2 bulk-offload service times, long enough
+/// that a healthy response always beats it, short against a GC pause.
+/// Silent failures (drop, wedge, parity, unserviceable miss) are only
+/// observed at this horizon; a queue NACK comes back as an explicit control
+/// packet sooner.
+pub const OFFLOAD_TIMEOUT: Ps = Ps(5_000_000);
+/// Backoff before retry k is `min(BACKOFF_BASE << k, BACKOFF_CAP)`.
+pub const BACKOFF_BASE: Ps = Ps(1_000_000);
+/// Upper bound on a single backoff interval.
+pub const BACKOFF_CAP: Ps = Ps(16_000_000);
+
+/// Backoff charged before re-issuing attempt `attempt` (0-based over
+/// *retries*, i.e. the wait after the (attempt+1)-th failure).
+pub fn backoff(attempt: u32) -> Ps {
+    let shifted = if attempt >= BACKOFF_BASE.0.leading_zeros() { u64::MAX } else { BACKOFF_BASE.0 << attempt };
+    Ps(shifted.min(BACKOFF_CAP.0))
+}
+
 /// Recovery-layer parameters consumed by `CharonDevice::offload`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryConfig {
-    /// How long the blocked host core waits for a response before it
-    /// declares the attempt lost. Silent failures (drop, wedge, parity,
-    /// unserviceable miss) are only observed at this horizon; a queue
-    /// NACK comes back as an explicit control packet sooner.
-    pub timeout: Ps,
     /// Retries allowed after the first attempt; `budget` exhausted means
     /// the offload is abandoned to the host software path.
     pub retry_budget: u32,
-    /// Backoff before retry k is `min(base << k, cap)`.
-    pub backoff_base: Ps,
-    /// Upper bound on a single backoff interval.
-    pub backoff_cap: Ps,
     /// Consecutive abandoned offloads of one primitive before the
     /// watchdog declares that unit class dead; the device's verdict then
     /// keeps the primitive on the host software path until a probe
@@ -116,25 +126,7 @@ pub struct RecoveryConfig {
 
 impl Default for RecoveryConfig {
     fn default() -> RecoveryConfig {
-        RecoveryConfig {
-            // ~2 bulk-offload service times; long enough that a healthy
-            // response always beats it, short against a GC pause.
-            timeout: Ps(5_000_000),
-            retry_budget: 4,
-            backoff_base: Ps(1_000_000),
-            backoff_cap: Ps(16_000_000),
-            watchdog_threshold: 3,
-        }
-    }
-}
-
-impl RecoveryConfig {
-    /// Backoff charged before re-issuing attempt `attempt` (0-based over
-    /// *retries*, i.e. the wait after the (attempt+1)-th failure).
-    pub fn backoff(&self, attempt: u32) -> Ps {
-        let base = self.backoff_base.0.max(1);
-        let shifted = if attempt >= base.leading_zeros() { u64::MAX } else { base << attempt };
-        Ps(shifted.min(self.backoff_cap.0))
+        RecoveryConfig { retry_budget: 4, watchdog_threshold: 3 }
     }
 }
 
@@ -337,15 +329,14 @@ mod tests {
 
     #[test]
     fn backoff_is_bounded_and_exponential() {
-        let rc = RecoveryConfig::default();
-        assert_eq!(rc.backoff(0), rc.backoff_base);
-        assert_eq!(rc.backoff(1), Ps(rc.backoff_base.0 * 2));
-        assert_eq!(rc.backoff(2), Ps(rc.backoff_base.0 * 4));
-        assert_eq!(rc.backoff(63), rc.backoff_cap);
-        assert_eq!(rc.backoff(64), rc.backoff_cap);
+        assert_eq!(backoff(0), BACKOFF_BASE);
+        assert_eq!(backoff(1), Ps(BACKOFF_BASE.0 * 2));
+        assert_eq!(backoff(2), Ps(BACKOFF_BASE.0 * 4));
+        assert_eq!(backoff(63), BACKOFF_CAP);
+        assert_eq!(backoff(64), BACKOFF_CAP);
         for k in 0..70 {
-            assert!(rc.backoff(k) <= rc.backoff_cap);
-            assert!(rc.backoff(k) >= Ps(1));
+            assert!(backoff(k) <= BACKOFF_CAP);
+            assert!(backoff(k) >= Ps(1));
         }
     }
 

@@ -1,5 +1,5 @@
 //! Opt-in latency profiler: per-channel [`Histogram`]s behind the same
-//! shared-handle pattern as [`crate::telemetry::Telemetry`].
+//! shared handle as [`crate::telemetry::Telemetry`] ([`Sink`]).
 //!
 //! The telemetry spine records *events*; the profiler records
 //! *distributions*. Each sample is one service latency (in picoseconds)
@@ -11,9 +11,8 @@
 
 use crate::hist::Histogram;
 use crate::json::Json;
+use crate::telemetry::Sink;
 use crate::time::Ps;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// What a latency sample measures. One histogram per variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,6 +83,18 @@ impl Channel {
         }
     }
 
+    /// The channel of the primitive whose 4-bit wire encoding is
+    /// `encoding` (`PrimType::encode`: Copy, Search, Scan&Push, Bitmap
+    /// Count): `prim_*` as the collector issued it, or `prim_*_host` when
+    /// `host` — run on the host software path.
+    pub fn prim(encoding: u8, host: bool) -> Channel {
+        const ISSUED: [Channel; 4] =
+            [Channel::PrimCopy, Channel::PrimSearch, Channel::PrimScanPush, Channel::PrimBitmapCount];
+        const HOST: [Channel; 4] =
+            [Channel::HostPrimCopy, Channel::HostPrimSearch, Channel::HostPrimScanPush, Channel::HostPrimBitmapCount];
+        (if host { HOST } else { ISSUED })[usize::from(encoding)]
+    }
+
     fn index(self) -> usize {
         match self {
             Channel::DramPacket => 0,
@@ -147,42 +158,19 @@ impl LatencyProfile {
     }
 }
 
-/// Shared handle to an optional [`LatencyProfile`] sink, cloned into every
-/// layer that records (fabric, device, GC primitives). Mirrors
-/// [`crate::telemetry::Telemetry`]: the simulation is single-threaded, so
-/// `Rc<RefCell<…>>` suffices.
-#[derive(Debug, Clone, Default)]
-pub struct Profiler(Option<Rc<RefCell<LatencyProfile>>>);
+/// Shared handle to an optional [`LatencyProfile`], cloned into every
+/// layer that records (fabric, device, GC primitives).
+pub type Profiler = Sink<LatencyProfile>;
 
 impl Profiler {
-    /// A profiler that drops every sample (the default).
-    pub fn disabled() -> Profiler {
-        Profiler(None)
-    }
-
-    /// A profiler collecting into a fresh shared profile.
-    pub fn enabled() -> Profiler {
-        Profiler(Some(Rc::new(RefCell::new(LatencyProfile::new()))))
-    }
-
-    /// Whether samples are being collected.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
     /// Records one latency sample; a no-op when disabled.
     pub fn record(&self, ch: Channel, latency: Ps) {
-        if let Some(p) = &self.0 {
-            p.borrow_mut().record(ch, latency);
-        }
+        self.with(|p| p.record(ch, latency));
     }
 
     /// A copy of the collected profile (empty when disabled).
     pub fn snapshot(&self) -> LatencyProfile {
-        match &self.0 {
-            Some(p) => *p.borrow(),
-            None => LatencyProfile::new(),
-        }
+        self.read(|p| *p)
     }
 }
 
@@ -231,6 +219,15 @@ mod tests {
         ba.merge(&a);
         assert_eq!(ab, ba, "merge commutes");
         assert_eq!(ab.get(Channel::DramBatch).count(), 2);
+    }
+
+    #[test]
+    fn prim_channels_pair_issued_with_host() {
+        let names: Vec<&str> = (0..4).map(|e| Channel::prim(e, false).name()).collect();
+        assert_eq!(names, ["prim_copy", "prim_search", "prim_scan_push", "prim_bitmap_count"]);
+        for e in 0..4 {
+            assert_eq!(Channel::prim(e, true).name(), format!("{}_host", Channel::prim(e, false).name()));
+        }
     }
 
     #[test]

@@ -83,51 +83,73 @@ pub enum Event {
 
 /// The event log. One journal is shared (via [`Telemetry`] clones) by
 /// every instrumented layer of a run.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Journal {
     events: Vec<Event>,
 }
 
-/// A cheap, cloneable handle to an optional [`Journal`].
+/// A cheap, cloneable handle to an optional shared sink `T`: the one
+/// handle type behind both [`Telemetry`] and
+/// [`crate::profile::Profiler`]. The simulation is single-threaded, so
+/// `Rc<RefCell<…>>` suffices.
 ///
-/// `Telemetry::default()` is disabled: every [`record`](Telemetry::record)
-/// call is a single `is_some` branch and the event closure never runs.
+/// `Sink::default()` is disabled: every record call is a single `is_some`
+/// branch and leaves simulated timing bit-identical.
 #[derive(Debug, Clone, Default)]
-pub struct Telemetry(Option<Rc<RefCell<Journal>>>);
+pub struct Sink<T>(Option<Rc<RefCell<T>>>);
 
-impl Telemetry {
-    /// The do-nothing handle (same as `Telemetry::default()`).
-    pub fn disabled() -> Telemetry {
-        Telemetry(None)
+impl<T: Default> Sink<T> {
+    /// The do-nothing handle (same as `Sink::default()`).
+    pub fn disabled() -> Sink<T> {
+        Sink(None)
     }
 
-    /// A live handle backed by a fresh journal.
-    pub fn enabled() -> Telemetry {
-        Telemetry(Some(Rc::new(RefCell::new(Journal::default()))))
+    /// A live handle backed by a fresh, empty sink.
+    pub fn enabled() -> Sink<T> {
+        Sink(Some(Rc::new(RefCell::new(T::default()))))
     }
 
-    /// Whether events are being recorded.
+    /// Whether anything is being recorded.
     pub fn is_enabled(&self) -> bool {
         self.0.is_some()
     }
 
+    /// Applies `f` to the live sink; a no-op when disabled.
+    #[inline]
+    pub(crate) fn with(&self, f: impl FnOnce(&mut T)) {
+        if let Some(sink) = &self.0 {
+            f(&mut sink.borrow_mut());
+        }
+    }
+
+    /// `f` of the live sink, or of an empty one when disabled.
+    pub(crate) fn read<R>(&self, f: impl FnOnce(&T) -> R) -> R {
+        match &self.0 {
+            Some(sink) => f(&sink.borrow()),
+            None => f(&T::default()),
+        }
+    }
+}
+
+/// A handle to an optional [`Journal`].
+pub type Telemetry = Sink<Journal>;
+
+impl Telemetry {
     /// Records the event produced by `f` — which is only invoked when the
     /// journal is live, so hooks may build `String`s inside it freely.
     #[inline]
     pub fn record(&self, f: impl FnOnce() -> Event) {
-        if let Some(j) = &self.0 {
-            j.borrow_mut().events.push(f());
-        }
+        self.with(|j| j.events.push(f()));
     }
 
     /// Events recorded so far (empty when disabled).
     pub fn events(&self) -> Vec<Event> {
-        self.0.as_ref().map(|j| j.borrow().events.clone()).unwrap_or_default()
+        self.read(|j| j.events.clone())
     }
 
     /// Number of events recorded so far.
     pub fn len(&self) -> usize {
-        self.0.as_ref().map(|j| j.borrow().events.len()).unwrap_or(0)
+        self.read(|j| j.events.len())
     }
 
     /// Whether the journal holds no events (always true when disabled).

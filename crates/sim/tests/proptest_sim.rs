@@ -6,7 +6,7 @@ use charon_sim::bwres::EpochBw;
 use charon_sim::cache::{AccessKind, Cache};
 use charon_sim::config::{CacheConfig, HmcConfig, SystemConfig};
 use charon_sim::dram::{Ddr4Sim, DramOp, HmcSim};
-use charon_sim::faults::{FaultSite, RecoveryConfig};
+use charon_sim::faults::{backoff, FaultSite, OFFLOAD_TIMEOUT};
 use charon_sim::issue::Window;
 use charon_sim::noc::{Noc, Node};
 use charon_sim::time::{Bandwidth, Ps};
@@ -224,7 +224,6 @@ proptest! {
         // timeout-plus-backoff spacing. However dense the retry bursts
         // get, the epoch meter still cannot serve past its configured
         // rate, never travels backwards, and loses no reservation.
-        let rc = RecoveryConfig::default();
         let mut lane = EpochBw::from_bandwidth(Bandwidth::gbps(10.0), Ps::from_us(1.0));
         let mut total = 0u64;
         let mut last_done = Ps::ZERO;
@@ -235,7 +234,7 @@ proptest! {
                 prop_assert!(done >= t, "retry completion went backwards: {done} < {t}");
                 total += bytes;
                 last_done = last_done.max(done);
-                t = done.max(t + rc.timeout) + rc.backoff(attempt);
+                t = done.max(t + OFFLOAD_TIMEOUT) + backoff(attempt);
             }
         }
         let min_time = total as f64 / 10e9; // seconds at 10 GB/s

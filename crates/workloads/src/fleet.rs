@@ -35,6 +35,8 @@ use crate::spec::{by_short, table3, WorkloadSpec};
 use charon_sim::hist::Histogram;
 use charon_sim::json::Json;
 use charon_sim::time::Ps;
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 use std::fmt;
 use std::str::FromStr;
 
@@ -409,15 +411,6 @@ struct TenantStream {
     offset: Ps,
 }
 
-/// SplitMix64 finalizer — the stagger offsets only need to be
-/// well-spread and deterministic.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// What the schedule phase produced.
 #[derive(Debug, Clone)]
 struct SimOut {
@@ -600,7 +593,9 @@ pub fn run_fleet(opts: &FleetOptions) -> Result<FleetReport, String> {
             prev_end = ev.start + ev.wall;
         }
         let mean_gap = if jobs.is_empty() { 0 } else { jobs.iter().map(|(g, _)| g.0).sum::<u64>() / jobs.len() as u64 };
-        let offset = Ps(splitmix64(opts.seed ^ t as u64) % (mean_gap + 1));
+        // The first SplitMix64 draw: the stagger offsets only need to be
+        // well-spread and deterministic.
+        let offset = Ps(StdRng::seed_from_u64(opts.seed ^ t as u64).next_u64() % (mean_gap + 1));
         streams.push(TenantStream { jobs, offset });
     }
 

@@ -61,7 +61,7 @@ fn controller_never_enables_watchdog_dead_units() {
     // A near-certain unit-fault rate plus a hair-trigger watchdog gets
     // unit classes declared dead early in the run; the controller must
     // keep them clamped off from the first dead verdict onwards.
-    let recovery = RecoveryConfig { retry_budget: 0, watchdog_threshold: 1, ..Default::default() };
+    let recovery = RecoveryConfig { retry_budget: 0, watchdog_threshold: 1 };
     sys.inject_faults(FaultSite::Unit.arm(0xDEAD, 0.95), recovery);
     let o = RunOptions { policy: Some(PolicyKind::Census), ..RunOptions::default() };
     let r = run_workload(&phase_shift(), sys, &o).unwrap();

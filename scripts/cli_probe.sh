@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Byte-identity probe for a refactor: runs the CI command set (plus the
-# `explain` and cms `profile` forms) with two charon-cli binaries and
-# diffs what each wrote.
+# `explain` and cms `profile` forms, and the `list`/`config`/`area`
+# tables) with two charon-cli binaries and diffs what each wrote.
 #
 #   scripts/cli_probe.sh OLD_BIN NEW_BIN OUT_DIR
 #
@@ -79,6 +79,9 @@ COMMANDS=(
     "paper BS"
     "run KM --platform Charon-CPU-side --steps 2 --json --trace-out kmcpu.trace.json"
     "run LR --platform Charon --mask none --steps 3 --json"
+    "list"
+    "config"
+    "area"
 )
 
 probe() {
